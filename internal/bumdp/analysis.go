@@ -150,8 +150,8 @@ type SolveOptions struct {
 	NoElimination bool `json:",omitempty"`
 	// Tracer, if non-nil, receives the solve's convergence events:
 	// "ratio.probe"/"ratio.bracket"/"ratio.done" from the bisection and
-	// "solver.iter"/"solver.done" from every inner sweep (including the
-	// fork-rate policy evaluation). Tracing never changes results.
+	// "solver.iter"/"solver.done" from every inner sweep. Tracing never
+	// changes results.
 	Tracer obs.Tracer
 }
 
@@ -238,9 +238,10 @@ func (a *Analysis) SolveWith(opts SolveOptions) (Result, error) {
 	fork, err := a.Model.StateVisitRate(res.Policy, func(s int) bool {
 		return !a.States[s].Base()
 	}, inner)
-	if err == nil {
-		res.ForkRate = fork
+	if err != nil {
+		return Result{}, fmt.Errorf("bumdp: fork rate: %w", err)
 	}
+	res.ForkRate = fork
 	res.Stats.Duration = time.Since(start)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package bumdp
 
 import (
+	"fmt"
 	"time"
 
 	"buanalysis/internal/mdp"
@@ -171,13 +172,13 @@ func (s *Session) Solve() (Result, error) {
 		s.lastValue = r.Value
 		s.haveValue = true
 	}
-	forkOpts := mdp.Options{Epsilon: opts.Epsilon, Parallelism: opts.Parallelism, Tracer: opts.Tracer}
 	fork, err := a.Model.StateVisitRate(res.Policy, func(st int) bool {
 		return !a.States[st].Base()
-	}, forkOpts)
-	if err == nil {
-		res.ForkRate = fork
+	}, inner)
+	if err != nil {
+		return Result{}, fmt.Errorf("bumdp: fork rate: %w", err)
 	}
+	res.ForkRate = fork
 	res.Stats.Duration = time.Since(start)
 	return res, nil
 }

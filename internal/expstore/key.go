@@ -30,7 +30,12 @@ import (
 // Version 2: the average-reward solver gained modified policy iteration
 // and action elimination, which change iteration paths and therefore
 // the exact bits of converged values (still within Epsilon).
-const Version = 2
+//
+// Version 3: the stationary distribution behind fork rates became an
+// exact regenerative solve instead of a power iteration stopped at
+// Epsilon, which changes the stored fork-rate bits (utilities are
+// untouched).
+const Version = 3
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

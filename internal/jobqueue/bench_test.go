@@ -15,6 +15,8 @@ import (
 	"buanalysis/internal/expstore"
 	"buanalysis/internal/farm"
 	"buanalysis/internal/jobqueue"
+	"buanalysis/internal/mdp"
+	"buanalysis/internal/obs"
 	"buanalysis/internal/verify"
 )
 
@@ -169,13 +171,25 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 	return elapsed
 }
 
-// measureVerifyCost times one compliant BU solve and the validity
-// predicate over its artifact (best-of-n for both, to shed scheduler
-// noise). The predicate's dominant cost is the loose certified
-// re-solve, which must stay a small fraction of the tight solve it
-// guards — that asymmetry is what makes always-on verification free in
-// practice.
-func measureVerifyCost(t *testing.T) (solveNs, verifyNs float64) {
+// verifyCost is what the validity predicate costs next to the solve it
+// checks, for one compliant BU artifact.
+type verifyCost struct {
+	// solveWork and verifyWork are sweep-equivalents read from the
+	// solver's own counters: optimizing sweeps plus a third of each
+	// evaluation sweep (the kernel cost ratio BENCH_solver.json uses).
+	// Both run on the same model, so a sweep costs the same in each and
+	// their ratio does not move with host load.
+	solveWork, verifyWork float64
+	// solveNs and verifyNs are best-of-n wall-clock times.
+	solveNs, verifyNs float64
+}
+
+// measureVerifyCost solves one compliant BU instance and runs the
+// validity predicate over its artifact. The predicate's dominant cost
+// is the loose certified re-solve, which must stay a small fraction of
+// the tight solve it guards — that asymmetry is what makes always-on
+// verification free in practice.
+func measureVerifyCost(t *testing.T) verifyCost {
 	t.Helper()
 	// A production-scale instance at production tolerances (zero options
 	// = RatioTol 1e-5, Epsilon 1e-9): the bound is about real artifacts,
@@ -187,42 +201,57 @@ func measureVerifyCost(t *testing.T) (solveNs, verifyNs float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	mdp.Observe(reg)
+	defer mdp.Observe(nil)
+	sweeps := reg.Counter("mdp_sweeps_total", "")
+	evals := reg.Counter("mdp_eval_sweeps_total", "")
+	measure := func(f func() error) (work, ns float64) {
+		s0, e0 := sweeps.Value(), evals.Value()
+		start := time.Now()
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		ns = float64(time.Since(start).Nanoseconds())
+		eval := evals.Value() - e0
+		return float64(sweeps.Value()-s0-eval) + float64(eval)/3, ns
+	}
+	var c verifyCost
 	var blob []byte
 	for i := 0; i < 2; i++ {
-		start := time.Now()
-		b, err := farm.Execute(job, 1)
-		if err != nil {
-			t.Fatal(err)
+		work, ns := measure(func() (err error) {
+			blob, err = farm.Execute(job, 1)
+			return err
+		})
+		c.solveWork = work
+		if c.solveNs == 0 || ns < c.solveNs {
+			c.solveNs = ns
 		}
-		if ns := float64(time.Since(start).Nanoseconds()); solveNs == 0 || ns < solveNs {
-			solveNs = ns
-		}
-		blob = b
 	}
 	for i := 0; i < 5; i++ {
-		start := time.Now()
-		if err := verify.Artifact(job.Kind, job.ID, job.Spec, blob); err != nil {
-			t.Fatal(err)
-		}
-		if ns := float64(time.Since(start).Nanoseconds()); verifyNs == 0 || ns < verifyNs {
-			verifyNs = ns
+		work, ns := measure(func() error { return verify.Artifact(job.Kind, job.ID, job.Spec, blob) })
+		c.verifyWork = work
+		if c.verifyNs == 0 || ns < c.verifyNs {
+			c.verifyNs = ns
 		}
 	}
-	return solveNs, verifyNs
+	return c
 }
 
 // TestVerifyCostBound pins the acceptance bound on the validity
-// predicate: verifying a compliant BU solve artifact must cost under 5%
-// of producing it.
+// predicate: verifying a compliant BU solve artifact must take under 5%
+// of the sweep work of producing it. The wall-clock ratio is only
+// logged, because tests of other packages running alongside move it.
 func TestVerifyCostBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-sensitive")
+		t.Skip("solves a production-scale instance")
 	}
-	solveNs, verifyNs := measureVerifyCost(t)
-	ratio := verifyNs / solveNs
-	t.Logf("solve %.1fms, verify %.2fms, ratio %.4f", solveNs/1e6, verifyNs/1e6, ratio)
+	c := measureVerifyCost(t)
+	ratio := c.verifyWork / c.solveWork
+	t.Logf("solve %.0f sweep-equivalents in %.1fms, verify %.0f in %.2fms: work ratio %.4f, wall-clock ratio %.4f",
+		c.solveWork, c.solveNs/1e6, c.verifyWork, c.verifyNs/1e6, ratio, c.verifyNs/c.solveNs)
 	if ratio >= 0.05 {
-		t.Fatalf("verify cost is %.1f%% of the solve, want < 5%%", ratio*100)
+		t.Fatalf("verify costs %.1f%% of the solve's sweep work, want < 5%%", ratio*100)
 	}
 }
 
@@ -262,7 +291,7 @@ func TestBenchEmit(t *testing.T) {
 
 	oneWorker := sweepWallClock(t, 1)
 	threeWorkers := sweepWallClock(t, 3)
-	solveNs, verifyNs := measureVerifyCost(t)
+	cost := measureVerifyCost(t)
 
 	report := map[string]any{
 		"suite": "jobqueue",
@@ -275,9 +304,9 @@ func TestBenchEmit(t *testing.T) {
 		}(),
 		"sweep_1_worker_s":  oneWorker,
 		"sweep_3_workers_s": threeWorkers,
-		"busolve_ms":        solveNs / 1e6,
-		"verify_ms":         verifyNs / 1e6,
-		"verify_cost_ratio": verifyNs / solveNs,
+		"busolve_ms":        cost.solveNs / 1e6,
+		"verify_ms":         cost.verifyNs / 1e6,
+		"verify_cost_ratio": cost.verifyNs / cost.solveNs,
 		"sweep_speedup_x": func() float64 {
 			if threeWorkers == 0 {
 				return 0

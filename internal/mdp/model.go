@@ -160,7 +160,7 @@ func CompileWorkers(b Builder, workers int) (*Model, error) {
 		return nil, errors.New("mdp: builder has no states")
 	}
 	w := effectiveWorkers(workers, n, minAutoStatesPerCompileWorker)
-	bounds := splitRange(n, w, 1)
+	bounds := splitRange(n, w)
 	chunks := make([]compileChunk, w)
 	if w == 1 {
 		compileRange(b, n, 0, n, &chunks[0])
@@ -389,7 +389,7 @@ func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 		reparamsTotal.Inc()
 		return nm, nil
 	}
-	bounds := splitRange(n, w, 1)
+	bounds := splitRange(n, w)
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	wg.Add(w)

@@ -14,10 +14,9 @@ import (
 // output. The residual reductions the solvers need (the span seminorm's
 // min/max and the sup-norm's max) are order-independent in floating
 // point, so the parallel solvers are bit-identical to the serial ones:
-// same values, same policies, same iteration counts. The only sum-shaped
-// reduction (StationaryDistribution's L1 residual) is accumulated over
-// fixed-size state blocks whose boundaries do not depend on the worker
-// count, preserving the same guarantee.
+// same values, same policies, same iteration counts. The stationary
+// distribution (stationary.go) is a serial regenerative solve and takes
+// no part in the worker pool.
 //
 // The accelerated kernels keep the contract: the fixed-policy
 // evaluation sweep (policyChunk) and the eliminating Bellman sweep
@@ -61,26 +60,13 @@ func effectiveWorkers(parallelism, n, perWorkerMin int) int {
 }
 
 // splitRange returns worker chunk bounds over [0, n): a slice of
-// workers+1 offsets with near-equal chunk sizes. If align > 1, interior
-// boundaries are rounded down to multiples of align (so reductions that
-// accumulate per fixed align-sized block never straddle a chunk).
-func splitRange(n, workers, align int) []int {
+// workers+1 non-decreasing offsets with near-equal chunk sizes.
+func splitRange(n, workers int) []int {
 	bounds := make([]int, workers+1)
 	for w := 1; w < workers; w++ {
-		b := w * n / workers
-		if align > 1 {
-			b -= b % align
-		}
-		bounds[w] = b
+		bounds[w] = w * n / workers
 	}
 	bounds[workers] = n
-	// Rounding can collapse interior boundaries below a predecessor for
-	// tiny n; restore monotonicity (empty chunks are fine).
-	for w := 1; w < workers; w++ {
-		if bounds[w] < bounds[w-1] {
-			bounds[w] = bounds[w-1]
-		}
-	}
 	return bounds
 }
 
@@ -116,8 +102,8 @@ type sweepPool struct {
 // live without giving up the fast path on idle cores.
 const spinBudget = 128
 
-func newSweepPool(n, workers, align int) *sweepPool {
-	p := &sweepPool{bounds: splitRange(n, workers, align)}
+func newSweepPool(n, workers int) *sweepPool {
+	p := &sweepPool{bounds: splitRange(n, workers)}
 	p.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go p.worker(w)

@@ -304,7 +304,7 @@ func (m *Model) ValueIteration(discount float64, opts Options) ([]float64, Polic
 	// Epsilon*(1-discount)/(2*discount), guaranteeing an Epsilon-optimal value.
 	stop := opts.Epsilon * (1 - discount) / (2 * discount)
 
-	pool := newSweepPool(n, effectiveWorkers(opts.Parallelism, n, minAutoStatesPerWorker), 1)
+	pool := newSweepPool(n, effectiveWorkers(opts.Parallelism, n, minAutoStatesPerWorker))
 	defer pool.close()
 	worsts := make([]wspan, pool.workers())
 

@@ -2,21 +2,14 @@ package mdp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
-// diffBlock is the fixed state-block size over which the power
-// iteration's L1 residual is partially summed. Chunk boundaries are
-// aligned to it, and the block partial sums are folded in block order,
-// so the residual — a sum, the one reduction that is not
-// order-independent in floating point — is bit-identical for every
-// worker count.
-const diffBlock = 4096
-
 // policyChain is the Markov chain induced by a fixed policy, stored
-// transposed (incoming edges per state) so the power iteration is a
-// gather: next[s] depends only on pi, making the sweep trivially
-// parallel with deterministic per-state accumulation order.
+// transposed (incoming edges per state) so the stationary solve is a
+// gather with a fixed per-state accumulation order. Zero-probability
+// transitions are dropped: they are not edges of the chain.
 type policyChain struct {
 	inOff  []int32
 	inSrc  []int32
@@ -26,17 +19,18 @@ type policyChain struct {
 // transpose builds the incoming-edge arrays of the policy's chain from
 // the compacted transition layout (duplicates already merged). Edges
 // are emitted in source-state order, which fixes the per-state
-// summation order independent of the worker count.
+// summation order.
 func (m *Model) transpose(pol Policy) policyChain {
 	n := m.numStates
 	c := policyChain{inOff: make([]int32, n+1)}
-	slot := func(s int) int32 { return m.stateOff[s] + int32(pol[s]) }
 	total := 0
 	for s := 0; s < n; s++ {
-		k := slot(s)
-		for j := m.csaOff[k]; j < m.csaOff[k+1]; j++ {
-			c.inOff[m.ctto[j]+1]++
-			total++
+		to, prob := m.successors(pol, s)
+		for j, d := range to {
+			if prob[j] > 0 {
+				c.inOff[d+1]++
+				total++
+			}
 		}
 	}
 	for s := 0; s < n; s++ {
@@ -47,75 +41,235 @@ func (m *Model) transpose(pol Policy) policyChain {
 	pos := make([]int32, n)
 	copy(pos, c.inOff[:n])
 	for s := 0; s < n; s++ {
-		k := slot(s)
-		for j := m.csaOff[k]; j < m.csaOff[k+1]; j++ {
-			d := m.ctto[j]
-			c.inSrc[pos[d]] = int32(s)
-			c.inProb[pos[d]] = m.ctprob[j]
-			pos[d]++
+		to, prob := m.successors(pol, s)
+		for j, d := range to {
+			if prob[j] > 0 {
+				c.inSrc[pos[d]] = int32(s)
+				c.inProb[pos[d]] = prob[j]
+				pos[d]++
+			}
 		}
 	}
 	return c
 }
 
-// StationaryDistribution computes the stationary distribution of the Markov
-// chain induced by a fixed policy, by power iteration with an aperiodicity
-// transformation. The chain must be unichain (a single recurrent class plus
-// possibly transient states); all chains in this repository regenerate
-// through a base state and qualify.
+// successors returns the compacted destinations and probabilities of
+// the action slot pol selects in state s. The slices are owned by the
+// model.
+func (m *Model) successors(pol Policy, s int) ([]int32, []float64) {
+	k := m.stateOff[s] + int32(pol[s])
+	lo, hi := m.csaOff[k], m.csaOff[k+1]
+	return m.ctto[lo:hi], m.ctprob[lo:hi]
+}
+
+// components labels the strongly connected components of the chain
+// with Tarjan's algorithm, run iteratively so deep chains cannot
+// exhaust the stack. The transposed graph has the same components as
+// the chain itself.
+func (c policyChain) components() (comp []int32, count int) {
+	n := len(c.inOff) - 1
+	index := make([]int32, n) // discovery order + 1; 0 means unvisited
+	low := make([]int32, n)
+	comp = make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	type frame struct{ v, next int32 }
+	var call []frame
+	var stack []int32
+	visited := int32(0)
+	visit := func(v int32) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		call = append(call, frame{v, c.inOff[v]})
+	}
+	for root := int32(0); int(root) < n; root++ {
+		if index[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			v := f.v
+			if f.next < c.inOff[v+1] {
+				w := c.inSrc[f.next]
+				f.next++
+				if index[w] == 0 {
+					visit(w)
+				} else if comp[w] < 0 && index[w] < low[v] {
+					// w is on the stack: a back edge into v's component.
+					low[v] = index[w]
+				}
+				continue
+			}
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				if u := call[len(call)-1].v; low[v] < low[u] {
+					low[u] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = int32(count)
+					if w == v {
+						break
+					}
+				}
+				count++
+			}
+		}
+	}
+	return comp, count
+}
+
+// regenerationState returns the lowest-index state of the chain's
+// unique closed class. A chain with two closed classes is not unichain
+// and has no unique stationary distribution, which is an error.
+func (c policyChain) regenerationState() (int, error) {
+	comp, count := c.components()
+	closed := make([]bool, count)
+	for i := range closed {
+		closed[i] = true
+	}
+	for d := range comp {
+		for j := c.inOff[d]; j < c.inOff[d+1]; j++ {
+			if s := c.inSrc[j]; comp[s] != comp[d] {
+				closed[comp[s]] = false
+			}
+		}
+	}
+	r := -1
+	for s, k := range comp {
+		switch {
+		case !closed[k]:
+		case r < 0:
+			r = s
+		case comp[r] != k:
+			return 0, fmt.Errorf("mdp: policy chain is not unichain: states %d and %d lie in different closed classes", r, s)
+		}
+	}
+	return r, nil
+}
+
+// tabooOrder orders the states other than r for the regenerative solve:
+// a Kahn topological order of the taboo chain (the policy's chain with
+// the edges into r and all self-loops removed), followed by the states
+// Kahn cannot order, in index order. It returns the order and the
+// length of its topological prefix.
+func (m *Model) tabooOrder(pol Policy, c policyChain, r int) (order []int32, settled int) {
+	n := m.numStates
+	indeg := make([]int32, n)
+	for t := 0; t < n; t++ {
+		if t == r {
+			continue
+		}
+		for j := c.inOff[t]; j < c.inOff[t+1]; j++ {
+			if int(c.inSrc[j]) != t {
+				indeg[t]++
+			}
+		}
+	}
+	// order doubles as Kahn's queue. It starts with r, whose value is
+	// fixed, and the states no other state leads to.
+	order = append(make([]int32, 0, n), int32(r))
+	for t := 0; t < n; t++ {
+		if t != r && indeg[t] == 0 {
+			order = append(order, int32(t))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		s := order[head]
+		to, prob := m.successors(pol, int(s))
+		for j, t := range to {
+			if prob[j] > 0 && t != s && int(t) != r {
+				if indeg[t]--; indeg[t] == 0 {
+					order = append(order, t)
+				}
+			}
+		}
+	}
+	settled = len(order) - 1
+	for t := 0; t < n; t++ {
+		if indeg[t] > 0 {
+			order = append(order, int32(t))
+		}
+	}
+	return order[1:], settled
+}
+
+// StationaryDistribution computes the stationary distribution of the
+// Markov chain induced by a fixed policy with a regenerative solve. The
+// chain must be unichain (one closed class plus possibly transient
+// states); a chain with two closed classes is an error.
+//
+// The regeneration state r is the lowest-index state of the closed
+// class. With v(r) = 1, the expected visits v(t) to every other state
+// per regeneration cycle satisfy
+//
+//	v(t) = sum_{s != t} v(s) P(s,t) / (1 - P(t,t)),
+//
+// and pi = v / sum(v). The equations are solved by Gauss–Seidel sweeps
+// in tabooOrder's order. When the taboo chain is acyclic, which holds
+// for every BU chain (all cycles pass through the base state), each
+// state's inputs are final before it is visited and one sweep is exact.
+// Otherwise the sweeps repeat over the states Kahn could not order (the
+// topological prefix no longer changes) until a sweep's L1 change,
+// relative to sum(v), falls below opts.Epsilon, at most
+// opts.MaxIterations sweeps. The solve is serial and ignores
+// opts.Parallelism.
 func (m *Model) StationaryDistribution(pol Policy, opts Options) ([]float64, error) {
 	if len(pol) != m.numStates {
 		return nil, errors.New("mdp: policy length mismatch")
 	}
 	opts = opts.withDefaults()
-	n := m.numStates
-	chain := m.transpose(pol)
-	pi := make([]float64, n)
-	next := make([]float64, n)
-	for s := range pi {
-		pi[s] = 1 / float64(n)
+	c := m.transpose(pol)
+	r, err := c.regenerationState()
+	if err != nil {
+		return nil, err
 	}
-	tau := opts.Aperiodicity
-	if tau == 0 {
-		tau = 0.05
-	}
-	keep := 1 - tau
-
-	pool := newSweepPool(n, effectiveWorkers(opts.Parallelism, n, minAutoStatesPerWorker), diffBlock)
-	defer pool.close()
-	blockSums := make([]float64, (n+diffBlock-1)/diffBlock)
-
-	for it := 0; it < opts.MaxIterations; it++ {
-		pool.run(func(_, lo, hi int) {
-			inOff, inSrc, inProb := chain.inOff, chain.inSrc, chain.inProb
-			for b := lo; b < hi; b += diffBlock {
-				end := b + diffBlock
-				if end > hi {
-					end = hi
-				}
-				bsum := 0.0
-				for s := b; s < end; s++ {
-					sum := 0.0
-					for j := inOff[s]; j < inOff[s+1]; j++ {
-						sum += inProb[j] * pi[inSrc[j]]
-					}
-					v := tau*pi[s] + keep*sum
-					next[s] = v
-					bsum += math.Abs(v - pi[s])
-				}
-				blockSums[b/diffBlock] = bsum
-			}
-		})
+	order, settled := m.tabooOrder(pol, c, r)
+	v := make([]float64, m.numStates)
+	v[r] = 1
+	sweep := order
+	for it := 0; ; it++ {
+		if it == opts.MaxIterations {
+			return nil, errors.New("mdp: stationary distribution Gauss-Seidel sweeps did not converge")
+		}
 		diff := 0.0
-		for _, bs := range blockSums {
-			diff += bs
+		for _, t := range sweep {
+			sum, self := 0.0, 0.0
+			for j := c.inOff[t]; j < c.inOff[t+1]; j++ {
+				if s := c.inSrc[j]; s == t {
+					self = c.inProb[j]
+				} else {
+					sum += c.inProb[j] * v[s]
+				}
+			}
+			x := sum / (1 - self)
+			diff += math.Abs(x - v[t])
+			v[t] = x
 		}
-		pi, next = next, pi
-		if diff < opts.Epsilon {
-			return pi, nil
+		sweep = order[settled:]
+		if len(sweep) == 0 || diff < opts.Epsilon*sumOf(v) {
+			break
 		}
 	}
-	return nil, errors.New("mdp: stationary distribution power iteration did not converge")
+	total := sumOf(v)
+	for s := range v {
+		v[s] /= total
+	}
+	return v, nil
+}
+
+func sumOf(x []float64) float64 {
+	total := 0.0
+	for _, e := range x {
+		total += e
+	}
+	return total
 }
 
 // Rates reports the long-run per-step rates of the Num and Den reward

@@ -1,0 +1,107 @@
+package mdp_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"buanalysis/internal/bumdp"
+	"buanalysis/internal/core"
+	"buanalysis/internal/mdp"
+)
+
+// buCase is one BU chain of the differential test.
+type buCase struct {
+	name string
+	p    bumdp.Params
+}
+
+// table3Cases lists every admissible Table-3 cell (non-compliant model,
+// both settings) plus the alpha = beta sticky-gate cell at window 72.
+// -short and -race keep one alpha per setting and shrink the gate
+// window to 12.
+func table3Cases() []buCase {
+	alphas, window := core.PaperAlphas, 72
+	if testing.Short() || raceEnabled {
+		alphas, window = []float64{0.10}, 12
+	}
+	var cases []buCase
+	for _, setting := range []bumdp.Setting{bumdp.Setting1, bumdp.Setting2} {
+		for _, alpha := range alphas {
+			for _, r := range core.PaperRatios {
+				if !r.Admissible(alpha) {
+					continue
+				}
+				beta, gamma := r.Split(alpha)
+				cases = append(cases, buCase{
+					name: fmt.Sprintf("table3 set%d alpha=%g %s", setting, alpha, r.Name),
+					p: bumdp.Params{Alpha: alpha, Beta: beta, Gamma: gamma,
+						Setting: setting, Model: bumdp.NonCompliant},
+				})
+			}
+		}
+	}
+	return append(cases, buCase{
+		name: fmt.Sprintf("gate cell W=%d", window),
+		p: bumdp.Params{Alpha: 0.25, Beta: 0.25, Gamma: 0.5,
+			Setting: bumdp.Setting2, Model: bumdp.Compliant, GateWindow: window},
+	})
+}
+
+// TestStationaryMatchesPowerIterationOnBUChains holds the regenerative
+// solve to the power-iteration oracle on the chains the tables report
+// fork rates for. The policies come from loose solves: both solvers
+// evaluate the same policy, so it need not be optimal. BU taboo chains
+// are acyclic, so the one-pass answer must also be stationary to
+// rounding: ||pi P - pi||_1 <= 1e-12.
+func TestStationaryMatchesPowerIterationOnBUChains(t *testing.T) {
+	cases := table3Cases()
+	a, err := bumdp.New(cases[0].p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm-chained loose solves; Session.Solve reports the fork rate
+	// through the regenerative solve.
+	sess := bumdp.NewSession(a, bumdp.SolveOptions{RatioTol: 1e-2, Epsilon: 1e-4, Parallelism: 1})
+	defer sess.Close()
+	oracleOpts := mdp.Options{Epsilon: 1e-10}
+	for _, tc := range cases {
+		if err := sess.Rebind(tc.p); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := sess.Solve()
+		if err != nil {
+			t.Fatalf("%s: solve: %v", tc.name, err)
+		}
+		a := sess.Analysis()
+		m, pol := a.Model, res.Policy
+
+		pi, err := m.StationaryDistribution(pol, mdp.Options{})
+		if err != nil {
+			t.Fatalf("%s: StationaryDistribution: %v", tc.name, err)
+		}
+		if r := mdp.StationaryResidual(m, pol, pi); r > 1e-12 {
+			t.Errorf("%s: residual ||pi P - pi||_1 = %.2e", tc.name, r)
+		}
+		oracle, err := mdp.PowerStationary(m, pol, oracleOpts)
+		if err != nil {
+			t.Fatalf("%s: power iteration: %v", tc.name, err)
+		}
+		fork := 0.0
+		for s, p := range oracle {
+			if !a.States[s].Base() {
+				fork += p
+			}
+		}
+		if d := math.Abs(res.ForkRate - fork); d > 1e-6 {
+			t.Errorf("%s: fork rate %.12f, oracle %.12f (diff %.2e)", tc.name, res.ForkRate, fork, d)
+		}
+		ratio, err := m.PolicyRatio(pol, mdp.Options{})
+		if err != nil {
+			t.Fatalf("%s: PolicyRatio: %v", tc.name, err)
+		}
+		if want := mdp.RateRatio(m, pol, oracle); math.Abs(ratio-want) > 1e-6 {
+			t.Errorf("%s: PolicyRatio %.12f, oracle %.12f (diff %.2e)", tc.name, ratio, want, math.Abs(ratio-want))
+		}
+	}
+}

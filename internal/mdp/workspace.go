@@ -124,7 +124,7 @@ func (m *Model) NewWorkspace(parallelism int) *Workspace {
 		vtto:       make([]int32, len(m.ctto)),
 		killMargin: math.Inf(1),
 	}
-	ws.pool = newSweepPool(n, effectiveWorkers(parallelism, n, minAutoStatesPerWorker), 1)
+	ws.pool = newSweepPool(n, effectiveWorkers(parallelism, n, minAutoStatesPerWorker))
 	ws.spans = make([]wspan, ws.pool.workers())
 	ws.improved = make([]int32, ws.pool.workers())
 	ws.killWorker = make([]int32, ws.pool.workers())

@@ -107,6 +107,42 @@ func TestVerifyBUSolveNonCompliant(t *testing.T) {
 	}
 }
 
+// TestVerifyBUSolveNonProfit: an honest Table-4 cell (setting 1,
+// alpha = 1%, AD 6) claims more than one orphan per attacker block and
+// must pass; forged claims must still fail. The ratio check refutes an
+// underclaim off by d only when d times the attacker's block rate
+// (about alpha) exceeds the re-solve's bracket, and it cannot refute an
+// overclaim in this model at all: the always-Wait policy accrues
+// nothing on either stream, so the rho-shifted gain is never below 0.
+// The forgeries are therefore coarse underclaims and a negative claim.
+func TestVerifyBUSolveNonProfit(t *testing.T) {
+	beta, gamma := core.Ratio{Name: "2:3", B: 2, G: 3}.Split(0.01)
+	p, err := bumdp.Params{Alpha: 0.01, Beta: beta, Gamma: gamma, AD: 6, Setting: 1, Model: bumdp.NonProfit}.Normalized()
+	if err != nil {
+		t.Fatalf("normalizing params: %v", err)
+	}
+	id, blob := buSolveArtifact(t, p)
+	var rec expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatalf("decoding record: %v", err)
+	}
+	if rec.Utility <= 1 {
+		t.Fatalf("honest Table-4 cell solved to %v; the case needs a claim above 1", rec.Utility)
+	}
+	if err := Artifact(expstore.KindBUSolve, id, nil, blob); err != nil {
+		t.Fatalf("valid non-profit artifact rejected: %v", err)
+	}
+	for name, forge := range map[string]func(*expstore.BUSolveRecord){
+		"halved":   func(rec *expstore.BUSolveRecord) { rec.Utility /= 2 },
+		"zeroed":   func(rec *expstore.BUSolveRecord) { rec.Utility = 0 },
+		"negative": func(rec *expstore.BUSolveRecord) { rec.Utility = -rec.Utility },
+	} {
+		if err := Artifact(expstore.KindBUSolve, id, nil, retamper(t, blob, forge)); err == nil {
+			t.Errorf("%s utility accepted", name)
+		}
+	}
+}
+
 func TestVerifyBUSolveStructural(t *testing.T) {
 	p := cellParams(t, 0.15, core.Ratio{Name: "1:1", B: 1, G: 1}, bumdp.Compliant)
 	id, blob := buSolveArtifact(t, p)

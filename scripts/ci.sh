@@ -42,6 +42,13 @@ go build ./...
 echo "== go test ${SHORT} =="
 go test ${SHORT} ./...
 
+echo "== bench module: go vet + go test ${SHORT} =="
+# bench/ is its own Go module (its go.mod replaces buanalysis with ../),
+# so the root ./... never reaches it. Its tests check the program's
+# metric declarations against BENCHMARK.json and, without -short, build
+# and smoke-run every workload end to end.
+(cd bench && go vet ./... && go test ${SHORT} ./...)
+
 echo "== go test -race ${SHORT} (mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify) =="
 go test -race ${SHORT} ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/
 
