@@ -166,8 +166,8 @@ func main() {
 	fmt.Printf("alpha=%.4f beta=%.4f gamma=%.4f (states: %d)\n", *alpha, b, g, rec.States)
 	fmt.Printf("optimal utility: %.5f (honest baseline: %.5f)\n", rec.Utility, rec.Honest)
 	fmt.Printf("fork rate under optimal policy: %.3f; solver probes: %d\n", rec.ForkRate, rec.Probes)
-	fmt.Printf("solver stats: %d sweeps, residual %.2e, %d worker(s), %s\n",
-		rec.Stats.Iterations, rec.Stats.Residual, rec.Stats.Workers, rec.Stats.Duration.Round(time.Microsecond))
+	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %d worker(s), %s\n",
+		rec.Stats.OptSweeps, rec.Stats.EvalSweeps, rec.Stats.Residual, rec.Stats.Workers, rec.Stats.Duration.Round(time.Microsecond))
 }
 
 // solveWithPolicy is the direct (uncached) solve path for -policy runs.
@@ -184,8 +184,8 @@ func solveWithPolicy(params bumdp.Params, par int, tracer obs.Tracer) {
 	fmt.Printf("alpha=%.4f beta=%.4f gamma=%.4f (states: %d)\n", params.Alpha, params.Beta, params.Gamma, len(a.States))
 	fmt.Printf("optimal utility: %.5f (honest baseline: %.5f)\n", res.Utility, a.HonestUtility())
 	fmt.Printf("fork rate under optimal policy: %.3f; solver probes: %d\n", res.ForkRate, res.Probes)
-	fmt.Printf("solver stats: %d sweeps, residual %.2e, %d worker(s), %s\n",
-		res.Stats.Iterations, res.Stats.Residual, res.Stats.Workers, res.Stats.Duration.Round(time.Microsecond))
+	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %d worker(s), %s\n",
+		res.Stats.OptSweeps, res.Stats.EvalSweeps, res.Stats.Residual, res.Stats.Workers, res.Stats.Duration.Round(time.Microsecond))
 	fmt.Println("optimal policy (phase-1 states, (l1,l2,a1,a2,r) -> action):")
 	fmt.Print(a.DescribePolicy(res.Policy, true))
 }
@@ -234,7 +234,7 @@ func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setti
 		sweeps += c.Stats.Iterations
 		durations = append(durations, c.Stats.Duration.Seconds())
 	}
-	fmt.Printf("solved %d cells in %s (%d probes, %d warm-started, %d Bellman sweeps)\n",
+	fmt.Printf("solved %d cells in %s (%d probes, %d warm-started, %d sweeps and evaluation passes)\n",
 		solved, elapsed.Round(time.Millisecond), probes, warm, sweeps)
 	if len(durations) > 0 {
 		if qs, err := stats.Quantiles(durations, 0.5, 0.95, 1); err == nil {

@@ -62,7 +62,7 @@ func main() {
 		all      = flag.Bool("all", false, "reproduce everything")
 		fast     = flag.Bool("fast", false, "lower solver tolerances (same values at print precision)")
 		setting  = flag.Int("setting", 0, "restrict tables to setting 1 or 2 (default both)")
-		full     = flag.Bool("full", false, "sweep the full grid in setting 2 as well (some cells take minutes)")
+		full     = flag.Bool("full", false, "sweep the full grid in setting 2 as well (Table 2's alpha = 10-20% rows)")
 		workers  = cliflag.WorkersFlag(flag.CommandLine, "table cells solved concurrently")
 		par      = cliflag.ParFlag(flag.CommandLine)
 		jsonOut  = flag.Bool("json", false, "emit Tables 2-4 as JSON (the experiment-store encoding; figures stay text)")

@@ -92,16 +92,14 @@ type SolveStats struct {
 	// (non-session) solves warm-chain only within their own bisection;
 	// session solves additionally chain across cells.
 	WarmProbes int `json:",omitempty"`
-	// Iterations is the total number of sweeps across probes (optimizing
-	// Bellman backups plus fixed-policy evaluation sweeps).
+	// Iterations is the total number of passes across probes
+	// (optimizing sweeps plus policy-evaluation passes).
 	Iterations int
-	// OptSweeps and EvalSweeps split Iterations into optimizing backups
-	// and the cheaper fixed-policy sweeps of modified policy iteration.
+	// OptSweeps and EvalSweeps split Iterations into the optimizing
+	// sweeps (one per policy-iteration round) and the exact evaluation
+	// passes between them.
 	OptSweeps  int `json:",omitempty"`
 	EvalSweeps int `json:",omitempty"`
-	// SlotsEliminated totals the (state, action) slots action elimination
-	// deactivated across probes.
-	SlotsEliminated int `json:",omitempty"`
 	// Residual is the final solve's stopping residual.
 	Residual float64
 	// Duration is the wall-clock time of the whole solve.
@@ -133,21 +131,13 @@ type SolveOptions struct {
 	// RatioTol is the bisection stopping width on ratio objectives
 	// (default 1e-5).
 	RatioTol float64
-	// Epsilon is the inner relative-value-iteration span criterion
-	// (default 1e-9).
+	// Epsilon is the span criterion of the inner solves' optimizing
+	// sweeps (default 1e-9).
 	Epsilon float64
 	// Parallelism is the Bellman-sweep worker count: 0 selects
 	// GOMAXPROCS (with the solver's small-model serial fallback), 1 the
 	// serial path. Every setting returns bit-identical results.
 	Parallelism int
-	// EvalSweeps steers modified policy iteration in the inner solver:
-	// 0 is the adaptive default, >0 caps the evaluation sweeps per
-	// optimizing backup, <0 disables MPI (pure relative value
-	// iteration). See mdp.Options.EvalSweeps.
-	EvalSweeps int `json:",omitempty"`
-	// NoElimination disables the inner solver's action elimination.
-	// See mdp.Options.NoElimination.
-	NoElimination bool `json:",omitempty"`
 	// Tracer, if non-nil, receives the solve's convergence events:
 	// "ratio.probe"/"ratio.bracket"/"ratio.done" from the bisection and
 	// "solver.iter"/"solver.done" from every inner sweep. Tracing never
@@ -184,7 +174,7 @@ func (a *Analysis) Solve() (Result, error) {
 
 // SolveTol computes the optimal utility with explicit tolerances:
 // ratioTol for the bisection on ratio objectives, epsilon for the inner
-// relative-value-iteration span criterion.
+// solves' span criterion.
 func (a *Analysis) SolveTol(ratioTol, epsilon float64) (Result, error) {
 	return a.SolveWith(SolveOptions{RatioTol: ratioTol, Epsilon: epsilon})
 }
@@ -192,47 +182,62 @@ func (a *Analysis) SolveTol(ratioTol, epsilon float64) (Result, error) {
 // SolveWith computes the optimal utility under explicit solver options.
 func (a *Analysis) SolveWith(opts SolveOptions) (Result, error) {
 	opts = opts.withDefaults()
+	ws := a.Model.NewWorkspace(opts.Parallelism)
+	defer ws.Close()
+	return a.solve(ws, opts, nil)
+}
+
+// solve runs one solve on ws: the average-reward objective for the
+// non-compliant model, the ratio bisection otherwise (seeded from
+// *warmValue when non-nil), then the fork rate of the optimal policy.
+func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions, warmValue *float64) (Result, error) {
 	start := time.Now()
-	inner := mdp.Options{Epsilon: opts.Epsilon, Parallelism: opts.Parallelism, Tracer: opts.Tracer,
-		EvalSweeps: opts.EvalSweeps, NoElimination: opts.NoElimination}
+	inner := mdp.Options{Epsilon: opts.Epsilon, Tracer: opts.Tracer}
 	var res Result
 	switch a.Params.Model {
 	case NonCompliant:
-		r, err := a.Model.AverageReward(inner)
+		r, err := ws.AverageReward(inner)
 		if err != nil {
 			return Result{}, err
 		}
-		res = Result{Utility: r.Gain, Policy: r.Policy, Probes: 1, Stats: SolveStats{
-			Probes:          1,
-			Iterations:      r.Stats.Iterations,
-			OptSweeps:       r.Stats.OptSweeps,
-			EvalSweeps:      r.Stats.EvalSweeps,
-			SlotsEliminated: r.Stats.SlotsEliminated,
-			Residual:        r.Stats.Residual,
-			Workers:         r.Stats.Workers,
+		res = Result{Utility: r.Gain, Probes: 1, Stats: SolveStats{
+			Probes:     1,
+			Iterations: r.Stats.Iterations,
+			OptSweeps:  r.Stats.OptSweeps,
+			EvalSweeps: r.Stats.EvalSweeps,
+			Residual:   r.Stats.Residual,
+			Workers:    r.Stats.Workers,
 		}}
+		if r.Stats.Warm {
+			res.Stats.WarmProbes = 1
+		}
+		// The workspace's policy buffer is borrowed; Result keeps a copy.
+		res.Policy = append(mdp.Policy(nil), r.Policy...)
 	default:
-		hi := 1.0
-		lo := 0.0
+		lo, hi := 0.0, 1.0
 		if a.Params.Model == Compliant {
 			// Honest mining guarantees relative revenue alpha.
 			lo = a.Params.Alpha * 0.999
 		}
-		r, err := a.Model.SolveRatio(mdp.RatioOptions{
+		ro := mdp.RatioOptions{
 			Lo: lo, Hi: hi, Tolerance: opts.RatioTol, Inner: inner, Tracer: opts.Tracer,
-		})
+		}
+		if warmValue != nil {
+			ro.WarmBracket = true
+			ro.WarmValue = *warmValue
+		}
+		r, err := ws.SolveRatio(ro)
 		if err != nil {
 			return Result{}, err
 		}
 		res = Result{Utility: r.Value, Policy: r.Policy, Probes: r.Probes, Stats: SolveStats{
-			Probes:          r.Stats.Probes,
-			WarmProbes:      r.Stats.WarmProbes,
-			Iterations:      r.Stats.Iterations,
-			OptSweeps:       r.Stats.OptSweeps,
-			EvalSweeps:      r.Stats.EvalSweeps,
-			SlotsEliminated: r.Stats.SlotsEliminated,
-			Residual:        r.Stats.Residual,
-			Workers:         r.Stats.Workers,
+			Probes:     r.Stats.Probes,
+			WarmProbes: r.Stats.WarmProbes,
+			Iterations: r.Stats.Iterations,
+			OptSweeps:  r.Stats.OptSweeps,
+			EvalSweeps: r.Stats.EvalSweeps,
+			Residual:   r.Stats.Residual,
+			Workers:    r.Stats.Workers,
 		}}
 	}
 	fork, err := a.Model.StateVisitRate(res.Policy, func(s int) bool {

@@ -46,6 +46,37 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// TestParamsRejectNonFinite: NaN fails every comparison, so the
+// positivity and sum checks alone let a NaN share through, and a NaN
+// double-spend reward reached the rewards of a solve that then reported
+// the honest utility with no error. Every non-finite input must be
+// rejected before a model is built.
+func TestParamsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		p    Params
+	}{
+		{"NaN alpha", Params{Alpha: nan, Beta: 0.4, Gamma: 0.4}},
+		{"NaN beta", Params{Alpha: 0.2, Beta: nan, Gamma: 0.4}},
+		{"NaN gamma", Params{Alpha: 0.2, Beta: 0.4, Gamma: nan}},
+		{"Inf gamma", Params{Alpha: 0.2, Beta: 0.4, Gamma: inf}},
+		{"NaN double-spend reward", Params{Alpha: 0.2, Beta: 0.4, Gamma: 0.4, Model: NonCompliant, DoubleSpendReward: nan}},
+		{"-Inf double-spend reward", Params{Alpha: 0.2, Beta: 0.4, Gamma: 0.4, Model: NonCompliant, DoubleSpendReward: -inf}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.p.Normalized(); err == nil {
+				t.Error("Normalized accepted non-finite params")
+			}
+			if a, err := New(tc.p); err == nil {
+				res, err := a.Solve()
+				t.Errorf("New accepted non-finite params; solve returned %v, %v", res.Utility, err)
+			}
+		})
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	p, err := Params{Alpha: 0.2, Beta: 0.4, Gamma: 0.4}.withDefaults()
 	if err != nil {

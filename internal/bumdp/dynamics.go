@@ -3,6 +3,7 @@ package bumdp
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Miner identifies who found a block in an Event.
@@ -109,6 +110,11 @@ func (p Params) withDefaults() (Params, error) {
 	if p.AD < 2 || p.ADBob < 2 || p.ADCarol < 2 {
 		return p, fmt.Errorf("bumdp: acceptance depths (%d, %d, %d) must be at least 2",
 			p.AD, p.ADBob, p.ADCarol)
+	}
+	for _, x := range [...]float64{p.Alpha, p.Beta, p.Gamma, p.DoubleSpendReward} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return p, fmt.Errorf("bumdp: parameters must be finite, got %g", x)
+		}
 	}
 	if p.Alpha <= 0 || p.Beta <= 0 || p.Gamma <= 0 {
 		return p, errors.New("bumdp: mining power shares must be positive")

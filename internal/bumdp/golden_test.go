@@ -7,11 +7,17 @@ package bumdp
 // dynamics or the parallel solver trips these tests. Values were
 // generated by this repository's solver at the default tolerances
 // (ratio bisection 1e-5, inner epsilon 1e-9) and agree with the
-// paper's printed digits.
+// paper's printed digits except where noted. Every cell is also held
+// to its certificate: the witness policy's exactly evaluated value must
+// match the solve within its tolerance, and one optimizing sweep on the
+// witness's exact bias must show that no policy beats it by more.
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"buanalysis/internal/mdp"
 )
 
 type goldenCell struct {
@@ -36,7 +42,48 @@ func solveGolden(t *testing.T, model IncentiveModel, setting Setting, c goldenCe
 	if err != nil {
 		t.Fatalf("Solve(alpha=%g %g:%g): %v", c.alpha, c.ratioB, c.ratioG, err)
 	}
+	if err := certify(a, res); err != nil {
+		t.Errorf("alpha=%g %g:%g setting %d: %v", c.alpha, c.ratioB, c.ratioG, setting, err)
+	}
 	return res.Utility
+}
+
+// certify checks a default-tolerance solve against its certificate.
+// The gain objective's witness must attain the solved gain within
+// Epsilon, with no policy more than Epsilon better. A ratio witness
+// must attain the solved ratio within RatioTol, and at rho = the solved
+// ratio no policy may have a shifted gain above RatioTol.
+func certify(a *Analysis, res Result) error {
+	defaults := SolveOptions{}.withDefaults()
+	ratioTol, eps := defaults.RatioTol, defaults.Epsilon
+	if a.Params.Model == NonCompliant {
+		cert, err := a.Model.CertifyPolicy(res.Policy, mdp.Options{Epsilon: eps})
+		if err != nil {
+			return err
+		}
+		if d := math.Abs(cert.Gain - res.Utility); d > 2*eps {
+			return fmt.Errorf("witness attains gain %.12f, solve claims %.12f", cert.Gain, res.Utility)
+		}
+		if d := cert.Hi - cert.Gain; d > 2*eps {
+			return fmt.Errorf("bracket shows a policy %.3g better than the witness", d)
+		}
+		return nil
+	}
+	ratio, err := a.Model.PolicyRatio(res.Policy, mdp.Options{Epsilon: eps})
+	if err != nil {
+		return err
+	}
+	if d := math.Abs(ratio - res.Utility); d > ratioTol {
+		return fmt.Errorf("witness attains ratio %.9f, solve claims %.9f", ratio, res.Utility)
+	}
+	cert, err := a.Model.CertifyPolicy(res.Policy, mdp.Options{Epsilon: eps, Rho: res.Utility})
+	if err != nil {
+		return err
+	}
+	if cert.Hi > ratioTol {
+		return fmt.Errorf("bracket at rho=%.9f reaches shifted gain %.3g", res.Utility, cert.Hi)
+	}
+	return nil
 }
 
 func checkGolden(t *testing.T, model IncentiveModel, setting Setting, cells []goldenCell) {
@@ -101,9 +148,6 @@ func TestGoldenTable4Setting1(t *testing.T) {
 // (absolute revenue with the sticky gate; honest baseline 0.10).
 // Paper prints 0.16 0.27 0.31 0.27 0.16 for 4:1, 2:1, 1:1, 1:2, 1:4.
 func TestGoldenTable3Setting2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("setting-2 cells are slow; run without -short")
-	}
 	checkGolden(t, NonCompliant, Setting2, []goldenCell{
 		{0.10, 4, 1, 0.160284},
 		{0.10, 2, 1, 0.266714},
@@ -113,15 +157,51 @@ func TestGoldenTable3Setting2(t *testing.T) {
 	})
 }
 
-// TestGoldenTable2Setting2 locks the sticky-gate relative-revenue cell
-// the paper highlights: 3:2 at alpha=25% solves to 25.29% — an attack
-// that exists only in setting 2 (the same cell solves to exactly alpha
-// in setting 1).
+// TestGoldenTable2Setting2 locks Table 2's setting-2 block
+// (compliant relative revenue with the sticky gate). The alpha=25% row
+// is the one the paper prints: 3:2 solves to 25.29%, an attack that
+// exists only in setting 2 (the same cell solves to exactly alpha in
+// setting 1). The 1:2 cell is the alpha = beta boundary: the paper
+// prints 25.00%, and this model's certified optimum is 25.16% — its
+// witness policy attains that ratio exactly, so the printed value is
+// not optimal under this model. Without -short the alpha = 10-20% rows
+// that butables -full adds are locked as well.
 func TestGoldenTable2Setting2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("setting-2 cells are slow; run without -short")
-	}
-	checkGolden(t, Compliant, Setting2, []goldenCell{
+	cells := []goldenCell{
+		{0.25, 2, 1, 0.249999},
 		{0.25, 3, 2, 0.252947},
-	})
+		{0.25, 1, 1, 0.262374},
+		{0.25, 2, 3, 0.252947},
+		{0.25, 1, 2, 0.251607},
+	}
+	if !testing.Short() {
+		cells = append(cells,
+			goldenCell{0.10, 4, 1, 0.100000},
+			goldenCell{0.10, 3, 1, 0.100000},
+			goldenCell{0.10, 2, 1, 0.100000},
+			goldenCell{0.10, 3, 2, 0.100000},
+			goldenCell{0.10, 1, 1, 0.100000},
+			goldenCell{0.10, 2, 3, 0.100000},
+			goldenCell{0.10, 1, 2, 0.100000},
+			goldenCell{0.10, 1, 3, 0.100261},
+			goldenCell{0.10, 1, 4, 0.100329},
+			goldenCell{0.15, 4, 1, 0.150002},
+			goldenCell{0.15, 3, 1, 0.150002},
+			goldenCell{0.15, 2, 1, 0.150002},
+			goldenCell{0.15, 3, 2, 0.150002},
+			goldenCell{0.15, 1, 1, 0.150002},
+			goldenCell{0.15, 2, 3, 0.150041},
+			goldenCell{0.15, 1, 2, 0.150521},
+			goldenCell{0.15, 1, 3, 0.150690},
+			goldenCell{0.15, 1, 4, 0.150645},
+			goldenCell{0.20, 3, 1, 0.199998},
+			goldenCell{0.20, 2, 1, 0.199998},
+			goldenCell{0.20, 3, 2, 0.199998},
+			goldenCell{0.20, 1, 1, 0.199998},
+			goldenCell{0.20, 2, 3, 0.200865},
+			goldenCell{0.20, 1, 2, 0.201110},
+			goldenCell{0.20, 1, 3, 0.201067},
+		)
+	}
+	checkGolden(t, Compliant, Setting2, cells)
 }

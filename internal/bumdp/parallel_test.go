@@ -13,7 +13,7 @@ func buParallelisms(t *testing.T) []int {
 	if testing.Short() {
 		return []int{2}
 	}
-	return []int{2, 8}
+	return []int{2, 4, 8}
 }
 
 func solveDeterministic(t *testing.T, name string, p Params) {

@@ -1,9 +1,6 @@
 package bumdp
 
 import (
-	"fmt"
-	"time"
-
 	"buanalysis/internal/mdp"
 )
 
@@ -116,69 +113,17 @@ func (s *Session) Rebind(p Params) error {
 // parameters, warm-started from the previous solve in the chain. The
 // result matches SolveWith within the configured tolerances.
 func (s *Session) Solve() (Result, error) {
-	a, opts := s.a, s.opts
-	start := time.Now()
-	inner := mdp.Options{Epsilon: opts.Epsilon, Tracer: opts.Tracer,
-		EvalSweeps: opts.EvalSweeps, NoElimination: opts.NoElimination}
-	var res Result
-	switch a.Params.Model {
-	case NonCompliant:
-		r, err := s.ws.AverageReward(inner)
-		if err != nil {
-			return Result{}, err
-		}
-		res = Result{Utility: r.Gain, Probes: 1, Stats: SolveStats{
-			Probes:          1,
-			Iterations:      r.Stats.Iterations,
-			OptSweeps:       r.Stats.OptSweeps,
-			EvalSweeps:      r.Stats.EvalSweeps,
-			SlotsEliminated: r.Stats.SlotsEliminated,
-			Residual:        r.Stats.Residual,
-			Workers:         r.Stats.Workers,
-		}}
-		if r.Stats.Warm {
-			res.Stats.WarmProbes = 1
-		}
-		// The workspace's policy buffer is borrowed; Result keeps a copy.
-		res.Policy = append(mdp.Policy(nil), r.Policy...)
-	default:
-		hi := 1.0
-		lo := 0.0
-		if a.Params.Model == Compliant {
-			// Honest mining guarantees relative revenue alpha.
-			lo = a.Params.Alpha * 0.999
-		}
-		ro := mdp.RatioOptions{
-			Lo: lo, Hi: hi, Tolerance: opts.RatioTol, Inner: inner, Tracer: opts.Tracer,
-		}
-		if s.haveValue {
-			ro.WarmBracket = true
-			ro.WarmValue = s.lastValue
-		}
-		r, err := s.ws.SolveRatio(ro)
-		if err != nil {
-			return Result{}, err
-		}
-		res = Result{Utility: r.Value, Policy: r.Policy, Probes: r.Probes, Stats: SolveStats{
-			Probes:          r.Stats.Probes,
-			WarmProbes:      r.Stats.WarmProbes,
-			Iterations:      r.Stats.Iterations,
-			OptSweeps:       r.Stats.OptSweeps,
-			EvalSweeps:      r.Stats.EvalSweeps,
-			SlotsEliminated: r.Stats.SlotsEliminated,
-			Residual:        r.Stats.Residual,
-			Workers:         r.Stats.Workers,
-		}}
-		s.lastValue = r.Value
+	var warm *float64
+	if s.haveValue {
+		warm = &s.lastValue
+	}
+	res, err := s.a.solve(s.ws, s.opts, warm)
+	if err != nil {
+		return Result{}, err
+	}
+	if s.a.Params.Model != NonCompliant {
+		s.lastValue = res.Utility
 		s.haveValue = true
 	}
-	fork, err := a.Model.StateVisitRate(res.Policy, func(st int) bool {
-		return !a.States[st].Base()
-	}, inner)
-	if err != nil {
-		return Result{}, fmt.Errorf("bumdp: fork rate: %w", err)
-	}
-	res.ForkRate = fork
-	res.Stats.Duration = time.Since(start)
 	return res, nil
 }

@@ -9,11 +9,13 @@ import (
 
 // TestConvergenceTraceGolden is the observability layer's golden test
 // on a real paper cell (alpha=0.25, 1:1 propagation, setting 1,
-// compliant model): tracing must not perturb the solve in any way, the
-// per-iteration residual series must be eventually non-increasing
-// within each operator (the span seminorm of each operator contracts
-// once the aperiodicity transform takes hold), and every solve's final
-// residual must sit below the configured epsilon.
+// compliant model): tracing must not perturb the solve in any way, and
+// each probe's trace must read as policy iteration: rounds numbered
+// 1..n, each an optimizing sweep ("rvi") whose span is the residual,
+// every round but the last followed by one exact evaluation of its
+// greedy policy ("solver.eval"), the last round the first whose
+// residual is below the configured epsilon, and a "solver.done" that
+// agrees with it.
 func TestConvergenceTraceGolden(t *testing.T) {
 	beta, gamma := ratioParams(0.25, 1, 1)
 	p := Params{Alpha: 0.25, Beta: beta, Gamma: gamma, Setting: Setting1, Model: Compliant}
@@ -64,22 +66,34 @@ func TestConvergenceTraceGolden(t *testing.T) {
 		t.Fatalf("ring sink overflowed (%d events, %d retained): enlarge the ring", sink.Total(), len(events))
 	}
 
-	// Split the stream into individual solves and check each residual
-	// series: strictly positive until convergence, eventually
-	// non-increasing, ending below epsilon.
-	var series [][]obs.Event
-	var cur []obs.Event
-	probes, dones, brackets := 0, 0, 0
+	// Split the stream into individual solves and check each one's
+	// rounds.
+	type round struct {
+		iter  obs.Event
+		evals int
+	}
+	var series [][]round
+	var cur []round
+	probes, dones, brackets, evals := 0, 0, 0, 0
 	for _, e := range events {
 		switch e.Kind {
 		case "solver.iter":
-			cur = append(cur, e)
+			cur = append(cur, round{iter: e})
+		case "solver.eval":
+			evals++
+			if len(cur) == 0 || e.Iter != cur[len(cur)-1].iter.Iter {
+				t.Fatalf("solver.eval for round %d does not follow that round's sweep", e.Iter)
+			}
+			cur[len(cur)-1].evals++
 		case "solver.done":
 			if len(cur) == 0 {
 				t.Fatal("solver.done without preceding solver.iter events")
 			}
-			if e.Iter != cur[len(cur)-1].Iter {
-				t.Errorf("solver.done iter %d != last solver.iter %d", e.Iter, cur[len(cur)-1].Iter)
+			if e.Iter != cur[len(cur)-1].iter.Iter {
+				t.Errorf("solver.done iter %d != last round %d", e.Iter, cur[len(cur)-1].iter.Iter)
+			}
+			if e.Residual != cur[len(cur)-1].iter.Residual {
+				t.Errorf("solver.done residual %v != last round's %v", e.Residual, cur[len(cur)-1].iter.Residual)
 			}
 			series = append(series, cur)
 			cur = nil
@@ -97,50 +111,37 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	if dones == 0 {
 		t.Fatal("no completed solver traces captured")
 	}
-	if probes != plain.Probes {
-		t.Errorf("ratio.probe events = %d, want %d (solve's probe count)", probes, plain.Probes)
+	if probes != plain.Probes || dones != plain.Probes {
+		t.Errorf("ratio.probe events = %d, solver.done events = %d, want %d (solve's probe count)", probes, dones, plain.Probes)
 	}
 	if brackets == 0 {
 		t.Error("no ratio.bracket events captured")
 	}
-
+	rounds := 0
 	for si, s := range series {
-		// Iterations must count 1..n contiguously.
-		for i, e := range s {
+		rounds += len(s)
+		for i, r := range s {
+			e := r.iter
 			if e.Iter != i+1 {
-				t.Fatalf("series %d: iter %d at position %d", si, e.Iter, i)
+				t.Fatalf("series %d: round %d at position %d", si, e.Iter, i)
 			}
-			if e.Residual <= 0 {
-				t.Errorf("series %d iter %d: residual %v not positive", si, e.Iter, e.Residual)
+			if e.Solver != "rvi" {
+				t.Errorf("series %d round %d: unexpected solver %q", si, e.Iter, e.Solver)
 			}
-			if e.Solver != "rvi" && e.Solver != "policy-eval" {
-				t.Errorf("series %d: unexpected solver %q", si, e.Solver)
+			if e.Residual < 0 || e.SpanHi-e.SpanLo != e.Residual {
+				t.Errorf("series %d round %d: residual %v inconsistent with span [%v, %v]", si, e.Iter, e.Residual, e.SpanLo, e.SpanHi)
 			}
-			if e.SpanHi-e.SpanLo != e.Residual {
-				t.Errorf("series %d iter %d: span bounds inconsistent with residual", si, e.Iter)
+			last := i == len(s)-1
+			if converged := e.Residual < opts.Epsilon; converged != last {
+				t.Errorf("series %d round %d of %d: residual %v against epsilon %v", si, e.Iter, len(s), e.Residual, opts.Epsilon)
 			}
-		}
-		// Eventually non-increasing: residuals may wobble early while the
-		// bias re-centers, but the tail of the series must be monotone
-		// per operator. Optimizing ("rvi") and fixed-policy
-		// ("policy-eval") sweeps interleave under modified policy
-		// iteration and contract at unrelated rates, so only adjacent
-		// events of the same solver are compared; full-operator
-		// validation sweeps after action elimination (Detail "validate")
-		// measure a different active set than their predecessor and are
-		// skipped.
-		tail := len(s) / 2
-		for i := tail + 1; i < len(s); i++ {
-			if s[i].Solver != s[i-1].Solver || s[i].Detail == "validate" || s[i-1].Detail == "validate" {
-				continue
-			}
-			if s[i].Residual > s[i-1].Residual*(1+1e-9) {
-				t.Errorf("series %d: residual increased at iter %d (%v -> %v) in the tail",
-					si, s[i].Iter, s[i-1].Residual, s[i].Residual)
+			if want := map[bool]int{true: 0, false: 1}[last]; r.evals != want {
+				t.Errorf("series %d round %d: %d evaluations, want %d", si, e.Iter, r.evals, want)
 			}
 		}
-		if final := s[len(s)-1].Residual; final >= opts.Epsilon {
-			t.Errorf("series %d: final residual %v >= epsilon %v", si, final, opts.Epsilon)
-		}
+	}
+	if rounds != plain.Stats.OptSweeps || rounds+evals != plain.Stats.Iterations {
+		t.Errorf("trace holds %d rounds and %d evaluations, stats report %d optimizing sweeps of %d passes",
+			rounds, evals, plain.Stats.OptSweeps, plain.Stats.Iterations)
 	}
 }

@@ -63,7 +63,12 @@ type Cell struct {
 	ForkRate float64
 	// Stats carries the solver instrumentation of the cell's solve.
 	Stats bumdp.SolveStats
-	Err   error
+	// Witness is the optimal policy in mdp.Policy.Witness form, the
+	// certificate a verifier evaluates instead of re-solving. It is
+	// empty for skipped and failed cells and for cells rebuilt from
+	// records that do not carry it.
+	Witness string
+	Err     error
 }
 
 // Key renders a short cell identifier for logs.
@@ -86,12 +91,6 @@ type SweepConfig struct {
 	// 1e-9; the full setting-2 sweeps are substantially faster at 1e-4,
 	// 1e-8 with no visible change at the paper's print precision).
 	RatioTol, Epsilon float64
-	// EvalSweeps steers the inner solver's modified policy iteration:
-	// 0 adaptive (default), >0 caps evaluation sweeps per backup, <0
-	// disables MPI. See bumdp.SolveOptions.EvalSweeps.
-	EvalSweeps int `json:",omitempty"`
-	// NoElimination disables the inner solver's action elimination.
-	NoElimination bool `json:",omitempty"`
 	// Workers bounds how many cells are solved concurrently (default:
 	// GOMAXPROCS).
 	Workers int
@@ -273,11 +272,7 @@ func (cfg SweepConfig) solveRow(row []Cell) {
 			row[i].Err = err
 			continue
 		}
-		c.Value = res.Utility
-		c.Honest = sess.Analysis().HonestUtility()
-		c.ForkRate = res.ForkRate
-		c.Stats = res.Stats
-		row[i] = c
+		row[i] = c.solved(sess.Analysis(), res)
 	}
 }
 
@@ -305,10 +300,8 @@ func (c SweepConfig) CellParams(cell Cell) (bumdp.Params, bumdp.SolveOptions) {
 	}
 	o := bumdp.SolveOptions{
 		RatioTol: c.RatioTol, Epsilon: c.Epsilon,
-		EvalSweeps:    c.EvalSweeps,
-		NoElimination: c.NoElimination,
-		Parallelism:   c.InnerParallelism,
-		Tracer:        c.Tracer,
+		Parallelism: c.InnerParallelism,
+		Tracer:      c.Tracer,
 	}
 	return p, o
 }
@@ -327,10 +320,16 @@ func (cfg SweepConfig) SolveOne(c Cell) Cell {
 		c.Err = err
 		return c
 	}
+	return c.solved(a, res)
+}
+
+// solved fills the cell from a's solve result.
+func (c Cell) solved(a *bumdp.Analysis, res bumdp.Result) Cell {
 	c.Value = res.Utility
 	c.Honest = a.HonestUtility()
 	c.ForkRate = res.ForkRate
 	c.Stats = res.Stats
+	c.Witness, c.Err = res.Policy.Witness()
 	return c
 }
 

@@ -36,6 +36,8 @@ type buSolveKey struct {
 }
 
 // BUSolveRecord is the stored (and served) form of one BU MDP solve.
+// Policy is the optimal policy in mdp.Policy.Witness form (one digit
+// per state): the witness internal/verify evaluates to check Utility.
 type BUSolveRecord struct {
 	Params   bumdp.Params     `json:"params"`
 	RatioTol float64          `json:"ratio_tol"`
@@ -46,6 +48,7 @@ type BUSolveRecord struct {
 	ForkRate float64          `json:"fork_rate"`
 	Probes   int              `json:"probes"`
 	Stats    bumdp.SolveStats `json:"stats"`
+	Policy   string           `json:"policy,omitempty"`
 }
 
 // BUSolveKey derives the cache key of a BU solve without solving.
@@ -80,10 +83,15 @@ func ComputeBUSolve(p bumdp.Params, opts bumdp.SolveOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	witness, err := res.Policy.Witness()
+	if err != nil {
+		return nil, err
+	}
 	return json.Marshal(BUSolveRecord{
 		Params: np, RatioTol: no.RatioTol, Epsilon: no.Epsilon,
 		States: len(a.States), Utility: res.Utility, Honest: a.HonestUtility(),
 		ForkRate: res.ForkRate, Probes: res.Probes, Stats: res.Stats,
+		Policy: witness,
 	})
 }
 
@@ -239,6 +247,7 @@ func SweepStatsCtx(ctx context.Context, st *Store, model bumdp.IncentiveModel, c
 		c.Honest = rec.Honest
 		c.ForkRate = rec.ForkRate
 		c.Stats = rec.Stats
+		c.Witness = rec.Policy
 		return c
 	}
 	cells = core.Sweep(model, cfg)

@@ -35,7 +35,12 @@ import (
 // exact regenerative solve instead of a power iteration stopped at
 // Epsilon, which changes the stored fork-rate bits (utilities are
 // untouched).
-const Version = 3
+//
+// Version 4: the average-reward solver became policy iteration with
+// exact regenerative evaluation, which changes round counts and the
+// bits of converged values (still within Epsilon), and busolve and
+// sweep-shard records carry their witness policies.
+const Version = 4
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

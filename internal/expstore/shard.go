@@ -54,12 +54,17 @@ func SweepShardKey(model bumdp.IncentiveModel, cfg core.SweepConfig, index, coun
 }
 
 // SweepShardRecord is the stored form of one solved shard: its cells,
-// whole rows in grid order, as the repository's one cell encoding.
+// whole rows in grid order, as the repository's one cell encoding, and
+// Policies[i], the witness policy of Cells[i] (mdp.Policy.Witness form;
+// empty for skipped cells). The witnesses are for the verifier only:
+// MergeShardBlobs drops them, so merged sweeps serialize exactly like
+// single-process ones.
 type SweepShardRecord struct {
-	Model int          `json:"model"`
-	Index int          `json:"index"`
-	Count int          `json:"count"`
-	Cells []CellRecord `json:"cells"`
+	Model    int          `json:"model"`
+	Index    int          `json:"index"`
+	Count    int          `json:"count"`
+	Cells    []CellRecord `json:"cells"`
+	Policies []string     `json:"policies"`
 }
 
 // ComputeSweepShard solves shard index of count warm-chained (exactly
@@ -72,9 +77,10 @@ func ComputeSweepShard(model bumdp.IncentiveModel, cfg core.SweepConfig, index, 
 		return nil, err
 	}
 	rec := SweepShardRecord{Model: int(model), Index: index, Count: count,
-		Cells: make([]CellRecord, 0, len(cells))}
+		Cells: make([]CellRecord, 0, len(cells)), Policies: make([]string, 0, len(cells))}
 	for _, c := range cells {
 		rec.Cells = append(rec.Cells, NewCellRecord(c))
+		rec.Policies = append(rec.Policies, c.Witness)
 	}
 	return json.Marshal(rec)
 }

@@ -186,16 +186,18 @@ type verifyCost struct {
 
 // measureVerifyCost solves one compliant BU instance and runs the
 // validity predicate over its artifact. The predicate's dominant cost
-// is the loose certified re-solve, which must stay a small fraction of
-// the tight solve it guards — that asymmetry is what makes always-on
-// verification free in practice.
+// is the witness certificate — one exact evaluation of the artifact's
+// policy and one optimizing sweep on its bias — which must stay a small
+// fraction of the solve it guards: that asymmetry is what makes
+// always-on verification free in practice.
 func measureVerifyCost(t *testing.T) verifyCost {
 	t.Helper()
 	// A production-scale instance at production tolerances (zero options
 	// = RatioTol 1e-5, Epsilon 1e-9): the bound is about real artifacts,
-	// and the verifier's advantage is exactly that it re-solves loose
-	// (1e-3) what the worker solved tight. Tiny models would measure
-	// fixed overheads (the model build) instead of the asymmetry.
+	// and the verifier's advantage is that it evaluates one policy where
+	// the worker searched for it. Tiny models would measure fixed
+	// overheads (the model build) instead of the asymmetry. Evaluation
+	// passes count as evaluation sweeps on both sides.
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 16, Model: bumdp.Compliant}
 	job, err := farm.NewBUSolveJob(p, bumdp.SolveOptions{}, 0)
 	if err != nil {

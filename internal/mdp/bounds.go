@@ -1,17 +1,19 @@
 package mdp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Certified gain bounds. A converged average-reward solve stops when the
 // span of its last update d = next - h falls below Epsilon, and at that
 // sweep the classic span bracket holds: min(d) <= keep*g* <= max(d),
 // where keep = 1 - Aperiodicity is the gain scaling of the aperiodicity
-// transformation. The solvers already report Gain as the corrected
-// bracket midpoint and Stats.Residual as the bracket width, so the
-// bracket is recoverable after the fact — which is exactly what a
-// cheap validity check needs: a loose re-solve (Epsilon ~1e-4) yields
-// certified bounds orders of magnitude cheaper than the tight solve it
-// checks, and any claimed gain outside those bounds is provably wrong.
+// transformation. The bracket holds for any h, however produced, which
+// is what makes it a certificate: the solvers report Gain as the
+// corrected bracket midpoint and Stats.Residual as the bracket width,
+// and CertifyPolicy reruns the one sweep on a claimed policy's exact
+// bias.
 
 // GainBounds recovers the certified optimal-gain bracket [lo, hi] of a
 // converged solve from its reported Gain and Stats.Residual, under the
@@ -25,33 +27,38 @@ func (r Result) GainBounds(opts Options) (lo, hi float64) {
 	return r.Gain - half, r.Gain + half
 }
 
-// VerifyGain is the workspace's exported residual check: it re-solves
-// the bound model under opts and tests whether claimed is consistent
-// with the certified gain bracket, widened by slack >= 0 on each side
-// (slack absorbs the tolerance of whatever produced the claim — a
-// tighter solve's Epsilon, a ratio bisection's RatioTol). The re-solve
-// typically runs at a much looser Epsilon than the original solve,
-// making the check a small fraction of the solve's cost while still
-// refuting any materially perturbed claim. The solve result is
-// returned so callers can inspect the bracket that decided.
-func (ws *Workspace) VerifyGain(opts Options, claimed, slack float64) (Result, error) {
-	r, err := ws.AverageReward(opts)
-	if err != nil {
-		return r, err
-	}
-	lo, hi := r.GainBounds(opts)
-	if claimed < lo-slack || claimed > hi+slack {
-		return r, fmt.Errorf("mdp: claimed gain %.12g outside certified bounds [%.12g, %.12g] (slack %g)",
-			claimed, lo, hi, slack)
-	}
-	return r, nil
+// Certificate is the two-pass check of a policy's optimality.
+type Certificate struct {
+	// Gain is the policy's own gain, from one exact evaluation.
+	Gain float64
+	// Hi is the top of the optimal-gain bracket of one optimizing sweep
+	// on the policy's exact bias, so Hi - Gain bounds how much any
+	// policy can gain over this one.
+	Hi float64
 }
 
-// VerifyGain on the model is the transient-workspace form of
-// Workspace.VerifyGain, for one-shot checks.
-func (m *Model) VerifyGain(opts Options, claimed, slack float64) (Result, error) {
+// CertifyPolicy evaluates pol exactly under opts (Rho shifts the
+// rewards as in AverageReward) and runs one optimizing sweep on its
+// bias. On the policy's exact bias the sweep's update is the policy's
+// gain plus each state's one-step advantage, so the certificate costs
+// one evaluation pass and one sweep, however long the solve that
+// produced the policy ran.
+func (m *Model) CertifyPolicy(pol Policy, opts Options) (Certificate, error) {
 	opts = opts.withDefaults()
 	ws := m.NewWorkspace(opts.Parallelism)
 	defer ws.Close()
-	return ws.VerifyGain(opts, claimed, slack)
+	ev, err := ws.EvaluatePolicy(pol, opts)
+	if err != nil {
+		return Certificate{}, err
+	}
+	ws.tau = opts.Aperiodicity
+	ws.mode = opBellman
+	ws.pool.run(ws.body)
+	sweepsTotal.Inc()
+	_, hi := reduceSpans(ws.spans)
+	c := Certificate{Gain: ev.Gain, Hi: hi / (1 - opts.Aperiodicity)}
+	if math.IsNaN(c.Hi) || math.IsInf(c.Hi, 0) {
+		return c, fmt.Errorf("mdp: certificate bracket top %g is not finite", c.Hi)
+	}
+	return c, nil
 }

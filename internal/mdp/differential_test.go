@@ -1,7 +1,8 @@
 package mdp
 
 // Differential solver tests: three independent algorithms — relative
-// value iteration, Howard policy iteration, and discounted value
+// value iteration (the test oracle), policy iteration with exact
+// regenerative evaluation (AverageReward), and discounted value
 // iteration driven to the vanishing-discount limit — must agree on the
 // optimal gain of random models, and the ratio solver's bisection value
 // must match the stationary-distribution evaluation of the policy it
@@ -51,13 +52,13 @@ func TestDifferentialGainThreeSolvers(t *testing.T) {
 		n := 3 + rng.Intn(8)
 		m := mustCompile(t, randomBuilder(rng, n, 3))
 
-		rvi, err := m.AverageReward(Options{Epsilon: 1e-11})
+		rvi, err := m.rviOracle(Options{Epsilon: 1e-11})
+		if err != nil {
+			t.Fatalf("seed %d: RVI oracle: %v", seed, err)
+		}
+		pi, err := m.AverageReward(Options{Epsilon: 1e-11})
 		if err != nil {
 			t.Fatalf("seed %d: AverageReward: %v", seed, err)
-		}
-		pi, err := m.PolicyIteration(Options{Epsilon: 1e-11})
-		if err != nil {
-			t.Fatalf("seed %d: PolicyIteration: %v", seed, err)
 		}
 		vi := extrapolatedGain(t, m, 3e-4, 3e-5)
 
@@ -115,8 +116,8 @@ func TestDifferentialRatioObjective(t *testing.T) {
 }
 
 // TestDifferentialEvaluatePolicyAgreesWithRates cross-checks the two
-// fixed-policy evaluators: iterative policy evaluation (Bellman sweeps)
-// against the stationary-distribution rates.
+// fixed-policy evaluators: the first-passage evaluation (reward-to-go
+// over steps-to-go) against the stationary-distribution rates.
 func TestDifferentialEvaluatePolicyAgreesWithRates(t *testing.T) {
 	for _, seed := range []int64{7, 11, 19} {
 		rng := rand.New(rand.NewSource(seed))

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"buanalysis/internal/obs"
 )
 
 // tableBuilder is a Builder backed by explicit maps, for tests.
@@ -52,6 +54,22 @@ func TestCompileValidation(t *testing.T) {
 			n: 1, acts: map[int][]int{0: {0}},
 			trans: map[[2]int][]Transition{{0, 0}: {{To: 3, Prob: 1}}},
 		}},
+		{"NaN probability", tableBuilder{
+			n: 1, acts: map[int][]int{0: {0}},
+			trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: math.NaN()}}},
+		}},
+		{"infinite probability", tableBuilder{
+			n: 1, acts: map[int][]int{0: {0}},
+			trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: math.Inf(1)}, {To: 0, Prob: math.Inf(-1)}}},
+		}},
+		{"NaN numerator", tableBuilder{
+			n: 1, acts: map[int][]int{0: {0}},
+			trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: 1, Num: math.NaN()}}},
+		}},
+		{"infinite denominator", tableBuilder{
+			n: 1, acts: map[int][]int{0: {0}},
+			trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: 1, Den: math.Inf(1)}}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,6 +77,100 @@ func TestCompileValidation(t *testing.T) {
 				t.Fatalf("Compile accepted an invalid builder")
 			}
 		})
+	}
+}
+
+// TestReparameterizeRejectsNonFinite: the structure-sharing fast path
+// validates like Compile.
+func TestReparameterizeRejectsNonFinite(t *testing.T) {
+	m := mustCompile(t, twoArmBuilder(0.3, 0.9))
+	for name, tr := range map[string]Transition{
+		"NaN probability": {To: 0, Prob: math.NaN(), Num: 0.3, Den: 1},
+		"NaN numerator":   {To: 0, Prob: 1, Num: math.NaN(), Den: 1},
+		"infinite reward": {To: 0, Prob: 1, Num: math.Inf(-1), Den: 1},
+		"infinite den":    {To: 0, Prob: 1, Num: 0.3, Den: math.Inf(1)},
+	} {
+		b := twoArmBuilder(0.3, 0.9)
+		b.trans[[2]int{0, 0}] = []Transition{tr}
+		if _, err := m.Reparameterize(b); err == nil {
+			t.Errorf("%s: Reparameterize accepted it", name)
+		}
+	}
+}
+
+// TestAverageRewardRequiresFiniteBracket: a solve converges only on a
+// finite span bracket. A NaN or overflowing shift must fail fast with
+// an error instead of reporting Converged with a NaN gain.
+func TestAverageRewardRequiresFiniteBracket(t *testing.T) {
+	m := mustCompile(t, twoArmBuilder(1, 3))
+	for name, rho := range map[string]float64{
+		"NaN rho":         math.NaN(),
+		"overflowing rho": -math.MaxFloat64,
+	} {
+		res, err := m.AverageReward(Options{Rho: rho, MaxIterations: 100})
+		if err == nil || res.Converged {
+			t.Errorf("%s: converged=%v gain=%v err=%v", name, res.Converged, res.Gain, err)
+		}
+		if res.Stats.OptSweeps != 1 {
+			t.Errorf("%s: ran %d rounds, want a fast failure", name, res.Stats.OptSweeps)
+		}
+	}
+	// Honest mining's base state loops to itself with probability one:
+	// the regeneration cycle has length one and must not be divided by
+	// 1 - P(r, r).
+	loop := tableBuilder{
+		n:     1,
+		acts:  map[int][]int{0: {0}},
+		trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: 1, Num: 0.25, Den: 1}}},
+	}
+	res, err := mustCompile(t, loop).EvaluatePolicy(Policy{0}, Options{})
+	if err != nil || res.Gain != 0.25 {
+		t.Errorf("self-loop regeneration: gain %v, err %v; want 0.25", res.Gain, err)
+	}
+}
+
+// TestAverageRewardMultichainGreedyFallsBack: a round whose greedy
+// policy has two closed classes cannot be evaluated by regeneration.
+// From the zero bias both absorbing arms look best (their self-loops
+// pay 1 and 0.5, leaving pays nothing), so the first greedy policy
+// splits into two closed classes; the solve must fall back to the
+// value-iteration step until its greedy policy is unichain and still
+// find the optimum: go to state 1 and stay, gain 1.
+func TestAverageRewardMultichainGreedyFallsBack(t *testing.T) {
+	b := tableBuilder{
+		n:    3,
+		acts: map[int][]int{0: {0, 1}, 1: {0, 1}, 2: {0, 1}},
+		trans: map[[2]int][]Transition{
+			{0, 0}: {{To: 1, Prob: 1}},
+			{0, 1}: {{To: 2, Prob: 1}},
+			{1, 0}: {{To: 1, Prob: 1, Num: 1}},
+			{1, 1}: {{To: 0, Prob: 1}},
+			{2, 0}: {{To: 2, Prob: 1, Num: 0.5}},
+			{2, 1}: {{To: 0, Prob: 1}},
+		},
+	}
+	m := mustCompile(t, b)
+	if _, err := m.EvaluatePolicy(Policy{0, 0, 0}, Options{}); err == nil {
+		t.Fatal("the first greedy policy should have two closed classes")
+	}
+	var fallbacks int
+	tr := obs.TracerFunc(func(e obs.Event) {
+		if e.Kind == "solver.eval" && e.Detail == "fallback" {
+			fallbacks++
+		}
+	})
+	res, err := m.AverageReward(Options{Epsilon: 1e-10, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Gain-1) > 1e-9 {
+		t.Errorf("gain %v, want 1", res.Gain)
+	}
+	if fallbacks == 0 {
+		t.Error("no round fell back to the value-iteration step")
+	}
+	if want := (Policy{0, 0, 1}); res.Policy[1] != want[1] || res.Policy[2] != want[2] {
+		t.Errorf("policy %v, want states 1 and 2 to play %v", res.Policy, want[1:])
 	}
 }
 
@@ -158,13 +270,13 @@ func TestEvaluatePolicyMatchesArm(t *testing.T) {
 
 func TestPolicyIterationAgreesWithValueIteration(t *testing.T) {
 	m := mustCompile(t, twoArmBuilder(1.2, 3))
-	vi, err := m.AverageReward(Options{})
+	vi, err := m.rviOracle(Options{})
+	if err != nil {
+		t.Fatalf("RVI oracle: %v", err)
+	}
+	pi, err := m.AverageReward(Options{})
 	if err != nil {
 		t.Fatalf("AverageReward: %v", err)
-	}
-	pi, err := m.PolicyIteration(Options{})
-	if err != nil {
-		t.Fatalf("PolicyIteration: %v", err)
 	}
 	if math.Abs(vi.Gain-pi.Gain) > 1e-6 {
 		t.Errorf("gains differ: RVI %g, PI %g", vi.Gain, pi.Gain)
@@ -384,8 +496,9 @@ func TestAverageRewardDominatesRandomPolicies(t *testing.T) {
 	}
 }
 
-// TestPolicyIterationAgreesOnRandomModels cross-checks the two
-// average-reward solvers on random models.
+// TestPolicyIterationAgreesOnRandomModels cross-checks policy
+// iteration against the relative-value-iteration oracle on random
+// models.
 func TestPolicyIterationAgreesOnRandomModels(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -394,8 +507,8 @@ func TestPolicyIterationAgreesOnRandomModels(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		vi, err1 := m.AverageReward(Options{Epsilon: 1e-10})
-		pi, err2 := m.PolicyIteration(Options{Epsilon: 1e-10})
+		vi, err1 := m.rviOracle(Options{Epsilon: 1e-10})
+		pi, err2 := m.AverageReward(Options{Epsilon: 1e-10})
 		if err1 != nil || err2 != nil {
 			t.Logf("solver error: %v %v", err1, err2)
 			return false

@@ -1,7 +1,8 @@
 // Package mdp implements finite Markov decision processes with the solvers
 // needed by the Bitcoin Unlimited security analysis: undiscounted
-// average-reward optimization (relative value iteration and policy
-// iteration) and ratio-of-expectations objectives solved with the
+// average-reward optimization (policy iteration whose rounds pair one
+// optimizing Bellman sweep with an exact regenerative evaluation) and
+// ratio-of-expectations objectives solved with the
 // transformation of Sapirshtein et al. (Optimal Selfish Mining Strategies
 // in Bitcoin, FC 2016).
 //
@@ -11,7 +12,7 @@
 // relative-revenue and orphan-rate utilities; setting Den to 1 per step
 // recovers the absolute-reward (per-block) utility.
 //
-// The solvers are parallel: Bellman sweeps are partitioned over worker
+// The optimizing sweeps are parallel: they are partitioned over worker
 // goroutines (Options.Parallelism) with order-independent residual
 // reductions, so parallel and serial solves return bit-identical
 // results. See parallel.go for the execution machinery.
@@ -133,11 +134,27 @@ func (m *Model) CompactionStats() CompactionStats {
 // probability mass of a (state, action) pair.
 const probTolerance = 1e-9
 
+// checkTransition rejects a transition with a negative or non-finite
+// probability or a non-finite reward. NaN must be caught here: it fails
+// every comparison, so the probability-sum test alone would let it
+// through.
+func checkTransition(s, a int, tr Transition) error {
+	switch {
+	case math.IsNaN(tr.Prob) || math.IsInf(tr.Prob, 0):
+		return fmt.Errorf("mdp: state %d action %d: probability %g is not finite", s, a, tr.Prob)
+	case tr.Prob < 0:
+		return fmt.Errorf("mdp: state %d action %d: negative probability %g", s, a, tr.Prob)
+	case math.IsNaN(tr.Num) || math.IsInf(tr.Num, 0) || math.IsNaN(tr.Den) || math.IsInf(tr.Den, 0):
+		return fmt.Errorf("mdp: state %d action %d: rewards (%g, %g) are not finite", s, a, tr.Num, tr.Den)
+	}
+	return nil
+}
+
 // Compile freezes a Builder into a Model, validating that probabilities
-// are non-negative and sum to one, destinations are in range, and every
-// state has at least one action. State enumeration runs on GOMAXPROCS
-// goroutines (see Builder's concurrency contract); the compiled model is
-// identical for every worker count.
+// are non-negative and sum to one, rewards are finite, destinations are
+// in range, and every state has at least one action. State enumeration
+// runs on GOMAXPROCS goroutines (see Builder's concurrency contract);
+// the compiled model is identical for every worker count.
 func Compile(b Builder) (*Model, error) { return CompileWorkers(b, 0) }
 
 // compileChunk accumulates the compiled form of a contiguous state range.
@@ -235,13 +252,13 @@ func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
 					c.err = fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
 					return
 				}
-				if tr.Prob < 0 {
-					c.err = fmt.Errorf("mdp: state %d action %d: negative probability %g", s, a, tr.Prob)
+				if err := checkTransition(s, a, tr); err != nil {
+					c.err = err
 					return
 				}
 				total += tr.Prob
 			}
-			if math.Abs(total-1) > probTolerance {
+			if !(math.Abs(total-1) <= probTolerance) {
 				c.err = fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
 				return
 			}
@@ -438,8 +455,8 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 				if int32(tr.To) != m.tto[j] {
 					return fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.tto[j])
 				}
-				if tr.Prob < 0 {
-					return fmt.Errorf("mdp: state %d action %d: negative probability %g", s, a, tr.Prob)
+				if err := checkTransition(s, a, tr); err != nil {
+					return err
 				}
 				total += tr.Prob
 				en += tr.Prob * tr.Num
@@ -451,7 +468,7 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 				// bit-identical to a fresh Compile's.
 				nm.ctprob[m.mergeIdx[j]] += tr.Prob
 			}
-			if math.Abs(total-1) > probTolerance {
+			if !(math.Abs(total-1) <= probTolerance) {
 				return fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
 			}
 			nm.eNum[k] = en
@@ -565,7 +582,34 @@ func (p Policy) ActionAt(m *Model, s int) int {
 	return int(m.Actions(s)[p[s]])
 }
 
-// Uniform returns a policy selecting the first listed action everywhere.
-func Uniform(m *Model) Policy {
-	return make(Policy, m.NumStates())
+// Witness encodes the policy as one decimal digit per state, the slot
+// it selects there: the compact form in which artifacts carry a policy
+// so a verifier can evaluate it instead of re-solving. Slots above 9
+// have no digit and are an error.
+func (p Policy) Witness() (string, error) {
+	b := make([]byte, len(p))
+	for s, a := range p {
+		if a < 0 || a > 9 {
+			return "", fmt.Errorf("mdp: slot %d of state %d has no witness digit", a, s)
+		}
+		b[s] = byte('0' + a)
+	}
+	return string(b), nil
+}
+
+// ParseWitness decodes a Witness string into a policy for m: one digit
+// per state, each naming one of the state's action slots.
+func ParseWitness(m *Model, w string) (Policy, error) {
+	if len(w) != m.numStates {
+		return nil, fmt.Errorf("mdp: witness has %d states, model has %d", len(w), m.numStates)
+	}
+	p := make(Policy, len(w))
+	for s := range p {
+		a := int(w[s]) - '0'
+		if a < 0 || a >= int(m.stateOff[s+1]-m.stateOff[s]) {
+			return nil, fmt.Errorf("mdp: witness selects %q in state %d, which has %d actions", w[s], s, m.stateOff[s+1]-m.stateOff[s])
+		}
+		p[s] = a
+	}
+	return p, nil
 }

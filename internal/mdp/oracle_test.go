@@ -17,7 +17,7 @@ func (m *Model) powerStationary(pol Policy, opts Options) ([]float64, error) {
 	}
 	opts = opts.withDefaults()
 	n := m.numStates
-	c := m.transpose(pol)
+	c := m.chainOf(pol)
 	pi := make([]float64, n)
 	next := make([]float64, n)
 	for s := range pi {
@@ -72,9 +72,43 @@ func (m *Model) stationaryResidual(pol Policy, pi []float64) float64 {
 	return res
 }
 
-// Exported for the BU-chain differential test in package mdp_test.
+// rviOracle is the reference average-reward solver the differential
+// tests hold policy iteration to: plain relative value iteration. It
+// repeats the serial optimizing sweep (bellmanChunk) from the zero
+// vector, re-centering on state 0, until the span of the update falls
+// below opts.Epsilon, and reports the bracket midpoint like
+// AverageReward. It shares the sweep kernel and nothing else: no
+// evaluation pass, no workspace, no warm start.
+func (m *Model) rviOracle(opts Options) (Result, error) {
+	opts = opts.withDefaults()
+	n := m.numStates
+	h := make([]float64, n)
+	next := make([]float64, n)
+	pol := make(Policy, n)
+	shift := m.shiftedRewards(opts.Rho)
+	tau := opts.Aperiodicity
+	for it := 1; it <= opts.MaxIterations; it++ {
+		lo, hi := m.bellmanChunk(h, next, pol, shift, tau, 0, n)
+		ref := next[0]
+		for s := range next {
+			next[s] -= ref
+		}
+		h, next = next, h
+		if hi-lo < opts.Epsilon {
+			return Result{
+				Gain: (lo + hi) / 2 / (1 - tau), Policy: pol, Bias: h,
+				Iterations: it, Converged: true,
+				Stats: Stats{Iterations: it, OptSweeps: it, Residual: hi - lo, Workers: 1},
+			}, nil
+		}
+	}
+	return Result{}, errors.New("mdp: relative value iteration oracle did not converge")
+}
+
+// Exported for the BU-chain differential tests in package mdp_test.
 var (
 	PowerStationary    = (*Model).powerStationary
 	RateRatio          = (*Model).rateRatio
 	StationaryResidual = (*Model).stationaryResidual
+	RVIOracle          = (*Model).rviOracle
 )

@@ -18,14 +18,11 @@ import (
 // distribution (stationary.go) is a serial regenerative solve and takes
 // no part in the worker pool.
 //
-// The accelerated kernels keep the contract: the fixed-policy
-// evaluation sweep (policyChunk) and the eliminating Bellman sweep
-// (viewElimChunk) are Jacobi updates like bellmanChunk, each state's
-// elimination decision depends only on its own Q-values and a margin
-// fixed before the sweep, and the per-worker kill counters are signed
-// integers folded in worker order (workspace.go's harvestKills), so
-// every worker count produces the same kills, the same view rebuilds,
-// and the same bits.
+// Policy iteration keeps the contract: each round's optimizing sweep is
+// the pooled Jacobi update above, and the exact evaluation between
+// sweeps (evaluate.go) is a serial pass in an order fixed by the policy
+// alone, so every worker count evaluates the same policies to the same
+// bits and runs the same number of rounds.
 
 // minAutoStatesPerWorker is the smallest per-worker chunk the automatic
 // parallelism mode (Parallelism == 0) will create: below it the

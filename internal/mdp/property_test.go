@@ -10,13 +10,13 @@ import (
 // Randomized property tests over generated ergodic models. randomBuilder
 // produces strongly-regenerating MDPs (every action has a positive edge
 // back to state 0), so every policy is unichain and the three
-// average-reward solvers — relative value iteration, Howard policy
-// iteration, and fixed-policy evaluation — must tell one consistent
-// story on every instance.
+// average-reward evaluators — the relative-value-iteration oracle,
+// policy iteration (AverageReward), and exact fixed-policy evaluation —
+// must tell one consistent story on every instance.
 
 // TestSolversAgreeOnRandomModels: on random ergodic models, the RVI
-// gain, the PI gain, and the evaluated gain of each solver's own output
-// policy all coincide. This is the cross-solver consistency triangle:
+// oracle's gain, the policy-iteration gain, and the evaluated gain of
+// each solver's own output policy all coincide. This is the cross-solver consistency triangle:
 // disagreement anywhere means one solver converged to the wrong gain or
 // returned a policy that does not achieve its claimed value.
 func TestSolversAgreeOnRandomModels(t *testing.T) {
@@ -29,14 +29,14 @@ func TestSolversAgreeOnRandomModels(t *testing.T) {
 			return false
 		}
 		opts := Options{Epsilon: 1e-10}
-		rvi, err := m.AverageReward(opts)
+		rvi, err := m.rviOracle(opts)
 		if err != nil {
-			t.Logf("seed %d: AverageReward: %v", seed, err)
+			t.Logf("seed %d: RVI oracle: %v", seed, err)
 			return false
 		}
-		pi, err := m.PolicyIteration(opts)
+		pi, err := m.AverageReward(opts)
 		if err != nil {
-			t.Logf("seed %d: PolicyIteration: %v", seed, err)
+			t.Logf("seed %d: AverageReward: %v", seed, err)
 			return false
 		}
 		if math.Abs(rvi.Gain-pi.Gain) > 1e-6 {
@@ -90,9 +90,6 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 			{"EvaluatePolicy",
 				func() (Result, error) { return m.EvaluatePolicy(pol, opts) },
 				func() (Result, error) { return ws.EvaluatePolicy(pol, opts) }},
-			{"PolicyIteration",
-				func() (Result, error) { return m.PolicyIteration(opts) },
-				func() (Result, error) { return ws.PolicyIteration(opts) }},
 		} {
 			want, err := sv.model()
 			if err != nil {
@@ -109,8 +106,6 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 			}
 			equalPolicies(t, sv.name, 1, got.Policy, want.Policy)
 			equalFloatsBitwise(t, sv.name+" bias", 1, got.Bias, want.Bias)
-			// PolicyIteration's later evaluation rounds chain warm starts
-			// internally, so compare the stat rather than assert cold.
 			if got.Stats.Warm != want.Stats.Warm {
 				t.Errorf("trial %d %s: workspace Warm=%v, model Warm=%v",
 					trial, sv.name, got.Stats.Warm, want.Stats.Warm)

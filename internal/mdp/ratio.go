@@ -85,17 +85,14 @@ type RatioStats struct {
 	// previous probe's bias; on a warm-chained workspace the first probe
 	// is warm too).
 	WarmProbes int
-	// Iterations is the total number of sweeps across probes (optimizing
-	// plus fixed-policy evaluation; OptSweeps and EvalSweeps split it).
+	// Iterations is the total number of passes across probes (OptSweeps
+	// plus EvalSweeps).
 	Iterations int
-	// OptSweeps is the total number of optimizing Bellman sweeps.
+	// OptSweeps is the total number of optimizing Bellman sweeps, one per
+	// policy-iteration round.
 	OptSweeps int `json:",omitempty"`
-	// EvalSweeps is the total number of fixed-policy evaluation sweeps
-	// run by modified policy iteration.
+	// EvalSweeps is the total number of policy-evaluation passes.
 	EvalSweeps int `json:",omitempty"`
-	// SlotsEliminated totals the (state, action) slots action elimination
-	// deactivated, summed over probes.
-	SlotsEliminated int `json:",omitempty"`
 	// Residual is the final inner solve's residual.
 	Residual float64
 	// Duration is the wall-clock time of the whole bisection.
@@ -138,7 +135,7 @@ func (m *Model) SolveRatio(opts RatioOptions) (RatioResult, error) {
 	return ws.SolveRatio(opts)
 }
 
-// SolveRatio is Model.SolveRatio on the workspace: the 20–40 bisection
+// SolveRatio is Model.SolveRatio on the workspace: the bisection
 // probes share the workspace's buffers and worker pool, each probe after
 // the first warm-starts from the previous probe's bias, and the in-place
 // shifted-reward rewrite makes the steady-state probe allocation-free.
@@ -165,7 +162,6 @@ func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 		stats.Iterations += res.Stats.Iterations
 		stats.OptSweeps += res.Stats.OptSweeps
 		stats.EvalSweeps += res.Stats.EvalSweeps
-		stats.SlotsEliminated += res.Stats.SlotsEliminated
 		stats.Residual = res.Stats.Residual
 		stats.Workers = res.Stats.Workers
 		if res.Stats.Warm {

@@ -12,11 +12,12 @@ import (
 // Options configure the iterative solvers. The zero value selects
 // defaults suitable for the models in this repository.
 type Options struct {
-	// Epsilon is the span-seminorm stopping tolerance for relative value
-	// iteration. Default 1e-9.
+	// Epsilon is the span-seminorm stopping tolerance of the optimizing
+	// sweeps. Default 1e-9.
 	Epsilon float64
-	// MaxIterations bounds the number of sweeps (and, for policy
-	// iteration, the number of improvement rounds). Default 1_000_000.
+	// MaxIterations bounds the number of policy-iteration rounds, the
+	// Gauss–Seidel sweeps of each evaluation's cyclic remainder, and the
+	// sweeps of discounted value iteration. Default 1_000_000.
 	MaxIterations int
 	// Aperiodicity is the self-loop weight tau of the aperiodicity
 	// transformation P' = tau*I + (1-tau)*P applied inside the sweeps.
@@ -28,35 +29,9 @@ type Options struct {
 	// Rho shifts the per-transition reward to Num - Rho*Den. The plain
 	// average-reward solvers use Rho as given (default 0).
 	Rho float64
-	// EvalSweeps controls modified policy iteration in AverageReward
-	// (and therefore in every SolveRatio probe): after each optimizing
-	// Bellman backup the solver runs up to k cheap fixed-policy
-	// evaluation sweeps of the current greedy policy — no argmax, one
-	// action slot per state — before paying for the next optimizing
-	// sweep. Convergence is still declared only at optimizing sweeps by
-	// the standard span criterion, which bounds the optimal gain for any
-	// bias vector however it was produced, so the returned gain carries
-	// the same Epsilon guarantee as pure relative value iteration.
-	//
-	// 0 (the default) selects an adaptive budget driven by the span
-	// residual: many evaluation sweeps while the span is far above
-	// Epsilon, tapering to none as it closes. A positive value caps the
-	// adaptive budget at that many evaluation sweeps per optimizing
-	// sweep. A negative value disables evaluation sweeps entirely —
-	// exact relative value iteration, the pre-MPI reference path.
-	EvalSweeps int
-	// NoElimination disables action elimination: the incremental
-	// deactivation of (state, action) slots whose Q-value provably
-	// cannot become optimal, and the periodic compaction of the active
-	// transition set that lets late sweeps touch a fraction of the
-	// transitions. Elimination decisions are validated by a final
-	// full-operator sweep before a solve with eliminations returns, so
-	// this knob affects iteration counts and wall-clock only; results
-	// carry the same guarantee either way.
-	NoElimination bool
 	// Warm, if non-nil, seeds the bias vector (length NumStates). Reusing
 	// the bias of a nearby solve (for example the previous bisection
-	// probe) cuts iteration counts substantially. The slice is copied.
+	// probe) seeds the first round's greedy policy. The slice is copied.
 	// Workspace solves chain the previous solve's bias automatically;
 	// Warm overrides the chained bias when both are present.
 	Warm []float64
@@ -69,8 +44,9 @@ type Options struct {
 	// residual reductions are order-independent. Workspace solves run on
 	// the workspace's pool and ignore this field.
 	Parallelism int
-	// Tracer, if non-nil, receives one "solver.iter" event per Bellman
-	// sweep (residual, span bounds, greedy-policy change count), a
+	// Tracer, if non-nil, receives one "solver.iter" event per
+	// optimizing sweep (residual, span bounds, greedy-policy change
+	// count), one "solver.eval" event per exact policy evaluation, a
 	// "solver.warm" event when a solve starts from a warm bias, and a
 	// "solver.done" event on convergence. Tracing never changes results:
 	// the hooks read the same quantities the solver already computes, and
@@ -81,9 +57,8 @@ type Options struct {
 // Normalized returns the options with every default applied, the exact
 // configuration the solvers run under. Two Options values that solve
 // identically normalize to the same struct (Warm, Parallelism, and
-// Tracer do not affect results and are zeroed; EvalSweeps and
-// NoElimination steer the iteration path and are kept), which makes
-// the normalized form a stable basis for cache keys.
+// Tracer do not affect results and are zeroed), which makes the
+// normalized form a stable basis for cache keys.
 func (o Options) Normalized() Options {
 	o = o.withDefaults()
 	o.Warm = nil
@@ -110,22 +85,19 @@ func (o Options) withDefaults() Options {
 
 // Stats instruments a single solve.
 type Stats struct {
-	// Iterations is the total number of sweeps performed: optimizing
-	// Bellman backups plus fixed-policy evaluation sweeps.
+	// Iterations is the total number of passes performed: optimizing
+	// sweeps plus evaluation passes.
 	Iterations int
-	// OptSweeps is the number of optimizing (argmax) Bellman backups.
+	// OptSweeps is the number of optimizing (argmax) Bellman sweeps, one
+	// per policy-iteration round.
 	OptSweeps int `json:",omitempty"`
-	// EvalSweeps is the number of cheap fixed-policy evaluation sweeps
-	// modified policy iteration interleaved between backups.
+	// EvalSweeps is the number of evaluation passes: one exact
+	// regenerative pass per evaluated policy plus the Gauss–Seidel
+	// sweeps over any cyclic remainder.
 	EvalSweeps int `json:",omitempty"`
-	// SlotsEliminated is the number of (state, action) slots action
-	// elimination deactivated during the solve.
-	SlotsEliminated int `json:",omitempty"`
-	// Compactions is how many times the active-transition view was
-	// rebuilt after eliminations.
-	Compactions int `json:",omitempty"`
 	// Residual is the final convergence measure: the span seminorm of
-	// the last update for the average-reward solvers, the sup-norm
+	// the last optimizing sweep for the average-reward solver, the
+	// largest remainder change for policy evaluation, the sup-norm
 	// update for discounted value iteration.
 	Residual float64
 	// Duration is the wall-clock time of the solve.
@@ -146,10 +118,10 @@ type Result struct {
 	Policy Policy
 	// Bias is the relative value function h (defined up to a constant).
 	Bias []float64
-	// Iterations is the number of value-iteration sweeps performed.
+	// Iterations is the number of passes performed (Stats.Iterations).
 	Iterations int
 	// Converged reports whether the span criterion was met within
-	// MaxIterations.
+	// MaxIterations rounds.
 	Converged bool
 	// Stats carries per-solve instrumentation (iterations, final
 	// residual, wall time, worker count).
@@ -165,8 +137,7 @@ const recenterParallelMin = 1 << 14
 // action set for states [lo, hi): next[s] and pol[s] are written, and
 // the chunk's span of the update d = next[s] - h[s] is returned for the
 // caller's min/max reduction. It iterates the compacted transition
-// layout (duplicates merged, destinations sorted); the elimination-
-// aware variants in elimination.go iterate the active subset instead.
+// layout (duplicates merged, destinations sorted).
 func (m *Model) bellmanChunk(h, next []float64, pol Policy, shift []float64, tau float64, lo, hi int) (slo, shi float64) {
 	slo, shi = math.Inf(1), math.Inf(-1)
 	keep := 1 - tau
@@ -200,34 +171,6 @@ func (m *Model) bellmanChunk(h, next []float64, pol Policy, shift []float64, tau
 	return slo, shi
 }
 
-// policyChunk is bellmanChunk restricted to a fixed policy: one slot
-// per state, no argmax. It is the sweep modified policy iteration runs
-// between optimizing backups, several times cheaper than bellmanChunk
-// because it touches only the chosen action's transitions.
-func (m *Model) policyChunk(h, next []float64, pol Policy, shift []float64, tau float64, lo, hi int) (slo, shi float64) {
-	slo, shi = math.Inf(1), math.Inf(-1)
-	keep := 1 - tau
-	stateOff, csaOff := m.stateOff, m.csaOff
-	ctprob, ctto := m.ctprob, m.ctto
-	for s := lo; s < hi; s++ {
-		k := stateOff[s] + int32(pol[s])
-		q := shift[k]
-		for j := csaOff[k]; j < csaOff[k+1]; j++ {
-			q += ctprob[j] * h[ctto[j]]
-		}
-		v := keep*q + tau*h[s]
-		next[s] = v
-		d := v - h[s]
-		if d < slo {
-			slo = d
-		}
-		if d > shi {
-			shi = d
-		}
-	}
-	return slo, shi
-}
-
 // reduceSpans folds per-worker spans with exact min/max, which no
 // worker-count or completion-order change can perturb.
 func reduceSpans(spans []wspan) (lo, hi float64) {
@@ -244,13 +187,13 @@ func reduceSpans(spans []wspan) (lo, hi float64) {
 }
 
 // AverageReward maximizes the long-run average of Num - Rho*Den per step
-// using relative value iteration with an aperiodicity transformation,
-// accelerated by default with modified policy iteration (cheap
-// fixed-policy sweeps between optimizing backups; Options.EvalSweeps)
-// and action elimination (Options.NoElimination). The model must be
-// weakly communicating under some policy reaching a single recurrent
-// class; the models in this repository regenerate through a base state
-// and satisfy this.
+// by policy iteration: each round one optimizing Bellman sweep (under
+// the aperiodicity transformation) whose span bracket is the
+// convergence test and the gain certificate, then an exact regenerative
+// evaluation of the sweep's greedy policy. The model must be weakly
+// communicating under some policy reaching a single recurrent class;
+// the models in this repository regenerate through a base state and
+// satisfy this.
 //
 // Each call runs on a transient Workspace, so repeated solves allocate
 // their scratch vectors and worker pool every time; callers performing
@@ -264,27 +207,16 @@ func (m *Model) AverageReward(opts Options) (Result, error) {
 }
 
 // EvaluatePolicy computes the long-run average of Num - Rho*Den per step
-// under a fixed policy, by relative value iteration restricted to that
-// policy. The policy's chain must be unichain. Like AverageReward it
-// runs on a transient Workspace.
+// under a fixed policy and its bias (zero at the regeneration state) by
+// one regenerative pass, exact when the taboo chain is acyclic; a
+// cyclic remainder is swept until its first-passage values move by less
+// than Epsilon. The policy's chain must be unichain. Like AverageReward
+// it runs on a transient Workspace.
 func (m *Model) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	ws := m.NewWorkspace(opts.Parallelism)
 	defer ws.Close()
 	return ws.EvaluatePolicy(pol, opts)
-}
-
-// PolicyIteration solves the average-reward problem by Howard's policy
-// iteration, using iterative policy evaluation. It returns the same gain
-// as AverageReward and serves as an independent cross-check.
-// Options.MaxIterations bounds the improvement rounds as well as each
-// evaluation's sweeps, and the greedy-improvement step runs on the same
-// worker pool as the sweeps.
-func (m *Model) PolicyIteration(opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	ws := m.NewWorkspace(opts.Parallelism)
-	defer ws.Close()
-	return ws.PolicyIteration(opts)
 }
 
 // ValueIteration solves the discounted problem max E[sum gamma^t (Num - Rho*Den)]

@@ -10,35 +10,74 @@ import (
 // transposed (incoming edges per state) so the stationary solve is a
 // gather with a fixed per-state accumulation order. Zero-probability
 // transitions are dropped: they are not edges of the chain.
+//
+// A policyChain also owns the scratch of the passes over it (the SCC
+// search, the taboo order, the DFS postorder), sized for its model by
+// newPolicyChain, so a Workspace that keeps one evaluates policy after
+// policy without allocating.
 type policyChain struct {
 	inOff  []int32
 	inSrc  []int32
 	inProb []float64
+
+	// Tarjan and DFS scratch.
+	index, low, comp []int32
+	frames           []chainFrame
+	stack            []int32
+	closed           []bool
+	// Kahn scratch; order also holds tabooOrder's result.
+	indeg []int32
+	order []int32
 }
 
-// transpose builds the incoming-edge arrays of the policy's chain from
+type chainFrame struct{ v, next int32 }
+
+// newPolicyChain allocates a chain sized for any policy of m: the edge
+// arrays hold the largest compacted slot of every state.
+func newPolicyChain(m *Model) *policyChain {
+	n := m.numStates
+	edges := 0
+	for s := 0; s < n; s++ {
+		widest := int32(0)
+		for k := m.stateOff[s]; k < m.stateOff[s+1]; k++ {
+			widest = max(widest, m.csaOff[k+1]-m.csaOff[k])
+		}
+		edges += int(widest)
+	}
+	return &policyChain{
+		inOff:  make([]int32, n+1),
+		inSrc:  make([]int32, edges),
+		inProb: make([]float64, edges),
+		index:  make([]int32, n),
+		low:    make([]int32, n),
+		comp:   make([]int32, n),
+		frames: make([]chainFrame, 0, n),
+		stack:  make([]int32, 0, n),
+		closed: make([]bool, n),
+		indeg:  make([]int32, n),
+		order:  make([]int32, 0, n),
+	}
+}
+
+// transpose fills the incoming-edge arrays of the policy's chain from
 // the compacted transition layout (duplicates already merged). Edges
 // are emitted in source-state order, which fixes the per-state
-// summation order.
-func (m *Model) transpose(pol Policy) policyChain {
+// summation order. The chain's indeg buffer serves as the fill cursor.
+func (c *policyChain) transpose(m *Model, pol Policy) {
 	n := m.numStates
-	c := policyChain{inOff: make([]int32, n+1)}
-	total := 0
+	clear(c.inOff)
 	for s := 0; s < n; s++ {
 		to, prob := m.successors(pol, s)
 		for j, d := range to {
 			if prob[j] > 0 {
 				c.inOff[d+1]++
-				total++
 			}
 		}
 	}
 	for s := 0; s < n; s++ {
 		c.inOff[s+1] += c.inOff[s]
 	}
-	c.inSrc = make([]int32, total)
-	c.inProb = make([]float64, total)
-	pos := make([]int32, n)
+	pos := c.indeg
 	copy(pos, c.inOff[:n])
 	for s := 0; s < n; s++ {
 		to, prob := m.successors(pol, s)
@@ -50,6 +89,13 @@ func (m *Model) transpose(pol Policy) policyChain {
 			}
 		}
 	}
+}
+
+// chainOf builds the transposed chain of pol on fresh scratch, for the
+// one-shot (allocating) entry points.
+func (m *Model) chainOf(pol Policy) *policyChain {
+	c := newPolicyChain(m)
+	c.transpose(m, pol)
 	return c
 }
 
@@ -66,23 +112,21 @@ func (m *Model) successors(pol Policy, s int) ([]int32, []float64) {
 // with Tarjan's algorithm, run iteratively so deep chains cannot
 // exhaust the stack. The transposed graph has the same components as
 // the chain itself.
-func (c policyChain) components() (comp []int32, count int) {
+func (c *policyChain) components() (comp []int32, count int) {
 	n := len(c.inOff) - 1
-	index := make([]int32, n) // discovery order + 1; 0 means unvisited
-	low := make([]int32, n)
-	comp = make([]int32, n)
+	index, low := c.index, c.low // index: discovery order + 1; 0 means unvisited
+	clear(index)
+	comp = c.comp
 	for i := range comp {
 		comp[i] = -1
 	}
-	type frame struct{ v, next int32 }
-	var call []frame
-	var stack []int32
+	call, stack := c.frames[:0], c.stack[:0]
 	visited := int32(0)
 	visit := func(v int32) {
 		visited++
 		index[v], low[v] = visited, visited
 		stack = append(stack, v)
-		call = append(call, frame{v, c.inOff[v]})
+		call = append(call, chainFrame{v, c.inOff[v]})
 	}
 	for root := int32(0); int(root) < n; root++ {
 		if index[root] != 0 {
@@ -128,9 +172,9 @@ func (c policyChain) components() (comp []int32, count int) {
 // regenerationState returns the lowest-index state of the chain's
 // unique closed class. A chain with two closed classes is not unichain
 // and has no unique stationary distribution, which is an error.
-func (c policyChain) regenerationState() (int, error) {
+func (c *policyChain) regenerationState() (int, error) {
 	comp, count := c.components()
-	closed := make([]bool, count)
+	closed := c.closed[:count]
 	for i := range closed {
 		closed[i] = true
 	}
@@ -158,11 +202,13 @@ func (c policyChain) regenerationState() (int, error) {
 // a Kahn topological order of the taboo chain (the policy's chain with
 // the edges into r and all self-loops removed), followed by the states
 // Kahn cannot order, in index order. It returns the order and the
-// length of its topological prefix.
-func (m *Model) tabooOrder(pol Policy, c policyChain, r int) (order []int32, settled int) {
+// length of its topological prefix. The order is the chain's buffer,
+// valid until the next pass over the chain.
+func (c *policyChain) tabooOrder(m *Model, pol Policy, r int) (order []int32, settled int) {
 	n := m.numStates
-	indeg := make([]int32, n)
+	indeg := c.indeg
 	for t := 0; t < n; t++ {
+		indeg[t] = 0
 		if t == r {
 			continue
 		}
@@ -174,7 +220,7 @@ func (m *Model) tabooOrder(pol Policy, c policyChain, r int) (order []int32, set
 	}
 	// order doubles as Kahn's queue. It starts with r, whose value is
 	// fixed, and the states no other state leads to.
-	order = append(make([]int32, 0, n), int32(r))
+	order = append(c.order[:0], int32(r))
 	for t := 0; t < n; t++ {
 		if t != r && indeg[t] == 0 {
 			order = append(order, int32(t))
@@ -225,12 +271,12 @@ func (m *Model) StationaryDistribution(pol Policy, opts Options) ([]float64, err
 		return nil, errors.New("mdp: policy length mismatch")
 	}
 	opts = opts.withDefaults()
-	c := m.transpose(pol)
+	c := m.chainOf(pol)
 	r, err := c.regenerationState()
 	if err != nil {
 		return nil, err
 	}
-	order, settled := m.tabooOrder(pol, c, r)
+	order, settled := c.tabooOrder(m, pol, r)
 	v := make([]float64, m.numStates)
 	v[r] = 1
 	sweep := order

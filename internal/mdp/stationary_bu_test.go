@@ -105,3 +105,73 @@ func TestStationaryMatchesPowerIterationOnBUChains(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyIterationMatchesRVIOnBUChains holds policy iteration to the
+// relative-value-iteration oracle on the BU chains: every Table-3 cell
+// (the gain objective, both settings) must agree on the optimal gain
+// within 1e-8, and on the alpha = beta gate cell at window 12 (a ratio
+// objective) the ratio solve's witness policy must attain the solved
+// ratio within RatioTol while both solvers agree on the auxiliary gain
+// at that ratio. The oracle needs thousands of sweeps on setting-2
+// cells where Carol outweighs Bob, so -short and -race keep the other
+// setting-2 cells; the full run checks every cell, two at a time.
+func TestPolicyIterationMatchesRVIOnBUChains(t *testing.T) {
+	cases := table3Cases()
+	opts := mdp.Options{Epsilon: 1e-10}
+	t.Run("table3", func(t *testing.T) {
+		for _, tc := range cases[:len(cases)-1] {
+			tc := tc
+			if (testing.Short() || raceEnabled) && tc.p.Setting == bumdp.Setting2 && tc.p.Gamma > tc.p.Beta {
+				continue
+			}
+			t.Run(tc.name, func(t *testing.T) {
+				t.Parallel()
+				a, err := bumdp.New(tc.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := a.Model.AverageReward(opts)
+				if err != nil {
+					t.Fatalf("policy iteration: %v", err)
+				}
+				ref, err := mdp.RVIOracle(a.Model, opts)
+				if err != nil {
+					t.Fatalf("RVI oracle: %v", err)
+				}
+				if d := math.Abs(res.Gain - ref.Gain); d > 1e-8 {
+					t.Errorf("gain %.12f, RVI %.12f (diff %.2e)", res.Gain, ref.Gain, d)
+				}
+			})
+		}
+	})
+
+	const ratioTol = 1e-5
+	gate, err := bumdp.New(bumdp.Params{Alpha: 0.25, Beta: 0.25, Gamma: 0.5,
+		Setting: bumdp.Setting2, Model: bumdp.Compliant, GateWindow: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := gate.SolveWith(bumdp.SolveOptions{RatioTol: ratioTol, Epsilon: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio, err := gate.Model.PolicyRatio(sol.Policy, mdp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(ratio - sol.Utility); d > ratioTol {
+		t.Errorf("gate cell: witness attains %.9f, solve claims %.9f", ratio, sol.Utility)
+	}
+	at := mdp.Options{Epsilon: 1e-10, Rho: sol.Utility}
+	res, err := gate.Model.AverageReward(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := mdp.RVIOracle(gate.Model, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(res.Gain - ref.Gain); d > 1e-8 {
+		t.Errorf("gate cell at rho=%.9f: gain %.12f, RVI %.12f", sol.Utility, res.Gain, ref.Gain)
+	}
+}

@@ -52,7 +52,7 @@ func TestStationaryTransientStatesAndRegeneration(t *testing.T) {
 	}
 	m := mustCompile(t, b)
 	pol := Policy{0, 0, 0}
-	if r, err := m.transpose(pol).regenerationState(); err != nil || r != 1 {
+	if r, err := m.chainOf(pol).regenerationState(); err != nil || r != 1 {
 		t.Fatalf("regenerationState = %d, %v; want 1", r, err)
 	}
 	pi, err := m.StationaryDistribution(pol, Options{})
@@ -86,12 +86,12 @@ func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions(s)))
 		}
-		c := m.transpose(pol)
+		c := m.chainOf(pol)
 		r, err := c.regenerationState()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, settled := m.tabooOrder(pol, c, r); settled == n-1 {
+		if _, settled := c.tabooOrder(m, pol, r); settled == n-1 {
 			t.Fatalf("seed %d: taboo chain is acyclic; the case does not exercise the iterated sweeps", seed)
 		}
 

@@ -12,15 +12,16 @@ import (
 // Workspace is a reusable solver session bound to one model shape. It
 // owns everything an average-reward solve needs besides the model
 // itself — the iterate vectors h and next, the greedy policy, the
-// shifted-reward scratch, the per-worker span accumulators, and a
-// persistent sweep pool — so a sequence of solves (the 20–40 bisection
-// probes of a ratio solve, or a whole warm-chained sweep row) allocates
-// its buffers and spawns its worker goroutines exactly once. A
-// steady-state probe on a Workspace performs zero heap allocations.
+// shifted-reward scratch, the per-worker span accumulators, the policy
+// chain and first-passage vectors of the exact evaluations, and a
+// persistent sweep pool — so a sequence of solves (the bisection probes
+// of a ratio solve, or a whole warm-chained sweep row) allocates its
+// buffers and spawns its worker goroutines exactly once. A steady-state
+// probe on a Workspace performs zero heap allocations.
 //
 // A Workspace additionally chains solves: unless Options.Warm overrides
 // it, each solve starts from the bias vector the previous solve on the
-// same workspace converged to. Warm starts change iteration counts but
+// same workspace converged to. Warm starts change round counts but
 // never converged values (every solve still runs to Options.Epsilon),
 // and a fresh workspace starts cold, so the one-shot Model methods —
 // which create a transient workspace per call — behave exactly as
@@ -40,23 +41,24 @@ type Workspace struct {
 	shift   []float64
 	spans   []wspan
 
+	// chain, passR and passT are the exact evaluation's policy chain and
+	// first-passage vectors (see evaluate.go). passR and passT seed the
+	// cyclic remainder's Gauss–Seidel sweeps, so they belong to the warm
+	// state and are cleared with it.
+	chain        *policyChain
+	passR, passT []float64
+
 	// bestPol holds the ratio bisection's incumbent policy across
 	// probes; prevPol backs the tracer's policy-change counts and is
 	// allocated only when a tracer is installed.
 	bestPol Policy
 	prevPol Policy
 
-	// improved carries the per-worker improvement flags of policy
-	// iteration's parallel greedy step.
-	improved []int32
-
 	// Kernel parameters read by runChunk; published to the pool's
 	// workers by the generation bump inside pool.run.
-	mode     int
-	tau      float64
-	ref      float64
-	evalPol  Policy
-	evalBias []float64
+	mode int
+	tau  float64
+	ref  float64
 
 	// body is the one closure the pool ever runs (ws.runChunk bound
 	// once), so repeated sweeps allocate nothing.
@@ -65,38 +67,12 @@ type Workspace struct {
 	// warm records that h holds the bias of a previous solve and can
 	// seed the next one.
 	warm bool
-
-	// Action-elimination and active-view state; see elimination.go. All
-	// buffers are allocated eagerly by NewWorkspace so the steady-state
-	// probe stays allocation-free.
-	dead       []bool // dead[k]: slot k proven suboptimal in this solve
-	killed     int    // dead slots so far this solve
-	deadSince  int    // kills since the last view rebuild
-	viewFull   bool   // view arrays mirror the full slot set of ws.m
-	viewSlots  int32  // slots currently in the view
-	elim       bool   // elimination enabled for the current solve
-	elimOff    bool   // elimination permanently disabled this solve
-	killMargin float64
-	spanRing   [elimSpanWindow]float64
-	sweepSeq   int
-	// Active-view CSR: per state, the surviving slots (by slot-local
-	// index) and their compacted transitions copied contiguously.
-	vStateOff  []int32
-	vSlotLocal []int32
-	vsaOff     []int32
-	vtprob     []float64
-	vtto       []int32
-	qbuf       [][]float64 // per-worker slot-Q scratch for the kill test
-	killWorker []int32     // per-worker kill counts of the last sweep
 }
 
 // Sweep-kernel selectors for runChunk.
 const (
 	opBellman = iota
-	opBellmanElim
-	opPolicyEval
 	opRecenter
-	opImprove
 )
 
 // NewWorkspace creates a solver session for m. parallelism follows
@@ -106,38 +82,19 @@ const (
 // pool's worker goroutines.
 func (m *Model) NewWorkspace(parallelism int) *Workspace {
 	n := m.numStates
-	numSlots := len(m.eNum)
 	ws := &Workspace{
 		m:       m,
 		h:       make([]float64, n),
 		next:    make([]float64, n),
 		pol:     make(Policy, n),
 		bestPol: make(Policy, n),
-		shift:   make([]float64, numSlots),
-		// Elimination buffers, sized for the full model so in-solve
-		// compactions never allocate.
-		dead:       make([]bool, numSlots),
-		vStateOff:  make([]int32, n+1),
-		vSlotLocal: make([]int32, numSlots),
-		vsaOff:     make([]int32, numSlots+1),
-		vtprob:     make([]float64, len(m.ctprob)),
-		vtto:       make([]int32, len(m.ctto)),
-		killMargin: math.Inf(1),
+		shift:   make([]float64, len(m.eNum)),
+		chain:   newPolicyChain(m),
+		passR:   make([]float64, n),
+		passT:   make([]float64, n),
 	}
 	ws.pool = newSweepPool(n, effectiveWorkers(parallelism, n, minAutoStatesPerWorker))
 	ws.spans = make([]wspan, ws.pool.workers())
-	ws.improved = make([]int32, ws.pool.workers())
-	ws.killWorker = make([]int32, ws.pool.workers())
-	maxSlots := 0
-	for s := 0; s < n; s++ {
-		if sl := int(m.stateOff[s+1] - m.stateOff[s]); sl > maxSlots {
-			maxSlots = sl
-		}
-	}
-	ws.qbuf = make([][]float64, ws.pool.workers())
-	for w := range ws.qbuf {
-		ws.qbuf[w] = make([]float64, maxSlots)
-	}
 	ws.body = ws.runChunk
 	return ws
 }
@@ -169,13 +126,12 @@ func (ws *Workspace) Bind(m *Model) error {
 	if len(m.eNum) != len(ws.shift) {
 		return fmt.Errorf("mdp: cannot bind workspace for %d state-actions to model with %d", len(ws.shift), len(m.eNum))
 	}
-	if len(m.ctprob) != len(ws.vtprob) {
-		return fmt.Errorf("mdp: cannot bind workspace for %d compacted transitions to model with %d", len(ws.vtprob), len(m.ctprob))
+	if &m.csaOff[0] != &ws.m.csaOff[0] {
+		// Equal counts but not a Reparameterize product of the bound
+		// model: the policy chain's edge capacity may not fit.
+		ws.chain = newPolicyChain(m)
 	}
 	ws.m = m
-	// The view caches the old model's probabilities; rebuild before the
-	// next eliminating solve.
-	ws.viewFull = false
 	return nil
 }
 
@@ -185,18 +141,10 @@ func (ws *Workspace) runChunk(w, lo, hi int) {
 	switch ws.mode {
 	case opBellman:
 		ws.spans[w].lo, ws.spans[w].hi = ws.m.bellmanChunk(ws.h, ws.next, ws.pol, ws.shift, ws.tau, lo, hi)
-	case opBellmanElim:
-		ws.viewElimChunk(w, lo, hi)
-	case opPolicyEval:
-		ws.spans[w].lo, ws.spans[w].hi = ws.m.policyChunk(ws.h, ws.next, ws.evalPol, ws.shift, ws.tau, lo, hi)
 	case opRecenter:
 		next, ref := ws.next, ws.ref
 		for s := lo; s < hi; s++ {
 			next[s] -= ref
-		}
-	case opImprove:
-		if ws.m.improveChunk(ws.evalPol, ws.evalBias, ws.shift, lo, hi) {
-			ws.improved[w] = 1
 		}
 	}
 }
@@ -228,18 +176,23 @@ func (ws *Workspace) seedBias(opts Options) bool {
 		return true
 	}
 	clear(ws.h)
+	clear(ws.passR)
+	clear(ws.passT)
 	return false
 }
 
 // AverageReward is Model.AverageReward on the workspace's buffers and
-// pool — relative value iteration accelerated by modified policy
-// iteration and action elimination (see Options.EvalSweeps and
-// Options.NoElimination), with no per-solve allocations. Convergence is
-// declared only when an optimizing sweep's span meets Epsilon (after a
-// full-operator validation sweep if any action was eliminated), so
-// every acceleration path returns a gain with the standard relative-
-// value-iteration guarantee. See the Workspace doc for warm chaining
-// and result-ownership semantics.
+// pool, with no per-solve allocations. Each round runs one Jacobi
+// optimizing sweep; when its span meets Epsilon the solve has converged
+// and the span bracket certifies the gain. Otherwise the sweep's greedy
+// policy is evaluated exactly (evaluate.go) and the next round sweeps
+// on its bias: Howard's policy iteration, with convergence declared
+// only by the sweep, so the returned gain carries the relative-value-
+// iteration guarantee (see Result.GainBounds) however the bias was
+// produced. A round whose greedy policy cannot be evaluated (two closed
+// classes, or a cyclic remainder that does not settle) falls back to
+// the plain relative-value-iteration step. See the Workspace doc for
+// warm chaining and result-ownership semantics.
 func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -249,14 +202,13 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 	keep := 1 - tau
 	ws.tau = tau
 	m.shiftedRewardsInto(ws.shift, opts.Rho)
-	ws.resetSolveState(opts)
 
 	solvesTotal.Inc()
 	if warm {
 		warmSolvesTotal.Inc()
 	}
 	tr := opts.Tracer
-	// prevPol backs the per-sweep policy-change count; it exists only
+	// prevPol backs the per-round policy-change count; it exists only
 	// when a tracer is installed, so the untraced path allocates nothing
 	// extra. The implicit initial policy is all-zeros, matching pol.
 	if tr != nil {
@@ -270,28 +222,16 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 		}
 	}
 
-	it, optSweeps, evalSweeps, compactions := 0, 0, 0, 0
+	rounds, evals := 0, 0
 	var lo, hi float64
+	var err error
 	converged := false
-	for it < opts.MaxIterations && !converged {
-		// Optimizing sweep over the active slot set.
-		if ws.elim {
-			ws.mode = opBellmanElim
-		} else {
-			ws.mode = opBellman
-		}
+	for rounds < opts.MaxIterations {
+		ws.mode = opBellman
 		ws.pool.run(ws.body)
 		lo, hi = reduceSpans(ws.spans)
-		// Re-center on state 0 to keep the bias bounded.
-		ws.recenter(ws.next[0])
-		ws.h, ws.next = ws.next, ws.h
-		it++
-		optSweeps++
+		rounds++
 		span := hi - lo
-		ws.noteSpan(span)
-		if ws.elim {
-			compactions += ws.harvestKills()
-		}
 		if tr != nil {
 			changes := 0
 			pol, prevPol := ws.pol, ws.prevPol
@@ -301,105 +241,72 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 					prevPol[s] = pol[s]
 				}
 			}
-			tr.Emit(obs.Event{Kind: "solver.iter", Solver: "rvi", Iter: it,
-				Residual: span, SpanLo: lo, SpanHi: hi, PolicyChanges: changes,
-				Eliminated: ws.killed})
+			tr.Emit(obs.Event{Kind: "solver.iter", Solver: "rvi", Iter: rounds,
+				Residual: span, SpanLo: lo, SpanHi: hi, PolicyChanges: changes})
+		}
+		if g := (lo + hi) / 2 / keep; math.IsNaN(g) || math.IsInf(g, 0) || math.IsInf(span, 0) {
+			// A NaN or overflowing bracket must never pass as converged.
+			err = fmt.Errorf("mdp: optimizing sweep bracket [%g, %g] is not finite", lo, hi)
+			break
 		}
 		if span < opts.Epsilon {
-			if ws.killed == 0 {
-				converged = true
-				break
-			}
-			// The active set converged but slots were eliminated along
-			// the way: validate with one full-operator sweep. Its span
-			// meeting Epsilon re-establishes the standard criterion on
-			// the whole model; its argmax rewrites pol over every slot.
-			ws.mode = opBellman
-			ws.pool.run(ws.body)
-			lo, hi = reduceSpans(ws.spans)
+			// The certifying sweep's iterate is the returned bias.
 			ws.recenter(ws.next[0])
 			ws.h, ws.next = ws.next, ws.h
-			it++
-			optSweeps++
-			ws.noteSpan(hi - lo)
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "solver.iter", Solver: "rvi", Iter: it,
-					Residual: hi - lo, SpanLo: lo, SpanHi: hi,
-					Eliminated: ws.killed, Detail: "validate"})
-			}
-			if hi-lo < opts.Epsilon {
-				converged = true
-				break
-			}
-			// An elimination was unsound; undo all of them and finish
-			// the solve on the full operator.
-			ws.reactivateAll()
-			continue
+			converged = true
+			break
 		}
-		// Modified policy iteration: polish the current greedy policy's
-		// bias with cheap fixed-policy sweeps before the next backup.
-		// The budget shrinks with the remaining span distance, and the
-		// loop bails out if an evaluation sweep stops contracting (a
-		// mid-solve greedy policy need not induce a unichain).
-		budget := evalSweepBudget(opts.EvalSweeps, span, opts.Epsilon)
-		prev := span
-		for e := 0; e < budget && it < opts.MaxIterations; e++ {
-			ws.mode = opPolicyEval
-			ws.evalPol = ws.pol
-			ws.pool.run(ws.body)
-			elo, ehi := reduceSpans(ws.spans)
+		ev, eerr := m.evaluate(ws.chain, ws.pol, ws.shift, ws.passR, ws.passT, ws.h,
+			(lo+hi)/2/keep, span/10, opts.MaxIterations)
+		evals += 1 + ev.sweeps
+		if tr != nil {
+			detail := ""
+			if eerr != nil {
+				detail = "fallback"
+			}
+			tr.Emit(obs.Event{Kind: "solver.eval", Solver: "policy-eval", Iter: rounds,
+				Gain: ev.gain, Residual: ev.change, Detail: detail})
+		}
+		if eerr != nil {
+			// Relative value iteration step: keep the sweep's iterate.
 			ws.recenter(ws.next[0])
 			ws.h, ws.next = ws.next, ws.h
-			it++
-			evalSweeps++
-			espan := ehi - elo
-			// espan is deliberately NOT fed to noteSpan: the fixed-policy
-			// operator contracts much faster than the optimizing one, and
-			// mixing its spans into the contraction window would fake a
-			// tiny rate and collapse the kill margin.
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "solver.iter", Solver: "policy-eval", Iter: it,
-					Residual: espan, SpanLo: elo, SpanHi: ehi})
-			}
-			if espan >= prev || espan < opts.Epsilon*0.5 {
-				break
-			}
-			prev = espan
 		}
 	}
 
-	sweepsTotal.Add(int64(it))
-	evalSweepsTotal.Add(int64(evalSweeps))
-	elimSlotsTotal.Add(int64(ws.killed))
+	sweepsTotal.Add(int64(rounds + evals))
+	evalSweepsTotal.Add(int64(evals))
 	ws.warm = true
 	stats := Stats{
-		Iterations: it, OptSweeps: optSweeps, EvalSweeps: evalSweeps,
-		SlotsEliminated: ws.killed, Compactions: compactions,
+		Iterations: rounds + evals, OptSweeps: rounds, EvalSweeps: evals,
 		Residual: hi - lo, Duration: time.Since(start),
 		Workers: ws.pool.workers(), Warm: warm,
 	}
 	if !converged {
 		stats.Residual = math.Inf(1)
-		return Result{
-			Policy: ws.pol, Bias: ws.h, Iterations: it, Stats: stats,
-		}, errors.New("mdp: relative value iteration did not converge")
+		if err == nil {
+			err = errors.New("mdp: policy iteration did not converge")
+		}
+		return Result{Policy: ws.pol, Bias: ws.h, Iterations: stats.Iterations, Stats: stats}, err
 	}
+	gain := (lo + hi) / 2 / keep
 	if tr != nil {
-		tr.Emit(obs.Event{Kind: "solver.done", Solver: "rvi", Iter: it,
-			Residual: hi - lo, Gain: (lo + hi) / 2 / keep, Eliminated: ws.killed})
+		tr.Emit(obs.Event{Kind: "solver.done", Solver: "rvi", Iter: rounds,
+			Residual: hi - lo, Gain: gain})
 	}
 	return Result{
-		Gain:       (lo + hi) / 2 / keep,
+		Gain:       gain,
 		Policy:     ws.pol,
 		Bias:       ws.h,
-		Iterations: it,
+		Iterations: stats.Iterations,
 		Converged:  true,
 		Stats:      stats,
 	}, nil
 }
 
-// EvaluatePolicy is Model.EvaluatePolicy on the workspace's buffers
-// and pool; see AverageReward for the shared semantics.
+// EvaluatePolicy is Model.EvaluatePolicy on the workspace's buffers;
+// see Model.EvaluatePolicy. The returned bias replaces the workspace's
+// chained bias.
 func (ws *Workspace) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	m := ws.m
 	if len(pol) != m.numStates {
@@ -408,130 +315,25 @@ func (ws *Workspace) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	warm := ws.seedBias(opts)
-	tau := opts.Aperiodicity
-	keep := 1 - tau
-	ws.tau = tau
-	ws.evalPol = pol
 	m.shiftedRewardsInto(ws.shift, opts.Rho)
-
 	solvesTotal.Inc()
 	if warm {
 		warmSolvesTotal.Inc()
 	}
-	tr := opts.Tracer
-	if tr != nil && warm {
-		tr.Emit(obs.Event{Kind: "solver.warm", Solver: "policy-eval", Detail: "bias"})
+	ev, err := m.evaluate(ws.chain, pol, ws.shift, ws.passR, ws.passT, ws.h, math.NaN(), opts.Epsilon, opts.MaxIterations)
+	sweeps := 1 + ev.sweeps
+	sweepsTotal.Add(int64(sweeps))
+	evalSweepsTotal.Add(int64(sweeps))
+	stats := Stats{Iterations: sweeps, EvalSweeps: sweeps, Residual: ev.change,
+		Duration: time.Since(start), Workers: ws.pool.workers(), Warm: warm}
+	if err != nil {
+		stats.Residual = math.Inf(1)
+		return Result{Policy: pol, Iterations: sweeps, Stats: stats}, err
 	}
-
-	for it := 1; it <= opts.MaxIterations; it++ {
-		ws.mode = opPolicyEval
-		ws.pool.run(ws.body)
-		lo, hi := reduceSpans(ws.spans)
-		ws.recenter(ws.next[0])
-		ws.h, ws.next = ws.next, ws.h
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: "solver.iter", Solver: "policy-eval", Iter: it,
-				Residual: hi - lo, SpanLo: lo, SpanHi: hi})
-		}
-		if hi-lo < opts.Epsilon {
-			sweepsTotal.Add(int64(it))
-			ws.warm = true
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "solver.done", Solver: "policy-eval", Iter: it,
-					Residual: hi - lo, Gain: (lo + hi) / 2 / keep})
-			}
-			return Result{
-				Gain:       (lo + hi) / 2 / keep,
-				Policy:     pol,
-				Bias:       ws.h,
-				Iterations: it,
-				Converged:  true,
-				Stats:      Stats{Iterations: it, EvalSweeps: it, Residual: hi - lo, Duration: time.Since(start), Workers: ws.pool.workers(), Warm: warm},
-			}, nil
-		}
-	}
-	sweepsTotal.Add(int64(opts.MaxIterations))
 	ws.warm = true
-	return Result{
-		Policy: pol, Bias: ws.h, Iterations: opts.MaxIterations,
-		Stats: Stats{Iterations: opts.MaxIterations, EvalSweeps: opts.MaxIterations, Residual: math.Inf(1), Duration: time.Since(start), Workers: ws.pool.workers(), Warm: warm},
-	}, errors.New("mdp: policy evaluation did not converge")
-}
-
-// PolicyIteration is Model.PolicyIteration on the workspace: Howard's
-// policy iteration with the greedy-improvement step parallelized over
-// the sweep pool. Options.MaxIterations bounds both the inner
-// evaluation sweeps and the number of improvement rounds.
-func (ws *Workspace) PolicyIteration(opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	m := ws.m
-	pol := Uniform(m)
-	var last Result
-	sweeps := 0
-	finalize := func(r *Result) {
-		r.Iterations = sweeps
-		r.Stats.Iterations = sweeps
-		r.Stats.Workers = ws.pool.workers()
-		r.Stats.Duration = time.Since(start)
+	if tr := opts.Tracer; tr != nil {
+		tr.Emit(obs.Event{Kind: "solver.done", Solver: "policy-eval", Iter: sweeps,
+			Residual: ev.change, Gain: ev.gain})
 	}
-	for round := 0; round < opts.MaxIterations; round++ {
-		ev, err := ws.EvaluatePolicy(pol, opts)
-		sweeps += ev.Stats.Iterations
-		if err != nil {
-			finalize(&ev)
-			return ev, err
-		}
-		last = ev
-		// Parallel greedy improvement against the evaluation's bias
-		// (ws.h, untouched until the next evaluation). Each state's
-		// argmax is independent, so the pooled pass flips exactly the
-		// states the serial pass would.
-		ws.mode = opImprove
-		ws.evalPol = pol
-		ws.evalBias = ev.Bias
-		clear(ws.improved)
-		ws.pool.run(ws.body)
-		improved := false
-		for _, f := range ws.improved {
-			if f != 0 {
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			last.Policy = pol
-			finalize(&last)
-			return last, nil
-		}
-	}
-	finalize(&last)
-	return last, errors.New("mdp: policy iteration did not converge")
-}
-
-// improveChunk performs policy iteration's greedy improvement for
-// states [lo, hi) against the bias of the last evaluation, reporting
-// whether any state's action changed. The 1e-12 slack keeps the
-// improvement strict, so ties never oscillate.
-func (m *Model) improveChunk(pol Policy, bias, shift []float64, lo, hi int) (improved bool) {
-	for s := lo; s < hi; s++ {
-		bestSlot := pol[s]
-		best := math.Inf(-1)
-		k0, k1 := m.stateOff[s], m.stateOff[s+1]
-		for k := k0; k < k1; k++ {
-			q := shift[k]
-			for j := m.csaOff[k]; j < m.csaOff[k+1]; j++ {
-				q += m.ctprob[j] * bias[m.ctto[j]]
-			}
-			if q > best+1e-12 {
-				best = q
-				bestSlot = int(k - k0)
-			}
-		}
-		if bestSlot != pol[s] {
-			pol[s] = bestSlot
-			improved = true
-		}
-	}
-	return improved
+	return Result{Gain: ev.gain, Policy: pol, Bias: ws.h, Iterations: sweeps, Converged: true, Stats: stats}, nil
 }

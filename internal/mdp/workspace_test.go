@@ -170,12 +170,11 @@ func TestSolveRatioWarmBracketSeeds(t *testing.T) {
 func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
-	// Far too few sweeps for the inner evaluation to converge: the solve
-	// must fail quickly (the old code looped 1000 hardcoded rounds) and
-	// still report complete stats.
-	res, err := m.PolicyIteration(Options{Epsilon: 1e-12, MaxIterations: 3, Parallelism: 1})
+	// One round cannot meet the tolerance from a cold start: the solve
+	// must fail after exactly one round and still report complete stats.
+	res, err := m.AverageReward(Options{Epsilon: 1e-12, MaxIterations: 1, Parallelism: 1})
 	if err == nil {
-		t.Fatal("expected non-convergence with MaxIterations=3")
+		t.Fatal("expected non-convergence with MaxIterations=1")
 	}
 	if res.Stats.Workers < 1 {
 		t.Errorf("early-return stats missing workers: %+v", res.Stats)
@@ -186,8 +185,11 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	if res.Iterations != res.Stats.Iterations {
 		t.Errorf("Iterations %d != Stats.Iterations %d", res.Iterations, res.Stats.Iterations)
 	}
-	if res.Iterations <= 0 || res.Iterations > 3*3 {
-		t.Errorf("sweep count %d outside the MaxIterations budget", res.Iterations)
+	if res.Stats.OptSweeps != 1 {
+		t.Errorf("ran %d rounds under MaxIterations=1", res.Stats.OptSweeps)
+	}
+	if !math.IsInf(res.Stats.Residual, 1) {
+		t.Errorf("unconverged residual %v, want +Inf", res.Stats.Residual)
 	}
 }
 
@@ -195,8 +197,8 @@ func TestPolicyIterationParallelImprovementDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := mustCompile(t, randomBuilder(rng, 600, 3))
 	var ref Result
-	for i, par := range []int{1, 2, 8} {
-		res, err := m.PolicyIteration(Options{Epsilon: 1e-9, Parallelism: par})
+	for i, par := range []int{1, 2, 4, 8} {
+		res, err := m.AverageReward(Options{Epsilon: 1e-9, Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

@@ -20,7 +20,7 @@ package obs
 // from the JSON encoding. See EXPERIMENTS.md for the schema of each
 // Kind.
 type Event struct {
-	// Kind names the event: "solver.iter", "solver.done", "ratio.probe",
+	// Kind names the event: "solver.iter", "solver.eval", "solver.done", "ratio.probe",
 	// "ratio.bracket", "ratio.done", "sim.block", "sim.relay",
 	// "sim.fork", "sim.reorg", "sim.accept", "sim.reject", "sim.drop",
 	// "sim.partition", "sim.heal", "sim.crash", "sim.restart",
@@ -60,10 +60,14 @@ type Event struct {
 
 	// --- solver convergence fields ---
 
-	// Solver identifies the iterative scheme: "rvi" (relative value
-	// iteration), "policy-eval", or "vi" (discounted value iteration).
+	// Solver identifies the scheme: "rvi" for the optimizing sweeps of
+	// the average-reward solver (one per policy-iteration round; the
+	// sweep and its span test are relative value iteration's),
+	// "policy-eval" for exact policy evaluations ("solver.eval", one per
+	// round but the last), or "vi" (discounted value iteration).
 	Solver string `json:"solver,omitempty"`
-	// Iter is the 1-based Bellman sweep number within the solve.
+	// Iter is the 1-based sweep (for the average-reward solver, round)
+	// number within the solve.
 	Iter int `json:"iter,omitempty"`
 	// Residual is the convergence measure after the sweep: the span
 	// seminorm of the update for the average-reward solvers, the
@@ -76,9 +80,8 @@ type Event struct {
 	// PolicyChanges counts states whose greedy action changed in this
 	// sweep relative to the previous one.
 	PolicyChanges int `json:"policy_changes,omitempty"`
-	// Eliminated is the cumulative count of (state, action) slots action
-	// elimination has deactivated so far in this solve ("solver.iter" on
-	// optimizing sweeps).
+	// Eliminated is the number of votes a quorum round still needs
+	// ("queue.vote").
 	Eliminated int `json:"eliminated,omitempty"`
 	// Gain is the solve's average-reward gain ("solver.done") or the
 	// probe's auxiliary gain ("ratio.probe").

@@ -20,9 +20,18 @@ import (
 func FuzzVerifyArtifact(f *testing.F) {
 	solveOpts := bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Setting: 1, Model: bumdp.Compliant}
+	// The last seed is this artifact with a witness that lost a state,
+	// so mutations also start at the witness check's structural gate.
+	var buID string
+	var tampered []byte
 	if id, err := expstore.BUSolveKey(p, solveOpts); err == nil {
 		if blob, err := expstore.ComputeBUSolve(p, solveOpts); err == nil {
 			f.Add(expstore.KindBUSolve, id, []byte(nil), blob)
+			var rec expstore.BUSolveRecord
+			if json.Unmarshal(blob, &rec) == nil && rec.Policy != "" {
+				rec.Policy = rec.Policy[1:]
+				buID, tampered = id, must(json.Marshal(rec))
+			}
 		}
 	}
 
@@ -45,6 +54,9 @@ func FuzzVerifyArtifact(f *testing.F) {
 	f.Add(expstore.KindEBGame, "ebgame-0000", []byte(nil), []byte(`{"spec":{},"profiles":null,"utilities":null}`))
 	f.Add(expstore.KindBitcoinSolve, "btcsolve-0000", []byte(nil), []byte(`{"params":{},"states":1,"utility":0,"honest":0}`))
 	f.Add("", "", []byte(nil), []byte(nil))
+	if tampered != nil {
+		f.Add(expstore.KindBUSolve, buID, []byte(nil), tampered)
+	}
 
 	f.Fuzz(func(t *testing.T, kind, id string, spec, blob []byte) {
 		// Cap the input size: a multi-megabyte JSON document probes the
@@ -54,4 +66,11 @@ func FuzzVerifyArtifact(f *testing.F) {
 		}
 		_ = Artifact(kind, id, spec, blob)
 	})
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

@@ -7,12 +7,16 @@
 // participant's discretion. The farm's analogue: the coordinator does not
 // trust a worker's bytes because the worker was first — it re-derives
 // what a valid artifact of that job must look like and checks the
-// submission against it. The check exploits the same asymmetry the
-// solvers themselves use: *verifying* a claimed optimal value needs one
-// loose certified re-solve (a Bellman-residual bracket at Epsilon ~1e-3),
-// orders of magnitude cheaper than the tight solve (Epsilon 1e-9) that
-// produced the claim, yet still sharp enough to refute any materially
-// perturbed value.
+// submission against it. A prescribed rule only works when checking it
+// costs far less than producing the result, so a solve artifact carries
+// a certificate rather than a bare claim: its witness policy. Checking
+// the certificate takes two passes over the model whatever the solve
+// cost — one exact evaluation of the witness (its gain or ratio, no
+// iteration tolerance) and one optimizing Bellman sweep on the
+// witness's exact bias, whose span bracket bounds how much any policy
+// could do better. The claim must equal the witness's value within the
+// solve's tolerance, and the bracket must show no policy beats the
+// witness by more than that; re-solving, even loosely, is never needed.
 //
 // Every predicate layers structural checks before semantic ones, in
 // strictly increasing cost:
@@ -27,12 +31,13 @@
 //     under this id;
 //  4. model checks: cheap facts recomputed from the canonical model
 //     (state count, honest utility, fork-rate range);
-//  5. semantic check: the claimed optimal gain/ratio must fall inside
-//     the certified bracket of a loose re-solve (mdp.VerifyGain).
+//  5. semantic check: the witness policy's exact value must match the
+//     claim, and one sweep on its bias must certify its optimality
+//     (mdp.Model.CertifyPolicy).
 //
-// The ordering is also the fuzzing guard: reaching a semantic re-solve
+// The ordering is also the fuzzing guard: reaching the witness check
 // requires a blob whose echoed parameters hash to the submitted key, so
-// a mutated input can never trigger an expensive model build.
+// a mutated input can never trigger a model build.
 package verify
 
 import (
@@ -51,28 +56,10 @@ import (
 	"buanalysis/internal/obs"
 )
 
-// Default verification tolerances: the span tolerance of the certified
-// re-solve behind a busolve artifact's semantic check (Epsilon) and a
-// sweep shard's per-cell checks (CellEpsilon). 1e-3 resolves any forgery
-// that would move a printed table entry (the drills perturb by 0.01, a
-// 10x margin) while keeping the verifier's re-solve a small fraction of
-// the tight solve it checks — the <5% bound pinned by
-// jobqueue.TestVerifyCostBound.
-const (
-	DefaultEpsilon     = 1e-3
-	DefaultCellEpsilon = 1e-3
-)
-
 // Checker verifies artifacts against the repository's canonical models.
-// The zero value (and a nil *Checker) verifies with default tolerances
-// and no tracing; a Checker is safe for concurrent use.
+// The zero value (and a nil *Checker) verifies without tracing; a
+// Checker is safe for concurrent use.
 type Checker struct {
-	// Epsilon is the span tolerance of the certified re-solve behind a
-	// busolve artifact's gain/ratio check (default 1e-3).
-	Epsilon float64
-	// CellEpsilon is the re-solve tolerance for each cell of a sweep
-	// shard (default 1e-3).
-	CellEpsilon float64
 	// Tracer, when set, receives one "verify.check" span event per
 	// verification (Detail = kind, Node = artifact id) and an extra
 	// "verify.reject" event carrying the reason when a check fails.
@@ -86,20 +73,6 @@ func (c *Checker) orDefault() *Checker {
 		return &zeroChecker
 	}
 	return c
-}
-
-func (c *Checker) epsilon() float64 {
-	if c.Epsilon == 0 {
-		return DefaultEpsilon
-	}
-	return c.Epsilon
-}
-
-func (c *Checker) cellEpsilon() float64 {
-	if c.CellEpsilon == 0 {
-		return DefaultCellEpsilon
-	}
-	return c.CellEpsilon
 }
 
 // Artifact verifies one artifact blob of the given kind against the
@@ -179,10 +152,12 @@ func canonicalEcho(rec any, blob []byte) error {
 	return nil
 }
 
-// claimSlack is the acceptance slack of a semantic check: the claimed
-// value was produced by a bisection honest to ratioTol with probes
-// honest to epsilon, so a true claim can sit this far outside the loose
-// re-solve's own certified bracket. Chained cells (warm-started sweep
+// claimSlack bounds, in gain units of the rho-shifted problem, how far
+// above zero the optimal gain at a true ratio claim may sit: the claim
+// came from a bisection honest to ratioTol with probes honest to
+// epsilon, and moving rho by d moves any policy's shifted gain by d
+// times its denominator rate and its one-step advantages by d times the
+// denominator's bias differences. Chained cells (warm-started sweep
 // rows) get double the bisection allowance.
 func claimSlack(ratioTol, epsilon float64, chained bool) float64 {
 	mult := 4.0
@@ -192,23 +167,41 @@ func claimSlack(ratioTol, epsilon float64, chained bool) float64 {
 	return mult*ratioTol + epsilon + 1e-9
 }
 
-// checkClaim is the semantic core: a claimed optimal value for one
-// solved instance must be consistent with a loose certified re-solve of
-// the canonical model. For the absolute-reward objective (NonCompliant)
-// the claim is the optimal gain itself and must land inside the
-// re-solve's bracket. For the ratio objectives the claim u is optimal
-// iff the rho-shifted rewards (num - u*den) have optimal gain zero
-// (Dinkelbach), so the re-solve runs at Rho = u and the bracket must
-// contain zero. Either way one loose solve refutes any materially wrong
-// claim at a small fraction of the original solve's cost.
-func checkClaim(a *bumdp.Analysis, eps, ratioTol, epsilon, claimed float64, chained bool) error {
+// checkClaim is the semantic core: the claimed optimal value of one
+// solved instance must be certified by its witness policy. The witness
+// is evaluated exactly, and its value must match the claim within the
+// solve's tolerance — epsilon for the absolute-reward objective
+// (NonCompliant), whose claim is a gain, and ratioTol for the ratio
+// objectives. One optimizing sweep on the witness's exact bias then
+// brackets the optimal gain: for the gain objective the bracket's top
+// may exceed the witness's gain by at most epsilon; for a ratio claim u
+// the sweep runs on the rho = u shifted rewards (num - u*den), whose
+// optimal gain is zero exactly when u is optimal (Dinkelbach), and the
+// bracket's top must stay within claimSlack of zero. An overclaim
+// fails the match (the witness's ratio is exact and never exceeds the
+// optimum). An underclaim fails the match unless the witness is
+// suboptimal too, and then the sweep refutes it once the shortfall
+// times the optimal policy's denominator rate exceeds claimSlack.
+func checkClaim(a *bumdp.Analysis, witness string, ratioTol, epsilon, claimed float64, chained bool) error {
 	if math.IsNaN(claimed) || math.IsInf(claimed, 0) {
 		return fmt.Errorf("claimed utility %v is not finite", claimed)
 	}
+	pol, err := mdp.ParseWitness(a.Model, witness)
+	if err != nil {
+		return fmt.Errorf("witness policy: %w", err)
+	}
+	opts := mdp.Options{Epsilon: epsilon}
 	if a.Params.Model == bumdp.NonCompliant {
-		slack := epsilon + 1e-9
-		if _, err := a.Model.VerifyGain(mdp.Options{Epsilon: eps}, claimed, slack); err != nil {
-			return fmt.Errorf("gain check: %w", err)
+		tol := epsilon + 1e-9
+		cert, err := a.Model.CertifyPolicy(pol, opts)
+		if err != nil {
+			return fmt.Errorf("certifying witness: %w", err)
+		}
+		if math.Abs(claimed-cert.Gain) > tol {
+			return fmt.Errorf("claimed gain %.12g, witness attains %.12g (tolerance %g)", claimed, cert.Gain, tol)
+		}
+		if cert.Hi-cert.Gain > tol {
+			return fmt.Errorf("witness is not optimal: some policy gains up to %.3g more (tolerance %g)", cert.Hi-cert.Gain, tol)
 		}
 		return nil
 	}
@@ -221,9 +214,23 @@ func checkClaim(a *bumdp.Analysis, eps, ratioTol, epsilon, claimed float64, chai
 	if a.Params.Model == bumdp.Compliant && claimed > 1+1e-9 {
 		return fmt.Errorf("claimed relative revenue %v outside [0, 1]", claimed)
 	}
-	slack := claimSlack(ratioTol, epsilon, chained)
-	if _, err := a.Model.VerifyGain(mdp.Options{Epsilon: eps, Rho: claimed}, 0, slack); err != nil {
-		return fmt.Errorf("ratio check at rho=%.9g: %w", claimed, err)
+	num, den, err := a.Model.Rates(pol, opts)
+	if err != nil {
+		return fmt.Errorf("evaluating witness: %w", err)
+	}
+	if !(den > 0) {
+		return errors.New("witness policy accrues no denominator reward")
+	}
+	if ratio := num / den; math.Abs(claimed-ratio) > ratioTol {
+		return fmt.Errorf("claimed ratio %.9g, witness attains %.9g (tolerance %g)", claimed, ratio, ratioTol)
+	}
+	opts.Rho = claimed
+	cert, err := a.Model.CertifyPolicy(pol, opts)
+	if err != nil {
+		return fmt.Errorf("certifying witness at rho=%.9g: %w", claimed, err)
+	}
+	if slack := claimSlack(ratioTol, epsilon, chained); cert.Hi > slack {
+		return fmt.Errorf("witness is not optimal: at rho=%.9g some policy has shifted gain up to %.3g (slack %g)", claimed, cert.Hi, slack)
 	}
 	return nil
 }
@@ -259,7 +266,7 @@ func (c *Checker) checkBUSolve(id string, blob []byte) error {
 	if rec.Params.Model != bumdp.NonCompliant && rec.Probes < 1 {
 		return fmt.Errorf("ratio solve claims %d bisection probes", rec.Probes)
 	}
-	return checkClaim(a, c.epsilon(), rec.RatioTol, rec.Epsilon, rec.Utility, false)
+	return checkClaim(a, rec.Policy, rec.RatioTol, rec.Epsilon, rec.Utility, false)
 }
 
 // shardSpec mirrors farm.SweepShardSpec's encoding. verify cannot import
@@ -311,12 +318,14 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 	if len(rec.Cells) != len(rows)*rowLen {
 		return fmt.Errorf("shard has %d cells, its rows hold %d", len(rec.Cells), len(rows)*rowLen)
 	}
+	if len(rec.Policies) != len(rec.Cells) {
+		return fmt.Errorf("shard has %d witness policies for %d cells", len(rec.Policies), len(rec.Cells))
+	}
 
 	// One rolling analysis across the shard's cells: consecutive cells
 	// share a model shape (same AD/setting), so Rebind amortizes the
 	// expensive structure compile the way the sweep's own warm chains do.
 	var a *bumdp.Analysis
-	eps := c.cellEpsilon()
 	for k, r := range rows {
 		for j := 0; j < rowLen; j++ {
 			got := rec.Cells[k*rowLen+j]
@@ -329,8 +338,9 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 					want.Alpha, want.Ratio, int(want.Setting), int(want.Model), want.AD, want.Skipped)
 			}
 			where := fmt.Sprintf("cell %d (alpha=%g ratio=%s setting=%d)", k*rowLen+j, got.Alpha, got.Ratio, got.Setting)
+			witness := rec.Policies[k*rowLen+j]
 			if got.Skipped {
-				if got.Value != 0 || got.Honest != 0 || got.ForkRate != 0 || got.Probes != 0 || got.Sweeps != 0 || got.Err != "" {
+				if got.Value != 0 || got.Honest != 0 || got.ForkRate != 0 || got.Probes != 0 || got.Sweeps != 0 || got.Err != "" || witness != "" {
 					return fmt.Errorf("%s: skipped cell carries solve results", where)
 				}
 				continue
@@ -358,7 +368,7 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 			if got.ForkRate < -1e-9 || got.ForkRate > 1+1e-9 {
 				return fmt.Errorf("%s: fork rate %v outside [0, 1]", where, got.ForkRate)
 			}
-			if err := checkClaim(a, eps, opts.RatioTol, opts.Epsilon, got.Value, true); err != nil {
+			if err := checkClaim(a, witness, opts.RatioTol, opts.Epsilon, got.Value, true); err != nil {
 				return fmt.Errorf("%s: %w", where, err)
 			}
 		}

@@ -109,12 +109,11 @@ func TestVerifyBUSolveNonCompliant(t *testing.T) {
 
 // TestVerifyBUSolveNonProfit: an honest Table-4 cell (setting 1,
 // alpha = 1%, AD 6) claims more than one orphan per attacker block and
-// must pass; forged claims must still fail. The ratio check refutes an
-// underclaim off by d only when d times the attacker's block rate
-// (about alpha) exceeds the re-solve's bracket, and it cannot refute an
-// overclaim in this model at all: the always-Wait policy accrues
-// nothing on either stream, so the rho-shifted gain is never below 0.
-// The forgeries are therefore coarse underclaims and a negative claim.
+// must pass; forged claims must fail, including +-0.01 over- and
+// underclaims. Those are invisible to a rho-shifted gain bracket at
+// alpha = 1% (the always-Wait policy has gain 0, and an error d moves
+// the optimal shifted gain by only d times the attacker's block rate),
+// but the witness policy's exactly evaluated ratio refutes them.
 func TestVerifyBUSolveNonProfit(t *testing.T) {
 	beta, gamma := core.Ratio{Name: "2:3", B: 2, G: 3}.Split(0.01)
 	p, err := bumdp.Params{Alpha: 0.01, Beta: beta, Gamma: gamma, AD: 6, Setting: 1, Model: bumdp.NonProfit}.Normalized()
@@ -133,14 +132,29 @@ func TestVerifyBUSolveNonProfit(t *testing.T) {
 		t.Fatalf("valid non-profit artifact rejected: %v", err)
 	}
 	for name, forge := range map[string]func(*expstore.BUSolveRecord){
-		"halved":   func(rec *expstore.BUSolveRecord) { rec.Utility /= 2 },
-		"zeroed":   func(rec *expstore.BUSolveRecord) { rec.Utility = 0 },
-		"negative": func(rec *expstore.BUSolveRecord) { rec.Utility = -rec.Utility },
+		"halved":          func(rec *expstore.BUSolveRecord) { rec.Utility /= 2 },
+		"zeroed":          func(rec *expstore.BUSolveRecord) { rec.Utility = 0 },
+		"negative":        func(rec *expstore.BUSolveRecord) { rec.Utility = -rec.Utility },
+		"overclaimed":     func(rec *expstore.BUSolveRecord) { rec.Utility += 0.01 },
+		"underclaimed":    func(rec *expstore.BUSolveRecord) { rec.Utility -= 0.01 },
+		"witness flipped": func(rec *expstore.BUSolveRecord) { rec.Policy = flipWitness(rec.Policy, 0) },
 	} {
 		if err := Artifact(expstore.KindBUSolve, id, nil, retamper(t, blob, forge)); err == nil {
 			t.Errorf("%s utility accepted", name)
 		}
 	}
+}
+
+// flipWitness returns the witness with state s switched to another
+// action slot (BU states offer at least two).
+func flipWitness(w string, s int) string {
+	b := []byte(w)
+	if b[s] == '0' {
+		b[s] = '1'
+	} else {
+		b[s] = '0'
+	}
+	return string(b)
 }
 
 func TestVerifyBUSolveStructural(t *testing.T) {
@@ -160,6 +174,17 @@ func TestVerifyBUSolveStructural(t *testing.T) {
 			rec.Params.Alpha, rec.Params.Beta = rec.Params.Beta, rec.Params.Alpha
 		}),
 		"ratio_tol forged": retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.RatioTol = 1e-3 }),
+		"witness missing":  retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.Policy = "" }),
+		"witness too long": retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.Policy += "0" }),
+		"witness too short": retamper(t, blob, func(rec *expstore.BUSolveRecord) {
+			rec.Policy = rec.Policy[:len(rec.Policy)-1]
+		}),
+		"witness bad digit": retamper(t, blob, func(rec *expstore.BUSolveRecord) {
+			rec.Policy = "7" + rec.Policy[1:]
+		}),
+		// The base state (index 0) is where the attack starts: playing
+		// the other chain there changes the witness's value.
+		"witness flipped": retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.Policy = flipWitness(rec.Policy, 0) }),
 	}
 	for name, bad := range cases {
 		if err := Artifact(expstore.KindBUSolve, id, nil, bad); err == nil {
@@ -241,6 +266,15 @@ func TestVerifySweepShard(t *testing.T) {
 		})
 		if err := Artifact(expstore.KindSweepShard, id, spec, offgrid); err == nil {
 			t.Fatalf("shard %d with an off-grid cell accepted", index)
+		}
+		for name, forge := range map[string]func(*expstore.SweepShardRecord){
+			"witness list short": func(rec *expstore.SweepShardRecord) { rec.Policies = rec.Policies[1:] },
+			"witness too long":   func(rec *expstore.SweepShardRecord) { rec.Policies[0] += "0" },
+			"witness flipped":    func(rec *expstore.SweepShardRecord) { rec.Policies[0] = flipWitness(rec.Policies[0], 0) },
+		} {
+			if err := Artifact(expstore.KindSweepShard, id, spec, retamperShard(t, blob, forge)); err == nil {
+				t.Fatalf("shard %d with %s accepted", index, name)
+			}
 		}
 		errcell := retamperShard(t, blob, func(rec *expstore.SweepShardRecord) {
 			rec.Cells[1].Err = "synthetic failure"

@@ -7,9 +7,8 @@
 #                          on one core; the race pass stays bounded)
 #
 # The race pass covers the packages with real concurrency in their hot
-# paths: the parallel MDP solver engine (including the reusable
-# workspace, the modified-policy-iteration and action-elimination
-# kernels with their per-worker kill counters, and warm-chained ratio
+# paths: the parallel MDP solver engine (the reusable workspace, the
+# pooled optimizing sweeps of policy iteration, and warm-chained ratio
 # solves), the BU analysis that drives
 # it, the warm-chained sweep rows in core, the Monte Carlo batch runner,
 # the experiment store (singleflight, LRU, solve budget), the
@@ -67,7 +66,7 @@ go test -run '^$' -fuzz FuzzCanonicalKey -fuzztime 5s ./internal/expstore/
 echo "== validity-predicate fuzz smoke (FuzzVerifyArtifact) =="
 # Mutated artifact blobs against the coordinator's validity predicates:
 # the structural checks must refuse every mutation before it can reach
-# an expensive semantic re-solve, and never panic.
+# a model build and the witness check, and never panic.
 go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 
 echo "== warm-vs-cold sweep smoke =="
@@ -75,14 +74,22 @@ echo "== warm-vs-cold sweep smoke =="
 # deterministic at every worker count; these two tests pin exactly that.
 go test -count 1 -run 'TestChainedSweepMatchesCold|TestChainedSweepWorkerDeterminism' ./internal/core/
 
+echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
+# The full setting-2 grid, alpha = beta boundary cells included, which
+# took minutes per cell before policy iteration; it must print every
+# cell and the 25.16% boundary value.
+go run ./cmd/butables -table 2 -setting 2 -full -fast > "${TMPDIR:-/tmp}/buanalysis-table2-set2.txt"
+grep -q "25.16" "${TMPDIR:-/tmp}/buanalysis-table2-set2.txt"
+rm -f "${TMPDIR:-/tmp}/buanalysis-table2-set2.txt"
+
 echo "== solver bench advisory diff (BENCH_solver.json) =="
 # Regenerates the solver benchmark and compares it against the committed
 # baseline with scripts/benchdiff.sh. Advisory only: the wall-clock
 # metrics vary with machine load, so a miss is printed for review but
 # does not fail CI. (The bench's own correctness checks — warm values
-# within tolerance of cold, stage values within tolerance of pure RVI —
-# do fail the inner go test.) Skipped with -short: the per-stage
-# breakdown re-solves the Table-2 setting-2 row three extra times.
+# within tolerance of cold, policy-iteration gains within 1e-8 of the
+# RVI reference — do fail the inner go test.) Skipped with -short: the
+# RVI reference re-solves the Table-2 setting-2 row by value iteration.
 if [ -z "$SHORT" ]; then
 	BENCHTMP="$(mktemp)"
 	if SOLVER_BENCH_OUT="$BENCHTMP" go test -count 1 -run TestBenchSolver -timeout 900s ./internal/core/; then
