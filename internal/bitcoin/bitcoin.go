@@ -226,10 +226,10 @@ func (b builder) Actions(i int) []int {
 	return acts
 }
 
-// Transitions implements mdp.Builder, following Sapirshtein et al.'s
-// state machine with the paper's double-spending bonus attached to
-// reorganizations.
-func (b builder) Transitions(i, action int) []mdp.Transition {
+// AppendTransitions implements mdp.Builder, following Sapirshtein et
+// al.'s state machine with the paper's double-spending bonus attached
+// to reorganizations.
+func (b builder) AppendTransitions(dst []mdp.Transition, i, action int) []mdp.Transition {
 	p := b.a.Params
 	s := b.a.States[i]
 	alpha := p.Alpha
@@ -252,10 +252,10 @@ func (b builder) Transitions(i, action int) []mdp.Transition {
 		// The attacker accepts the honest chain: h honest blocks lock,
 		// the attacker's a blocks are orphaned.
 		d := delta{honest: float64(s.H), oAttacker: float64(s.A)}
-		return []mdp.Transition{
+		return append(dst,
 			tr(State{A: 1, H: 0, Fork: Irrelevant}, alpha, d),
 			tr(State{A: 0, H: 1, Fork: Relevant}, 1-alpha, d),
-		}
+		)
 	case Override:
 		// Publish h+1 blocks: they lock, the honest chain is orphaned,
 		// and settled transactions on it are double-spent.
@@ -265,10 +265,10 @@ func (b builder) Transitions(i, action int) []mdp.Transition {
 			ds:       dsBonus(s.H),
 		}
 		a := s.A - s.H - 1
-		return []mdp.Transition{
+		return append(dst,
 			tr(State{A: a + 1, H: 0, Fork: Irrelevant}, alpha, d),
 			tr(State{A: a, H: 1, Fork: Relevant}, 1-alpha, d),
-		}
+		)
 	case Match, Wait:
 		if action == Match || s.Fork == Active {
 			race := action == Match || (s.Fork == Active && s.A >= s.H && s.H >= 1)
@@ -280,18 +280,18 @@ func (b builder) Transitions(i, action int) []mdp.Transition {
 					oHonest:  float64(s.H),
 					ds:       dsBonus(s.H),
 				}
-				return []mdp.Transition{
+				return append(dst,
 					tr(State{A: s.A + 1, H: s.H, Fork: Active}, alpha, delta{}),
 					tr(State{A: s.A - s.H, H: 1, Fork: Relevant}, p.TieWinProb*(1-alpha), win),
 					tr(State{A: s.A, H: s.H + 1, Fork: Relevant}, (1-p.TieWinProb)*(1-alpha), delta{}),
-				}
+				)
 			}
 		}
 		// Plain waiting: keep mining in secret.
-		return []mdp.Transition{
+		return append(dst,
 			tr(State{A: s.A + 1, H: s.H, Fork: Irrelevant}, alpha, delta{}),
 			tr(State{A: s.A, H: s.H + 1, Fork: Relevant}, 1-alpha, delta{}),
-		}
+		)
 	}
 	panic(fmt.Sprintf("bitcoin: invalid action %d", action))
 }

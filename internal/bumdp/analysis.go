@@ -15,7 +15,6 @@ import (
 type Analysis struct {
 	Params Params
 	States []State
-	Index  map[State]int
 	Model  *mdp.Model
 }
 
@@ -26,12 +25,7 @@ func New(p Params) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	states := enumStates(p.maxAD(), p.window())
-	index := make(map[State]int, len(states))
-	for i, s := range states {
-		index[s] = i
-	}
-	a := &Analysis{Params: p, States: states, Index: index}
+	a := &Analysis{Params: p, States: enumStates(p.maxAD(), p.window())}
 	model, err := mdp.Compile(builder{a})
 	if err != nil {
 		return nil, fmt.Errorf("bumdp: compiling model: %w", err)
@@ -40,8 +34,18 @@ func New(p Params) (*Analysis, error) {
 	return a, nil
 }
 
+// IndexOf returns the index of s in States, or false if the model does
+// not enumerate s. It computes the rank in closed form instead of
+// searching.
+func (a *Analysis) IndexOf(s State) (int, bool) {
+	return rank(s, a.Params.maxAD(), a.Params.window())
+}
+
 // BaseState returns the index of the phase-1 base state (0,0,0,0,0).
-func (a *Analysis) BaseState() int { return a.Index[State{}] }
+func (a *Analysis) BaseState() int {
+	i, _ := a.IndexOf(State{})
+	return i
+}
 
 // builder adapts the dynamics to mdp.Builder.
 type builder struct{ a *Analysis }
@@ -50,25 +54,26 @@ func (b builder) NumStates() int { return len(b.a.States) }
 
 func (b builder) Actions(s int) []int { return b.a.Params.Actions(b.a.States[s]) }
 
-func (b builder) Transitions(s, action int) []mdp.Transition {
-	p := b.a.Params
-	events := p.Events(b.a.States[s], action)
-	trs := make([]mdp.Transition, 0, len(events))
-	for _, ev := range events {
-		to, ok := b.a.Index[ev.Next]
+func (b builder) AppendTransitions(dst []mdp.Transition, s, action int) []mdp.Transition {
+	p := &b.a.Params
+	var events [3]Event
+	n := p.events(&events, b.a.States[s], action)
+	for i := range events[:n] {
+		ev := &events[i]
+		to, ok := b.a.IndexOf(ev.Next)
 		if !ok {
 			panic(fmt.Sprintf("bumdp: event from %v action %s reaches unenumerated state %v",
 				b.a.States[s], ActionName(action), ev.Next))
 		}
-		num, den := p.rewards(ev.Delta)
-		trs = append(trs, mdp.Transition{To: to, Prob: ev.Prob, Num: num, Den: den})
+		num, den := p.rewards(&ev.Delta)
+		dst = append(dst, mdp.Transition{To: to, Prob: ev.Prob, Num: num, Den: den})
 	}
-	return trs
+	return dst
 }
 
 // rewards maps a reward bookkeeping record to the (numerator,
 // denominator) streams of the configured utility function.
-func (p Params) rewards(d Delta) (num, den float64) {
+func (p *Params) rewards(d *Delta) (num, den float64) {
 	switch p.Model {
 	case Compliant:
 		return d.RA, d.RA + d.ROthers

@@ -183,13 +183,20 @@ type Event struct {
 	Delta Delta
 }
 
+// The action sets the dynamics expose, shared by every state.
+var (
+	profitActions    = []int{OnChain1, OnChain2}
+	nonProfitActions = []int{OnChain1, OnChain2, Wait}
+)
+
 // Actions lists Alice's available actions in a state. OnChain1 and
-// OnChain2 are always available; the non-profit model adds Wait.
+// OnChain2 are always available; the non-profit model adds Wait. The
+// returned slice is shared and must not be modified.
 func (p Params) Actions(s State) []int {
 	if p.Model == NonProfit {
-		return []int{OnChain1, OnChain2, Wait}
+		return nonProfitActions
 	}
-	return []int{OnChain1, OnChain2}
+	return profitActions
 }
 
 // Events enumerates the outcomes of one mining step from state s when
@@ -198,10 +205,20 @@ func (p Params) Actions(s State) []int {
 // mirrors phase 1 with Bob's and Carol's roles exchanged and the gate
 // countdown r maintained as described in the paper.
 func (p Params) Events(s State, action int) []Event {
+	var out [3]Event
+	n := p.events(&out, s, action)
+	return append([]Event(nil), out[:n]...)
+}
+
+// events writes the outcomes of one mining step into out and returns
+// how many it wrote (two or three). It is the single implementation of
+// the dynamics: Events copies its output, the model compiler reads it
+// in place.
+func (p *Params) events(out *[3]Event, s State, action int) int {
 	if s.Base() {
-		return p.baseEvents(s, action)
+		return p.baseEvents(out, s, action)
 	}
-	return p.forkEvents(s, action)
+	return p.forkEvents(out, s, action)
 }
 
 // rAfterLock returns the gate countdown after locking n Chain-1 blocks.
@@ -217,29 +234,24 @@ func rAfterLock(r, n int) int {
 // and, in phase 2, advances the gate countdown. Alice playing OnChain2
 // attempts to split Bob and Carol with a block of size EB_C (phase 1) or
 // slightly above EB_C (phase 2); the splitting block is not locked.
-func (p Params) baseEvents(s State, action int) []Event {
-	locked := func(who Miner, prob float64, d Delta) Event {
-		return Event{Who: who, Prob: prob, Next: State{R: rAfterLock(s.R, 1)}, Delta: d}
-	}
+func (p *Params) baseEvents(out *[3]Event, s State, action int) int {
+	locked := State{R: rAfterLock(s.R, 1)}
 	switch action {
 	case OnChain1:
-		return []Event{
-			locked(Alice, p.Alpha, Delta{RA: 1}),
-			locked(Bob, p.Beta, Delta{ROthers: 1}),
-			locked(Carol, p.Gamma, Delta{ROthers: 1}),
-		}
+		out[0] = Event{Who: Alice, Prob: p.Alpha, Next: locked, Delta: Delta{RA: 1}}
+		out[1] = Event{Who: Bob, Prob: p.Beta, Next: locked, Delta: Delta{ROthers: 1}}
+		out[2] = Event{Who: Carol, Prob: p.Gamma, Next: locked, Delta: Delta{ROthers: 1}}
+		return 3
 	case OnChain2:
-		return []Event{
-			{Who: Alice, Prob: p.Alpha, Next: State{L1: 0, L2: 1, A1: 0, A2: 1, R: s.R}},
-			locked(Bob, p.Beta, Delta{ROthers: 1}),
-			locked(Carol, p.Gamma, Delta{ROthers: 1}),
-		}
+		out[0] = Event{Who: Alice, Prob: p.Alpha, Next: State{L1: 0, L2: 1, A1: 0, A2: 1, R: s.R}}
+		out[1] = Event{Who: Bob, Prob: p.Beta, Next: locked, Delta: Delta{ROthers: 1}}
+		out[2] = Event{Who: Carol, Prob: p.Gamma, Next: locked, Delta: Delta{ROthers: 1}}
+		return 3
 	case Wait:
 		rest := p.Beta + p.Gamma
-		return []Event{
-			locked(Bob, p.Beta/rest, Delta{ROthers: 1}),
-			locked(Carol, p.Gamma/rest, Delta{ROthers: 1}),
-		}
+		out[0] = Event{Who: Bob, Prob: p.Beta / rest, Next: locked, Delta: Delta{ROthers: 1}}
+		out[1] = Event{Who: Carol, Prob: p.Gamma / rest, Next: locked, Delta: Delta{ROthers: 1}}
+		return 2
 	}
 	panic(fmt.Sprintf("bumdp: invalid action %d", action))
 }
@@ -248,26 +260,10 @@ func (p Params) baseEvents(s State, action int) []Event {
 // extends Chain 1 and Carol Chain 2; in phase 2 the roles are exchanged.
 // Chain 1 wins the moment it becomes strictly longer; Chain 2 wins the
 // moment it reaches length AD.
-func (p Params) forkEvents(s State, action int) []Event {
+func (p *Params) forkEvents(out *[3]Event, s State, action int) int {
 	bobChain, carolChain := 1, 2
 	if s.Phase() == 2 {
 		bobChain, carolChain = 2, 1
-	}
-	extend := func(who Miner, prob float64, chain int, alice bool) Event {
-		n := s
-		inc := 0
-		if alice {
-			inc = 1
-		}
-		if chain == 1 {
-			n.L1++
-			n.A1 += inc
-		} else {
-			n.L2++
-			n.A2 += inc
-		}
-		next, d := p.resolve(n)
-		return Event{Who: who, Prob: prob, Next: next, Delta: d}
 	}
 	switch action {
 	case OnChain1, OnChain2:
@@ -275,29 +271,46 @@ func (p Params) forkEvents(s State, action int) []Event {
 		if action == OnChain2 {
 			aliceChain = 2
 		}
-		return []Event{
-			extend(Alice, p.Alpha, aliceChain, true),
-			extend(Bob, p.Beta, bobChain, false),
-			extend(Carol, p.Gamma, carolChain, false),
-		}
+		p.extend(&out[0], s, Alice, p.Alpha, aliceChain)
+		p.extend(&out[1], s, Bob, p.Beta, bobChain)
+		p.extend(&out[2], s, Carol, p.Gamma, carolChain)
+		return 3
 	case Wait:
 		rest := p.Beta + p.Gamma
-		return []Event{
-			extend(Bob, p.Beta/rest, bobChain, false),
-			extend(Carol, p.Gamma/rest, carolChain, false),
-		}
+		p.extend(&out[0], s, Bob, p.Beta/rest, bobChain)
+		p.extend(&out[1], s, Carol, p.Gamma/rest, carolChain)
+		return 2
 	}
 	panic(fmt.Sprintf("bumdp: invalid action %d", action))
 }
 
+// extend writes into ev the outcome of who finding the next block of
+// fork state s on the given chain (1 or 2), with probability prob.
+func (p *Params) extend(ev *Event, s State, who Miner, prob float64, chain int) {
+	inc := 0
+	if who == Alice {
+		inc = 1
+	}
+	if chain == 1 {
+		s.L1++
+		s.A1 += inc
+	} else {
+		s.L2++
+		s.A2 += inc
+	}
+	ev.Who, ev.Prob = who, prob
+	p.resolve(ev, s)
+}
+
 // resolve applies the race-resolution rules to a freshly extended fork
-// state and returns the successor state plus distributed rewards.
-func (p Params) resolve(s State) (State, Delta) {
+// state s, writing the successor state and the distributed rewards into
+// ev.
+func (p *Params) resolve(ev *Event, s State) {
 	ad := p.adForPhase(s.Phase())
 	switch {
 	case s.L1 > s.L2:
 		// Chain 1 outgrows Chain 2: Chain 1 is locked, Chain 2 orphaned.
-		d := Delta{
+		ev.Delta = Delta{
 			RA:      float64(s.A1),
 			ROthers: float64(s.L1 - s.A1),
 			OA:      float64(s.A2),
@@ -308,13 +321,13 @@ func (p Params) resolve(s State) (State, Delta) {
 			k = s.L1
 		}
 		if k > p.DSLag {
-			d.DS = float64(k-p.DSLag) * p.DoubleSpendReward
+			ev.Delta.DS = float64(k-p.DSLag) * p.DoubleSpendReward
 		}
-		return State{R: rAfterLock(s.R, s.L1)}, d
+		ev.Next = State{R: rAfterLock(s.R, s.L1)}
 	case s.L2 >= ad:
 		// Chain 2 reaches the acceptance depth: Chain 2 is locked,
 		// Chain 1 orphaned.
-		d := Delta{
+		ev.Delta = Delta{
 			RA:      float64(s.A2),
 			ROthers: float64(s.L2 - s.A2),
 			OA:      float64(s.A1),
@@ -325,17 +338,16 @@ func (p Params) resolve(s State) (State, Delta) {
 			k = s.L2
 		}
 		if k > p.DSLag {
-			d.DS = float64(k-p.DSLag) * p.DoubleSpendReward
+			ev.Delta.DS = float64(k-p.DSLag) * p.DoubleSpendReward
 		}
-		next := State{}
+		ev.Next = State{}
 		if p.Setting == Setting2 && s.Phase() == 1 {
 			// Bob adopts the excessive block; his sticky gate opens.
-			next.R = p.GateWindow
+			ev.Next.R = p.GateWindow
 		}
 		// A phase-2 Chain-2 win opens Carol's gate too (phase 3); the
 		// attack pauses and the system regenerates at the base state.
-		return next, d
 	default:
-		return s, Delta{}
+		ev.Next, ev.Delta = s, Delta{}
 	}
 }

@@ -7,6 +7,8 @@ package bumdp
 import (
 	"reflect"
 	"testing"
+
+	"buanalysis/internal/mdp"
 )
 
 func buParallelisms(t *testing.T) []int {
@@ -81,23 +83,55 @@ func TestSolveParallelismDeterministicSetting2(t *testing.T) {
 	})
 }
 
-// TestCompileParallelismDeterministic: compiling a BU analysis with an
-// explicit worker count yields the exact model the serial compiler
-// builds (New uses the automatic setting; both must agree).
+// TestCompileParallelismDeterministic: compiling and reparameterizing a
+// BU model with 2, 3 or 7 workers yields exactly the model the serial
+// compiler (one worker) builds, on setting 1 and on setting 2 at W=12.
 func TestCompileParallelismDeterministic(t *testing.T) {
-	p := Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Setting: Setting1, Model: Compliant}
-	a1, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a1.Model, a2.Model) {
-		t.Error("two compiles of the same parameters differ")
-	}
-	if a1.Model.NumStates() != len(a1.States) {
-		t.Errorf("model has %d states, enumeration %d", a1.Model.NumStates(), len(a1.States))
+	for _, p := range []Params{
+		{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Setting: Setting1, Model: NonProfit},
+		{Alpha: 0.25, Beta: 0.25, Gamma: 0.5, Setting: Setting2, GateWindow: 12, Model: Compliant},
+	} {
+		a, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := p
+		q.Beta, q.Gamma = q.Gamma, q.Beta
+		b, err := New(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := mdp.CompileWorkers(builder{a}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.NumStates() != len(a.States) {
+			t.Errorf("setting %d: model has %d states, enumeration %d", p.Setting, serial.NumStates(), len(a.States))
+		}
+		// Reparameterizing b's structure with a's builder must land on
+		// the same model as compiling a.
+		reparam, err := b.Model.ReparameterizeWorkers(builder{a}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mdp.ModelsIdentical(serial, reparam) {
+			t.Errorf("setting %d: serial reparameterize differs from serial compile", p.Setting)
+		}
+		for _, w := range []int{2, 3, 7} {
+			m, err := mdp.CompileWorkers(builder{a}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mdp.ModelsIdentical(serial, m) {
+				t.Errorf("setting %d: compile with %d workers differs from serial", p.Setting, w)
+			}
+			r, err := b.Model.ReparameterizeWorkers(builder{a}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mdp.ModelsIdentical(serial, r) {
+				t.Errorf("setting %d: reparameterize with %d workers differs from serial", p.Setting, w)
+			}
+		}
 	}
 }

@@ -22,8 +22,8 @@ func sameShape(a, b Params) bool {
 }
 
 // Rebind compiles the analysis for a new parameter set that shares this
-// analysis's model shape, reusing the frozen state enumeration, index,
-// and transition structure: only probabilities and rewards are
+// analysis's model shape, reusing the frozen state enumeration and
+// transition structure: only probabilities and rewards are
 // recomputed (mdp.Model.Reparameterize), which skips state enumeration
 // and offset construction entirely. The product is bit-identical to
 // New(p) — the differential tests pin this — and the receiver is not
@@ -38,7 +38,7 @@ func (a *Analysis) Rebind(p Params) (*Analysis, error) {
 	if !sameShape(a.Params, p) {
 		return New(p)
 	}
-	na := &Analysis{Params: p, States: a.States, Index: a.Index}
+	na := &Analysis{Params: p, States: a.States}
 	model, err := a.Model.Reparameterize(builder{na})
 	if err != nil {
 		// The shape check is a fast pre-filter; the reparameterization

@@ -138,8 +138,10 @@ func (s State) valid(ad, window int) bool {
 
 // enumStates lists every reachable state for the given acceptance depth
 // and (for Setting2) sticky-gate window. Setting1 passes window = 0.
+// The order is the one rank inverts: the base states by r, then the
+// fork states in (r, l2, l1, a1, a2) order.
 func enumStates(ad, window int) []State {
-	var states []State
+	states := make([]State, 0, (window+1)*(1+forkOffset(ad)))
 	for r := 0; r <= window; r++ {
 		states = append(states, State{R: r})
 	}
@@ -155,4 +157,27 @@ func enumStates(ad, window int) []State {
 		}
 	}
 	return states
+}
+
+// forkOffset is the number of fork states of one gate countdown value
+// whose Chain 2 is shorter than l2: for each m < l2 there are
+// (m+1)(m+2)/2 choices of (l1, a1) times m of a2, and
+// sum_{m=1}^{l2-1} m(m+1)(m+2)/2 = (l2-1)l2(l2+1)(l2+2)/8. Chain 2 is
+// shorter than ad in every fork state, so forkOffset(ad) counts them
+// all.
+func forkOffset(l2 int) int { return (l2 - 1) * l2 * (l2 + 1) * (l2 + 2) / 8 }
+
+// rank is the index of s in enumStates(ad, window), or false if the
+// enumeration does not contain s.
+func rank(s State, ad, window int) (int, bool) {
+	if !s.valid(ad, window) {
+		return -1, false
+	}
+	if s.Base() {
+		return s.R, true
+	}
+	// Within one (r, l2) block, each l1 < s.L1 contributes (l1+1)*l2
+	// states and each a1 < s.A1 contributes l2.
+	return window + 1 + s.R*forkOffset(ad) + forkOffset(s.L2) +
+		s.L2*s.L1*(s.L1+1)/2 + s.A1*s.L2 + s.A2 - 1, true
 }

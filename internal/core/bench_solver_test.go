@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -44,6 +45,19 @@ type solverBenchStage struct {
 	Speedup      float64 `json:"speedup_vs_rvi"`
 }
 
+// solverBenchCompile records the cost of building the setting-2 AD-6
+// non-compliant model (144-block gate window): a fresh bumdp.New and an
+// Analysis.Rebind of the same shape to other mining shares, each the
+// median of compileBenchReps runs with automatic compile workers.
+type solverBenchCompile struct {
+	States       int     `json:"states"`
+	NewMillis    float64 `json:"new_ms"`
+	RebindMillis float64 `json:"rebind_ms"`
+	NewAllocs    float64 `json:"new_allocs"`
+	RebindAllocs float64 `json:"rebind_allocs"`
+	NsPerState   float64 `json:"ns_per_state"`
+}
+
 type solverBenchReport struct {
 	Benchmark      string             `json:"benchmark"`
 	RatioTol       float64            `json:"ratio_tol"`
@@ -56,6 +70,52 @@ type solverBenchReport struct {
 	TotalWarmMs    float64            `json:"total_warm_ms"`
 	Speedup        float64            `json:"speedup"`
 	AllocsPerProbe float64            `json:"workspace_allocs_per_probe"`
+	Compile        solverBenchCompile `json:"compile"`
+}
+
+// compileBenchReps is the number of timed runs behind each compile
+// median.
+const compileBenchReps = 11
+
+// benchCompile measures bumdp.New and Analysis.Rebind on the setting-2
+// AD-6 non-compliant model.
+func benchCompile(t *testing.T) solverBenchCompile {
+	p := bumdp.Params{Alpha: 0.10, Beta: 0.45, Gamma: 0.45, Setting: bumdp.Setting2, Model: bumdp.NonCompliant}
+	q := p
+	q.Beta, q.Gamma = 0.3, 0.6
+	a, err := bumdp.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	median := func(f func()) float64 {
+		ms := make([]float64, compileBenchReps)
+		for i := range ms {
+			t0 := time.Now()
+			f()
+			ms[i] = float64(time.Since(t0).Microseconds()) / 1e3
+		}
+		sort.Float64s(ms)
+		return ms[len(ms)/2]
+	}
+	newOnce := func() {
+		if _, err := bumdp.New(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebindOnce := func() {
+		if _, err := a.Rebind(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := solverBenchCompile{
+		States:       a.Model.NumStates(),
+		NewMillis:    median(newOnce),
+		RebindMillis: median(rebindOnce),
+		NewAllocs:    testing.AllocsPerRun(3, newOnce),
+		RebindAllocs: testing.AllocsPerRun(3, rebindOnce),
+	}
+	c.NsPerState = c.NewMillis * 1e6 / float64(c.States)
+	return c
 }
 
 // TestBenchSolver measures the Table-2 sweep with and without the
@@ -216,6 +276,11 @@ func TestBenchSolver(t *testing.T) {
 			panic(err)
 		}
 	})
+
+	report.Compile = benchCompile(t)
+	t.Logf("compile (%d states): New %.2fms (%.0f allocs, %.0f ns/state), Rebind %.2fms (%.0f allocs)",
+		report.Compile.States, report.Compile.NewMillis, report.Compile.NewAllocs, report.Compile.NsPerState,
+		report.Compile.RebindMillis, report.Compile.RebindAllocs)
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

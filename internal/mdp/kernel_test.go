@@ -22,11 +22,10 @@ type dupBuilder struct {
 	pieces int
 }
 
-func (b dupBuilder) Transitions(s, a int) []Transition {
-	var out []Transition
-	for _, tr := range b.tableBuilder.Transitions(s, a) {
+func (b dupBuilder) AppendTransitions(dst []Transition, s, a int) []Transition {
+	for _, tr := range b.trans[[2]int{s, a}] {
 		for i := 0; i < b.pieces; i++ {
-			out = append(out, Transition{
+			dst = append(dst, Transition{
 				To:   tr.To,
 				Prob: tr.Prob / float64(b.pieces),
 				Num:  tr.Num,
@@ -34,7 +33,7 @@ func (b dupBuilder) Transitions(s, a int) []Transition {
 			})
 		}
 	}
-	return out
+	return dst
 }
 
 // TestCompactionGolden: a model whose builder emits duplicate
@@ -71,9 +70,8 @@ func TestCompactionGolden(t *testing.T) {
 	}
 
 	// The raw accessors must surface the builder's transitions unmerged.
-	if got := dup.Transitions(0, 0); len(got) != len(base.Transitions(0, 0))*3 {
-		t.Errorf("raw Transitions(0,0) has %d entries, want %d",
-			len(got), len(base.Transitions(0, 0))*3)
+	if got, want := len(dup.Transitions(0, 0)), len(base.trans[[2]int{0, 0}])*3; got != want {
+		t.Errorf("raw Transitions(0,0) has %d entries, want %d", got, want)
 	}
 
 	for _, solve := range []func(*Model, Options) (Result, error){
@@ -102,6 +100,55 @@ func TestCompactionGolden(t *testing.T) {
 		}
 		if math.Abs(ga.Gain-gb.Gain) > 1e-8 {
 			t.Errorf("opts %+v: policies attain %v vs %v on the merged model", opts, ga.Gain, gb.Gain)
+		}
+	}
+}
+
+// TestCompactedLayoutSorted pins the compacted layout against the raw
+// transitions: each slot's compacted destinations are strictly
+// ascending and are exactly the raw destinations, every raw transition
+// folds into the entry with its destination, and each merged
+// probability is the sum of its raw pieces in ascending raw order.
+// Slots of up to eight transitions in random destination order, with
+// repeats, make the per-slot sort do real work.
+func TestCompactedLayoutSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	b := tableBuilder{n: n, acts: make(map[int][]int), trans: make(map[[2]int][]Transition)}
+	for s := 0; s < n; s++ {
+		for a := 0; a < 1+rng.Intn(3); a++ {
+			b.acts[s] = append(b.acts[s], a)
+			k := 1 + rng.Intn(8)
+			trs := make([]Transition, k)
+			for i := range trs {
+				trs[i] = Transition{To: rng.Intn(n / 4), Prob: 1 / float64(k), Num: rng.Float64(), Den: 1}
+			}
+			b.trans[[2]int{s, a}] = trs
+		}
+	}
+	m := mustCompile(t, b)
+	for k := 0; k+1 < len(m.saOff); k++ {
+		c0, c1 := m.csaOff[k], m.csaOff[k+1]
+		for c := c0 + 1; c < c1; c++ {
+			if m.ctto[c-1] >= m.ctto[c] {
+				t.Fatalf("slot %d: compacted destinations %v not strictly ascending", k, m.ctto[c0:c1])
+			}
+		}
+		want := make([]float64, c1-c0)
+		for j := m.saOff[k]; j < m.saOff[k+1]; j++ {
+			c := m.mergeIdx[j]
+			if c < c0 || c >= c1 || m.ctto[c] != m.tto[j] {
+				t.Fatalf("slot %d: raw transition %d to %d folds into compacted entry %d", k, j, m.tto[j], c)
+			}
+			want[c-c0] += m.tprob[j]
+		}
+		for c := c0; c < c1; c++ {
+			if want[c-c0] == 0 {
+				t.Fatalf("slot %d: compacted entry %d has no raw transition", k, c)
+			}
+			if m.ctprob[c] != want[c-c0] {
+				t.Fatalf("slot %d: merged probability %v, raw pieces sum to %v", k, m.ctprob[c], want[c-c0])
+			}
 		}
 	}
 }

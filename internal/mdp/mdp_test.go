@@ -18,8 +18,8 @@ type tableBuilder struct {
 
 func (b tableBuilder) NumStates() int      { return b.n }
 func (b tableBuilder) Actions(s int) []int { return b.acts[s] }
-func (b tableBuilder) Transitions(s, a int) []Transition {
-	return b.trans[[2]int{s, a}]
+func (b tableBuilder) AppendTransitions(dst []Transition, s, a int) []Transition {
+	return append(dst, b.trans[[2]int{s, a}]...)
 }
 
 func mustCompile(t *testing.T, b Builder) *Model {

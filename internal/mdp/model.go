@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -40,20 +40,27 @@ type Transition struct {
 //
 // Compile enumerates states from multiple goroutines concurrently (each
 // state is visited exactly once, by one goroutine), so NumStates,
-// Actions and Transitions must be safe for concurrent calls. Builders
-// that derive transitions purely from immutable inputs — every builder
-// in this repository — qualify as written; a builder that memoizes or
-// otherwise mutates shared state must either synchronize internally or
-// be compiled with CompileWorkers(b, 1).
+// Actions and AppendTransitions must be safe for concurrent calls.
+// Builders that derive transitions purely from immutable inputs — every
+// builder in this repository — qualify as written; a builder that
+// memoizes or otherwise mutates shared state must either synchronize
+// internally or be compiled with CompileWorkers(b, 1).
 type Builder interface {
 	// NumStates reports the number of states, indexed 0..NumStates()-1.
 	NumStates() int
 	// Actions lists the actions available in state s. It must return at
 	// least one action for every state. Action identifiers are small
-	// non-negative integers chosen by the builder; they need not be dense.
+	// non-negative integers chosen by the builder; they need not be
+	// dense. The caller only reads the slice, so a builder may return
+	// one shared by many states.
 	Actions(s int) []int
-	// Transitions lists the outcomes of taking action a in state s.
-	Transitions(s, a int) []Transition
+	// AppendTransitions appends the outcomes of taking action a in state
+	// s to dst and returns the extended slice, as append does. It must
+	// leave dst's existing elements untouched and keep no reference to
+	// dst: the compiler appends every slot of a state range into one
+	// buffer, so a builder that writes into a local array and appends
+	// from it allocates nothing per call.
+	AppendTransitions(dst []Transition, s, a int) []Transition
 }
 
 // Model is a compiled, immutable MDP stored in flat arrays for fast
@@ -195,20 +202,18 @@ func CompileWorkers(b Builder, workers int) (*Model, error) {
 	// Chunks are merged in state order, so the compiled arrays — and any
 	// validation error reported (the lowest-state one) — are independent
 	// of the worker count.
-	totalSlots, totalTrans := 0, 0
 	for i := range chunks {
 		if chunks[i].err != nil {
 			return nil, chunks[i].err
 		}
-		totalSlots += len(chunks[i].actionID)
-		totalTrans += len(chunks[i].trans)
 	}
+	actionID := concatChunks(chunks, func(c *compileChunk) []int32 { return c.actionID })
 	m := &Model{
 		numStates: n,
 		stateOff:  make([]int32, n+1),
-		actionID:  make([]int32, 0, totalSlots),
-		saOff:     make([]int32, 1, totalSlots+1),
-		trans:     make([]Transition, 0, totalTrans),
+		actionID:  actionID,
+		saOff:     make([]int32, 1, len(actionID)+1),
+		trans:     concatChunks(chunks, func(c *compileChunk) []Transition { return c.trans }),
 	}
 	s := 0
 	for i := range chunks {
@@ -217,11 +222,9 @@ func CompileWorkers(b Builder, workers int) (*Model, error) {
 			m.stateOff[s+1] = m.stateOff[s] + slots
 			s++
 		}
-		m.actionID = append(m.actionID, c.actionID...)
 		for _, cnt := range c.slotTrans {
 			m.saOff = append(m.saOff, m.saOff[len(m.saOff)-1]+cnt)
 		}
-		m.trans = append(m.trans, c.trans...)
 	}
 	m.buildHotArrays()
 	if m.dupTrans > 0 {
@@ -232,8 +235,30 @@ func CompileWorkers(b Builder, workers int) (*Model, error) {
 	return m, nil
 }
 
-// compileRange enumerates and validates states [lo, hi) into c.
+// concatChunks joins one field of the chunks in state order. A single
+// chunk's slice is adopted as it is.
+func concatChunks[T any](chunks []compileChunk, field func(*compileChunk) []T) []T {
+	if len(chunks) == 1 {
+		return field(&chunks[0])
+	}
+	total := 0
+	for i := range chunks {
+		total += len(field(&chunks[i]))
+	}
+	out := make([]T, 0, total)
+	for i := range chunks {
+		out = append(out, field(&chunks[i])...)
+	}
+	return out
+}
+
+// compileRange enumerates and validates states [lo, hi) into c. The
+// builder appends each slot's transitions straight into c.trans, and
+// the appended tail is validated in place. After the first state the
+// chunk's buffers are sized as if every state looked like it, so a
+// builder with uniform states fills them without regrowing.
 func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
+	c.stateSlots = make([]int32, 0, hi-lo)
 	for s := lo; s < hi; s++ {
 		acts := b.Actions(s)
 		if len(acts) == 0 {
@@ -241,7 +266,9 @@ func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
 			return
 		}
 		for _, a := range acts {
-			trs := b.Transitions(s, a)
+			j0 := len(c.trans)
+			c.trans = b.AppendTransitions(c.trans, s, a)
+			trs := c.trans[j0:]
 			if len(trs) == 0 {
 				c.err = fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
 				return
@@ -264,9 +291,14 @@ func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
 			}
 			c.actionID = append(c.actionID, int32(a))
 			c.slotTrans = append(c.slotTrans, int32(len(trs)))
-			c.trans = append(c.trans, trs...)
 		}
 		c.stateSlots = append(c.stateSlots, int32(len(acts)))
+		if s == lo {
+			rest := hi - lo - 1
+			c.actionID = slices.Grow(c.actionID, len(c.actionID)*rest)
+			c.slotTrans = slices.Grow(c.slotTrans, len(c.slotTrans)*rest)
+			c.trans = slices.Grow(c.trans, len(c.trans)*rest)
+		}
 	}
 }
 
@@ -308,15 +340,17 @@ func (m *Model) buildCompactedLayout() {
 	for k := 0; k < numSlots; k++ {
 		j0, j1 := m.saOff[k], m.saOff[k+1]
 		scratch = scratch[:0]
+		// Insertion sort by destination: slots hold a handful of
+		// transitions, and inserting each raw index after every equal
+		// destination keeps ties in raw order.
 		for j := j0; j < j1; j++ {
+			i := len(scratch)
 			scratch = append(scratch, j)
-		}
-		sort.Slice(scratch, func(a, b int) bool {
-			if m.tto[scratch[a]] != m.tto[scratch[b]] {
-				return m.tto[scratch[a]] < m.tto[scratch[b]]
+			for ; i > 0 && m.tto[scratch[i-1]] > m.tto[j]; i-- {
+				scratch[i] = scratch[i-1]
 			}
-			return scratch[a] < scratch[b]
-		})
+			scratch[i] = j
+		}
 		for i, j := range scratch {
 			if i == 0 || m.tto[j] != m.tto[scratch[i-1]] {
 				ctto = append(ctto, m.tto[j])
@@ -433,6 +467,7 @@ func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 // expected-reward accumulation visits transitions in the same order as
 // buildHotArrays, so the results are bit-identical to a fresh Compile.
 func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
+	var trs []Transition // one slot's transitions, reused across slots
 	for s := lo; s < hi; s++ {
 		acts := b.Actions(s)
 		k0, k1 := m.stateOff[s], m.stateOff[s+1]
@@ -444,7 +479,7 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 			if int32(a) != m.actionID[k] {
 				return fmt.Errorf("mdp: reparameterize: state %d slot %d is action %d, frozen structure has %d", s, i, a, m.actionID[k])
 			}
-			trs := b.Transitions(s, a)
+			trs = b.AppendTransitions(trs[:0], s, a)
 			j0, j1 := m.saOff[k], m.saOff[k+1]
 			if len(trs) != int(j1-j0) {
 				return fmt.Errorf("mdp: reparameterize: state %d action %d has %d transitions, frozen structure has %d", s, a, len(trs), j1-j0)

@@ -84,7 +84,11 @@ func RunTraced(a *bumdp.Analysis, pol mdp.Policy, steps int, seed int64, tr obs.
 		return Tally{}, fmt.Errorf("montecarlo: policy has %d entries, want %d", len(pol), len(a.States))
 	}
 	action := func(s bumdp.State) int {
-		i := a.Index[s]
+		i, ok := a.IndexOf(s)
+		if !ok {
+			// The compiled model holds every state the dynamics reach.
+			panic(fmt.Sprintf("montecarlo: replay reached unenumerated state %v", s))
+		}
 		return int(a.Model.Actions(i)[pol[i]])
 	}
 	return RunStrategyTraced(a.Params, action, steps, seed, tr)

@@ -93,12 +93,12 @@ func (st *SplitterStrategy) Choose(self *Node) (chain.ID, int64, bool) {
 }
 
 // PolicyDecider adapts a solved bumdp policy to a SplitterStrategy
-// Decide function: race states are looked up in the analysis' state
-// index; states outside the enumeration (which the honest rules resolve
+// Decide function: race states are looked up by the analysis' state
+// rank; states outside the enumeration (which the honest rules resolve
 // on their own) fall back to OnChain1.
 func PolicyDecider(a *bumdp.Analysis, policy []int) func(bumdp.State) int {
 	return func(s bumdp.State) int {
-		i, ok := a.Index[s]
+		i, ok := a.IndexOf(s)
 		if !ok {
 			return bumdp.OnChain1
 		}

@@ -48,6 +48,8 @@ echo "== bench module: go vet + go test ${SHORT} =="
 # and smoke-run every workload end to end.
 (cd bench && go vet ./... && go test ${SHORT} ./...)
 
+# The Makefile's race target runs the same package list; keep the two
+# identical.
 echo "== go test -race ${SHORT} (mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify) =="
 go test -race ${SHORT} ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/
 
