@@ -21,8 +21,10 @@ race:
 faults:
 	$(GO) run ./cmd/busim -mode faults -scenario all
 
+# The fuzz targets are scripts/ci.sh's fuzz smokes; keep the two lists identical.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s ./internal/expstore/
+	$(GO) test -run '^$$' -fuzz FuzzVerifyArtifact -fuzztime 30s ./internal/verify/
 
 bench:
 	$(GO) test -bench 'Table|Solver|GridSweep|Compile' -benchtime 2s .

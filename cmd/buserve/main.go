@@ -25,10 +25,8 @@
 // resumes where it left off.
 //
 // Completions are checked against the coordinator's prescribed validity
-// predicate (internal/verify) before they materialize into the store;
-// with -quorum K a job additionally completes only once K distinct
-// workers delivered matching results, and workers that repeatedly
-// submit invalid or conflicting results are quarantined
+// predicate (internal/verify) before they materialize into the store,
+// and workers that repeatedly submit invalid results are quarantined
 // (-quarantine-after). With -max-solve-wait the serving endpoints shed
 // load: a solve that would wait longer than the bound behind a
 // saturated -max-solves budget is refused with 429 Too Many Requests
@@ -81,7 +79,6 @@ func main() {
 		portFile     = flag.String("portfile", "", "write the actual listen address to this file once serving")
 		withPprof    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		queueJournal = flag.String("queue-journal", "", "job queue journal path (default <cache-dir>/jobqueue.json; empty with no cache dir = in-memory queue)")
-		quorum       = flag.Int("quorum", 1, "distinct workers whose matching results must agree before a job completes (1 = first valid result wins)")
 		quarAfter    = flag.Int("quarantine-after", 0, "reputation debits before a worker is quarantined (0 = default, negative = never)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
 		trace        = cliflag.TraceFlag(flag.CommandLine)
@@ -122,7 +119,6 @@ func main() {
 	queue, err := jobqueue.Open(jobqueue.Options{
 		Journal:         journal,
 		Tracer:          tracer,
-		Quorum:          *quorum,
 		QuarantineAfter: *quarAfter,
 	})
 	if err != nil {
@@ -133,8 +129,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (cache dir %q, solve budget %d, queue journal %q, quorum %d)",
-		ln.Addr(), *cacheDir, *maxSolves, journal, *quorum)
+	log.Printf("listening on %s (cache dir %q, solve budget %d, queue journal %q)",
+		ln.Addr(), *cacheDir, *maxSolves, journal)
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(fmt.Sprintf("%s\n", ln.Addr())), 0o644); err != nil {
 			log.Fatal(err)

@@ -112,8 +112,7 @@ func httpStatus(err error) int {
 	switch {
 	case errors.Is(err, jobqueue.ErrUnknownJob):
 		return http.StatusNotFound
-	case errors.Is(err, jobqueue.ErrNotLeased), errors.Is(err, jobqueue.ErrNotDead),
-		errors.Is(err, jobqueue.ErrQuorumMismatch):
+	case errors.Is(err, jobqueue.ErrNotLeased), errors.Is(err, jobqueue.ErrNotDead):
 		return http.StatusConflict
 	case errors.Is(err, jobqueue.ErrQuarantined):
 		return http.StatusForbidden
@@ -393,9 +392,7 @@ type completeResponse struct {
 // Duplicate deliveries — client retries, redelivered responses — are
 // acknowledged without verification or a store write (the artifact is
 // already materialized and immutable; a duplicate whose bytes disagree
-// with it is only counted, see observe.go). Under a quorum policy the
-// completion is a checksum vote: the job completes once Quorum distinct
-// workers deliver identical bytes.
+// with it is only counted, see observe.go).
 func (a *API) handleComplete(r *http.Request) (any, error) {
 	var req completeRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -417,7 +414,7 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 			return nil, err
 		}
 		if stored, found := a.Store.Get(req.ID); found &&
-			voteSum(job.Kind, stored) != voteSum(job.Kind, req.Result) {
+			agreementSum(job.Kind, stored) != agreementSum(job.Kind, req.Result) {
 			duplicateMismatch.Inc()
 			if a.Tracer != nil {
 				a.Tracer.Emit(obs.Event{Kind: "farm.duplicate_mismatch", Node: req.ID})
@@ -434,7 +431,7 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 		}
 		return nil, &apiError{http.StatusConflict, fmt.Errorf("invalid completion: %w", err)}
 	}
-	first, err := a.Queue.CompleteSum(req.ID, req.Lease, voteSum(job.Kind, req.Result))
+	first, err := a.Queue.Complete(req.ID, req.Lease)
 	if err != nil {
 		return nil, err
 	}
@@ -448,16 +445,16 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 	return completeResponse{First: first}, nil
 }
 
-// voteSum is the checksum a completion compares under — the quorum
-// vote and the duplicate-agreement check. It is sha256 over the result
-// bytes with run-dependent fields normalized away: the BU solve record
-// is the one artifact whose bytes embed wall-clock facts (the solve's
-// duration and worker count), and without this normalization two
-// honest workers solving the same job would never agree. Every other
-// kind's bytes are deterministic and hash as delivered. Normalization
-// only feeds the comparison; the bytes materialized are always exactly
-// what the winning completion delivered.
-func voteSum(kind string, blob []byte) string {
+// agreementSum is the checksum the duplicate-agreement check compares a
+// late duplicate's bytes with the stored artifact's under. It is sha256
+// over the result bytes with run-dependent fields normalized away: the
+// BU solve record is the one artifact whose bytes embed wall-clock
+// facts (the solve's duration and worker count), and without this
+// normalization every honest late duplicate would count as a mismatch.
+// Every other kind's bytes are deterministic and hash as delivered.
+// Normalization only feeds the comparison; the bytes materialized are
+// always exactly what the first valid completion delivered.
+func agreementSum(kind string, blob []byte) string {
 	if kind == expstore.KindBUSolve {
 		var rec expstore.BUSolveRecord
 		if json.Unmarshal(blob, &rec) == nil {

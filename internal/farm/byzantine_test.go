@@ -159,151 +159,6 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	}
 }
 
-// TestFarmQuorumMismatchAndRecovery: under a 2-quorum, a vote that
-// passes the validity predicate but differs in bytes (a sub-tolerance
-// nudge — the forgery the predicate alone cannot refute) voids the
-// round; the retry round with agreeing voters completes and
-// materializes the honest bytes.
-func TestFarmQuorumMismatchAndRecovery(t *testing.T) {
-	client, q, st, _ := testFarm(t, jobqueue.Options{
-		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
-		Quorum: 2,
-	})
-	job := testBUSolveJob(t)
-	if _, _, err := client.Enqueue(job); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := Execute(job, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Vote 1: honest bytes. Not first — the quorum stays open.
-	l1, ok, err := client.Lease("w1", nil, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("lease 1: ok=%v err=%v", ok, err)
-	}
-	if first, err := client.Complete(l1.ID, l1.Lease, blob); err != nil || first {
-		t.Fatalf("vote 1: first=%v err=%v, want false/nil", first, err)
-	}
-	if _, found := st.Get(job.ID); found {
-		t.Fatal("artifact materialized on an open quorum")
-	}
-
-	// Vote 2: a nudge far below the verifier's tolerance — valid to the
-	// predicate, but not the same bytes. Only the quorum catches it.
-	var rec expstore.BUSolveRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec.Utility += 1e-12
-	nudged, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(nudged) == string(blob) {
-		t.Fatal("nudge did not change the bytes")
-	}
-	l2, ok, err := client.Lease("w2", nil, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("lease 2: ok=%v err=%v", ok, err)
-	}
-	if _, err := client.Complete(l2.ID, l2.Lease, nudged); !errors.Is(err, jobqueue.ErrQuorumMismatch) {
-		t.Fatalf("conflicting vote err = %v, want ErrQuorumMismatch", err)
-	}
-	if _, found := st.Get(job.ID); found {
-		t.Fatal("artifact materialized from a voided quorum")
-	}
-	if stq := q.Stats(); stq.QuorumMismatches != 1 {
-		t.Fatalf("stats = %+v", stq)
-	}
-
-	// Retry round: two agreeing voters close the quorum; the second
-	// (closing) completion is the first materialization.
-	time.Sleep(5 * time.Millisecond)
-	l3, ok, err := client.Lease("w3", nil, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("lease 3: ok=%v err=%v", ok, err)
-	}
-	if first, err := client.Complete(l3.ID, l3.Lease, blob); err != nil || first {
-		t.Fatalf("retry vote 1: first=%v err=%v", first, err)
-	}
-	l4, ok, err := client.Lease("w4", nil, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("lease 4: ok=%v err=%v", ok, err)
-	}
-	if first, err := client.Complete(l4.ID, l4.Lease, blob); err != nil || !first {
-		t.Fatalf("closing vote: first=%v err=%v", first, err)
-	}
-	if stored, found := st.Get(job.ID); !found || string(stored) != string(blob) {
-		t.Fatal("quorum-agreed bytes not materialized")
-	}
-}
-
-// TestFarmQuorumResumesAcrossRestart: a half-met quorum crosses a
-// coordinator restart through the journal — the restarted coordinator
-// still demands the remaining vote, still refuses the prior voter, and
-// materializes on the closing vote.
-func TestFarmQuorumResumesAcrossRestart(t *testing.T) {
-	journal := t.TempDir() + "/jobqueue.json"
-	storeDir := t.TempDir()
-	qopts := jobqueue.Options{Journal: journal, Quorum: 2}
-
-	q1, err := jobqueue.Open(qopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := expstore.Open(expstore.Config{Dir: storeDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer((&API{Queue: q1, Store: st1}).Handler())
-	c1 := &Client{Base: srv1.URL}
-	job := testBUSolveJob(t)
-	if _, _, err := c1.Enqueue(job); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := Execute(job, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, ok, err := c1.Lease("w1", nil, 30*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("lease before crash: ok=%v err=%v", ok, err)
-	}
-	if first, err := c1.Complete(l1.ID, l1.Lease, blob); err != nil || first {
-		t.Fatalf("vote before crash: first=%v err=%v", first, err)
-	}
-	srv1.Close()
-
-	q2, err := jobqueue.Open(qopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := expstore.Open(expstore.Config{Dir: storeDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer((&API{Queue: q2, Store: st2}).Handler())
-	defer srv2.Close()
-	c2 := &Client{Base: srv2.URL}
-
-	// The prior voter is still excluded after the restart.
-	if _, ok, err := c2.Lease("w1", nil, 5*time.Second); ok || err != nil {
-		t.Fatalf("prior voter re-leased after restart: ok=%v err=%v", ok, err)
-	}
-	l2, ok, err := c2.Lease("w2", nil, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("closing lease after restart: ok=%v err=%v", ok, err)
-	}
-	if first, err := c2.Complete(l2.ID, l2.Lease, blob); err != nil || !first {
-		t.Fatalf("closing vote after restart: first=%v err=%v", first, err)
-	}
-	if stored, found := st2.Get(job.ID); !found || string(stored) != string(blob) {
-		t.Fatal("quorum artifact not materialized after restart")
-	}
-}
-
 // TestFarmDuplicateMismatchCounted: a duplicate completion whose bytes
 // disagree with the materialized artifact is acknowledged (exactly-once
 // holds) but counted — with deterministic executors every hit is a

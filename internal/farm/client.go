@@ -97,8 +97,6 @@ func (c *Client) post(ctx context.Context, cl *http.Client, path string, reqBody
 				return fmt.Errorf("%w (%s)", jobqueue.ErrNotDead, msg)
 			case strings.Contains(msg, "invalid completion"):
 				return fmt.Errorf("%w (%s)", ErrRejected, msg)
-			case strings.Contains(msg, "quorum checksum mismatch"):
-				return fmt.Errorf("%w (%s)", jobqueue.ErrQuorumMismatch, msg)
 			default:
 				return fmt.Errorf("%w (%s)", jobqueue.ErrNotLeased, msg)
 			}
@@ -140,7 +138,7 @@ func transient(err error) bool {
 	// The mapped protocol sentinels are definitive answers, not faults.
 	for _, sentinel := range []error{
 		jobqueue.ErrUnknownJob, jobqueue.ErrNotLeased, jobqueue.ErrNotDead,
-		jobqueue.ErrQuarantined, jobqueue.ErrQuorumMismatch, ErrRejected,
+		jobqueue.ErrQuarantined, ErrRejected,
 	} {
 		if errors.Is(err, sentinel) {
 			return false
@@ -256,12 +254,11 @@ func (c *Client) Heartbeat(id, lease string, ttl time.Duration) error {
 		heartbeatRequest{ID: id, Lease: lease, TTLMilli: ttl.Milliseconds()}, nil)
 }
 
-// Complete delivers a job's result blob. first is false on duplicate
-// delivery (and on an open quorum vote: the coordinator waits for more
-// workers to agree); jobqueue.ErrNotLeased means the lease was lost,
-// ErrRejected means the coordinator's validity predicate refused the
-// bytes, and jobqueue.ErrQuorumMismatch means this delivery conflicted
-// with another voter's — in every error case the result was discarded.
+// Complete delivers a job's result blob. first is false when the job
+// was already done (a duplicate delivery); jobqueue.ErrNotLeased means
+// the lease was lost and ErrRejected means the coordinator's validity
+// predicate refused the bytes — in either error case the result was
+// discarded.
 func (c *Client) Complete(id, lease string, result []byte) (first bool, err error) {
 	return c.CompleteCtx(context.Background(), id, lease, result)
 }

@@ -66,10 +66,9 @@ func (w *Worker) Stats() (executed, completed, failed, lost int64) {
 	return w.executed.Load(), w.completed.Load(), w.failed.Load(), w.lost.Load()
 }
 
-// Rejected reports how many of the worker's deliveries the coordinator
-// refused — validity rejections and quorum conflicts. An honest worker
-// should hold this at zero; a byzantine one watches it climb toward its
-// quarantine.
+// Rejected reports how many of the worker's deliveries the coordinator's
+// validity predicate refused. An honest worker should hold this at
+// zero; a byzantine one watches it climb toward its quarantine.
 func (w *Worker) Rejected() int64 { return w.rejected.Load() }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -266,7 +265,7 @@ func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 	}
 	first, err := w.Client.CompleteCtx(ctx, job.ID, job.Lease, blob)
 	switch {
-	case errors.Is(err, ErrRejected), errors.Is(err, jobqueue.ErrQuorumMismatch):
+	case errors.Is(err, ErrRejected):
 		// The coordinator's validity consensus refused the result. Not a
 		// failure to report (the queue already requeued the job and
 		// debited this worker's reputation); just count it and move on.

@@ -98,20 +98,7 @@ type Job struct {
 	StartedAt  time.Time `json:"started_at,omitzero"` // most recent lease
 	DoneAt     time.Time `json:"done_at,omitzero"`
 
-	// Votes accumulates quorum-mode completions: one checksum vote per
-	// distinct worker that finished the job. The job completes only once
-	// Options.Quorum matching votes agree (see CompleteSum). Journaled,
-	// so a restarted coordinator resumes a half-met quorum.
-	Votes []Vote `json:"votes,omitempty"`
-
 	seq int64 // FIFO tiebreak within a priority class
-}
-
-// Vote is one worker's quorum claim: "I executed this job and the
-// canonical result bytes hash to Sum".
-type Vote struct {
-	Worker string `json:"worker"`
-	Sum    string `json:"sum"`
 }
 
 // Options configures a Queue. The zero value is a usable in-memory
@@ -133,16 +120,9 @@ type Options struct {
 	Now func() time.Time
 	// Seed seeds the backoff jitter; 0 derives one from the clock.
 	Seed int64
-	// Quorum is the number of distinct workers whose completions must
-	// agree (matching result checksums) before a job is done. 1 — the
-	// default — trusts the first valid completion; K > 1 re-executes
-	// every job on K workers and completes only on K matching votes,
-	// the untrusted-fleet mode.
-	Quorum int
 	// QuarantineAfter is the per-worker badness threshold that trips
-	// automatic quarantine: a worker whose rejected completions, quorum
-	// mismatches, and (discounted) lost leases reach it is denied
-	// further leases. 0 selects the default (3); negative disables
+	// automatic quarantine: a worker whose rejected completions and
+	// (discounted) lost leases reach it is denied further leases. 0 selects the default (3); negative disables
 	// quarantine.
 	QuarantineAfter int
 	// Tracer receives queue events ("queue.enqueue", "queue.lease",
@@ -169,9 +149,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = o.Now().UnixNano()
 	}
-	if o.Quorum < 1 {
-		o.Quorum = 1
-	}
 	if o.QuarantineAfter == 0 {
 		o.QuarantineAfter = 3
 	}
@@ -192,7 +169,7 @@ type Queue struct {
 
 	enqueued, duplicates, leases, completes, dupCompletes atomic.Int64
 	heartbeats, expiries, failures, retries, deadTotal    atomic.Int64
-	rejects, quorumVotes, mismatches, quarantines         atomic.Int64
+	rejects, quarantines                                  atomic.Int64
 
 	// latency retains per-kind execution times (lease -> complete) for
 	// the quantile blocks of Stats.
@@ -209,13 +186,9 @@ var (
 	// ErrNotDead reports a Requeue of a job that is not dead-lettered.
 	ErrNotDead = errors.New("jobqueue: job is not dead-lettered")
 	// ErrQuarantined reports a lease request from a quarantined worker:
-	// its accumulated rejections, quorum mismatches, or lost leases
-	// tripped the reputation threshold and it is denied further work.
+	// its accumulated rejections or lost leases tripped the reputation
+	// threshold and it is denied further work.
 	ErrQuarantined = errors.New("jobqueue: worker is quarantined")
-	// ErrQuorumMismatch reports a quorum vote whose result checksum
-	// disagrees with an earlier vote for the same job: all votes are
-	// discarded, every voter is flagged, and the job retries.
-	ErrQuorumMismatch = errors.New("jobqueue: quorum checksum mismatch")
 )
 
 // Open creates a queue, resuming from the journal when opts.Journal
@@ -300,12 +273,6 @@ func (q *Queue) Lease(worker string, kinds []string, ttl time.Duration) (Job, bo
 		if j.State != Pending || j.NotBefore.After(now) || !kindAllowed(j.Kind, kinds) {
 			continue
 		}
-		// Quorum mode: a worker gets each job once — re-leasing a job to
-		// a worker that already voted on it would let one machine fill
-		// the quorum with itself.
-		if hasVote(j, worker) {
-			continue
-		}
 		if best == nil || j.Priority > best.Priority ||
 			(j.Priority == best.Priority && j.seq < best.seq) {
 			best = j
@@ -371,33 +338,15 @@ func (q *Queue) Heartbeat(id, lease string, ttl time.Duration) error {
 }
 
 // Complete marks a leased job done. first reports whether this call is
-// the one that completed it: a duplicate delivery of the same
-// completion (same lease token, job already done) returns false
-// and no error, which is how callers materialize results exactly once.
-// A completion whose lease was lost (expired and requeued or re-leased)
-// is rejected with ErrNotLeased — the job's deterministic result will
-// be produced by the holder of the live lease instead.
-//
-// Complete carries no result checksum, so under a Quorum > 1 policy it
-// counts as an abstaining completion: the job is done immediately, as
-// in the default first-valid-wins mode. Coordinators that enforce
-// quorum use CompleteSum.
+// the one that completed it. Once the job is done, any completion —
+// whatever lease it presents — returns false and no error: that is how
+// callers materialize results exactly once, and it lets a coordinator
+// still compare a late duplicate's bytes with the stored result. A
+// completion for a job still open whose lease was lost (expired and
+// requeued or re-leased) is rejected with ErrNotLeased — the job's
+// deterministic result will be produced by the holder of the live
+// lease instead.
 func (q *Queue) Complete(id, lease string) (first bool, err error) {
-	return q.CompleteSum(id, lease, "")
-}
-
-// CompleteSum is Complete with the completing worker's result checksum.
-// With Quorum = 1 (the default) the checksum is ignored and the first
-// completion wins. With Quorum = K > 1 each completion is a vote: the
-// job returns to the ready set (immediately leasable, but never by a
-// worker that already voted) until K distinct workers have completed it
-// with identical checksums, and only the K-th matching vote reports
-// first = true — the caller materializes that completion's bytes,
-// which all K workers agree on. A vote that contradicts an earlier
-// checksum returns ErrQuorumMismatch: every accumulated vote is
-// discarded, all voters are flagged (counting toward quarantine), and
-// the job retries under its normal backoff budget.
-func (q *Queue) CompleteSum(id, lease, sum string) (first bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.opts.Now()
@@ -412,43 +361,6 @@ func (q *Queue) CompleteSum(id, lease, sum string) (first bool, err error) {
 	}
 	if j.State != Leased || j.Lease != lease {
 		return false, ErrNotLeased
-	}
-	if k := q.opts.Quorum; k > 1 && sum != "" {
-		worker := j.Worker
-		q.quorumVotes.Add(1)
-		if len(j.Votes) > 0 && j.Votes[0].Sum != sum {
-			q.mismatches.Add(1)
-			q.noteMismatchLocked(worker, now)
-			for _, v := range j.Votes {
-				q.noteMismatchLocked(v.Worker, now)
-			}
-			j.Votes = nil
-			q.emitJob(obs.Event{
-				Kind: "queue.mismatch", Detail: j.Kind, Node: j.ID, Miner: worker,
-				Iter: j.Attempts,
-			}, j)
-			q.retireLocked(j, now, "quorum checksum mismatch")
-			if err := q.persistLocked(); err != nil {
-				return false, err
-			}
-			return false, ErrQuorumMismatch
-		}
-		j.Votes = append(j.Votes, Vote{Worker: worker, Sum: sum})
-		if len(j.Votes) < k {
-			// Quorum still open: back to the ready set with no backoff,
-			// for the next distinct worker.
-			j.State = Pending
-			j.Worker, j.Lease = "", ""
-			j.LeaseExpiry = time.Time{}
-			j.NotBefore = now
-			j.LastError = ""
-			q.touchWorkerLocked(worker, now, func(w *workerInfo) { w.completes++ })
-			q.emitJob(obs.Event{
-				Kind: "queue.vote", Detail: j.Kind, Node: j.ID, Miner: worker,
-				Iter: len(j.Votes), Eliminated: k - len(j.Votes),
-			}, j)
-			return false, q.persistLocked()
-		}
 	}
 	j.State = Done
 	j.DoneAt = now
@@ -498,28 +410,6 @@ func (q *Queue) RejectCompletion(id, lease, reason string) error {
 	return q.persistLocked()
 }
 
-// noteMismatchLocked flags one quorum voter after a checksum conflict.
-// The queue cannot tell which voter lied, so every party to the
-// conflict is flagged; honest workers absorb the occasional flag while
-// a byzantine worker accumulates one per poisoned quorum and trips the
-// threshold.
-func (q *Queue) noteMismatchLocked(name string, now time.Time) {
-	q.touchWorkerLocked(name, now, func(w *workerInfo) {
-		w.mismatches++
-		q.maybeQuarantineLocked(name, w)
-	})
-}
-
-// hasVote reports whether worker already voted on j.
-func hasVote(j *Job, worker string) bool {
-	for _, v := range j.Votes {
-		if v.Worker == worker {
-			return true
-		}
-	}
-	return false
-}
-
 // Fail reports that the lease holder could not complete the job. The
 // job retries with exponential backoff until its delivery budget is
 // exhausted, then dead-letters.
@@ -560,7 +450,6 @@ func (q *Queue) Requeue(id string) error {
 	j.Attempts = 0
 	j.NotBefore = time.Time{}
 	j.Worker, j.Lease = "", ""
-	j.Votes = nil
 	return q.persistLocked()
 }
 

@@ -1,6 +1,8 @@
 package jobqueue
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -130,7 +132,15 @@ func TestCompleteExactlyOnce(t *testing.T) {
 	if err != nil || first {
 		t.Fatalf("duplicate complete: first=%v err=%v", first, err)
 	}
-	if st := q.Stats(); st.Completes != 1 || st.DuplicateCompletes != 1 || st.Done != 1 {
+	// A completion under another lease once the job is done — a worker
+	// whose lease expired after its successor finished — is a duplicate
+	// too, so the caller can still compare its bytes with the stored
+	// result.
+	first, err = q.Complete(j.ID, "lease-999")
+	if err != nil || first {
+		t.Fatalf("other-lease duplicate complete: first=%v err=%v", first, err)
+	}
+	if st := q.Stats(); st.Completes != 1 || st.DuplicateCompletes != 2 || st.Done != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -376,6 +386,41 @@ func TestJournalResume(t *testing.T) {
 	}
 	if jc.Lease == ja.Lease || jc.Lease == jb.Lease {
 		t.Fatalf("token reuse after resume: %q", jc.Lease)
+	}
+}
+
+// TestJournalWithVotesLoads: journals written before completion votes
+// were removed can hold a pending job with the votes cast so far. Such
+// a journal, envelope and checksum exactly as that version wrote it,
+// still opens under the same journalVersion: the votes field is
+// ignored, the former voter may lease the job, and one Complete
+// finishes it.
+func TestJournalWithVotesLoads(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "queue.json")
+	state := `{"seq":1,"token":1,"jobs":[{"id":"a","kind":"busolve","state":"pending",` +
+		`"attempts":1,"max_attempts":5,"not_before":"2026-01-01T00:00:00Z",` +
+		`"enqueued_at":"2026-01-01T00:00:00Z","started_at":"2026-01-01T00:00:00Z",` +
+		`"votes":[{"worker":"w1","sum":"sum-A"}],"seq":1}]}`
+	sum := sha256.Sum256([]byte(state))
+	env := fmt.Sprintf(`{"version":%d,"sum":"%s","state":%s}`, journalVersion, hex.EncodeToString(sum[:]), state)
+	if err := os.WriteFile(journal, []byte(env), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	clk := newClock()
+	q, err := Open(Options{Journal: journal, Now: clk.Now, Seed: 1})
+	if err != nil {
+		t.Fatalf("opening a journal with votes: %v", err)
+	}
+	j, ok, err := q.Lease("w1", nil, 0)
+	if err != nil || !ok || j.ID != "a" {
+		t.Fatalf("former voter's lease: job=%+v ok=%v err=%v", j, ok, err)
+	}
+	if first, err := q.Complete(j.ID, j.Lease); err != nil || !first {
+		t.Fatalf("complete: first=%v err=%v", first, err)
+	}
+	if got, _ := q.Get("a"); got.State != Done || got.Attempts != 2 {
+		t.Fatalf("after complete: %+v", got)
 	}
 }
 

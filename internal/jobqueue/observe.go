@@ -45,11 +45,8 @@ type Stats struct {
 	Retries            int64 `json:"retries"`
 	DeadLettered       int64 `json:"dead_lettered"`
 	// The result-validity consensus: completions the validity predicate
-	// rejected, quorum votes cast and checksum conflicts among them,
-	// and how many workers are quarantined right now.
+	// rejected, and how many workers are quarantined right now.
 	VerifyRejects      int64 `json:"verify_rejects"`
-	QuorumVotes        int64 `json:"quorum_votes"`
-	QuorumMismatches   int64 `json:"quorum_mismatches"`
 	QuarantinedWorkers int   `json:"quarantined_workers"`
 
 	Kinds map[string]KindStats `json:"kinds,omitempty"`
@@ -70,8 +67,6 @@ func (q *Queue) Stats() Stats {
 		Retries:            q.retries.Load(),
 		DeadLettered:       q.deadTotal.Load(),
 		VerifyRejects:      q.rejects.Load(),
-		QuorumVotes:        q.quorumVotes.Load(),
-		QuorumMismatches:   q.mismatches.Load(),
 		Kinds:              make(map[string]KindStats),
 	}
 	for _, w := range q.workers {
@@ -174,7 +169,5 @@ func (q *Queue) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("jobqueue_retries_total", "Deliveries requeued with backoff.", q.retries.Load)
 	reg.CounterFunc("jobqueue_dead_lettered_total", "Jobs moved to the dead-letter set.", q.deadTotal.Load)
 	reg.CounterFunc("jobqueue_rejects_total", "Completions refused by the validity predicate.", q.rejects.Load)
-	reg.CounterFunc("jobqueue_quorum_votes_total", "Quorum votes cast (checksum-bearing completions).", q.quorumVotes.Load)
-	reg.CounterFunc("jobqueue_quorum_mismatches_total", "Quorum rounds voided by conflicting checksums.", q.mismatches.Load)
 	reg.CounterFunc("jobqueue_quarantines_total", "Workers quarantined for byzantine behavior.", q.quarantines.Load)
 }

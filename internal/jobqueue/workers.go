@@ -21,20 +21,19 @@ type workerInfo struct {
 	leases, heartbeats  int64
 	completes, failures int64
 	lostLeases          int64
-	// Reputation: rejected (invalid) completions, quorum checksum
-	// conflicts the worker was party to, and the quarantine verdict
-	// they feed (see maybeQuarantineLocked).
-	rejects, mismatches int64
-	quarantined         bool
+	// Reputation: rejected (invalid) completions and the quarantine
+	// verdict they feed (see maybeQuarantineLocked).
+	rejects     int64
+	quarantined bool
 }
 
 // badnessLocked is a worker's reputation score against the quarantine
-// threshold. Rejected completions and quorum mismatches are hard
-// byzantine signals and count in full; lost leases are usually mere
-// crashes or partitions, so only chronic lease abuse (as a stall-based
-// byzantine worker produces) moves the score.
+// threshold. Rejected completions are hard byzantine signals and count
+// in full; lost leases are usually mere crashes or partitions, so only
+// chronic lease abuse (as a stall-based byzantine worker produces)
+// moves the score.
 func (w *workerInfo) badnessLocked() int64 {
-	return w.rejects + w.mismatches + w.lostLeases/8
+	return w.rejects + w.lostLeases/8
 }
 
 // maybeQuarantineLocked trips the quarantine once a worker's badness
@@ -85,11 +84,10 @@ type WorkerStats struct {
 	// LostLeases counts leases that expired out from under the worker
 	// (it went silent mid-job).
 	LostLeases int64 `json:"lost_leases"`
-	// Rejects counts completions the validity predicate refused;
-	// Mismatches counts quorum checksum conflicts the worker was party
-	// to. Both feed Quarantined, the verdict that denies further leases.
+	// Rejects counts completions the validity predicate refused; with
+	// LostLeases it feeds Quarantined, the verdict that denies further
+	// leases.
 	Rejects     int64 `json:"rejects"`
-	Mismatches  int64 `json:"mismatches"`
 	Quarantined bool  `json:"quarantined"`
 }
 
@@ -117,7 +115,6 @@ func (q *Queue) Workers() []WorkerStats {
 			Failures:     w.failures,
 			LostLeases:   w.lostLeases,
 			Rejects:      w.rejects,
-			Mismatches:   w.mismatches,
 			Quarantined:  w.quarantined,
 		})
 	}

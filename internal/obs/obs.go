@@ -80,9 +80,6 @@ type Event struct {
 	// PolicyChanges counts states whose greedy action changed in this
 	// sweep relative to the previous one.
 	PolicyChanges int `json:"policy_changes,omitempty"`
-	// Eliminated is the number of votes a quorum round still needs
-	// ("queue.vote").
-	Eliminated int `json:"eliminated,omitempty"`
 	// Gain is the solve's average-reward gain ("solver.done") or the
 	// probe's auxiliary gain ("ratio.probe").
 	Gain float64 `json:"gain,omitempty"`

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/expstore"
+	"buanalysis/internal/mdp"
 )
 
 // testTols are the solve tolerances used throughout: loose enough to
@@ -53,6 +55,53 @@ func retamper(t *testing.T, blob []byte, f func(*expstore.BUSolveRecord)) []byte
 	return out
 }
 
+// assertAcceptanceWindow pins the bound the predicate enforces, which
+// is all the farm promises about a stored claim: the claim may sit
+// anywhere within the solve's tolerance of its witness's exactly
+// evaluated value — RatioTol for the ratio objectives, Epsilon for the
+// gain — and nowhere beyond it. The window is measured from the exact
+// value, not from the artifact's claim, which already sits up to a
+// fraction of the tolerance away from it.
+func assertAcceptanceWindow(t *testing.T, id string, blob []byte) {
+	t.Helper()
+	var rec expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatalf("decoding record: %v", err)
+	}
+	a, err := bumdp.New(rec.Params)
+	if err != nil {
+		t.Fatalf("rebuilding model: %v", err)
+	}
+	pol, err := mdp.ParseWitness(a.Model, rec.Policy)
+	if err != nil {
+		t.Fatalf("parsing witness: %v", err)
+	}
+	opts := mdp.Options{Epsilon: rec.Epsilon}
+	var exact, tol float64
+	if rec.Params.Model == bumdp.NonCompliant {
+		cert, err := a.Model.CertifyPolicy(pol, opts)
+		if err != nil {
+			t.Fatalf("certifying witness: %v", err)
+		}
+		exact, tol = cert.Gain, rec.Epsilon
+	} else {
+		num, den, err := a.Model.Rates(pol, opts)
+		if err != nil {
+			t.Fatalf("evaluating witness: %v", err)
+		}
+		exact, tol = num/den, rec.RatioTol
+	}
+	for _, k := range []float64{-1.5, -0.5, 0.5, 1.5} {
+		claim := retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.Utility = exact + k*tol })
+		err := Artifact(expstore.KindBUSolve, id, nil, claim)
+		if inside := math.Abs(k) < 1; inside && err != nil {
+			t.Errorf("%s: claim at exact %+g*tol rejected: %v", rec.Params.Model, k, err)
+		} else if !inside && err == nil {
+			t.Errorf("%s: claim at exact %+g*tol accepted", rec.Params.Model, k)
+		}
+	}
+}
+
 func cellParams(t *testing.T, alpha float64, r core.Ratio, model bumdp.IncentiveModel) bumdp.Params {
 	t.Helper()
 	beta, gamma := r.Split(alpha)
@@ -93,6 +142,9 @@ func TestVerifyBUSolveGrid(t *testing.T) {
 			}
 		}
 	}
+	// The acceptance window, at one interior cell the -short grid skips.
+	id, blob := buSolveArtifact(t, cellParams(t, 0.25, core.Ratio{Name: "1:1", B: 1, G: 1}, bumdp.Compliant))
+	assertAcceptanceWindow(t, id, blob)
 }
 
 func TestVerifyBUSolveNonCompliant(t *testing.T) {
@@ -105,6 +157,7 @@ func TestVerifyBUSolveNonCompliant(t *testing.T) {
 	if err := Artifact(expstore.KindBUSolve, id, nil, bad); err == nil {
 		t.Fatal("perturbed gain accepted")
 	}
+	assertAcceptanceWindow(t, id, blob)
 }
 
 // TestVerifyBUSolveNonProfit: an honest Table-4 cell (setting 1,
@@ -143,6 +196,7 @@ func TestVerifyBUSolveNonProfit(t *testing.T) {
 			t.Errorf("%s utility accepted", name)
 		}
 	}
+	assertAcceptanceWindow(t, id, blob)
 }
 
 // flipWitness returns the witness with state s switched to another

@@ -267,10 +267,11 @@ echo "== byzantine drill smoke (validity consensus + quarantine) =="
 # A fresh coordinator (empty cache, instant quarantine) gets the same
 # sweep, and a byzantine worker leases first. Its flipcell forgeries are
 # well-formed canonical bytes whose claimed values are false — the
-# hardest case, refusable only by the semantic re-solve. Every delivery
-# must be rejected, the worker quarantined, nothing materialized; honest
-# workers then drain the queue and the merged result must be
-# byte-identical to the honest run's above.
+# hardest case, refusable only by the witness check: the shard's witness
+# policy still attains the honest value, 0.01 away from the claim. Every
+# delivery must be rejected, the worker quarantined, nothing
+# materialized; honest workers then drain the queue and the merged
+# result must be byte-identical to the honest run's above.
 "$SMOKE/buserve" -addr 127.0.0.1:0 -cache-dir "$SMOKE/cache2" -portfile "$SMOKE/port2" \
 	-quarantine-after 1 &
 SERVE2_PID=$!
