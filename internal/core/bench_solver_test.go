@@ -58,44 +58,65 @@ type solverBenchCompile struct {
 	NsPerState   float64 `json:"ns_per_state"`
 }
 
+// solverBenchEvaluate records the cost of evaluating the optimal
+// policy of the same model as solverBenchCompile: one
+// Workspace.EvaluatePolicy (the exact evaluation every policy-iteration
+// round runs) and one StateVisitRate (the fork rate every solved cell
+// reports), each the median of compileBenchReps runs, serial.
+type solverBenchEvaluate struct {
+	States         int     `json:"states"`
+	EvaluateMillis float64 `json:"evaluate_policy_ms"`
+	ForkRateMillis float64 `json:"fork_rate_ms"`
+	EvaluateAllocs float64 `json:"evaluate_policy_allocs"`
+	ForkRateAllocs float64 `json:"fork_rate_allocs"`
+}
+
 type solverBenchReport struct {
-	Benchmark      string             `json:"benchmark"`
-	RatioTol       float64            `json:"ratio_tol"`
-	Epsilon        float64            `json:"epsilon"`
-	Workers        int                `json:"workers"`
-	Grids          []solverBenchGrid  `json:"grids"`
-	Stages         []solverBenchStage `json:"stages"`
-	RVISpeedup     float64            `json:"speedup_vs_rvi"`
-	TotalColdMs    float64            `json:"total_cold_ms"`
-	TotalWarmMs    float64            `json:"total_warm_ms"`
-	Speedup        float64            `json:"speedup"`
-	AllocsPerProbe float64            `json:"workspace_allocs_per_probe"`
-	Compile        solverBenchCompile `json:"compile"`
+	Benchmark      string              `json:"benchmark"`
+	RatioTol       float64             `json:"ratio_tol"`
+	Epsilon        float64             `json:"epsilon"`
+	Workers        int                 `json:"workers"`
+	Grids          []solverBenchGrid   `json:"grids"`
+	Stages         []solverBenchStage  `json:"stages"`
+	RVISpeedup     float64             `json:"speedup_vs_rvi"`
+	TotalColdMs    float64             `json:"total_cold_ms"`
+	TotalWarmMs    float64             `json:"total_warm_ms"`
+	Speedup        float64             `json:"speedup"`
+	AllocsPerProbe float64             `json:"workspace_allocs_per_probe"`
+	Compile        solverBenchCompile  `json:"compile"`
+	Evaluate       solverBenchEvaluate `json:"evaluate"`
 }
 
 // compileBenchReps is the number of timed runs behind each compile
-// median.
+// and evaluate median.
 const compileBenchReps = 11
+
+// benchParams is the setting-2 AD-6 non-compliant cell the compile and
+// evaluate blocks measure.
+var benchParams = bumdp.Params{Alpha: 0.10, Beta: 0.45, Gamma: 0.45, Setting: bumdp.Setting2, Model: bumdp.NonCompliant}
+
+// medianMillis runs f compileBenchReps times and returns the median
+// wall-clock time in milliseconds.
+func medianMillis(f func()) float64 {
+	ms := make([]float64, compileBenchReps)
+	for i := range ms {
+		t0 := time.Now()
+		f()
+		ms[i] = float64(time.Since(t0).Microseconds()) / 1e3
+	}
+	sort.Float64s(ms)
+	return ms[len(ms)/2]
+}
 
 // benchCompile measures bumdp.New and Analysis.Rebind on the setting-2
 // AD-6 non-compliant model.
 func benchCompile(t *testing.T) solverBenchCompile {
-	p := bumdp.Params{Alpha: 0.10, Beta: 0.45, Gamma: 0.45, Setting: bumdp.Setting2, Model: bumdp.NonCompliant}
+	p := benchParams
 	q := p
 	q.Beta, q.Gamma = 0.3, 0.6
 	a, err := bumdp.New(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	median := func(f func()) float64 {
-		ms := make([]float64, compileBenchReps)
-		for i := range ms {
-			t0 := time.Now()
-			f()
-			ms[i] = float64(time.Since(t0).Microseconds()) / 1e3
-		}
-		sort.Float64s(ms)
-		return ms[len(ms)/2]
 	}
 	newOnce := func() {
 		if _, err := bumdp.New(p); err != nil {
@@ -109,13 +130,48 @@ func benchCompile(t *testing.T) solverBenchCompile {
 	}
 	c := solverBenchCompile{
 		States:       a.Model.NumStates(),
-		NewMillis:    median(newOnce),
-		RebindMillis: median(rebindOnce),
+		NewMillis:    medianMillis(newOnce),
+		RebindMillis: medianMillis(rebindOnce),
 		NewAllocs:    testing.AllocsPerRun(3, newOnce),
 		RebindAllocs: testing.AllocsPerRun(3, rebindOnce),
 	}
 	c.NsPerState = c.NewMillis * 1e6 / float64(c.States)
 	return c
+}
+
+// benchEvaluate measures the two fixed-policy evaluations of a solved
+// cell on its optimal policy: Workspace.EvaluatePolicy on a warmed-up
+// serial workspace, and the fork rate through StateVisitRate.
+func benchEvaluate(t *testing.T) solverBenchEvaluate {
+	a, err := bumdp.New(benchParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.SolveWith(bumdp.SolveOptions{Epsilon: 1e-8, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := a.Model.NewWorkspace(1)
+	defer ws.Close()
+	evaluateOnce := func() {
+		if _, err := ws.EvaluatePolicy(res.Policy, mdp.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forked := func(s int) bool { return !a.States[s].Base() }
+	forkRateOnce := func() {
+		if _, err := a.Model.StateVisitRate(res.Policy, forked, mdp.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evaluateOnce()
+	return solverBenchEvaluate{
+		States:         a.Model.NumStates(),
+		EvaluateMillis: medianMillis(evaluateOnce),
+		ForkRateMillis: medianMillis(forkRateOnce),
+		EvaluateAllocs: testing.AllocsPerRun(3, evaluateOnce),
+		ForkRateAllocs: testing.AllocsPerRun(3, forkRateOnce),
+	}
 }
 
 // TestBenchSolver measures the Table-2 sweep with and without the
@@ -281,6 +337,10 @@ func TestBenchSolver(t *testing.T) {
 	t.Logf("compile (%d states): New %.2fms (%.0f allocs, %.0f ns/state), Rebind %.2fms (%.0f allocs)",
 		report.Compile.States, report.Compile.NewMillis, report.Compile.NewAllocs, report.Compile.NsPerState,
 		report.Compile.RebindMillis, report.Compile.RebindAllocs)
+	report.Evaluate = benchEvaluate(t)
+	t.Logf("evaluate (%d states): EvaluatePolicy %.2fms (%.0f allocs), fork rate %.2fms (%.0f allocs)",
+		report.Evaluate.States, report.Evaluate.EvaluateMillis, report.Evaluate.EvaluateAllocs,
+		report.Evaluate.ForkRateMillis, report.Evaluate.ForkRateAllocs)
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

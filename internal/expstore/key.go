@@ -40,7 +40,13 @@ import (
 // exact regenerative evaluation, which changes round counts and the
 // bits of converged values (still within Epsilon), and busolve and
 // sweep-shard records carry their witness policies.
-const Version = 4
+//
+// Version 5: fork rates became the gain of the same regenerative
+// first-passage evaluation the solves use, run on a 0/1 indicator of
+// the forked states, instead of a sum over a separately solved
+// stationary distribution, which changes the stored fork-rate bits
+// (utilities, witnesses and counts are untouched).
+const Version = 5
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

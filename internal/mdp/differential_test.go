@@ -3,11 +3,12 @@ package mdp
 // Differential solver tests: three independent algorithms — relative
 // value iteration (the test oracle), policy iteration with exact
 // regenerative evaluation (AverageReward), and discounted value
-// iteration driven to the vanishing-discount limit — must agree on the
-// optimal gain of random models, and the ratio solver's bisection value
-// must match the stationary-distribution evaluation of the policy it
-// returns. Disagreement localizes a bug to one solver; agreement within
-// tight tolerances is strong evidence all three are correct.
+// iteration (the viOracle) driven to the vanishing-discount limit —
+// must agree on the optimal gain of random models, and the ratio
+// solver's bisection value must match the power-iteration stationary
+// distribution's evaluation of the policy it returns. Disagreement
+// localizes a bug to one solver; agreement within tight tolerances is
+// strong evidence all three are correct.
 
 import (
 	"math"
@@ -25,13 +26,13 @@ import (
 func extrapolatedGain(t *testing.T, m *Model, eps1, eps2 float64) float64 {
 	t.Helper()
 	a := func(eps float64) float64 {
-		v, _, err := m.ValueIteration(1-eps, Options{
+		v, _, err := m.viOracle(1-eps, Options{
 			Epsilon:       1e-7,
 			MaxIterations: 20_000_000,
 			Aperiodicity:  -1,
 		})
 		if err != nil {
-			t.Fatalf("ValueIteration(discount=%g): %v", 1-eps, err)
+			t.Fatalf("value iteration oracle (discount=%g): %v", 1-eps, err)
 		}
 		return eps * v[0]
 	}
@@ -74,8 +75,9 @@ func TestDifferentialGainThreeSolvers(t *testing.T) {
 
 // TestDifferentialRatioObjective checks, on seeded random MDPs, that
 // SolveRatio's bisection value equals the long-run ratio actually
-// attained by the policy it returns, evaluated through the independent
-// stationary-distribution path (PolicyRatio).
+// attained by the policy it returns, evaluated by the power-iteration
+// oracle, which shares no code with the solver's regenerative
+// evaluation.
 func TestDifferentialRatioObjective(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 	if testing.Short() {
@@ -90,9 +92,9 @@ func TestDifferentialRatioObjective(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: SolveRatio: %v", seed, err)
 		}
-		attained, err := m.PolicyRatio(res.Policy, Options{Epsilon: 1e-11})
+		attained, err := oracleRatio(m, res.Policy)
 		if err != nil {
-			t.Fatalf("seed %d: PolicyRatio: %v", seed, err)
+			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
 		if d := math.Abs(res.Value - attained); d > 5e-5 {
 			t.Errorf("seed %d: bisection value %.9f vs attained ratio %.9f differ by %.2e",
@@ -104,9 +106,9 @@ func TestDifferentialRatioObjective(t *testing.T) {
 			for s := 0; s < n; s++ {
 				pol[s] = rng.Intn(len(m.Actions(s)))
 			}
-			r, err := m.PolicyRatio(pol, Options{Epsilon: 1e-11})
+			r, err := oracleRatio(m, pol)
 			if err != nil {
-				t.Fatalf("seed %d: PolicyRatio(random): %v", seed, err)
+				t.Fatalf("seed %d: oracle(random): %v", seed, err)
 			}
 			if r > attained+1e-4 {
 				t.Errorf("seed %d: random policy ratio %.9f beats solved %.9f", seed, r, attained)
@@ -115,9 +117,20 @@ func TestDifferentialRatioObjective(t *testing.T) {
 	}
 }
 
-// TestDifferentialEvaluatePolicyAgreesWithRates cross-checks the two
-// fixed-policy evaluators: the first-passage evaluation (reward-to-go
-// over steps-to-go) against the stationary-distribution rates.
+// oracleRatio is the long-run Num/Den ratio of pol under the
+// power-iteration stationary distribution.
+func oracleRatio(m *Model, pol Policy) (float64, error) {
+	pi, err := m.powerStationary(pol, Options{Epsilon: 1e-12})
+	if err != nil {
+		return 0, err
+	}
+	return m.rateRatio(pol, pi), nil
+}
+
+// TestDifferentialEvaluatePolicyAgreesWithRates holds the fixed-policy
+// evaluator, through both of its entry points (EvaluatePolicy's gain
+// and Rates' Num rate), to the power-iteration oracle. Random models
+// accrue Den = 1 per step, so the oracle's ratio is its Num rate.
 func TestDifferentialEvaluatePolicyAgreesWithRates(t *testing.T) {
 	for _, seed := range []int64{7, 11, 19} {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,6 +140,10 @@ func TestDifferentialEvaluatePolicyAgreesWithRates(t *testing.T) {
 		for s := 0; s < n; s++ {
 			pol[s] = rng.Intn(len(m.Actions(s)))
 		}
+		want, err := oracleRatio(m, pol)
+		if err != nil {
+			t.Fatalf("seed %d: oracle: %v", seed, err)
+		}
 		ev, err := m.EvaluatePolicy(pol, Options{Epsilon: 1e-11})
 		if err != nil {
 			t.Fatalf("seed %d: EvaluatePolicy: %v", seed, err)
@@ -135,9 +152,13 @@ func TestDifferentialEvaluatePolicyAgreesWithRates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Rates: %v", seed, err)
 		}
-		if d := math.Abs(ev.Gain - num); d > 1e-6 {
-			t.Errorf("seed %d: sweep gain %.9f vs stationary rate %.9f differ by %.2e",
-				seed, ev.Gain, num, d)
+		if d := math.Abs(ev.Gain - want); d > 1e-6 {
+			t.Errorf("seed %d: evaluated gain %.9f vs oracle rate %.9f differ by %.2e",
+				seed, ev.Gain, want, d)
+		}
+		if d := math.Abs(num - want); d > 1e-6 {
+			t.Errorf("seed %d: Rates' Num rate %.9f vs oracle rate %.9f differ by %.2e",
+				seed, num, want, d)
 		}
 	}
 }

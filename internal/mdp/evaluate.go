@@ -33,6 +33,11 @@ import (
 // remainder that no ordered state leads back into; it is solved first,
 // by Gauss–Seidel sweeps in DFS postorder until the bias moves by less
 // than the caller's tolerance.
+//
+// This is the package's only fixed-policy evaluator. With c set to
+// another per-slot reward, the gain is that reward's long-run rate:
+// Rates runs the pass once on Num and once on Den, and StateVisitRate
+// on a 0/1 indicator of the kept states.
 
 // evalResult reports one regenerative evaluation.
 type evalResult struct {
@@ -51,13 +56,12 @@ type evalResult struct {
 // sweeps. The remainder stops once a sweep moves the bias estimate
 // R - gEst*T by less than tol everywhere; with gEst NaN (no estimate)
 // it stops once R and T each move by less than tol. maxSweeps bounds
-// the remainder sweeps. A chain with two closed classes
-// or a remainder that does not settle is an error, and h is then left
-// untouched.
+// the remainder sweeps. h may be nil when only the gain is wanted. A
+// chain with two closed classes or a remainder that does not settle is
+// an error, and h is then left untouched.
 func (m *Model) evaluate(c *policyChain, pol Policy, shift, R, T, h []float64, gEst, tol float64, maxSweeps int) (evalResult, error) {
 	var out evalResult
-	c.transpose(m, pol)
-	r, err := c.regenerationState()
+	r, err := c.regenerationState(m, pol)
 	if err != nil {
 		return out, err
 	}
@@ -154,17 +158,19 @@ func (c *policyChain) postorder(m *Model, pol Policy, r int, rest []int32) {
 			continue
 		}
 		seen[root] = 1
-		call = append(call, chainFrame{root, m.csaOff[m.stateOff[root]+int32(pol[root])]})
+		lo, _ := m.policySlot(pol, int(root))
+		call = append(call, chainFrame{root, lo})
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.v
-			if end := m.csaOff[m.stateOff[v]+int32(pol[v])+1]; f.next < end {
+			if _, hi := m.policySlot(pol, int(v)); f.next < hi {
 				w := m.ctto[f.next]
 				p := m.ctprob[f.next]
 				f.next++
 				if p > 0 && seen[w] == 0 {
 					seen[w] = 1
-					call = append(call, chainFrame{w, m.csaOff[m.stateOff[w]+int32(pol[w])]})
+					lo, _ := m.policySlot(pol, int(w))
+					call = append(call, chainFrame{w, lo})
 				}
 				continue
 			}
@@ -173,4 +179,50 @@ func (c *policyChain) postorder(m *Model, pol Policy, r int, rest []int32) {
 		}
 	}
 	copy(rest, out)
+}
+
+// Rates reports the long-run per-step rates of the Num and Den reward
+// streams under a fixed policy: one regenerative evaluation per stream,
+// each its cycle reward over the cycle length. The policy's chain must
+// be unichain. A cyclic remainder of the taboo chain is swept until its
+// first-passage values move by less than opts.Epsilon, at most
+// opts.MaxIterations sweeps.
+func (m *Model) Rates(pol Policy, opts Options) (num, den float64, err error) {
+	if num, err = m.rate(pol, m.eNum, opts); err != nil {
+		return 0, 0, err
+	}
+	if den, err = m.rate(pol, m.eDen, opts); err != nil {
+		return 0, 0, err
+	}
+	return num, den, nil
+}
+
+// StateVisitRate reports the long-run fraction of steps spent in states for
+// which keep returns true, under a fixed policy: the rate, as in Rates,
+// of a reward that is 1 in the kept states and 0 elsewhere. It is used
+// for diagnostics such as the fraction of time the blockchain is forked.
+func (m *Model) StateVisitRate(pol Policy, keep func(s int) bool, opts Options) (float64, error) {
+	kept := make([]float64, len(m.eNum))
+	for s := 0; s < m.numStates; s++ {
+		if keep(s) {
+			for k := m.stateOff[s]; k < m.stateOff[s+1]; k++ {
+				kept[k] = 1
+			}
+		}
+	}
+	return m.rate(pol, kept, opts)
+}
+
+// rate returns the long-run per-step rate of the per-slot reward c
+// under pol: the gain of one regenerative evaluation on fresh scratch.
+// It emits no trace events and touches no solver counters.
+func (m *Model) rate(pol Policy, c []float64, opts Options) (float64, error) {
+	n := m.numStates
+	if len(pol) != n {
+		return 0, fmt.Errorf("mdp: policy has %d entries, want %d", len(pol), n)
+	}
+	opts = opts.withDefaults()
+	ev, err := m.evaluate(newPolicyChain(n), pol, c, make([]float64, n), make([]float64, n), nil,
+		math.NaN(), opts.Epsilon, opts.MaxIterations)
+	return ev.gain, err
 }

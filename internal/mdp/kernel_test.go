@@ -301,8 +301,8 @@ func BenchmarkBellmanChunk(b *testing.B) {
 }
 
 // BenchmarkEvaluate times one exact evaluation pass of a fixed policy
-// on a workspace's buffers: transposed chain, closed-class search, taboo
-// order and the first-passage pass. Every edge of the model leads to a
+// on a workspace's buffers: closed-class search, taboo order and the
+// first-passage pass. Every edge of the model leads to a
 // higher-index state or back to state 0, so, as in the BU chains, the
 // taboo chain is acyclic and one pass is exact; the model has the size
 // and action count of benchModel, so the result compares directly with

@@ -293,9 +293,9 @@ func TestValueIterationGeometric(t *testing.T) {
 		},
 	}
 	m := mustCompile(t, b)
-	v, _, err := m.ValueIteration(0.9, Options{Epsilon: 1e-9})
+	v, _, err := m.viOracle(0.9, Options{Epsilon: 1e-9})
 	if err != nil {
-		t.Fatalf("ValueIteration: %v", err)
+		t.Fatalf("value iteration oracle: %v", err)
 	}
 	if math.Abs(v[0]-10) > 1e-6 {
 		t.Errorf("discounted value = %g, want 10", v[0])
@@ -305,8 +305,8 @@ func TestValueIterationGeometric(t *testing.T) {
 func TestValueIterationRejectsBadDiscount(t *testing.T) {
 	m := mustCompile(t, twoArmBuilder(1, 2))
 	for _, d := range []float64{0, 1, -0.5, 1.5} {
-		if _, _, err := m.ValueIteration(d, Options{}); err == nil {
-			t.Errorf("ValueIteration accepted discount %g", d)
+		if _, _, err := m.viOracle(d, Options{}); err == nil {
+			t.Errorf("value iteration oracle accepted discount %g", d)
 		}
 	}
 }
@@ -373,6 +373,8 @@ func TestSolveRatioExpandsBracket(t *testing.T) {
 	}
 }
 
+// TestStationaryDistributionTwoState reads a two-state chain's
+// stationary distribution off its visit rates.
 func TestStationaryDistributionTwoState(t *testing.T) {
 	// 0 -> 1 w.p. 0.5 (else stay), 1 -> 0 w.p. 0.25 (else stay).
 	// Stationary: pi0 = 1/3, pi1 = 2/3.
@@ -385,12 +387,14 @@ func TestStationaryDistributionTwoState(t *testing.T) {
 		},
 	}
 	m := mustCompile(t, b)
-	pi, err := m.StationaryDistribution(Policy{0, 0}, Options{})
-	if err != nil {
-		t.Fatalf("StationaryDistribution: %v", err)
-	}
-	if math.Abs(pi[0]-1.0/3) > 1e-6 || math.Abs(pi[1]-2.0/3) > 1e-6 {
-		t.Errorf("pi = %v, want [1/3 2/3]", pi)
+	for s, want := range []float64{1.0 / 3, 2.0 / 3} {
+		pi, err := m.StateVisitRate(Policy{0, 0}, func(t int) bool { return t == s }, Options{})
+		if err != nil {
+			t.Fatalf("StateVisitRate: %v", err)
+		}
+		if math.Abs(pi-want) > 1e-15 {
+			t.Errorf("pi[%d] = %v, want %v", s, pi, want)
+		}
 	}
 }
 

@@ -367,17 +367,11 @@ func (m *Model) buildCompactedLayout() {
 	m.dupTrans = len(m.trans) - len(ctto)
 }
 
-// shiftedRewards returns the per-slot expected reward of the auxiliary
-// objective Num - rho*Den, the only reward view the sweep kernels need.
-func (m *Model) shiftedRewards(rho float64) []float64 {
-	shift := make([]float64, len(m.eNum))
-	m.shiftedRewardsInto(shift, rho)
-	return shift
-}
-
-// shiftedRewardsInto writes the shifted rewards into dst (length
-// NumStateActions), letting a Workspace reuse one scratch vector across
-// the probes of a bisection instead of allocating per probe.
+// shiftedRewardsInto writes the per-slot expected reward of the
+// auxiliary objective Num - rho*Den, the only reward view the sweep
+// kernels need, into dst (length NumStateActions), letting a Workspace
+// reuse one scratch vector across the probes of a bisection instead of
+// allocating per probe.
 func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 	if rho == 0 {
 		copy(dst, m.eNum)

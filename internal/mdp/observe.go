@@ -25,7 +25,7 @@ var (
 // not synchronized against in-flight solves. A nil registry leaves the
 // package uninstrumented.
 func Observe(reg *obs.Registry) {
-	solvesTotal = reg.Counter("mdp_solves_total", "Solves started (policy iteration, policy evaluation, discounted VI).")
+	solvesTotal = reg.Counter("mdp_solves_total", "Solves started (policy iteration, policy evaluation).")
 	sweepsTotal = reg.Counter("mdp_sweeps_total", "Passes performed across all solves: optimizing sweeps and evaluation passes alike.")
 	evalSweepsTotal = reg.Counter("mdp_eval_sweeps_total", "Exact policy-evaluation passes, plus Gauss-Seidel sweeps over cyclic remainders.")
 	probesTotal = reg.Counter("mdp_probes_total", "Inner average-reward probes performed by ratio bisections.")

@@ -14,15 +14,15 @@ import (
 // output. The residual reductions the solvers need (the span seminorm's
 // min/max and the sup-norm's max) are order-independent in floating
 // point, so the parallel solvers are bit-identical to the serial ones:
-// same values, same policies, same iteration counts. The stationary
-// distribution (stationary.go) is a serial regenerative solve and takes
-// no part in the worker pool.
+// same values, same policies, same iteration counts.
 //
 // Policy iteration keeps the contract: each round's optimizing sweep is
 // the pooled Jacobi update above, and the exact evaluation between
 // sweeps (evaluate.go) is a serial pass in an order fixed by the policy
 // alone, so every worker count evaluates the same policies to the same
-// bits and runs the same number of rounds.
+// bits and runs the same number of rounds. The fixed-policy rates
+// (Rates, StateVisitRate) are that same serial pass and take no part in
+// the worker pool.
 
 // minAutoStatesPerWorker is the smallest per-worker chunk the automatic
 // parallelism mode (Parallelism == 0) will create: below it the

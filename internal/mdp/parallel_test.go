@@ -145,25 +145,6 @@ func TestParallelBitIdenticalEvaluatePolicy(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalValueIteration: the discounted solver's value
-// function and policy are bit-identical across worker counts.
-func TestParallelBitIdenticalValueIteration(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := mustCompile(t, randomBuilder(rng, 600, 3))
-	vSerial, polSerial, err := m.ValueIteration(0.95, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range parallelisms(t) {
-		v, pol, err := m.ValueIteration(0.95, Options{Parallelism: par})
-		if err != nil {
-			t.Fatalf("Parallelism %d: %v", par, err)
-		}
-		equalFloatsBitwise(t, "value", par, v, vSerial)
-		equalPolicies(t, "policy", par, pol, polSerial)
-	}
-}
-
 // TestParallelBitIdenticalSolveRatio: the whole bisection — probe
 // count, total sweep count, value, and policy — is reproduced exactly.
 func TestParallelBitIdenticalSolveRatio(t *testing.T) {
@@ -192,9 +173,10 @@ func TestParallelBitIdenticalSolveRatio(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalStationary: the stationary distribution is
-// the same bits for every Parallelism value, on a random model large
-// enough that the parallel solvers would split it across workers.
+// TestParallelBitIdenticalStationary: the long-run rates of a fixed
+// policy are the same bits for every Parallelism value, on a random
+// model large enough that the parallel solvers would split it across
+// workers.
 func TestParallelBitIdenticalStationary(t *testing.T) {
 	n := 9192
 	if testing.Short() {
@@ -206,16 +188,21 @@ func TestParallelBitIdenticalStationary(t *testing.T) {
 	for s := 0; s < n; s++ {
 		pol[s] = rng.Intn(len(m.Actions(s)))
 	}
-	serial, err := m.StationaryDistribution(pol, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range parallelisms(t) {
-		got, err := m.StationaryDistribution(pol, Options{Parallelism: par})
+	odd := func(s int) bool { return s%2 == 1 }
+	rates := func(par int) []float64 {
+		num, den, err := m.Rates(pol, Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("Parallelism %d: %v", par, err)
 		}
-		equalFloatsBitwise(t, "stationary distribution", par, got, serial)
+		visit, err := m.StateVisitRate(pol, odd, Options{Parallelism: par})
+		if err != nil {
+			t.Fatalf("Parallelism %d: %v", par, err)
+		}
+		return []float64{num, den, visit}
+	}
+	serial := rates(1)
+	for _, par := range parallelisms(t) {
+		equalFloatsBitwise(t, "rates", par, rates(par), serial)
 	}
 }
 

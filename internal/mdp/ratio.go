@@ -337,9 +337,8 @@ func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 }
 
 // PolicyRatio computes the long-run ratio Num/Den attained by a fixed
-// policy, via the long-run rates of the two reward streams under the
-// policy's stationary distribution. The policy's chain must be unichain
-// with positive long-run Den rate.
+// policy, the quotient of the two reward streams' rates (Rates). The
+// policy's chain must be unichain with positive long-run Den rate.
 func (m *Model) PolicyRatio(pol Policy, opts Options) (float64, error) {
 	num, den, err := m.Rates(pol, opts)
 	if err != nil {

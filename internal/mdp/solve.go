@@ -1,8 +1,6 @@
 package mdp
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -15,9 +13,9 @@ type Options struct {
 	// Epsilon is the span-seminorm stopping tolerance of the optimizing
 	// sweeps. Default 1e-9.
 	Epsilon float64
-	// MaxIterations bounds the number of policy-iteration rounds, the
-	// Gauss–Seidel sweeps of each evaluation's cyclic remainder, and the
-	// sweeps of discounted value iteration. Default 1_000_000.
+	// MaxIterations bounds the number of policy-iteration rounds and the
+	// Gauss–Seidel sweeps of each evaluation's cyclic remainder. Default
+	// 1_000_000.
 	MaxIterations int
 	// Aperiodicity is the self-loop weight tau of the aperiodicity
 	// transformation P' = tau*I + (1-tau)*P applied inside the sweeps.
@@ -97,8 +95,7 @@ type Stats struct {
 	EvalSweeps int `json:",omitempty"`
 	// Residual is the final convergence measure: the span seminorm of
 	// the last optimizing sweep for the average-reward solver, the
-	// largest remainder change for policy evaluation, the sup-norm
-	// update for discounted value iteration.
+	// largest remainder change for policy evaluation.
 	Residual float64
 	// Duration is the wall-clock time of the solve.
 	Duration time.Duration
@@ -217,83 +214,4 @@ func (m *Model) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	ws := m.NewWorkspace(opts.Parallelism)
 	defer ws.Close()
 	return ws.EvaluatePolicy(pol, opts)
-}
-
-// ValueIteration solves the discounted problem max E[sum gamma^t (Num - Rho*Den)]
-// and is provided for testing and for finite-horizon-style analyses.
-// discount must be in (0, 1).
-func (m *Model) ValueIteration(discount float64, opts Options) ([]float64, Policy, error) {
-	if discount <= 0 || discount >= 1 {
-		return nil, nil, fmt.Errorf("mdp: discount %g out of range (0,1)", discount)
-	}
-	opts = opts.withDefaults()
-	n := m.numStates
-	v := make([]float64, n)
-	next := make([]float64, n)
-	pol := make(Policy, n)
-	shift := m.shiftedRewards(opts.Rho)
-	// Standard Bellman contraction: stop when the sup-norm update is below
-	// Epsilon*(1-discount)/(2*discount), guaranteeing an Epsilon-optimal value.
-	stop := opts.Epsilon * (1 - discount) / (2 * discount)
-
-	pool := newSweepPool(n, effectiveWorkers(opts.Parallelism, n, minAutoStatesPerWorker))
-	defer pool.close()
-	worsts := make([]wspan, pool.workers())
-
-	solvesTotal.Inc()
-	tr := opts.Tracer
-
-	for it := 0; it < opts.MaxIterations; it++ {
-		pool.run(func(w, lo, hi int) {
-			worsts[w].hi = m.discountedChunk(v, next, pol, shift, discount, lo, hi)
-		})
-		worst := 0.0
-		for i := range worsts {
-			if worsts[i].hi > worst {
-				worst = worsts[i].hi
-			}
-		}
-		v, next = next, v
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: "solver.iter", Solver: "vi", Iter: it + 1, Residual: worst})
-		}
-		if worst < stop {
-			sweepsTotal.Add(int64(it + 1))
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "solver.done", Solver: "vi", Iter: it + 1, Residual: worst})
-			}
-			return v, pol, nil
-		}
-	}
-	sweepsTotal.Add(int64(opts.MaxIterations))
-	return v, pol, errors.New("mdp: value iteration did not converge")
-}
-
-// discountedChunk performs one discounted Bellman backup for states
-// [lo, hi) and returns the chunk's sup-norm update.
-func (m *Model) discountedChunk(v, next []float64, pol Policy, shift []float64, discount float64, lo, hi int) (worst float64) {
-	stateOff, csaOff := m.stateOff, m.csaOff
-	ctprob, ctto := m.ctprob, m.ctto
-	for s := lo; s < hi; s++ {
-		best := math.Inf(-1)
-		bestSlot := 0
-		k0, k1 := stateOff[s], stateOff[s+1]
-		for k := k0; k < k1; k++ {
-			dot := 0.0
-			for j := csaOff[k]; j < csaOff[k+1]; j++ {
-				dot += ctprob[j] * v[ctto[j]]
-			}
-			q := shift[k] + discount*dot
-			if q > best {
-				best = q
-				bestSlot = int(k - k0)
-			}
-		}
-		next[s] = best
-		pol[s] = bestSlot
-		if d := math.Abs(best - v[s]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -10,7 +10,7 @@ import (
 // TestStationaryRejectsTwoClosedClasses: a policy whose chain has two
 // closed classes has no unique stationary distribution. The power
 // iteration would converge to a mixture weighted by the start vector;
-// the regenerative solve must refuse.
+// the regenerative evaluation must refuse.
 func TestStationaryRejectsTwoClosedClasses(t *testing.T) {
 	// States 0 and 1 are absorbing; state 2 falls into either.
 	b := tableBuilder{
@@ -23,9 +23,9 @@ func TestStationaryRejectsTwoClosedClasses(t *testing.T) {
 		},
 	}
 	m := mustCompile(t, b)
-	pi, err := m.StationaryDistribution(Policy{0, 0, 0}, Options{})
+	num, den, err := m.Rates(Policy{0, 0, 0}, Options{})
 	if err == nil {
-		t.Fatalf("StationaryDistribution = %v, want a not-unichain error", pi)
+		t.Fatalf("Rates = (%v, %v), want a not-unichain error", num, den)
 	}
 	if !strings.Contains(err.Error(), "not unichain") {
 		t.Errorf("error %q does not name the cause", err)
@@ -36,8 +36,8 @@ func TestStationaryRejectsTwoClosedClasses(t *testing.T) {
 }
 
 // TestStationaryTransientStatesAndRegeneration: the closed class need
-// not contain state 0. Transient states get zero mass, and the solve
-// regenerates at the lowest-index state of the closed class.
+// not contain state 0. Transient states get zero visit rate, and the
+// evaluation regenerates at the lowest-index state of the closed class.
 func TestStationaryTransientStatesAndRegeneration(t *testing.T) {
 	// 0 -> 1 (transient entry); 1 -> 2 w.p. 0.25, else stay; 2 -> 1.
 	// Closed class {1, 2}: pi1 = 0.8, pi2 = 0.2.
@@ -52,26 +52,25 @@ func TestStationaryTransientStatesAndRegeneration(t *testing.T) {
 	}
 	m := mustCompile(t, b)
 	pol := Policy{0, 0, 0}
-	if r, err := m.chainOf(pol).regenerationState(); err != nil || r != 1 {
+	if r, err := newPolicyChain(3).regenerationState(m, pol); err != nil || r != 1 {
 		t.Fatalf("regenerationState = %d, %v; want 1", r, err)
 	}
-	pi, err := m.StationaryDistribution(pol, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0.8, 0.2}
-	for s := range want {
-		if math.Abs(pi[s]-want[s]) > 1e-15 {
-			t.Errorf("pi = %v, want %v", pi, want)
-			break
+	for s, want := range []float64{0, 0.8, 0.2} {
+		pi, err := m.StateVisitRate(pol, func(t int) bool { return t == s }, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(pi-want) > 1e-15 {
+			t.Errorf("visit rate of state %d = %v, want %v", s, pi, want)
 		}
 	}
 }
 
 // TestStationaryMatchesPowerIterationOnRandomModels differentially
-// tests the regenerative solve against the power-iteration oracle on
-// random ergodic models. Their taboo chains are cyclic, so these cases
-// run the iterated Gauss–Seidel sweeps rather than the one-pass path.
+// tests the regenerative evaluation against the power-iteration oracle
+// on random ergodic models, and pins its bias to the policy's Poisson
+// equation. Their taboo chains are cyclic, so these cases run the
+// iterated Gauss–Seidel sweeps rather than the one-pass path.
 func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if testing.Short() {
@@ -86,8 +85,8 @@ func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions(s)))
 		}
-		c := m.chainOf(pol)
-		r, err := c.regenerationState()
+		c := newPolicyChain(n)
+		r, err := c.regenerationState(m, pol)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -95,16 +94,16 @@ func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 			t.Fatalf("seed %d: taboo chain is acyclic; the case does not exercise the iterated sweeps", seed)
 		}
 
-		pi, err := m.StationaryDistribution(pol, opts)
+		ev, err := m.EvaluatePolicy(pol, opts)
 		if err != nil {
-			t.Fatalf("seed %d: StationaryDistribution: %v", seed, err)
+			t.Fatalf("seed %d: EvaluatePolicy: %v", seed, err)
+		}
+		if res := m.poissonResidual(ev); res > 1e-10 {
+			t.Errorf("seed %d: Poisson residual %.2e", seed, res)
 		}
 		oracle, err := m.powerStationary(pol, opts)
 		if err != nil {
 			t.Fatalf("seed %d: power iteration: %v", seed, err)
-		}
-		if res := m.stationaryResidual(pol, pi); res > 1e-10 {
-			t.Errorf("seed %d: residual ||pi P - pi||_1 = %.2e", seed, res)
 		}
 		odd := func(s int) bool { return s%2 == 1 }
 		got, err := m.StateVisitRate(pol, odd, opts)
@@ -127,5 +126,52 @@ func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 		if d := math.Abs(ratio - m.rateRatio(pol, oracle)); d > 1e-6 {
 			t.Errorf("seed %d: PolicyRatio %.12f, oracle %.12f (diff %.2e)", seed, ratio, m.rateRatio(pol, oracle), d)
 		}
+	}
+}
+
+// TestZeroProbabilityEdges: a Prob 0 transition is kept in the
+// compacted layout but is not an edge of the policy's chain. The SCC
+// search, the closed-class test and the taboo order must each skip it.
+func TestZeroProbabilityEdges(t *testing.T) {
+	// 0 -> 1; 1 stays (and reaches 2 with probability 0); 2 -> 0. The
+	// only closed class is {1}: state 1's rewards are the long-run rates,
+	// and the taboo chain is acyclic, so one pass is exact.
+	m := mustCompile(t, tableBuilder{
+		n:    3,
+		acts: map[int][]int{0: {0}, 1: {0}, 2: {0}},
+		trans: map[[2]int][]Transition{
+			{0, 0}: {{To: 1, Prob: 1, Num: 5, Den: 1}},
+			{1, 0}: {{To: 1, Prob: 1, Num: 2, Den: 3}, {To: 2, Prob: 0, Num: 7, Den: 7}},
+			{2, 0}: {{To: 0, Prob: 1, Num: 9, Den: 1}},
+		},
+	})
+	pol := Policy{0, 0, 0}
+	num, den, err := m.Rates(pol, Options{})
+	if err != nil {
+		t.Fatalf("Rates: %v", err)
+	}
+	if num != 2 || den != 3 {
+		t.Errorf("Rates = (%v, %v), want state 1's (2, 3)", num, den)
+	}
+	ev, err := m.EvaluatePolicy(pol, Options{})
+	if err != nil {
+		t.Fatalf("EvaluatePolicy: %v", err)
+	}
+	if ev.Stats.EvalSweeps != 1 {
+		t.Errorf("EvaluatePolicy took %d passes, want 1 (acyclic taboo chain)", ev.Stats.EvalSweeps)
+	}
+
+	// 0 stays (and reaches 1 with probability 0); 1 stays. Two closed
+	// classes, {0} and {1}.
+	m = mustCompile(t, tableBuilder{
+		n:    2,
+		acts: map[int][]int{0: {0}, 1: {0}},
+		trans: map[[2]int][]Transition{
+			{0, 0}: {{To: 0, Prob: 1, Den: 1}, {To: 1, Prob: 0}},
+			{1, 0}: {{To: 1, Prob: 1, Den: 1}},
+		},
+	})
+	if _, _, err := m.Rates(Policy{0, 0}, Options{}); err == nil || !strings.Contains(err.Error(), "not unichain") {
+		t.Errorf("Rates on two closed classes: err = %v, want not unichain", err)
 	}
 }

@@ -89,7 +89,7 @@ func (m *Model) NewWorkspace(parallelism int) *Workspace {
 		pol:     make(Policy, n),
 		bestPol: make(Policy, n),
 		shift:   make([]float64, len(m.eNum)),
-		chain:   newPolicyChain(m),
+		chain:   newPolicyChain(n),
 		passR:   make([]float64, n),
 		passT:   make([]float64, n),
 	}
@@ -125,11 +125,6 @@ func (ws *Workspace) Bind(m *Model) error {
 	}
 	if len(m.eNum) != len(ws.shift) {
 		return fmt.Errorf("mdp: cannot bind workspace for %d state-actions to model with %d", len(ws.shift), len(m.eNum))
-	}
-	if &m.csaOff[0] != &ws.m.csaOff[0] {
-		// Equal counts but not a Reparameterize product of the bound
-		// model: the policy chain's edge capacity may not fit.
-		ws.chain = newPolicyChain(m)
 	}
 	ws.m = m
 	return nil

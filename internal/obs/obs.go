@@ -62,16 +62,16 @@ type Event struct {
 
 	// Solver identifies the scheme: "rvi" for the optimizing sweeps of
 	// the average-reward solver (one per policy-iteration round; the
-	// sweep and its span test are relative value iteration's),
+	// sweep and its span test are relative value iteration's) or
 	// "policy-eval" for exact policy evaluations ("solver.eval", one per
-	// round but the last), or "vi" (discounted value iteration).
+	// round but the last).
 	Solver string `json:"solver,omitempty"`
 	// Iter is the 1-based sweep (for the average-reward solver, round)
 	// number within the solve.
 	Iter int `json:"iter,omitempty"`
 	// Residual is the convergence measure after the sweep: the span
-	// seminorm of the update for the average-reward solvers, the
-	// sup-norm update for discounted value iteration.
+	// seminorm of the update for the optimizing sweeps, the largest
+	// cyclic-remainder change for policy evaluations.
 	Residual float64 `json:"residual,omitempty"`
 	// SpanLo and SpanHi are the min and max of the update vector whose
 	// difference is the span residual (average-reward solvers only).
