@@ -321,7 +321,7 @@ func BenchmarkAblationDSConvention(b *testing.B) {
 }
 
 // BenchmarkSolverRelativeValueIteration isolates the inner solver on the
-// setting-2 state space (one average-reward solve, no bisection).
+// setting-2 state space (one average-reward solve, no ratio search).
 func BenchmarkSolverRelativeValueIteration(b *testing.B) {
 	a, err := bumdp.New(bumdp.Params{
 		Alpha: 0.10, Beta: 0.45, Gamma: 0.45,

@@ -12,9 +12,9 @@
 // the paper's whole (alpha, ratio) grid for the chosen model instead of
 // a single instance, with -workers rows in flight at once; without
 // -cache-dir each row is warm-chained on a shared solver session (one
-// compiled model rebound per cell, each bisection seeded from its left
-// neighbor), which is roughly twice as fast as independent cold cells
-// and agrees with them within the ratio tolerance.
+// compiled model rebound per cell, each cell's solve warm-started from
+// its left neighbor's bias), which returns the same values and
+// witnesses as independent cold cells.
 //
 // -cache-dir answers repeat solves from the experiment store instead of
 // recomputing: every solved artifact is written there once and any
@@ -24,7 +24,7 @@
 //
 // -trace writes the solver's convergence events (one JSON object per
 // line: per-iteration Bellman residual and span bounds, policy-change
-// counts, and the ratio search's probes and brackets) to a file;
+// counts, and the ratio search's probes) to a file;
 // results are bit-identical with and without it. -metrics-dump prints
 // the run's metrics registry (solve/sweep counters, scheduler
 // utilization, store hits and misses) as JSON to stderr on exit.

@@ -182,9 +182,8 @@ func TestSweepTableMatchesDirect(t *testing.T) {
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
 		Workers: 2, InnerParallelism: 1,
-		// The store solves cells independently cold; compare against the
-		// matching NoChain sweep, which is bit-identical to it (the
-		// default warm-chained path agrees only within RatioTol).
+		// The store solves cells independently cold, like this NoChain
+		// sweep.
 		NoChain: true,
 	}
 	want := core.FormatTable(core.Sweep(bumdp.Compliant, cfg), true)

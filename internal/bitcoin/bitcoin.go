@@ -306,12 +306,10 @@ type Result struct {
 	Probes int
 }
 
-// Solve computes the optimal utility (bisection 1e-5, inner 1e-9).
-func (a *Analysis) Solve() (Result, error) { return a.SolveTol(1e-5, 1e-9) }
-
-// SolveTol solves with explicit tolerances, like bumdp.Analysis.SolveTol.
-func (a *Analysis) SolveTol(ratioTol, epsilon float64) (Result, error) {
-	inner := mdp.Options{Epsilon: epsilon}
+// Solve computes the optimal utility (inner solves to 1e-9; ratio
+// objectives to their exact optimum).
+func (a *Analysis) Solve() (Result, error) {
+	inner := mdp.Options{Epsilon: 1e-9}
 	if a.Params.Objective == AbsoluteReward {
 		r, err := a.Model.AverageReward(inner)
 		if err != nil {
@@ -321,9 +319,9 @@ func (a *Analysis) SolveTol(ratioTol, epsilon float64) (Result, error) {
 	}
 	lo := 0.0
 	if a.Params.Objective == RelativeRevenue {
-		lo = a.Params.Alpha * 0.999
+		lo = a.Params.Alpha
 	}
-	r, err := a.Model.SolveRatio(mdp.RatioOptions{Lo: lo, Hi: 1, Tolerance: ratioTol, Inner: inner})
+	r, err := a.Model.SolveRatio(mdp.RatioOptions{Lo: lo, Inner: inner})
 	if err != nil {
 		return Result{}, err
 	}

@@ -91,11 +91,11 @@ func (p *Params) rewards(d *Delta) (num, den float64) {
 // residual, wall-clock time and the solver worker count.
 type SolveStats struct {
 	// Probes is the number of inner average-reward solves (1 for the
-	// non-compliant model, the bisection count otherwise).
+	// non-compliant model, the ratio search's probe count otherwise).
 	Probes int
 	// WarmProbes is how many probes started from a warm bias. Direct
-	// (non-session) solves warm-chain only within their own bisection;
-	// session solves additionally chain across cells.
+	// (non-session) solves warm-chain only within their own ratio
+	// search; session solves additionally chain across cells.
 	WarmProbes int `json:",omitempty"`
 	// Iterations is the total number of passes across probes
 	// (optimizing sweeps plus policy-evaluation passes).
@@ -124,7 +124,7 @@ type Result struct {
 	// under the optimal policy.
 	ForkRate float64
 	// Probes is the number of inner average-reward solves (1 for the
-	// non-compliant model, the bisection count otherwise).
+	// non-compliant model, the ratio search's probe count otherwise).
 	Probes int
 	// Stats carries per-solve instrumentation.
 	Stats SolveStats
@@ -133,8 +133,9 @@ type Result struct {
 // SolveOptions configure SolveWith. The zero value reproduces Solve:
 // the paper's tolerances and automatic parallelism.
 type SolveOptions struct {
-	// RatioTol is the bisection stopping width on ratio objectives
-	// (default 1e-5).
+	// RatioTol (default 1e-5) is kept in store keys and records only:
+	// no solver code reads it, and it does not change results. Ratio
+	// objectives are solved to their exact optimum.
 	RatioTol float64
 	// Epsilon is the span criterion of the inner solves' optimizing
 	// sweeps (default 1e-9).
@@ -144,7 +145,7 @@ type SolveOptions struct {
 	// serial path. Every setting returns bit-identical results.
 	Parallelism int
 	// Tracer, if non-nil, receives the solve's convergence events:
-	// "ratio.probe"/"ratio.bracket"/"ratio.done" from the bisection and
+	// "ratio.probe"/"ratio.done" from the ratio search and
 	// "solver.iter"/"solver.done" from every inner sweep. Tracing never
 	// changes results.
 	Tracer obs.Tracer
@@ -171,17 +172,10 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// Solve computes the optimal utility with the paper's tolerances
-// (bisection to 1e-5; inner solves to 1e-9).
+// Solve computes the optimal utility with the default options (inner
+// solves to 1e-9).
 func (a *Analysis) Solve() (Result, error) {
 	return a.SolveWith(SolveOptions{})
-}
-
-// SolveTol computes the optimal utility with explicit tolerances:
-// ratioTol for the bisection on ratio objectives, epsilon for the inner
-// solves' span criterion.
-func (a *Analysis) SolveTol(ratioTol, epsilon float64) (Result, error) {
-	return a.SolveWith(SolveOptions{RatioTol: ratioTol, Epsilon: epsilon})
 }
 
 // SolveWith computes the optimal utility under explicit solver options.
@@ -189,13 +183,13 @@ func (a *Analysis) SolveWith(opts SolveOptions) (Result, error) {
 	opts = opts.withDefaults()
 	ws := a.Model.NewWorkspace(opts.Parallelism)
 	defer ws.Close()
-	return a.solve(ws, opts, nil)
+	return a.solve(ws, opts)
 }
 
 // solve runs one solve on ws: the average-reward objective for the
-// non-compliant model, the ratio bisection otherwise (seeded from
-// *warmValue when non-nil), then the fork rate of the optimal policy.
-func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions, warmValue *float64) (Result, error) {
+// non-compliant model, the ratio search otherwise, then the fork rate
+// of the optimal policy.
+func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions) (Result, error) {
 	start := time.Now()
 	inner := mdp.Options{Epsilon: opts.Epsilon, Tracer: opts.Tracer}
 	var res Result
@@ -219,19 +213,12 @@ func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions, warmValue *float6
 		// The workspace's policy buffer is borrowed; Result keeps a copy.
 		res.Policy = append(mdp.Policy(nil), r.Policy...)
 	default:
-		lo, hi := 0.0, 1.0
+		lo := 0.0
 		if a.Params.Model == Compliant {
 			// Honest mining guarantees relative revenue alpha.
-			lo = a.Params.Alpha * 0.999
+			lo = a.Params.Alpha
 		}
-		ro := mdp.RatioOptions{
-			Lo: lo, Hi: hi, Tolerance: opts.RatioTol, Inner: inner, Tracer: opts.Tracer,
-		}
-		if warmValue != nil {
-			ro.WarmBracket = true
-			ro.WarmValue = *warmValue
-		}
-		r, err := ws.SolveRatio(ro)
+		r, err := ws.SolveRatio(mdp.RatioOptions{Lo: lo, Inner: inner, Tracer: opts.Tracer})
 		if err != nil {
 			return Result{}, err
 		}

@@ -117,13 +117,13 @@ func TestRebindShapeChangeFallsBack(t *testing.T) {
 }
 
 // TestSessionWarmChainMatchesColdSolves drives a session across a sweep
-// row and pins every cell against the independent cold solve within the
-// bisection tolerance.
+// row and pins every cell's utility to the independent cold solve's, bit
+// for bit: a warm start changes round counts, not answers.
 func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
 	splits := [][2]float64{
 		{0.48, 0.32}, {0.4, 0.4}, {0.32, 0.48}, {8. / 30, 16. / 30},
 	}
-	const tol = 1e-4
+	opts := SolveOptions{Epsilon: 1e-8, Parallelism: 1}
 	for _, model := range []IncentiveModel{Compliant, NonCompliant, NonProfit} {
 		var sess *Session
 		for i, sp := range splits {
@@ -133,7 +133,7 @@ func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess = NewSession(a, SolveOptions{RatioTol: tol, Epsilon: 1e-8, Parallelism: 1})
+				sess = NewSession(a, opts)
 			} else if err := sess.Rebind(p); err != nil {
 				t.Fatal(err)
 			}
@@ -145,12 +145,12 @@ func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := a.SolveWith(SolveOptions{RatioTol: tol, Epsilon: 1e-8, Parallelism: 1})
+			cold, err := a.SolveWith(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := math.Abs(warm.Utility - cold.Utility); d > 1.5*tol {
-				t.Errorf("model %v cell %d: chained %v cold %v (diff %g)", model, i, warm.Utility, cold.Utility, d)
+			if warm.Utility != cold.Utility {
+				t.Errorf("model %v cell %d: chained %v cold %v (diff %g)", model, i, warm.Utility, cold.Utility, warm.Utility-cold.Utility)
 			}
 			if d := math.Abs(warm.ForkRate - cold.ForkRate); d > 5e-3 {
 				t.Errorf("model %v cell %d: chained fork rate %v cold %v", model, i, warm.ForkRate, cold.ForkRate)

@@ -52,22 +52,18 @@ func (a *Analysis) Rebind(p Params) (*Analysis, error) {
 // Session solves a sequence of related instances — typically one sweep
 // row, cells varying only in mining-power shares — with cross-solve
 // reuse: one mdp.Workspace (buffers and worker pool allocated once,
-// each solve's first probe warm-started from the previous cell's bias)
-// and, for the ratio objectives, a bisection bracket seeded from the
-// previous cell's converged value. Rebinding to a same-shape parameter
-// set reparameterizes the model in place of a full recompile.
+// each solve's first probe warm-started from the previous cell's
+// bias). Rebinding to a same-shape parameter set reparameterizes the
+// model in place of a full recompile.
 //
-// Warm starts never change what a solve converges to beyond its
-// tolerances: every inner solve still runs to Epsilon and the seeded
-// bracket is verified by its own probes. A Session is not safe for
-// concurrent use; Close releases the workspace's worker goroutines.
+// Warm starts change round counts, not answers: every inner solve still
+// runs to Epsilon, and a ratio solve returns an optimal policy's exact
+// ratio. A Session is not safe for concurrent use; Close releases the
+// workspace's worker goroutines.
 type Session struct {
 	a    *Analysis
 	ws   *mdp.Workspace
 	opts SolveOptions
-
-	haveValue bool
-	lastValue float64
 }
 
 // NewSession creates a warm-chained solving session for a's model
@@ -85,15 +81,12 @@ func (s *Session) Analysis() *Analysis { return s.a }
 
 // Reset discards the warm chain: the next solve starts cold, exactly
 // like a fresh session.
-func (s *Session) Reset() {
-	s.haveValue = false
-	s.ws.ResetBias()
-}
+func (s *Session) Reset() { s.ws.ResetBias() }
 
 // Rebind re-targets the session at a new parameter set. Same-shape
-// parameters keep the workspace, its warm bias, and the value chain
-// (Analysis.Rebind fast path); a shape change rebuilds the workspace
-// and restarts the chain cold.
+// parameters keep the workspace and its warm bias (Analysis.Rebind
+// fast path); a shape change rebuilds the workspace and restarts the
+// chain cold.
 func (s *Session) Rebind(p Params) error {
 	na, err := s.a.Rebind(p)
 	if err != nil {
@@ -103,7 +96,6 @@ func (s *Session) Rebind(p Params) error {
 		// Different shape: the old workspace's buffers do not fit.
 		s.ws.Close()
 		s.ws = na.Model.NewWorkspace(s.opts.Parallelism)
-		s.haveValue = false
 	}
 	s.a = na
 	return nil
@@ -111,19 +103,5 @@ func (s *Session) Rebind(p Params) error {
 
 // Solve computes the optimal utility of the session's current
 // parameters, warm-started from the previous solve in the chain. The
-// result matches SolveWith within the configured tolerances.
-func (s *Session) Solve() (Result, error) {
-	var warm *float64
-	if s.haveValue {
-		warm = &s.lastValue
-	}
-	res, err := s.a.solve(s.ws, s.opts, warm)
-	if err != nil {
-		return Result{}, err
-	}
-	if s.a.Params.Model != NonCompliant {
-		s.lastValue = res.Utility
-		s.haveValue = true
-	}
-	return res, nil
-}
+// result matches SolveWith's.
+func (s *Session) Solve() (Result, error) { return s.a.solve(s.ws, s.opts) }

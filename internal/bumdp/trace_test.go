@@ -15,7 +15,11 @@ import (
 // every round but the last followed by one exact evaluation of its
 // greedy policy ("solver.eval"), the last round the first whose
 // residual is below the configured epsilon, and a "solver.done" that
-// agrees with it.
+// agrees with it. The probes must read as Dinkelbach's iteration: each
+// probe after the first shifted below the best exact ratio so far by
+// epsilon over (1 - tau) times that policy's Den rate, the exact ratios
+// strictly rising until the last probe, and a "ratio.done" whose rho is
+// the solved utility.
 func TestConvergenceTraceGolden(t *testing.T) {
 	beta, gamma := ratioParams(0.25, 1, 1)
 	p := Params{Alpha: 0.25, Beta: beta, Gamma: gamma, Setting: Setting1, Model: Compliant}
@@ -23,9 +27,9 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	// Fast tolerances keep the test quick; the trace invariants do not
-	// depend on them.
-	opts := SolveOptions{RatioTol: 1e-3, Epsilon: 1e-6}
+	// A loose epsilon keeps the test quick; the trace invariants do not
+	// depend on it.
+	opts := SolveOptions{Epsilon: 1e-6}
 
 	plain, err := a.SolveWith(opts)
 	if err != nil {
@@ -74,7 +78,10 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	}
 	var series [][]round
 	var cur []round
-	probes, dones, brackets, evals := 0, 0, 0, 0
+	probes, dones, evals := 0, 0, 0
+	var ratios []float64 // each probe's exact ratio
+	best, bestDen := math.Inf(-1), 0.0
+	const keep = 1 - 0.05 // 1 - mdp's default aperiodicity weight
 	for _, e := range events {
 		switch e.Kind {
 		case "solver.iter":
@@ -100,10 +107,20 @@ func TestConvergenceTraceGolden(t *testing.T) {
 			dones++
 		case "ratio.probe":
 			probes++
-		case "ratio.bracket":
-			brackets++
+			if len(ratios) > 0 {
+				// The step is epsilon/(keep*den), den the Den rate of the
+				// best policy, recovered from its probe's shifted gain
+				// (r - rho)*den to within epsilon.
+				if step := opts.Epsilon / (keep * bestDen); math.Abs((best-e.Rho)/step-1) > 1e-3 {
+					t.Errorf("probe %d shifted to rho = %v, want the best ratio %v less %v", e.Probe, e.Rho, best, step)
+				}
+			}
+			ratios = append(ratios, e.Value)
+			if e.Value > best {
+				best, bestDen = e.Value, e.Gain/(e.Value-e.Rho)
+			}
 		case "ratio.done":
-			if math.Abs(e.Rho-plain.Utility) > 1e-12 {
+			if e.Rho != plain.Utility {
 				t.Errorf("ratio.done rho = %v, want utility %v", e.Rho, plain.Utility)
 			}
 		}
@@ -114,8 +131,13 @@ func TestConvergenceTraceGolden(t *testing.T) {
 	if probes != plain.Probes || dones != plain.Probes {
 		t.Errorf("ratio.probe events = %d, solver.done events = %d, want %d (solve's probe count)", probes, dones, plain.Probes)
 	}
-	if brackets == 0 {
-		t.Error("no ratio.bracket events captured")
+	for i := 1; i < len(ratios)-1; i++ {
+		if ratios[i] <= ratios[i-1] {
+			t.Errorf("probe %d's exact ratio %v does not rise above probe %d's %v", i+1, ratios[i], i, ratios[i-1])
+		}
+	}
+	if n := len(ratios); n < 2 || ratios[n-1] > ratios[n-2] {
+		t.Errorf("probe ratios %v: the search must end on a probe that does not beat the best ratio", ratios)
 	}
 	rounds := 0
 	for si, s := range series {

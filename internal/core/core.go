@@ -87,9 +87,10 @@ type SweepConfig struct {
 	// precedence over AD and the result carries one full grid per
 	// entry, in order. This is how Table 4's AD axis is generated.
 	ADs []int
-	// RatioTol and Epsilon are the solver tolerances (defaults 1e-5,
-	// 1e-9; the full setting-2 sweeps are substantially faster at 1e-4,
-	// 1e-8 with no visible change at the paper's print precision).
+	// Epsilon is the inner solves' span criterion (default 1e-9).
+	// RatioTol (default 1e-5) is kept in store keys and records only:
+	// no solver code reads it, and it does not change results, since
+	// ratio objectives are solved to their exact optimum.
 	RatioTol, Epsilon float64
 	// Workers bounds how many cells are solved concurrently (default:
 	// GOMAXPROCS).
@@ -176,13 +177,13 @@ func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
 // On the direct path each row — the cells sharing (ad, setting, alpha),
 // which differ only in the Bob:Carol split — is solved as one warm
 // chain on a shared bumdp.Session: one compiled model reparameterized
-// per cell, one solver workspace, each cell's bisection seeded with its
-// left neighbor's bias and value. Rows are solved concurrently on
+// per cell, one solver workspace, each cell's first probe warm-started
+// from its left neighbor's bias. Rows are solved concurrently on
 // cfg.Workers goroutines, and because a chain never crosses a row
 // boundary the results are identical at every worker count. NoChain
-// restores fully independent cold cells; an installed SolveCell (the
-// experiment store) always solves cells independently, so cached
-// artifacts are unaffected by chaining.
+// restores fully independent cold cells, which return bit-identical
+// values and witnesses; an installed SolveCell (the experiment store)
+// always solves cells independently.
 func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 	cfg = cfg.withDefaults(model)
 	cells := cfg.grid(model)

@@ -1,9 +1,11 @@
 package expstore
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzCanonicalKey fuzzes the cache-key derivation with arbitrary kinds
@@ -59,6 +61,14 @@ func FuzzCanonicalKey(f *testing.F) {
 		k2, err2 := Key(kind, p)
 		if err2 != nil || k2 != k1 {
 			t.Fatalf("repeat derivation diverged: %q/%v vs %q", k1, err1, k2)
+		}
+
+		// The byte sorter encodes like decoding and re-marshaling, except
+		// that it keeps json.Marshal's \ufffd escape for invalid UTF-8.
+		if got, err := canonicalJSON(p); err != nil {
+			t.Fatal(err)
+		} else if want, _ := reparsedJSON(p); utf8.ValidString(model) && !bytes.Equal(got, want) {
+			t.Fatalf("canonical encoding %s, reference %s", got, want)
 		}
 
 		// Field-order independence: a permuted struct with identical

@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -46,7 +48,11 @@ import (
 // the forked states, instead of a sum over a separately solved
 // stationary distribution, which changes the stored fork-rate bits
 // (utilities, witnesses and counts are untouched).
-const Version = 5
+//
+// Version 6: ratio objectives are solved by Dinkelbach's iteration
+// instead of a bisection, so stored ratio values are their witnesses'
+// exact ratios, and probe counts, witnesses and fork rates change.
+const Version = 6
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.
@@ -69,32 +75,84 @@ func keyAt(kind string, version int, params any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("expstore: encoding %s params: %w", kind, err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|v%d|", kind, version)
-	h.Write(blob)
-	return kind + "-" + hex.EncodeToString(h.Sum(nil))[:40], nil
+	msg := strconv.AppendInt(append(append(make([]byte, 0, len(kind)+8+len(blob)), kind...), "|v"...), int64(version), 10)
+	sum := sha256.Sum256(append(append(msg, '|'), blob...))
+	return kind + "-" + hex.EncodeToString(sum[:20]), nil
 }
 
-// canonicalJSON encodes v deterministically: the value is marshaled,
-// reparsed into generic form, and re-marshaled, which sorts every
-// object's keys lexicographically (encoding/json sorts map keys). Two
-// structurally identical values — same field names and values,
-// regardless of Go field order — encode to the same bytes.
-//
-// Numbers are reparsed with UseNumber so the original literal survives
-// verbatim: decoding into float64 would fold integers beyond 2^53 onto
-// the same key (found by FuzzCanonicalKey). Literal text is preserved
-// either way, so keys for float64-representable params are unchanged.
+// canonicalJSON encodes v deterministically: json.Marshal's compact
+// output with every object's members sorted by key, so two values with
+// the same fields and values encode alike whatever their Go field
+// order. Scalars keep json.Marshal's text, so integers beyond 2^53 stay
+// distinct (found by FuzzCanonicalKey). For valid UTF-8 and keys that
+// need no escaping, as in every key type here, these are the bytes of
+// decoding into generic values and marshaling again, without that round
+// trip's allocations.
 func canonicalJSON(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var tree any
-	if err := dec.Decode(&tree); err != nil {
-		return nil, err
+	out, _ := appendSorted(make([]byte, 0, len(raw)), raw)
+	return out, nil
+}
+
+// appendSorted appends the compact JSON value at the start of raw with
+// its objects' members sorted by key, and returns the rest of raw.
+func appendSorted(dst, raw []byte) ([]byte, []byte) {
+	open := raw[0]
+	if open != '{' && open != '[' {
+		n := bytes.IndexAny(raw, ",]}")
+		if open == '"' {
+			n = stringLen(raw)
+		} else if n < 0 {
+			n = len(raw)
+		}
+		return append(dst, raw[:n]...), raw[n:]
 	}
-	return json.Marshal(tree)
+	type member struct{ key, val []byte } // key is `"name":`, nil in arrays
+	ms := make([]member, 0, 16)
+	vals := make([]byte, 0, len(raw)) // the members' values, back to back
+	// The closing bracket is open+2: '{'+2 is '}' and '['+2 is ']'.
+	for raw = raw[1:]; raw[0] != open+2; {
+		if raw[0] == ',' {
+			raw = raw[1:]
+		}
+		var key []byte
+		if open == '{' {
+			n := stringLen(raw) + 1
+			key, raw = raw[:n], raw[n:]
+		}
+		at := len(vals)
+		vals, raw = appendSorted(vals, raw)
+		ms = append(ms, member{key, vals[at:]})
+	}
+	if open == '{' {
+		// Comparing the text inside the quotes orders escape-free keys
+		// as their decoded strings.
+		slices.SortStableFunc(ms, func(a, b member) int {
+			return bytes.Compare(a.key[1:len(a.key)-2], b.key[1:len(b.key)-2])
+		})
+	}
+	dst = append(dst, open)
+	for i, m := range ms {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, m.key...), m.val...)
+	}
+	return append(dst, open+2), raw[1:]
+}
+
+// stringLen is the length of the JSON string at the start of raw,
+// quotes included.
+func stringLen(raw []byte) int {
+	for i := 1; ; i++ {
+		switch raw[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
 }

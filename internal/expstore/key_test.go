@@ -1,10 +1,88 @@
 package expstore
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
+	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
+	"buanalysis/internal/core"
+	"buanalysis/internal/games"
 )
+
+// reparsedJSON is the reference canonical encoding: marshal, decode
+// into generic values with numbers kept as json.Number, and marshal
+// again, which sorts every object's keys.
+func reparsedJSON(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return nil, err
+	}
+	return json.Marshal(tree)
+}
+
+// TestCanonicalJSONMatchesReparse holds canonicalJSON to the reference
+// encoding on every artifact kind's key parameters and on values with
+// nested objects, arrays, nulls, escaped strings and integers beyond
+// 2^53, so the byte sorter derives the keys the reference would. (The
+// one difference, json.Marshal's \ufffd escape for invalid UTF-8 that
+// the reference re-encodes unescaped, is left to FuzzCanonicalKey.)
+func TestCanonicalJSONMatchesReparse(t *testing.T) {
+	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375}
+	np, err := p.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.SweepConfig{Alphas: []float64{0.1, 0.25}, RatioTol: 1e-4, Epsilon: 1e-8}.Normalized(bumdp.Compliant)
+	eb, err := games.NewEBChoosingGame([]float64{0.2, 0.3, 0.5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type inner struct {
+		Z     string    `json:"z"`
+		A     []any     `json:"a"`
+		Empty struct{}  `json:"empty"`
+		Nil   *int      `json:"nil"`
+		Big   int64     `json:"big"`
+		F     []float64 `json:"f"`
+	}
+	values := []any{
+		buSolveKey{Params: np, RatioTol: 1e-5, Epsilon: 1e-9},
+		sweepShardKey{Model: 1, Alphas: cfg.Alphas, Ratios: cfg.Ratios, Settings: cfg.Settings,
+			ADs: cfg.ADs, RatioTol: cfg.RatioTol, Epsilon: cfg.Epsilon, Index: 2, Count: 5},
+		mcKey{Params: np, Steps: 1000, Batches: 4, Seed: -7},
+		bitcoin.Params{Alpha: 0.3, TieWinProb: 0.5},
+		eb.Spec(),
+		map[string]any{"b": []any{}, "a": map[string]any{}, "ab": "x", "a b": 1, "": nil},
+		inner{Z: "quote\" \\ <tag> & é \u2028 \x00", A: []any{true, false, nil, "s", 1.5e300, map[string]int{"y": 1, "x": 2}},
+			Big: math.MaxInt64, F: []float64{-0.0, 1e-7, 123456789012}},
+		[]inner{{}, {Z: "z"}},
+		"top-level string",
+		-12.5,
+		nil,
+	}
+	for i, v := range values {
+		got, err := canonicalJSON(v)
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		want, err := reparsedJSON(v)
+		if err != nil {
+			t.Fatalf("value %d: reference: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("value %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
 
 func TestKeyFieldOrderIndependent(t *testing.T) {
 	// Two struct types carrying the same fields in different declaration
@@ -117,6 +195,19 @@ func TestKeyRejectsBadKinds(t *testing.T) {
 	for _, kind := range []string{"", "a/b", "a b", "a.b", "a\nb"} {
 		if _, err := Key(kind, 1); err == nil {
 			t.Errorf("accepted kind %q", kind)
+		}
+	}
+}
+
+// BenchmarkBUSolveKey times one BU solve key, the derivation every
+// buserve request and every sweep cell pays before touching the store.
+func BenchmarkBUSolveKey(b *testing.B) {
+	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375}
+	opts := bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BUSolveKey(p, opts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package mdp
 // regenerative evaluation (AverageReward), and discounted value
 // iteration (the viOracle) driven to the vanishing-discount limit —
 // must agree on the optimal gain of random models, and the ratio
-// solver's bisection value must match the power-iteration stationary
+// solver's value must match the power-iteration stationary
 // distribution's evaluation of the policy it returns. Disagreement
 // localizes a bug to one solver; agreement within tight tolerances is
 // strong evidence all three are correct.
@@ -74,10 +74,9 @@ func TestDifferentialGainThreeSolvers(t *testing.T) {
 }
 
 // TestDifferentialRatioObjective checks, on seeded random MDPs, that
-// SolveRatio's bisection value equals the long-run ratio actually
-// attained by the policy it returns, evaluated by the power-iteration
-// oracle, which shares no code with the solver's regenerative
-// evaluation.
+// SolveRatio's value equals the long-run ratio actually attained by the
+// policy it returns, evaluated by the power-iteration oracle, which
+// shares no code with the solver's regenerative evaluation.
 func TestDifferentialRatioObjective(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 	if testing.Short() {
@@ -88,7 +87,7 @@ func TestDifferentialRatioObjective(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		m := mustCompile(t, randomBuilder(rng, n, 4))
 
-		res, err := m.SolveRatio(RatioOptions{Tolerance: 1e-6})
+		res, err := m.SolveRatio(RatioOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: SolveRatio: %v", seed, err)
 		}
@@ -96,8 +95,8 @@ func TestDifferentialRatioObjective(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
-		if d := math.Abs(res.Value - attained); d > 5e-5 {
-			t.Errorf("seed %d: bisection value %.9f vs attained ratio %.9f differ by %.2e",
+		if d := math.Abs(res.Value - attained); d > 1e-9 {
+			t.Errorf("seed %d: solved value %.12f vs attained ratio %.12f differ by %.2e",
 				seed, res.Value, attained, d)
 		}
 		// The attained ratio must also weakly dominate random policies.
@@ -112,6 +111,96 @@ func TestDifferentialRatioObjective(t *testing.T) {
 			}
 			if r > attained+1e-4 {
 				t.Errorf("seed %d: random policy ratio %.9f beats solved %.9f", seed, r, attained)
+			}
+		}
+	}
+}
+
+// randomRatioBuilder is randomBuilder with a real denominator: every
+// transition accrues Den in [0, 1), and state 0 gains one more action,
+// a zero-reward self-loop. A policy that takes it idles in state 0
+// forever and accrues neither stream, like an attacker that never
+// mines.
+func randomRatioBuilder(rng *rand.Rand, n, maxActs int) tableBuilder {
+	b := randomBuilder(rng, n, maxActs)
+	for s := 0; s < n; s++ {
+		for _, a := range b.acts[s] {
+			trs := b.trans[[2]int{s, a}]
+			for i := range trs {
+				trs[i].Den = rng.Float64()
+			}
+		}
+	}
+	idle := len(b.acts[0])
+	b.acts[0] = append(b.acts[0], idle)
+	b.trans[[2]int{0, idle}] = []Transition{{To: 0, Prob: 1}}
+	return b
+}
+
+// TestDifferentialRatioRealDen holds SolveRatio to brute force on tiny
+// random models whose Den varies by transition (randomBuilder's Den is
+// 1 everywhere, which reduces the ratio to a gain): its value must equal
+// the best oracle ratio over every deterministic policy that accrues
+// Den, within 1e-9 relative, and its witness must certify at that value
+// within the verifier's epsilon + 1e-9. Each model is solved again with
+// Den scaled by 1e-6, where a step of Epsilon in the ratio would leave
+// the best policy too little shifted gain above the idle policy: seed
+// 33 then ends on the idle policy, and seed 201 on an earlier probe's
+// witness that does not certify.
+func TestDifferentialRatioRealDen(t *testing.T) {
+	seeds := 250
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		for _, scale := range []float64{1, 1e-6} {
+			rng := rand.New(rand.NewSource(seed))
+			n := 1 + rng.Intn(5)
+			b := randomRatioBuilder(rng, n, 3)
+			for _, trs := range b.trans {
+				for i := range trs {
+					trs[i].Den *= scale
+				}
+			}
+			m := mustCompile(t, b)
+
+			res, err := m.SolveRatio(RatioOptions{})
+			if err != nil {
+				t.Fatalf("seed %d, Den scale %g: SolveRatio: %v", seed, scale, err)
+			}
+			best := math.Inf(-1)
+			pol := make(Policy, n)
+			for {
+				pi, err := m.powerStationary(pol, Options{Epsilon: 1e-13})
+				if err != nil {
+					t.Fatalf("seed %d: oracle: %v", seed, err)
+				}
+				if num, den := m.streamRates(pol, pi); den > 1e-9*scale {
+					best = math.Max(best, num/den)
+				}
+				// Next policy, counting in mixed radix over the action sets.
+				s := 0
+				for ; s < n; s++ {
+					if pol[s]++; pol[s] < len(m.Actions(s)) {
+						break
+					}
+					pol[s] = 0
+				}
+				if s == n {
+					break
+				}
+			}
+			if d := math.Abs(res.Value-best) / math.Max(1, math.Abs(best)); d > 1e-9 {
+				t.Errorf("seed %d (%d states), Den scale %g: solved ratio %.12g, best policy's %.12g (relative diff %.2e)",
+					seed, n, scale, res.Value, best, d)
+			}
+			cert, err := m.CertifyPolicy(res.Policy, Options{Rho: res.Value})
+			if err != nil {
+				t.Fatalf("seed %d: CertifyPolicy: %v", seed, err)
+			}
+			if eps := (Options{}).withDefaults().Epsilon; cert.Hi > eps+1e-9 {
+				t.Errorf("seed %d (%d states), Den scale %g: witness bracket at rho=%.12g reaches %.3g",
+					seed, n, scale, res.Value, cert.Hi)
 			}
 		}
 	}

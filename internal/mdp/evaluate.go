@@ -214,15 +214,24 @@ func (m *Model) StateVisitRate(pol Policy, keep func(s int) bool, opts Options) 
 }
 
 // rate returns the long-run per-step rate of the per-slot reward c
-// under pol: the gain of one regenerative evaluation on fresh scratch.
-// It emits no trace events and touches no solver counters.
+// under pol: rateOn on fresh scratch.
 func (m *Model) rate(pol Policy, c []float64, opts Options) (float64, error) {
 	n := m.numStates
-	if len(pol) != n {
-		return 0, fmt.Errorf("mdp: policy has %d entries, want %d", len(pol), n)
+	return m.rateOn(newPolicyChain(n), pol, c, make([]float64, n), make([]float64, n), opts)
+}
+
+// rateOn returns the long-run per-step rate of the per-slot reward c
+// under pol: the gain of one regenerative evaluation on the caller's
+// chain and first-passage scratch R and T, which it clears first, so
+// the result does not depend on what the scratch held. It emits no
+// trace events and touches no solver counters.
+func (m *Model) rateOn(chain *policyChain, pol Policy, c, R, T []float64, opts Options) (float64, error) {
+	if len(pol) != m.numStates {
+		return 0, fmt.Errorf("mdp: policy has %d entries, want %d", len(pol), m.numStates)
 	}
 	opts = opts.withDefaults()
-	ev, err := m.evaluate(newPolicyChain(n), pol, c, make([]float64, n), make([]float64, n), nil,
-		math.NaN(), opts.Epsilon, opts.MaxIterations)
+	clear(R)
+	clear(T)
+	ev, err := m.evaluate(chain, pol, c, R, T, nil, math.NaN(), opts.Epsilon, opts.MaxIterations)
 	return ev.gain, err
 }

@@ -1,6 +1,8 @@
 package mdp
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -335,7 +337,7 @@ func TestSolveRatioBernoulli(t *testing.T) {
 func TestSolveRatioDegenerateIdlePolicy(t *testing.T) {
 	// Action 0 is an idle self-loop accruing nothing (0/0 policy);
 	// action 1 accrues Num=1 Den=2. The idle policy must not confuse the
-	// bisection: the optimum is 0.5.
+	// search: the optimum is 0.5.
 	b := tableBuilder{
 		n:    1,
 		acts: map[int][]int{0: {0, 1}},
@@ -349,13 +351,44 @@ func TestSolveRatioDegenerateIdlePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveRatio: %v", err)
 	}
-	if math.Abs(res.Value-0.5) > 1e-4 {
-		t.Errorf("ratio = %g, want 0.5", res.Value)
+	if res.Value != 0.5 || res.Policy[0] != 1 {
+		t.Errorf("ratio = %g with action %d, want 0.5 with action 1", res.Value, res.Policy[0])
+	}
+	// Shifted above the optimum, the first probe's greedy policy idles,
+	// and no policy that accrues Den is left to return. The probe's event
+	// must still encode, so a JSONL trace of the failed search stays
+	// whole.
+	var trace bytes.Buffer
+	sink := obs.NewJSONLSink(&trace)
+	if res, err := m.SolveRatio(RatioOptions{Lo: 1, Tracer: sink}); err == nil {
+		t.Errorf("Lo above the optimum returned ratio %g, want an error", res.Value)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("JSONL trace of the failed search: %v", err)
+	}
+	var probe obs.Event
+	for dec := json.NewDecoder(&trace); dec.More(); {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("decoding the trace: %v", err)
+		}
+		if e.Kind == "ratio.probe" {
+			probe = e
+		}
+	}
+	if probe.Detail != "no-den" || probe.Value != 0 {
+		t.Errorf("idle probe event %+v, want detail no-den and no value", probe)
+	}
+	// Num without Den makes the ratio unbounded.
+	b.trans[[2]int{0, 1}] = []Transition{{To: 0, Prob: 1, Num: 1}}
+	if res, err := mustCompile(t, b).SolveRatio(RatioOptions{}); err == nil {
+		t.Errorf("unbounded ratio returned %g, want an error", res.Value)
 	}
 }
 
 func TestSolveRatioExpandsBracket(t *testing.T) {
-	// Optimal ratio 3 lies outside the default [0,1] bracket.
+	// The optimal ratio 3 lies far above the first shift (Lo = 0): the
+	// search needs no upper bound on the ratio.
 	b := tableBuilder{
 		n:    1,
 		acts: map[int][]int{0: {0}},
@@ -528,8 +561,8 @@ func TestPolicyIterationAgreesOnRandomModels(t *testing.T) {
 	}
 }
 
-// TestRatioMonotoneInRho verifies the structural property the bisection
-// relies on: the auxiliary gain is non-increasing in rho.
+// TestRatioMonotoneInRho verifies the structural property the ratio
+// search relies on: the auxiliary gain is non-increasing in rho.
 func TestRatioMonotoneInRho(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -370,8 +370,8 @@ func (m *Model) buildCompactedLayout() {
 // shiftedRewardsInto writes the per-slot expected reward of the
 // auxiliary objective Num - rho*Den, the only reward view the sweep
 // kernels need, into dst (length NumStateActions), letting a Workspace
-// reuse one scratch vector across the probes of a bisection instead of
-// allocating per probe.
+// reuse one scratch vector across the probes of a ratio search instead
+// of allocating per probe.
 func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 	if rho == 0 {
 		copy(dst, m.eNum)

@@ -61,13 +61,19 @@ func (m *Model) powerStationary(pol Policy, opts Options) ([]float64, error) {
 // rateRatio is the long-run Num/Den ratio of pol under the distribution
 // pi, the quantity PolicyRatio reports.
 func (m *Model) rateRatio(pol Policy, pi []float64) float64 {
-	var num, den float64
+	num, den := m.streamRates(pol, pi)
+	return num / den
+}
+
+// streamRates returns the long-run Num and Den rates of pol under the
+// distribution pi.
+func (m *Model) streamRates(pol Policy, pi []float64) (num, den float64) {
 	for s, p := range pi {
 		k := m.stateOff[s] + int32(pol[s])
 		num += p * m.eNum[k]
 		den += p * m.eDen[k]
 	}
-	return num / den
+	return num, den
 }
 
 // poissonResidual is max_s |c(s) + sum_t P(s,t) h(t) - h(s) - g| for a

@@ -145,7 +145,7 @@ func TestParallelBitIdenticalEvaluatePolicy(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalSolveRatio: the whole bisection — probe
+// TestParallelBitIdenticalSolveRatio: the whole ratio search — probe
 // count, total sweep count, value, and policy — is reproduced exactly.
 func TestParallelBitIdenticalSolveRatio(t *testing.T) {
 	for _, seed := range []int64{6, 7} {

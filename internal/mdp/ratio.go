@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"buanalysis/internal/obs"
@@ -10,63 +11,31 @@ import (
 
 // RatioOptions configure SolveRatio.
 type RatioOptions struct {
-	// Lo and Hi bracket the optimal ratio. Hi must satisfy gain(Hi) <= 0;
-	// SolveRatio expands Hi automatically (doubling, up to 2^20 times the
-	// initial bracket) if it does not.
-	Lo, Hi float64
-	// Tolerance is the bisection stopping width on the ratio. Default 1e-5
-	// (the paper reports 1e-4).
-	Tolerance float64
-	// GainSlack treats |gain| below this threshold as zero when deciding
-	// the bisection direction; it must exceed the inner solver's Epsilon.
-	// Default 1e-8.
-	GainSlack float64
-	// Inner configures the average-reward solves performed at each probe.
+	// Lo is the shift of the first probe. Any value converges, but when
+	// some policy accrues no Den, a first shift above the optimum may
+	// return that policy, which fails the solve; pass a lower bound on
+	// the optimal ratio, such as the honest ratio.
+	Lo float64
+	// Inner configures the average-reward solves performed at each
+	// probe. Its Epsilon also sets the step: each probe after the first is
+	// shifted below the best ratio found by Epsilon/((1-Aperiodicity)*den),
+	// den the best policy's Den rate.
 	Inner Options
 	// Parallelism is the worker count for the inner average-reward
 	// solves; it is used when Inner.Parallelism is unset. 0 selects
 	// GOMAXPROCS (with the small-model serial fallback), 1 the serial
 	// path; all settings are bit-identical (see Options.Parallelism).
 	Parallelism int
-	// WarmBracket enables seeding the bisection bracket from WarmValue, a
-	// neighboring solve's converged ratio: the search first probes
-	// WarmValue ± WarmMargin and, when those probes confirm the optimum
-	// lies between them, refines the narrowed bracket instead of
-	// [Lo, Hi]. The seed probes double as safety checks — a stale
-	// WarmValue only shifts which points get probed and the search falls
-	// back to the full bracket (including the Hi-expansion loop) — so
-	// seeding changes probe counts but keeps the result within Tolerance
-	// of the unseeded search. Seeded searches also place probes by
-	// safeguarded false position instead of pure midpoint bisection (see
-	// Workspace.SolveRatio); unseeded searches are untouched.
-	WarmBracket bool
-	// WarmValue is the neighboring value WarmBracket seeds from.
-	WarmValue float64
-	// WarmMargin is the half-width of the seeded bracket. Default 0.02.
-	WarmMargin float64
-	// Tracer, if non-nil, receives "ratio.probe" events (one per inner
-	// solve, with the candidate rho and resulting gain), "ratio.bracket"
-	// events whenever the root-search bracket moves, a "solver.warm"
-	// event when the bracket is seeded from a neighbor, and a final
-	// "ratio.done". It is also installed on the inner solves when
-	// Inner.Tracer is unset, so the stream interleaves bisection progress
-	// with each probe's convergence trace. Tracing never changes results.
+	// Tracer, if non-nil, receives one "ratio.probe" event per inner
+	// solve (its shift rho, the resulting gain, and the exact ratio of
+	// its greedy policy in Value) and a final "ratio.done". It is also
+	// installed on the inner solves when Inner.Tracer is unset, so the
+	// stream interleaves the search with each probe's convergence trace.
+	// Tracing never changes results.
 	Tracer obs.Tracer
 }
 
 func (o RatioOptions) withDefaults() RatioOptions {
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-5
-	}
-	if o.GainSlack == 0 {
-		o.GainSlack = 1e-8
-	}
-	if o.Hi == 0 {
-		o.Hi = 1
-	}
-	if o.WarmMargin == 0 {
-		o.WarmMargin = 0.02
-	}
 	if o.Inner.Parallelism == 0 {
 		o.Inner.Parallelism = o.Parallelism
 	}
@@ -81,9 +50,9 @@ type RatioStats struct {
 	// Probes is the number of inner average-reward solves performed.
 	Probes int
 	// WarmProbes is how many of those probes started from a warm bias
-	// (within one bisection every probe after the first chains the
-	// previous probe's bias; on a warm-chained workspace the first probe
-	// is warm too).
+	// (within one search every probe after the first chains the previous
+	// probe's bias; on a warm-chained workspace the first probe is warm
+	// too).
 	WarmProbes int
 	// Iterations is the total number of passes across probes (OptSweeps
 	// plus EvalSweeps).
@@ -95,7 +64,7 @@ type RatioStats struct {
 	EvalSweeps int `json:",omitempty"`
 	// Residual is the final inner solve's residual.
 	Residual float64
-	// Duration is the wall-clock time of the whole bisection.
+	// Duration is the wall-clock time of the whole search.
 	Duration time.Duration
 	// Workers is the worker count used by the inner solves.
 	Workers int
@@ -103,28 +72,35 @@ type RatioStats struct {
 
 // RatioResult reports the outcome of a ratio-objective solve.
 type RatioResult struct {
-	// Value is the optimal ratio lim Num_t / Den_t.
+	// Value is the optimal ratio lim Num_t / Den_t: the exact ratio of
+	// Policy.
 	Value float64
 	// Policy attains the value.
 	Policy Policy
 	// Probes is the number of average-reward solves performed.
 	Probes int
 	// Stats carries per-solve instrumentation aggregated over the
-	// bisection probes.
+	// probes.
 	Stats RatioStats
 }
 
 // SolveRatio maximizes the long-run ratio of accumulated Num to accumulated
-// Den over all stationary policies, using the transformation of Sapirshtein
-// et al.: for a candidate ratio rho the auxiliary MDP with per-transition
-// reward Num - rho*Den has optimal gain g(rho) that is non-increasing in rho
-// and crosses zero exactly at the optimal ratio. The crossing is found by
-// bisection.
+// Den over all stationary policies by Dinkelbach's iteration on the
+// transformation of Sapirshtein et al.: for a shift rho the auxiliary MDP
+// with per-transition reward Num - rho*Den has an optimal gain that is
+// positive exactly when some policy's ratio exceeds rho. Each probe solves
+// the auxiliary MDP at one shift and evaluates the exact ratio of its
+// greedy policy; the next probe is shifted below the best ratio found by
+// a step that gives the best policy an auxiliary gain just above the
+// inner solve's tolerance. The search stops at the first probe whose
+// policy does not beat that ratio, and returns the best policy with its
+// exact ratio.
 //
-// Den must accrue at a positive long-run rate under every policy whose ratio
-// competes for the optimum; policies with zero Den rate (for example an
-// attacker that never mines) have auxiliary gain exactly zero and are handled
-// by the GainSlack threshold.
+// A policy with zero Den rate (for example an attacker that never mines)
+// has auxiliary gain zero at every shift. A probe that returns one is an
+// error: on the first probe the shift Lo was above the optimum, and
+// later the step rules it out up to round-off. A policy with positive
+// Num rate and zero Den rate makes the ratio unbounded, also an error.
 //
 // Each call runs on a transient Workspace; callers solving many ratios
 // on one model shape should hold a Workspace and call its SolveRatio.
@@ -135,23 +111,25 @@ func (m *Model) SolveRatio(opts RatioOptions) (RatioResult, error) {
 	return ws.SolveRatio(opts)
 }
 
-// SolveRatio is Model.SolveRatio on the workspace: the bisection
-// probes share the workspace's buffers and worker pool, each probe after
-// the first warm-starts from the previous probe's bias, and the in-place
-// shifted-reward rewrite makes the steady-state probe allocation-free.
-// The returned Policy is a fresh copy (not a borrowed buffer).
+// SolveRatio is Model.SolveRatio on the workspace: the probes share the
+// workspace's buffers and worker pool, each probe after the first
+// warm-starts from the previous probe's bias, and the exact ratios are
+// evaluated on the workspace's scratch, so a steady-state search
+// allocates only the returned Policy, a fresh copy.
 func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	lo, hi := opts.Lo, opts.Hi
-	if hi <= lo {
-		return RatioResult{}, fmt.Errorf("mdp: ratio bracket [%g, %g] is empty", lo, hi)
-	}
-
 	stats := RatioStats{}
 	tr := opts.Tracer
 	inner := opts.Inner
-	gainAt := func(rho float64) (Result, error) {
+	defaults := inner.withDefaults()
+	// A step of eps/(keep*den) gives the best policy a shifted gain of
+	// eps/keep at the next probe. A converged inner solve's greedy policy
+	// gains more than the optimum less the bracket width eps/keep, so
+	// more than zero: it cannot be a policy that accrues no Den.
+	eps, keep := defaults.Epsilon, 1-defaults.Aperiodicity
+	best, step := math.Inf(-1), 0.0
+	for rho := opts.Lo; ; rho = best - step {
 		stats.Probes++
 		probesTotal.Inc()
 		inner.Rho = rho
@@ -167,173 +145,67 @@ func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 		if res.Stats.Warm {
 			stats.WarmProbes++
 		}
-		if tr != nil && err == nil {
-			tr.Emit(obs.Event{Kind: "ratio.probe", Probe: stats.Probes, Rho: rho,
-				Gain: res.Gain, Iter: res.Stats.Iterations})
-		}
-		return res, err
-	}
-	// The bisection's incumbent policy must outlive the probes that
-	// overwrite the workspace's policy buffer, so keep copies it aside.
-	var pol Policy
-	keep := func(p Policy) {
-		copy(ws.bestPol, p)
-		pol = ws.bestPol
-	}
-	finish := func(value float64) RatioResult {
-		stats.Duration = time.Since(start)
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: "ratio.done", Probe: stats.Probes, Rho: value})
-		}
-		out := make(Policy, len(pol))
-		copy(out, pol)
-		return RatioResult{Value: value, Policy: out, Probes: stats.Probes, Stats: stats}
-	}
-
-	// The endpoint gains, once known from earlier probes, let seeded
-	// searches place probes by false position instead of midpoint.
-	var gLo, gHi float64
-	haveGLo, haveGHi := false, false
-
-	// Warm bracket seeding: probe the neighborhood of a nearby solve's
-	// value before falling back to the full [Lo, Hi] search. Both seed
-	// probes are verified — the bracket invariant (gain(lo) > slack or lo
-	// is the floor; gain(hi) <= slack once verified) is never assumed.
-	hiVerified := false
-	if opts.WarmBracket {
-		wlo, whi := opts.WarmValue-opts.WarmMargin, opts.WarmValue+opts.WarmMargin
-		if wlo < lo {
-			wlo = lo
-		}
-		if whi > hi {
-			whi = hi
-		}
-		if wlo < whi && (wlo > lo || whi < hi) {
-			warmBracketsTotal.Inc()
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "solver.warm", Solver: "ratio", Detail: "bracket",
-					BracketLo: wlo, BracketHi: whi})
-			}
-			if wlo > lo {
-				r, err := gainAt(wlo)
-				if err != nil {
-					return RatioResult{}, err
-				}
-				if r.Gain > opts.GainSlack {
-					lo, gLo, haveGLo = wlo, r.Gain, true
-					keep(r.Policy)
-				} else {
-					// The optimum sits at or below the seeded floor: the
-					// probe makes it a verified ceiling instead.
-					hi, gHi, haveGHi = wlo, r.Gain, true
-					hiVerified = true
-				}
-			}
-			if !hiVerified && lo < whi && whi < hi {
-				r, err := gainAt(whi)
-				if err != nil {
-					return RatioResult{}, err
-				}
-				if r.Gain <= opts.GainSlack {
-					hi, gHi, haveGHi = whi, r.Gain, true
-					hiVerified = true
-				} else {
-					lo, gLo, haveGLo = whi, r.Gain, true
-					keep(r.Policy)
-				}
-			}
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "ratio.bracket", Probe: stats.Probes,
-					BracketLo: lo, BracketHi: hi, Detail: "seed"})
-			}
-		}
-	}
-
-	// Ensure the upper end of the bracket has non-positive gain.
-	if !hiVerified {
-		width := hi - lo
-		for i := 0; ; i++ {
-			r, err := gainAt(hi)
-			if err != nil {
-				return RatioResult{}, err
-			}
-			if r.Gain <= opts.GainSlack {
-				gHi, haveGHi = r.Gain, true
-				break
-			}
-			if i >= 20 {
-				return RatioResult{}, errors.New("mdp: could not bracket the optimal ratio; gain stays positive")
-			}
-			lo, gLo, haveGLo = hi, r.Gain, true
-			keep(r.Policy)
-			hi += width
-			width *= 2
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: "ratio.bracket", Probe: stats.Probes,
-					BracketLo: lo, BracketHi: hi, Detail: "expand"})
-			}
-		}
-	}
-
-	// Root refinement. Unseeded searches use pure midpoint bisection —
-	// the reproducible-by-construction reference every golden table pins,
-	// bit-identical to the search before warm seeding existed. Seeded
-	// searches additionally use safeguarded false position: the optimal
-	// gain g(rho) is concave, piecewise linear and non-increasing in rho,
-	// so the secant through the bracket endpoints typically lands within
-	// Tolerance of the crossing in two or three probes where bisection
-	// needs eight or nine. Every interpolated probe updates the bracket
-	// through the same verified invariant as a midpoint probe, and an
-	// interpolation that fails to halve the bracket forces a plain
-	// midpoint step next, so the seeded search needs at most ~2x the
-	// probes of bisection and usually needs far fewer. Probe placement
-	// depends only on probed gains, which are bit-identical at every
-	// worker count, so determinism is unaffected.
-	secant := opts.WarmBracket
-	forceMid := false
-	for hi-lo > opts.Tolerance {
-		width := hi - lo
-		mid := (lo + hi) / 2
-		detail := "bisect"
-		if secant && !forceMid && haveGLo && haveGHi && gLo > gHi {
-			x := lo + width*gLo/(gLo-gHi)
-			// Keep the probe strictly interior: a point glued to an
-			// endpoint would barely shrink the bracket.
-			if margin := 0.05 * width; x < lo+margin {
-				x = lo + margin
-			} else if x > hi-margin {
-				x = hi - margin
-			}
-			mid = x
-			detail = "interp"
-		}
-		r, err := gainAt(mid)
 		if err != nil {
 			return RatioResult{}, err
 		}
-		if r.Gain > opts.GainSlack {
-			lo, gLo, haveGLo = mid, r.Gain, true
-			keep(r.Policy)
-		} else {
-			hi, gHi, haveGHi = mid, r.Gain, true
-		}
-		forceMid = detail == "interp" && hi-lo > 0.5*width
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: "ratio.bracket", Probe: stats.Probes,
-				BracketLo: lo, BracketHi: hi, Detail: detail})
-		}
-	}
-	value := (lo + hi) / 2
-	if pol == nil {
-		// The optimum is at or below the initial Lo; recover a policy there.
-		r, err := gainAt(lo)
+		num, den, err := ws.rates(res.Policy, inner)
 		if err != nil {
 			return RatioResult{}, err
 		}
-		keep(r.Policy)
-		value = lo
+		if tr != nil {
+			e := obs.Event{Kind: "ratio.probe", Probe: stats.Probes, Rho: rho,
+				Gain: res.Gain, Iter: res.Stats.Iterations}
+			if den > 0 {
+				e.Value = num / den
+			} else {
+				e.Detail = "no-den"
+			}
+			tr.Emit(e)
+		}
+		switch {
+		case den > 0:
+		case num > 0:
+			return RatioResult{}, fmt.Errorf("mdp: policy accrues numerator reward at rate %g but no denominator reward; the ratio is unbounded", num)
+		case stats.Probes == 1:
+			return RatioResult{}, fmt.Errorf("mdp: the first probe's policy (rho=%g) accrues no denominator reward; start below the optimal ratio", rho)
+		default:
+			// The step rules this out up to round-off. An earlier probe's
+			// policy was greedy at a lower shift and may not certify at
+			// the optimum, so the search fails instead of returning it.
+			return RatioResult{}, fmt.Errorf("mdp: probe %d's policy (rho=%g) accrues no denominator reward", stats.Probes, rho)
+		}
+		r := num / den
+		// Ties go to the later policy, greedy nearer the optimum. The
+		// best policy must outlive the probes that overwrite the
+		// workspace's policy buffer, so it is copied aside.
+		if r >= best {
+			copy(ws.bestPol, res.Policy)
+		}
+		if r <= best {
+			break
+		}
+		best, step = r, eps/(keep*den)
 	}
-	return finish(value), nil
+	stats.Duration = time.Since(start)
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: "ratio.done", Probe: stats.Probes, Rho: best})
+	}
+	pol := make(Policy, len(ws.bestPol))
+	copy(pol, ws.bestPol)
+	return RatioResult{Value: best, Policy: pol, Probes: stats.Probes, Stats: stats}, nil
+}
+
+// rates is Rates computed on the workspace's chain and rate scratch.
+func (ws *Workspace) rates(pol Policy, opts Options) (num, den float64, err error) {
+	m := ws.m
+	if ws.rateR == nil {
+		ws.rateR, ws.rateT = make([]float64, m.numStates), make([]float64, m.numStates)
+	}
+	if num, err = m.rateOn(ws.chain, pol, m.eNum, ws.rateR, ws.rateT, opts); err != nil {
+		return 0, 0, err
+	}
+	den, err = m.rateOn(ws.chain, pol, m.eDen, ws.rateR, ws.rateT, opts)
+	return num, den, err
 }
 
 // PolicyRatio computes the long-run ratio Num/Den attained by a fixed

@@ -28,8 +28,8 @@ type Options struct {
 	// average-reward solvers use Rho as given (default 0).
 	Rho float64
 	// Warm, if non-nil, seeds the bias vector (length NumStates). Reusing
-	// the bias of a nearby solve (for example the previous bisection
-	// probe) seeds the first round's greedy policy. The slice is copied.
+	// the bias of a nearby solve (for example the previous ratio probe)
+	// seeds the first round's greedy policy. The slice is copied.
 	// Workspace solves chain the previous solve's bias automatically;
 	// Warm overrides the chained bias when both are present.
 	Warm []float64

@@ -14,10 +14,10 @@ import (
 // itself — the iterate vectors h and next, the greedy policy, the
 // shifted-reward scratch, the per-worker span accumulators, the policy
 // chain and first-passage vectors of the exact evaluations, and a
-// persistent sweep pool — so a sequence of solves (the bisection probes
-// of a ratio solve, or a whole warm-chained sweep row) allocates its
-// buffers and spawns its worker goroutines exactly once. A steady-state
-// probe on a Workspace performs zero heap allocations.
+// persistent sweep pool — so a sequence of solves (the probes of a
+// ratio solve, or a whole warm-chained sweep row) allocates its buffers
+// and spawns its worker goroutines exactly once. A steady-state probe
+// on a Workspace performs zero heap allocations.
 //
 // A Workspace additionally chains solves: unless Options.Warm overrides
 // it, each solve starts from the bias vector the previous solve on the
@@ -47,10 +47,14 @@ type Workspace struct {
 	// state and are cleared with it.
 	chain        *policyChain
 	passR, passT []float64
+	// rateR and rateT are the first-passage scratch of a ratio probe's
+	// exact rates, allocated by the first ratio search; they carry
+	// nothing between evaluations.
+	rateR, rateT []float64
 
-	// bestPol holds the ratio bisection's incumbent policy across
-	// probes; prevPol backs the tracer's policy-change counts and is
-	// allocated only when a tracer is installed.
+	// bestPol holds the ratio search's best policy across probes;
+	// prevPol backs the tracer's policy-change counts and is allocated
+	// only when a tracer is installed.
 	bestPol Policy
 	prevPol Policy
 

@@ -108,7 +108,7 @@ func TestWorkspaceWarmChain(t *testing.T) {
 func TestWorkspaceSolveRatioMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
-	opts := RatioOptions{Lo: 0, Hi: 1, Tolerance: 1e-6, Parallelism: 1}
+	opts := RatioOptions{Lo: 0, Parallelism: 1}
 	want, err := m.SolveRatio(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,16 +127,19 @@ func TestWorkspaceSolveRatioMatchesModel(t *testing.T) {
 	if got.Stats.WarmProbes != want.Stats.WarmProbes {
 		t.Errorf("warm probes %d vs %d", got.Stats.WarmProbes, want.Stats.WarmProbes)
 	}
-	// Within one bisection every probe after the first chains a bias.
+	// Within one search every probe after the first chains a bias.
 	if got.Probes > 1 && got.Stats.WarmProbes != got.Probes-1 {
 		t.Errorf("expected %d warm probes, got %d", got.Probes-1, got.Stats.WarmProbes)
 	}
 }
 
-func TestSolveRatioWarmBracketSeeds(t *testing.T) {
+// TestSolveRatioLoSeeds: the first probe's shift Lo only changes where
+// the search starts. Shifts at, near, far from and absurdly far from
+// the optimum must all reach the value of the default start.
+func TestSolveRatioLoSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
-	base := RatioOptions{Lo: 0, Hi: 1, Tolerance: 1e-6, Parallelism: 1}
+	base := RatioOptions{Lo: 0, Parallelism: 1}
 	want, err := m.SolveRatio(base)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +149,8 @@ func TestSolveRatioWarmBracketSeeds(t *testing.T) {
 		value float64
 	}{
 		{"exact", want.Value},
-		{"close", want.Value + 0.004},
+		{"close-high", want.Value + 0.004},
+		{"close-low", want.Value - 0.004},
 		{"stale-high", math.Min(want.Value+0.3, 0.99)},
 		{"stale-low", math.Max(want.Value-0.3, 0.01)},
 		{"absurd-low", -5},
@@ -154,14 +158,13 @@ func TestSolveRatioWarmBracketSeeds(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		opts := base
-		opts.WarmBracket = true
-		opts.WarmValue = seed.value
+		opts.Lo = seed.value
 		got, err := m.SolveRatio(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", seed.name, err)
 		}
-		if d := math.Abs(got.Value - want.Value); d > base.Tolerance {
-			t.Errorf("%s seed: value %v differs from unseeded %v by %g (> tolerance)",
+		if d := math.Abs(got.Value - want.Value); d > 1e-12 {
+			t.Errorf("%s Lo: value %v differs from the default start's %v by %g",
 				seed.name, got.Value, want.Value, d)
 		}
 	}
@@ -324,6 +327,28 @@ func TestWorkspaceProbeAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Errorf("steady-state workspace probe allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestWorkspaceSolveRatioAllocs pins the ratio search's allocation
+// contract: on a warmed-up workspace, probes and their exact ratios run
+// on workspace buffers, and the one allocation is the returned policy.
+func TestWorkspaceSolveRatioAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	m := mustCompile(t, randomBuilder(rng, 200, 3))
+	ws := m.NewWorkspace(1)
+	defer ws.Close()
+	opts := RatioOptions{Parallelism: 1}
+	if _, err := ws.SolveRatio(opts); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := ws.SolveRatio(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 1 {
+		t.Errorf("steady-state SolveRatio allocates %v objects/op, want 1 (the returned policy)", avg)
 	}
 }
 

@@ -111,8 +111,7 @@ func TestCrossValidateNonProfit(t *testing.T) {
 // two (alpha, gamma) parameter settings and requires the simulated
 // relative revenue to land within 3 standard errors of the solved MDP
 // value — the statistical contract between the dynamic-programming and
-// sampling paths. A small absolute slack covers the solver's own
-// bisection tolerance (1e-5) and finite-run bias.
+// sampling paths. A small absolute slack covers finite-run bias.
 func TestCrossValidate3Sigma(t *testing.T) {
 	cases := []struct {
 		name string

@@ -89,7 +89,7 @@ func TestCrossValidateTracedStampsBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.SolveTol(1e-3, 1e-6)
+	res, err := a.SolveWith(bumdp.SolveOptions{Epsilon: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ package obs
 // from the JSON encoding. See EXPERIMENTS.md for the schema of each
 // Kind.
 type Event struct {
-	// Kind names the event: "solver.iter", "solver.eval", "solver.done", "ratio.probe",
-	// "ratio.bracket", "ratio.done", "sim.block", "sim.relay",
+	// Kind names the event: "solver.iter", "solver.eval", "solver.done",
+	// "ratio.probe", "ratio.done", "sim.block", "sim.relay",
 	// "sim.fork", "sim.reorg", "sim.accept", "sim.reject", "sim.drop",
 	// "sim.partition", "sim.heal", "sim.crash", "sim.restart",
 	// "mc.split", "mc.resolve", "mc.done", "game.round",
@@ -83,14 +83,10 @@ type Event struct {
 	// Gain is the solve's average-reward gain ("solver.done") or the
 	// probe's auxiliary gain ("ratio.probe").
 	Gain float64 `json:"gain,omitempty"`
-	// Probe is the 1-based bisection probe number ("ratio.*" kinds).
+	// Probe is the 1-based ratio-search probe number ("ratio.*" kinds).
 	Probe int `json:"probe,omitempty"`
-	// Rho is the candidate ratio of a probe, or the final value
-	// ("ratio.done").
+	// Rho is a probe's shift, or the final value ("ratio.done").
 	Rho float64 `json:"rho,omitempty"`
-	// BracketLo and BracketHi are the current root-search bracket.
-	BracketLo float64 `json:"bracket_lo,omitempty"`
-	BracketHi float64 `json:"bracket_hi,omitempty"`
 
 	// --- simulator fields ---
 
@@ -112,7 +108,9 @@ type Event struct {
 	// Step is the Monte Carlo step index; Batch the batch index.
 	Step  int `json:"step,omitempty"`
 	Batch int `json:"batch,omitempty"`
-	// Value carries a kind-specific scalar: the utility of an "mc.done"
+	// Value carries a kind-specific scalar: the exact ratio of a
+	// "ratio.probe"'s greedy policy (unset, with Detail "no-den", when
+	// that policy accrues no denominator), the utility of an "mc.done"
 	// tally, a game round's yes-power, an equilibrium's utility sum.
 	Value float64 `json:"value,omitempty"`
 	// Detail is a short free-form qualifier.

@@ -14,9 +14,11 @@
 // cost — one exact evaluation of the witness (its gain or ratio, no
 // iteration tolerance) and one optimizing Bellman sweep on the
 // witness's exact bias, whose span bracket bounds how much any policy
-// could do better. The claim must equal the witness's value within the
-// solve's tolerance, and the bracket must show no policy beats the
-// witness by more than that; re-solving, even loosely, is never needed.
+// could do better. The claim must equal the witness's value — within
+// the solve's epsilon for a gain, within round-off for a ratio, which
+// the solve reports exactly — and the bracket must show no policy beats
+// the witness by more than epsilon; re-solving, even loosely, is never
+// needed.
 //
 // Every predicate layers structural checks before semantic ones, in
 // strictly increasing cost:
@@ -152,37 +154,25 @@ func canonicalEcho(rec any, blob []byte) error {
 	return nil
 }
 
-// claimSlack bounds, in gain units of the rho-shifted problem, how far
-// above zero the optimal gain at a true ratio claim may sit: the claim
-// came from a bisection honest to ratioTol with probes honest to
-// epsilon, and moving rho by d moves any policy's shifted gain by d
-// times its denominator rate and its one-step advantages by d times the
-// denominator's bias differences. Chained cells (warm-started sweep
-// rows) get double the bisection allowance.
-func claimSlack(ratioTol, epsilon float64, chained bool) float64 {
-	mult := 4.0
-	if chained {
-		mult = 8
-	}
-	return mult*ratioTol + epsilon + 1e-9
-}
+// ratioRoundOff is how far a ratio claim may sit from its witness's
+// exact ratio. The solve reports that ratio itself, computed by the
+// same evaluation, so the window only absorbs round-off.
+const ratioRoundOff = 1e-12
 
 // checkClaim is the semantic core: the claimed optimal value of one
 // solved instance must be certified by its witness policy. The witness
-// is evaluated exactly, and its value must match the claim within the
-// solve's tolerance — epsilon for the absolute-reward objective
-// (NonCompliant), whose claim is a gain, and ratioTol for the ratio
-// objectives. One optimizing sweep on the witness's exact bias then
-// brackets the optimal gain: for the gain objective the bracket's top
-// may exceed the witness's gain by at most epsilon; for a ratio claim u
-// the sweep runs on the rho = u shifted rewards (num - u*den), whose
-// optimal gain is zero exactly when u is optimal (Dinkelbach), and the
-// bracket's top must stay within claimSlack of zero. An overclaim
-// fails the match (the witness's ratio is exact and never exceeds the
-// optimum). An underclaim fails the match unless the witness is
-// suboptimal too, and then the sweep refutes it once the shortfall
-// times the optimal policy's denominator rate exceeds claimSlack.
-func checkClaim(a *bumdp.Analysis, witness string, ratioTol, epsilon, claimed float64, chained bool) error {
+// is evaluated exactly. A gain claim (NonCompliant) must match the
+// witness's gain within epsilon + 1e-9; a ratio claim must match its
+// exact ratio within ratioRoundOff. One optimizing sweep on the
+// witness's exact bias then brackets the optimal gain, and the
+// bracket's top may exceed the witness's gain by at most epsilon +
+// 1e-9. For a ratio claim u the sweep runs on the rho = u shifted
+// rewards (num - u*den), whose optimal gain is zero exactly when u is
+// optimal (Dinkelbach) and at which the witness's own gain is zero. A
+// mis-stated claim fails the match; a suboptimal witness fails the
+// bracket once its shortfall times the optimal policy's denominator
+// rate exceeds that tolerance.
+func checkClaim(a *bumdp.Analysis, witness string, epsilon, claimed float64) error {
 	if math.IsNaN(claimed) || math.IsInf(claimed, 0) {
 		return fmt.Errorf("claimed utility %v is not finite", claimed)
 	}
@@ -191,8 +181,8 @@ func checkClaim(a *bumdp.Analysis, witness string, ratioTol, epsilon, claimed fl
 		return fmt.Errorf("witness policy: %w", err)
 	}
 	opts := mdp.Options{Epsilon: epsilon}
+	tol := epsilon + 1e-9
 	if a.Params.Model == bumdp.NonCompliant {
-		tol := epsilon + 1e-9
 		cert, err := a.Model.CertifyPolicy(pol, opts)
 		if err != nil {
 			return fmt.Errorf("certifying witness: %w", err)
@@ -221,16 +211,16 @@ func checkClaim(a *bumdp.Analysis, witness string, ratioTol, epsilon, claimed fl
 	if !(den > 0) {
 		return errors.New("witness policy accrues no denominator reward")
 	}
-	if ratio := num / den; math.Abs(claimed-ratio) > ratioTol {
-		return fmt.Errorf("claimed ratio %.9g, witness attains %.9g (tolerance %g)", claimed, ratio, ratioTol)
+	if ratio := num / den; math.Abs(claimed-ratio) > ratioRoundOff {
+		return fmt.Errorf("claimed ratio %.17g, witness attains %.17g (tolerance %g)", claimed, ratio, ratioRoundOff)
 	}
 	opts.Rho = claimed
 	cert, err := a.Model.CertifyPolicy(pol, opts)
 	if err != nil {
 		return fmt.Errorf("certifying witness at rho=%.9g: %w", claimed, err)
 	}
-	if slack := claimSlack(ratioTol, epsilon, chained); cert.Hi > slack {
-		return fmt.Errorf("witness is not optimal: at rho=%.9g some policy has shifted gain up to %.3g (slack %g)", claimed, cert.Hi, slack)
+	if cert.Hi > tol {
+		return fmt.Errorf("witness is not optimal: at rho=%.9g some policy has shifted gain up to %.3g (tolerance %g)", claimed, cert.Hi, tol)
 	}
 	return nil
 }
@@ -264,9 +254,9 @@ func (c *Checker) checkBUSolve(id string, blob []byte) error {
 		return fmt.Errorf("fork rate %v outside [0, 1]", rec.ForkRate)
 	}
 	if rec.Params.Model != bumdp.NonCompliant && rec.Probes < 1 {
-		return fmt.Errorf("ratio solve claims %d bisection probes", rec.Probes)
+		return fmt.Errorf("ratio solve claims %d probes", rec.Probes)
 	}
-	return checkClaim(a, rec.Policy, rec.RatioTol, rec.Epsilon, rec.Utility, false)
+	return checkClaim(a, rec.Policy, rec.Epsilon, rec.Utility)
 }
 
 // shardSpec mirrors farm.SweepShardSpec's encoding. verify cannot import
@@ -368,7 +358,7 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 			if got.ForkRate < -1e-9 || got.ForkRate > 1+1e-9 {
 				return fmt.Errorf("%s: fork rate %v outside [0, 1]", where, got.ForkRate)
 			}
-			if err := checkClaim(a, witness, opts.RatioTol, opts.Epsilon, got.Value, true); err != nil {
+			if err := checkClaim(a, witness, opts.Epsilon, got.Value); err != nil {
 				return fmt.Errorf("%s: %w", where, err)
 			}
 		}

@@ -14,9 +14,9 @@ import (
 )
 
 // testTols are the solve tolerances used throughout: loose enough to
-// keep the grid fast, tight enough that the verifier's acceptance
-// window (a few times RatioTol) stays far below the 0.01 perturbations
-// the tamper tests inject.
+// keep the grid fast. The verifier's acceptance windows (Epsilon for a
+// gain, round-off for a ratio) stay far below the 0.01 perturbations
+// the tamper tests inject. RatioTol only enters the artifact keys.
 const (
 	testRatioTol = 1e-4
 	testEpsilon  = 1e-8
@@ -57,11 +57,11 @@ func retamper(t *testing.T, blob []byte, f func(*expstore.BUSolveRecord)) []byte
 
 // assertAcceptanceWindow pins the bound the predicate enforces, which
 // is all the farm promises about a stored claim: the claim may sit
-// anywhere within the solve's tolerance of its witness's exactly
-// evaluated value — RatioTol for the ratio objectives, Epsilon for the
-// gain — and nowhere beyond it. The window is measured from the exact
-// value, not from the artifact's claim, which already sits up to a
-// fraction of the tolerance away from it.
+// anywhere within its window of the witness's exactly evaluated value
+// — ratioRoundOff for the ratio objectives, whose claim is that exact
+// value, and Epsilon for the gain — and nowhere beyond it. The window
+// is measured from the exact value, not from the artifact's claim,
+// which may already sit a fraction of the window away from it.
 func assertAcceptanceWindow(t *testing.T, id string, blob []byte) {
 	t.Helper()
 	var rec expstore.BUSolveRecord
@@ -89,7 +89,7 @@ func assertAcceptanceWindow(t *testing.T, id string, blob []byte) {
 		if err != nil {
 			t.Fatalf("evaluating witness: %v", err)
 		}
-		exact, tol = num/den, rec.RatioTol
+		exact, tol = num/den, ratioRoundOff
 	}
 	for _, k := range []float64{-1.5, -0.5, 0.5, 1.5} {
 		claim := retamper(t, blob, func(rec *expstore.BUSolveRecord) { rec.Utility = exact + k*tol })

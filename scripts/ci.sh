@@ -72,8 +72,9 @@ echo "== validity-predicate fuzz smoke (FuzzVerifyArtifact) =="
 go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 
 echo "== warm-vs-cold sweep smoke =="
-# The chained direct path must agree with independent cold solves and be
-# deterministic at every worker count; these two tests pin exactly that.
+# The chained direct path must return the same values and witnesses as
+# independent cold solves, bit for bit, and be deterministic at every
+# worker count; these two tests pin exactly that.
 go test -count 1 -run 'TestChainedSweepMatchesCold|TestChainedSweepWorkerDeterminism' ./internal/core/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
@@ -88,8 +89,8 @@ echo "== solver bench advisory diff (BENCH_solver.json) =="
 # Regenerates the solver benchmark and compares it against the committed
 # baseline with scripts/benchdiff.sh. Advisory only: the wall-clock
 # metrics vary with machine load, so a miss is printed for review but
-# does not fail CI. (The bench's own correctness checks — warm values
-# within tolerance of cold, policy-iteration gains within 1e-8 of the
+# does not fail CI. (The bench's own correctness checks — chained values
+# bit-identical to cold ones, policy-iteration gains within 1e-8 of the
 # RVI reference — do fail the inner go test.) Skipped with -short: the
 # RVI reference re-solves the Table-2 setting-2 row by value iteration.
 if [ -z "$SHORT" ]; then
