@@ -338,31 +338,6 @@ func BenchmarkSolverRelativeValueIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverParallelism isolates the Parallelism knob on the
-// setting-2 relative-value-iteration solve: serial, two workers, and
-// the automatic setting all compute bit-identical results.
-func BenchmarkSolverParallelism(b *testing.B) {
-	a, err := bumdp.New(bumdp.Params{
-		Alpha: 0.10, Beta: 0.45, Gamma: 0.45,
-		Setting: bumdp.Setting2, Model: bumdp.NonCompliant,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"two", 2}, {"auto", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Model.AverageReward(mdp.Options{Epsilon: 1e-8, Parallelism: bc.par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCompileSetting2 measures the parallel model compiler on the
 // largest state space in the evaluation (setting 2, 144-block window).
 func BenchmarkCompileSetting2(b *testing.B) {

@@ -7,10 +7,9 @@
 //	bumdp -bitcoin -alpha 0.25 -tie 0.5
 //	bumdp -sweep -model compliant -setting 1 -workers 4
 //
-// -par sets the Bellman-sweep worker count inside the solver (0 = auto,
-// 1 = serial; the result is bit-identical either way). -sweep solves
-// the paper's whole (alpha, ratio) grid for the chosen model instead of
-// a single instance, with -workers rows in flight at once; without
+// -sweep solves the paper's whole (alpha, ratio) grid for the chosen
+// model instead of a single instance, with -workers rows in flight at
+// once (each solve runs on one goroutine); without
 // -cache-dir each row is warm-chained on a shared solver session (one
 // compiled model rebound per cell, each cell's solve warm-started from
 // its left neighbor's bias), which returns the same values and
@@ -66,7 +65,6 @@ func main() {
 		policy   = flag.Bool("policy", false, "print the optimal policy (phase-1 states)")
 		btc      = flag.Bool("bitcoin", false, "solve the Bitcoin baseline instead of BU")
 		tie      = flag.Float64("tie", 0.5, "Bitcoin baseline: P(win a tie)")
-		par      = cliflag.ParFlag(flag.CommandLine)
 		sweep    = flag.Bool("sweep", false, "solve the paper's whole (alpha, ratio) grid instead of one instance")
 		workers  = cliflag.WorkersFlag(flag.CommandLine, "grid cells solved concurrently with -sweep")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON (the experiment-store encoding)")
@@ -139,7 +137,7 @@ func main() {
 	}
 
 	if *sweep {
-		sweepGrid(store, *cacheDir != "", m, bumdp.Setting(*setting), *ad, *workers, *par, *jsonOut, tracer)
+		sweepGrid(store, *cacheDir != "", m, bumdp.Setting(*setting), *ad, *workers, *jsonOut, tracer)
 		return
 	}
 
@@ -151,10 +149,10 @@ func main() {
 	if *policy {
 		// The store keeps utility-level records, not policies; a policy
 		// request always solves directly.
-		solveWithPolicy(params, *par, tracer)
+		solveWithPolicy(params, tracer)
 		return
 	}
-	rec, blob, _, err := expstore.SolveBU(store, params, bumdp.SolveOptions{Parallelism: *par, Tracer: tracer})
+	rec, blob, _, err := expstore.SolveBU(store, params, bumdp.SolveOptions{Tracer: tracer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,17 +164,17 @@ func main() {
 	fmt.Printf("alpha=%.4f beta=%.4f gamma=%.4f (states: %d)\n", *alpha, b, g, rec.States)
 	fmt.Printf("optimal utility: %.5f (honest baseline: %.5f)\n", rec.Utility, rec.Honest)
 	fmt.Printf("fork rate under optimal policy: %.3f; solver probes: %d\n", rec.ForkRate, rec.Probes)
-	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %d worker(s), %s\n",
-		rec.Stats.OptSweeps, rec.Stats.EvalSweeps, rec.Stats.Residual, rec.Stats.Workers, rec.Stats.Duration.Round(time.Microsecond))
+	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %s\n",
+		rec.Stats.OptSweeps, rec.Stats.EvalSweeps, rec.Stats.Residual, rec.Stats.Duration.Round(time.Microsecond))
 }
 
 // solveWithPolicy is the direct (uncached) solve path for -policy runs.
-func solveWithPolicy(params bumdp.Params, par int, tracer obs.Tracer) {
+func solveWithPolicy(params bumdp.Params, tracer obs.Tracer) {
 	a, err := bumdp.New(params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := a.SolveWith(bumdp.SolveOptions{Parallelism: par, Tracer: tracer})
+	res, err := a.SolveWith(bumdp.SolveOptions{Tracer: tracer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,8 +182,8 @@ func solveWithPolicy(params bumdp.Params, par int, tracer obs.Tracer) {
 	fmt.Printf("alpha=%.4f beta=%.4f gamma=%.4f (states: %d)\n", params.Alpha, params.Beta, params.Gamma, len(a.States))
 	fmt.Printf("optimal utility: %.5f (honest baseline: %.5f)\n", res.Utility, a.HonestUtility())
 	fmt.Printf("fork rate under optimal policy: %.3f; solver probes: %d\n", res.ForkRate, res.Probes)
-	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %d worker(s), %s\n",
-		res.Stats.OptSweeps, res.Stats.EvalSweeps, res.Stats.Residual, res.Stats.Workers, res.Stats.Duration.Round(time.Microsecond))
+	fmt.Printf("solver stats: %d optimizing sweeps + %d evaluation passes, residual %.2e, %s\n",
+		res.Stats.OptSweeps, res.Stats.EvalSweeps, res.Stats.Residual, res.Stats.Duration.Round(time.Microsecond))
 	fmt.Println("optimal policy (phase-1 states, (l1,l2,a1,a2,r) -> action):")
 	fmt.Print(a.DescribePolicy(res.Policy, true))
 }
@@ -197,13 +195,12 @@ func solveWithPolicy(params bumdp.Params, par int, tracer obs.Tracer) {
 // misses — the cacheable reference artifacts); without it the grid is
 // solved directly, warm-chaining each row on a shared solver session,
 // which is the fastest path for a one-shot sweep.
-func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setting bumdp.Setting, ad, workers, par int, jsonOut bool, tracer obs.Tracer) {
+func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setting bumdp.Setting, ad, workers int, jsonOut bool, tracer obs.Tracer) {
 	cfg := core.SweepConfig{
-		Settings:         []bumdp.Setting{setting},
-		AD:               ad,
-		Workers:          workers,
-		InnerParallelism: par,
-		Tracer:           tracer,
+		Settings: []bumdp.Setting{setting},
+		AD:       ad,
+		Workers:  workers,
+		Tracer:   tracer,
 	}
 	start := time.Now()
 	var cells []core.Cell

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -24,8 +25,8 @@ import (
 )
 
 // server is the buserve HTTP daemon: every query endpoint answers from
-// the experiment store, solving and filling on a miss with the PR 1
-// parallel engine under the store's bounded solve budget.
+// the experiment store, solving and filling on a miss under the store's
+// bounded solve budget.
 type server struct {
 	store *expstore.Store
 	// queue is the solve farm's job queue; the /jobs endpoints
@@ -37,8 +38,6 @@ type server struct {
 	// per request; the store's solve budget bounds the solves
 	// themselves across all requests.
 	workers int
-	// par is the Bellman-sweep worker count inside each miss-path solve.
-	par     int
 	started time.Time
 	mux     *http.ServeMux
 	// reg is the server's metrics registry: endpoint families plus the
@@ -60,11 +59,11 @@ type server struct {
 }
 
 // newServer builds the handler tree. queue backs the /jobs endpoints
-// (nil opens a private in-memory queue). workers and par follow the CLI
-// conventions (0 = auto). reg is the metrics registry to expose; nil
+// (nil opens a private in-memory queue). workers follows the CLI
+// convention (0 = auto). reg is the metrics registry to expose; nil
 // creates a private one. The store's and queue's counters and the
 // solver/scheduler package instruments are registered on it.
-func newServer(store *expstore.Store, queue *jobqueue.Queue, workers, parallelism int, reg *obs.Registry, tracer obs.Tracer, ring *obs.RingSink) *server {
+func newServer(store *expstore.Store, queue *jobqueue.Queue, workers int, reg *obs.Registry, tracer obs.Tracer, ring *obs.RingSink) *server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -81,7 +80,6 @@ func newServer(store *expstore.Store, queue *jobqueue.Queue, workers, parallelis
 		store:    store,
 		queue:    queue,
 		workers:  workers,
-		par:      parallelism,
 		started:  time.Now(),
 		mux:      http.NewServeMux(),
 		reg:      reg,
@@ -430,7 +428,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) (cacheOutco
 		AD: ad, Setting: bumdp.Setting(setting), Model: model,
 		DoubleSpendReward: rds,
 	}
-	opts := bumdp.SolveOptions{RatioTol: ratioTol, Epsilon: epsilon, Parallelism: s.par}
+	opts := bumdp.SolveOptions{RatioTol: ratioTol, Epsilon: epsilon}
 	// The request context rides into the solve-budget wait: a client
 	// that disconnects while queued releases its budget slot instead of
 	// burning it on an answer nobody reads.
@@ -587,7 +585,7 @@ func (s *server) sweepConfig(q map[string][]string) (core.SweepConfig, error) {
 		}
 		return ""
 	}
-	cfg := core.SweepConfig{Workers: s.workers, InnerParallelism: s.par}
+	cfg := core.SweepConfig{Workers: s.workers}
 	setting, err := intParam(get("setting"), 0)
 	if err != nil {
 		return cfg, fmt.Errorf("setting: %v", err)
@@ -638,11 +636,16 @@ func setCacheHeader(w http.ResponseWriter, hit bool) {
 
 // writeBlob serves a stored artifact verbatim: the body is the exact
 // cached encoding, so hit and miss responses for one key are
-// byte-identical.
+// byte-identical. The blob is the store's shared copy, which concurrent
+// requests for the same key write at once, so the newline goes out in a
+// second write instead of being appended into its spare capacity.
 func writeBlob(w http.ResponseWriter, blob []byte, hit bool) error {
 	w.Header().Set("Content-Type", "application/json")
 	setCacheHeader(w, hit)
-	_, err := w.Write(append(blob, '\n'))
+	if _, err := w.Write(blob); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n")
 	return err
 }
 

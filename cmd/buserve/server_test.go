@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, nil, 2, 1, nil, nil, nil)
+	srv := newServer(store, nil, 2, nil, nil, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -181,11 +181,10 @@ func TestSweepTableMatchesDirect(t *testing.T) {
 	cfg := core.SweepConfig{
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
-		Workers: 2, InnerParallelism: 1,
-		// The store solves cells independently cold, like this NoChain
-		// sweep.
-		NoChain: true,
+		Workers: 2,
 	}
+	// The store solves cells independently cold, like this sweep.
+	cfg.SolveCell = cfg.Normalized(bumdp.Compliant).SolveOne
 	want := core.FormatTable(core.Sweep(bumdp.Compliant, cfg), true)
 	if string(body1) != want {
 		t.Fatalf("served table differs from direct sweep:\nserved:\n%s\ndirect:\n%s", body1, want)
@@ -448,7 +447,7 @@ func TestSolveShedsWhenSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, nil, 2, 1, nil, nil, nil)
+	srv := newServer(store, nil, 2, nil, nil, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

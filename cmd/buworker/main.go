@@ -58,7 +58,6 @@ func main() {
 		byzantine   = flag.String("byzantine", "", "chaos mode: tamper with results before delivery (corrupt, flipcell, gain, stall); drills only")
 		byzSeed     = flag.Int64("byzantine-seed", 1, "chaos seed; a failing drill replays deterministically from it")
 		quiet       = flag.Bool("quiet", false, "suppress per-job progress lines")
-		parFlag     = cliflag.ParFlag(flag.CommandLine)
 		trace       = cliflag.TraceFlag(flag.CommandLine)
 		metricsDump = cliflag.MetricsDumpFlag(flag.CommandLine)
 		version     = cliflag.VersionFlag(flag.CommandLine)
@@ -100,15 +99,14 @@ func main() {
 	}
 
 	w := &farm.Worker{
-		Client:        &farm.Client{Base: *server},
-		Name:          workerName,
-		Kinds:         kindList,
-		Concurrency:   *concurrency,
-		SolverWorkers: *parFlag,
-		TTL:           *ttl,
-		Poll:          *poll,
-		Drain:         *drain,
-		Tracer:        tracer,
+		Client:      &farm.Client{Base: *server},
+		Name:        workerName,
+		Kinds:       kindList,
+		Concurrency: *concurrency,
+		TTL:         *ttl,
+		Poll:        *poll,
+		Drain:       *drain,
+		Tracer:      tracer,
 	}
 	if *byzantine != "" {
 		// Deliberately adversarial: the coordinator's validity consensus

@@ -109,8 +109,6 @@ type SolveStats struct {
 	Residual float64
 	// Duration is the wall-clock time of the whole solve.
 	Duration time.Duration
-	// Workers is the Bellman-sweep worker count used.
-	Workers int
 }
 
 // Result reports a solved instance.
@@ -131,7 +129,7 @@ type Result struct {
 }
 
 // SolveOptions configure SolveWith. The zero value reproduces Solve:
-// the paper's tolerances and automatic parallelism.
+// the paper's tolerances.
 type SolveOptions struct {
 	// RatioTol (default 1e-5) is kept in store keys and records only:
 	// no solver code reads it, and it does not change results. Ratio
@@ -140,9 +138,8 @@ type SolveOptions struct {
 	// Epsilon is the span criterion of the inner solves' optimizing
 	// sweeps (default 1e-9).
 	Epsilon float64
-	// Parallelism is the Bellman-sweep worker count: 0 selects
-	// GOMAXPROCS (with the solver's small-model serial fallback), 1 the
-	// serial path. Every setting returns bit-identical results.
+	// Parallelism is read by no code: every solve runs on the caller's
+	// goroutine. It stays, like RatioTol, because the benchmark sets it.
 	Parallelism int
 	// Tracer, if non-nil, receives the solve's convergence events:
 	// "ratio.probe"/"ratio.done" from the ratio search and
@@ -152,9 +149,9 @@ type SolveOptions struct {
 }
 
 // Normalized returns the options with defaults applied and the
-// result-neutral knobs (Parallelism, Tracer) zeroed: every setting of
-// those knobs is bit-identical, so the normalized form identifies the
-// solved artifact and is what cache keys must be derived from.
+// result-neutral fields (Parallelism, Tracer) zeroed, so the
+// normalized form identifies the solved artifact and is what cache
+// keys must be derived from.
 func (o SolveOptions) Normalized() SolveOptions {
 	o = o.withDefaults()
 	o.Parallelism = 0
@@ -180,10 +177,7 @@ func (a *Analysis) Solve() (Result, error) {
 
 // SolveWith computes the optimal utility under explicit solver options.
 func (a *Analysis) SolveWith(opts SolveOptions) (Result, error) {
-	opts = opts.withDefaults()
-	ws := a.Model.NewWorkspace(opts.Parallelism)
-	defer ws.Close()
-	return a.solve(ws, opts)
+	return a.solve(a.Model.NewWorkspace(), opts.withDefaults())
 }
 
 // solve runs one solve on ws: the average-reward objective for the
@@ -205,7 +199,6 @@ func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions) (Result, error) {
 			OptSweeps:  r.Stats.OptSweeps,
 			EvalSweeps: r.Stats.EvalSweeps,
 			Residual:   r.Stats.Residual,
-			Workers:    r.Stats.Workers,
 		}}
 		if r.Stats.Warm {
 			res.Stats.WarmProbes = 1
@@ -229,7 +222,6 @@ func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions) (Result, error) {
 			OptSweeps:  r.Stats.OptSweeps,
 			EvalSweeps: r.Stats.EvalSweeps,
 			Residual:   r.Stats.Residual,
-			Workers:    r.Stats.Workers,
 		}}
 	}
 	fork, err := a.Model.StateVisitRate(res.Policy, func(s int) bool {

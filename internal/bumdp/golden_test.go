@@ -2,9 +2,8 @@ package bumdp
 
 // Golden-table regression tests: the solved utilities of the paper's
 // Tables 2, 3 and 4 are locked at 1e-4 (the paper prints four
-// significant digits). The cells are solved through the parallel
-// engine (Parallelism 2), so any regression in either the model
-// dynamics or the parallel solver trips these tests. Values were
+// significant digits), so any regression in either the model dynamics
+// or the solver trips these tests. Values were
 // generated by this repository's solver at the default inner epsilon
 // (1e-9; ratio objectives are solved to their exact optimum) and agree
 // with the paper's printed digits except where noted. Every cell is
@@ -39,7 +38,7 @@ func solveGolden(t *testing.T, model IncentiveModel, setting Setting, c goldenCe
 	if err != nil {
 		t.Fatalf("New(alpha=%g %g:%g): %v", c.alpha, c.ratioB, c.ratioG, err)
 	}
-	res, err := a.SolveWith(SolveOptions{Parallelism: 2})
+	res, err := a.Solve()
 	if err != nil {
 		t.Fatalf("Solve(alpha=%g %g:%g): %v", c.alpha, c.ratioB, c.ratioG, err)
 	}

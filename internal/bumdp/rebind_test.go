@@ -74,7 +74,7 @@ func TestRebindSolvesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SolveOptions{RatioTol: 1e-5, Epsilon: 1e-9, Parallelism: 1}
+	opts := SolveOptions{RatioTol: 1e-5, Epsilon: 1e-9}
 	a, err := fresh.SolveWith(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
 	splits := [][2]float64{
 		{0.48, 0.32}, {0.4, 0.4}, {0.32, 0.48}, {8. / 30, 16. / 30},
 	}
-	opts := SolveOptions{Epsilon: 1e-8, Parallelism: 1}
+	opts := SolveOptions{Epsilon: 1e-8}
 	for _, model := range []IncentiveModel{Compliant, NonCompliant, NonProfit} {
 		var sess *Session
 		for i, sp := range splits {
@@ -159,7 +159,5 @@ func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
 				t.Errorf("model %v cell %d: chained solve reported no warm probes", model, i)
 			}
 		}
-		sess.Close()
-		sess = nil
 	}
 }

@@ -51,15 +51,14 @@ func (a *Analysis) Rebind(p Params) (*Analysis, error) {
 
 // Session solves a sequence of related instances — typically one sweep
 // row, cells varying only in mining-power shares — with cross-solve
-// reuse: one mdp.Workspace (buffers and worker pool allocated once,
-// each solve's first probe warm-started from the previous cell's
-// bias). Rebinding to a same-shape parameter set reparameterizes the
-// model in place of a full recompile.
+// reuse: one mdp.Workspace (buffers allocated once, each solve's first
+// probe warm-started from the previous cell's bias). Rebinding to a
+// same-shape parameter set reparameterizes the model in place of a full
+// recompile.
 //
 // Warm starts change round counts, not answers: every inner solve still
 // runs to Epsilon, and a ratio solve returns an optimal policy's exact
-// ratio. A Session is not safe for concurrent use; Close releases the
-// workspace's worker goroutines.
+// ratio. A Session is not safe for concurrent use.
 type Session struct {
 	a    *Analysis
 	ws   *mdp.Workspace
@@ -67,21 +66,13 @@ type Session struct {
 }
 
 // NewSession creates a warm-chained solving session for a's model
-// shape. The options' Parallelism fixes the workspace's sweep worker
-// count for the session's lifetime.
+// shape.
 func NewSession(a *Analysis, opts SolveOptions) *Session {
-	return &Session{a: a, ws: a.Model.NewWorkspace(opts.Parallelism), opts: opts.withDefaults()}
+	return &Session{a: a, ws: a.Model.NewWorkspace(), opts: opts.withDefaults()}
 }
-
-// Close releases the session's solver workspace.
-func (s *Session) Close() { s.ws.Close() }
 
 // Analysis returns the session's current analysis.
 func (s *Session) Analysis() *Analysis { return s.a }
-
-// Reset discards the warm chain: the next solve starts cold, exactly
-// like a fresh session.
-func (s *Session) Reset() { s.ws.ResetBias() }
 
 // Rebind re-targets the session at a new parameter set. Same-shape
 // parameters keep the workspace and its warm bias (Analysis.Rebind
@@ -94,8 +85,7 @@ func (s *Session) Rebind(p Params) error {
 	}
 	if err := s.ws.Bind(na.Model); err != nil {
 		// Different shape: the old workspace's buffers do not fit.
-		s.ws.Close()
-		s.ws = na.Model.NewWorkspace(s.opts.Parallelism)
+		s.ws = na.Model.NewWorkspace()
 	}
 	s.a = na
 	return nil

@@ -1,6 +1,6 @@
 // Package cliflag holds the flag parsing shared by the repository's
 // command-line tools (cmd/bumdp, cmd/bugames, cmd/butables) and the
-// buserve query parser: the -workers/-par concurrency knobs, "B:G"
+// buserve query parser: the -workers concurrency knob, "B:G"
 // mining-power ratio strings, and comma-separated power lists.
 package cliflag
 
@@ -15,12 +15,6 @@ import (
 // independent jobs (table cells, equilibrium probes) run concurrently.
 func WorkersFlag(fs *flag.FlagSet, what string) *int {
 	return fs.Int("workers", 0, what+" (0 = all cores)")
-}
-
-// ParFlag registers the standard -par flag: the Bellman-sweep worker
-// count inside each solver, which never changes results.
-func ParFlag(fs *flag.FlagSet) *int {
-	return fs.Int("par", 0, "Bellman-sweep workers inside the solver (0 = auto; results identical)")
 }
 
 // ParseRatio parses a "B:G" ratio string into its two positive parts.

@@ -61,11 +61,10 @@ func TestParsePowers(t *testing.T) {
 func TestFlagRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	workers := WorkersFlag(fs, "cells solved concurrently")
-	par := ParFlag(fs)
-	if err := fs.Parse([]string{"-workers", "4", "-par", "2"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	if *workers != 4 || *par != 2 {
-		t.Errorf("workers=%d par=%d", *workers, *par)
+	if *workers != 4 {
+		t.Errorf("workers=%d", *workers)
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // solverBenchGrid is one cold-vs-warm comparison of the solver
-// benchmark: a sweep grid solved once with NoChain (independent cold
-// cells, the pre-workspace behavior) and once on the warm-chained
-// default path.
+// benchmark: a sweep grid solved once with SolveOne as its SolveCell
+// (independent cold cells, the pre-workspace behavior) and once on the
+// warm-chained default path.
 type solverBenchGrid struct {
 	Name       string  `json:"name"`
 	Cells      int     `json:"cells"`
@@ -147,12 +147,11 @@ func benchEvaluate(t *testing.T) solverBenchEvaluate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.SolveWith(bumdp.SolveOptions{Epsilon: 1e-8, Parallelism: 1})
+	res, err := a.SolveWith(bumdp.SolveOptions{Epsilon: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := a.Model.NewWorkspace(1)
-	defer ws.Close()
+	ws := a.Model.NewWorkspace()
 	evaluateOnce := func() {
 		if _, err := ws.EvaluatePolicy(res.Policy, mdp.Options{}); err != nil {
 			t.Fatal(err)
@@ -177,23 +176,20 @@ func benchEvaluate(t *testing.T) solverBenchEvaluate {
 // TestBenchSolver measures the Table-2 sweep with and without the
 // workspace/warm-chain layer and writes the result as JSON to
 // $SOLVER_BENCH_OUT. scripts/bench.sh drives it; plain `go test` skips
-// it. The cold runs use NoChain, which solves every cell independently
-// exactly as the solver did before workspaces existed, so the ratio is
-// a like-for-like wall-clock comparison on identical grids; both times
-// are recorded, and the chained values must equal the cold ones bit
-// for bit. The setting-2 row includes the alpha = beta boundary cell
-// (1:2 at alpha 25%), whose sticky-gate countdown relative value
-// iteration needs minutes to cross.
+// it. The cold runs install SolveOne as the SolveCell, which solves
+// every cell independently exactly as the solver did before workspaces
+// existed, so the ratio is a like-for-like wall-clock comparison on
+// identical grids; both times are recorded, and the chained values must
+// equal the cold ones bit for bit. The setting-2 row includes the
+// alpha = beta boundary cell (1:2 at alpha 25%), whose sticky-gate
+// countdown relative value iteration needs minutes to cross.
 func TestBenchSolver(t *testing.T) {
 	out := os.Getenv("SOLVER_BENCH_OUT")
 	if out == "" {
 		t.Skip("set SOLVER_BENCH_OUT to run the solver benchmark")
 	}
 
-	base := SweepConfig{
-		RatioTol: 1e-4, Epsilon: 1e-8,
-		Workers: 1, InnerParallelism: 1,
-	}
+	base := SweepConfig{RatioTol: 1e-4, Epsilon: 1e-8, Workers: 1}
 	report := solverBenchReport{
 		Benchmark: "table2_sweep_warm_vs_cold",
 		RatioTol:  base.RatioTol, Epsilon: base.Epsilon,
@@ -221,7 +217,7 @@ func TestBenchSolver(t *testing.T) {
 
 	for _, g := range grids {
 		cold := g.cfg
-		cold.NoChain = true
+		cold.SolveCell = cold.Normalized(bumdp.Compliant).SolveOne
 		t0 := time.Now()
 		coldCells := Sweep(bumdp.Compliant, cold)
 		coldDur := time.Since(t0)
@@ -282,7 +278,7 @@ func TestBenchSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := mdp.Options{Epsilon: base.Epsilon, Rho: c.Value, Parallelism: 1}
+		opts := mdp.Options{Epsilon: base.Epsilon, Rho: c.Value}
 		t0 := time.Now()
 		ref, err := rviReference(a.Model, opts)
 		rviDur := time.Since(t0)
@@ -323,8 +319,7 @@ func TestBenchSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := a.Model.NewWorkspace(1)
-	defer ws.Close()
+	ws := a.Model.NewWorkspace()
 	if _, err := ws.AverageReward(mdp.Options{Epsilon: 1e-8}); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestChainedSweepMatchesCold(t *testing.T) {
 		warm := Sweep(model, cfg)
 
 		cold := cfg
-		cold.NoChain = true
+		cold.SolveCell = cfg.Normalized(model).SolveOne
 		ref := Sweep(model, cold)
 
 		if len(warm) != len(ref) {
@@ -74,7 +74,6 @@ func TestChainedSweepWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 4, 9} {
 		cfg := base
 		cfg.Workers = workers
-		cfg.InnerParallelism = 1 // isolate chain-level parallelism
 		got := Sweep(bumdp.Compliant, cfg)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d cells vs %d", workers, len(got), len(ref))

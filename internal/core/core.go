@@ -95,26 +95,15 @@ type SweepConfig struct {
 	// Workers bounds how many cells are solved concurrently (default:
 	// GOMAXPROCS).
 	Workers int
-	// InnerParallelism is the Bellman-sweep worker count inside each
-	// cell's solver. 0 picks a heuristic: serial sweeps when several
-	// chains already run concurrently (chain-level parallelism scales
-	// better and avoids oversubscription; a chain is one warm-started
-	// row on the direct path, one cell when SolveCell is installed or
-	// chaining is off), automatic sweep parallelism otherwise. Explicit
-	// values are passed through. Cell values are identical for every
-	// setting.
+	// InnerParallelism is read by no code: each cell's solve runs on
+	// one goroutine, and Workers is the only concurrency knob. It stays,
+	// like RatioTol, because the benchmark sets it.
 	InnerParallelism int
-	// NoChain disables warm-start chaining on the direct solve path:
-	// every cell is solved cold and independently, exactly as before
-	// chaining existed. Chained and cold cells agree within the solver
-	// tolerances (the golden-table tests pin both against the paper);
-	// cold solves are the reproducible-by-construction reference.
-	// Store-backed sweeps (SolveCell) never chain regardless.
-	NoChain bool
-	// SolveCell, when non-nil, overrides how each non-skipped cell is
-	// solved; the built-in solver is SolveOne. The experiment store uses
-	// it to answer cells from cache and fill misses, without the sweep
-	// grid, ordering, or formatting changing at all.
+	// SolveCell, when non-nil, solves each non-skipped cell on its own
+	// instead of the warm-chained rows of the direct path. The
+	// experiment store uses it to answer cells from cache and fill
+	// misses, and SolveOne is the uncached cold reference; the sweep
+	// grid, ordering and cell values are the same either way.
 	SolveCell func(Cell) Cell `json:"-"`
 	// Tracer receives every cell solver's convergence events. Like the
 	// concurrency knobs it never changes cell values and is excluded
@@ -153,18 +142,6 @@ func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
 	if c.ADs == nil {
 		c.ADs = []int{c.AD}
 	}
-	if c.InnerParallelism == 0 && c.Workers > 1 {
-		// Serialize the inner sweeps only when several chains actually
-		// run concurrently; a single-chain sweep keeps automatic inner
-		// parallelism because nothing competes with it.
-		chains := len(c.ADs) * len(c.Settings) * len(c.Alphas)
-		if c.SolveCell != nil || c.NoChain {
-			chains *= len(c.Ratios)
-		}
-		if chains > 1 {
-			c.InnerParallelism = 1
-		}
-	}
 	_ = model
 	return c
 }
@@ -180,31 +157,35 @@ func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
 // per cell, one solver workspace, each cell's first probe warm-started
 // from its left neighbor's bias. Rows are solved concurrently on
 // cfg.Workers goroutines, and because a chain never crosses a row
-// boundary the results are identical at every worker count. NoChain
-// restores fully independent cold cells, which return bit-identical
-// values and witnesses; an installed SolveCell (the experiment store)
-// always solves cells independently.
+// boundary the results are identical at every worker count. An
+// installed SolveCell (the experiment store, or SolveOne for cold
+// cells) solves cells independently instead, with bit-identical
+// values and witnesses.
 func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 	cfg = cfg.withDefaults(model)
 	cells := cfg.grid(model)
-	if cfg.SolveCell != nil || cfg.NoChain {
-		solve := cfg.SolveOne
-		if cfg.SolveCell != nil {
-			solve = cfg.SolveCell
-		}
-		par.For(len(cells), cfg.Workers, func(i int) {
-			if cells[i].Skipped {
-				return
-			}
-			cells[i] = solve(cells[i])
-		})
-		return cells
-	}
+	cfg.solveRows(cells, cfg.ShardRows(model, 0, 1))
+	return cells
+}
+
+// solveRows solves the listed rows of a defaults-applied config's grid
+// in place, with cfg.Workers rows (or, under SolveCell, cells) in
+// flight: each row as one warm chain, or each cell through SolveCell.
+func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
 	rowLen := len(cfg.Ratios)
-	par.For(len(cells)/rowLen, cfg.Workers, func(r int) {
+	if cfg.SolveCell != nil {
+		par.For(len(rows)*rowLen, cfg.Workers, func(i int) {
+			c := &cells[rows[i/rowLen]*rowLen+i%rowLen]
+			if !c.Skipped {
+				*c = cfg.SolveCell(*c)
+			}
+		})
+		return
+	}
+	par.For(len(rows), cfg.Workers, func(i int) {
+		r := rows[i]
 		cfg.solveRow(cells[r*rowLen : (r+1)*rowLen])
 	})
-	return cells
 }
 
 // Grid lays out the full unsolved cell grid the config's sweep would
@@ -246,11 +227,6 @@ func (c SweepConfig) grid(model bumdp.IncentiveModel) []Cell {
 // retries session setup at the next cell.
 func (cfg SweepConfig) solveRow(row []Cell) {
 	var sess *bumdp.Session
-	defer func() {
-		if sess != nil {
-			sess.Close()
-		}
-	}()
 	for i := range row {
 		if row[i].Skipped {
 			continue
@@ -299,16 +275,13 @@ func (c SweepConfig) CellParams(cell Cell) (bumdp.Params, bumdp.SolveOptions) {
 		Alpha: cell.Alpha, Beta: beta, Gamma: gamma,
 		AD: cell.AD, Setting: cell.Setting, Model: cell.Model,
 	}
-	o := bumdp.SolveOptions{
-		RatioTol: c.RatioTol, Epsilon: c.Epsilon,
-		Parallelism: c.InnerParallelism,
-		Tracer:      c.Tracer,
-	}
+	o := bumdp.SolveOptions{RatioTol: c.RatioTol, Epsilon: c.Epsilon, Tracer: c.Tracer}
 	return p, o
 }
 
-// SolveOne solves one grid cell directly (no cache). It is the built-in
-// cell solver Sweep uses when no SolveCell override is installed.
+// SolveOne solves one grid cell directly (no cache) and cold. Installed
+// as the SolveCell of the config it is called on, after Normalized, it
+// makes Sweep solve every cell independently.
 func (cfg SweepConfig) SolveOne(c Cell) Cell {
 	params, opts := cfg.CellParams(c)
 	a, err := bumdp.New(params)
@@ -342,8 +315,11 @@ type BitcoinBaselineCell struct {
 }
 
 // BitcoinBaseline solves the combined selfish-mining / double-spending
-// attack for the paper's grid (Table 3, bottom).
-func BitcoinBaseline(alphas, ties []float64, workers int) []BitcoinBaselineCell {
+// attack for the paper's grid (Table 3, bottom), with workers cells in
+// flight. solve, when non-nil, answers each cell's solve in place of
+// solving it directly; the experiment store passes one that answers
+// from cache and fills misses.
+func BitcoinBaseline(alphas, ties []float64, workers int, solve func(bitcoin.Params) (float64, error)) []BitcoinBaselineCell {
 	if alphas == nil {
 		alphas = []float64{0.10, 0.15, 0.20, 0.25}
 	}
@@ -356,22 +332,28 @@ func BitcoinBaseline(alphas, ties []float64, workers int) []BitcoinBaselineCell 
 			cells = append(cells, BitcoinBaselineCell{Alpha: alpha, TieWinProb: tie})
 		}
 	}
+	if solve == nil {
+		solve = solveBitcoin
+	}
 	par.For(len(cells), workers, func(i int) {
 		c := &cells[i]
-		an, err := bitcoin.New(bitcoin.Params{
+		c.Value, c.Err = solve(bitcoin.Params{
 			Alpha: c.Alpha, TieWinProb: c.TieWinProb,
 			Objective: bitcoin.AbsoluteReward,
 		})
-		if err != nil {
-			c.Err = err
-			return
-		}
-		res, err := an.Solve()
-		if err != nil {
-			c.Err = err
-			return
-		}
-		c.Value = res.Utility
 	})
 	return cells
+}
+
+// solveBitcoin solves one Bitcoin baseline instance directly.
+func solveBitcoin(p bitcoin.Params) (float64, error) {
+	an, err := bitcoin.New(p)
+	if err != nil {
+		return 0, err
+	}
+	res, err := an.Solve()
+	if err != nil {
+		return 0, err
+	}
+	return res.Utility, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"buanalysis/internal/bumdp"
-	"buanalysis/internal/par"
 )
 
 // Sweep sharding: a SweepConfig's grid splits into Count shards of
@@ -30,10 +29,10 @@ func (c SweepConfig) ShardRows(model bumdp.IncentiveModel, index, count int) []i
 
 // SweepShard solves shard index of count of the config's grid and
 // returns its cells, whole rows in grid order. Rows are solved exactly
-// as Sweep solves them — warm-chained on a shared session (or cold /
-// store-backed when NoChain / SolveCell is set) with cfg.Workers rows
-// in flight — so the cells are bit-identical to the ones the full
-// single-process sweep would produce at those positions.
+// as Sweep solves them — warm-chained on a shared session (or cell by
+// cell when SolveCell is set) with cfg.Workers rows in flight — so the
+// cells are bit-identical to the ones the full single-process sweep
+// would produce at those positions.
 func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) ([]Cell, error) {
 	if count < 1 || index < 0 || index >= count {
 		return nil, fmt.Errorf("core: bad shard %d of %d", index, count)
@@ -42,26 +41,7 @@ func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) (
 	cells := cfg.grid(model)
 	rowLen := len(cfg.Ratios)
 	mine := cfg.ShardRows(model, index, count)
-
-	if cfg.SolveCell != nil || cfg.NoChain {
-		solve := cfg.SolveOne
-		if cfg.SolveCell != nil {
-			solve = cfg.SolveCell
-		}
-		par.For(len(mine)*rowLen, cfg.Workers, func(i int) {
-			idx := mine[i/rowLen]*rowLen + i%rowLen
-			if cells[idx].Skipped {
-				return
-			}
-			cells[idx] = solve(cells[idx])
-		})
-	} else {
-		par.For(len(mine), cfg.Workers, func(i int) {
-			r := mine[i]
-			cfg.solveRow(cells[r*rowLen : (r+1)*rowLen])
-		})
-	}
-
+	cfg.solveRows(cells, mine)
 	out := make([]Cell, 0, len(mine)*rowLen)
 	for _, r := range mine {
 		out = append(out, cells[r*rowLen:(r+1)*rowLen]...)

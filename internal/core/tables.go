@@ -87,16 +87,3 @@ func hasSetting(ss []bumdp.Setting, s bumdp.Setting) bool {
 	}
 	return false
 }
-
-// Run executes every job of the table with the given cell solver
-// (Sweep's default when solve is nil) and returns the concatenated
-// cells in job order.
-func (t Table) Run(solve func(Cell) Cell) []Cell {
-	var cells []Cell
-	for _, job := range t.Jobs {
-		cfg := job.Cfg
-		cfg.SolveCell = solve
-		cells = append(cells, Sweep(job.Model, cfg)...)
-	}
-	return cells
-}

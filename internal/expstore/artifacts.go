@@ -26,9 +26,8 @@ const (
 
 // buSolveKey is the canonical identity of a BU solve artifact: the
 // normalized MDP parameters plus the tolerances that shape the result.
-// Concurrency knobs are excluded — every Parallelism setting is
-// bit-identical (PR 1's determinism suite), so they must not split the
-// cache.
+// SolveOptions.Parallelism, which no solver reads, and the tracer are
+// excluded, so they cannot split the cache.
 type buSolveKey struct {
 	Params   bumdp.Params `json:"params"`
 	RatioTol float64      `json:"ratio_tol"`
@@ -77,8 +76,7 @@ func ComputeBUSolve(p bumdp.Params, opts bumdp.SolveOptions) ([]byte, error) {
 		return nil, err
 	}
 	res, err := a.SolveWith(bumdp.SolveOptions{
-		RatioTol: no.RatioTol, Epsilon: no.Epsilon,
-		Parallelism: opts.Parallelism, Tracer: opts.Tracer,
+		RatioTol: no.RatioTol, Epsilon: no.Epsilon, Tracer: opts.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -98,9 +96,9 @@ func ComputeBUSolve(p bumdp.Params, opts bumdp.SolveOptions) ([]byte, error) {
 // SolveBU answers a BU attack MDP solve from the store, solving and
 // filling on a miss. blob is the exact stored encoding (byte-identical
 // for every request of the same key, hit or miss); hit reports whether
-// the store already had it. opts.Parallelism and opts.Tracer steer and
-// observe the miss-path solver only — neither affects the key or the
-// result bytes (and a cache hit naturally emits no solver events).
+// the store already had it. opts.Tracer observes the miss-path solver
+// only — it affects neither the key nor the result bytes (and a cache
+// hit naturally emits no solver events).
 func SolveBU(st *Store, p bumdp.Params, opts bumdp.SolveOptions) (rec BUSolveRecord, blob []byte, hit bool, err error) {
 	return SolveBUCtx(context.Background(), st, p, opts)
 }
@@ -119,8 +117,7 @@ func SolveBUCtx(ctx context.Context, st *Store, p bumdp.Params, opts bumdp.Solve
 	}
 	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
 		return ComputeBUSolve(np, bumdp.SolveOptions{
-			RatioTol: no.RatioTol, Epsilon: no.Epsilon,
-			Parallelism: opts.Parallelism, Tracer: opts.Tracer,
+			RatioTol: no.RatioTol, Epsilon: no.Epsilon, Tracer: opts.Tracer,
 		})
 	})
 	if err != nil {
@@ -223,12 +220,6 @@ func SweepStats(st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) (ce
 // as each of its pending cells reaches the head of the queue.
 func SweepStatsCtx(ctx context.Context, st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) (cells []core.Cell, hits, misses int) {
 	cfg = cfg.Normalized(model)
-	// Store cells solve independently (one cell per chain, never warm),
-	// so apply the per-cell oversubscription heuristic that Normalized
-	// could not anticipate with SolveCell still uninstalled.
-	if cfg.InnerParallelism == 0 && cfg.Workers > 1 {
-		cfg.InnerParallelism = 1
-	}
 	base := cfg
 	var h, m atomic.Int64
 	cfg.SolveCell = func(c core.Cell) core.Cell {

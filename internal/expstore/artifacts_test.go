@@ -130,7 +130,7 @@ func TestSweepMatchesUncachedSweep(t *testing.T) {
 	// Store cells are always solved cold and independently, so they are
 	// bit-identical to a direct unchained sweep.
 	coldCfg := cfg
-	coldCfg.NoChain = true
+	coldCfg.SolveCell = cfg.Normalized(bumdp.Compliant).SolveOne
 	cold := core.Sweep(bumdp.Compliant, coldCfg)
 	if len(cached) != len(cold) {
 		t.Fatalf("grid sizes differ: %d vs %d", len(cached), len(cold))
@@ -192,6 +192,33 @@ func TestSolveBitcoinCached(t *testing.T) {
 	}
 	if rec1.Utility <= 0 {
 		t.Errorf("implausible utility %v", rec1.Utility)
+	}
+}
+
+// TestCachedBitcoinBaselineMatchesDirect: the store-backed Table 3
+// baseline is core.BitcoinBaseline's default grid, cell for cell and bit
+// for bit, whether its cells are solved on a miss or read back.
+func TestCachedBitcoinBaselineMatchesDirect(t *testing.T) {
+	want := core.BitcoinBaseline(nil, nil, 0, nil)
+	s := mustOpen(t, Config{})
+	for _, pass := range []string{"miss", "hit"} {
+		got := CachedBitcoinBaseline(s, nil, nil)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d cells, direct %d", pass, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if w.Err != nil || g.Err != nil {
+				t.Fatalf("%s cell %d: errors direct=%v cached=%v", pass, i, w.Err, g.Err)
+			}
+			if g.Alpha != w.Alpha || g.TieWinProb != w.TieWinProb ||
+				math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Errorf("%s cell %d: cached %+v, direct %+v", pass, i, g, w)
+			}
+		}
+	}
+	if solves := s.Stats().Solves; solves != int64(len(want)) {
+		t.Errorf("store solved %d cells for a %d-cell grid read twice", solves, len(want))
 	}
 }
 

@@ -52,7 +52,11 @@ import (
 // Version 6: ratio objectives are solved by Dinkelbach's iteration
 // instead of a bisection, so stored ratio values are their witnesses'
 // exact ratios, and probe counts, witnesses and fork rates change.
-const Version = 6
+//
+// Version 7: every solve runs on one goroutine, and busolve records no
+// longer carry the sweep worker count (stats.Workers). Values, witnesses
+// and probe and sweep counts are unchanged.
+const Version = 7
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

@@ -6,12 +6,6 @@ import (
 	"buanalysis/internal/core"
 )
 
-// bitcoinBaselineParams are the Table 3 bottom-block solver inputs for
-// one (alpha, tie) cell, matching core.BitcoinBaseline exactly.
-func bitcoinBaselineParams(alpha, tie float64) bitcoin.Params {
-	return bitcoin.Params{Alpha: alpha, TieWinProb: tie, Objective: bitcoin.AbsoluteReward}
-}
-
 // CellRecord is the serializable form of one sweep cell. It is the one
 // encoding of sweep results in the repository: cmd/bumdp -sweep -json,
 // cmd/butables -json, and the buserve /sweep and /tables endpoints all
@@ -83,27 +77,11 @@ func NewBaselineRecords(cells []core.BitcoinBaselineCell) []BaselineRecord {
 	return recs
 }
 
-// CachedBitcoinBaseline mirrors core.BitcoinBaseline with every cell
+// CachedBitcoinBaseline is core.BitcoinBaseline with every cell
 // answered through the store.
 func CachedBitcoinBaseline(st *Store, alphas, ties []float64) []core.BitcoinBaselineCell {
-	if alphas == nil {
-		alphas = []float64{0.10, 0.15, 0.20, 0.25}
-	}
-	if ties == nil {
-		ties = []float64{0.5, 1.0}
-	}
-	var cells []core.BitcoinBaselineCell
-	for _, tie := range ties {
-		for _, alpha := range alphas {
-			c := core.BitcoinBaselineCell{Alpha: alpha, TieWinProb: tie}
-			rec, _, _, err := SolveBitcoin(st, bitcoinBaselineParams(alpha, tie))
-			if err != nil {
-				c.Err = err
-			} else {
-				c.Value = rec.Utility
-			}
-			cells = append(cells, c)
-		}
-	}
-	return cells
+	return core.BitcoinBaseline(alphas, ties, 0, func(p bitcoin.Params) (float64, error) {
+		rec, _, _, err := SolveBitcoin(st, p)
+		return rec.Utility, err
+	})
 }

@@ -11,16 +11,17 @@ import (
 
 // Sweep shard artifacts. A sharded sweep solves whole warm-chain rows
 // per shard (core.SweepShard), so its cells are the direct-path chained
-// values — deliberately NOT the cold per-cell busolve artifacts the
-// store's SolveCell path produces (PR 4 pinned store cells to always
-// solve cold). Shard results therefore live under their own kind,
-// keyed by the shard's full value-affecting identity, and never touch
-// the per-cell cache.
+// values. Their values and witnesses are bit-identical to the cold
+// per-cell busolve artifacts the store's SolveCell path produces
+// (core's TestChainedSweepMatchesCold pins it), but their probe and
+// sweep counts are not: a warm start changes round counts. Shard
+// results therefore live under their own kind, keyed by the shard's
+// full value-affecting identity, and never touch the per-cell cache.
 
 // sweepShardKey is the canonical identity of one shard: every
 // normalized config field that shapes cell values, plus the shard
-// coordinates. Concurrency knobs (Workers, InnerParallelism) are
-// excluded — shard cells are bit-identical at every worker count.
+// coordinates. Workers and the unread InnerParallelism are excluded —
+// shard cells are bit-identical at every worker count.
 type sweepShardKey struct {
 	Model    int             `json:"model"`
 	Alphas   []float64       `json:"alphas"`
@@ -29,7 +30,6 @@ type sweepShardKey struct {
 	ADs      []int           `json:"ads"`
 	RatioTol float64         `json:"ratio_tol"`
 	Epsilon  float64         `json:"epsilon"`
-	NoChain  bool            `json:"no_chain,omitempty"`
 	Index    int             `json:"index"`
 	Count    int             `json:"count"`
 }
@@ -39,7 +39,7 @@ func shardKeyOf(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count i
 	return Key(KindSweepShard, sweepShardKey{
 		Model: int(model), Alphas: cfg.Alphas, Ratios: cfg.Ratios,
 		Settings: cfg.Settings, ADs: cfg.ADs,
-		RatioTol: cfg.RatioTol, Epsilon: cfg.Epsilon, NoChain: cfg.NoChain,
+		RatioTol: cfg.RatioTol, Epsilon: cfg.Epsilon,
 		Index: index, Count: count,
 	})
 }

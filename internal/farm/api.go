@@ -448,9 +448,9 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 // agreementSum is the checksum the duplicate-agreement check compares a
 // late duplicate's bytes with the stored artifact's under. It is sha256
 // over the result bytes with run-dependent fields normalized away: the
-// BU solve record is the one artifact whose bytes embed wall-clock
-// facts (the solve's duration and worker count), and without this
-// normalization every honest late duplicate would count as a mismatch.
+// BU solve record is the one artifact whose bytes embed a wall-clock
+// fact (the solve's duration), and without this normalization every
+// honest late duplicate would count as a mismatch.
 // Every other kind's bytes are deterministic and hash as delivered.
 // Normalization only feeds the comparison; the bytes materialized are
 // always exactly what the first valid completion delivered.
@@ -459,7 +459,6 @@ func agreementSum(kind string, blob []byte) string {
 		var rec expstore.BUSolveRecord
 		if json.Unmarshal(blob, &rec) == nil {
 			rec.Stats.Duration = 0
-			rec.Stats.Workers = 0
 			if nb, err := json.Marshal(rec); err == nil {
 				blob = nb
 			}

@@ -106,15 +106,15 @@ func NewBitcoinSolveJob(p bitcoin.Params, priority int) (jobqueue.Job, error) {
 
 // NewSweepShardJob builds the job for shard index of a count-way sweep.
 // The embedded config is normalized (so every worker solves the exact
-// grid the enqueuer saw) with the concurrency knobs cleared — each
-// worker applies its own, and they never change cell values.
+// grid the enqueuer saw) with Workers cleared — each worker applies its
+// own, and it never changes cell values.
 func NewSweepShardJob(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count, priority int) (jobqueue.Job, error) {
 	id, err := expstore.SweepShardKey(model, cfg, index, count)
 	if err != nil {
 		return jobqueue.Job{}, err
 	}
 	ncfg := cfg.Normalized(model)
-	ncfg.Workers, ncfg.InnerParallelism = 0, 0
+	ncfg.Workers = 0
 	return newJob(expstore.KindSweepShard, id,
 		SweepShardSpec{Model: int(model), Config: ncfg, Index: index, Count: count}, priority)
 }
@@ -205,8 +205,9 @@ func NewJob(kind string, spec json.RawMessage, priority int) (jobqueue.Job, erro
 
 // Execute runs one job and returns the artifact blob it produces — the
 // canonical bytes of the job's record, identical wherever the job runs.
-// workers is the executor's solver parallelism (0 selects the solvers'
-// defaults); it never affects the bytes. The job's ID is re-derived
+// workers bounds how many of a job's independent units (a shard's rows,
+// Monte Carlo batches, equilibrium probes) run at once (0 selects all
+// cores); it never affects the bytes. The job's ID is re-derived
 // from its spec and must match, so a corrupted queue entry can never
 // materialize bytes under the wrong key.
 func Execute(job jobqueue.Job, workers int) ([]byte, error) {
@@ -234,7 +235,7 @@ func ExecuteTraced(job jobqueue.Job, workers int, tr obs.Tracer) ([]byte, error)
 			return nil, err
 		}
 		return expstore.ComputeBUSolve(s.Params, bumdp.SolveOptions{
-			RatioTol: s.RatioTol, Epsilon: s.Epsilon, Parallelism: workers, Tracer: tr,
+			RatioTol: s.RatioTol, Epsilon: s.Epsilon, Tracer: tr,
 		})
 	case expstore.KindBitcoinSolve:
 		var s BitcoinSolveSpec

@@ -263,9 +263,8 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 	if !hit {
 		t.Fatal("serving path missed on the worker-produced artifact")
 	}
-	// A local solve agrees on everything but the wall-clock fields
-	// (Duration and the worker count are the record's only
-	// run-dependent bytes).
+	// A local solve agrees on everything but the wall-clock field
+	// (Duration is the record's only run-dependent value).
 	wantBlob, err := expstore.ComputeBUSolve(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +274,6 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Stats.Duration, want.Stats.Duration = 0, 0
-	rec.Stats.Workers, want.Stats.Workers = 0, 0
 	if !reflect.DeepEqual(rec, want) {
 		t.Fatalf("worker artifact differs from local solve:\n%+v\n%+v", rec, want)
 	}

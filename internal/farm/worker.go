@@ -26,8 +26,8 @@ type Worker struct {
 	Kinds []string
 	// Concurrency is how many jobs run at once (default 1).
 	Concurrency int
-	// SolverWorkers is the per-job solver parallelism handed to Execute
-	// (0: the solvers' defaults).
+	// SolverWorkers bounds how many of one job's independent units run
+	// at once, handed to Execute (0: all cores).
 	SolverWorkers int
 	// TTL is the lease TTL requested; heartbeats renew at TTL/3
 	// (default 30s).

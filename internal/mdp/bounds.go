@@ -12,20 +12,8 @@ import (
 // transformation. The bracket holds for any h, however produced, which
 // is what makes it a certificate: the solvers report Gain as the
 // corrected bracket midpoint and Stats.Residual as the bracket width,
-// and CertifyPolicy reruns the one sweep on a claimed policy's exact
-// bias.
-
-// GainBounds recovers the certified optimal-gain bracket [lo, hi] of a
-// converged solve from its reported Gain and Stats.Residual, under the
-// same options the solve ran with (only Aperiodicity matters — the
-// bracket scaling must use the tau the sweeps applied). The true
-// optimal gain of the solved problem lies within the returned bounds.
-func (r Result) GainBounds(opts Options) (lo, hi float64) {
-	opts = opts.withDefaults()
-	keep := 1 - opts.Aperiodicity
-	half := r.Stats.Residual / (2 * keep)
-	return r.Gain - half, r.Gain + half
-}
+// so the optimal gain lies within Gain ± Residual/(2·keep), and
+// CertifyPolicy reruns the one sweep on a claimed policy's exact bias.
 
 // Certificate is the two-pass check of a policy's optimality.
 type Certificate struct {
@@ -45,17 +33,13 @@ type Certificate struct {
 // produced the policy ran.
 func (m *Model) CertifyPolicy(pol Policy, opts Options) (Certificate, error) {
 	opts = opts.withDefaults()
-	ws := m.NewWorkspace(opts.Parallelism)
-	defer ws.Close()
+	ws := m.NewWorkspace()
 	ev, err := ws.EvaluatePolicy(pol, opts)
 	if err != nil {
 		return Certificate{}, err
 	}
-	ws.tau = opts.Aperiodicity
-	ws.mode = opBellman
-	ws.pool.run(ws.body)
+	_, hi := m.bellmanSweep(ws.h, ws.next, ws.pol, ws.shift, opts.Aperiodicity)
 	sweepsTotal.Inc()
-	_, hi := reduceSpans(ws.spans)
 	c := Certificate{Gain: ev.Gain, Hi: hi / (1 - opts.Aperiodicity)}
 	if math.IsNaN(c.Hi) || math.IsInf(c.Hi, 0) {
 		return c, fmt.Errorf("mdp: certificate bracket top %g is not finite", c.Hi)

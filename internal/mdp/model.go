@@ -12,10 +12,9 @@
 // relative-revenue and orphan-rate utilities; setting Den to 1 per step
 // recovers the absolute-reward (per-block) utility.
 //
-// The optimizing sweeps are parallel: they are partitioned over worker
-// goroutines (Options.Parallelism) with order-independent residual
-// reductions, so parallel and serial solves return bit-identical
-// results. See parallel.go for the execution machinery.
+// Every solve runs on the caller's goroutine; only model compilation
+// splits its work across goroutines (see parallel.go). Callers solve
+// many instances in parallel instead.
 package mdp
 
 import (

@@ -103,7 +103,7 @@ func (m *Model) shiftedRewards(rho float64) []float64 {
 
 // rviOracle is the reference average-reward solver the differential
 // tests hold policy iteration to: plain relative value iteration. It
-// repeats the serial optimizing sweep (bellmanChunk) from the zero
+// repeats the serial optimizing sweep (bellmanSweep) from the zero
 // vector, re-centering on state 0, until the span of the update falls
 // below opts.Epsilon, and reports the bracket midpoint like
 // AverageReward. It shares the sweep kernel and nothing else: no
@@ -117,7 +117,7 @@ func (m *Model) rviOracle(opts Options) (Result, error) {
 	shift := m.shiftedRewards(opts.Rho)
 	tau := opts.Aperiodicity
 	for it := 1; it <= opts.MaxIterations; it++ {
-		lo, hi := m.bellmanChunk(h, next, pol, shift, tau, 0, n)
+		lo, hi := m.bellmanSweep(h, next, pol, shift, tau)
 		ref := next[0]
 		for s := range next {
 			next[s] -= ref
@@ -127,7 +127,7 @@ func (m *Model) rviOracle(opts Options) (Result, error) {
 			return Result{
 				Gain: (lo + hi) / 2 / (1 - tau), Policy: pol, Bias: h,
 				Iterations: it, Converged: true,
-				Stats: Stats{Iterations: it, OptSweeps: it, Residual: hi - lo, Workers: 1},
+				Stats: Stats{Iterations: it, OptSweeps: it, Residual: hi - lo},
 			}, nil
 		}
 	}

@@ -71,9 +71,9 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rng.Intn(40)
 		m := mustCompile(t, randomBuilder(rng, n, 3))
-		opts := Options{Epsilon: 1e-9, Parallelism: 1}
+		opts := Options{Epsilon: 1e-9}
 
-		ws := m.NewWorkspace(1)
+		ws := m.NewWorkspace()
 		pol := make(Policy, n)
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions(s)))
@@ -104,14 +104,13 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 				t.Errorf("trial %d %s: workspace gain %v iters %d, model gain %v iters %d",
 					trial, sv.name, got.Gain, got.Iterations, want.Gain, want.Iterations)
 			}
-			equalPolicies(t, sv.name, 1, got.Policy, want.Policy)
-			equalFloatsBitwise(t, sv.name+" bias", 1, got.Bias, want.Bias)
+			equalPolicies(t, sv.name, got.Policy, want.Policy)
+			equalFloatsBitwise(t, sv.name+" bias", got.Bias, want.Bias)
 			if got.Stats.Warm != want.Stats.Warm {
 				t.Errorf("trial %d %s: workspace Warm=%v, model Warm=%v",
 					trial, sv.name, got.Stats.Warm, want.Stats.Warm)
 			}
 		}
-		ws.Close()
 	}
 }
 
@@ -128,13 +127,12 @@ func TestWarmChainRandomProbeOrders(t *testing.T) {
 			t.Logf("seed %d: Compile: %v", seed, err)
 			return false
 		}
-		opts := Options{Epsilon: 1e-9, Parallelism: 1}
+		opts := Options{Epsilon: 1e-9}
 		probes := make([]float64, 6)
 		for i := range probes {
 			probes[i] = rng.Float64()
 		}
-		ws := m.NewWorkspace(1)
-		defer ws.Close()
+		ws := m.NewWorkspace()
 		ok := true
 		for i, rho := range probes {
 			po := opts
@@ -183,8 +181,8 @@ func TestResetBiasRestoresColdBehaviorOnRandomModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 6; trial++ {
 		m := mustCompile(t, randomBuilder(rng, 30+rng.Intn(30), 3))
-		opts := Options{Epsilon: 1e-9, Parallelism: 1}
-		ws := m.NewWorkspace(1)
+		opts := Options{Epsilon: 1e-9}
+		ws := m.NewWorkspace()
 
 		cold, err := ws.AverageReward(opts)
 		if err != nil {
@@ -213,7 +211,6 @@ func TestResetBiasRestoresColdBehaviorOnRandomModels(t *testing.T) {
 			t.Errorf("trial %d: after ResetBias gain %v iters %d warm %v, want gain %v iters %d",
 				trial, recold.Gain, recold.Iterations, recold.Stats.Warm, cold.Gain, cold.Iterations)
 		}
-		equalFloatsBitwise(t, "post-reset bias", 1, recold.Bias, coldBias)
-		ws.Close()
+		equalFloatsBitwise(t, "post-reset bias", recold.Bias, coldBias)
 	}
 }

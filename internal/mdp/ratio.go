@@ -21,11 +21,6 @@ type RatioOptions struct {
 	// shifted below the best ratio found by Epsilon/((1-Aperiodicity)*den),
 	// den the best policy's Den rate.
 	Inner Options
-	// Parallelism is the worker count for the inner average-reward
-	// solves; it is used when Inner.Parallelism is unset. 0 selects
-	// GOMAXPROCS (with the small-model serial fallback), 1 the serial
-	// path; all settings are bit-identical (see Options.Parallelism).
-	Parallelism int
 	// Tracer, if non-nil, receives one "ratio.probe" event per inner
 	// solve (its shift rho, the resulting gain, and the exact ratio of
 	// its greedy policy in Value) and a final "ratio.done". It is also
@@ -36,9 +31,6 @@ type RatioOptions struct {
 }
 
 func (o RatioOptions) withDefaults() RatioOptions {
-	if o.Inner.Parallelism == 0 {
-		o.Inner.Parallelism = o.Parallelism
-	}
 	if o.Inner.Tracer == nil {
 		o.Inner.Tracer = o.Tracer
 	}
@@ -66,8 +58,6 @@ type RatioStats struct {
 	Residual float64
 	// Duration is the wall-clock time of the whole search.
 	Duration time.Duration
-	// Workers is the worker count used by the inner solves.
-	Workers int
 }
 
 // RatioResult reports the outcome of a ratio-objective solve.
@@ -105,17 +95,14 @@ type RatioResult struct {
 // Each call runs on a transient Workspace; callers solving many ratios
 // on one model shape should hold a Workspace and call its SolveRatio.
 func (m *Model) SolveRatio(opts RatioOptions) (RatioResult, error) {
-	opts = opts.withDefaults()
-	ws := m.NewWorkspace(opts.Inner.Parallelism)
-	defer ws.Close()
-	return ws.SolveRatio(opts)
+	return m.NewWorkspace().SolveRatio(opts)
 }
 
 // SolveRatio is Model.SolveRatio on the workspace: the probes share the
-// workspace's buffers and worker pool, each probe after the first
-// warm-starts from the previous probe's bias, and the exact ratios are
-// evaluated on the workspace's scratch, so a steady-state search
-// allocates only the returned Policy, a fresh copy.
+// workspace's buffers, each probe after the first warm-starts from the
+// previous probe's bias, and the exact ratios are evaluated on the
+// workspace's scratch, so a steady-state search allocates only the
+// returned Policy, a fresh copy.
 func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -134,14 +121,10 @@ func (ws *Workspace) SolveRatio(opts RatioOptions) (RatioResult, error) {
 		probesTotal.Inc()
 		inner.Rho = rho
 		res, err := ws.AverageReward(inner)
-		// Later probes chain the workspace's bias; an explicit Inner.Warm
-		// only seeds the first.
-		inner.Warm = nil
 		stats.Iterations += res.Stats.Iterations
 		stats.OptSweeps += res.Stats.OptSweeps
 		stats.EvalSweeps += res.Stats.EvalSweeps
 		stats.Residual = res.Stats.Residual
-		stats.Workers = res.Stats.Workers
 		if res.Stats.Warm {
 			stats.WarmProbes++
 		}

@@ -27,21 +27,6 @@ type Options struct {
 	// Rho shifts the per-transition reward to Num - Rho*Den. The plain
 	// average-reward solvers use Rho as given (default 0).
 	Rho float64
-	// Warm, if non-nil, seeds the bias vector (length NumStates). Reusing
-	// the bias of a nearby solve (for example the previous ratio probe)
-	// seeds the first round's greedy policy. The slice is copied.
-	// Workspace solves chain the previous solve's bias automatically;
-	// Warm overrides the chained bias when both are present.
-	Warm []float64
-	// Parallelism is the number of worker goroutines the Bellman sweeps
-	// run on. 0 (the default) selects GOMAXPROCS, falling back to the
-	// serial path for models too small to amortize the per-sweep
-	// synchronization; 1 forces the serial path. Any value yields
-	// bit-identical results — values, policies, and iteration counts —
-	// because every state update uses the same arithmetic and the
-	// residual reductions are order-independent. Workspace solves run on
-	// the workspace's pool and ignore this field.
-	Parallelism int
 	// Tracer, if non-nil, receives one "solver.iter" event per
 	// optimizing sweep (residual, span bounds, greedy-policy change
 	// count), one "solver.eval" event per exact policy evaluation, a
@@ -54,13 +39,11 @@ type Options struct {
 
 // Normalized returns the options with every default applied, the exact
 // configuration the solvers run under. Two Options values that solve
-// identically normalize to the same struct (Warm, Parallelism, and
-// Tracer do not affect results and are zeroed), which makes the
-// normalized form a stable basis for cache keys.
+// identically normalize to the same struct (Tracer does not affect
+// results and is zeroed), which makes the normalized form a stable
+// basis for cache keys.
 func (o Options) Normalized() Options {
 	o = o.withDefaults()
-	o.Warm = nil
-	o.Parallelism = 0
 	o.Tracer = nil
 	return o
 }
@@ -99,11 +82,8 @@ type Stats struct {
 	Residual float64
 	// Duration is the wall-clock time of the solve.
 	Duration time.Duration
-	// Workers is the number of sweep workers used (1 = serial path).
-	Workers int
-	// Warm reports whether the solve started from a warm bias (an
-	// explicit Options.Warm or a workspace's chained bias) instead of
-	// the cold zero vector.
+	// Warm reports whether the solve started from a workspace's chained
+	// bias instead of the cold zero vector.
 	Warm bool
 }
 
@@ -121,26 +101,21 @@ type Result struct {
 	// MaxIterations rounds.
 	Converged bool
 	// Stats carries per-solve instrumentation (iterations, final
-	// residual, wall time, worker count).
+	// residual, wall time).
 	Stats Stats
 }
 
-// recenterParallelMin is the model size above which the re-centering
-// pass is worth a second pool barrier; below it the caller subtracts
-// serially. Either way the arithmetic is elementwise and identical.
-const recenterParallelMin = 1 << 14
-
-// bellmanChunk performs one optimizing Bellman backup over the full
-// action set for states [lo, hi): next[s] and pol[s] are written, and
-// the chunk's span of the update d = next[s] - h[s] is returned for the
-// caller's min/max reduction. It iterates the compacted transition
-// layout (duplicates merged, destinations sorted).
-func (m *Model) bellmanChunk(h, next []float64, pol Policy, shift []float64, tau float64, lo, hi int) (slo, shi float64) {
+// bellmanSweep performs one optimizing Bellman backup over the full
+// action set for every state: next[s] and pol[s] are written, and the
+// span [slo, shi] of the update d = next[s] - h[s] is returned. It
+// iterates the compacted transition layout (duplicates merged,
+// destinations sorted).
+func (m *Model) bellmanSweep(h, next []float64, pol Policy, shift []float64, tau float64) (slo, shi float64) {
 	slo, shi = math.Inf(1), math.Inf(-1)
 	keep := 1 - tau
 	stateOff, csaOff := m.stateOff, m.csaOff
 	ctprob, ctto := m.ctprob, m.ctto
-	for s := lo; s < hi; s++ {
+	for s := range m.numStates {
 		best := math.Inf(-1)
 		bestSlot := 0
 		k0, k1 := stateOff[s], stateOff[s+1]
@@ -168,21 +143,6 @@ func (m *Model) bellmanChunk(h, next []float64, pol Policy, shift []float64, tau
 	return slo, shi
 }
 
-// reduceSpans folds per-worker spans with exact min/max, which no
-// worker-count or completion-order change can perturb.
-func reduceSpans(spans []wspan) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range spans {
-		if spans[i].lo < lo {
-			lo = spans[i].lo
-		}
-		if spans[i].hi > hi {
-			hi = spans[i].hi
-		}
-	}
-	return lo, hi
-}
-
 // AverageReward maximizes the long-run average of Num - Rho*Den per step
 // by policy iteration: each round one optimizing Bellman sweep (under
 // the aperiodicity transformation) whose span bracket is the
@@ -193,14 +153,11 @@ func reduceSpans(spans []wspan) (lo, hi float64) {
 // satisfy this.
 //
 // Each call runs on a transient Workspace, so repeated solves allocate
-// their scratch vectors and worker pool every time; callers performing
-// many solves on one model shape should hold a Workspace and call its
-// AverageReward instead.
+// their scratch vectors every time; callers performing many solves on
+// one model shape should hold a Workspace and call its AverageReward
+// instead.
 func (m *Model) AverageReward(opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	ws := m.NewWorkspace(opts.Parallelism)
-	defer ws.Close()
-	return ws.AverageReward(opts)
+	return m.NewWorkspace().AverageReward(opts)
 }
 
 // EvaluatePolicy computes the long-run average of Num - Rho*Den per step
@@ -210,8 +167,5 @@ func (m *Model) AverageReward(opts Options) (Result, error) {
 // than Epsilon. The policy's chain must be unichain. Like AverageReward
 // it runs on a transient Workspace.
 func (m *Model) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	ws := m.NewWorkspace(opts.Parallelism)
-	defer ws.Close()
-	return ws.EvaluatePolicy(pol, opts)
+	return m.NewWorkspace().EvaluatePolicy(pol, opts)
 }

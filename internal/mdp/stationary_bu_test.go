@@ -62,8 +62,7 @@ func TestStationaryMatchesPowerIterationOnBUChains(t *testing.T) {
 	}
 	// Warm-chained loose solves; Session.Solve reports the fork rate
 	// through the regenerative evaluation.
-	sess := bumdp.NewSession(a, bumdp.SolveOptions{RatioTol: 1e-2, Epsilon: 1e-4, Parallelism: 1})
-	defer sess.Close()
+	sess := bumdp.NewSession(a, bumdp.SolveOptions{RatioTol: 1e-2, Epsilon: 1e-4})
 	oracleOpts := mdp.Options{Epsilon: 1e-10}
 	for _, tc := range cases {
 		if err := sess.Rebind(tc.p); err != nil {

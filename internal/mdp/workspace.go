@@ -12,34 +12,31 @@ import (
 // Workspace is a reusable solver session bound to one model shape. It
 // owns everything an average-reward solve needs besides the model
 // itself — the iterate vectors h and next, the greedy policy, the
-// shifted-reward scratch, the per-worker span accumulators, the policy
-// chain and first-passage vectors of the exact evaluations, and a
-// persistent sweep pool — so a sequence of solves (the probes of a
-// ratio solve, or a whole warm-chained sweep row) allocates its buffers
-// and spawns its worker goroutines exactly once. A steady-state probe
-// on a Workspace performs zero heap allocations.
+// shifted-reward scratch, and the policy chain and first-passage
+// vectors of the exact evaluations — so a sequence of solves (the
+// probes of a ratio solve, or a whole warm-chained sweep row) allocates
+// its buffers exactly once. A steady-state probe on a Workspace
+// performs zero heap allocations. Every solve runs on the caller's
+// goroutine.
 //
-// A Workspace additionally chains solves: unless Options.Warm overrides
-// it, each solve starts from the bias vector the previous solve on the
-// same workspace converged to. Warm starts change round counts but
-// never converged values (every solve still runs to Options.Epsilon),
-// and a fresh workspace starts cold, so the one-shot Model methods —
-// which create a transient workspace per call — behave exactly as
-// before.
+// A Workspace additionally chains solves: each solve starts from the
+// bias vector the previous solve on the same workspace converged to.
+// Warm starts change round counts but never converged values (every
+// solve still runs to Options.Epsilon), and a fresh workspace starts
+// cold, so the one-shot Model methods — which create a transient
+// workspace per call — behave exactly as before.
 //
 // The returned Result.Bias and Result.Policy of workspace solves are
 // borrowed views into the workspace's buffers: they are valid until the
 // next solve on the same workspace and must be copied to be retained
 // (SolveRatio's final policy is already a copy). A Workspace is not
-// safe for concurrent use; Close releases its worker goroutines.
+// safe for concurrent use.
 type Workspace struct {
-	m    *Model
-	pool *sweepPool
+	m *Model
 
 	h, next []float64
 	pol     Policy
 	shift   []float64
-	spans   []wspan
 
 	// chain, passR and passT are the exact evaluation's policy chain and
 	// first-passage vectors (see evaluate.go). passR and passT seed the
@@ -58,35 +55,15 @@ type Workspace struct {
 	bestPol Policy
 	prevPol Policy
 
-	// Kernel parameters read by runChunk; published to the pool's
-	// workers by the generation bump inside pool.run.
-	mode int
-	tau  float64
-	ref  float64
-
-	// body is the one closure the pool ever runs (ws.runChunk bound
-	// once), so repeated sweeps allocate nothing.
-	body func(w, lo, hi int)
-
 	// warm records that h holds the bias of a previous solve and can
 	// seed the next one.
 	warm bool
 }
 
-// Sweep-kernel selectors for runChunk.
-const (
-	opBellman = iota
-	opRecenter
-)
-
-// NewWorkspace creates a solver session for m. parallelism follows
-// Options.Parallelism semantics: 0 selects GOMAXPROCS with the
-// small-model serial fallback, 1 forces the serial path; every setting
-// computes bit-identical results. Call Close when done to release the
-// pool's worker goroutines.
-func (m *Model) NewWorkspace(parallelism int) *Workspace {
+// NewWorkspace creates a solver session for m.
+func (m *Model) NewWorkspace() *Workspace {
 	n := m.numStates
-	ws := &Workspace{
+	return &Workspace{
 		m:       m,
 		h:       make([]float64, n),
 		next:    make([]float64, n),
@@ -97,18 +74,7 @@ func (m *Model) NewWorkspace(parallelism int) *Workspace {
 		passR:   make([]float64, n),
 		passT:   make([]float64, n),
 	}
-	ws.pool = newSweepPool(n, effectiveWorkers(parallelism, n, minAutoStatesPerWorker))
-	ws.spans = make([]wspan, ws.pool.workers())
-	ws.body = ws.runChunk
-	return ws
 }
-
-// Close shuts down the workspace's worker goroutines. The workspace
-// must not be used afterwards.
-func (ws *Workspace) Close() { ws.pool.close() }
-
-// Workers reports the sweep worker count the workspace runs on.
-func (ws *Workspace) Workers() int { return ws.pool.workers() }
 
 // Warm reports whether the workspace holds a bias vector from a
 // previous solve that the next solve will start from.
@@ -134,43 +100,21 @@ func (ws *Workspace) Bind(m *Model) error {
 	return nil
 }
 
-// runChunk is the single sweep body installed on the pool: it
-// dispatches on ws.mode so repeated pool runs need no fresh closures.
-func (ws *Workspace) runChunk(w, lo, hi int) {
-	switch ws.mode {
-	case opBellman:
-		ws.spans[w].lo, ws.spans[w].hi = ws.m.bellmanChunk(ws.h, ws.next, ws.pol, ws.shift, ws.tau, lo, hi)
-	case opRecenter:
-		next, ref := ws.next, ws.ref
-		for s := lo; s < hi; s++ {
-			next[s] -= ref
-		}
-	}
-}
-
-// recenter subtracts ref from next, in parallel for large models. The
-// arithmetic is elementwise, so serial and pooled paths are identical.
-func (ws *Workspace) recenter(ref float64) {
-	if ws.pool.workers() > 1 && len(ws.next) >= recenterParallelMin {
-		ws.ref = ref
-		ws.mode = opRecenter
-		ws.pool.run(ws.body)
-		return
-	}
+// adoptNext makes the last sweep's iterate, re-centered at state 0, the
+// workspace's bias.
+func (ws *Workspace) adoptNext() {
 	next := ws.next
+	ref := next[0]
 	for s := range next {
 		next[s] -= ref
 	}
+	ws.h, ws.next = ws.next, ws.h
 }
 
-// seedBias prepares h for a solve: an explicit Options.Warm wins, then
-// the chained bias of the previous solve, then the cold zero vector.
-// It reports whether the solve starts warm.
-func (ws *Workspace) seedBias(opts Options) bool {
-	if len(opts.Warm) == len(ws.h) {
-		copy(ws.h, opts.Warm)
-		return true
-	}
+// seedBias prepares h for a solve: the chained bias of the previous
+// solve, else the cold zero vector. It reports whether the solve starts
+// warm.
+func (ws *Workspace) seedBias() bool {
 	if ws.warm {
 		return true
 	}
@@ -180,26 +124,25 @@ func (ws *Workspace) seedBias(opts Options) bool {
 	return false
 }
 
-// AverageReward is Model.AverageReward on the workspace's buffers and
-// pool, with no per-solve allocations. Each round runs one Jacobi
-// optimizing sweep; when its span meets Epsilon the solve has converged
-// and the span bracket certifies the gain. Otherwise the sweep's greedy
-// policy is evaluated exactly (evaluate.go) and the next round sweeps
-// on its bias: Howard's policy iteration, with convergence declared
-// only by the sweep, so the returned gain carries the relative-value-
-// iteration guarantee (see Result.GainBounds) however the bias was
-// produced. A round whose greedy policy cannot be evaluated (two closed
-// classes, or a cyclic remainder that does not settle) falls back to
-// the plain relative-value-iteration step. See the Workspace doc for
-// warm chaining and result-ownership semantics.
+// AverageReward is Model.AverageReward on the workspace's buffers, with
+// no per-solve allocations. Each round runs one Jacobi optimizing
+// sweep; when its span meets Epsilon the solve has converged and the
+// span bracket certifies the gain. Otherwise the sweep's greedy policy
+// is evaluated exactly (evaluate.go) and the next round sweeps on its
+// bias: Howard's policy iteration, with convergence declared only by
+// the sweep, so the returned gain carries the relative-value-iteration
+// span bracket (see bounds.go) however the bias was produced. A round
+// whose greedy policy cannot be evaluated (two closed classes, or a
+// cyclic remainder that does not settle) falls back to the plain
+// relative-value-iteration step. See the Workspace doc for warm
+// chaining and result-ownership semantics.
 func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	m := ws.m
-	warm := ws.seedBias(opts)
+	warm := ws.seedBias()
 	tau := opts.Aperiodicity
 	keep := 1 - tau
-	ws.tau = tau
 	m.shiftedRewardsInto(ws.shift, opts.Rho)
 
 	solvesTotal.Inc()
@@ -226,9 +169,7 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 	var err error
 	converged := false
 	for rounds < opts.MaxIterations {
-		ws.mode = opBellman
-		ws.pool.run(ws.body)
-		lo, hi = reduceSpans(ws.spans)
+		lo, hi = m.bellmanSweep(ws.h, ws.next, ws.pol, ws.shift, tau)
 		rounds++
 		span := hi - lo
 		if tr != nil {
@@ -250,8 +191,7 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 		}
 		if span < opts.Epsilon {
 			// The certifying sweep's iterate is the returned bias.
-			ws.recenter(ws.next[0])
-			ws.h, ws.next = ws.next, ws.h
+			ws.adoptNext()
 			converged = true
 			break
 		}
@@ -268,8 +208,7 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 		}
 		if eerr != nil {
 			// Relative value iteration step: keep the sweep's iterate.
-			ws.recenter(ws.next[0])
-			ws.h, ws.next = ws.next, ws.h
+			ws.adoptNext()
 		}
 	}
 
@@ -278,8 +217,7 @@ func (ws *Workspace) AverageReward(opts Options) (Result, error) {
 	ws.warm = true
 	stats := Stats{
 		Iterations: rounds + evals, OptSweeps: rounds, EvalSweeps: evals,
-		Residual: hi - lo, Duration: time.Since(start),
-		Workers: ws.pool.workers(), Warm: warm,
+		Residual: hi - lo, Duration: time.Since(start), Warm: warm,
 	}
 	if !converged {
 		stats.Residual = math.Inf(1)
@@ -313,7 +251,7 @@ func (ws *Workspace) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	}
 	opts = opts.withDefaults()
 	start := time.Now()
-	warm := ws.seedBias(opts)
+	warm := ws.seedBias()
 	m.shiftedRewardsInto(ws.shift, opts.Rho)
 	solvesTotal.Inc()
 	if warm {
@@ -324,7 +262,7 @@ func (ws *Workspace) EvaluatePolicy(pol Policy, opts Options) (Result, error) {
 	sweepsTotal.Add(int64(sweeps))
 	evalSweepsTotal.Add(int64(sweeps))
 	stats := Stats{Iterations: sweeps, EvalSweeps: sweeps, Residual: ev.change,
-		Duration: time.Since(start), Workers: ws.pool.workers(), Warm: warm}
+		Duration: time.Since(start), Warm: warm}
 	if err != nil {
 		stats.Residual = math.Inf(1)
 		return Result{Policy: pol, Iterations: sweeps, Stats: stats}, err

@@ -3,8 +3,29 @@ package mdp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+func equalFloatsBitwise(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s differs at %d: %v vs %v", what, i, got[i], want[i])
+			return
+		}
+	}
+}
+
+func equalPolicies(t *testing.T, what string, got, want Policy) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: policies differ", what)
+	}
+}
 
 // paramBuilder derives a fixed transition structure from structSeed and
 // numeric parameters (probabilities, rewards) from scale: two builders
@@ -42,12 +63,12 @@ func TestWorkspaceColdMatchesModelSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
 		m := mustCompile(t, randomBuilder(rng, 40+10*trial, 3))
-		opts := Options{Epsilon: 1e-9, Parallelism: 1}
+		opts := Options{Epsilon: 1e-9}
 		want, err := m.AverageReward(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := m.NewWorkspace(1)
+		ws := m.NewWorkspace()
 		got, err := ws.AverageReward(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -56,21 +77,19 @@ func TestWorkspaceColdMatchesModelSolve(t *testing.T) {
 			t.Errorf("trial %d: workspace gain %v iters %d, model gain %v iters %d",
 				trial, got.Gain, got.Iterations, want.Gain, want.Iterations)
 		}
-		equalPolicies(t, "workspace cold", 1, got.Policy, want.Policy)
-		equalFloatsBitwise(t, "workspace cold bias", 1, got.Bias, want.Bias)
+		equalPolicies(t, "workspace cold", got.Policy, want.Policy)
+		equalFloatsBitwise(t, "workspace cold bias", got.Bias, want.Bias)
 		if got.Stats.Warm {
 			t.Error("first solve on a fresh workspace reported Warm")
 		}
-		ws.Close()
 	}
 }
 
 func TestWorkspaceWarmChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := mustCompile(t, randomBuilder(rng, 80, 3))
-	opts := Options{Epsilon: 1e-9, Parallelism: 1}
-	ws := m.NewWorkspace(1)
-	defer ws.Close()
+	opts := Options{Epsilon: 1e-9}
+	ws := m.NewWorkspace()
 
 	cold, err := ws.AverageReward(opts)
 	if err != nil {
@@ -108,13 +127,12 @@ func TestWorkspaceWarmChain(t *testing.T) {
 func TestWorkspaceSolveRatioMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
-	opts := RatioOptions{Lo: 0, Parallelism: 1}
+	opts := RatioOptions{Lo: 0}
 	want, err := m.SolveRatio(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := m.NewWorkspace(1)
-	defer ws.Close()
+	ws := m.NewWorkspace()
 	got, err := ws.SolveRatio(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +141,7 @@ func TestWorkspaceSolveRatioMatchesModel(t *testing.T) {
 		t.Errorf("workspace ratio %v (%d probes), model ratio %v (%d probes)",
 			got.Value, got.Probes, want.Value, want.Probes)
 	}
-	equalPolicies(t, "workspace ratio", 1, got.Policy, want.Policy)
+	equalPolicies(t, "workspace ratio", got.Policy, want.Policy)
 	if got.Stats.WarmProbes != want.Stats.WarmProbes {
 		t.Errorf("warm probes %d vs %d", got.Stats.WarmProbes, want.Stats.WarmProbes)
 	}
@@ -139,7 +157,7 @@ func TestWorkspaceSolveRatioMatchesModel(t *testing.T) {
 func TestSolveRatioLoSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
-	base := RatioOptions{Lo: 0, Parallelism: 1}
+	base := RatioOptions{Lo: 0}
 	want, err := m.SolveRatio(base)
 	if err != nil {
 		t.Fatal(err)
@@ -175,12 +193,9 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	m := mustCompile(t, randomBuilder(rng, 60, 3))
 	// One round cannot meet the tolerance from a cold start: the solve
 	// must fail after exactly one round and still report complete stats.
-	res, err := m.AverageReward(Options{Epsilon: 1e-12, MaxIterations: 1, Parallelism: 1})
+	res, err := m.AverageReward(Options{Epsilon: 1e-12, MaxIterations: 1})
 	if err == nil {
 		t.Fatal("expected non-convergence with MaxIterations=1")
-	}
-	if res.Stats.Workers < 1 {
-		t.Errorf("early-return stats missing workers: %+v", res.Stats)
 	}
 	if res.Stats.Duration <= 0 {
 		t.Errorf("early-return stats missing duration: %+v", res.Stats)
@@ -193,27 +208,6 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	}
 	if !math.IsInf(res.Stats.Residual, 1) {
 		t.Errorf("unconverged residual %v, want +Inf", res.Stats.Residual)
-	}
-}
-
-func TestPolicyIterationParallelImprovementDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := mustCompile(t, randomBuilder(rng, 600, 3))
-	var ref Result
-	for i, par := range []int{1, 2, 4, 8} {
-		res, err := m.AverageReward(Options{Epsilon: 1e-9, Parallelism: par})
-		if err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if res.Gain != ref.Gain || res.Iterations != ref.Iterations {
-			t.Errorf("par %d: gain %v iters %d, serial gain %v iters %d",
-				par, res.Gain, res.Iterations, ref.Gain, ref.Iterations)
-		}
-		equalPolicies(t, "policy iteration", par, res.Policy, ref.Policy)
 	}
 }
 
@@ -274,8 +268,7 @@ func TestWorkspaceBindShapeChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	m1 := mustCompile(t, randomBuilder(rng, 40, 3))
 	m2 := mustCompile(t, randomBuilder(rng, 50, 3))
-	ws := m1.NewWorkspace(1)
-	defer ws.Close()
+	ws := m1.NewWorkspace()
 	if err := ws.Bind(m2); err == nil {
 		t.Error("bind to a different-shape model not rejected")
 	}
@@ -285,8 +278,7 @@ func TestWorkspaceBindShapeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws2 := ma.NewWorkspace(1)
-	defer ws2.Close()
+	ws2 := ma.NewWorkspace()
 	if _, err := ws2.AverageReward(Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +303,8 @@ func TestWorkspaceBindShapeChecks(t *testing.T) {
 func TestWorkspaceProbeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := mustCompile(t, randomBuilder(rng, 200, 3))
-	ws := m.NewWorkspace(1)
-	defer ws.Close()
-	opts := Options{Epsilon: 1e-9, Parallelism: 1}
+	ws := m.NewWorkspace()
+	opts := Options{Epsilon: 1e-9}
 	if _, err := ws.AverageReward(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +327,8 @@ func TestWorkspaceProbeAllocs(t *testing.T) {
 func TestWorkspaceSolveRatioAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := mustCompile(t, randomBuilder(rng, 200, 3))
-	ws := m.NewWorkspace(1)
-	defer ws.Close()
-	opts := RatioOptions{Parallelism: 1}
+	ws := m.NewWorkspace()
+	opts := RatioOptions{}
 	if _, err := ws.SolveRatio(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +348,8 @@ func BenchmarkWorkspaceProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := m.NewWorkspace(1)
-	defer ws.Close()
-	opts := Options{Epsilon: 1e-9, Parallelism: 1}
+	ws := m.NewWorkspace()
+	opts := Options{Epsilon: 1e-9}
 	if _, err := ws.AverageReward(opts); err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +372,7 @@ func BenchmarkTransientProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Epsilon: 1e-9, Parallelism: 1}
+	opts := Options{Epsilon: 1e-9}
 	rhos := []float64{0.10, 0.11, 0.12, 0.13}
 	b.ReportAllocs()
 	b.ResetTimer()

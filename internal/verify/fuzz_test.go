@@ -42,7 +42,6 @@ func FuzzVerifyArtifact(f *testing.F) {
 		AD:       3, RatioTol: 1e-4, Epsilon: 1e-8,
 	}.Normalized(bumdp.Compliant)
 	cfg.Workers = 0
-	cfg.InnerParallelism = 0
 	if id, err := expstore.SweepShardKey(bumdp.Compliant, cfg, 0, 1); err == nil {
 		spec, _ := json.Marshal(shardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 1})
 		if blob, err := expstore.ComputeSweepShard(bumdp.Compliant, cfg, 0, 1); err == nil {

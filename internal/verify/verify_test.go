@@ -271,7 +271,6 @@ func shardArtifact(t *testing.T, cfg core.SweepConfig, index, count int) (id str
 	model := bumdp.Compliant
 	norm := cfg.Normalized(model)
 	norm.Workers = 0
-	norm.InnerParallelism = 0
 	id, err := expstore.SweepShardKey(model, norm, index, count)
 	if err != nil {
 		t.Fatalf("SweepShardKey: %v", err)

@@ -9,9 +9,10 @@
 # (disabled-tracer hook overhead, counter and histogram throughput,
 # ring-sink emit cost, with allocation counts — the disabled path must
 # be 0 allocs/op), and BENCH_solver.json (the Table-2 sweep solved cold
-# vs warm-chained — same grids, NoChain vs the default row chains — with
-# probe/sweep counts, the wall-clock speedup, and the steady-state
-# workspace allocation count, which must be 0 allocs/probe), and
+# vs warm-chained — same grids, independent SolveOne cells vs the
+# default row chains — with probe/sweep counts, the wall-clock speedup,
+# and the steady-state workspace allocation count, which must be 0
+# allocs/probe), and
 # BENCH_jobqueue.json (job-queue control-plane op costs, in-memory and
 # journaled).
 set -eu

@@ -7,11 +7,10 @@
 #                          on one core; the race pass stays bounded)
 #
 # The race pass covers the packages with real concurrency in their hot
-# paths: the parallel MDP solver engine (the reusable workspace, the
-# pooled optimizing sweeps of policy iteration, and warm-chained ratio
-# solves), the BU analysis that drives
-# it, the warm-chained sweep rows in core, the Monte Carlo batch runner,
-# the experiment store (singleflight, LRU, solve budget), the
+# paths: the MDP solver package (the parallel model compiler and
+# reparameterization beside the serial solves), the BU analysis that
+# drives it, the warm-chained sweep rows in core, the Monte Carlo batch
+# runner, the experiment store (singleflight, LRU, solve budget), the
 # observability layer (registry, sinks), the TCP gossip and full-node
 # stacks, and the fault-injection/invariant layer over the network
 # simulator.
