@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -152,7 +153,8 @@ func main() {
 		solveWithPolicy(params, tracer)
 		return
 	}
-	rec, blob, _, err := expstore.SolveBU(store, params, bumdp.SolveOptions{Tracer: tracer})
+	rec, blob, _, err := expstore.Solve[expstore.BUSolveRecord](context.Background(), store,
+		expstore.BUSolveSpec{Params: params}, tracer)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -261,9 +263,10 @@ func solveBitcoin(store *expstore.Store, alpha, tie float64, model string, rds f
 	default:
 		log.Fatalf("unknown model %q", model)
 	}
-	rec, blob, _, err := expstore.SolveBitcoin(store, bitcoin.Params{
-		Alpha: alpha, TieWinProb: tie, Objective: obj, DoubleSpendReward: rds,
-	})
+	rec, blob, _, err := expstore.Solve[expstore.BitcoinSolveRecord](context.Background(), store,
+		expstore.BitcoinSolveSpec{Params: bitcoin.Params{
+			Alpha: alpha, TieWinProb: tie, Objective: obj, DoubleSpendReward: rds,
+		}}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

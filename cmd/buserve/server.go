@@ -428,11 +428,15 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) (cacheOutco
 		AD: ad, Setting: bumdp.Setting(setting), Model: model,
 		DoubleSpendReward: rds,
 	}
-	opts := bumdp.SolveOptions{RatioTol: ratioTol, Epsilon: epsilon}
-	// The request context rides into the solve-budget wait: a client
-	// that disconnects while queued releases its budget slot instead of
-	// burning it on an answer nobody reads.
-	_, blob, hit, err := expstore.SolveBUCtx(r.Context(), s.store, params, opts)
+	return s.solve(w, r, expstore.BUSolveSpec{Params: params, RatioTol: ratioTol, Epsilon: epsilon})
+}
+
+// solve answers one artifact from the store. The request context rides
+// into the solve-budget wait: a client that disconnects while queued
+// releases its budget slot instead of burning it on an answer nobody
+// reads.
+func (s *server) solve(w http.ResponseWriter, r *http.Request, spec expstore.Spec) (cacheOutcome, error) {
+	_, blob, hit, err := expstore.Solve[json.RawMessage](r.Context(), s.store, spec, nil)
 	if err != nil {
 		return outcomeNone, s.solveError(w, err)
 	}
@@ -478,13 +482,9 @@ func (s *server) solveBitcoin(w http.ResponseWriter, r *http.Request) (cacheOutc
 	default:
 		return outcomeNone, badRequest(w, "unknown objective %q", q.Get("objective"))
 	}
-	_, blob, hit, err := expstore.SolveBitcoin(s.store, bitcoin.Params{
+	return s.solve(w, r, expstore.BitcoinSolveSpec{Params: bitcoin.Params{
 		Alpha: alpha, TieWinProb: tie, Objective: obj, DoubleSpendReward: rds,
-	})
-	if err != nil {
-		return outcomeNone, s.solveError(w, err)
-	}
-	return hitOutcome(hit), writeBlob(w, blob, hit)
+	}})
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) (cacheOutcome, error) {
@@ -498,10 +498,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) (cacheOutco
 		return outcomeNone, badRequest(w, "%v", err)
 	}
 	cells, _, misses := expstore.SweepStatsCtx(r.Context(), s.store, model, cfg)
-	outcome := outcomeHit
-	if misses > 0 {
-		outcome = outcomeMiss
-	}
+	outcome := hitOutcome(misses == 0)
 	if q.Get("format") == "table" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		setCacheHeader(w, outcome == outcomeHit)
@@ -510,15 +507,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) (cacheOutco
 	}
 	setCacheHeader(w, outcome == outcomeHit)
 	return outcome, writeJSON(w, expstore.NewSweepRecord(model, cells))
-}
-
-// tableResponse is the JSON form of a /tables/{n} reproduction; it
-// reuses the experiment store's record encoding.
-type tableResponse struct {
-	Table           int                       `json:"table"`
-	Title           string                    `json:"title"`
-	Sweeps          []expstore.SweepRecord    `json:"sweeps"`
-	BitcoinBaseline []expstore.BaselineRecord `json:"bitcoin_baseline,omitempty"`
 }
 
 func (s *server) handleTable(w http.ResponseWriter, r *http.Request) (cacheOutcome, error) {
@@ -538,39 +526,18 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) (cacheOutco
 		fmt.Fprintln(w, err)
 		return outcomeNone, err
 	}
-	var cells []core.Cell
-	var sweeps []expstore.SweepRecord
-	misses := 0
-	for _, job := range t.Jobs {
-		cs, _, m := expstore.SweepStatsCtx(r.Context(), s.store, job.Model, job.Cfg)
-		misses += m
-		cells = append(cells, cs...)
-		sweeps = append(sweeps, expstore.NewSweepRecord(job.Model, cs))
-	}
-	var baseline []core.BitcoinBaselineCell
-	if t.Bitcoin {
-		pre := s.store.Stats().Solves
-		baseline = expstore.CachedBitcoinBaseline(s.store, nil, nil)
-		misses += int(s.store.Stats().Solves - pre)
-	}
-	outcome := outcomeHit
-	if misses > 0 {
-		outcome = outcomeMiss
-	}
+	run := expstore.RunTable(r.Context(), s.store, t)
+	outcome := hitOutcome(run.Misses == 0)
 	setCacheHeader(w, outcome == outcomeHit)
 	if q.Get("format") == "json" {
-		resp := tableResponse{Table: t.N, Title: t.Title, Sweeps: sweeps}
-		if t.Bitcoin {
-			resp.BitcoinBaseline = expstore.NewBaselineRecords(baseline)
-		}
-		return outcome, writeJSON(w, resp)
+		return outcome, writeJSON(w, run.Record)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "=== %s ===\n", t.Title)
-	fmt.Fprint(w, core.FormatTable(cells, t.Percent))
+	fmt.Fprint(w, core.FormatTable(run.Cells, t.Percent))
 	if t.Bitcoin {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, core.FormatBitcoinBaseline(baseline))
+		fmt.Fprint(w, core.FormatBitcoinBaseline(run.Baseline))
 	}
 	return outcome, nil
 }

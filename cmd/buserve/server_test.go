@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/expstore"
@@ -143,6 +145,84 @@ func TestSolveBitcoin(t *testing.T) {
 	}
 }
 
+// TestSolveBitcoinCanceledWhileQueued proves a Bitcoin /solve honors
+// its request context the way a BU solve does: a client that gives up
+// while queued behind a saturated solve budget never gets its solve
+// run, and its artifact never reaches the store.
+func TestSolveBitcoinCanceledWhileQueued(t *testing.T) {
+	store, err := expstore.Open(expstore.Config{MaxConcurrentSolves: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(store, nil, 2, nil, nil, nil)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	// Occupy the single budget slot from outside the HTTP plane. The
+	// slot is released before the server closes, which waits for a
+	// handler still queued behind it.
+	holding := make(chan struct{})
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		store.GetOrComputeCtx(context.Background(), "busolve-holder", func() ([]byte, error) {
+			close(holding)
+			<-release
+			return []byte(`{"holder":true}`), nil
+		})
+	}()
+	<-holding
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/solve?model=bitcoin&alpha=0.25&tie=0.5", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		answered <- err
+	}()
+	waitFor(t, "the Bitcoin solve to queue for the budget", func() bool { return store.Stats().BudgetWaits == 1 })
+	cancel()
+	if err := <-answered; err == nil {
+		t.Fatal("the canceled request got a response")
+	}
+	inFlight := srv.metrics["GET /solve"].inFlight
+	waitFor(t, "the canceled /solve to return", func() bool { return inFlight.Value() == 0 })
+
+	releaseOnce()
+	<-done
+	key, err := expstore.BitcoinSolveSpec{Params: bitcoin.Params{
+		Alpha: 0.25, TieWinProb: 0.5, Objective: bitcoin.AbsoluteReward,
+	}}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(key); ok {
+		t.Fatal("the canceled Bitcoin solve reached the store")
+	}
+	if solves := store.Stats().Solves; solves != 1 {
+		t.Fatalf("store ran %d solves, want only the holder's", solves)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func TestSolveBadParams(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, q := range []string{
@@ -234,7 +314,7 @@ func TestTableEndpoint(t *testing.T) {
 	if h := resp2.Header.Get("X-Cache"); h != "hit" {
 		t.Fatalf("warm table X-Cache = %q, want hit", h)
 	}
-	var tr tableResponse
+	var tr expstore.TableRecord
 	if err := json.Unmarshal(body2, &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +499,16 @@ func TestServedBlobMatchesCLI(t *testing.T) {
 
 	_, body := get(t, ts.URL+fastSolve)
 
-	params := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant}
-	opts := bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
-	_, blob, hit, err := expstore.SolveBU(srv.store, params, opts)
+	spec := expstore.BUSolveSpec{
+		Params:   bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant},
+		RatioTol: 1e-4, Epsilon: 1e-8,
+	}
+	_, blob, hit, err := expstore.Solve[expstore.BUSolveRecord](context.Background(), srv.store, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Fatal("direct SolveBU after served solve was not a hit — key mismatch between server and store API")
+		t.Fatal("direct Solve after served solve was not a hit — key mismatch between server and store API")
 	}
 	if want := fmt.Sprintf("%s\n", blob); string(body) != want {
 		t.Fatalf("served body != store blob:\nserved: %s\nstore:  %s", body, want)
@@ -457,7 +539,7 @@ func TestSolveShedsWhenSaturated(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		store.GetOrCompute("busolve-holder", func() ([]byte, error) {
+		store.GetOrComputeCtx(context.Background(), "busolve-holder", func() ([]byte, error) {
 			close(holding)
 			<-release
 			return []byte(`{"holder":true}`), nil

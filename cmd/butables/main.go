@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -183,38 +184,15 @@ var paperNotes = map[int]string{
 	4: "(paper: 0.61 0.83 1.22 1.50 1.76 1.77 1.62 1.30 1.06 for setting 1)",
 }
 
-// tableJSON is the -json form of one reproduced table, built from the
-// experiment store's record types.
-type tableJSON struct {
-	Table           int                       `json:"table"`
-	Title           string                    `json:"title"`
-	Sweeps          []expstore.SweepRecord    `json:"sweeps"`
-	BitcoinBaseline []expstore.BaselineRecord `json:"bitcoin_baseline,omitempty"`
-}
-
 // runTable reproduces paper table n through the experiment store.
 func runTable(n int, cfg core.SweepConfig) {
 	t, err := core.PaperTable(n, cfg, fullGrid)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cells []core.Cell
-	var sweeps []expstore.SweepRecord
-	for _, job := range t.Jobs {
-		cs := expstore.Sweep(store, job.Model, job.Cfg)
-		cells = append(cells, cs...)
-		sweeps = append(sweeps, expstore.NewSweepRecord(job.Model, cs))
-	}
-	var baseline []core.BitcoinBaselineCell
-	if t.Bitcoin {
-		baseline = expstore.CachedBitcoinBaseline(store, nil, nil)
-	}
+	run := expstore.RunTable(context.Background(), store, t)
 	if jsonTables {
-		out := tableJSON{Table: t.N, Title: t.Title, Sweeps: sweeps}
-		if t.Bitcoin {
-			out.BitcoinBaseline = expstore.NewBaselineRecords(baseline)
-		}
-		blob, err := json.MarshalIndent(out, "", "  ")
+		blob, err := json.MarshalIndent(run.Record, "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -222,10 +200,10 @@ func runTable(n int, cfg core.SweepConfig) {
 		return
 	}
 	fmt.Printf("=== %s ===\n", t.Title)
-	fmt.Print(core.FormatTable(cells, t.Percent))
+	fmt.Print(core.FormatTable(run.Cells, t.Percent))
 	if t.Bitcoin {
 		fmt.Println()
-		fmt.Print(core.FormatBitcoinBaseline(baseline))
+		fmt.Print(core.FormatBitcoinBaseline(run.Baseline))
 	}
 	fmt.Println(paperNotes[n])
 	fmt.Println()

@@ -88,7 +88,7 @@ func (p *Params) rewards(d *Delta) (num, den float64) {
 }
 
 // SolveStats instruments a solve: probe and sweep counts, the final
-// residual, wall-clock time and the solver worker count.
+// residual and wall-clock time.
 type SolveStats struct {
 	// Probes is the number of inner average-reward solves (1 for the
 	// non-compliant model, the ratio search's probe count otherwise).

@@ -111,16 +111,16 @@ type SweepConfig struct {
 	Tracer obs.Tracer `json:"-"`
 }
 
-// Normalized returns the config with every default applied for the
-// given model — the exact grid and tolerances Sweep runs. It is
-// idempotent, and the normalized form (minus the concurrency knobs,
-// which never change values) is what cache keys for sweep artifacts are
-// derived from.
+// Normalized returns the config with every default applied — the exact
+// grid and tolerances Sweep runs for model; no default depends on the
+// model. It is idempotent, and the normalized form (minus the
+// concurrency knobs, which never change values) is what cache keys for
+// sweep artifacts are derived from.
 func (c SweepConfig) Normalized(model bumdp.IncentiveModel) SweepConfig {
-	return c.withDefaults(model)
+	return c.withDefaults()
 }
 
-func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
+func (c SweepConfig) withDefaults() SweepConfig {
 	if c.Alphas == nil {
 		c.Alphas = PaperAlphas
 	}
@@ -142,7 +142,6 @@ func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
 	if c.ADs == nil {
 		c.ADs = []int{c.AD}
 	}
-	_ = model
 	return c
 }
 
@@ -162,7 +161,7 @@ func (c SweepConfig) withDefaults(model bumdp.IncentiveModel) SweepConfig {
 // cells) solves cells independently instead, with bit-identical
 // values and witnesses.
 func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
-	cfg = cfg.withDefaults(model)
+	cfg = cfg.withDefaults()
 	cells := cfg.grid(model)
 	cfg.solveRows(cells, cfg.ShardRows(model, 0, 1))
 	return cells
@@ -195,7 +194,7 @@ func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
 // one of its shards) is obliged to cover, such as the result-validity
 // predicates in internal/verify.
 func (c SweepConfig) Grid(model bumdp.IncentiveModel) []Cell {
-	return c.withDefaults(model).grid(model)
+	return c.withDefaults().grid(model)
 }
 
 // grid lays out the full unsolved cell grid of a defaults-applied

@@ -18,7 +18,7 @@ import (
 // ShardRows returns the row indices shard index of count owns within
 // the normalized config's grid.
 func (c SweepConfig) ShardRows(model bumdp.IncentiveModel, index, count int) []int {
-	cfg := c.withDefaults(model)
+	cfg := c.withDefaults()
 	rows := len(cfg.ADs) * len(cfg.Settings) * len(cfg.Alphas)
 	var mine []int
 	for r := index; r < rows; r += count {
@@ -37,7 +37,7 @@ func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) (
 	if count < 1 || index < 0 || index >= count {
 		return nil, fmt.Errorf("core: bad shard %d of %d", index, count)
 	}
-	cfg = cfg.withDefaults(model)
+	cfg = cfg.withDefaults()
 	cells := cfg.grid(model)
 	rowLen := len(cfg.Ratios)
 	mine := cfg.ShardRows(model, index, count)
@@ -56,7 +56,7 @@ func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) (
 // a mismatched config (or delivered to the wrong slot) are rejected
 // rather than silently assembled into a wrong table.
 func MergeShards(model bumdp.IncentiveModel, cfg SweepConfig, parts [][]Cell) ([]Cell, error) {
-	cfg = cfg.withDefaults(model)
+	cfg = cfg.withDefaults()
 	grid := cfg.grid(model)
 	rowLen := len(cfg.Ratios)
 	count := len(parts)

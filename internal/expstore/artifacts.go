@@ -11,6 +11,7 @@ import (
 	"buanalysis/internal/core"
 	"buanalysis/internal/games"
 	"buanalysis/internal/montecarlo"
+	"buanalysis/internal/obs"
 	"buanalysis/internal/stats"
 )
 
@@ -24,11 +25,89 @@ const (
 	KindSweepShard   = "sweepshard" // one warm-chained shard of a sharded sweep
 )
 
-// buSolveKey is the canonical identity of a BU solve artifact: the
-// normalized MDP parameters plus the tolerances that shape the result.
-// SolveOptions.Parallelism, which no solver reads, and the tracer are
-// excluded, so they cannot split the cache.
-type buSolveKey struct {
+// Spec describes one artifact. Each kind has exactly one Spec type, and
+// it is the whole definition of the kind: its JSON encoding is the
+// solve farm's job spec, Key derives the store key the artifact lives
+// under, and Compute produces the artifact's bytes. The serving path,
+// the farm's workers and the coordinator's validity predicates
+// (internal/verify) all go through these methods, so they agree on
+// every artifact's identity by construction.
+//
+// Key and Compute apply the kind's defaults themselves, so a spec with
+// elided fields names the same artifact as its Normalized form.
+type Spec interface {
+	// Kind is the artifact kind the spec describes.
+	Kind() string
+	// Normalized returns the spec with every default applied, the form
+	// a farm job carries, or an error if the spec is invalid.
+	Normalized() (Spec, error)
+	// Key derives the store key of the artifact without computing it.
+	Key() (string, error)
+	// Compute produces the artifact: the canonical encoding of its
+	// record, byte-identical wherever it runs. workers bounds how many
+	// of its independent units (a shard's rows, Monte Carlo batches,
+	// equilibrium probes) run at once, 0 selecting all cores, and tr
+	// observes the solvers; neither reaches the bytes.
+	Compute(workers int, tr obs.Tracer) ([]byte, error)
+}
+
+// DecodeSpec decodes the wire spec of an artifact of the given kind.
+func DecodeSpec(kind string, raw []byte) (Spec, error) {
+	var s Spec
+	switch kind {
+	case KindBUSolve:
+		s = new(BUSolveSpec)
+	case KindBitcoinSolve:
+		s = new(BitcoinSolveSpec)
+	case KindMonteCarlo:
+		s = new(MonteCarloSpec)
+	case KindEBGame:
+		s = new(EBGameSpec)
+	case KindSweepShard:
+		s = new(SweepShardSpec)
+	default:
+		return nil, fmt.Errorf("expstore: unknown artifact kind %q", kind)
+	}
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("expstore: %s artifact needs a spec", kind)
+	}
+	if err := json.Unmarshal(raw, s); err != nil {
+		return nil, fmt.Errorf("expstore: decoding %s spec: %w", kind, err)
+	}
+	return s, nil
+}
+
+// Solve answers spec from the store, computing and filling on a miss.
+// blob is the exact stored encoding (byte-identical for every request
+// of the key, hit or miss), rec is blob decoded as R, the record type of
+// the spec's kind, and hit reports whether the store already had it.
+// ctx cancels the wait for a solve-budget slot (see
+// Store.GetOrComputeCtx). A miss computes on all cores with tr observing
+// its solvers; tr affects neither the key nor the bytes, and a hit
+// emits no solver events.
+func Solve[R any](ctx context.Context, st *Store, spec Spec, tr obs.Tracer) (rec R, blob []byte, hit bool, err error) {
+	key, err := spec.Key()
+	if err != nil {
+		return rec, nil, false, err
+	}
+	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
+		return spec.Compute(0, tr)
+	})
+	if err != nil {
+		return rec, nil, false, err
+	}
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		var zero R
+		return zero, nil, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
+	}
+	return rec, blob, hit, nil
+}
+
+// BUSolveSpec describes one BU attack MDP solve (kind "busolve"): the
+// MDP parameters and the tolerances that shape the result. The other
+// bumdp.SolveOptions fields never change a result, so they are no part
+// of it and cannot split the cache.
+type BUSolveSpec struct {
 	Params   bumdp.Params `json:"params"`
 	RatioTol float64      `json:"ratio_tol"`
 	Epsilon  float64      `json:"epsilon"`
@@ -50,34 +129,36 @@ type BUSolveRecord struct {
 	Policy   string           `json:"policy,omitempty"`
 }
 
-// BUSolveKey derives the cache key of a BU solve without solving.
-func BUSolveKey(p bumdp.Params, opts bumdp.SolveOptions) (string, error) {
-	np, err := p.Normalized()
+func (BUSolveSpec) Kind() string { return KindBUSolve }
+
+func (s BUSolveSpec) Normalized() (Spec, error) { return s.normalized() }
+
+func (s BUSolveSpec) normalized() (BUSolveSpec, error) {
+	p, err := s.Params.Normalized()
+	o := bumdp.SolveOptions{RatioTol: s.RatioTol, Epsilon: s.Epsilon}.Normalized()
+	return BUSolveSpec{Params: p, RatioTol: o.RatioTol, Epsilon: o.Epsilon}, err
+}
+
+// Key hashes the normalized spec.
+func (s BUSolveSpec) Key() (string, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return "", err
 	}
-	no := opts.Normalized()
-	return Key(KindBUSolve, buSolveKey{Params: np, RatioTol: no.RatioTol, Epsilon: no.Epsilon})
+	return Key(KindBUSolve, n)
 }
 
-// ComputeBUSolve runs one BU attack MDP solve and returns the exact
-// blob SolveBU would cache for it: the canonical encoding of its
-// BUSolveRecord. The serving path's miss compute and the solve farm's
-// workers both call this one function, so a worker-produced artifact is
-// byte-identical to a locally solved one.
-func ComputeBUSolve(p bumdp.Params, opts bumdp.SolveOptions) ([]byte, error) {
-	np, err := p.Normalized()
+// Compute solves the instance and encodes its BUSolveRecord.
+func (s BUSolveSpec) Compute(_ int, tr obs.Tracer) ([]byte, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
-	no := opts.Normalized()
-	a, err := bumdp.New(np)
+	a, err := bumdp.New(n.Params)
 	if err != nil {
 		return nil, err
 	}
-	res, err := a.SolveWith(bumdp.SolveOptions{
-		RatioTol: no.RatioTol, Epsilon: no.Epsilon, Tracer: opts.Tracer,
-	})
+	res, err := a.SolveWith(bumdp.SolveOptions{RatioTol: n.RatioTol, Epsilon: n.Epsilon, Tracer: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -86,47 +167,22 @@ func ComputeBUSolve(p bumdp.Params, opts bumdp.SolveOptions) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(BUSolveRecord{
-		Params: np, RatioTol: no.RatioTol, Epsilon: no.Epsilon,
+		Params: n.Params, RatioTol: n.RatioTol, Epsilon: n.Epsilon,
 		States: len(a.States), Utility: res.Utility, Honest: a.HonestUtility(),
 		ForkRate: res.ForkRate, Probes: res.Probes, Stats: res.Stats,
 		Policy: witness,
 	})
 }
 
-// SolveBU answers a BU attack MDP solve from the store, solving and
-// filling on a miss. blob is the exact stored encoding (byte-identical
-// for every request of the same key, hit or miss); hit reports whether
-// the store already had it. opts.Tracer observes the miss-path solver
-// only — it affects neither the key nor the result bytes (and a cache
-// hit naturally emits no solver events).
-func SolveBU(st *Store, p bumdp.Params, opts bumdp.SolveOptions) (rec BUSolveRecord, blob []byte, hit bool, err error) {
-	return SolveBUCtx(context.Background(), st, p, opts)
+// BUSolveKey derives the cache key of a BU solve without solving.
+func BUSolveKey(p bumdp.Params, opts bumdp.SolveOptions) (string, error) {
+	return BUSolveSpec{Params: p, RatioTol: opts.RatioTol, Epsilon: opts.Epsilon}.Key()
 }
 
-// SolveBUCtx is SolveBU with cancellation while queued for the solve
-// budget (see Store.GetOrComputeCtx).
-func SolveBUCtx(ctx context.Context, st *Store, p bumdp.Params, opts bumdp.SolveOptions) (rec BUSolveRecord, blob []byte, hit bool, err error) {
-	np, err := p.Normalized()
-	if err != nil {
-		return BUSolveRecord{}, nil, false, err
-	}
-	no := opts.Normalized()
-	key, err := Key(KindBUSolve, buSolveKey{Params: np, RatioTol: no.RatioTol, Epsilon: no.Epsilon})
-	if err != nil {
-		return BUSolveRecord{}, nil, false, err
-	}
-	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		return ComputeBUSolve(np, bumdp.SolveOptions{
-			RatioTol: no.RatioTol, Epsilon: no.Epsilon, Tracer: opts.Tracer,
-		})
-	})
-	if err != nil {
-		return BUSolveRecord{}, nil, false, err
-	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return BUSolveRecord{}, nil, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, blob, hit, nil
+// BitcoinSolveSpec describes one Bitcoin baseline solve (kind
+// "btcsolve").
+type BitcoinSolveSpec struct {
+	Params bitcoin.Params `json:"params"`
 }
 
 // BitcoinSolveRecord is the stored form of one Bitcoin baseline solve.
@@ -137,14 +193,31 @@ type BitcoinSolveRecord struct {
 	Honest  float64        `json:"honest"`
 }
 
-// ComputeBitcoinSolve runs one Bitcoin baseline solve and returns the
-// exact blob SolveBitcoin would cache (see ComputeBUSolve).
-func ComputeBitcoinSolve(p bitcoin.Params) ([]byte, error) {
-	np, err := p.Normalized()
+func (BitcoinSolveSpec) Kind() string { return KindBitcoinSolve }
+
+func (s BitcoinSolveSpec) Normalized() (Spec, error) { return s.normalized() }
+
+func (s BitcoinSolveSpec) normalized() (BitcoinSolveSpec, error) {
+	p, err := s.Params.Normalized()
+	return BitcoinSolveSpec{Params: p}, err
+}
+
+// Key hashes the normalized parameters.
+func (s BitcoinSolveSpec) Key() (string, error) {
+	n, err := s.normalized()
+	if err != nil {
+		return "", err
+	}
+	return Key(KindBitcoinSolve, n.Params)
+}
+
+// Compute solves the instance and encodes its BitcoinSolveRecord.
+func (s BitcoinSolveSpec) Compute(int, obs.Tracer) ([]byte, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
-	a, err := bitcoin.New(np)
+	a, err := bitcoin.New(n.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -153,48 +226,9 @@ func ComputeBitcoinSolve(p bitcoin.Params) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(BitcoinSolveRecord{
-		Params: np, States: len(a.States),
+		Params: n.Params, States: len(a.States),
 		Utility: res.Utility, Honest: a.HonestUtility(),
 	})
-}
-
-// BitcoinSolveKey derives the cache key of a Bitcoin baseline solve
-// without solving.
-func BitcoinSolveKey(p bitcoin.Params) (string, error) {
-	np, err := p.Normalized()
-	if err != nil {
-		return "", err
-	}
-	return Key(KindBitcoinSolve, np)
-}
-
-// SolveBitcoin answers a Bitcoin baseline solve from the store, solving
-// and filling on a miss.
-func SolveBitcoin(st *Store, p bitcoin.Params) (rec BitcoinSolveRecord, blob []byte, hit bool, err error) {
-	return SolveBitcoinCtx(context.Background(), st, p)
-}
-
-// SolveBitcoinCtx is SolveBitcoin with cancellation while queued for
-// the solve budget.
-func SolveBitcoinCtx(ctx context.Context, st *Store, p bitcoin.Params) (rec BitcoinSolveRecord, blob []byte, hit bool, err error) {
-	np, err := p.Normalized()
-	if err != nil {
-		return BitcoinSolveRecord{}, nil, false, err
-	}
-	key, err := Key(KindBitcoinSolve, np)
-	if err != nil {
-		return BitcoinSolveRecord{}, nil, false, err
-	}
-	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		return ComputeBitcoinSolve(np)
-	})
-	if err != nil {
-		return BitcoinSolveRecord{}, nil, false, err
-	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return BitcoinSolveRecord{}, nil, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, blob, hit, nil
 }
 
 // Sweep runs core.Sweep with every cell answered through the store:
@@ -205,26 +239,23 @@ func SolveBitcoinCtx(ctx context.Context, st *Store, p bitcoin.Params) (rec Bitc
 // with the equivalent single solve, so a sweep warms /solve and vice
 // versa.
 func Sweep(st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) []core.Cell {
-	cells, _, _ := SweepStats(st, model, cfg)
+	cells, _, _ := SweepStatsCtx(context.Background(), st, model, cfg)
 	return cells
 }
 
-// SweepStats is Sweep plus cache accounting: how many cells were
-// answered from the store and how many had to be solved.
-func SweepStats(st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) (cells []core.Cell, hits, misses int) {
-	return SweepStatsCtx(context.Background(), st, model, cfg)
-}
-
-// SweepStatsCtx is SweepStats with cancellation while cells queue for
-// the solve budget: an abandoned request stops consuming budget slots
-// as each of its pending cells reaches the head of the queue.
+// SweepStatsCtx is Sweep plus cache accounting — how many cells were
+// answered from the store and how many had to be solved — with
+// cancellation while cells queue for the solve budget: an abandoned
+// request stops consuming budget slots as each of its pending cells
+// reaches the head of the queue.
 func SweepStatsCtx(ctx context.Context, st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) (cells []core.Cell, hits, misses int) {
 	cfg = cfg.Normalized(model)
 	base := cfg
 	var h, m atomic.Int64
 	cfg.SolveCell = func(c core.Cell) core.Cell {
 		params, opts := base.CellParams(c)
-		rec, _, hit, err := SolveBUCtx(ctx, st, params, opts)
+		spec := BUSolveSpec{Params: params, RatioTol: opts.RatioTol, Epsilon: opts.Epsilon}
+		rec, _, hit, err := Solve[BUSolveRecord](ctx, st, spec, opts.Tracer)
 		if err != nil {
 			c.Err = err
 			return c
@@ -245,11 +276,12 @@ func SweepStatsCtx(ctx context.Context, st *Store, model bumdp.IncentiveModel, c
 	return cells, int(h.Load()), int(m.Load())
 }
 
-// mcKey is the canonical identity of a Monte Carlo batch: the dynamics,
-// the solve tolerances behind the policy being replayed, and the
-// sampling plan. Workers are excluded: the batch runner is seed-
-// deterministic at every worker count.
-type mcKey struct {
+// MonteCarloSpec describes one Monte Carlo cross-validation batch
+// (kind "mcbatch"): the instance whose optimal policy is replayed
+// against the exact model dynamics and the sampling plan. The batch
+// runner is seed-deterministic at every worker count, so workers are
+// no part of it.
+type MonteCarloSpec struct {
 	Params  bumdp.Params `json:"params"`
 	Steps   int          `json:"steps"`
 	Batches int          `json:"batches"`
@@ -267,26 +299,34 @@ type MonteCarloRecord struct {
 	Summary stats.Summary `json:"summary"`
 }
 
-// MonteCarloKey derives the cache key of a Monte Carlo batch without
-// solving.
-func MonteCarloKey(p bumdp.Params, steps, batches int, seed int64) (string, error) {
-	np, err := p.Normalized()
+func (MonteCarloSpec) Kind() string { return KindMonteCarlo }
+
+func (s MonteCarloSpec) Normalized() (Spec, error) { return s.normalized() }
+
+func (s MonteCarloSpec) normalized() (MonteCarloSpec, error) {
+	var err error
+	s.Params, err = s.Params.Normalized()
+	return s, err
+}
+
+// Key hashes the normalized spec.
+func (s MonteCarloSpec) Key() (string, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return "", err
 	}
-	return Key(KindMonteCarlo, mcKey{Params: np, Steps: steps, Batches: batches, Seed: seed})
+	return Key(KindMonteCarlo, n)
 }
 
-// ComputeMonteCarloBatch solves the instance, replays its optimal
-// policy, and returns the exact blob MonteCarloBatch would cache (see
-// ComputeBUSolve). workers never affects the bytes — the batch runner
-// is seed-deterministic at every worker count.
-func ComputeMonteCarloBatch(p bumdp.Params, steps, batches int, seed int64, workers int) ([]byte, error) {
-	np, err := p.Normalized()
+// Compute solves the instance, replays its optimal policy for Steps
+// steps split into Batches batches, and encodes the batch-means
+// summary as a MonteCarloRecord.
+func (s MonteCarloSpec) Compute(workers int, _ obs.Tracer) ([]byte, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
-	a, err := bumdp.New(np)
+	a, err := bumdp.New(n.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -294,38 +334,21 @@ func ComputeMonteCarloBatch(p bumdp.Params, steps, batches int, seed int64, work
 	if err != nil {
 		return nil, err
 	}
-	sum, err := montecarlo.CrossValidateWorkers(a, res.Policy, steps, batches, seed, workers)
+	sum, err := montecarlo.CrossValidateWorkers(a, res.Policy, n.Steps, n.Batches, n.Seed, workers)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(MonteCarloRecord{
-		Params: np, Steps: steps, Batches: batches, Seed: seed, Summary: sum,
+		Params: n.Params, Steps: n.Steps, Batches: n.Batches, Seed: n.Seed, Summary: sum,
 	})
 }
 
-// MonteCarloBatch answers a Monte Carlo cross-validation batch from the
-// store: on a miss the instance is solved, its optimal policy replayed
-// for steps steps split into batches batches, and the batch-means
-// summary cached.
-func MonteCarloBatch(st *Store, p bumdp.Params, steps, batches int, seed int64, workers int) (rec MonteCarloRecord, hit bool, err error) {
-	np, err := p.Normalized()
-	if err != nil {
-		return MonteCarloRecord{}, false, err
-	}
-	key, err := MonteCarloKey(np, steps, batches, seed)
-	if err != nil {
-		return MonteCarloRecord{}, false, err
-	}
-	blob, hit, err := st.GetOrCompute(key, func() ([]byte, error) {
-		return ComputeMonteCarloBatch(np, steps, batches, seed, workers)
-	})
-	if err != nil {
-		return MonteCarloRecord{}, false, err
-	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return MonteCarloRecord{}, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, hit, nil
+// EBGameSpec describes one EB choosing game pure-Nash enumeration
+// (kind "ebgame"). It has the fields of games.Spec, the game's
+// canonical description.
+type EBGameSpec struct {
+	Powers  []float64 `json:"powers"`
+	Choices int       `json:"choices"`
 }
 
 // EquilibriaRecord is the stored form of an EB choosing game's pure
@@ -336,20 +359,31 @@ type EquilibriaRecord struct {
 	Utilities [][]float64     `json:"utilities"`
 }
 
-// EBGameKey derives the cache key of an EB choosing game enumeration
-// without enumerating.
-func EBGameKey(powers []float64, choices int) (string, error) {
-	g, err := games.NewEBChoosingGame(powers, choices)
+func (EBGameSpec) Kind() string { return KindEBGame }
+
+// Normalized validates the game; the spec has no defaults.
+func (s EBGameSpec) Normalized() (Spec, error) {
+	_, err := s.game()
+	return s, err
+}
+
+func (s EBGameSpec) game() (*games.EBChoosingGame, error) {
+	return games.NewEBChoosingGame(s.Powers, s.Choices)
+}
+
+// Key hashes the game's canonical description.
+func (s EBGameSpec) Key() (string, error) {
+	g, err := s.game()
 	if err != nil {
 		return "", err
 	}
 	return Key(KindEBGame, g.Spec())
 }
 
-// ComputeEBEquilibria enumerates the game's pure Nash equilibria and
-// returns the exact blob EBEquilibria would cache (see ComputeBUSolve).
-func ComputeEBEquilibria(powers []float64, choices, workers int) ([]byte, error) {
-	g, err := games.NewEBChoosingGame(powers, choices)
+// Compute enumerates the game's pure Nash equilibria and encodes them,
+// with every equilibrium's utilities, as an EquilibriaRecord.
+func (s EBGameSpec) Compute(workers int, _ obs.Tracer) ([]byte, error) {
+	g, err := s.game()
 	if err != nil {
 		return nil, err
 	}
@@ -366,23 +400,4 @@ func ComputeEBEquilibria(powers []float64, choices, workers int) ([]byte, error)
 		rec.Utilities = append(rec.Utilities, u)
 	}
 	return json.Marshal(rec)
-}
-
-// EBEquilibria answers the full pure-Nash enumeration of an EB choosing
-// game from the store, enumerating and filling on a miss.
-func EBEquilibria(st *Store, powers []float64, choices, workers int) (rec EquilibriaRecord, hit bool, err error) {
-	key, err := EBGameKey(powers, choices)
-	if err != nil {
-		return EquilibriaRecord{}, false, err
-	}
-	blob, hit, err := st.GetOrCompute(key, func() ([]byte, error) {
-		return ComputeEBEquilibria(powers, choices, workers)
-	})
-	if err != nil {
-		return EquilibriaRecord{}, false, err
-	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return EquilibriaRecord{}, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, hit, nil
 }

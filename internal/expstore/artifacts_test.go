@@ -2,6 +2,7 @@ package expstore
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -14,18 +15,24 @@ import (
 // the paper's print precision.
 var fastOpts = bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
 
+// solveBU answers one BU solve through the store.
+func solveBU(st *Store, p bumdp.Params, opts bumdp.SolveOptions) (BUSolveRecord, []byte, bool, error) {
+	spec := BUSolveSpec{Params: p, RatioTol: opts.RatioTol, Epsilon: opts.Epsilon}
+	return Solve[BUSolveRecord](context.Background(), st, spec, nil)
+}
+
 func TestSolveBUMissThenHit(t *testing.T) {
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant}
 
-	rec1, blob1, hit1, err := SolveBU(s, p, fastOpts)
+	rec1, blob1, hit1, err := solveBU(s, p, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit1 {
 		t.Fatal("first solve reported a hit")
 	}
-	rec2, blob2, hit2, err := SolveBU(s, p, fastOpts)
+	rec2, blob2, hit2, err := solveBU(s, p, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +67,14 @@ func TestSolveBUDiskRoundTripExact(t *testing.T) {
 	dir := t.TempDir()
 	p := bumdp.Params{Alpha: 0.1, Beta: 0.45, Gamma: 0.45, Model: bumdp.NonCompliant}
 	s1 := mustOpen(t, Config{Dir: dir})
-	rec1, blob1, _, err := SolveBU(s1, p, fastOpts)
+	rec1, blob1, _, err := solveBU(s1, p, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A cold store over the same dir must reproduce the float64s exactly:
 	// the JSON encoding round-trips bit-for-bit.
 	s2 := mustOpen(t, Config{Dir: dir})
-	rec2, blob2, hit, err := SolveBU(s2, p, fastOpts)
+	rec2, blob2, hit, err := solveBU(s2, p, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestSweepSharesKeysWithSingleSolve(t *testing.T) {
 
 	// The equivalent single solve must hit the sweep's artifact.
 	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant, Setting: bumdp.Setting1}
-	_, _, hit, err := SolveBU(s, p, fastOpts)
+	_, _, hit, err := solveBU(s, p, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +183,11 @@ func TestSweepSharesKeysWithSingleSolve(t *testing.T) {
 func TestSolveBitcoinCached(t *testing.T) {
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	p := bitcoin.Params{Alpha: 0.25, TieWinProb: 0.5, Objective: bitcoin.AbsoluteReward}
-	rec1, blob1, hit1, err := SolveBitcoin(s, p)
+	rec1, blob1, hit1, err := Solve[BitcoinSolveRecord](context.Background(), s, BitcoinSolveSpec{Params: p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, blob2, hit2, err := SolveBitcoin(s, p)
+	rec2, blob2, hit2, err := Solve[BitcoinSolveRecord](context.Background(), s, BitcoinSolveSpec{Params: p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,21 +235,31 @@ func TestMonteCarloBatchCached(t *testing.T) {
 	}
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant}
-	rec1, hit1, err := MonteCarloBatch(s, p, 20_000, 10, 7, 2)
+	spec := MonteCarloSpec{Params: p, Steps: 20_000, Batches: 10, Seed: 7}
+	rec1, blob1, hit1, err := Solve[MonteCarloRecord](context.Background(), s, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, hit2, err := MonteCarloBatch(s, p, 20_000, 10, 7, 4)
+	rec2, _, hit2, err := Solve[MonteCarloRecord](context.Background(), s, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit1 || !hit2 {
 		t.Errorf("hit flags: %v, %v", hit1, hit2)
 	}
-	// Worker count is excluded from the key; the seeded batch is
-	// deterministic, so the cached summary must match exactly.
 	if rec1.Summary != rec2.Summary {
 		t.Errorf("summaries differ: %+v vs %+v", rec1.Summary, rec2.Summary)
+	}
+	// The seeded batch is deterministic at every worker count, which is
+	// why workers are no part of the key.
+	for _, workers := range []int{1, 3} {
+		blob, err := spec.Compute(workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, blob1) {
+			t.Errorf("batch on %d workers differs from the stored one", workers)
+		}
 	}
 	if math.Abs(rec1.Summary.Mean-0.2624) > 0.05 {
 		t.Errorf("MC mean %v far from the solved utility", rec1.Summary.Mean)
@@ -252,11 +269,12 @@ func TestMonteCarloBatchCached(t *testing.T) {
 func TestEBEquilibriaCached(t *testing.T) {
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	powers := []float64{0.3, 0.3, 0.4}
-	rec1, hit1, err := EBEquilibria(s, powers, 2, 0)
+	spec := EBGameSpec{Powers: powers, Choices: 2}
+	rec1, _, hit1, err := Solve[EquilibriaRecord](context.Background(), s, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, hit2, err := EBEquilibria(s, powers, 2, 0)
+	rec2, _, hit2, err := Solve[EquilibriaRecord](context.Background(), s, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

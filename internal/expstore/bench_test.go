@@ -27,7 +27,7 @@ func TestBenchEmit(t *testing.T) {
 	st := mustOpen(t, Config{Dir: dir})
 
 	cold := time.Now()
-	if _, _, hit, err := SolveBU(st, params, opts); err != nil || hit {
+	if _, _, hit, err := solveBU(st, params, opts); err != nil || hit {
 		t.Fatalf("cold solve: hit=%v err=%v", hit, err)
 	}
 	coldLatency := time.Since(cold)
@@ -36,7 +36,7 @@ func TestBenchEmit(t *testing.T) {
 	const hits = 2000
 	warm := time.Now()
 	for i := 0; i < hits; i++ {
-		if _, _, hit, err := SolveBU(st, params, opts); err != nil || !hit {
+		if _, _, hit, err := solveBU(st, params, opts); err != nil || !hit {
 			t.Fatalf("warm solve: hit=%v err=%v", hit, err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestBenchEmit(t *testing.T) {
 	// Disk-hit latency: a fresh store over the same directory reads the
 	// blob once and promotes it to memory.
 	disk := time.Now()
-	if _, _, hit, err := SolveBU(mustOpen(t, Config{Dir: dir}), params, opts); err != nil || !hit {
+	if _, _, hit, err := solveBU(mustOpen(t, Config{Dir: dir}), params, opts); err != nil || !hit {
 		t.Fatalf("disk solve: hit=%v err=%v", hit, err)
 	}
 	diskLatency := time.Since(disk)

@@ -1,7 +1,9 @@
 // Package expstore is the repository's experiment result store: a
 // content-addressed cache for solved artifacts (BU attack MDP solves,
 // Bitcoin baselines, sweep cells, Monte Carlo batches, game
-// equilibria).
+// equilibria). Each artifact kind is defined here, once, by its Spec
+// type: the description the solve farm ships as a job spec, the source
+// of the artifact's key, and the code that computes its bytes.
 //
 // Every artifact is identified by a canonical cache key derived from a
 // deterministic encoding of its full, defaults-applied parameter struct

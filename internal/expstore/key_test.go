@@ -55,10 +55,10 @@ func TestCanonicalJSONMatchesReparse(t *testing.T) {
 		F     []float64 `json:"f"`
 	}
 	values := []any{
-		buSolveKey{Params: np, RatioTol: 1e-5, Epsilon: 1e-9},
+		BUSolveSpec{Params: np, RatioTol: 1e-5, Epsilon: 1e-9},
 		sweepShardKey{Model: 1, Alphas: cfg.Alphas, Ratios: cfg.Ratios, Settings: cfg.Settings,
 			ADs: cfg.ADs, RatioTol: cfg.RatioTol, Epsilon: cfg.Epsilon, Index: 2, Count: 5},
-		mcKey{Params: np, Steps: 1000, Batches: 4, Seed: -7},
+		MonteCarloSpec{Params: np, Steps: 1000, Batches: 4, Seed: -7},
 		bitcoin.Params{Alpha: 0.3, TieWinProb: 0.5},
 		eb.Spec(),
 		map[string]any{"b": []any{}, "a": map[string]any{}, "ab": "x", "a b": 1, "": nil},

@@ -1,6 +1,7 @@
 package expstore
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,11 +22,11 @@ func TestRegisterMetrics(t *testing.T) {
 		return func() ([]byte, error) { return []byte(`{"v":"` + v + `"}`), nil }
 	}
 	for i := 0; i < 3; i++ { // 3 distinct keys through a 2-entry LRU → 1 eviction
-		if _, _, err := st.GetOrCompute(fmt.Sprintf("k%d", i), compute("x")); err != nil {
+		if _, _, err := st.GetOrComputeCtx(context.Background(), fmt.Sprintf("k%d", i), compute("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := st.GetOrCompute("k2", compute("x")); err != nil { // hit
+	if _, _, err := st.GetOrComputeCtx(context.Background(), "k2", compute("x")); err != nil { // hit
 		t.Fatal(err)
 	}
 
@@ -65,7 +66,7 @@ func TestBudgetWaitCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With an idle budget a solve should not count a wait.
-	if _, _, err := st.GetOrCompute("a", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil {
+	if _, _, err := st.GetOrComputeCtx(context.Background(), "a", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if w := st.Stats().BudgetWaits; w != 0 {
@@ -74,7 +75,7 @@ func TestBudgetWaitCounter(t *testing.T) {
 	// Occupy the only slot, then watch a second distinct-key solve queue.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go st.GetOrCompute("slow", func() ([]byte, error) {
+	go st.GetOrComputeCtx(context.Background(), "slow", func() ([]byte, error) {
 		close(started)
 		<-release
 		return []byte(`{}`), nil
@@ -83,7 +84,7 @@ func TestBudgetWaitCounter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, _, err := st.GetOrCompute("b", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil {
+		if _, _, err := st.GetOrComputeCtx(context.Background(), "b", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -1,6 +1,9 @@
 package expstore
 
 import (
+	"context"
+	"sync/atomic"
+
 	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
@@ -80,8 +83,64 @@ func NewBaselineRecords(cells []core.BitcoinBaselineCell) []BaselineRecord {
 // CachedBitcoinBaseline is core.BitcoinBaseline with every cell
 // answered through the store.
 func CachedBitcoinBaseline(st *Store, alphas, ties []float64) []core.BitcoinBaselineCell {
-	return core.BitcoinBaseline(alphas, ties, 0, func(p bitcoin.Params) (float64, error) {
-		rec, _, _, err := SolveBitcoin(st, p)
+	cells, _ := bitcoinBaseline(context.Background(), st, alphas, ties)
+	return cells
+}
+
+// bitcoinBaseline is CachedBitcoinBaseline under ctx, also counting the
+// cells that had to be solved.
+func bitcoinBaseline(ctx context.Context, st *Store, alphas, ties []float64) (cells []core.BitcoinBaselineCell, misses int) {
+	var m atomic.Int64
+	cells = core.BitcoinBaseline(alphas, ties, 0, func(p bitcoin.Params) (float64, error) {
+		rec, _, hit, err := Solve[BitcoinSolveRecord](ctx, st, BitcoinSolveSpec{Params: p}, nil)
+		if err == nil && !hit {
+			m.Add(1)
+		}
 		return rec.Utility, err
 	})
+	return cells, int(m.Load())
+}
+
+// TableRecord is the serializable form of one reproduced paper table:
+// what cmd/butables -json prints and buserve's /tables/{n}?format=json
+// serves.
+type TableRecord struct {
+	Table           int              `json:"table"`
+	Title           string           `json:"title"`
+	Sweeps          []SweepRecord    `json:"sweeps"`
+	BitcoinBaseline []BaselineRecord `json:"bitcoin_baseline,omitempty"`
+}
+
+// TableRun is one paper table reproduced through the store.
+type TableRun struct {
+	Record TableRecord
+	// Cells are every sweep's cells in table order, and Baseline the
+	// Bitcoin baseline block (nil unless the table has one): what the
+	// text renderings format.
+	Cells    []core.Cell
+	Baseline []core.BitcoinBaselineCell
+	// Misses counts the cells and baseline solves the store did not
+	// already hold.
+	Misses int
+}
+
+// RunTable reproduces paper table t through the store: every sweep it
+// needs (Sweep, under ctx) and, for Table 3, the Bitcoin baseline.
+// cmd/butables and buserve's /tables endpoint both run tables through
+// it and differ only in how they render the run.
+func RunTable(ctx context.Context, st *Store, t core.Table) TableRun {
+	run := TableRun{Record: TableRecord{Table: t.N, Title: t.Title}}
+	for _, job := range t.Jobs {
+		cells, _, misses := SweepStatsCtx(ctx, st, job.Model, job.Cfg)
+		run.Cells = append(run.Cells, cells...)
+		run.Record.Sweeps = append(run.Record.Sweeps, NewSweepRecord(job.Model, cells))
+		run.Misses += misses
+	}
+	if t.Bitcoin {
+		var misses int
+		run.Baseline, misses = bitcoinBaseline(ctx, st, nil, nil)
+		run.Record.BitcoinBaseline = NewBaselineRecords(run.Baseline)
+		run.Misses += misses
+	}
+	return run
 }

@@ -7,6 +7,7 @@ import (
 
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
+	"buanalysis/internal/obs"
 )
 
 // Sweep shard artifacts. A sharded sweep solves whole warm-chain rows
@@ -17,6 +18,16 @@ import (
 // sweep counts are not: a warm start changes round counts. Shard
 // results therefore live under their own kind, keyed by the shard's
 // full value-affecting identity, and never touch the per-cell cache.
+
+// SweepShardSpec describes one warm-chained shard of a sharded sweep
+// (kind "sweepshard"): shard Index of Count over the grid Config sweeps
+// for Model.
+type SweepShardSpec struct {
+	Model  int              `json:"model"`
+	Config core.SweepConfig `json:"config"`
+	Index  int              `json:"index"`
+	Count  int              `json:"count"`
+}
 
 // sweepShardKey is the canonical identity of one shard: every
 // normalized config field that shapes cell values, plus the shard
@@ -34,25 +45,6 @@ type sweepShardKey struct {
 	Count    int             `json:"count"`
 }
 
-func shardKeyOf(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count int) (string, error) {
-	cfg = cfg.Normalized(model)
-	return Key(KindSweepShard, sweepShardKey{
-		Model: int(model), Alphas: cfg.Alphas, Ratios: cfg.Ratios,
-		Settings: cfg.Settings, ADs: cfg.ADs,
-		RatioTol: cfg.RatioTol, Epsilon: cfg.Epsilon,
-		Index: index, Count: count,
-	})
-}
-
-// SweepShardKey derives the cache key of one shard of a count-way
-// sharded sweep without solving anything.
-func SweepShardKey(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count int) (string, error) {
-	if count < 1 || index < 0 || index >= count {
-		return "", fmt.Errorf("expstore: bad shard %d of %d", index, count)
-	}
-	return shardKeyOf(model, cfg, index, count)
-}
-
 // SweepShardRecord is the stored form of one solved shard: its cells,
 // whole rows in grid order, as the repository's one cell encoding, and
 // Policies[i], the witness policy of Cells[i] (mdp.Policy.Witness form;
@@ -67,41 +59,58 @@ type SweepShardRecord struct {
 	Policies []string     `json:"policies"`
 }
 
-// ComputeSweepShard solves shard index of count warm-chained (exactly
-// as core.SweepShard does) and returns the canonical blob of its
-// SweepShardRecord — the bytes a solve-farm worker ships back and the
-// store caches, byte-identical wherever it is computed.
-func ComputeSweepShard(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count int) ([]byte, error) {
-	cells, err := core.SweepShard(model, cfg, index, count)
+func (SweepShardSpec) Kind() string { return KindSweepShard }
+
+func (s SweepShardSpec) Normalized() (Spec, error) { return s.normalized() }
+
+// normalized applies the config's defaults for the model — the exact
+// grid every worker must solve — and clears Workers, which each worker
+// sets for itself.
+func (s SweepShardSpec) normalized() (SweepShardSpec, error) {
+	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
+		return SweepShardSpec{}, fmt.Errorf("expstore: bad shard %d of %d", s.Index, s.Count)
+	}
+	s.Config = s.Config.Normalized(bumdp.IncentiveModel(s.Model))
+	s.Config.Workers = 0
+	return s, nil
+}
+
+// Key hashes the shard coordinates and the normalized config fields
+// that shape cell values.
+func (s SweepShardSpec) Key() (string, error) {
+	n, err := s.normalized()
+	if err != nil {
+		return "", err
+	}
+	c := n.Config
+	return Key(KindSweepShard, sweepShardKey{
+		Model: n.Model, Alphas: c.Alphas, Ratios: c.Ratios,
+		Settings: c.Settings, ADs: c.ADs,
+		RatioTol: c.RatioTol, Epsilon: c.Epsilon,
+		Index: n.Index, Count: n.Count,
+	})
+}
+
+// Compute solves the shard's rows warm-chained, exactly as
+// core.SweepShard does, and encodes them as a SweepShardRecord.
+func (s SweepShardSpec) Compute(workers int, tr obs.Tracer) ([]byte, error) {
+	n, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
-	rec := SweepShardRecord{Model: int(model), Index: index, Count: count,
+	cfg := n.Config
+	cfg.Workers, cfg.Tracer = workers, tr
+	cells, err := core.SweepShard(bumdp.IncentiveModel(n.Model), cfg, n.Index, n.Count)
+	if err != nil {
+		return nil, err
+	}
+	rec := SweepShardRecord{Model: n.Model, Index: n.Index, Count: n.Count,
 		Cells: make([]CellRecord, 0, len(cells)), Policies: make([]string, 0, len(cells))}
 	for _, c := range cells {
 		rec.Cells = append(rec.Cells, NewCellRecord(c))
 		rec.Policies = append(rec.Policies, c.Witness)
 	}
 	return json.Marshal(rec)
-}
-
-// SolveSweepShard answers one shard from the store, solving and filling
-// on a miss.
-func SolveSweepShard(st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig, index, count int) (rec SweepShardRecord, blob []byte, hit bool, err error) {
-	key, err := SweepShardKey(model, cfg, index, count)
-	if err != nil {
-		return SweepShardRecord{}, nil, false, err
-	}
-	blob, hit, err = st.GetOrCompute(key, func() ([]byte, error) {
-		return ComputeSweepShard(model, cfg, index, count)
-	})
-	if err != nil {
-		return SweepShardRecord{}, nil, false, err
-	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return SweepShardRecord{}, nil, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, blob, hit, nil
 }
 
 // cellFromRecord rebuilds the sweep cell a CellRecord serialized. The

@@ -1,6 +1,7 @@
 package expstore
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -16,6 +17,11 @@ func shardSweepConfig() core.SweepConfig {
 		AD:       3,
 		RatioTol: 1e-4, Epsilon: 1e-8,
 	}
+}
+
+// shardKey derives the key of shard index of a count-way sweep.
+func shardKey(model bumdp.IncentiveModel, cfg core.SweepConfig, index, count int) (string, error) {
+	return SweepShardSpec{Model: int(model), Config: cfg, Index: index, Count: count}.Key()
 }
 
 // TestSweepShardKeysDistinct: the shard key separates shards, counts,
@@ -35,25 +41,25 @@ func TestSweepShardKeysDistinct(t *testing.T) {
 	}
 	for count := 1; count <= 3; count++ {
 		for i := 0; i < count; i++ {
-			k, err := SweepShardKey(bumdp.Compliant, cfg, i, count)
+			k, err := shardKey(bumdp.Compliant, cfg, i, count)
 			add("shard", k, err)
 		}
 	}
-	k, err := SweepShardKey(bumdp.NonCompliant, cfg, 0, 1)
+	k, err := shardKey(bumdp.NonCompliant, cfg, 0, 1)
 	add("model", k, err)
 	loose := cfg
 	loose.RatioTol = 1e-3
-	k, err = SweepShardKey(bumdp.Compliant, loose, 0, 1)
+	k, err = shardKey(bumdp.Compliant, loose, 0, 1)
 	add("tolerance", k, err)
 
 	// Concurrency knobs must not split the cache.
 	par := cfg
 	par.Workers, par.InnerParallelism = 7, 3
-	k, err = SweepShardKey(bumdp.Compliant, par, 0, 2)
+	k, err = shardKey(bumdp.Compliant, par, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := SweepShardKey(bumdp.Compliant, cfg, 0, 2)
+	base, err := shardKey(bumdp.Compliant, cfg, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func TestSweepShardKeysDistinct(t *testing.T) {
 		t.Fatal("worker knobs changed the shard key")
 	}
 
-	if _, err := SweepShardKey(bumdp.Compliant, cfg, 2, 2); err == nil {
+	if _, err := shardKey(bumdp.Compliant, cfg, 2, 2); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }
@@ -78,7 +84,8 @@ func TestSweepShardRoundTrip(t *testing.T) {
 	const count = 3
 	blobs := make([][]byte, count)
 	for i := 0; i < count; i++ {
-		rec, blob, hit, err := SolveSweepShard(st, model, cfg, i, count)
+		rec, blob, hit, err := Solve[SweepShardRecord](context.Background(), st,
+			SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: count}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +98,8 @@ func TestSweepShardRoundTrip(t *testing.T) {
 		blobs[i] = blob
 	}
 	for i := 0; i < count; i++ {
-		_, blob, hit, err := SolveSweepShard(st, model, cfg, i, count)
+		_, blob, hit, err := Solve[SweepShardRecord](context.Background(), st,
+			SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: count}, nil)
 		if err != nil || !hit {
 			t.Fatalf("warm shard %d: hit=%v err=%v", i, hit, err)
 		}

@@ -1,6 +1,7 @@
 package expstore
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestStoreBudgetShedding(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.GetOrCompute("busolve-holder", func() ([]byte, error) {
+		s.GetOrComputeCtx(context.Background(), "busolve-holder", func() ([]byte, error) {
 			close(holding)
 			<-release
 			return []byte(`{"holder":true}`), nil
@@ -30,7 +31,7 @@ func TestStoreBudgetShedding(t *testing.T) {
 
 	// A second distinct-key solve must be shed after the bound.
 	start := time.Now()
-	_, _, err := s.GetOrCompute("busolve-shed", func() ([]byte, error) {
+	_, _, err := s.GetOrComputeCtx(context.Background(), "busolve-shed", func() ([]byte, error) {
 		t.Error("shed caller's compute ran")
 		return []byte(`{}`), nil
 	})
@@ -47,7 +48,7 @@ func TestStoreBudgetShedding(t *testing.T) {
 
 	// Shedding refuses new work, not cached answers.
 	s.Put("busolve-warm", []byte(`{"warm":true}`))
-	if _, hit, err := s.GetOrCompute("busolve-warm", func() ([]byte, error) {
+	if _, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-warm", func() ([]byte, error) {
 		t.Error("compute ran on a warm key")
 		return nil, nil
 	}); err != nil || !hit {
@@ -57,7 +58,7 @@ func TestStoreBudgetShedding(t *testing.T) {
 	// Once the budget frees the retry computes normally.
 	close(release)
 	<-done
-	if _, hit, err := s.GetOrCompute("busolve-shed", func() ([]byte, error) {
+	if _, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-shed", func() ([]byte, error) {
 		return []byte(`{"second":true}`), nil
 	}); err != nil || hit {
 		t.Fatalf("retry after saturation: hit=%v err=%v", hit, err)

@@ -184,24 +184,21 @@ func (s *Store) Put(key string, blob []byte) error {
 	return s.diskPut(key, blob)
 }
 
-// GetOrCompute returns the blob for key, computing and storing it on a
-// miss. hit reports whether the result came from cache. Concurrent
+// GetOrComputeCtx returns the blob for key, computing and storing it on
+// a miss. hit reports whether the result came from cache. Concurrent
 // calls for the same missing key run compute exactly once (singleflight)
 // and all receive the identical blob; distinct-key computes respect the
 // configured solve budget.
-func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob []byte, hit bool, err error) {
-	return s.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute with cancellation: a caller whose
-// context is done while queued for an exhausted solve budget (or before
-// its compute starts) gives up its place instead of burning a slot on
-// work nobody is waiting for — an abandoned HTTP request or a drained
-// worker releases the budget immediately. A compute already running is
-// not interrupted (the solvers are not preemptible, and its result is
-// still cached for the next caller); joiners deduplicated onto a
-// winning caller's flight receive whatever that flight returns, which
-// is the winner's ctx error if the winner was canceled while queued.
+//
+// A caller whose context is done while queued for an exhausted solve
+// budget (or before its compute starts) gives up its place instead of
+// burning a slot on work nobody is waiting for — an abandoned HTTP
+// request or a drained worker releases the budget immediately. A
+// compute already running is not interrupted (the solvers are not
+// preemptible, and its result is still cached for the next caller);
+// joiners deduplicated onto a winning caller's flight receive whatever
+// that flight returns, which is the winner's ctx error if the winner
+// was canceled while queued.
 func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() ([]byte, error)) (blob []byte, hit bool, err error) {
 	if blob, ok, fromMem := s.lookup(key); ok {
 		s.hits.Add(1)

@@ -98,7 +98,7 @@ func TestStoreCorruptBlobIsMissAndRewritten(t *testing.T) {
 				t.Error("corruption not counted")
 			}
 			// ...re-solve on demand and rewrite a valid blob.
-			blob, hit, err := s2.GetOrCompute(key, func() ([]byte, error) {
+			blob, hit, err := s2.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
 				return []byte(`{"utility":0.25}`), nil
 			})
 			if err != nil || hit {
@@ -149,7 +149,7 @@ func TestStoreSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			blob, hit, err := s.GetOrCompute("busolve-flight", func() ([]byte, error) {
+			blob, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-flight", func() ([]byte, error) {
 				computes.Add(1)
 				time.Sleep(50 * time.Millisecond) // let every racer join the flight
 				return []byte(`{"v":42}`), nil
@@ -179,7 +179,7 @@ func TestStoreSingleflight(t *testing.T) {
 		t.Errorf("accounting: %+v does not sum to %d", st, n)
 	}
 	// And afterwards the key is a plain hit.
-	if _, hit, err := s.GetOrCompute("busolve-flight", func() ([]byte, error) {
+	if _, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-flight", func() ([]byte, error) {
 		t.Error("compute ran on a warm key")
 		return nil, nil
 	}); err != nil || !hit {
@@ -195,7 +195,7 @@ func TestStoreSolveBudget(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := s.GetOrCompute(fmt.Sprintf("busolve-%d", i), func() ([]byte, error) {
+			_, _, err := s.GetOrComputeCtx(context.Background(), fmt.Sprintf("busolve-%d", i), func() ([]byte, error) {
 				cur := inFlight.Add(1)
 				defer inFlight.Add(-1)
 				for {
@@ -260,7 +260,7 @@ func TestStoreBudgetWaitCancellation(t *testing.T) {
 	holding := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		s.GetOrCompute("busolve-holder", func() ([]byte, error) {
+		s.GetOrComputeCtx(context.Background(), "busolve-holder", func() ([]byte, error) {
 			close(holding)
 			<-release
 			return []byte(`{}`), nil
@@ -298,12 +298,12 @@ func TestStoreBudgetWaitCancellation(t *testing.T) {
 	// The abandoned wait must not have consumed the slot: after the
 	// holder finishes, a live caller gets it and computes normally.
 	close(release)
-	blob, hit, err := s.GetOrCompute("busolve-live", func() ([]byte, error) { return []byte(`{"ok":1}`), nil })
+	blob, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-live", func() ([]byte, error) { return []byte(`{"ok":1}`), nil })
 	if err != nil || hit || string(blob) != `{"ok":1}` {
 		t.Fatalf("live caller after cancel: blob=%q hit=%v err=%v", blob, hit, err)
 	}
 	// And the canceled key was never poisoned — it solves on demand.
-	if _, hit, err := s.GetOrCompute("busolve-canceled", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil || hit {
+	if _, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-canceled", func() ([]byte, error) { return []byte(`{}`), nil }); err != nil || hit {
 		t.Fatalf("canceled key retry: hit=%v err=%v", hit, err)
 	}
 }
@@ -311,11 +311,11 @@ func TestStoreBudgetWaitCancellation(t *testing.T) {
 func TestStoreComputeErrorNotCached(t *testing.T) {
 	s := mustOpen(t, Config{})
 	boom := fmt.Errorf("boom")
-	if _, _, err := s.GetOrCompute("busolve-err", func() ([]byte, error) { return nil, boom }); err != boom {
+	if _, _, err := s.GetOrComputeCtx(context.Background(), "busolve-err", func() ([]byte, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure must not poison the key.
-	blob, hit, err := s.GetOrCompute("busolve-err", func() ([]byte, error) { return []byte(`{}`), nil })
+	blob, hit, err := s.GetOrComputeCtx(context.Background(), "busolve-err", func() ([]byte, error) { return []byte(`{}`), nil })
 	if err != nil || hit || string(blob) != `{}` {
 		t.Fatalf("retry after error: blob=%q hit=%v err=%v", blob, hit, err)
 	}

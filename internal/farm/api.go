@@ -216,9 +216,15 @@ func (a *API) handleSweepEnqueue(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	jobs, err := NewSweepShardJobs(bumdp.IncentiveModel(req.Model), req.Config, req.Count, req.Priority)
-	if err != nil {
-		return nil, err
+	var jobs []jobqueue.Job
+	for i := 0; i < req.Count; i++ {
+		j, err := specJob(expstore.SweepShardSpec{
+			Model: req.Model, Config: req.Config, Index: i, Count: req.Count,
+		}, req.Priority)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, j)
 	}
 	span := a.startSpan(r, "farm.sweep")
 	resp := SweepEnqueueResponse{Model: req.Model, Count: req.Count}
@@ -261,7 +267,7 @@ type SweepStatusResponse struct {
 func (a *API) sweepStatus(req SweepRequest) (SweepStatusResponse, error) {
 	resp := SweepStatusResponse{Model: req.Model, Count: req.Count}
 	for i := 0; i < req.Count; i++ {
-		id, err := expstore.SweepShardKey(bumdp.IncentiveModel(req.Model), req.Config, i, req.Count)
+		id, err := expstore.SweepShardSpec{Model: req.Model, Config: req.Config, Index: i, Count: req.Count}.Key()
 		if err != nil {
 			return SweepStatusResponse{}, err
 		}

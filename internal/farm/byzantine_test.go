@@ -29,7 +29,7 @@ import (
 func testBUSolveJob(t *testing.T) jobqueue.Job {
 	t.Helper()
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Model: bumdp.Compliant}
-	job, err := NewBUSolveJob(p, bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}, 0)
+	job, err := specJob(expstore.BUSolveSpec{Params: p, RatioTol: 1e-4, Epsilon: 1e-8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFarmRejectsForgedCompletion(t *testing.T) {
 		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 	})
 	job := testBUSolveJob(t)
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	leased, ok, err := client.Lease("byz", nil, 5*time.Second)
@@ -67,7 +67,7 @@ func TestFarmRejectsForgedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Complete(leased.ID, leased.Lease, forged); !errors.Is(err, ErrRejected) {
+	if _, err := client.CompleteCtx(context.Background(), leased.ID, leased.Lease, forged); !errors.Is(err, ErrRejected) {
 		t.Fatalf("forged completion err = %v, want ErrRejected", err)
 	}
 	if _, found := st.Get(leased.ID); found {
@@ -87,7 +87,7 @@ func TestFarmRejectsForgedCompletion(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("honest lease: ok=%v err=%v", ok, err)
 	}
-	if first, err := client.Complete(release.ID, release.Lease, blob); err != nil || !first {
+	if first, err := client.CompleteCtx(context.Background(), release.ID, release.Lease, blob); err != nil || !first {
 		t.Fatalf("honest completion: first=%v err=%v", first, err)
 	}
 	if stored, found := st.Get(leased.ID); !found || string(stored) != string(blob) {
@@ -108,11 +108,11 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	// so the drained result can be compared byte-for-byte.
 	cfg := testSweepConfig()
 	cfg.Ratios = cfg.Ratios[:1]
-	job, err := NewSweepShardJob(bumdp.Compliant, cfg, 0, 1, 0)
+	job, err := specJob(expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,11 +167,11 @@ func TestFarmDuplicateMismatchCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	Observe(reg)
 	client, _, st, _ := testFarm(t, jobqueue.Options{})
-	job, err := NewEBGameJob([]float64{0.5, 0.3, 0.2}, 2, 0)
+	job, err := specJob(expstore.EBGameSpec{Powers: []float64{0.5, 0.3, 0.2}, Choices: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	leased, ok, err := client.Lease("w", nil, 5*time.Second)
@@ -182,12 +182,12 @@ func TestFarmDuplicateMismatchCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, err := client.Complete(leased.ID, leased.Lease, blob); err != nil || !first {
+	if first, err := client.CompleteCtx(context.Background(), leased.ID, leased.Lease, blob); err != nil || !first {
 		t.Fatalf("first completion: first=%v err=%v", first, err)
 	}
 	// Duplicate with disagreeing bytes: acknowledged, artifact intact,
 	// mismatch counted.
-	if first, err := client.Complete(leased.ID, leased.Lease, []byte(`{"tampered":true}`)); err != nil || first {
+	if first, err := client.CompleteCtx(context.Background(), leased.ID, leased.Lease, []byte(`{"tampered":true}`)); err != nil || first {
 		t.Fatalf("duplicate: first=%v err=%v, want false/nil", first, err)
 	}
 	if stored, found := st.Get(leased.ID); !found || string(stored) != string(blob) {
@@ -201,7 +201,7 @@ func TestFarmDuplicateMismatchCounted(t *testing.T) {
 		t.Fatalf("metrics missing duplicate mismatch:\n%s", sb.String())
 	}
 	// A byte-identical duplicate does not count.
-	if _, err := client.Complete(leased.ID, leased.Lease, blob); err != nil {
+	if _, err := client.CompleteCtx(context.Background(), leased.ID, leased.Lease, blob); err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
@@ -249,11 +249,11 @@ func TestFarmClientRetriesTransientOnly(t *testing.T) {
 	defer srv.Close()
 	client := &Client{Base: srv.URL}
 
-	job, err := NewEBGameJob([]float64{0.6, 0.4}, 2, 0)
+	job, err := specJob(expstore.EBGameSpec{Powers: []float64{0.6, 0.4}, Choices: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	leased, ok, err := client.Lease("w", nil, 5*time.Second)
@@ -268,7 +268,7 @@ func TestFarmClientRetriesTransientOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Complete(leased.ID, leased.Lease, blob); err == nil {
+	if _, err := client.CompleteCtx(context.Background(), leased.ID, leased.Lease, blob); err == nil {
 		t.Fatal("complete through a 503 succeeded")
 	}
 	if got := completeCalls.Load(); got != 1 {

@@ -184,15 +184,10 @@ func (c *Client) postIdempotent(ctx context.Context, cl *http.Client, path strin
 	return err
 }
 
-// Enqueue submits one typed job; the coordinator re-derives the ID from
-// the spec. created is false when the job already existed.
-func (c *Client) Enqueue(job jobqueue.Job) (jobqueue.Job, bool, error) {
-	return c.EnqueueCtx(context.Background(), job)
-}
-
-// EnqueueCtx is Enqueue under a context; a span context installed by
-// obs.ContextWithSpan makes the enqueued job part of the caller's
-// trace.
+// EnqueueCtx submits one typed job; the coordinator re-derives the ID
+// from the spec. created is false when the job already existed. A span
+// context installed in ctx by obs.ContextWithSpan makes the enqueued
+// job part of the caller's trace.
 func (c *Client) EnqueueCtx(ctx context.Context, job jobqueue.Job) (jobqueue.Job, bool, error) {
 	var resp enqueueResponse
 	err := c.post(ctx, c.client(30*time.Second), "/jobs/enqueue",
@@ -200,12 +195,8 @@ func (c *Client) EnqueueCtx(ctx context.Context, job jobqueue.Job) (jobqueue.Job
 	return resp.Job, resp.Created, err
 }
 
-// EnqueueSweep fans a sharded sweep out as req.Count shard jobs.
-func (c *Client) EnqueueSweep(req SweepRequest) (SweepEnqueueResponse, error) {
-	return c.EnqueueSweepCtx(context.Background(), req)
-}
-
-// EnqueueSweepCtx is EnqueueSweep under a caller trace context.
+// EnqueueSweepCtx fans a sharded sweep out as req.Count shard jobs,
+// under the caller's trace context.
 func (c *Client) EnqueueSweepCtx(ctx context.Context, req SweepRequest) (SweepEnqueueResponse, error) {
 	var resp SweepEnqueueResponse
 	err := c.post(ctx, c.client(30*time.Second), "/jobs/sweep", req, &resp)
@@ -220,15 +211,10 @@ func (c *Client) SweepStatus(req SweepRequest) (SweepStatusResponse, error) {
 	return resp, err
 }
 
-// SweepResult fetches a completed sweep's merged record and table; a
+// SweepResultCtx fetches a completed sweep's merged record and table; a
 // jobqueue.ErrNotLeased-mapped conflict means shards are outstanding.
-func (c *Client) SweepResult(req SweepRequest) (SweepResultResponse, error) {
-	return c.SweepResultCtx(context.Background(), req)
-}
-
-// SweepResultCtx is SweepResult under a caller trace context — the
-// coordinator's merge span lands in the same trace as the fan-out when
-// the caller reuses the span context it enqueued under.
+// The coordinator's merge span lands in the same trace as the fan-out
+// when the caller reuses the span context it enqueued under.
 func (c *Client) SweepResultCtx(ctx context.Context, req SweepRequest) (SweepResultResponse, error) {
 	var resp SweepResultResponse
 	err := c.postIdempotent(ctx, c.client(2*time.Minute), "/jobs/sweep/result", req, &resp)
@@ -254,18 +240,12 @@ func (c *Client) Heartbeat(id, lease string, ttl time.Duration) error {
 		heartbeatRequest{ID: id, Lease: lease, TTLMilli: ttl.Milliseconds()}, nil)
 }
 
-// Complete delivers a job's result blob. first is false when the job
+// CompleteCtx delivers a job's result blob. first is false when the job
 // was already done (a duplicate delivery); jobqueue.ErrNotLeased means
 // the lease was lost and ErrRejected means the coordinator's validity
 // predicate refused the bytes — in either error case the result was
-// discarded.
-func (c *Client) Complete(id, lease string, result []byte) (first bool, err error) {
-	return c.CompleteCtx(context.Background(), id, lease, result)
-}
-
-// CompleteCtx is Complete under a context; the worker passes its
-// execute-span context so the coordinator's store write parents under
-// the delivery.
+// discarded. The worker passes its execute-span context so the
+// coordinator's store write parents under the delivery.
 func (c *Client) CompleteCtx(ctx context.Context, id, lease string, result []byte) (first bool, err error) {
 	var resp completeResponse
 	err = c.post(ctx, c.client(2*time.Minute), "/jobs/complete",

@@ -60,7 +60,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	cfg := testSweepConfig()
 	req := SweepRequest{Model: int(model), Config: cfg, Count: 3}
 
-	fan, err := client.EnqueueSweep(req)
+	fan, err := client.EnqueueSweepCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	}
 	// Re-posting the same sweep is a no-op: that is what makes it
 	// resumable.
-	if again, err := client.EnqueueSweep(req); err != nil || again.Created != 0 {
+	if again, err := client.EnqueueSweepCtx(context.Background(), req); err != nil || again.Created != 0 {
 		t.Fatalf("re-enqueue: created=%d err=%v, want 0/nil", again.Created, err)
 	}
 
@@ -92,10 +92,10 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, err := client.Complete(dupJob.ID, dupJob.Lease, dupBlob); err != nil || !first {
+	if first, err := client.CompleteCtx(context.Background(), dupJob.ID, dupJob.Lease, dupBlob); err != nil || !first {
 		t.Fatalf("first completion: first=%v err=%v", first, err)
 	}
-	if first, err := client.Complete(dupJob.ID, dupJob.Lease, []byte(`{"tampered":true}`)); err != nil || first {
+	if first, err := client.CompleteCtx(context.Background(), dupJob.ID, dupJob.Lease, []byte(`{"tampered":true}`)); err != nil || first {
 		t.Fatalf("duplicate completion: first=%v err=%v, want false/nil", first, err)
 	}
 	if got, ok := st.Get(dupJob.ID); !ok || string(got) != string(dupBlob) {
@@ -144,7 +144,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 		t.Fatalf("completes = %d, want 3 (exactly once per shard)", stats.Completes)
 	}
 	for i, id := range fan.IDs {
-		want, err := expstore.ComputeSweepShard(model, cfg, i, 3)
+		want, err := expstore.SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: 3}.Compute(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	if err != nil || !status.Ready {
 		t.Fatalf("sweep status: ready=%v err=%v", status.Ready, err)
 	}
-	res, err := client.SweepResult(req)
+	res, err := client.SweepResultCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestFarmLeaseLossRejectsCompletion(t *testing.T) {
 	client, _, st, _ := testFarm(t, jobqueue.Options{
 		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 	})
-	job, err := NewEBGameJob([]float64{0.5, 0.3, 0.2}, 2, 0)
+	job, err := specJob(expstore.EBGameSpec{Powers: []float64{0.5, 0.3, 0.2}, Choices: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	stale, ok, err := client.Lease("stale", nil, 10*time.Millisecond)
@@ -214,7 +214,7 @@ func TestFarmLeaseLossRejectsCompletion(t *testing.T) {
 		t.Fatalf("re-lease: got %s/%s, want same job under a new lease", live.ID, live.Lease)
 	}
 
-	if _, err := client.Complete(stale.ID, stale.Lease, []byte(`{"stale":true}`)); !errors.Is(err, jobqueue.ErrNotLeased) {
+	if _, err := client.CompleteCtx(context.Background(), stale.ID, stale.Lease, []byte(`{"stale":true}`)); !errors.Is(err, jobqueue.ErrNotLeased) {
 		t.Fatalf("stale completion: err=%v, want ErrNotLeased", err)
 	}
 	if _, ok := st.Get(stale.ID); ok {
@@ -225,7 +225,7 @@ func TestFarmLeaseLossRejectsCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, err := client.Complete(live.ID, live.Lease, blob); err != nil || !first {
+	if first, err := client.CompleteCtx(context.Background(), live.ID, live.Lease, blob); err != nil || !first {
 		t.Fatalf("live completion: first=%v err=%v", first, err)
 	}
 	if got, ok := st.Get(live.ID); !ok || string(got) != string(blob) {
@@ -239,12 +239,12 @@ func TestFarmLeaseLossRejectsCompletion(t *testing.T) {
 func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 	client, _, st, _ := testFarm(t, jobqueue.Options{})
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Model: bumdp.Compliant}
-	opts := bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
-	job, err := NewBUSolveJob(p, opts, 0)
+	spec := expstore.BUSolveSpec{Params: p, RatioTol: 1e-4, Epsilon: 1e-8}
+	job, err := specJob(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, created, err := client.Enqueue(job); err != nil || !created {
+	if _, created, err := client.EnqueueCtx(context.Background(), job); err != nil || !created {
 		t.Fatalf("enqueue: created=%v err=%v", created, err)
 	}
 
@@ -256,7 +256,7 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 		t.Fatalf("worker stats: executed=%d completed=%d", executed, completed)
 	}
 
-	rec, _, hit, err := expstore.SolveBU(st, p, opts)
+	rec, _, hit, err := expstore.Solve[expstore.BUSolveRecord](context.Background(), st, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 	}
 	// A local solve agrees on everything but the wall-clock field
 	// (Duration is the record's only run-dependent value).
-	wantBlob, err := expstore.ComputeBUSolve(p, opts)
+	wantBlob, err := spec.Compute(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,23 +284,23 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 // under the wrong key.
 func TestFarmEnqueueValidation(t *testing.T) {
 	client, q, _, _ := testFarm(t, jobqueue.Options{})
-	if _, _, err := client.Enqueue(jobqueue.Job{Kind: "nonsense", Spec: []byte(`{}`)}); err == nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), jobqueue.Job{Kind: "nonsense", Spec: []byte(`{}`)}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, _, err := client.Enqueue(jobqueue.Job{Kind: expstore.KindBUSolve, Spec: []byte(`{"params":`)}); err == nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), jobqueue.Job{Kind: expstore.KindBUSolve, Spec: []byte(`{"params":`)}); err == nil {
 		t.Fatal("truncated spec accepted")
 	}
-	if _, _, err := client.Enqueue(jobqueue.Job{Kind: expstore.KindBUSolve}); err == nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), jobqueue.Job{Kind: expstore.KindBUSolve}); err == nil {
 		t.Fatal("missing spec accepted")
 	}
 	// The spec-derived ID wins over whatever the caller claims.
-	job, err := NewBitcoinSolveJob(bitcoinParams(), 0)
+	job, err := specJob(expstore.BitcoinSolveSpec{Params: bitcoinParams()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forged := job
 	forged.ID = "btcsolve-0000000000000000000000000000000000000000"
-	stored, created, err := client.Enqueue(forged)
+	stored, created, err := client.EnqueueCtx(context.Background(), forged)
 	if err != nil || !created {
 		t.Fatalf("enqueue: created=%v err=%v", created, err)
 	}
@@ -322,11 +322,11 @@ func TestFarmFailPathAndRequeue(t *testing.T) {
 	client, q, _, _ := testFarm(t, jobqueue.Options{
 		MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 	})
-	job, err := NewEBGameJob([]float64{0.6, 0.4}, 2, 0)
+	job, err := specJob(expstore.EBGameSpec{Powers: []float64{0.6, 0.4}, Choices: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Enqueue(job); err != nil {
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Requeue(job.ID); !errors.Is(err, jobqueue.ErrNotDead) {
@@ -385,7 +385,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 	}
 	srv1 := httptest.NewServer((&API{Queue: q1, Store: st1}).Handler())
 	c1 := &Client{Base: srv1.URL}
-	if _, err := c1.EnqueueSweep(req); err != nil {
+	if _, err := c1.EnqueueSweepCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	survivor, ok, err := c1.Lease("survivor", nil, 30*time.Second)
@@ -407,7 +407,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 	defer srv2.Close()
 	c2 := &Client{Base: srv2.URL}
 
-	if again, err := c2.EnqueueSweep(req); err != nil || again.Created != 0 {
+	if again, err := c2.EnqueueSweepCtx(context.Background(), req); err != nil || again.Created != 0 {
 		t.Fatalf("resumed fan-out: created=%d err=%v, want 0/nil", again.Created, err)
 	}
 	// The survivor's lease crossed the restart: its completion lands.
@@ -415,7 +415,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, err := c2.Complete(survivor.ID, survivor.Lease, blob); err != nil || !first {
+	if first, err := c2.CompleteCtx(context.Background(), survivor.ID, survivor.Lease, blob); err != nil || !first {
 		t.Fatalf("completion across restart: first=%v err=%v", first, err)
 	}
 	// A drain worker finishes the rest and the merged table matches.
@@ -423,7 +423,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c2.SweepResult(req)
+	res, err := c2.SweepResultCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestFarmTracePropagation(t *testing.T) {
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Model: bumdp.Compliant}
-	job, err := NewBUSolveJob(p, bumdp.SolveOptions{}, 0)
+	job, err := specJob(expstore.BUSolveSpec{Params: p}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFarmTracePropagation(t *testing.T) {
 // always carried — every solver output field matches exactly.
 func TestFarmUntracedBytesIdentical(t *testing.T) {
 	cfg := testSweepConfig()
-	shard, err := NewSweepShardJob(bumdp.Compliant, cfg, 0, 2, 0)
+	shard, err := specJob(expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFarmUntracedBytesIdentical(t *testing.T) {
 	}
 
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Model: bumdp.Compliant}
-	solveJob, err := NewBUSolveJob(p, bumdp.SolveOptions{}, 0)
+	solveJob, err := specJob(expstore.BUSolveSpec{Params: p}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

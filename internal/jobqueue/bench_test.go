@@ -141,7 +141,7 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 		RatioTol: 1e-4, Epsilon: 1e-8,
 	}
 	client := &farm.Client{Base: srv.URL}
-	if _, err := client.EnqueueSweep(farm.SweepRequest{Model: int(bumdp.Compliant), Config: cfg, Count: 3}); err != nil {
+	if _, err := client.EnqueueSweepCtx(context.Background(), farm.SweepRequest{Model: int(bumdp.Compliant), Config: cfg, Count: 3}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,7 +202,11 @@ func measureVerifyCost(t *testing.T) verifyCost {
 	// overheads (the model build) instead of the asymmetry. Evaluation
 	// passes count as evaluation sweeps on both sides.
 	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 16, Model: bumdp.Compliant}
-	job, err := farm.NewBUSolveJob(p, bumdp.SolveOptions{}, 0)
+	spec, err := json.Marshal(expstore.BUSolveSpec{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := farm.NewJob(expstore.KindBUSolve, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,10 +137,10 @@ func TestCompactedLayoutSorted(t *testing.T) {
 		want := make([]float64, c1-c0)
 		for j := m.saOff[k]; j < m.saOff[k+1]; j++ {
 			c := m.mergeIdx[j]
-			if c < c0 || c >= c1 || m.ctto[c] != m.tto[j] {
-				t.Fatalf("slot %d: raw transition %d to %d folds into compacted entry %d", k, j, m.tto[j], c)
+			if c < c0 || c >= c1 || int(m.ctto[c]) != m.trans[j].To {
+				t.Fatalf("slot %d: raw transition %d to %d folds into compacted entry %d", k, j, m.trans[j].To, c)
 			}
-			want[c-c0] += m.tprob[j]
+			want[c-c0] += m.trans[j].Prob
 		}
 		for c := c0; c < c1; c++ {
 			if want[c-c0] == 0 {

@@ -65,8 +65,8 @@ type Builder interface {
 // Model is a compiled, immutable MDP stored in flat arrays for fast
 // iteration. Build one with Compile.
 //
-// Alongside the transition records themselves, the model keeps
-// structure-of-arrays mirrors of the hot fields (probability and
+// Alongside the transition records themselves, the model keeps a
+// compacted structure-of-arrays copy of the hot fields (probability and
 // destination per transition) and per-(state, action) expected rewards,
 // so the Bellman inner loop is a compact sparse dot product instead of a
 // walk over 32-byte structs.
@@ -76,14 +76,10 @@ type Model struct {
 	// actionID and saOff.
 	stateOff []int32
 	actionID []int32
-	// saOff[k]..saOff[k+1] index the transitions of slot k in trans.
+	// saOff[k]..saOff[k+1] index the transitions of slot k in trans, in
+	// the builder's raw order.
 	saOff []int32
 	trans []Transition
-	// tprob/tto mirror trans[j].Prob and trans[j].To in the builder's
-	// raw order. Reparameterize validates against them; the sweep
-	// kernels run on the compacted mirrors below.
-	tprob []float64
-	tto   []int32
 	// Compacted transition layout, the one the sweep kernels iterate:
 	// within each slot, raw transitions sharing a destination are merged
 	// (probabilities summed) and the survivors are sorted by destination
@@ -301,15 +297,9 @@ func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
 	}
 }
 
-// buildHotArrays derives the structure-of-arrays mirrors and per-slot
-// expected rewards from the frozen transition records.
+// buildHotArrays derives the compacted layout and per-slot expected
+// rewards from the frozen transition records.
 func (m *Model) buildHotArrays() {
-	m.tprob = make([]float64, len(m.trans))
-	m.tto = make([]int32, len(m.trans))
-	for j, tr := range m.trans {
-		m.tprob[j] = tr.Prob
-		m.tto[j] = int32(tr.To)
-	}
 	m.eNum = make([]float64, len(m.actionID))
 	m.eDen = make([]float64, len(m.actionID))
 	for k := range m.actionID {
@@ -325,7 +315,7 @@ func (m *Model) buildHotArrays() {
 }
 
 // buildCompactedLayout derives the compacted transition arrays from the
-// raw mirrors: per slot, duplicate destinations merged and survivors
+// raw transitions: per slot, duplicate destinations merged and survivors
 // sorted ascending by destination. The probability accumulation below
 // visits raw transitions in ascending raw order, the order
 // reparamRange reproduces, so a Reparameterize product's ctprob is
@@ -345,14 +335,14 @@ func (m *Model) buildCompactedLayout() {
 		for j := j0; j < j1; j++ {
 			i := len(scratch)
 			scratch = append(scratch, j)
-			for ; i > 0 && m.tto[scratch[i-1]] > m.tto[j]; i-- {
+			for ; i > 0 && m.trans[scratch[i-1]].To > m.trans[j].To; i-- {
 				scratch[i] = scratch[i-1]
 			}
 			scratch[i] = j
 		}
 		for i, j := range scratch {
-			if i == 0 || m.tto[j] != m.tto[scratch[i-1]] {
-				ctto = append(ctto, m.tto[j])
+			if i == 0 || m.trans[j].To != m.trans[scratch[i-1]].To {
+				ctto = append(ctto, int32(m.trans[j].To))
 			}
 			m.mergeIdx[j] = int32(len(ctto) - 1)
 		}
@@ -360,8 +350,8 @@ func (m *Model) buildCompactedLayout() {
 	}
 	m.ctto = ctto
 	m.ctprob = make([]float64, len(ctto))
-	for j := range m.tprob {
-		m.ctprob[m.mergeIdx[j]] += m.tprob[j]
+	for j, tr := range m.trans {
+		m.ctprob[m.mergeIdx[j]] += tr.Prob
 	}
 	m.dupTrans = len(m.trans) - len(ctto)
 }
@@ -383,18 +373,18 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 
 // Reparameterize compiles b against the receiver's frozen structure: it
 // revalidates and rewrites the transition probabilities and rewards
-// while sharing the state/action/destination skeleton (stateOff,
-// actionID, saOff, tto) with the receiver, skipping offset construction
-// entirely. It is the fast path for sweeps whose cells vary only
-// numeric parameters (mining-power shares, reward sizes): such builders
-// enumerate the same (state, action, destination) structure every time,
-// only with different probabilities and rewards.
+// while sharing the state/action skeleton (stateOff, actionID, saOff)
+// and the compacted destinations with the receiver, skipping offset
+// construction entirely. It is the fast path for sweeps whose cells
+// vary only numeric parameters (mining-power shares, reward sizes):
+// such builders enumerate the same (state, action, destination)
+// structure every time, only with different probabilities and rewards.
 //
-// The product is bit-identical to a fresh Compile of b — same tprob,
-// tto, eNum, eDen, and offsets — or an error if b's structure deviates
-// from the receiver's anywhere (different action sets, transition
-// counts, or destinations), in which case the caller should fall back
-// to Compile. The receiver is not modified.
+// The product is bit-identical to a fresh Compile of b — same
+// transitions, eNum, eDen, and offsets — or an error if b's structure
+// deviates from the receiver's anywhere (different action sets,
+// transition counts, or destinations), in which case the caller should
+// fall back to Compile. The receiver is not modified.
 func (m *Model) Reparameterize(b Builder) (*Model, error) {
 	return m.ReparameterizeWorkers(b, 0)
 }
@@ -411,7 +401,6 @@ func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 		stateOff:  m.stateOff,
 		actionID:  m.actionID,
 		saOff:     m.saOff,
-		tto:       m.tto,
 		// The compacted skeleton (offsets, destinations, and the
 		// raw->compacted mapping) is pure structure and is shared; only
 		// the merged probabilities are rebuilt.
@@ -420,7 +409,6 @@ func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 		mergeIdx: m.mergeIdx,
 		dupTrans: m.dupTrans,
 		trans:    make([]Transition, len(m.trans)),
-		tprob:    make([]float64, len(m.tprob)),
 		ctprob:   make([]float64, len(m.ctprob)),
 		eNum:     make([]float64, len(m.eNum)),
 		eDen:     make([]float64, len(m.eDen)),
@@ -480,8 +468,8 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 			total, en, ed := 0.0, 0.0, 0.0
 			for t, tr := range trs {
 				j := j0 + int32(t)
-				if int32(tr.To) != m.tto[j] {
-					return fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.tto[j])
+				if tr.To != m.trans[j].To {
+					return fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.trans[j].To)
 				}
 				if err := checkTransition(s, a, tr); err != nil {
 					return err
@@ -490,7 +478,6 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 				en += tr.Prob * tr.Num
 				ed += tr.Prob * tr.Den
 				nm.trans[j] = tr
-				nm.tprob[j] = tr.Prob
 				// Same ascending-raw-index accumulation order as
 				// buildCompactedLayout, so merged probabilities are
 				// bit-identical to a fresh Compile's.
@@ -508,7 +495,7 @@ func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 
 // ModelsIdentical reports whether two compiled models are bit-identical
 // in every array — offsets, action identifiers, transition records, the
-// hot mirrors, and the expected rewards. It exists so differential tests
+// compacted layout, and the expected rewards. It exists so differential tests
 // can pin structure-sharing fast paths (Reparameterize) against a fresh
 // Compile.
 func ModelsIdentical(a, b *Model) bool {
@@ -538,13 +525,13 @@ func ModelsIdentical(a, b *Model) bool {
 		return true
 	}
 	if !eqI32(a.stateOff, b.stateOff) || !eqI32(a.actionID, b.actionID) ||
-		!eqI32(a.saOff, b.saOff) || !eqI32(a.tto, b.tto) {
+		!eqI32(a.saOff, b.saOff) {
 		return false
 	}
 	if !eqI32(a.csaOff, b.csaOff) || !eqI32(a.ctto, b.ctto) || !eqI32(a.mergeIdx, b.mergeIdx) {
 		return false
 	}
-	if !eqF64(a.tprob, b.tprob) || !eqF64(a.ctprob, b.ctprob) ||
+	if !eqF64(a.ctprob, b.ctprob) ||
 		!eqF64(a.eNum, b.eNum) || !eqF64(a.eDen, b.eDen) {
 		return false
 	}

@@ -18,14 +18,16 @@ import (
 // are real artifacts of every kind, so mutations start from inputs that
 // reach deep into each predicate.
 func FuzzVerifyArtifact(f *testing.F) {
-	solveOpts := bumdp.SolveOptions{RatioTol: 1e-4, Epsilon: 1e-8}
-	p := bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Setting: 1, Model: bumdp.Compliant}
+	solve := expstore.BUSolveSpec{
+		Params:   bumdp.Params{Alpha: 0.15, Beta: 0.425, Gamma: 0.425, AD: 3, Setting: 1, Model: bumdp.Compliant},
+		RatioTol: 1e-4, Epsilon: 1e-8,
+	}
 	// The last seed is this artifact with a witness that lost a state,
 	// so mutations also start at the witness check's structural gate.
 	var buID string
 	var tampered []byte
-	if id, err := expstore.BUSolveKey(p, solveOpts); err == nil {
-		if blob, err := expstore.ComputeBUSolve(p, solveOpts); err == nil {
+	if id, err := solve.Key(); err == nil {
+		if blob, err := solve.Compute(0, nil); err == nil {
 			f.Add(expstore.KindBUSolve, id, []byte(nil), blob)
 			var rec expstore.BUSolveRecord
 			if json.Unmarshal(blob, &rec) == nil && rec.Policy != "" {
@@ -35,16 +37,16 @@ func FuzzVerifyArtifact(f *testing.F) {
 		}
 	}
 
-	cfg := core.SweepConfig{
+	shard, err := expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: core.SweepConfig{
 		Alphas:   []float64{0.10},
 		Ratios:   []core.Ratio{{Name: "1:1", B: 1, G: 1}},
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		AD:       3, RatioTol: 1e-4, Epsilon: 1e-8,
-	}.Normalized(bumdp.Compliant)
-	cfg.Workers = 0
-	if id, err := expstore.SweepShardKey(bumdp.Compliant, cfg, 0, 1); err == nil {
-		spec, _ := json.Marshal(shardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 1})
-		if blob, err := expstore.ComputeSweepShard(bumdp.Compliant, cfg, 0, 1); err == nil {
+	}, Index: 0, Count: 1}.Normalized()
+	if err == nil {
+		id, _ := shard.Key()
+		spec, _ := json.Marshal(shard)
+		if blob, err := shard.Compute(0, nil); err == nil {
 			f.Add(expstore.KindSweepShard, id, spec, blob)
 		}
 	}

@@ -30,7 +30,9 @@
 //  3. key echo: the parameters the record (or the job spec) echoes must
 //     re-derive the job's own content-addressed key — a submission for
 //     the wrong parameters, tolerances, or schema version cannot land
-//     under this id;
+//     under this id. Keys are re-derived by the Key method of the
+//     kind's expstore spec type, which is where every artifact kind is
+//     defined, so the predicate and the store cannot disagree on one;
 //  4. model checks: cheap facts recomputed from the canonical model
 //     (state count, honest utility, fork-rate range);
 //  5. semantic check: the witness policy's exact value must match the
@@ -233,7 +235,7 @@ func (c *Checker) checkBUSolve(id string, blob []byte) error {
 	if err := canonicalEcho(rec, blob); err != nil {
 		return err
 	}
-	key, err := expstore.BUSolveKey(rec.Params, bumdp.SolveOptions{RatioTol: rec.RatioTol, Epsilon: rec.Epsilon})
+	key, err := expstore.BUSolveSpec{Params: rec.Params, RatioTol: rec.RatioTol, Epsilon: rec.Epsilon}.Key()
 	if err != nil {
 		return fmt.Errorf("re-deriving key from params echo: %w", err)
 	}
@@ -259,22 +261,11 @@ func (c *Checker) checkBUSolve(id string, blob []byte) error {
 	return checkClaim(a, rec.Policy, rec.Epsilon, rec.Utility)
 }
 
-// shardSpec mirrors farm.SweepShardSpec's encoding. verify cannot import
-// internal/farm (farm's coordinator imports verify), so the handful of
-// spec fields the shard predicate needs are decoded locally; the json
-// tags are pinned by the farm package's own tests.
-type shardSpec struct {
-	Model  int              `json:"model"`
-	Config core.SweepConfig `json:"config"`
-	Index  int              `json:"index"`
-	Count  int              `json:"count"`
-}
-
 func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 	if len(spec) == 0 {
 		return errors.New("sweep-shard verification needs the job spec")
 	}
-	var s shardSpec
+	var s expstore.SweepShardSpec
 	if err := json.Unmarshal(spec, &s); err != nil {
 		return fmt.Errorf("decoding job spec: %w", err)
 	}
@@ -285,8 +276,7 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 	if err := canonicalEcho(rec, blob); err != nil {
 		return err
 	}
-	model := bumdp.IncentiveModel(s.Model)
-	key, err := expstore.SweepShardKey(model, s.Config, s.Index, s.Count)
+	key, err := s.Key()
 	if err != nil {
 		return fmt.Errorf("re-deriving key from job spec: %w", err)
 	}
@@ -301,6 +291,7 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 	// The shard is obliged to cover exactly its round-robin rows of the
 	// defaults-applied grid, whole rows in grid order. Re-derive that
 	// layout and hold every cell to it.
+	model := bumdp.IncentiveModel(s.Model)
 	cfg := s.Config.Normalized(model)
 	grid := cfg.Grid(model)
 	rows := cfg.ShardRows(model, s.Index, s.Count)
@@ -374,7 +365,7 @@ func checkBitcoinSolve(id string, blob []byte) error {
 	if err := canonicalEcho(rec, blob); err != nil {
 		return err
 	}
-	key, err := expstore.BitcoinSolveKey(rec.Params)
+	key, err := expstore.BitcoinSolveSpec{Params: rec.Params}.Key()
 	if err != nil {
 		return fmt.Errorf("re-deriving key from params echo: %w", err)
 	}
@@ -410,7 +401,7 @@ func checkMonteCarlo(id string, blob []byte) error {
 	if err := canonicalEcho(rec, blob); err != nil {
 		return err
 	}
-	key, err := expstore.MonteCarloKey(rec.Params, rec.Steps, rec.Batches, rec.Seed)
+	key, err := expstore.MonteCarloSpec{Params: rec.Params, Steps: rec.Steps, Batches: rec.Batches, Seed: rec.Seed}.Key()
 	if err != nil {
 		return fmt.Errorf("re-deriving key from params echo: %w", err)
 	}
@@ -434,7 +425,7 @@ func checkEBGame(id string, blob []byte) error {
 	if err := canonicalEcho(rec, blob); err != nil {
 		return err
 	}
-	key, err := expstore.Key(expstore.KindEBGame, rec.Spec)
+	key, err := expstore.EBGameSpec(rec.Spec).Key()
 	if err != nil {
 		return fmt.Errorf("re-deriving key from spec echo: %w", err)
 	}

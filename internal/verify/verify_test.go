@@ -24,14 +24,14 @@ const (
 
 func buSolveArtifact(t *testing.T, p bumdp.Params) (id string, blob []byte) {
 	t.Helper()
-	opts := bumdp.SolveOptions{RatioTol: testRatioTol, Epsilon: testEpsilon}
-	id, err := expstore.BUSolveKey(p, opts)
+	spec := expstore.BUSolveSpec{Params: p, RatioTol: testRatioTol, Epsilon: testEpsilon}
+	id, err := spec.Key()
 	if err != nil {
-		t.Fatalf("BUSolveKey: %v", err)
+		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err = expstore.ComputeBUSolve(p, opts)
+	blob, err = spec.Compute(0, nil)
 	if err != nil {
-		t.Fatalf("ComputeBUSolve: %v", err)
+		t.Fatalf("solving: %v", err)
 	}
 	return id, blob
 }
@@ -268,20 +268,21 @@ func shardTestConfig() core.SweepConfig {
 
 func shardArtifact(t *testing.T, cfg core.SweepConfig, index, count int) (id string, spec, blob []byte) {
 	t.Helper()
-	model := bumdp.Compliant
-	norm := cfg.Normalized(model)
-	norm.Workers = 0
-	id, err := expstore.SweepShardKey(model, norm, index, count)
+	s, err := expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: index, Count: count}.Normalized()
 	if err != nil {
-		t.Fatalf("SweepShardKey: %v", err)
+		t.Fatalf("normalizing spec: %v", err)
 	}
-	spec, err = json.Marshal(shardSpec{Model: int(model), Config: norm, Index: index, Count: count})
+	id, err = s.Key()
+	if err != nil {
+		t.Fatalf("deriving key: %v", err)
+	}
+	spec, err = json.Marshal(s)
 	if err != nil {
 		t.Fatalf("encoding spec: %v", err)
 	}
-	blob, err = expstore.ComputeSweepShard(model, cfg, index, count)
+	blob, err = s.Compute(0, nil)
 	if err != nil {
-		t.Fatalf("ComputeSweepShard: %v", err)
+		t.Fatalf("solving shard: %v", err)
 	}
 	return id, spec, blob
 }
@@ -349,17 +350,14 @@ func TestVerifySweepShard(t *testing.T) {
 
 func TestVerifyBitcoinSolve(t *testing.T) {
 	p := bitcoin.Params{Alpha: 0.25, TieWinProb: 0.5, Objective: bitcoin.AbsoluteReward}
-	np, err := p.Normalized()
+	spec := expstore.BitcoinSolveSpec{Params: p}
+	id, err := spec.Key()
 	if err != nil {
-		t.Fatalf("normalizing: %v", err)
+		t.Fatalf("deriving key: %v", err)
 	}
-	id, err := expstore.BitcoinSolveKey(np)
+	blob, err := spec.Compute(0, nil)
 	if err != nil {
-		t.Fatalf("BitcoinSolveKey: %v", err)
-	}
-	blob, err := expstore.ComputeBitcoinSolve(np)
-	if err != nil {
-		t.Fatalf("ComputeBitcoinSolve: %v", err)
+		t.Fatalf("solving: %v", err)
 	}
 	if err := Artifact(expstore.KindBitcoinSolve, id, nil, blob); err != nil {
 		t.Fatalf("valid bitcoin artifact rejected: %v", err)
@@ -378,13 +376,14 @@ func TestVerifyBitcoinSolve(t *testing.T) {
 func TestVerifyMonteCarlo(t *testing.T) {
 	p := cellParams(t, 0.25, core.Ratio{Name: "1:1", B: 1, G: 1}, bumdp.Compliant)
 	const steps, batches, seed = 5000, 4, 7
-	id, err := expstore.MonteCarloKey(p, steps, batches, seed)
+	spec := expstore.MonteCarloSpec{Params: p, Steps: steps, Batches: batches, Seed: seed}
+	id, err := spec.Key()
 	if err != nil {
-		t.Fatalf("MonteCarloKey: %v", err)
+		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err := expstore.ComputeMonteCarloBatch(p, steps, batches, seed, 1)
+	blob, err := spec.Compute(1, nil)
 	if err != nil {
-		t.Fatalf("ComputeMonteCarloBatch: %v", err)
+		t.Fatalf("running batch: %v", err)
 	}
 	if err := Artifact(expstore.KindMonteCarlo, id, nil, blob); err != nil {
 		t.Fatalf("valid monte carlo artifact rejected: %v", err)
@@ -403,13 +402,14 @@ func TestVerifyMonteCarlo(t *testing.T) {
 func TestVerifyEBGame(t *testing.T) {
 	powers := []float64{0.4, 0.35, 0.25}
 	const choices = 2
-	id, err := expstore.EBGameKey(powers, choices)
+	spec := expstore.EBGameSpec{Powers: powers, Choices: choices}
+	id, err := spec.Key()
 	if err != nil {
-		t.Fatalf("EBGameKey: %v", err)
+		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err := expstore.ComputeEBEquilibria(powers, choices, 1)
+	blob, err := spec.Compute(1, nil)
 	if err != nil {
-		t.Fatalf("ComputeEBEquilibria: %v", err)
+		t.Fatalf("enumerating equilibria: %v", err)
 	}
 	if err := Artifact(expstore.KindEBGame, id, nil, blob); err != nil {
 		t.Fatalf("valid ebgame artifact rejected: %v", err)
