@@ -338,8 +338,9 @@ func BenchmarkSolverRelativeValueIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileSetting2 measures the parallel model compiler on the
-// largest state space in the evaluation (setting 2, 144-block window).
+// BenchmarkCompileSetting2 measures model compilation, which runs on
+// the caller's goroutine, on the largest state space in the evaluation
+// (setting 2, 144-block window).
 func BenchmarkCompileSetting2(b *testing.B) {
 	var a *bumdp.Analysis
 	var err error

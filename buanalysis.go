@@ -108,7 +108,7 @@ func Sweep(model IncentiveModel, cfg SweepConfig) []Cell { return core.Sweep(mod
 
 // BitcoinBaseline regenerates Table 3's bottom block.
 func BitcoinBaseline(alphas, ties []float64) []core.BitcoinBaselineCell {
-	return core.BitcoinBaseline(alphas, ties, 0, nil)
+	return core.BitcoinBaseline(alphas, ties, nil)
 }
 
 // PaperAlphas and PaperRatios are the evaluation grid of Section 4.1.2.

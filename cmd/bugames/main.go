@@ -30,7 +30,6 @@ func main() {
 		powersFlag = flag.String("powers", "0.1,0.2,0.3,0.4", "comma-separated mining power shares")
 		eb         = flag.Bool("eb", false, "analyze the EB choosing game instead of the block size game")
 		choices    = flag.Int("choices", 2, "number of candidate EB values (EB game)")
-		workers    = cliflag.WorkersFlag(flag.CommandLine, "equilibrium-search worker count")
 		trace      = cliflag.TraceFlag(flag.CommandLine)
 		mdump      = cliflag.MetricsDumpFlag(flag.CommandLine)
 		version    = cliflag.VersionFlag(flag.CommandLine)
@@ -62,13 +61,13 @@ func main() {
 	}
 
 	if *eb {
-		ebGame(powers, *choices, *workers, tracer)
+		ebGame(powers, *choices, tracer)
 		return
 	}
 	blockSizeGame(powers, tracer)
 }
 
-func ebGame(powers []float64, choices, workers int, tracer obs.Tracer) {
+func ebGame(powers []float64, choices int, tracer obs.Tracer) {
 	g, err := games.NewEBChoosingGame(powers, choices)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +80,7 @@ func ebGame(powers []float64, choices, workers int, tracer obs.Tracer) {
 		}
 		fmt.Printf("  all miners choose EB%d: Nash equilibrium = %v\n", c, ok)
 	}
-	eqs, err := g.PureNashEquilibriaWorkers(workers)
+	eqs, err := g.PureNashEquilibria()
 	if err != nil {
 		fmt.Printf("  full enumeration skipped: %v\n", err)
 		return

@@ -5,11 +5,11 @@
 //	bumdp -alpha 0.25 -beta 0.375 -gamma 0.375 -model compliant -setting 1
 //	bumdp -alpha 0.10 -ratio 1:2 -model noncompliant -setting 2
 //	bumdp -bitcoin -alpha 0.25 -tie 0.5
-//	bumdp -sweep -model compliant -setting 1 -workers 4
+//	bumdp -sweep -model compliant -setting 1
 //
 // -sweep solves the paper's whole (alpha, ratio) grid for the chosen
-// model instead of a single instance, with -workers rows in flight at
-// once (each solve runs on one goroutine); without
+// model instead of a single instance, GOMAXPROCS rows at a time (each
+// solve runs on one goroutine); without
 // -cache-dir each row is warm-chained on a shared solver session (one
 // compiled model rebound per cell, each cell's solve warm-started from
 // its left neighbor's bias), which returns the same values and
@@ -67,7 +67,6 @@ func main() {
 		btc      = flag.Bool("bitcoin", false, "solve the Bitcoin baseline instead of BU")
 		tie      = flag.Float64("tie", 0.5, "Bitcoin baseline: P(win a tie)")
 		sweep    = flag.Bool("sweep", false, "solve the paper's whole (alpha, ratio) grid instead of one instance")
-		workers  = cliflag.WorkersFlag(flag.CommandLine, "grid cells solved concurrently with -sweep")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON (the experiment-store encoding)")
 		cacheDir = flag.String("cache-dir", "", "experiment store directory; repeat solves answer from cache")
 		trace    = cliflag.TraceFlag(flag.CommandLine)
@@ -138,7 +137,7 @@ func main() {
 	}
 
 	if *sweep {
-		sweepGrid(store, *cacheDir != "", m, bumdp.Setting(*setting), *ad, *workers, *jsonOut, tracer)
+		sweepGrid(store, *cacheDir != "", m, bumdp.Setting(*setting), *ad, *jsonOut, tracer)
 		return
 	}
 
@@ -197,11 +196,10 @@ func solveWithPolicy(params bumdp.Params, tracer obs.Tracer) {
 // misses — the cacheable reference artifacts); without it the grid is
 // solved directly, warm-chaining each row on a shared solver session,
 // which is the fastest path for a one-shot sweep.
-func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setting bumdp.Setting, ad, workers int, jsonOut bool, tracer obs.Tracer) {
+func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setting bumdp.Setting, ad int, jsonOut bool, tracer obs.Tracer) {
 	cfg := core.SweepConfig{
 		Settings: []bumdp.Setting{setting},
 		AD:       ad,
-		Workers:  workers,
 		Tracer:   tracer,
 	}
 	start := time.Now()

@@ -74,7 +74,6 @@ func main() {
 		memEntries   = flag.Int("mem", 0, "in-memory LRU capacity in artifacts (0 = default, negative = disabled)")
 		maxSolves    = flag.Int("max-solves", runtime.NumCPU(), "max solves running at once across all requests (0 = unbounded)")
 		maxSolveWait = flag.Duration("max-solve-wait", 0, "refuse solves queued behind a saturated budget longer than this with 429 (0 = wait forever)")
-		workers      = cliflag.WorkersFlag(flag.CommandLine, "sweep cells dispatched concurrently per request")
 		portFile     = flag.String("portfile", "", "write the actual listen address to this file once serving")
 		withPprof    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		queueJournal = flag.String("queue-journal", "", "job queue journal path (default <cache-dir>/jobqueue.json; empty with no cache dir = in-memory queue)")
@@ -137,7 +136,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	srv := newServer(store, queue, *workers, reg, tracer, ring)
+	srv := newServer(store, queue, reg, tracer, ring)
 	var handler http.Handler = srv
 	if *withPprof {
 		// pprof stays opt-in: profiling endpoints expose internals and

@@ -33,11 +33,7 @@ type server struct {
 	// (internal/farm.API) serve it, and completed jobs materialize into
 	// store, so the serving endpoints answer worker-produced artifacts
 	// as plain cache hits.
-	queue *jobqueue.Queue
-	// workers bounds how many sweep cells are dispatched concurrently
-	// per request; the store's solve budget bounds the solves
-	// themselves across all requests.
-	workers int
+	queue   *jobqueue.Queue
 	started time.Time
 	mux     *http.ServeMux
 	// reg is the server's metrics registry: endpoint families plus the
@@ -59,11 +55,11 @@ type server struct {
 }
 
 // newServer builds the handler tree. queue backs the /jobs endpoints
-// (nil opens a private in-memory queue). workers follows the CLI
-// convention (0 = auto). reg is the metrics registry to expose; nil
-// creates a private one. The store's and queue's counters and the
-// solver/scheduler package instruments are registered on it.
-func newServer(store *expstore.Store, queue *jobqueue.Queue, workers int, reg *obs.Registry, tracer obs.Tracer, ring *obs.RingSink) *server {
+// (nil opens a private in-memory queue). reg is the metrics registry
+// to expose; nil creates a private one. The store's and queue's
+// counters and the solver/scheduler package instruments are registered
+// on it.
+func newServer(store *expstore.Store, queue *jobqueue.Queue, reg *obs.Registry, tracer obs.Tracer, ring *obs.RingSink) *server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -79,7 +75,6 @@ func newServer(store *expstore.Store, queue *jobqueue.Queue, workers int, reg *o
 	s := &server{
 		store:    store,
 		queue:    queue,
-		workers:  workers,
 		started:  time.Now(),
 		mux:      http.NewServeMux(),
 		reg:      reg,
@@ -552,7 +547,7 @@ func (s *server) sweepConfig(q map[string][]string) (core.SweepConfig, error) {
 		}
 		return ""
 	}
-	cfg := core.SweepConfig{Workers: s.workers}
+	var cfg core.SweepConfig
 	setting, err := intParam(get("setting"), 0)
 	if err != nil {
 		return cfg, fmt.Errorf("setting: %v", err)

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, nil, 2, nil, nil, nil)
+	srv := newServer(store, nil, nil, nil, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -154,7 +154,7 @@ func TestSolveBitcoinCanceledWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, nil, 2, nil, nil, nil)
+	srv := newServer(store, nil, nil, nil, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -261,7 +261,6 @@ func TestSweepTableMatchesDirect(t *testing.T) {
 	cfg := core.SweepConfig{
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
-		Workers: 2,
 	}
 	// The store solves cells independently cold, like this sweep.
 	cfg.SolveCell = cfg.Normalized(bumdp.Compliant).SolveOne
@@ -529,7 +528,7 @@ func TestSolveShedsWhenSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, nil, 2, nil, nil, nil)
+	srv := newServer(store, nil, nil, nil, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

@@ -135,7 +135,7 @@ func main() {
 
 	switch *mode {
 	case "mc":
-		sum, err := montecarlo.CrossValidateTraced(a, res.Policy, *steps, *batches, *seed, 0, tracer)
+		sum, err := montecarlo.CrossValidateTraced(a, res.Policy, *steps, *batches, *seed, tracer)
 		if err != nil {
 			log.Fatal(err)
 		}

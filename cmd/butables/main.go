@@ -63,7 +63,6 @@ func main() {
 		fast     = flag.Bool("fast", false, "inner solver tolerance 1e-8 instead of 1e-9 (the tables print the same)")
 		setting  = flag.Int("setting", 0, "restrict tables to setting 1 or 2 (default both)")
 		full     = flag.Bool("full", false, "sweep the full grid in setting 2 as well (Table 2's alpha = 10-20% rows)")
-		workers  = cliflag.WorkersFlag(flag.CommandLine, "table cells solved concurrently")
 		jsonOut  = flag.Bool("json", false, "emit Tables 2-4 as JSON (the experiment-store encoding; figures stay text)")
 		cacheDir = flag.String("cache-dir", "", "experiment store directory; repeat cells answer from cache")
 		trace    = cliflag.TraceFlag(flag.CommandLine)
@@ -110,7 +109,7 @@ func main() {
 		defer cliflag.DumpMetrics(reg)
 	}
 
-	cfg := core.SweepConfig{Workers: *workers, Tracer: tracer}
+	cfg := core.SweepConfig{Tracer: tracer}
 	if *fast {
 		cfg.RatioTol, cfg.Epsilon = 1e-4, 1e-8
 	}

@@ -57,7 +57,7 @@ func main() {
 		drain       = flag.Bool("drain", false, "exit once the queue is empty instead of polling forever")
 		byzantine   = flag.String("byzantine", "", "chaos mode: tamper with results before delivery (corrupt, flipcell, gain, stall); drills only")
 		byzSeed     = flag.Int64("byzantine-seed", 1, "chaos seed; a failing drill replays deterministically from it")
-		quiet       = flag.Bool("quiet", false, "suppress per-job progress lines")
+		quiet       = flag.Bool("quiet", false, "suppress per-job log records")
 		trace       = cliflag.TraceFlag(flag.CommandLine)
 		metricsDump = cliflag.MetricsDumpFlag(flag.CommandLine)
 		version     = cliflag.VersionFlag(flag.CommandLine)
@@ -115,9 +115,6 @@ func main() {
 		log.Printf("BYZANTINE MODE %q (seed %d): results will be tampered with before delivery", *byzantine, *byzSeed)
 	}
 	if !*quiet {
-		w.Logf = log.Printf
-	}
-	if *logFormat != "plain" && *logFormat != "" {
 		w.Slog = slogger
 	}
 

@@ -1,67 +1,84 @@
 package bumdp
 
-// Parallelism on the paper's own MDPs: compilation splits states across
-// goroutines and must build the serial compiler's model bit for bit,
-// while a solve runs entirely on the caller's goroutine.
+// Compiling and solving the paper's own MDPs runs entirely on the
+// caller's goroutine; the callers that build and solve many instances
+// run the instances in parallel instead.
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"buanalysis/internal/mdp"
 	"buanalysis/internal/obs"
 )
 
-// TestCompileParallelismDeterministic: compiling and reparameterizing a
-// BU model with 2, 3 or 7 workers yields exactly the model the serial
-// compiler (one worker) builds, on setting 1 and on setting 2 at W=12.
-func TestCompileParallelismDeterministic(t *testing.T) {
-	for _, p := range []Params{
-		{Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Setting: Setting1, Model: NonProfit},
-		{Alpha: 0.25, Beta: 0.25, Gamma: 0.5, Setting: Setting2, GateWindow: 12, Model: Compliant},
-	} {
-		a, err := New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := p
-		q.Beta, q.Gamma = q.Gamma, q.Beta
-		b, err := New(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := mdp.CompileWorkers(builder{a}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.NumStates() != len(a.States) {
-			t.Errorf("setting %d: model has %d states, enumeration %d", p.Setting, serial.NumStates(), len(a.States))
-		}
-		// Reparameterizing b's structure with a's builder must land on
-		// the same model as compiling a.
-		reparam, err := b.Model.ReparameterizeWorkers(builder{a}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mdp.ModelsIdentical(serial, reparam) {
-			t.Errorf("setting %d: serial reparameterize differs from serial compile", p.Setting)
-		}
-		for _, w := range []int{2, 3, 7} {
-			m, err := mdp.CompileWorkers(builder{a}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mdp.ModelsIdentical(serial, m) {
-				t.Errorf("setting %d: compile with %d workers differs from serial", p.Setting, w)
-			}
-			r, err := b.Model.ReparameterizeWorkers(builder{a}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mdp.ModelsIdentical(serial, r) {
-				t.Errorf("setting %d: reparameterize with %d workers differs from serial", p.Setting, w)
-			}
-		}
+// goroutineProbe wraps a Builder and records the most goroutines
+// runtime.NumGoroutine reports during any of its calls.
+type goroutineProbe struct {
+	mdp.Builder
+	most *atomic.Int64
+}
+
+func (b goroutineProbe) sample() {
+	n := int64(runtime.NumGoroutine())
+	for m := b.most.Load(); n > m && !b.most.CompareAndSwap(m, n); m = b.most.Load() {
+	}
+}
+
+func (b goroutineProbe) NumStates() int {
+	b.sample()
+	return b.Builder.NumStates()
+}
+
+func (b goroutineProbe) Actions(s int) []int {
+	b.sample()
+	return b.Builder.Actions(s)
+}
+
+func (b goroutineProbe) AppendTransitions(dst []mdp.Transition, s, a int) []mdp.Transition {
+	b.sample()
+	return b.Builder.AppendTransitions(dst, s, a)
+}
+
+// TestCompileStartsNoGoroutine: with at least two processors available
+// and a model large enough to split (setting 2 at W=12), Compile and
+// Reparameterize call the builder only on the caller's goroutine, and
+// the probe leaves the compiled model unchanged.
+func TestCompileStartsNoGoroutine(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	p := Params{Alpha: 0.25, Beta: 0.25, Gamma: 0.5, Setting: Setting2, GateWindow: 12, Model: Compliant}
+	a, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Model.NumStates(); n < 512 {
+		t.Fatalf("model has %d states; the check needs at least 512", n)
+	}
+	q := p
+	q.Beta, q.Gamma = q.Gamma, q.Beta
+	b, err := New(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var most atomic.Int64
+	probe := goroutineProbe{builder{a}, &most}
+	before := int64(runtime.NumGoroutine())
+	m, err := mdp.Compile(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Model.Reparameterize(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := most.Load(); got > before {
+		t.Errorf("builder called with %d goroutines running, %d before the compile", got, before)
+	}
+	if !mdp.ModelsIdentical(m, a.Model) || !mdp.ModelsIdentical(r, a.Model) {
+		t.Error("compiling through the probe changed the model")
 	}
 }
 

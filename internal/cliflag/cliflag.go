@@ -1,21 +1,15 @@
 // Package cliflag holds the flag parsing shared by the repository's
 // command-line tools (cmd/bumdp, cmd/bugames, cmd/butables) and the
-// buserve query parser: the -workers concurrency knob, "B:G"
-// mining-power ratio strings, and comma-separated power lists.
+// buserve query parser: "B:G" mining-power ratio strings,
+// comma-separated power lists, and the trace, metrics, profile, log and
+// version flags every binary registers.
 package cliflag
 
 import (
-	"flag"
 	"fmt"
 	"strconv"
 	"strings"
 )
-
-// WorkersFlag registers the standard -workers flag: how many
-// independent jobs (table cells, equilibrium probes) run concurrently.
-func WorkersFlag(fs *flag.FlagSet, what string) *int {
-	return fs.Int("workers", 0, what+" (0 = all cores)")
-}
 
 // ParseRatio parses a "B:G" ratio string into its two positive parts.
 func ParseRatio(s string) (b, g float64, err error) {

@@ -58,13 +58,18 @@ func TestParsePowers(t *testing.T) {
 	}
 }
 
+// TestFlagRegistration: LogFlags registers -log-format and -log-level
+// with their defaults, and both parse.
 func TestFlagRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	workers := WorkersFlag(fs, "cells solved concurrently")
-	if err := fs.Parse([]string{"-workers", "4"}); err != nil {
+	format, level := LogFlags(fs)
+	if *format != "plain" || *level != "info" {
+		t.Errorf("defaults: -log-format %q -log-level %q", *format, *level)
+	}
+	if err := fs.Parse([]string{"-log-format", "json", "-log-level", "warn"}); err != nil {
 		t.Fatal(err)
 	}
-	if *workers != 4 {
-		t.Errorf("workers=%d", *workers)
+	if *format != "json" || *level != "warn" {
+		t.Errorf("parsed: -log-format %q -log-level %q", *format, *level)
 	}
 }

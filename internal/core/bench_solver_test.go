@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ type solverBenchStage struct {
 // solverBenchCompile records the cost of building the setting-2 AD-6
 // non-compliant model (144-block gate window): a fresh bumdp.New and an
 // Analysis.Rebind of the same shape to other mining shares, each the
-// median of compileBenchReps runs with automatic compile workers.
+// median of compileBenchReps runs on the caller's goroutine.
 type solverBenchCompile struct {
 	States       int     `json:"states"`
 	NewMillis    float64 `json:"new_ms"`
@@ -75,7 +76,7 @@ type solverBenchReport struct {
 	Benchmark      string              `json:"benchmark"`
 	RatioTol       float64             `json:"ratio_tol"`
 	Epsilon        float64             `json:"epsilon"`
-	Workers        int                 `json:"workers"`
+	Workers        int                 `json:"workers"` // GOMAXPROCS the grid sweeps ran under
 	Grids          []solverBenchGrid   `json:"grids"`
 	Stages         []solverBenchStage  `json:"stages"`
 	RVISpeedup     float64             `json:"speedup_vs_rvi"`
@@ -189,11 +190,11 @@ func TestBenchSolver(t *testing.T) {
 		t.Skip("set SOLVER_BENCH_OUT to run the solver benchmark")
 	}
 
-	base := SweepConfig{RatioTol: 1e-4, Epsilon: 1e-8, Workers: 1}
+	base := SweepConfig{RatioTol: 1e-4, Epsilon: 1e-8}
 	report := solverBenchReport{
 		Benchmark: "table2_sweep_warm_vs_cold",
 		RatioTol:  base.RatioTol, Epsilon: base.Epsilon,
-		Workers: base.Workers,
+		Workers: 1,
 	}
 
 	grids := []struct {
@@ -215,6 +216,10 @@ func TestBenchSolver(t *testing.T) {
 		}()},
 	}
 
+	// The grid sweeps run serially, one row or cell at a time, so the
+	// cold and warm times compare solver work, not scheduling.
+	procs := runtime.GOMAXPROCS(report.Workers)
+	defer runtime.GOMAXPROCS(procs)
 	for _, g := range grids {
 		cold := g.cfg
 		cold.SolveCell = cold.Normalized(bumdp.Compliant).SolveOne
@@ -259,6 +264,7 @@ func TestBenchSolver(t *testing.T) {
 			g.name, row.ColdMillis, row.ColdProbes, row.ColdSweeps,
 			row.WarmMillis, row.WarmProbes, row.WarmSweeps, row.Speedup)
 	}
+	runtime.GOMAXPROCS(procs)
 	report.Speedup = report.TotalColdMs / report.TotalWarmMs
 
 	// The solver against the relative-value-iteration reference on the

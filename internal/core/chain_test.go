@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/bumdp"
@@ -15,7 +16,6 @@ func chainTestConfig() SweepConfig {
 		Alphas:   []float64{0.15, 0.20},
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
-		Workers: 1,
 	}
 }
 
@@ -65,25 +65,25 @@ func TestChainedSweepMatchesCold(t *testing.T) {
 }
 
 // TestChainedSweepWorkerDeterminism: a chain never crosses a row
-// boundary, so the chained sweep must be bit-identical at every worker
-// count — including the probe counts, which would expose any sharing of
-// warm state between rows.
+// boundary, so the chained sweep must be bit-identical at every
+// GOMAXPROCS setting — including the probe counts, which would expose
+// any sharing of warm state between rows.
 func TestChainedSweepWorkerDeterminism(t *testing.T) {
-	base := chainTestConfig()
-	ref := Sweep(bumdp.Compliant, base)
-	for _, workers := range []int{2, 4, 9} {
-		cfg := base
-		cfg.Workers = workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := chainTestConfig()
+	ref := Sweep(bumdp.Compliant, cfg)
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
 		got := Sweep(bumdp.Compliant, cfg)
 		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d cells vs %d", workers, len(got), len(ref))
+			t.Fatalf("GOMAXPROCS %d: %d cells vs %d", procs, len(got), len(ref))
 		}
 		for i := range got {
 			g, r := got[i], ref[i]
 			if g.Value != r.Value || g.ForkRate != r.ForkRate ||
 				g.Stats.Probes != r.Stats.Probes || g.Stats.WarmProbes != r.Stats.WarmProbes ||
 				g.Stats.Iterations != r.Stats.Iterations {
-				t.Errorf("workers=%d %s: cell diverged: %+v vs %+v", workers, g.Key(), g.Stats, r.Stats)
+				t.Errorf("GOMAXPROCS %d %s: cell diverged: %+v vs %+v", procs, g.Key(), g.Stats, r.Stats)
 			}
 		}
 	}
@@ -98,7 +98,6 @@ func TestChainedSweepSurvivesErrors(t *testing.T) {
 		Alphas:   []float64{0.25},
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
-		Workers: 1,
 	}
 	cells := Sweep(bumdp.Compliant, cfg)
 	solved := 0

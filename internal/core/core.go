@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
@@ -92,12 +93,15 @@ type SweepConfig struct {
 	// no solver code reads it, and it does not change results, since
 	// ratio objectives are solved to their exact optimum.
 	RatioTol, Epsilon float64
-	// Workers bounds how many cells are solved concurrently (default:
-	// GOMAXPROCS).
+	// Workers is read by no sweep code: rows and cells run GOMAXPROCS
+	// at a time. Normalized fills it with GOMAXPROCS, and it stays,
+	// like RatioTol, because the benchmark reads it after Normalized;
+	// the sweep shard spec clears it again, so a farm job's spec does
+	// not depend on the host that enqueued it.
 	Workers int
 	// InnerParallelism is read by no code: each cell's solve runs on
-	// one goroutine, and Workers is the only concurrency knob. It stays,
-	// like RatioTol, because the benchmark sets it.
+	// one goroutine, and GOMAXPROCS alone decides how many run at once.
+	// It stays, like RatioTol, because the benchmark sets it.
 	InnerParallelism int
 	// SolveCell, when non-nil, solves each non-skipped cell on its own
 	// instead of the warm-chained rows of the direct path. The
@@ -105,16 +109,16 @@ type SweepConfig struct {
 	// misses, and SolveOne is the uncached cold reference; the sweep
 	// grid, ordering and cell values are the same either way.
 	SolveCell func(Cell) Cell `json:"-"`
-	// Tracer receives every cell solver's convergence events. Like the
-	// concurrency knobs it never changes cell values and is excluded
-	// from cache keys.
+	// Tracer receives every cell solver's convergence events. Like
+	// Workers it never changes cell values and is excluded from cache
+	// keys.
 	Tracer obs.Tracer `json:"-"`
 }
 
 // Normalized returns the config with every default applied — the exact
 // grid and tolerances Sweep runs for model; no default depends on the
-// model. It is idempotent, and the normalized form (minus the
-// concurrency knobs, which never change values) is what cache keys for
+// model. It is idempotent, and the normalized form (minus Workers and
+// InnerParallelism, which never change values) is what cache keys for
 // sweep artifacts are derived from.
 func (c SweepConfig) Normalized(model bumdp.IncentiveModel) SweepConfig {
 	return c.withDefaults()
@@ -137,7 +141,7 @@ func (c SweepConfig) withDefaults() SweepConfig {
 		c.Epsilon = 1e-9
 	}
 	if c.Workers == 0 {
-		c.Workers = par.Workers(0, 1<<30)
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.ADs == nil {
 		c.ADs = []int{c.AD}
@@ -154,9 +158,9 @@ func (c SweepConfig) withDefaults() SweepConfig {
 // which differ only in the Bob:Carol split — is solved as one warm
 // chain on a shared bumdp.Session: one compiled model reparameterized
 // per cell, one solver workspace, each cell's first probe warm-started
-// from its left neighbor's bias. Rows are solved concurrently on
-// cfg.Workers goroutines, and because a chain never crosses a row
-// boundary the results are identical at every worker count. An
+// from its left neighbor's bias. Rows are solved GOMAXPROCS at a time,
+// and because a chain never crosses a row boundary the results are
+// identical at every GOMAXPROCS setting. An
 // installed SolveCell (the experiment store, or SolveOne for cold
 // cells) solves cells independently instead, with bit-identical
 // values and witnesses.
@@ -168,12 +172,12 @@ func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 }
 
 // solveRows solves the listed rows of a defaults-applied config's grid
-// in place, with cfg.Workers rows (or, under SolveCell, cells) in
-// flight: each row as one warm chain, or each cell through SolveCell.
+// in place, GOMAXPROCS rows (or, under SolveCell, cells) at a time:
+// each row as one warm chain, or each cell through SolveCell.
 func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
 	rowLen := len(cfg.Ratios)
 	if cfg.SolveCell != nil {
-		par.For(len(rows)*rowLen, cfg.Workers, func(i int) {
+		par.For(len(rows)*rowLen, func(i int) {
 			c := &cells[rows[i/rowLen]*rowLen+i%rowLen]
 			if !c.Skipped {
 				*c = cfg.SolveCell(*c)
@@ -181,7 +185,7 @@ func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
 		})
 		return
 	}
-	par.For(len(rows), cfg.Workers, func(i int) {
+	par.For(len(rows), func(i int) {
 		r := rows[i]
 		cfg.solveRow(cells[r*rowLen : (r+1)*rowLen])
 	})
@@ -314,11 +318,11 @@ type BitcoinBaselineCell struct {
 }
 
 // BitcoinBaseline solves the combined selfish-mining / double-spending
-// attack for the paper's grid (Table 3, bottom), with workers cells in
-// flight. solve, when non-nil, answers each cell's solve in place of
+// attack for the paper's grid (Table 3, bottom), GOMAXPROCS cells at a
+// time. solve, when non-nil, answers each cell's solve in place of
 // solving it directly; the experiment store passes one that answers
 // from cache and fills misses.
-func BitcoinBaseline(alphas, ties []float64, workers int, solve func(bitcoin.Params) (float64, error)) []BitcoinBaselineCell {
+func BitcoinBaseline(alphas, ties []float64, solve func(bitcoin.Params) (float64, error)) []BitcoinBaselineCell {
 	if alphas == nil {
 		alphas = []float64{0.10, 0.15, 0.20, 0.25}
 	}
@@ -334,7 +338,7 @@ func BitcoinBaseline(alphas, ties []float64, workers int, solve func(bitcoin.Par
 	if solve == nil {
 		solve = solveBitcoin
 	}
-	par.For(len(cells), workers, func(i int) {
+	par.For(len(cells), func(i int) {
 		c := &cells[i]
 		c.Value, c.Err = solve(bitcoin.Params{
 			Alpha: c.Alpha, TieWinProb: c.TieWinProb,

@@ -82,7 +82,7 @@ func TestSweepSkipsInadmissibleCells(t *testing.T) {
 }
 
 func TestBitcoinBaselineSubset(t *testing.T) {
-	cells := BitcoinBaseline([]float64{0.25}, []float64{0.5}, 0, nil)
+	cells := BitcoinBaseline([]float64{0.25}, []float64{0.5}, nil)
 	if len(cells) != 1 {
 		t.Fatalf("got %d cells", len(cells))
 	}

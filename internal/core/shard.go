@@ -30,7 +30,7 @@ func (c SweepConfig) ShardRows(model bumdp.IncentiveModel, index, count int) []i
 // SweepShard solves shard index of count of the config's grid and
 // returns its cells, whole rows in grid order. Rows are solved exactly
 // as Sweep solves them — warm-chained on a shared session (or cell by
-// cell when SolveCell is set) with cfg.Workers rows in flight — so the
+// cell when SolveCell is set), GOMAXPROCS rows at a time — so the
 // cells are bit-identical to the ones the full single-process sweep
 // would produce at those positions.
 func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) ([]Cell, error) {

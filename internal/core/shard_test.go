@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/bumdp"
@@ -121,23 +122,23 @@ func TestMergeShardsRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestSweepShardWorkerDeterminism: a shard's cells are identical at any
-// worker count (rows are the chain unit; scheduling them concurrently
-// must not change values).
+// TestSweepShardWorkerDeterminism: a shard's cells are identical at
+// any GOMAXPROCS setting (rows are the chain unit; scheduling them
+// concurrently must not change values).
 func TestSweepShardWorkerDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := shardTestConfig()
 	model := bumdp.Compliant
-	cfg.Workers = 1
 	one, err := SweepShard(model, cfg, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
+	runtime.GOMAXPROCS(4)
 	four, err := SweepShard(model, cfg, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stripDurations(one), stripDurations(four)) {
-		t.Fatal("shard cells differ across worker counts")
+		t.Fatal("shard cells differ across GOMAXPROCS settings")
 	}
 }

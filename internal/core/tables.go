@@ -30,8 +30,8 @@ type Table struct {
 }
 
 // PaperTable returns the reproduction plan for table n under the given
-// base config (tolerances, workers, and an optional Settings
-// restriction are honored). full widens the setting-2 sweep of Table 2
+// base config (tolerances and an optional Settings restriction are
+// honored). full widens the setting-2 sweep of Table 2
 // beyond the paper's printed alpha = 25% row to the alpha = 10-20% rows
 // (about 4 s more at -fast tolerances).
 func PaperTable(n int, cfg SweepConfig, full bool) (Table, error) {

@@ -44,11 +44,9 @@ type Spec interface {
 	// Key derives the store key of the artifact without computing it.
 	Key() (string, error)
 	// Compute produces the artifact: the canonical encoding of its
-	// record, byte-identical wherever it runs. workers bounds how many
-	// of its independent units (a shard's rows, Monte Carlo batches,
-	// equilibrium probes) run at once, 0 selecting all cores, and tr
-	// observes the solvers; neither reaches the bytes.
-	Compute(workers int, tr obs.Tracer) ([]byte, error)
+	// record, byte-identical wherever it runs and at every GOMAXPROCS
+	// setting. tr observes the solvers and never reaches the bytes.
+	Compute(tr obs.Tracer) ([]byte, error)
 }
 
 // DecodeSpec decodes the wire spec of an artifact of the given kind.
@@ -82,16 +80,16 @@ func DecodeSpec(kind string, raw []byte) (Spec, error) {
 // of the key, hit or miss), rec is blob decoded as R, the record type of
 // the spec's kind, and hit reports whether the store already had it.
 // ctx cancels the wait for a solve-budget slot (see
-// Store.GetOrComputeCtx). A miss computes on all cores with tr observing
-// its solvers; tr affects neither the key nor the bytes, and a hit
-// emits no solver events.
+// Store.GetOrComputeCtx). A miss computes with tr observing its
+// solvers; tr affects neither the key nor the bytes, and a hit emits no
+// solver events.
 func Solve[R any](ctx context.Context, st *Store, spec Spec, tr obs.Tracer) (rec R, blob []byte, hit bool, err error) {
 	key, err := spec.Key()
 	if err != nil {
 		return rec, nil, false, err
 	}
 	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		return spec.Compute(0, tr)
+		return spec.Compute(tr)
 	})
 	if err != nil {
 		return rec, nil, false, err
@@ -149,7 +147,7 @@ func (s BUSolveSpec) Key() (string, error) {
 }
 
 // Compute solves the instance and encodes its BUSolveRecord.
-func (s BUSolveSpec) Compute(_ int, tr obs.Tracer) ([]byte, error) {
+func (s BUSolveSpec) Compute(tr obs.Tracer) ([]byte, error) {
 	n, err := s.normalized()
 	if err != nil {
 		return nil, err
@@ -212,7 +210,7 @@ func (s BitcoinSolveSpec) Key() (string, error) {
 }
 
 // Compute solves the instance and encodes its BitcoinSolveRecord.
-func (s BitcoinSolveSpec) Compute(int, obs.Tracer) ([]byte, error) {
+func (s BitcoinSolveSpec) Compute(obs.Tracer) ([]byte, error) {
 	n, err := s.normalized()
 	if err != nil {
 		return nil, err
@@ -279,8 +277,8 @@ func SweepStatsCtx(ctx context.Context, st *Store, model bumdp.IncentiveModel, c
 // MonteCarloSpec describes one Monte Carlo cross-validation batch
 // (kind "mcbatch"): the instance whose optimal policy is replayed
 // against the exact model dynamics and the sampling plan. The batch
-// runner is seed-deterministic at every worker count, so workers are
-// no part of it.
+// runner is seed-deterministic at every GOMAXPROCS setting, so nothing
+// about scheduling is part of it.
 type MonteCarloSpec struct {
 	Params  bumdp.Params `json:"params"`
 	Steps   int          `json:"steps"`
@@ -321,7 +319,7 @@ func (s MonteCarloSpec) Key() (string, error) {
 // Compute solves the instance, replays its optimal policy for Steps
 // steps split into Batches batches, and encodes the batch-means
 // summary as a MonteCarloRecord.
-func (s MonteCarloSpec) Compute(workers int, _ obs.Tracer) ([]byte, error) {
+func (s MonteCarloSpec) Compute(obs.Tracer) ([]byte, error) {
 	n, err := s.normalized()
 	if err != nil {
 		return nil, err
@@ -334,7 +332,7 @@ func (s MonteCarloSpec) Compute(workers int, _ obs.Tracer) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := montecarlo.CrossValidateWorkers(a, res.Policy, n.Steps, n.Batches, n.Seed, workers)
+	sum, err := montecarlo.CrossValidate(a, res.Policy, n.Steps, n.Batches, n.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -382,12 +380,12 @@ func (s EBGameSpec) Key() (string, error) {
 
 // Compute enumerates the game's pure Nash equilibria and encodes them,
 // with every equilibrium's utilities, as an EquilibriaRecord.
-func (s EBGameSpec) Compute(workers int, _ obs.Tracer) ([]byte, error) {
+func (s EBGameSpec) Compute(obs.Tracer) ([]byte, error) {
 	g, err := s.game()
 	if err != nil {
 		return nil, err
 	}
-	eqs, err := g.PureNashEquilibriaWorkers(workers)
+	eqs, err := g.PureNashEquilibria()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/bitcoin"
@@ -206,7 +207,7 @@ func TestSolveBitcoinCached(t *testing.T) {
 // baseline is core.BitcoinBaseline's default grid, cell for cell and bit
 // for bit, whether its cells are solved on a miss or read back.
 func TestCachedBitcoinBaselineMatchesDirect(t *testing.T) {
-	want := core.BitcoinBaseline(nil, nil, 0, nil)
+	want := core.BitcoinBaseline(nil, nil, nil)
 	s := mustOpen(t, Config{})
 	for _, pass := range []string{"miss", "hit"} {
 		got := CachedBitcoinBaseline(s, nil, nil)
@@ -250,15 +251,17 @@ func TestMonteCarloBatchCached(t *testing.T) {
 	if rec1.Summary != rec2.Summary {
 		t.Errorf("summaries differ: %+v vs %+v", rec1.Summary, rec2.Summary)
 	}
-	// The seeded batch is deterministic at every worker count, which is
-	// why workers are no part of the key.
-	for _, workers := range []int{1, 3} {
-		blob, err := spec.Compute(workers, nil)
+	// The seeded batch is deterministic at every GOMAXPROCS setting,
+	// which is why scheduling is no part of the key.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		blob, err := spec.Compute(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(blob, blob1) {
-			t.Errorf("batch on %d workers differs from the stored one", workers)
+			t.Errorf("batch under GOMAXPROCS %d differs from the stored one", procs)
 		}
 	}
 	if math.Abs(rec1.Summary.Mean-0.2624) > 0.05 {

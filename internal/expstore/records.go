@@ -91,7 +91,7 @@ func CachedBitcoinBaseline(st *Store, alphas, ties []float64) []core.BitcoinBase
 // cells that had to be solved.
 func bitcoinBaseline(ctx context.Context, st *Store, alphas, ties []float64) (cells []core.BitcoinBaselineCell, misses int) {
 	var m atomic.Int64
-	cells = core.BitcoinBaseline(alphas, ties, 0, func(p bitcoin.Params) (float64, error) {
+	cells = core.BitcoinBaseline(alphas, ties, func(p bitcoin.Params) (float64, error) {
 		rec, _, hit, err := Solve[BitcoinSolveRecord](ctx, st, BitcoinSolveSpec{Params: p}, nil)
 		if err == nil && !hit {
 			m.Add(1)

@@ -32,7 +32,7 @@ type SweepShardSpec struct {
 // sweepShardKey is the canonical identity of one shard: every
 // normalized config field that shapes cell values, plus the shard
 // coordinates. Workers and the unread InnerParallelism are excluded —
-// shard cells are bit-identical at every worker count.
+// shard cells are bit-identical at every GOMAXPROCS setting.
 type sweepShardKey struct {
 	Model    int             `json:"model"`
 	Alphas   []float64       `json:"alphas"`
@@ -64,8 +64,9 @@ func (SweepShardSpec) Kind() string { return KindSweepShard }
 func (s SweepShardSpec) Normalized() (Spec, error) { return s.normalized() }
 
 // normalized applies the config's defaults for the model — the exact
-// grid every worker must solve — and clears Workers, which each worker
-// sets for itself.
+// grid every worker must solve — and clears the Workers count that
+// Normalized fills in, so the spec does not depend on the enqueuing
+// host.
 func (s SweepShardSpec) normalized() (SweepShardSpec, error) {
 	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
 		return SweepShardSpec{}, fmt.Errorf("expstore: bad shard %d of %d", s.Index, s.Count)
@@ -93,13 +94,13 @@ func (s SweepShardSpec) Key() (string, error) {
 
 // Compute solves the shard's rows warm-chained, exactly as
 // core.SweepShard does, and encodes them as a SweepShardRecord.
-func (s SweepShardSpec) Compute(workers int, tr obs.Tracer) ([]byte, error) {
+func (s SweepShardSpec) Compute(tr obs.Tracer) ([]byte, error) {
 	n, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
 	cfg := n.Config
-	cfg.Workers, cfg.Tracer = workers, tr
+	cfg.Tracer = tr
 	cells, err := core.SweepShard(bumdp.IncentiveModel(n.Model), cfg, n.Index, n.Count)
 	if err != nil {
 		return nil, err

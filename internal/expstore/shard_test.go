@@ -52,7 +52,7 @@ func TestSweepShardKeysDistinct(t *testing.T) {
 	k, err = shardKey(bumdp.Compliant, loose, 0, 1)
 	add("tolerance", k, err)
 
-	// Concurrency knobs must not split the cache.
+	// Workers and the unread InnerParallelism must not split the cache.
 	par := cfg
 	par.Workers, par.InnerParallelism = 7, 3
 	k, err = shardKey(bumdp.Compliant, par, 0, 2)

@@ -329,33 +329,33 @@ func (s *Store) diskGet(key string) ([]byte, error) {
 		s.corrupt.Add(1)
 		return nil, fmt.Errorf("expstore: corrupt blob for %s: %w", key, err)
 	}
+	// The checksum covers the payload byte for byte, so a matching one
+	// means the payload is exactly what Put stored.
 	sum := sha256.Sum256(env.Payload)
 	if env.Key != key || env.Version != Version || env.Sum != hex.EncodeToString(sum[:]) {
 		s.corrupt.Add(1)
 		return nil, fmt.Errorf("expstore: blob for %s failed validation", key)
 	}
-	// Re-compact: the payload must be byte-identical to what Put stored,
-	// whatever whitespace the envelope decoding preserved.
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, env.Payload); err != nil {
-		s.corrupt.Add(1)
-		return nil, fmt.Errorf("expstore: corrupt payload for %s: %w", key, err)
-	}
-	return buf.Bytes(), nil
+	return env.Payload, nil
 }
 
-// diskPut persists an already-compacted blob.
+// diskPut persists an already-compacted blob. The envelope is encoded
+// without HTML escaping, which would rewrite "<", ">" and "&" inside
+// the payload and break its checksum.
 func (s *Store) diskPut(key string, blob []byte) error {
 	sum := sha256.Sum256(blob)
-	raw, err := json.Marshal(envelope{
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(envelope{
 		Key:     key,
 		Version: Version,
 		Sum:     hex.EncodeToString(sum[:]),
 		Payload: json.RawMessage(blob),
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
+	raw := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 	tmp, err := os.CreateTemp(s.cfg.Dir, key+".tmp-*")
 	if err != nil {
 		return err

@@ -56,6 +56,26 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 }
 
+// TestStoreDiskKeepsHTMLCharacters: a payload holding "<", ">" and "&"
+// reads back from disk byte for byte. Escaping them in the envelope
+// would make the payload disagree with its checksum, so such a blob
+// would never hit on disk and would count as corrupt.
+func TestStoreDiskKeepsHTMLCharacters(t *testing.T) {
+	dir := t.TempDir()
+	const payload = `{"err":"alpha < beta & gamma > 0"}`
+	if err := mustOpen(t, Config{Dir: dir}).Put("busolve-html", []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, Config{Dir: dir})
+	blob, ok := s.Get("busolve-html")
+	if !ok || string(blob) != payload {
+		t.Fatalf("disk read = %q, %v; want %q", blob, ok, payload)
+	}
+	if st := s.Stats(); st.Corrupt != 0 {
+		t.Errorf("read counted %d corrupt blobs", st.Corrupt)
+	}
+}
+
 func TestStoreCorruptBlobIsMissAndRewritten(t *testing.T) {
 	dir := t.TempDir()
 	key := "busolve-corrupt"

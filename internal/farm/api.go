@@ -202,6 +202,19 @@ type SweepRequest struct {
 	Priority int              `json:"priority,omitempty"`
 }
 
+// decodeSweep decodes the SweepRequest body all three sweep endpoints
+// take, refusing a fan-out of fewer than one shard.
+func decodeSweep(r *http.Request) (SweepRequest, error) {
+	var req SweepRequest
+	if err := decodeBody(r, &req); err != nil {
+		return req, err
+	}
+	if req.Count < 1 {
+		return req, fmt.Errorf("sweep count %d, want at least 1", req.Count)
+	}
+	return req, nil
+}
+
 // SweepEnqueueResponse reports the fan-out: the shard job IDs in shard
 // order and how many were newly created (the rest already existed).
 type SweepEnqueueResponse struct {
@@ -212,8 +225,8 @@ type SweepEnqueueResponse struct {
 }
 
 func (a *API) handleSweepEnqueue(r *http.Request) (any, error) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
+	req, err := decodeSweep(r)
+	if err != nil {
 		return nil, err
 	}
 	var jobs []jobqueue.Job
@@ -286,8 +299,8 @@ func (a *API) sweepStatus(req SweepRequest) (SweepStatusResponse, error) {
 }
 
 func (a *API) handleSweepStatus(r *http.Request) (any, error) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
+	req, err := decodeSweep(r)
+	if err != nil {
 		return nil, err
 	}
 	return a.sweepStatus(req)
@@ -302,8 +315,8 @@ type SweepResultResponse struct {
 }
 
 func (a *API) handleSweepResult(r *http.Request) (any, error) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
+	req, err := decodeSweep(r)
+	if err != nil {
 		return nil, err
 	}
 	status, err := a.sweepStatus(req)

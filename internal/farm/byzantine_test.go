@@ -52,7 +52,7 @@ func TestFarmRejectsForgedCompletion(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	blob, err := Execute(leased, 1)
+	blob, err := Execute(leased, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,6 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 
 	byz := &Worker{
 		Client: client, Name: "byz", Poll: 2 * time.Millisecond,
-		SolverWorkers: 1, Logf: t.Logf,
 		Chaos: &Chaos{Mode: "flipcell", Seed: 42},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -145,12 +144,11 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 
 	honest := &Worker{
 		Client: client, Name: "honest", Drain: true,
-		Poll: 2 * time.Millisecond, SolverWorkers: 1, Logf: t.Logf,
-	}
+		Poll: 2 * time.Millisecond}
 	if err := honest.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Execute(job, 1)
+	want, err := Execute(job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestFarmDuplicateMismatchCounted(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	blob, err := Execute(leased, 1)
+	blob, err := Execute(leased, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +262,7 @@ func TestFarmClientRetriesTransientOnly(t *testing.T) {
 		t.Fatalf("lease attempts = %d, want 3 (two 503s + success)", got)
 	}
 
-	blob, err := Execute(leased, 1)
+	blob, err := Execute(leased, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,22 +57,13 @@ func specJob(s expstore.Spec, priority int) (jobqueue.Job, error) {
 
 // Execute runs one job and returns the artifact blob it produces — the
 // canonical bytes of the job's record, identical wherever the job runs.
-// workers bounds how many of a job's independent units (a shard's rows,
-// Monte Carlo batches, equilibrium probes) run at once (0 selects all
-// cores); it never affects the bytes. The job's ID is re-derived
-// from its spec and must match, so a corrupted queue entry can never
-// materialize bytes under the wrong key.
-func Execute(job jobqueue.Job, workers int) ([]byte, error) {
-	return ExecuteTraced(job, workers, nil)
-}
-
-// ExecuteTraced is Execute with a tracer threaded into the solvers that
-// accept one (the BU MDP solve's convergence events, a sweep shard's
-// per-cell solves). Like workers, tr never reaches the bytes: solve
-// options and sweep configs normalize the tracer away from every store
-// key and record, so a traced artifact is byte-identical to an untraced
-// one. A nil tr is exactly Execute.
-func ExecuteTraced(job jobqueue.Job, workers int, tr obs.Tracer) ([]byte, error) {
+// The job's ID is re-derived from its spec and must match, so a
+// corrupted queue entry can never materialize bytes under the wrong
+// key. tr, if non-nil, receives the events of the solvers that emit
+// them (the BU MDP solve's convergence events, a sweep shard's per-cell
+// solves); it never reaches the bytes, since solve options and sweep
+// configs normalize the tracer away from every store key and record.
+func Execute(job jobqueue.Job, tr obs.Tracer) ([]byte, error) {
 	s, err := expstore.DecodeSpec(job.Kind, job.Spec)
 	if err != nil {
 		return nil, err
@@ -84,5 +75,5 @@ func ExecuteTraced(job jobqueue.Job, workers int, tr obs.Tracer) ([]byte, error)
 	if id != job.ID {
 		return nil, fmt.Errorf("farm: job %s carries a spec keyed %s", job.ID, id)
 	}
-	return s.Compute(workers, tr)
+	return s.Compute(tr)
 }

@@ -1,9 +1,12 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -88,7 +91,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("dup lease: ok=%v err=%v", ok, err)
 	}
-	dupBlob, err := Execute(dupJob, 1)
+	dupBlob, err := Execute(dupJob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,6 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 		workers[i] = &Worker{
 			Client: client, Name: "w" + string(rune('0'+i)),
 			TTL: 2 * time.Second, Poll: 10 * time.Millisecond, Drain: true,
-			SolverWorkers: 1, Logf: t.Logf,
 		}
 		go func(w *Worker) { errc <- w.Run(ctx) }(workers[i])
 	}
@@ -144,7 +146,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 		t.Fatalf("completes = %d, want 3 (exactly once per shard)", stats.Completes)
 	}
 	for i, id := range fan.IDs {
-		want, err := expstore.SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: 3}.Compute(0, nil)
+		want, err := expstore.SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: 3}.Compute(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +223,7 @@ func TestFarmLeaseLossRejectsCompletion(t *testing.T) {
 		t.Fatal("stale result was materialized")
 	}
 
-	blob, err := Execute(live, 1)
+	blob, err := Execute(live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 		t.Fatalf("enqueue: created=%v err=%v", created, err)
 	}
 
-	w := &Worker{Client: client, Name: "solo", Drain: true, Poll: 5 * time.Millisecond, SolverWorkers: 1}
+	w := &Worker{Client: client, Name: "solo", Drain: true, Poll: 5 * time.Millisecond}
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 	}
 	// A local solve agrees on everything but the wall-clock field
 	// (Duration is the record's only run-dependent value).
-	wantBlob, err := spec.Compute(1, nil)
+	wantBlob, err := spec.Compute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +278,71 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 	rec.Stats.Duration, want.Stats.Duration = 0, 0
 	if !reflect.DeepEqual(rec, want) {
 		t.Fatalf("worker artifact differs from local solve:\n%+v\n%+v", rec, want)
+	}
+}
+
+// TestWorkerLogsEachJobEventOnce: a worker draining one job emits
+// exactly one "leased" and one "completed" record, each carrying the
+// lease slot and the job's ID and kind.
+func TestWorkerLogsEachJobEventOnce(t *testing.T) {
+	client, _, _, _ := testFarm(t, jobqueue.Options{})
+	job, err := specJob(expstore.BitcoinSolveSpec{Params: bitcoinParams()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w := &Worker{Client: client, Name: "logged", Drain: true, Poll: 5 * time.Millisecond,
+		Slog: slog.New(slog.NewJSONHandler(&out, nil))}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var rec struct{ Msg, Slot, Job, Kind string }
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		counts[rec.Msg]++
+		if rec.Slot != "logged/0" || rec.Job != job.ID || rec.Kind != job.Kind {
+			t.Errorf("record %q carries slot %q job %q kind %q", rec.Msg, rec.Slot, rec.Job, rec.Kind)
+		}
+	}
+	if want := map[string]int{"leased": 1, "completed": 1}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("records per message %v, want %v", counts, want)
+	}
+}
+
+// TestFarmSweepRejectsCountBelowOne: every sweep endpoint answers 400
+// to a fan-out of fewer than one shard, and nothing is enqueued.
+func TestFarmSweepRejectsCountBelowOne(t *testing.T) {
+	q, err := jobqueue.Open(jobqueue.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := expstore.Open(expstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := (&API{Queue: q, Store: st}).Handler()
+	for _, path := range []string{"/jobs/sweep", "/jobs/sweep/status", "/jobs/sweep/result"} {
+		for _, count := range []int{0, -1} {
+			body, err := json.Marshal(SweepRequest{Model: int(bumdp.Compliant), Config: testSweepConfig(), Count: count})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s count %d: status %d, want 400 (%s)", path, count, rec.Code, rec.Body)
+			}
+		}
+	}
+	if n := len(q.Jobs()); n != 0 {
+		t.Errorf("%d jobs enqueued", n)
 	}
 }
 
@@ -411,7 +478,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 		t.Fatalf("resumed fan-out: created=%d err=%v, want 0/nil", again.Created, err)
 	}
 	// The survivor's lease crossed the restart: its completion lands.
-	blob, err := Execute(survivor, 1)
+	blob, err := Execute(survivor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +486,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 		t.Fatalf("completion across restart: first=%v err=%v", first, err)
 	}
 	// A drain worker finishes the rest and the merged table matches.
-	w := &Worker{Client: c2, Name: "finisher", Drain: true, Poll: 5 * time.Millisecond, SolverWorkers: 1}
+	w := &Worker{Client: c2, Name: "finisher", Drain: true, Poll: 5 * time.Millisecond}
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/expstore"
 	"buanalysis/internal/jobqueue"
+	"buanalysis/internal/obs"
 	"buanalysis/internal/stats"
 	"buanalysis/internal/verify"
 )
@@ -136,7 +137,7 @@ func TestArtifactIdentityGolden(t *testing.T) {
 				if job.Kind == expstore.KindMonteCarlo {
 					run = structuralRecord
 				}
-				blob, err := run(job, 1)
+				blob, err := run(job, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +170,7 @@ func TestArtifactIdentityGolden(t *testing.T) {
 // structuralRecord builds a Monte Carlo record for job without running
 // the batch: the spec's fields echoed and a well-formed summary over
 // the planned batches.
-func structuralRecord(job jobqueue.Job, _ int) ([]byte, error) {
+func structuralRecord(job jobqueue.Job, _ obs.Tracer) ([]byte, error) {
 	var rec expstore.MonteCarloRecord
 	if err := json.Unmarshal(job.Spec, &rec); err != nil {
 		return nil, err

@@ -154,13 +154,13 @@ func TestFarmUntracedBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Execute(shard, 0)
+	plain, err := Execute(shard, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traced := shard
 	traced.Trace, traced.ParentSpan = obs.NewTraceID(), obs.NewSpanID()
-	got, err := ExecuteTraced(traced, 2, obs.NewRingSink(1024))
+	got, err := Execute(traced, obs.NewRingSink(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestFarmUntracedBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobA, err := Execute(solveJob, 0)
+	blobA, err := Execute(solveJob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := ExecuteTraced(solveJob, 0, obs.NewRingSink(4096))
+	blobB, err := Execute(solveJob, obs.NewRingSink(4096))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,6 @@ type Worker struct {
 	Kinds []string
 	// Concurrency is how many jobs run at once (default 1).
 	Concurrency int
-	// SolverWorkers bounds how many of one job's independent units run
-	// at once, handed to Execute (0: all cores).
-	SolverWorkers int
 	// TTL is the lease TTL requested; heartbeats renew at TTL/3
 	// (default 30s).
 	TTL time.Duration
@@ -39,11 +37,11 @@ type Worker struct {
 	// no pending work and nothing leased that could still be requeued —
 	// instead of polling forever.
 	Drain bool
-	// Logf receives progress lines (nil: silent).
-	Logf func(format string, args ...any)
-	// Slog, if non-nil, additionally receives structured per-job
-	// records (leased, completed, failed, lost) carrying the job's
-	// trace ID, so log lines join against the JSONL trace stream.
+	// Slog, if non-nil, receives one record per job event (leased,
+	// completed, failed, lease lost, completion refused, chaos
+	// tampering), each carrying the lease slot, the job's ID and kind
+	// and, when the job has one, its trace ID, so records join against
+	// the JSONL trace stream. Nil keeps the worker silent.
 	Slog *slog.Logger
 	// Tracer, if non-nil, records each job's worker-side spans
 	// (worker.execute, worker.solve) and the solvers' convergence
@@ -70,25 +68,6 @@ func (w *Worker) Stats() (executed, completed, failed, lost int64) {
 // validity predicate refused. An honest worker should hold this at
 // zero; a byzantine one watches it climb toward its quarantine.
 func (w *Worker) Rejected() int64 { return w.rejected.Load() }
-
-func (w *Worker) logf(format string, args ...any) {
-	if w.Logf != nil {
-		w.Logf(format, args...)
-	}
-}
-
-// jobLog derives the structured logger of one job, correlated to its
-// trace; nil when Slog is unset.
-func (w *Worker) jobLog(job jobqueue.Job, slot string) *slog.Logger {
-	if w.Slog == nil {
-		return nil
-	}
-	l := w.Slog.With("slot", slot, "job", job.ID, "kind", job.Kind)
-	if job.Trace != "" {
-		l = l.With("trace", job.Trace)
-	}
-	return l
-}
 
 // Run pulls and executes jobs until ctx is canceled or, with Drain set,
 // until the queue is empty. Cancellation is graceful by construction:
@@ -141,7 +120,6 @@ func (w *Worker) runSlot(ctx context.Context, name string, ttl, poll time.Durati
 		if errors.Is(err, jobqueue.ErrQuarantined) {
 			// The coordinator has stopped trusting this worker; polling
 			// further is pointless (quarantine is sticky).
-			w.logf("worker %s: quarantined by the coordinator, exiting", name)
 			return fmt.Errorf("farm: worker %s: %w", name, err)
 		}
 		if err != nil {
@@ -179,11 +157,15 @@ func (w *Worker) queueDrained() bool {
 // must keep its lease alive until the in-flight job completes.
 func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 	w.executed.Add(1)
-	w.logf("worker %s: leased %s %s (attempt %d)", name, job.Kind, job.ID, job.Attempts)
-	jlog := w.jobLog(job, name)
-	if jlog != nil {
-		jlog.Info("leased", "attempt", job.Attempts)
+	log := w.Slog
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	log = log.With("slot", name, "job", job.ID, "kind", job.Kind)
+	if job.Trace != "" {
+		log = log.With("trace", job.Trace)
+	}
+	log.Info("leased", "attempt", job.Attempts)
 
 	// The execute span covers lease-to-delivery and parents on the trace
 	// position the job carried across the wire; its start minus the
@@ -218,7 +200,7 @@ func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 	}()
 
 	solve := obs.StartSpanFrom(w.Tracer, exec.Context(), "worker.solve")
-	blob, execErr := ExecuteTraced(job, w.SolverWorkers, solve.Annotate(w.Tracer))
+	blob, execErr := Execute(job, solve.Annotate(w.Tracer))
 	solve.EndDetail(job.ID)
 
 	if w.Chaos != nil && execErr == nil {
@@ -228,10 +210,10 @@ func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 			// Byzantine stall: abandon the lease mid-hold and let it rot.
 			close(hbStop)
 			hbWG.Wait()
-			w.logf("worker %s: [chaos] stalling on %s, burning the lease", name, job.ID)
+			log.Warn("chaos: stalling, burning the lease")
 			return
 		}
-		w.logf("worker %s: [chaos] tampered with %s (%s)", name, job.ID, w.Chaos.Mode)
+		log.Warn("chaos: tampered with the result", "mode", w.Chaos.Mode)
 	}
 	close(hbStop)
 	hbWG.Wait()
@@ -240,20 +222,14 @@ func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 		// The lease is gone — the job was requeued and someone else owns
 		// it. The deterministic result is safe to drop.
 		w.lost.Add(1)
-		w.logf("worker %s: lease lost on %s, dropping result", name, job.ID)
-		if jlog != nil {
-			jlog.Warn("lease lost, result dropped")
-		}
+		log.Warn("lease lost, result dropped")
 		return
 	}
 	if execErr != nil {
 		w.failed.Add(1)
-		w.logf("worker %s: %s failed: %v", name, job.ID, execErr)
-		if jlog != nil {
-			jlog.Error("failed", "err", execErr)
-		}
+		log.Error("failed", "err", execErr)
 		if err := w.Client.Fail(job.ID, job.Lease, execErr.Error()); err != nil {
-			w.logf("worker %s: reporting failure of %s: %v", name, job.ID, err)
+			log.Warn("reporting the failure", "err", err)
 		}
 		return
 	}
@@ -270,21 +246,15 @@ func (w *Worker) execute(job jobqueue.Job, name string, ttl time.Duration) {
 		// failure to report (the queue already requeued the job and
 		// debited this worker's reputation); just count it and move on.
 		w.rejected.Add(1)
-		w.logf("worker %s: completion of %s refused: %v", name, job.ID, err)
-		if jlog != nil {
-			jlog.Warn("completion refused", "err", err)
-		}
+		log.Warn("completion refused", "err", err)
 	case errors.Is(err, jobqueue.ErrNotLeased):
 		w.lost.Add(1)
-		w.logf("worker %s: completion of %s rejected (lease lost)", name, job.ID)
+		log.Warn("completion rejected, lease lost")
 	case err != nil:
-		w.logf("worker %s: delivering %s: %v", name, job.ID, err)
+		log.Error("delivering", "err", err)
 	default:
 		w.completed.Add(1)
-		w.logf("worker %s: completed %s (first=%v)", name, job.ID, first)
-		if jlog != nil {
-			jlog.Info("completed", "first", first)
-		}
+		log.Info("completed", "first", first)
 	}
 }
 

@@ -14,10 +14,6 @@ import (
 	"buanalysis/internal/par"
 )
 
-// chunkMinProfiles is the smallest per-worker profile count worth a
-// goroutine in the equilibrium search; smaller spaces run serially.
-const chunkMinProfiles = 4096
-
 // powersValid checks a power distribution: positive entries summing to 1.
 func powersValid(m []float64) error {
 	if len(m) == 0 {
@@ -194,16 +190,10 @@ func (g *EBChoosingGame) IsNashEquilibrium(prof Profile) (bool, error) {
 
 // PureNashEquilibria enumerates all pure-strategy Nash equilibria.
 // The search is exponential (Choices^n); it requires Choices^n <= 1<<20.
+// Profiles are checked in GOMAXPROCS index chunks and per-chunk hits
+// concatenated in chunk order, so the equilibrium list — sorted by
+// profile index — is identical at every GOMAXPROCS setting.
 func (g *EBChoosingGame) PureNashEquilibria() ([]Profile, error) {
-	return g.PureNashEquilibriaWorkers(0)
-}
-
-// PureNashEquilibriaWorkers is PureNashEquilibria with an explicit
-// worker count (0 selects GOMAXPROCS, 1 is serial). Profiles are
-// checked in index chunks and per-chunk hits concatenated in chunk
-// order, so the equilibrium list — sorted by profile index — is
-// identical for every worker count.
-func (g *EBChoosingGame) PureNashEquilibriaWorkers(workers int) ([]Profile, error) {
 	n := len(g.Powers)
 	total := 1
 	for i := 0; i < n; i++ {
@@ -212,10 +202,13 @@ func (g *EBChoosingGame) PureNashEquilibriaWorkers(workers int) ([]Profile, erro
 			return nil, errors.New("games: profile space too large to enumerate")
 		}
 	}
-	w := par.Workers(workers, (total+chunkMinProfiles-1)/chunkMinProfiles)
-	found := make([][]Profile, w)
-	errs := make([]error, w)
-	par.ForChunks(total, w, func(cw, lo, hi int) {
+	// chunk holds one index chunk's equilibria, or the error that
+	// stopped it.
+	type chunk struct {
+		eqs []Profile
+		err error
+	}
+	chunks := par.ForChunks(total, func(lo, hi int) (c chunk) {
 		prof := make(Profile, n)
 		for idx := lo; idx < hi; idx++ {
 			x := idx
@@ -225,22 +218,23 @@ func (g *EBChoosingGame) PureNashEquilibriaWorkers(workers int) ([]Profile, erro
 			}
 			ok, err := g.IsNashEquilibrium(prof)
 			if err != nil {
-				errs[cw] = err
-				return
+				c.err = err
+				return c
 			}
 			if ok {
 				eq := make(Profile, n)
 				copy(eq, prof)
-				found[cw] = append(found[cw], eq)
+				c.eqs = append(c.eqs, eq)
 			}
 		}
+		return c
 	})
 	var out []Profile
-	for i := 0; i < w; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, c := range chunks {
+		if c.err != nil {
+			return nil, c.err
 		}
-		out = append(out, found[i]...)
+		out = append(out, c.eqs...)
 	}
 	return out, nil
 }

@@ -4,40 +4,44 @@ package games
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // TestPureNashEquilibriaWorkersDeterministic: the parallel enumeration
-// returns the same equilibria, in the same (profile-index) order, for
-// every worker count.
+// returns the same equilibria, in the same (profile-index) order, at
+// every GOMAXPROCS setting.
 func TestPureNashEquilibriaWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	powers := []float64{0.05, 0.10, 0.10, 0.15, 0.15, 0.20, 0.25}
 	g, err := NewEBChoosingGame(powers, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := g.PureNashEquilibriaWorkers(1)
+	serial, err := g.PureNashEquilibria()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serial) == 0 {
 		t.Fatal("no equilibria found; the determinism check would be vacuous")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := g.PureNashEquilibriaWorkers(workers)
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := g.PureNashEquilibria()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d returned %d equilibria in a different set/order than serial's %d",
-				workers, len(got), len(serial))
+			t.Errorf("GOMAXPROCS %d returned %d equilibria in a different set/order than serial's %d",
+				procs, len(got), len(serial))
 		}
 	}
 }
 
-// TestPureNashEquilibriaWorkersTooLarge: the size guard fires for every
-// worker count.
+// TestPureNashEquilibriaWorkersTooLarge: the size guard fires at every
+// GOMAXPROCS setting.
 func TestPureNashEquilibriaWorkersTooLarge(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	powers := make([]float64, 21)
 	for i := range powers {
 		powers[i] = 1.0 / 21
@@ -52,9 +56,10 @@ func TestPureNashEquilibriaWorkersTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		if _, err := g.PureNashEquilibriaWorkers(workers); err == nil {
-			t.Errorf("workers=%d: accepted a 2^21 profile space", workers)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if _, err := g.PureNashEquilibria(); err == nil {
+			t.Errorf("GOMAXPROCS %d: accepted a 2^21 profile space", procs)
 		}
 	}
 }

@@ -117,8 +117,9 @@ func BenchmarkJournaledCycle(b *testing.B) {
 // sweepWallClock stands up a fresh coordinator (empty store, in-memory
 // queue), enqueues a small Table-2-style sweep as 3 shard jobs, and
 // measures how long a fleet of `workers` draining workers takes to
-// finish it. Each worker solves serially (SolverWorkers 1) so the
-// comparison isolates distribution, not inner solver parallelism.
+// finish it. Each shard is one warm-chained row, which a worker solves
+// on one goroutine, so the comparison isolates distribution, not
+// parallelism inside a job.
 func sweepWallClock(t *testing.T, workers int) float64 {
 	t.Helper()
 	q, err := jobqueue.Open(jobqueue.Options{})
@@ -149,11 +150,10 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 	done := make(chan error, workers)
 	for i := 0; i < workers; i++ {
 		w := &farm.Worker{
-			Client:        client,
-			Name:          fmt.Sprintf("bench-%d", i),
-			SolverWorkers: 1,
-			Drain:         true,
-			Poll:          20 * time.Millisecond,
+			Client: client,
+			Name:   fmt.Sprintf("bench-%d", i),
+			Drain:  true,
+			Poll:   20 * time.Millisecond,
 		}
 		go func() { done <- w.Run(context.Background()) }()
 	}
@@ -230,7 +230,7 @@ func measureVerifyCost(t *testing.T) verifyCost {
 	var blob []byte
 	for i := 0; i < 2; i++ {
 		opt, eval, ns := measure(func() (err error) {
-			blob, err = farm.Execute(job, 1)
+			blob, err = farm.Execute(job, nil)
 			return err
 		})
 		c.solveWork = work(opt, eval)

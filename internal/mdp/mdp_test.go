@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,33 @@ func TestCompileValidation(t *testing.T) {
 				t.Fatalf("Compile accepted an invalid builder")
 			}
 		})
+	}
+}
+
+// TestCompileWorkersErrorDeterministic: when several states are
+// invalid, Compile reports the lowest-numbered one at every GOMAXPROCS
+// setting.
+func TestCompileWorkersErrorDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	b := tableBuilder{
+		n:     100,
+		acts:  map[int][]int{},
+		trans: map[[2]int][]Transition{},
+	}
+	for s := 0; s < 100; s++ {
+		b.acts[s] = []int{0}
+		b.trans[[2]int{s, 0}] = []Transition{{To: (s + 1) % 100, Prob: 1}}
+	}
+	// Invalidate states 37 and 81; every compile must report state 37.
+	b.trans[[2]int{37, 0}] = []Transition{{To: 0, Prob: 0.5}}
+	b.trans[[2]int{81, 0}] = []Transition{{To: 200, Prob: 1}}
+	want := "mdp: state 37 action 0: probabilities sum to 0.5, want 1"
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		_, err := Compile(b)
+		if err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: Compile error = %v, want %q", procs, err, want)
+		}
 	}
 }
 

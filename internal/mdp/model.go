@@ -12,9 +12,13 @@
 // relative-revenue and orphan-rate utilities; setting Den to 1 per step
 // recovers the absolute-reward (per-block) utility.
 //
-// Every solve runs on the caller's goroutine; only model compilation
-// splits its work across goroutines (see parallel.go). Callers solve
-// many instances in parallel instead.
+// Compilation and every solve run on the caller's goroutine. A
+// policy-iteration round is one optimizing sweep plus an exact
+// evaluation in an order fixed by the policy, and a compile is one pass
+// of builder calls, so a pool inside one instance saves wall time only
+// while a core sits idle. Callers that build and solve many instances
+// (core.Sweep, the solve farm) keep the cores busy by running the
+// instances in parallel instead.
 package mdp
 
 import (
@@ -22,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Transition is one probabilistic outcome of taking an action in a state.
@@ -33,17 +36,9 @@ type Transition struct {
 	Den  float64 // denominator reward accrued on this transition
 }
 
-// Builder enumerates a finite MDP. Compile walks every state once and
-// freezes the result into a Model; Builder implementations may generate
-// transitions lazily.
-//
-// Compile enumerates states from multiple goroutines concurrently (each
-// state is visited exactly once, by one goroutine), so NumStates,
-// Actions and AppendTransitions must be safe for concurrent calls.
-// Builders that derive transitions purely from immutable inputs — every
-// builder in this repository — qualify as written; a builder that
-// memoizes or otherwise mutates shared state must either synchronize
-// internally or be compiled with CompileWorkers(b, 1).
+// Builder enumerates a finite MDP. Compile walks every state once, in
+// index order on the caller's goroutine, and freezes the result into a
+// Model; Builder implementations may generate transitions lazily.
 type Builder interface {
 	// NumStates reports the number of states, indexed 0..NumStates()-1.
 	NumStates() int
@@ -56,7 +51,7 @@ type Builder interface {
 	// AppendTransitions appends the outcomes of taking action a in state
 	// s to dst and returns the extended slice, as append does. It must
 	// leave dst's existing elements untouched and keep no reference to
-	// dst: the compiler appends every slot of a state range into one
+	// dst: the compiler appends every slot of the model into one
 	// buffer, so a builder that writes into a local array and appends
 	// from it allocates nothing per call.
 	AppendTransitions(dst []Transition, s, a int) []Transition
@@ -154,71 +149,51 @@ func checkTransition(s, a int, tr Transition) error {
 
 // Compile freezes a Builder into a Model, validating that probabilities
 // are non-negative and sum to one, rewards are finite, destinations are
-// in range, and every state has at least one action. State enumeration
-// runs on GOMAXPROCS goroutines (see Builder's concurrency contract);
-// the compiled model is identical for every worker count.
-func Compile(b Builder) (*Model, error) { return CompileWorkers(b, 0) }
-
-// compileChunk accumulates the compiled form of a contiguous state range.
-type compileChunk struct {
-	// stateSlots[i] is the number of action slots of state lo+i.
-	stateSlots []int32
-	actionID   []int32
-	// slotTrans[k] is the number of transitions of the chunk's k-th slot.
-	slotTrans []int32
-	trans     []Transition
-	err       error
-}
-
-// CompileWorkers is Compile with an explicit worker count: 0 selects
-// GOMAXPROCS (capped for small models), 1 compiles serially and never
-// calls the builder concurrently.
-func CompileWorkers(b Builder, workers int) (*Model, error) {
+// in range, and every state has at least one action; an invalid model
+// reports its lowest-numbered invalid state. The builder appends each
+// slot's transitions straight into the model's array, and the appended
+// tail is validated in place. After the first state the arrays are
+// sized as if every state looked like it, so a builder with uniform
+// states fills them without regrowing.
+func Compile(b Builder) (*Model, error) {
 	n := b.NumStates()
 	if n <= 0 {
 		return nil, errors.New("mdp: builder has no states")
 	}
-	w := effectiveWorkers(workers, n, minAutoStatesPerCompileWorker)
-	bounds := splitRange(n, w)
-	chunks := make([]compileChunk, w)
-	if w == 1 {
-		compileRange(b, n, 0, n, &chunks[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func(i int) {
-				defer wg.Done()
-				compileRange(b, n, bounds[i], bounds[i+1], &chunks[i])
-			}(i)
+	m := &Model{numStates: n, stateOff: make([]int32, n+1), saOff: []int32{0}}
+	for s := 0; s < n; s++ {
+		acts := b.Actions(s)
+		if len(acts) == 0 {
+			return nil, fmt.Errorf("mdp: state %d has no actions", s)
 		}
-		wg.Wait()
-	}
-	// Chunks are merged in state order, so the compiled arrays — and any
-	// validation error reported (the lowest-state one) — are independent
-	// of the worker count.
-	for i := range chunks {
-		if chunks[i].err != nil {
-			return nil, chunks[i].err
+		for _, a := range acts {
+			j0 := len(m.trans)
+			m.trans = b.AppendTransitions(m.trans, s, a)
+			trs := m.trans[j0:]
+			if len(trs) == 0 {
+				return nil, fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
+			}
+			total := 0.0
+			for _, tr := range trs {
+				if tr.To < 0 || tr.To >= n {
+					return nil, fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
+				}
+				if err := checkTransition(s, a, tr); err != nil {
+					return nil, err
+				}
+				total += tr.Prob
+			}
+			if !(math.Abs(total-1) <= probTolerance) {
+				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
+			}
+			m.actionID = append(m.actionID, int32(a))
+			m.saOff = append(m.saOff, int32(len(m.trans)))
 		}
-	}
-	actionID := concatChunks(chunks, func(c *compileChunk) []int32 { return c.actionID })
-	m := &Model{
-		numStates: n,
-		stateOff:  make([]int32, n+1),
-		actionID:  actionID,
-		saOff:     make([]int32, 1, len(actionID)+1),
-		trans:     concatChunks(chunks, func(c *compileChunk) []Transition { return c.trans }),
-	}
-	s := 0
-	for i := range chunks {
-		c := &chunks[i]
-		for _, slots := range c.stateSlots {
-			m.stateOff[s+1] = m.stateOff[s] + slots
-			s++
-		}
-		for _, cnt := range c.slotTrans {
-			m.saOff = append(m.saOff, m.saOff[len(m.saOff)-1]+cnt)
+		m.stateOff[s+1] = int32(len(m.actionID))
+		if s == 0 {
+			m.actionID = slices.Grow(m.actionID, len(m.actionID)*(n-1))
+			m.saOff = slices.Grow(m.saOff, len(m.actionID)*(n-1))
+			m.trans = slices.Grow(m.trans, len(m.trans)*(n-1))
 		}
 	}
 	m.buildHotArrays()
@@ -228,73 +203,6 @@ func CompileWorkers(b Builder, workers int) (*Model, error) {
 		dupTransTotal.Add(int64(m.dupTrans))
 	}
 	return m, nil
-}
-
-// concatChunks joins one field of the chunks in state order. A single
-// chunk's slice is adopted as it is.
-func concatChunks[T any](chunks []compileChunk, field func(*compileChunk) []T) []T {
-	if len(chunks) == 1 {
-		return field(&chunks[0])
-	}
-	total := 0
-	for i := range chunks {
-		total += len(field(&chunks[i]))
-	}
-	out := make([]T, 0, total)
-	for i := range chunks {
-		out = append(out, field(&chunks[i])...)
-	}
-	return out
-}
-
-// compileRange enumerates and validates states [lo, hi) into c. The
-// builder appends each slot's transitions straight into c.trans, and
-// the appended tail is validated in place. After the first state the
-// chunk's buffers are sized as if every state looked like it, so a
-// builder with uniform states fills them without regrowing.
-func compileRange(b Builder, n, lo, hi int, c *compileChunk) {
-	c.stateSlots = make([]int32, 0, hi-lo)
-	for s := lo; s < hi; s++ {
-		acts := b.Actions(s)
-		if len(acts) == 0 {
-			c.err = fmt.Errorf("mdp: state %d has no actions", s)
-			return
-		}
-		for _, a := range acts {
-			j0 := len(c.trans)
-			c.trans = b.AppendTransitions(c.trans, s, a)
-			trs := c.trans[j0:]
-			if len(trs) == 0 {
-				c.err = fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
-				return
-			}
-			total := 0.0
-			for _, tr := range trs {
-				if tr.To < 0 || tr.To >= n {
-					c.err = fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
-					return
-				}
-				if err := checkTransition(s, a, tr); err != nil {
-					c.err = err
-					return
-				}
-				total += tr.Prob
-			}
-			if !(math.Abs(total-1) <= probTolerance) {
-				c.err = fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
-				return
-			}
-			c.actionID = append(c.actionID, int32(a))
-			c.slotTrans = append(c.slotTrans, int32(len(trs)))
-		}
-		c.stateSlots = append(c.stateSlots, int32(len(acts)))
-		if s == lo {
-			rest := hi - lo - 1
-			c.actionID = slices.Grow(c.actionID, len(c.actionID)*rest)
-			c.slotTrans = slices.Grow(c.slotTrans, len(c.slotTrans)*rest)
-			c.trans = slices.Grow(c.trans, len(c.trans)*rest)
-		}
-	}
 }
 
 // buildHotArrays derives the compacted layout and per-slot expected
@@ -318,7 +226,7 @@ func (m *Model) buildHotArrays() {
 // raw transitions: per slot, duplicate destinations merged and survivors
 // sorted ascending by destination. The probability accumulation below
 // visits raw transitions in ascending raw order, the order
-// reparamRange reproduces, so a Reparameterize product's ctprob is
+// Reparameterize reproduces, so a Reparameterize product's ctprob is
 // bit-identical to a fresh Compile's.
 func (m *Model) buildCompactedLayout() {
 	numSlots := len(m.actionID)
@@ -384,14 +292,10 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 // transitions, eNum, eDen, and offsets — or an error if b's structure
 // deviates from the receiver's anywhere (different action sets,
 // transition counts, or destinations), in which case the caller should
-// fall back to Compile. The receiver is not modified.
+// fall back to Compile. The receiver is not modified. The expected
+// rewards and merged probabilities accumulate in the order
+// buildHotArrays uses, which is what keeps the product bit-identical.
 func (m *Model) Reparameterize(b Builder) (*Model, error) {
-	return m.ReparameterizeWorkers(b, 0)
-}
-
-// ReparameterizeWorkers is Reparameterize with an explicit worker
-// count, following CompileWorkers semantics.
-func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 	n := b.NumStates()
 	if n != m.numStates {
 		return nil, fmt.Errorf("mdp: reparameterize: builder has %d states, frozen structure has %d", n, m.numStates)
@@ -413,84 +317,47 @@ func (m *Model) ReparameterizeWorkers(b Builder, workers int) (*Model, error) {
 		eNum:     make([]float64, len(m.eNum)),
 		eDen:     make([]float64, len(m.eDen)),
 	}
-	w := effectiveWorkers(workers, n, minAutoStatesPerCompileWorker)
-	if w == 1 {
-		if err := m.reparamRange(b, nm, 0, n); err != nil {
-			return nil, err
-		}
-		reparamsTotal.Inc()
-		return nm, nil
-	}
-	bounds := splitRange(n, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = m.reparamRange(b, nm, bounds[i], bounds[i+1])
-		}(i)
-	}
-	wg.Wait()
-	// Chunks cover disjoint state ranges; reporting the lowest-state
-	// error keeps the result independent of the worker count.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	reparamsTotal.Inc()
-	return nm, nil
-}
-
-// reparamRange revalidates states [lo, hi) of b against m's frozen
-// structure and writes their probabilities and rewards into nm. The
-// expected-reward accumulation visits transitions in the same order as
-// buildHotArrays, so the results are bit-identical to a fresh Compile.
-func (m *Model) reparamRange(b Builder, nm *Model, lo, hi int) error {
 	var trs []Transition // one slot's transitions, reused across slots
-	for s := lo; s < hi; s++ {
+	for s := 0; s < n; s++ {
 		acts := b.Actions(s)
 		k0, k1 := m.stateOff[s], m.stateOff[s+1]
 		if len(acts) != int(k1-k0) {
-			return fmt.Errorf("mdp: reparameterize: state %d has %d actions, frozen structure has %d", s, len(acts), k1-k0)
+			return nil, fmt.Errorf("mdp: reparameterize: state %d has %d actions, frozen structure has %d", s, len(acts), k1-k0)
 		}
 		for i, a := range acts {
 			k := k0 + int32(i)
 			if int32(a) != m.actionID[k] {
-				return fmt.Errorf("mdp: reparameterize: state %d slot %d is action %d, frozen structure has %d", s, i, a, m.actionID[k])
+				return nil, fmt.Errorf("mdp: reparameterize: state %d slot %d is action %d, frozen structure has %d", s, i, a, m.actionID[k])
 			}
 			trs = b.AppendTransitions(trs[:0], s, a)
 			j0, j1 := m.saOff[k], m.saOff[k+1]
 			if len(trs) != int(j1-j0) {
-				return fmt.Errorf("mdp: reparameterize: state %d action %d has %d transitions, frozen structure has %d", s, a, len(trs), j1-j0)
+				return nil, fmt.Errorf("mdp: reparameterize: state %d action %d has %d transitions, frozen structure has %d", s, a, len(trs), j1-j0)
 			}
 			total, en, ed := 0.0, 0.0, 0.0
 			for t, tr := range trs {
 				j := j0 + int32(t)
 				if tr.To != m.trans[j].To {
-					return fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.trans[j].To)
+					return nil, fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.trans[j].To)
 				}
 				if err := checkTransition(s, a, tr); err != nil {
-					return err
+					return nil, err
 				}
 				total += tr.Prob
 				en += tr.Prob * tr.Num
 				ed += tr.Prob * tr.Den
 				nm.trans[j] = tr
-				// Same ascending-raw-index accumulation order as
-				// buildCompactedLayout, so merged probabilities are
-				// bit-identical to a fresh Compile's.
 				nm.ctprob[m.mergeIdx[j]] += tr.Prob
 			}
 			if !(math.Abs(total-1) <= probTolerance) {
-				return fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
+				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
 			}
 			nm.eNum[k] = en
 			nm.eDen[k] = ed
 		}
 	}
-	return nil
+	reparamsTotal.Inc()
+	return nm, nil
 }
 
 // ModelsIdentical reports whether two compiled models are bit-identical

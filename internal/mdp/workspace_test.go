@@ -212,23 +212,21 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 }
 
 func TestReparameterizeMatchesCompile(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		b1 := paramBuilder(31, 80, 3, 1.0)
-		b2 := paramBuilder(31, 80, 3, 1.7)
-		m1 := mustCompile(t, b1)
-		fresh := mustCompile(t, b2)
-		fast, err := m1.ReparameterizeWorkers(b2, workers)
-		if err != nil {
-			t.Fatalf("workers %d: Reparameterize: %v", workers, err)
-		}
-		if !ModelsIdentical(fresh, fast) {
-			t.Fatalf("workers %d: reparameterized model differs from fresh compile", workers)
-		}
-		// The original is untouched.
-		again := mustCompile(t, b1)
-		if !ModelsIdentical(m1, again) {
-			t.Fatalf("workers %d: Reparameterize mutated its receiver", workers)
-		}
+	b1 := paramBuilder(31, 80, 3, 1.0)
+	b2 := paramBuilder(31, 80, 3, 1.7)
+	m1 := mustCompile(t, b1)
+	fresh := mustCompile(t, b2)
+	fast, err := m1.Reparameterize(b2)
+	if err != nil {
+		t.Fatalf("Reparameterize: %v", err)
+	}
+	if !ModelsIdentical(fresh, fast) {
+		t.Fatal("reparameterized model differs from fresh compile")
+	}
+	// The original is untouched.
+	again := mustCompile(t, b1)
+	if !ModelsIdentical(m1, again) {
+		t.Fatal("Reparameterize mutated its receiver")
 	}
 }
 

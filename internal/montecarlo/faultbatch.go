@@ -40,9 +40,9 @@ func RejectionRate(rep *faultsim.Report) float64 {
 // FaultBatches replays a fault scenario in `batches` independent runs,
 // batch b reseeded to sc.Seed+b with the batch index appended to the
 // scenario name, and summarizes the metric across them. Batches run
-// concurrently; batch b's seed never depends on scheduling, so the
-// summary is identical for every worker count (0 selects GOMAXPROCS).
-func FaultBatches(sc faultsim.Scenario, batches, workers int, metric Metric) (stats.Summary, error) {
+// GOMAXPROCS at a time; batch b's seed never depends on scheduling, so
+// the summary is identical at every GOMAXPROCS setting.
+func FaultBatches(sc faultsim.Scenario, batches int, metric Metric) (stats.Summary, error) {
 	if batches < 2 {
 		return stats.Summary{}, errors.New("montecarlo: need at least 2 batches")
 	}
@@ -54,7 +54,7 @@ func FaultBatches(sc faultsim.Scenario, batches, workers int, metric Metric) (st
 	}
 	vals := make([]float64, batches)
 	errs := make([]error, batches)
-	par.For(batches, workers, func(b int) {
+	par.For(batches, func(b int) {
 		bsc := sc
 		bsc.Seed = sc.Seed + int64(b)
 		bsc.Name = fmt.Sprintf("%s#%d", sc.Name, b)

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/faultsim"
@@ -21,13 +22,15 @@ func faultScenario(t *testing.T, name string) faultsim.Scenario {
 }
 
 // TestFaultBatchesWorkerCountInvariant pins that the batch summary is a
-// pure function of (scenario, batches): serial, two-worker, and
-// GOMAXPROCS schedules produce identical summaries.
+// pure function of (scenario, batches): serial and parallel GOMAXPROCS
+// schedules produce identical summaries.
 func TestFaultBatchesWorkerCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sc := faultScenario(t, "bitcoin-drop-heavy")
 	var ref stats.Summary
-	for i, workers := range []int{1, 2, 0} {
-		sum, err := FaultBatches(sc, 8, workers, OrphanFraction)
+	for i, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		sum, err := FaultBatches(sc, 8, OrphanFraction)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +39,7 @@ func TestFaultBatchesWorkerCountInvariant(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(sum, ref) {
-			t.Errorf("workers=%d changed the summary: %+v vs %+v", workers, sum, ref)
+			t.Errorf("GOMAXPROCS %d changed the summary: %+v vs %+v", procs, sum, ref)
 		}
 	}
 	if ref.Mean <= 0 {
@@ -49,11 +52,11 @@ func TestFaultBatchesWorkerCountInvariant(t *testing.T) {
 // never produces any. This is the paper's claim as a batched statistic
 // rather than a single trajectory.
 func TestFaultBatchesSeparatesRegimes(t *testing.T) {
-	attack, err := FaultBatches(faultScenario(t, "bu-attack-clean"), 6, 0, RejectionRate)
+	attack, err := FaultBatches(faultScenario(t, "bu-attack-clean"), 6, RejectionRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := FaultBatches(faultScenario(t, "bu-equal-clean"), 6, 0, RejectionRate)
+	clean, err := FaultBatches(faultScenario(t, "bu-equal-clean"), 6, RejectionRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +74,20 @@ func TestFaultBatchesSeparatesRegimes(t *testing.T) {
 // TestFaultBatchesDefaultsAndErrors covers the argument contract.
 func TestFaultBatchesDefaultsAndErrors(t *testing.T) {
 	sc := faultScenario(t, "bitcoin-drop-heavy")
-	if _, err := FaultBatches(sc, 1, 0, nil); err == nil {
+	if _, err := FaultBatches(sc, 1, nil); err == nil {
 		t.Error("single batch accepted")
 	}
 	sc.Blocks = 0
-	if _, err := FaultBatches(sc, 4, 0, nil); err == nil {
+	if _, err := FaultBatches(sc, 4, nil); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 	// nil metric defaults to OrphanFraction.
 	sc.Blocks = 200
-	withNil, err := FaultBatches(sc, 4, 1, nil)
+	withNil, err := FaultBatches(sc, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withMetric, err := FaultBatches(sc, 4, 1, OrphanFraction)
+	withMetric, err := FaultBatches(sc, 4, OrphanFraction)
 	if err != nil {
 		t.Fatal(err)
 	}

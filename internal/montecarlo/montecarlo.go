@@ -172,30 +172,24 @@ func AlwaysSplitStrategy(bumdp.State) int { return bumdp.OnChain2 }
 
 // CrossValidate replays a policy in `batches` independent runs of
 // `steps` steps each and summarizes the utility estimates, for
-// comparison against an MDP value. Batches run concurrently on
-// GOMAXPROCS goroutines; batch b always uses seed+b, so the summary is
-// identical for every worker count.
+// comparison against an MDP value. Batches run GOMAXPROCS at a time;
+// batch b always uses seed+b, so the summary is identical at every
+// GOMAXPROCS setting.
 func CrossValidate(a *bumdp.Analysis, pol mdp.Policy, steps, batches int, seed int64) (stats.Summary, error) {
-	return CrossValidateWorkers(a, pol, steps, batches, seed, 0)
+	return CrossValidateTraced(a, pol, steps, batches, seed, nil)
 }
 
-// CrossValidateWorkers is CrossValidate with an explicit worker count
-// (0 selects GOMAXPROCS, 1 is serial).
-func CrossValidateWorkers(a *bumdp.Analysis, pol mdp.Policy, steps, batches int, seed int64, workers int) (stats.Summary, error) {
-	return CrossValidateTraced(a, pol, steps, batches, seed, workers, nil)
-}
-
-// CrossValidateTraced is CrossValidateWorkers with a trace stream: each
+// CrossValidateTraced is CrossValidate with a trace stream: each
 // batch's events are stamped with its batch index before they reach tr
 // (which therefore must be safe for concurrent use, as all obs sinks
 // are). Tracing never changes the summary.
-func CrossValidateTraced(a *bumdp.Analysis, pol mdp.Policy, steps, batches int, seed int64, workers int, tr obs.Tracer) (stats.Summary, error) {
+func CrossValidateTraced(a *bumdp.Analysis, pol mdp.Policy, steps, batches int, seed int64, tr obs.Tracer) (stats.Summary, error) {
 	if batches < 2 {
 		return stats.Summary{}, errors.New("montecarlo: need at least 2 batches")
 	}
 	vals := make([]float64, batches)
 	errs := make([]error, batches)
-	par.For(batches, workers, func(b int) {
+	par.For(batches, func(b int) {
 		bt := tr
 		if tr != nil {
 			bt = obs.TracerFunc(func(e obs.Event) {

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/bitcoin"
@@ -151,6 +152,7 @@ func TestCrossValidate3Sigma(t *testing.T) {
 // returns the exact summary of the serial one — batch b always uses
 // seed+b regardless of which goroutine runs it.
 func TestCrossValidateWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := mustAnalysis(t, bumdp.Params{
 		Alpha: 0.25, Beta: 0.375, Gamma: 0.375, Model: bumdp.Compliant,
 	})
@@ -158,17 +160,18 @@ func TestCrossValidateWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := CrossValidateWorkers(a, res.Policy, 20000, 6, 11, 1)
+	serial, err := CrossValidate(a, res.Policy, 20000, 6, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4} {
-		got, err := CrossValidateWorkers(a, res.Policy, 20000, 6, 11, workers)
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := CrossValidate(a, res.Policy, 20000, 6, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != serial {
-			t.Errorf("workers=%d summary %+v differs from serial %+v", workers, got, serial)
+			t.Errorf("GOMAXPROCS %d summary %+v differs from serial %+v", procs, got, serial)
 		}
 	}
 }

@@ -95,12 +95,12 @@ func TestCrossValidateTracedStampsBatches(t *testing.T) {
 	}
 
 	const steps, batches, seed = 2_000, 6, 3
-	plain, err := CrossValidateWorkers(a, res.Policy, steps, batches, seed, 3)
+	plain, err := CrossValidate(a, res.Policy, steps, batches, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := obs.NewRingSink(1 << 16)
-	traced, err := CrossValidateTraced(a, res.Policy, steps, batches, seed, 3, sink)
+	traced, err := CrossValidateTraced(a, res.Policy, steps, batches, seed, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

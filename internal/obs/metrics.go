@@ -75,34 +75,6 @@ type Histogram struct {
 // DefBuckets is a general-purpose latency layout in seconds.
 var DefBuckets = []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
-// ExpBuckets returns n exponential bucket bounds starting at start and
-// growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start
-		start *= factor
-	}
-	return bs
-}
-
-// LinearBuckets returns n linear bucket bounds starting at start with
-// the given width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start
-		start += width
-	}
-	return bs
-}
-
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets

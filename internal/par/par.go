@@ -1,6 +1,8 @@
 // Package par provides small deterministic parallel-for helpers shared
 // by the grid-sweep runners (internal/core), the game-theoretic search
 // (internal/games) and the Monte Carlo batches (internal/montecarlo).
+// They run GOMAXPROCS goroutines at most: GOMAXPROCS is the program's
+// only setting for how much work runs at once.
 //
 // The helpers only schedule: each index (or chunk) is processed exactly
 // once and results are written to caller-owned, index-addressed storage,
@@ -34,30 +36,21 @@ func Observe(reg *obs.Registry) {
 	activeWorkers = reg.Gauge("par_active_workers", "Worker goroutines currently running parallel bodies.")
 }
 
-// Workers resolves a worker-count knob: values <= 0 select GOMAXPROCS;
-// the result is capped at n and floored at 1.
-func Workers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+// workers returns how many goroutines For and ForChunks run for n
+// items: GOMAXPROCS, capped at n and floored at 1.
+func workers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n))
 }
 
-// For runs body(i) for every i in [0, n) on up to workers goroutines
-// (<= 0 selects GOMAXPROCS). Indices are claimed one at a time from an
-// atomic counter, which balances heterogeneous per-index costs — table
-// cells whose MDPs differ by three orders of magnitude in size, say —
-// without any ordering guarantee; the body must write only to
-// index-addressed storage. With one worker the body runs inline, in
-// index order, with no goroutines.
-func For(n, workers int, body func(i int)) {
-	w := Workers(workers, n)
+// For runs body(i) for every i in [0, n) on up to GOMAXPROCS goroutines.
+// Indices are claimed one at a time from an atomic counter, which
+// balances heterogeneous per-index costs — table cells whose MDPs
+// differ by three orders of magnitude in size, say — without any
+// ordering guarantee; the body must write only to index-addressed
+// storage. With one worker the body runs inline, in index order, with
+// no goroutines.
+func For(n int, body func(i int)) {
+	w := workers(n)
 	runsTotal.Inc()
 	tasksTotal.Add(int64(n))
 	if w == 1 {
@@ -88,21 +81,21 @@ func For(n, workers int, body func(i int)) {
 	wg.Wait()
 }
 
-// ForChunks runs body(k, lo, hi) over a partition of [0, n) into w
-// near-equal contiguous chunks, one per worker; k is the chunk index
-// in [0, w). It returns the number of chunks used, so callers can
-// pre-size per-chunk result storage with Workers. Use it when
-// per-index work is uniform and cheap enough that per-index claiming
-// would dominate.
-func ForChunks(n, workers int, body func(k, lo, hi int)) int {
-	w := Workers(workers, n)
+// ForChunks partitions [0, n) into up to GOMAXPROCS near-equal
+// contiguous chunks, runs body(lo, hi) on each, one goroutine per
+// chunk, and returns the results in chunk order. Use it when per-index
+// work is uniform and cheap enough that per-index claiming would
+// dominate.
+func ForChunks[T any](n int, body func(lo, hi int) T) []T {
+	w := workers(n)
 	runsTotal.Inc()
 	tasksTotal.Add(int64(w))
+	out := make([]T, w)
 	if w == 1 {
 		activeWorkers.Add(1)
-		body(0, 0, n)
+		out[0] = body(0, n)
 		activeWorkers.Add(-1)
-		return 1
+		return out
 	}
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -112,9 +105,9 @@ func ForChunks(n, workers int, body func(k, lo, hi int)) int {
 			defer wg.Done()
 			activeWorkers.Add(1)
 			defer activeWorkers.Add(-1)
-			body(k, lo, hi)
+			out[k] = body(lo, hi)
 		}()
 	}
 	wg.Wait()
-	return w
+	return out
 }

@@ -27,7 +27,7 @@ func FuzzVerifyArtifact(f *testing.F) {
 	var buID string
 	var tampered []byte
 	if id, err := solve.Key(); err == nil {
-		if blob, err := solve.Compute(0, nil); err == nil {
+		if blob, err := solve.Compute(nil); err == nil {
 			f.Add(expstore.KindBUSolve, id, []byte(nil), blob)
 			var rec expstore.BUSolveRecord
 			if json.Unmarshal(blob, &rec) == nil && rec.Policy != "" {
@@ -46,7 +46,7 @@ func FuzzVerifyArtifact(f *testing.F) {
 	if err == nil {
 		id, _ := shard.Key()
 		spec, _ := json.Marshal(shard)
-		if blob, err := shard.Compute(0, nil); err == nil {
+		if blob, err := shard.Compute(nil); err == nil {
 			f.Add(expstore.KindSweepShard, id, spec, blob)
 		}
 	}

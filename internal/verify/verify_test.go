@@ -29,7 +29,7 @@ func buSolveArtifact(t *testing.T, p bumdp.Params) (id string, blob []byte) {
 	if err != nil {
 		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err = spec.Compute(0, nil)
+	blob, err = spec.Compute(nil)
 	if err != nil {
 		t.Fatalf("solving: %v", err)
 	}
@@ -280,7 +280,7 @@ func shardArtifact(t *testing.T, cfg core.SweepConfig, index, count int) (id str
 	if err != nil {
 		t.Fatalf("encoding spec: %v", err)
 	}
-	blob, err = s.Compute(0, nil)
+	blob, err = s.Compute(nil)
 	if err != nil {
 		t.Fatalf("solving shard: %v", err)
 	}
@@ -355,7 +355,7 @@ func TestVerifyBitcoinSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err := spec.Compute(0, nil)
+	blob, err := spec.Compute(nil)
 	if err != nil {
 		t.Fatalf("solving: %v", err)
 	}
@@ -381,7 +381,7 @@ func TestVerifyMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err := spec.Compute(1, nil)
+	blob, err := spec.Compute(nil)
 	if err != nil {
 		t.Fatalf("running batch: %v", err)
 	}
@@ -407,7 +407,7 @@ func TestVerifyEBGame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deriving key: %v", err)
 	}
-	blob, err := spec.Compute(1, nil)
+	blob, err := spec.Compute(nil)
 	if err != nil {
 		t.Fatalf("enumerating equilibria: %v", err)
 	}

@@ -7,13 +7,13 @@
 #                          on one core; the race pass stays bounded)
 #
 # The race pass covers the packages with real concurrency in their hot
-# paths: the MDP solver package (the parallel model compiler and
-# reparameterization beside the serial solves), the BU analysis that
-# drives it, the warm-chained sweep rows in core, the Monte Carlo batch
-# runner, the experiment store (singleflight, LRU, solve budget), the
-# observability layer (registry, sinks), the TCP gossip and full-node
-# stacks, and the fault-injection/invariant layer over the network
-# simulator.
+# paths: the parallel-for helpers in par and every package that runs
+# through them (the warm-chained sweep rows in core, the Monte Carlo
+# batch runner, the equilibrium search in games), the MDP solver and
+# the BU analysis beneath the rows, the experiment store (singleflight,
+# LRU, solve budget), the observability layer (registry, sinks), the
+# TCP gossip and full-node stacks, the fault-injection/invariant layer
+# over the network simulator, and the solve farm (queue, farm, verify).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,8 +49,8 @@ echo "== bench module: go vet + go test ${SHORT} =="
 
 # The Makefile's race target runs the same package list; keep the two
 # identical.
-echo "== go test -race ${SHORT} (mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify) =="
-go test -race ${SHORT} ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/
+echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify) =="
+go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/
 
 echo "== fault-injection scenario corpus (busim -mode faults) =="
 # Runs all seeded fault scenarios end to end through the binary and
@@ -73,7 +73,7 @@ go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 echo "== warm-vs-cold sweep smoke =="
 # The chained direct path must return the same values and witnesses as
 # independent cold solves, bit for bit, and be deterministic at every
-# worker count; these two tests pin exactly that.
+# GOMAXPROCS setting; these two tests pin exactly that.
 go test -count 1 -run 'TestChainedSweepMatchesCold|TestChainedSweepWorkerDeterminism' ./internal/core/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
