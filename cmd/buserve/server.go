@@ -19,7 +19,6 @@ import (
 	"buanalysis/internal/mdp"
 	"buanalysis/internal/obs"
 	"buanalysis/internal/par"
-	"buanalysis/internal/stats"
 	"buanalysis/internal/tracetree"
 	"buanalysis/internal/verify"
 )
@@ -88,8 +87,6 @@ func newServer(store *expstore.Store, queue *jobqueue.Queue, reg *obs.Registry, 
 	queue.RegisterMetrics(reg)
 	mdp.Observe(reg)
 	par.Observe(reg)
-	farm.Observe(reg)
-	verify.Observe(reg)
 	reg.GaugeFunc("buserve_uptime_seconds", "Seconds since the server started.", func() float64 {
 		return time.Since(s.started).Seconds()
 	})
@@ -182,7 +179,7 @@ func (w *statusWriter) WriteHeader(code int) {
 type endpointFamilies struct {
 	requests, errors, hits, misses *obs.CounterVec
 	inFlight                       *obs.GaugeVec
-	latency                        *obs.HistogramVec
+	latency                        *obs.SampleVec
 }
 
 func newEndpointFamilies(reg *obs.Registry) endpointFamilies {
@@ -192,13 +189,11 @@ func newEndpointFamilies(reg *obs.Registry) endpointFamilies {
 		hits:     reg.CounterVec("buserve_cache_hits_total", "Requests answered entirely from the experiment store.", "endpoint"),
 		misses:   reg.CounterVec("buserve_cache_misses_total", "Requests that needed at least one solve.", "endpoint"),
 		inFlight: reg.GaugeVec("buserve_in_flight_requests", "Requests currently being handled.", "endpoint"),
-		latency:  reg.HistogramVec("buserve_request_seconds", "Request latency in seconds.", obs.DefBuckets, "endpoint"),
+		latency:  reg.SampleVec("buserve_request_seconds", "Request latency in seconds.", latWindow, "endpoint"),
 	}
 }
 
-// endpoint binds one route's children of the labeled families, plus an
-// exact-quantile latency window backing /statsz (the histogram serves
-// /metrics; the window preserves /statsz's exact percentiles).
+// endpoint binds one route's children of the labeled families.
 func (f endpointFamilies) endpoint(pattern string) *endpointMetrics {
 	return &endpointMetrics{
 		count:    f.requests.With(pattern),
@@ -207,19 +202,17 @@ func (f endpointFamilies) endpoint(pattern string) *endpointMetrics {
 		misses:   f.misses.With(pattern),
 		inFlight: f.inFlight.With(pattern),
 		latency:  f.latency.With(pattern),
-		lat:      obs.NewSample(latWindow),
 	}
 }
 
-// endpointMetrics instruments one endpoint on obs instruments.
-// Latencies go both to the Prometheus histogram and to a fixed window;
-// /statsz reports exact quantiles over the retained window, exactly as
-// it did before the registry migration.
+// endpointMetrics instruments one endpoint on obs instruments. Each
+// request's latency is recorded once, in a window of the last
+// latWindow requests: /statsz reports exact quantiles over it and
+// /metrics exposes it as a summary.
 type endpointMetrics struct {
 	count, errors, hits, misses *obs.Counter
 	inFlight                    *obs.Gauge
-	latency                     *obs.Histogram
-	lat                         *obs.Sample
+	latency                     *obs.Sample
 }
 
 // latWindow is the per-endpoint latency sample retention.
@@ -237,47 +230,30 @@ func (m *endpointMetrics) observe(d time.Duration, outcome cacheOutcome, err err
 		m.misses.Inc()
 	}
 	m.latency.Observe(d.Seconds())
-	m.lat.Observe(d.Seconds())
-}
-
-// latencyStats is the quantile block of one endpoint's /statsz entry.
-type latencyStats struct {
-	Samples int     `json:"samples"`
-	P50ms   float64 `json:"p50_ms"`
-	P95ms   float64 `json:"p95_ms"`
-	P99ms   float64 `json:"p99_ms"`
 }
 
 // endpointStats is one endpoint's /statsz entry.
 type endpointStats struct {
-	Count    int64        `json:"count"`
-	Errors   int64        `json:"errors"`
-	Hits     int64        `json:"hits"`
-	Misses   int64        `json:"misses"`
-	HitRatio float64      `json:"hit_ratio"`
-	InFlight int64        `json:"in_flight"`
-	Latency  latencyStats `json:"latency"`
+	Count    int64       `json:"count"`
+	Errors   int64       `json:"errors"`
+	Hits     int64       `json:"hits"`
+	Misses   int64       `json:"misses"`
+	HitRatio float64     `json:"hit_ratio"`
+	InFlight int64       `json:"in_flight"`
+	Latency  obs.Latency `json:"latency"`
 }
 
 func (m *endpointMetrics) snapshot() endpointStats {
-	samples := m.lat.Snapshot()
 	st := endpointStats{
 		Count:    m.count.Value(),
 		Errors:   m.errors.Value(),
 		Hits:     m.hits.Value(),
 		Misses:   m.misses.Value(),
 		InFlight: m.inFlight.Value(),
+		Latency:  m.latency.Latency(),
 	}
 	if tot := st.Hits + st.Misses; tot > 0 {
 		st.HitRatio = float64(st.Hits) / float64(tot)
-	}
-	if qs, err := stats.Quantiles(samples, 0.50, 0.95, 0.99); err == nil {
-		st.Latency = latencyStats{
-			Samples: len(samples),
-			P50ms:   qs[0] * 1e3,
-			P95ms:   qs[1] * 1e3,
-			P99ms:   qs[2] * 1e3,
-		}
 	}
 	return st
 }

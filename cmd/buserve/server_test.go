@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -411,8 +413,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE buserve_requests_total counter",
 		`buserve_requests_total{endpoint="GET /solve"} 2`,
 		`buserve_cache_hits_total{endpoint="GET /solve"} 1`,
-		"# TYPE buserve_request_seconds histogram",
-		`buserve_request_seconds_bucket{endpoint="GET /solve",le="+Inf"} 2`,
+		"# TYPE buserve_request_seconds summary",
+		`buserve_request_seconds_count{endpoint="GET /solve"} 2`,
 		"# TYPE mdp_solves_total counter",
 		"buserve_uptime_seconds",
 	} {
@@ -424,6 +426,60 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(text, "mdp_solves_total 0\n") {
 		t.Error("mdp_solves_total still 0 after a served solve")
 	}
+}
+
+// TestRequestLatencySummary proves a request's latency is recorded in
+// one instrument: /metrics exposes the same window /statsz reads, as a
+// summary whose quantiles are /statsz's p50/p95/p99 in seconds.
+func TestRequestLatencySummary(t *testing.T) {
+	_, ts := newTestServer(t)
+	get(t, ts.URL+fastSolve)
+	get(t, ts.URL+fastSolve)
+
+	_, body := get(t, ts.URL+"/statsz")
+	var st statszResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("statsz not JSON: %v\n%s", err, body)
+	}
+	lat := st.Endpoints["GET /solve"].Latency
+	_, metrics := get(t, ts.URL+"/metrics")
+	text := string(metrics)
+	for _, want := range []string{
+		"# TYPE buserve_request_seconds summary\n",
+		`buserve_request_seconds_count{endpoint="GET /solve"} 2` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, q := range []struct {
+		quantile string
+		ms       float64
+	}{{"0.5", lat.P50ms}, {"0.95", lat.P95ms}, {"0.99", lat.P99ms}} {
+		prefix := fmt.Sprintf(`buserve_request_seconds{endpoint="GET /solve",quantile=%q} `, q.quantile)
+		var got float64
+		found := false
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				got, found = parseFloat(t, v), true
+			}
+		}
+		want := q.ms / 1000
+		if !found {
+			t.Errorf("exposition missing the %s quantile of GET /solve", q.quantile)
+		} else if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("quantile %s = %v s, /statsz says %v ms", q.quantile, got, q.ms)
+		}
+	}
+}
+
+func parseFloat(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestDebugVars proves /debug/vars serves the registry as JSON.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-
-	"buanalysis/internal/obs"
 )
 
 // Structured logging for the CLIs. Every binary registers the same two
@@ -20,8 +18,7 @@ import (
 // default, which also bridges the stdlib log package into it — every
 // existing log.Printf in the binary becomes a structured record
 // without touching its call sites. The returned logger carries the
-// component name; WithTrace attaches trace correlation for per-job
-// logging in the farm binaries.
+// component name.
 
 // LogFlags registers the standard -log-format and -log-level flags.
 func LogFlags(fs *flag.FlagSet) (format, level *string) {
@@ -57,27 +54,4 @@ func SetupLog(component, format, level string) (*slog.Logger, error) {
 		slog.SetDefault(logger)
 	}
 	return logger, nil
-}
-
-// WithTrace returns l with the span context's trace correlation
-// attributes attached, so a log line can be joined against the JSONL
-// trace stream (and cmd/butrace's trees) by trace ID. An invalid
-// context returns l unchanged.
-func WithTrace(l *slog.Logger, sc obs.SpanContext) *slog.Logger {
-	if !sc.Valid() {
-		return l
-	}
-	return l.With("trace", sc.TraceID, "span", sc.SpanID)
-}
-
-// WithJobTrace is WithTrace for the out-of-band form trace context
-// takes on a queued job (trace ID plus parent span ID).
-func WithJobTrace(l *slog.Logger, traceID, parentSpan string) *slog.Logger {
-	if traceID == "" {
-		return l
-	}
-	if parentSpan == "" {
-		return l.With("trace", traceID)
-	}
-	return l.With("trace", traceID, "span", parentSpan)
 }

@@ -1,8 +1,6 @@
 package farm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -409,9 +407,9 @@ type completeResponse struct {
 // reputation) and the job returns to its retry budget, so a byzantine
 // worker can never poison an artifact — at worst it delays one.
 // Duplicate deliveries — client retries, redelivered responses — are
-// acknowledged without verification or a store write (the artifact is
-// already materialized and immutable; a duplicate whose bytes disagree
-// with it is only counted, see observe.go).
+// acknowledged with first=false and counted by the queue, nothing more:
+// the artifact is already materialized and immutable, so their bytes
+// are neither verified, compared nor stored.
 func (a *API) handleComplete(r *http.Request) (any, error) {
 	var req completeRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -424,31 +422,16 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 	if !ok {
 		return nil, jobqueue.ErrUnknownJob
 	}
-	if job.State == jobqueue.Done {
-		// Benign duplicate: acknowledge without re-verifying, but notice
-		// when the re-delivered bytes disagree with the materialized
-		// artifact — deterministic executors never produce that.
-		first, err := a.Queue.Complete(req.ID, req.Lease)
-		if err != nil {
-			return nil, err
-		}
-		if stored, found := a.Store.Get(req.ID); found &&
-			agreementSum(job.Kind, stored) != agreementSum(job.Kind, req.Result) {
-			duplicateMismatch.Inc()
-			if a.Tracer != nil {
-				a.Tracer.Emit(obs.Event{Kind: "farm.duplicate_mismatch", Node: req.ID})
+	if job.State != jobqueue.Done {
+		if err := a.Verifier.Artifact(job.Kind, req.ID, job.Spec, req.Result); err != nil {
+			// The predicate refused the bytes: reject the completion (the
+			// queue counts it toward the worker's quarantine and requeues
+			// the job) and tell the worker why.
+			if rejErr := a.Queue.RejectCompletion(req.ID, req.Lease, err.Error()); rejErr != nil {
+				return nil, rejErr
 			}
+			return nil, &apiError{http.StatusConflict, fmt.Errorf("invalid completion: %w", err)}
 		}
-		return completeResponse{First: first}, nil
-	}
-	if err := a.Verifier.Artifact(job.Kind, req.ID, job.Spec, req.Result); err != nil {
-		// The predicate refused the bytes: reject the completion (the
-		// queue counts it toward the worker's quarantine and requeues
-		// the job) and tell the worker why.
-		if rejErr := a.Queue.RejectCompletion(req.ID, req.Lease, err.Error()); rejErr != nil {
-			return nil, rejErr
-		}
-		return nil, &apiError{http.StatusConflict, fmt.Errorf("invalid completion: %w", err)}
 	}
 	first, err := a.Queue.Complete(req.ID, req.Lease)
 	if err != nil {
@@ -462,29 +445,6 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 		span.EndDetail(req.ID)
 	}
 	return completeResponse{First: first}, nil
-}
-
-// agreementSum is the checksum the duplicate-agreement check compares a
-// late duplicate's bytes with the stored artifact's under. It is sha256
-// over the result bytes with run-dependent fields normalized away: the
-// BU solve record is the one artifact whose bytes embed a wall-clock
-// fact (the solve's duration), and without this normalization every
-// honest late duplicate would count as a mismatch.
-// Every other kind's bytes are deterministic and hash as delivered.
-// Normalization only feeds the comparison; the bytes materialized are
-// always exactly what the first valid completion delivered.
-func agreementSum(kind string, blob []byte) string {
-	if kind == expstore.KindBUSolve {
-		var rec expstore.BUSolveRecord
-		if json.Unmarshal(blob, &rec) == nil {
-			rec.Stats.Duration = 0
-			if nb, err := json.Marshal(rec); err == nil {
-				blob = nb
-			}
-		}
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
 }
 
 // storeSpan parents the materializing store write on the worker's

@@ -7,7 +7,7 @@
 // runs the spec's Compute, the same code the serving path's miss runs,
 // so a worker-produced artifact is byte-identical to a locally solved
 // one and completions are idempotent by construction. Only Chaos's
-// forgeries and the duplicate check's agreementSum look at a kind.
+// forgeries look at a kind.
 //
 // The package also carries the farm's HTTP surface: API serves the
 // /jobs endpoints over a queue and a store (mounted by cmd/buserve),

@@ -310,6 +310,30 @@ func (q *Queue) Lease(worker string, kinds []string, ttl time.Duration) (Job, bo
 	return *best, true, nil
 }
 
+// holding is the lease holder's side of the protocol, shared by
+// Heartbeat, Complete, RejectCompletion and Fail: under the lock, with
+// expired leases swept first, it runs fn on job id if lease holds it.
+// An unknown job is ErrUnknownJob and a lease that no longer holds an
+// open job ErrNotLeased. A job already done runs nothing and reports
+// done, which each caller answers as a benign no-op (the completion
+// raced the call).
+func (q *Queue) holding(id, lease string, fn func(j *Job, now time.Time) error) (done bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	now := q.opts.Now()
+	q.expireLocked(now)
+	j, ok := q.jobs[id]
+	switch {
+	case !ok:
+		return false, ErrUnknownJob
+	case j.State == Done:
+		return true, nil
+	case j.State != Leased || j.Lease != lease:
+		return false, ErrNotLeased
+	}
+	return false, fn(j, now)
+}
+
 // Heartbeat extends a held lease by ttl (<= 0 selects the default).
 // Heartbeating a done job is a benign no-op (the completion raced the
 // heartbeat); any other mismatch is ErrNotLeased / ErrUnknownJob.
@@ -317,63 +341,43 @@ func (q *Queue) Heartbeat(id, lease string, ttl time.Duration) error {
 	if ttl <= 0 {
 		ttl = q.opts.DefaultTTL
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.opts.Now()
-	q.expireLocked(now)
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrUnknownJob
-	}
-	if j.State == Done {
-		return nil
-	}
-	if j.State != Leased || j.Lease != lease {
-		return ErrNotLeased
-	}
-	j.LeaseExpiry = now.Add(ttl)
-	q.heartbeats.Add(1)
-	q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.heartbeats++ })
-	return q.persistLocked()
+	_, err := q.holding(id, lease, func(j *Job, now time.Time) error {
+		j.LeaseExpiry = now.Add(ttl)
+		q.heartbeats.Add(1)
+		q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.heartbeats++ })
+		return q.persistLocked()
+	})
+	return err
 }
 
 // Complete marks a leased job done. first reports whether this call is
 // the one that completed it. Once the job is done, any completion —
-// whatever lease it presents — returns false and no error: that is how
-// callers materialize results exactly once, and it lets a coordinator
-// still compare a late duplicate's bytes with the stored result. A
-// completion for a job still open whose lease was lost (expired and
-// requeued or re-leased) is rejected with ErrNotLeased — the job's
+// whatever lease it presents — returns false and no error and counts
+// as a duplicate: that is how callers materialize results exactly
+// once. A completion for a job still open whose lease was lost (expired
+// and requeued or re-leased) is rejected with ErrNotLeased — the job's
 // deterministic result will be produced by the holder of the live
 // lease instead.
 func (q *Queue) Complete(id, lease string) (first bool, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.opts.Now()
-	q.expireLocked(now)
-	j, ok := q.jobs[id]
-	if !ok {
-		return false, ErrUnknownJob
-	}
-	if j.State == Done {
+	done, err := q.holding(id, lease, func(j *Job, now time.Time) error {
+		first = true
+		j.State = Done
+		j.DoneAt = now
+		j.LeaseExpiry = time.Time{}
+		j.LastError = ""
+		q.completes.Add(1)
+		q.observeLatency(j.Kind, now.Sub(j.StartedAt))
+		q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.completes++ })
+		q.emitJob(obs.Event{
+			Kind: "queue.complete", Detail: j.Kind, Node: j.ID, Miner: j.Worker,
+			Iter: j.Attempts, DurMS: float64(now.Sub(j.StartedAt)) / float64(time.Millisecond),
+		}, j)
+		return q.persistLocked()
+	})
+	if done {
 		q.dupCompletes.Add(1)
-		return false, nil
 	}
-	if j.State != Leased || j.Lease != lease {
-		return false, ErrNotLeased
-	}
-	j.State = Done
-	j.DoneAt = now
-	j.LeaseExpiry = time.Time{}
-	j.LastError = ""
-	q.completes.Add(1)
-	q.observeLatency(j.Kind, now.Sub(j.StartedAt))
-	q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.completes++ })
-	q.emitJob(obs.Event{
-		Kind: "queue.complete", Detail: j.Kind, Node: j.ID, Miner: j.Worker,
-		Iter: j.Attempts, DurMS: float64(now.Sub(j.StartedAt)) / float64(time.Millisecond),
-	}, j)
-	return true, q.persistLocked()
+	return first, err
 }
 
 // RejectCompletion refuses the lease holder's submitted result: the
@@ -383,55 +387,33 @@ func (q *Queue) Complete(id, lease string) (first bool, err error) {
 // worker will re-execute it. Rejecting an already-done job is a benign
 // no-op (a stale duplicate); a lost lease is ErrNotLeased.
 func (q *Queue) RejectCompletion(id, lease, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.opts.Now()
-	q.expireLocked(now)
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrUnknownJob
-	}
-	if j.State == Done {
-		return nil
-	}
-	if j.State != Leased || j.Lease != lease {
-		return ErrNotLeased
-	}
-	q.rejects.Add(1)
-	q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) {
-		w.rejects++
-		q.maybeQuarantineLocked(j.Worker, w)
+	_, err := q.holding(id, lease, func(j *Job, now time.Time) error {
+		q.rejects.Add(1)
+		q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) {
+			w.rejects++
+			q.maybeQuarantineLocked(j.Worker, w)
+		})
+		q.emitJob(obs.Event{
+			Kind: "queue.reject", Detail: reason, Node: j.ID, Miner: j.Worker,
+			Iter: j.Attempts,
+		}, j)
+		q.retireLocked(j, now, "rejected: "+reason)
+		return q.persistLocked()
 	})
-	q.emitJob(obs.Event{
-		Kind: "queue.reject", Detail: reason, Node: j.ID, Miner: j.Worker,
-		Iter: j.Attempts,
-	}, j)
-	q.retireLocked(j, now, "rejected: "+reason)
-	return q.persistLocked()
+	return err
 }
 
 // Fail reports that the lease holder could not complete the job. The
 // job retries with exponential backoff until its delivery budget is
-// exhausted, then dead-letters.
+// exhausted, then dead-letters. Failing a done job is a benign no-op.
 func (q *Queue) Fail(id, lease, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.opts.Now()
-	q.expireLocked(now)
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrUnknownJob
-	}
-	if j.State == Done {
-		return nil
-	}
-	if j.State != Leased || j.Lease != lease {
-		return ErrNotLeased
-	}
-	q.failures.Add(1)
-	q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.failures++ })
-	q.retireLocked(j, now, reason)
-	return q.persistLocked()
+	_, err := q.holding(id, lease, func(j *Job, now time.Time) error {
+		q.failures.Add(1)
+		q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.failures++ })
+		q.retireLocked(j, now, reason)
+		return q.persistLocked()
+	})
+	return err
 }
 
 // Requeue returns a dead-lettered job to the ready set with a fresh

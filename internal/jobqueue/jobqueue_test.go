@@ -513,10 +513,6 @@ func TestStatsAndMetrics(t *testing.T) {
 	if k := st.Kinds["busolve"]; k.Done != 1 || k.Latency.Samples != 1 {
 		t.Fatalf("busolve kind stats = %+v", k)
 	}
-	if got := q.Kinds(); fmt.Sprint(got) != "[busolve sweepshard]" {
-		t.Fatalf("kinds = %v", got)
-	}
-
 	reg := obs.NewRegistry()
 	q.RegisterMetrics(reg)
 	var sb strings.Builder

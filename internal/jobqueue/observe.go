@@ -1,11 +1,6 @@
 package jobqueue
 
-import (
-	"sort"
-
-	"buanalysis/internal/obs"
-	"buanalysis/internal/stats"
-)
+import "buanalysis/internal/obs"
 
 // KindStats is the per-job-type block of Stats: depth by state plus
 // execution-latency quantiles over the retained completion window.
@@ -15,15 +10,7 @@ type KindStats struct {
 	Done    int `json:"done"`
 	Dead    int `json:"dead"`
 	// Latency summarizes lease-to-complete times in milliseconds.
-	Latency LatencyStats `json:"latency"`
-}
-
-// LatencyStats is an exact-quantile latency summary.
-type LatencyStats struct {
-	Samples int     `json:"samples"`
-	P50ms   float64 `json:"p50_ms"`
-	P95ms   float64 `json:"p95_ms"`
-	P99ms   float64 `json:"p99_ms"`
+	Latency obs.Latency `json:"latency"`
 }
 
 // Stats is a snapshot of the queue: depth by state, lifetime counters,
@@ -92,21 +79,16 @@ func (q *Queue) Stats() Stats {
 		}
 		st.Kinds[j.Kind] = k
 	}
-	samples := make(map[string][]float64, len(q.latency))
+	latency := make(map[string]*obs.Sample, len(q.latency))
 	for kind, s := range q.latency {
-		samples[kind] = s.Snapshot()
+		latency[kind] = s
 	}
 	q.mu.Unlock()
-	for kind, xs := range samples {
+	// The windows lock themselves, so their quantiles are computed
+	// after the queue is released.
+	for kind, s := range latency {
 		k := st.Kinds[kind]
-		if qs, err := stats.Quantiles(xs, 0.50, 0.95, 0.99); err == nil {
-			k.Latency = LatencyStats{
-				Samples: len(xs),
-				P50ms:   qs[0] * 1e3,
-				P95ms:   qs[1] * 1e3,
-				P99ms:   qs[2] * 1e3,
-			}
-		}
+		k.Latency = s.Latency()
 		st.Kinds[kind] = k
 	}
 	return st
@@ -123,22 +105,6 @@ func (q *Queue) depth(s State) int64 {
 		}
 	}
 	return n
-}
-
-// Kinds returns the kinds currently present, sorted (statsz rendering).
-func (q *Queue) Kinds() []string {
-	q.mu.Lock()
-	seen := make(map[string]bool)
-	for _, j := range q.jobs {
-		seen[j.Kind] = true
-	}
-	q.mu.Unlock()
-	kinds := make([]string, 0, len(seen))
-	for k := range seen {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }
 
 // RegisterMetrics exposes the queue on reg: depth gauges per state and

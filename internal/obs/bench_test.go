@@ -13,12 +13,12 @@ import (
 
 // hotLoop is a stand-in for a solver sweep body: arithmetic plus the
 // same hook shapes the real solvers carry.
-func hotLoop(n int, c *Counter, h *Histogram, tr Tracer) float64 {
+func hotLoop(n int, c *Counter, s *Sample, tr Tracer) float64 {
 	acc := 0.0
 	for i := 0; i < n; i++ {
 		acc += float64(i&7) * 0.125
 		c.Inc()
-		h.Observe(acc)
+		s.Observe(acc)
 		if tr != nil {
 			tr.Emit(Event{Kind: "solver.iter", Iter: i, Residual: acc})
 		}
@@ -58,13 +58,13 @@ func BenchmarkCounterAdd(b *testing.B) {
 	})
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
+func BenchmarkSampleObserve(b *testing.B) {
 	b.ReportAllocs()
-	h := NewRegistry().Histogram("bench_seconds", "", nil)
+	s := NewRegistry().SampleVec("bench_seconds", "", 2048, "endpoint").With("a")
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Observe(float64(i&15) * 0.01)
+			s.Observe(float64(i&15) * 0.01)
 			i++
 		}
 	})
@@ -105,7 +105,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 // TestBenchEmit runs the benchmarks and writes a machine-readable
 // summary when OBS_BENCH_OUT is set (scripts/bench.sh sets it to
 // BENCH_obs.json). It also enforces the zero-alloc acceptance claim on
-// the disabled hot loop and on histogram recording.
+// the disabled hot loop and on sample recording.
 func TestBenchEmit(t *testing.T) {
 	out := os.Getenv("OBS_BENCH_OUT")
 	if out == "" {
@@ -134,7 +134,7 @@ func TestBenchEmit(t *testing.T) {
 	disabled := run("hot_loop_disabled_hooks_64iter", BenchmarkHotLoopDisabled)
 	bare := run("hot_loop_bare_64iter", BenchmarkHotLoopBare)
 	counter := run("counter_add", BenchmarkCounterAdd)
-	hist := run("histogram_observe", BenchmarkHistogramObserve)
+	sample := run("sample_observe", BenchmarkSampleObserve)
 	ring := run("ring_sink_emit", BenchmarkRingSinkEmit)
 	spanOff := run("span_disabled", BenchmarkSpanDisabled)
 	spanOn := run("span_enabled", BenchmarkSpanEnabled)
@@ -145,8 +145,8 @@ func TestBenchEmit(t *testing.T) {
 	if spanOff.AllocsPerOp != 0 {
 		t.Errorf("disabled span path allocates %d/op, want 0", spanOff.AllocsPerOp)
 	}
-	if hist.AllocsPerOp != 0 {
-		t.Errorf("histogram observe allocates %d/op, want 0", hist.AllocsPerOp)
+	if sample.AllocsPerOp != 0 {
+		t.Errorf("sample observe allocates %d/op, want 0", sample.AllocsPerOp)
 	}
 	if counter.AllocsPerOp != 0 {
 		t.Errorf("counter add allocates %d/op, want 0", counter.AllocsPerOp)
@@ -154,7 +154,7 @@ func TestBenchEmit(t *testing.T) {
 
 	report := map[string]any{
 		"suite":                         "obs",
-		"rows":                          []row{disabled, bare, counter, hist, ring, spanOff, spanOn},
+		"rows":                          []row{disabled, bare, counter, sample, ring, spanOff, spanOn},
 		"disabled_overhead_ns_per_hook": (disabled.NsPerOp - bare.NsPerOp) / 64,
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")

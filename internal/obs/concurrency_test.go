@@ -128,6 +128,14 @@ func TestSampleConcurrentObserveSnapshot(t *testing.T) {
 						return
 					}
 				}
+				if n, _ := s.Totals(); n > writers*perWrite {
+					t.Errorf("count %d exceeds the %d observations", n, writers*perWrite)
+					return
+				}
+				if l := s.Latency(); l.P50ms > l.P99ms {
+					t.Errorf("latency quantiles out of order: %+v", l)
+					return
+				}
 			}
 		}()
 	}
@@ -151,5 +159,10 @@ func TestSampleConcurrentObserveSnapshot(t *testing.T) {
 	readers.Wait()
 	if got := len(s.Snapshot()); got != window {
 		t.Errorf("window holds %d, want %d", got, window)
+	}
+	// Every observation is counted once: the sum of 0..n-1.
+	const n = writers * perWrite
+	if count, sum := s.Totals(); count != n || sum != n*(n-1)/2 {
+		t.Errorf("totals = %d, %v; want %d, %d", count, sum, n, n*(n-1)/2)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // WritePrometheus renders every registered family in the Prometheus
 // text exposition format (version 0.0.4): # HELP / # TYPE comments
-// followed by one sample line per child, histograms expanded into
-// cumulative _bucket/_sum/_count series. A nil registry writes nothing.
+// followed by one sample line per child, sample windows expanded into
+// summary quantile/_sum/_count series. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -34,8 +34,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s %d\n", m.name, m.intFn())
 		case kindGaugeFunc:
 			fmt.Fprintf(&sb, "%s %s\n", m.name, formatFloat(m.floatFn()))
-		case kindHistogram:
-			writePromHistogram(&sb, m.name, "", m.hist.Snapshot())
 		case kindCounterVec:
 			for _, c := range m.vec.sorted() {
 				fmt.Fprintf(&sb, "%s{%s} %d\n", m.name, promLabels(m.vec.labels, c.values), c.counter.Value())
@@ -44,9 +42,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			for _, c := range m.vec.sorted() {
 				fmt.Fprintf(&sb, "%s{%s} %d\n", m.name, promLabels(m.vec.labels, c.values), c.gauge.Value())
 			}
-		case kindHistogramVec:
+		case kindSampleVec:
 			for _, c := range m.vec.sorted() {
-				writePromHistogram(&sb, m.name, promLabels(m.vec.labels, c.values), c.hist.Snapshot())
+				writePromSummary(&sb, m.name, promLabels(m.vec.labels, c.values), c.sample)
 			}
 		}
 	}
@@ -54,21 +52,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-func writePromHistogram(sb *strings.Builder, name, labels string, s HistogramSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = ","
+// writePromSummary renders one child window as summary series: one
+// line per summaryQuantiles over the retained window (none while it is
+// empty), then the lifetime _sum and _count.
+func writePromSummary(sb *strings.Builder, name, labels string, s *Sample) {
+	if window := s.Snapshot(); len(window) > 0 {
+		for i, q := range quantiles(window) {
+			fmt.Fprintf(sb, "%s{%s,quantile=%q} %s\n", name, labels, formatFloat(summaryQuantiles[i]), formatFloat(q))
+		}
 	}
-	plain := "" // label block for the _sum/_count series
-	if labels != "" {
-		plain = "{" + labels + "}"
-	}
-	for i, b := range s.Bounds {
-		fmt.Fprintf(sb, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatFloat(b), s.Cumulative[i])
-	}
-	fmt.Fprintf(sb, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	fmt.Fprintf(sb, "%s_sum%s %s\n", name, plain, formatFloat(s.Sum))
-	fmt.Fprintf(sb, "%s_count%s %d\n", name, plain, s.Count)
+	count, sum := s.Totals()
+	fmt.Fprintf(sb, "%s_sum{%s} %s\n", name, labels, formatFloat(sum))
+	fmt.Fprintf(sb, "%s_count{%s} %d\n", name, labels, count)
 }
 
 // promLabels renders label pairs for one child.
@@ -107,26 +102,31 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// histogramJSON is the JSON form of one histogram in the vars dump.
-type histogramJSON struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Buckets map[string]int64 `json:"buckets"`
+// summaryJSON is the JSON form of one sample window in the vars dump:
+// lifetime count and sum, and the window's quantiles keyed by
+// probability (absent while the window is empty).
+type summaryJSON struct {
+	Count     int64              `json:"count"`
+	Sum       float64            `json:"sum"`
+	Quantiles map[string]float64 `json:"quantiles,omitempty"`
 }
 
-func histJSON(s HistogramSnapshot) histogramJSON {
-	h := histogramJSON{Count: s.Count, Sum: s.Sum, Buckets: make(map[string]int64, len(s.Bounds)+1)}
-	for i, b := range s.Bounds {
-		h.Buckets["le="+formatFloat(b)] = s.Cumulative[i]
+func summaryOf(s *Sample) summaryJSON {
+	var out summaryJSON
+	out.Count, out.Sum = s.Totals()
+	if window := s.Snapshot(); len(window) > 0 {
+		out.Quantiles = make(map[string]float64, len(summaryQuantiles))
+		for i, q := range quantiles(window) {
+			out.Quantiles[formatFloat(summaryQuantiles[i])] = q
+		}
 	}
-	h.Buckets["le=+Inf"] = s.Count
-	return h
+	return out
 }
 
 // Snapshot returns every family's current value as a JSON-marshalable
 // map: plain instruments map name -> value, labeled families map
-// name -> {"label=value,...": value}, histograms to
-// {count, sum, buckets}. A nil registry yields an empty map.
+// name -> {"label=value,...": value}, sample windows to
+// {count, sum, quantiles}. A nil registry yields an empty map.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	if r == nil {
@@ -146,9 +146,7 @@ func (r *Registry) Snapshot() map[string]any {
 			out[m.name] = m.intFn()
 		case kindGaugeFunc:
 			out[m.name] = m.floatFn()
-		case kindHistogram:
-			out[m.name] = histJSON(m.hist.Snapshot())
-		case kindCounterVec, kindGaugeVec, kindHistogramVec:
+		case kindCounterVec, kindGaugeVec, kindSampleVec:
 			kids := make(map[string]any)
 			for _, c := range m.vec.sorted() {
 				key := childKey(m.vec.labels, c.values)
@@ -158,7 +156,7 @@ func (r *Registry) Snapshot() map[string]any {
 				case kindGaugeVec:
 					kids[key] = c.gauge.Value()
 				default:
-					kids[key] = histJSON(c.hist.Snapshot())
+					kids[key] = summaryOf(c.sample)
 				}
 			}
 			out[m.name] = kids

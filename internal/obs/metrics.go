@@ -2,11 +2,12 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"buanalysis/internal/stats"
 )
 
 // Counter is a monotonically increasing int64. All methods are nil-safe
@@ -60,95 +61,18 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram counts observations into a fixed cumulative bucket layout
-// (Prometheus-style: each bucket counts observations <= its upper
-// bound, with an implicit +Inf bucket). Observe is lock-free — one
-// atomic add on the bucket, one on the count, and a CAS loop on the
-// float sum — and nil-safe.
-type Histogram struct {
-	bounds  []float64 // strictly increasing upper bounds, +Inf implicit
-	counts  []int64   // atomic; len(bounds)+1, last is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// DefBuckets is a general-purpose latency layout in seconds.
-var DefBuckets = []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly increasing")
-		}
-	}
-	bs := append([]float64(nil), bounds...)
-	return &Histogram{bounds: bs, counts: make([]int64, len(bs)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// Linear scan: bucket layouts are short (tens of entries) and the
-	// scan is branch-predictable, beating binary search at this size.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	atomic.AddInt64(&h.counts[i], 1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// HistogramSnapshot is a consistent-enough copy of a histogram for
-// exposition: per-bucket cumulative counts, total count, and sum.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Cumulative[i] counts
-	// observations <= Bounds[i]. Cumulative has one extra entry for
-	// +Inf, equal to Count.
-	Bounds     []float64
-	Cumulative []int64
-	Count      int64
-	Sum        float64
-}
-
-// Snapshot returns the histogram's current state (zero value on nil).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Bounds:     h.bounds,
-		Cumulative: make([]int64, len(h.counts)),
-		Sum:        math.Float64frombits(h.sumBits.Load()),
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += atomic.LoadInt64(&h.counts[i])
-		s.Cumulative[i] = cum
-	}
-	s.Count = s.Cumulative[len(s.Cumulative)-1]
-	return s
-}
-
-// Sample is a fixed-capacity ring of float64 observations, retaining
-// the most recent window for exact quantiles (the /statsz latency
-// blocks). Nil-safe.
+// Sample is a fixed-capacity ring of float64 observations: it retains
+// the most recent window for exact quantiles and keeps the lifetime
+// count and sum of every observation. It is the registry's one latency
+// instrument (SampleVec exposes it as a summary) and backs the /statsz
+// latency blocks. Nil-safe.
 type Sample struct {
 	mu      sync.Mutex
 	buf     []float64
 	pos     int
 	wrapped bool
+	count   int64
+	sum     float64
 }
 
 // NewSample returns a ring retaining the last n observations.
@@ -159,7 +83,8 @@ func NewSample(n int) *Sample {
 	return &Sample{buf: make([]float64, n)}
 }
 
-// Observe records one value, evicting the oldest once full.
+// Observe records one value, evicting the oldest from the window once
+// full.
 func (s *Sample) Observe(v float64) {
 	if s == nil {
 		return
@@ -171,6 +96,8 @@ func (s *Sample) Observe(v float64) {
 		s.pos = 0
 		s.wrapped = true
 	}
+	s.count++
+	s.sum += v
 	s.mu.Unlock()
 }
 
@@ -189,6 +116,43 @@ func (s *Sample) Snapshot() []float64 {
 	return append([]float64(nil), s.buf[:n]...)
 }
 
+// Totals returns how many values were ever observed and their sum,
+// evicted ones included (zero on nil).
+func (s *Sample) Totals() (count int64, sum float64) {
+	if s == nil {
+		return 0, 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count, s.sum
+}
+
+// summaryQuantiles are the quantiles a summary reports over its window.
+var summaryQuantiles = []float64{0.5, 0.95, 0.99}
+
+// quantiles returns the window's summaryQuantiles (zeros when empty).
+func quantiles(window []float64) []float64 {
+	qs, _ := stats.Quantiles(window, summaryQuantiles...)
+	return qs
+}
+
+// Latency is the exact-quantile block of a window of durations
+// observed in seconds, reported in milliseconds: the latency entry of
+// every /statsz endpoint and /jobs/statsz kind.
+type Latency struct {
+	Samples int     `json:"samples"`
+	P50ms   float64 `json:"p50_ms"`
+	P95ms   float64 `json:"p95_ms"`
+	P99ms   float64 `json:"p99_ms"`
+}
+
+// Latency summarizes the retained window (zero on nil or empty).
+func (s *Sample) Latency() Latency {
+	window := s.Snapshot()
+	qs := quantiles(window)
+	return Latency{Samples: len(window), P50ms: qs[0] * 1e3, P95ms: qs[1] * 1e3, P99ms: qs[2] * 1e3}
+}
+
 // --- registry ---
 
 type metricKind int
@@ -196,12 +160,11 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
 	kindCounterVec
 	kindGaugeVec
-	kindHistogramVec
+	kindSampleVec
 )
 
 func (k metricKind) promType() string {
@@ -211,7 +174,7 @@ func (k metricKind) promType() string {
 	case kindGauge, kindGaugeFunc, kindGaugeVec:
 		return "gauge"
 	default:
-		return "histogram"
+		return "summary"
 	}
 }
 
@@ -222,7 +185,6 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	intFn   func() int64
 	floatFn func() float64
 	vec     *vec
@@ -298,17 +260,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).gauge
 }
 
-// Histogram registers (or returns the existing) histogram with the
-// given bucket upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, kindHistogram, func() *metric {
-		return &metric{hist: newHistogram(bounds)}
-	}).hist
-}
-
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the bridge for components that already keep their
 // own atomic counters (the experiment store's Stats).
@@ -337,7 +288,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 type vec struct {
 	mu     sync.Mutex
 	labels []string
-	bounds []float64 // histogram vecs only
+	window int // sample vecs only
 	kids   map[string]*vecChild
 }
 
@@ -345,10 +296,10 @@ type vecChild struct {
 	values  []string
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
+	sample  *Sample
 }
 
-func newVec(labels []string, bounds []float64) *vec {
+func newVec(labels []string, window int) *vec {
 	if len(labels) == 0 {
 		panic("obs: labeled family needs at least one label")
 	}
@@ -357,7 +308,7 @@ func newVec(labels []string, bounds []float64) *vec {
 			panic(fmt.Sprintf("obs: invalid label name %q", l))
 		}
 	}
-	return &vec{labels: labels, bounds: bounds, kids: make(map[string]*vecChild)}
+	return &vec{labels: labels, window: window, kids: make(map[string]*vecChild)}
 }
 
 func (v *vec) child(values []string, build func(*vecChild)) *vecChild {
@@ -400,7 +351,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 		return nil
 	}
 	m := r.register(name, help, kindCounterVec, func() *metric {
-		return &metric{vec: newVec(labels, nil)}
+		return &metric{vec: newVec(labels, 0)}
 	})
 	return &CounterVec{v: m.vec}
 }
@@ -423,7 +374,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		return nil
 	}
 	m := r.register(name, help, kindGaugeVec, func() *metric {
-		return &metric{vec: newVec(labels, nil)}
+		return &metric{vec: newVec(labels, 0)}
 	})
 	return &GaugeVec{v: m.vec}
 }
@@ -436,27 +387,28 @@ func (gv *GaugeVec) With(values ...string) *Gauge {
 	return gv.v.child(values, func(c *vecChild) { c.gauge = &Gauge{} }).gauge
 }
 
-// HistogramVec is a histogram family keyed by label values; all
-// children share one bucket layout.
-type HistogramVec struct{ v *vec }
+// SampleVec is a family of Sample windows keyed by label values,
+// exposed as a Prometheus summary: quantiles over each child's window
+// plus its lifetime _sum and _count.
+type SampleVec struct{ v *vec }
 
-// HistogramVec registers (or returns the existing) labeled histogram
-// family with the given bucket bounds (nil selects DefBuckets).
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+// SampleVec registers (or returns the existing) labeled summary family
+// whose children each retain the last window observations.
+func (r *Registry) SampleVec(name, help string, window int, labels ...string) *SampleVec {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, help, kindHistogramVec, func() *metric {
-		return &metric{vec: newVec(labels, bounds)}
+	m := r.register(name, help, kindSampleVec, func() *metric {
+		return &metric{vec: newVec(labels, window)}
 	})
-	return &HistogramVec{v: m.vec}
+	return &SampleVec{v: m.vec}
 }
 
-// With returns the child histogram for the given label values.
-func (hv *HistogramVec) With(values ...string) *Histogram {
-	if hv == nil {
+// With returns the child window for the given label values.
+func (sv *SampleVec) With(values ...string) *Sample {
+	if sv == nil {
 		return nil
 	}
-	v := hv.v
-	return v.child(values, func(c *vecChild) { c.hist = newHistogram(v.bounds) }).hist
+	v := sv.v
+	return v.child(values, func(c *vecChild) { c.sample = NewSample(v.window) }).sample
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"regexp"
 	"strings"
@@ -51,24 +53,36 @@ func TestInvalidNamePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "", []float64{1, 2, 4})
+// TestSampleTotals: a window keeps the last n values for its quantiles,
+// while its count and sum cover every value ever observed.
+func TestSampleTotals(t *testing.T) {
+	s := NewRegistry().SampleVec("lat_seconds", "", 3, "endpoint").With("a")
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
-		h.Observe(v)
+		s.Observe(v)
 	}
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Errorf("count = %d, want 5", s.Count)
+	count, sum := s.Totals()
+	if count != 5 {
+		t.Errorf("count = %d, want 5", count)
 	}
-	if math.Abs(s.Sum-106) > 1e-12 {
-		t.Errorf("sum = %g, want 106", s.Sum)
+	if math.Abs(sum-106) > 1e-12 {
+		t.Errorf("sum = %g, want 106", sum)
 	}
-	// Cumulative: <=1: {0.5, 1} = 2; <=2: +1.5 = 3; <=4: +3 = 4; +Inf: 5.
-	want := []int64{2, 3, 4, 5}
-	for i, w := range want {
-		if s.Cumulative[i] != w {
-			t.Errorf("cumulative[%d] = %d, want %d", i, s.Cumulative[i], w)
+	// The window holds {1.5, 3, 100}: p50 is 3 s, p95 and p99
+	// interpolate between 3 and 100.
+	l := s.Latency()
+	if l.Samples != 3 {
+		t.Errorf("latency samples = %d, want 3", l.Samples)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p50", l.P50ms, 3000},
+		{"p95", l.P95ms, (3 + 0.9*97) * 1e3},
+		{"p99", l.P99ms, (3 + 0.98*97) * 1e3},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9*c.want {
+			t.Errorf("%s = %v ms, want %v", c.name, c.got, c.want)
 		}
 	}
 }
@@ -82,10 +96,10 @@ func TestVecFamilies(t *testing.T) {
 	if got := cv.With("a").Value(); got != 3 {
 		t.Errorf(`req_total{endpoint="a"} = %d, want 3`, got)
 	}
-	hv := r.HistogramVec("dur_seconds", "", []float64{1}, "endpoint")
-	hv.With("a").Observe(0.5)
-	if got := hv.With("a").Snapshot().Count; got != 1 {
-		t.Errorf("histogram child count = %d, want 1", got)
+	sv := r.SampleVec("dur_seconds", "", 8, "endpoint")
+	sv.With("a").Observe(0.5)
+	if got, _ := sv.With("a").Totals(); got != 1 {
+		t.Errorf("sample child count = %d, want 1", got)
 	}
 	snap := r.Snapshot()
 	kids, ok := snap["req_total"].(map[string]any)
@@ -94,6 +108,10 @@ func TestVecFamilies(t *testing.T) {
 	}
 	if kids["endpoint=a"] != int64(3) {
 		t.Errorf("snapshot child = %v, want 3", kids["endpoint=a"])
+	}
+	want := summaryJSON{Count: 1, Sum: 0.5, Quantiles: map[string]float64{"0.5": 0.5, "0.95": 0.5, "0.99": 0.5}}
+	if got := snap["dur_seconds"].(map[string]any)["endpoint=a"]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("snapshot sample child = %v, want %v", got, want)
 	}
 }
 
@@ -119,7 +137,11 @@ func TestWritePrometheusValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "plain counter").Add(3)
 	r.Gauge("g", "a gauge\nwith newline").Set(-2)
-	r.Histogram("h_seconds", "hist", []float64{0.1, 1}).Observe(0.5)
+	sv := r.SampleVec("s_seconds", "summary", 128, "endpoint")
+	for i := 0; i <= 100; i++ {
+		sv.With("GET /x").Observe(float64(i))
+	}
+	sv.With("idle") // an empty window: no quantile lines
 	r.CounterVec("v_total", "vec", "endpoint").With(`GET /x`).Inc()
 	r.GaugeFunc("gf", "", func() float64 { return 1.5 })
 
@@ -140,16 +162,29 @@ func TestWritePrometheusValid(t *testing.T) {
 	}
 	for _, want := range []string{
 		"c_total", "g", "gf",
-		`h_seconds_bucket{le="0.1"}`, `h_seconds_bucket{le="+Inf"}`,
-		"h_seconds_sum", "h_seconds_count",
+		`s_seconds_sum{endpoint="idle"}`, `s_seconds_count{endpoint="idle"}`,
 		`v_total{endpoint="GET /x"}`,
 	} {
 		if !seen[want] {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if !strings.Contains(text, "# TYPE h_seconds histogram") {
-		t.Error("missing histogram TYPE line")
+	// The summary: quantiles over the window, then the lifetime sum and
+	// count.
+	for _, want := range []string{
+		"# TYPE s_seconds summary\n",
+		`s_seconds{endpoint="GET /x",quantile="0.5"} 50` + "\n",
+		`s_seconds{endpoint="GET /x",quantile="0.95"} 95` + "\n",
+		`s_seconds{endpoint="GET /x",quantile="0.99"} 99` + "\n",
+		`s_seconds_sum{endpoint="GET /x"} 5050` + "\n",
+		`s_seconds_count{endpoint="GET /x"} 101` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `s_seconds{endpoint="idle"`) {
+		t.Errorf("empty window exposed quantiles:\n%s", text)
 	}
 	if strings.Contains(text, "with newline") && !strings.Contains(text, `\n`) {
 		t.Error("help newline not escaped")
@@ -160,10 +195,9 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("y", "")
-	h := r.Histogram("z", "", nil)
 	cv := r.CounterVec("v", "", "l")
 	gv := r.GaugeVec("w", "", "l")
-	hv := r.HistogramVec("u", "", nil, "l")
+	sv := r.SampleVec("u", "", 8, "l")
 	var s *Sample
 	r.CounterFunc("f", "", nil)
 	r.GaugeFunc("f2", "", nil)
@@ -173,12 +207,12 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	c.Add(3)
 	g.Set(1)
 	g.Add(-1)
-	h.Observe(1)
 	cv.With("a").Inc()
 	gv.With("a").Set(2)
-	hv.With("a").Observe(1)
+	sv.With("a").Observe(1)
 	s.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || s.Snapshot() != nil {
+	count, sum := s.Totals()
+	if c.Value() != 0 || g.Value() != 0 || s.Snapshot() != nil || count != 0 || sum != 0 || s.Latency() != (Latency{}) {
 		t.Error("nil instruments reported nonzero state")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -214,9 +248,8 @@ func TestConcurrentHammering(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ham_total", "")
 	g := r.Gauge("ham_gauge", "")
-	h := r.Histogram("ham_seconds", "", nil)
 	cv := r.CounterVec("ham_vec_total", "", "worker")
-	sample := NewSample(128)
+	sv := r.SampleVec("ham_seconds", "", 128, "worker")
 	ring := NewRingSink(128)
 	sink := NewJSONLSink(&strings.Builder{})
 
@@ -231,13 +264,14 @@ func TestConcurrentHammering(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				g.Add(-1)
-				h.Observe(float64(i%10) / 10)
 				cv.With(labels[i%len(labels)]).Inc()
-				sample.Observe(float64(i))
+				sv.With(labels[i%len(labels)]).Observe(float64(i%10) / 10)
 				ring.Emit(Event{Kind: "ham", Iter: i})
 				if i%100 == 0 {
 					sink.Emit(Event{Kind: "ham", Iter: i})
-					_ = r.Snapshot() // concurrent reads while writing
+					// Concurrent reads while writing.
+					_ = r.Snapshot()
+					_ = r.WritePrometheus(io.Discard)
 				}
 			}
 		}(w)
@@ -250,15 +284,17 @@ func TestConcurrentHammering(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
-	if got := h.Snapshot().Count; got != workers*per {
-		t.Errorf("histogram count = %d, want %d", got, workers*per)
-	}
-	total := int64(0)
+	total, observed := int64(0), int64(0)
 	for _, l := range labels {
 		total += cv.With(l).Value()
+		n, _ := sv.With(l).Totals()
+		observed += n
 	}
 	if total != workers*per {
 		t.Errorf("vec total = %d, want %d", total, workers*per)
+	}
+	if observed != workers*per {
+		t.Errorf("sample count = %d, want %d", observed, workers*per)
 	}
 	if got := ring.Total(); got != workers*per {
 		t.Errorf("ring total = %d, want %d", got, workers*per)

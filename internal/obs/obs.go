@@ -1,16 +1,19 @@
 // Package obs is the repository's observability layer: a
-// concurrency-safe metrics registry (counters, gauges, histograms,
-// labeled families) with Prometheus text and JSON exposition, and a
-// structured trace/event layer the solvers and simulators emit
-// convergence and simulation events through.
+// concurrency-safe metrics registry (counters, gauges, labeled
+// families, and sample windows as the one latency instrument) with
+// Prometheus text and JSON exposition, and a structured trace/event
+// layer the solvers and simulators emit convergence and simulation
+// events through. A latency is recorded once, in a Sample: its window
+// gives /statsz its exact quantiles and /metrics its summary.
 //
-// The package is stdlib-only and designed so that instrumentation hooks
-// cost nothing when disabled: every instrument method is nil-safe (a
-// nil *Counter, *Gauge, *Histogram, *Sample or Tracer-typed nil simply
-// does nothing or, for hooks, is guarded by a nil check at the call
-// site), and the enabled paths are allocation-free. Hot loops therefore
-// carry their hooks unconditionally and stay bit-identical and within
-// noise of their uninstrumented form when observability is off.
+// The package needs nothing beyond the standard library and
+// internal/stats, and is designed so that instrumentation hooks cost
+// nothing when disabled: every instrument method is nil-safe (a nil
+// *Counter, *Gauge, *Sample or Tracer-typed nil simply does nothing
+// or, for hooks, is guarded by a nil check at the call site), and the
+// enabled paths are allocation-free. Hot loops therefore carry their
+// hooks unconditionally and stay bit-identical and within noise of
+// their uninstrumented form when observability is off.
 package obs
 
 // Event is one structured observation. A single flat record type is

@@ -111,7 +111,6 @@ func TestMultiTracer(t *testing.T) {
 func TestDisabledHooksAllocationFree(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var s *Sample
 	var tr Tracer
 
@@ -120,7 +119,6 @@ func TestDisabledHooksAllocationFree(t *testing.T) {
 		c.Add(2)
 		g.Set(1)
 		g.Add(1)
-		h.Observe(0.5)
 		s.Observe(0.5)
 		if tr != nil {
 			tr.Emit(Event{Kind: "solver.iter"})
@@ -132,12 +130,10 @@ func TestDisabledHooksAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	ec := r.Counter("alloc_total", "")
 	eg := r.Gauge("alloc_gauge", "")
-	eh := r.Histogram("alloc_seconds", "", nil)
-	es := NewSample(64)
+	es := r.SampleVec("alloc_seconds", "", 64, "endpoint").With("a")
 	if n := testing.AllocsPerRun(100, func() {
 		ec.Inc()
 		eg.Add(1)
-		eh.Observe(0.5)
 		es.Observe(0.5)
 	}); n != 0 {
 		t.Errorf("enabled instruments allocate %v/op, want 0", n)

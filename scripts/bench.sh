@@ -6,7 +6,7 @@
 #
 # Emits BENCH_expstore.json (cold solve latency, warm hit latency for
 # the memory and disk layers, hit-path throughput), BENCH_obs.json
-# (disabled-tracer hook overhead, counter and histogram throughput,
+# (disabled-tracer hook overhead, counter and sample-window throughput,
 # ring-sink emit cost, with allocation counts — the disabled path must
 # be 0 allocs/op), and BENCH_solver.json (the Table-2 sweep solved cold
 # vs warm-chained — same grids, independent SolveOne cells vs the
