@@ -402,12 +402,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) (cacheOutco
 	return s.solve(w, r, expstore.BUSolveSpec{Params: params, RatioTol: ratioTol, Epsilon: epsilon})
 }
 
-// solve answers one artifact from the store. The request context rides
-// into the solve-budget wait: a client that disconnects while queued
-// releases its budget slot instead of burning it on an answer nobody
-// reads.
+// solve answers one artifact from the store with its stored bytes,
+// never decoding them. The request context rides into the solve-budget
+// wait: a client that disconnects while queued releases its budget slot
+// instead of burning it on an answer nobody reads.
 func (s *server) solve(w http.ResponseWriter, r *http.Request, spec expstore.Spec) (cacheOutcome, error) {
-	_, blob, hit, err := expstore.Solve[json.RawMessage](r.Context(), s.store, spec, nil)
+	blob, hit, err := expstore.SolveBlob(r.Context(), s.store, spec, nil)
 	if err != nil {
 		return outcomeNone, s.solveError(w, err)
 	}

@@ -243,6 +243,37 @@ func TestSolveBadParams(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsBadTolerances: a negative, NaN or infinite ratio_tol
+// or epsilon answers 400 at once, and no solve runs for it. (A negative
+// epsilon used to hold a solve slot until policy iteration gave up.)
+func TestSolveRejectsBadTolerances(t *testing.T) {
+	_, ts := newTestServer(t)
+	client := &http.Client{Timeout: time.Second}
+	for _, tol := range []string{
+		"epsilon=-1e-8", "ratio_tol=-1",
+		"epsilon=NaN", "epsilon=Inf", "epsilon=-Inf",
+		"ratio_tol=NaN", "ratio_tol=Inf", "ratio_tol=-Inf",
+	} {
+		resp, err := client.Get(ts.URL + "/solve?alpha=0.1&ratio=1:1&setting=1&" + tol)
+		if err != nil {
+			t.Errorf("%s: %v", tol, err)
+			continue
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (body %s)", tol, resp.StatusCode, body)
+		}
+	}
+	var st statszResponse
+	if _, body := get(t, ts.URL+"/statsz"); json.Unmarshal(body, &st) != nil {
+		t.Fatalf("bad /statsz: %s", body)
+	}
+	if st.Store.Solves != 0 {
+		t.Errorf("/statsz counts %d solves, want 0", st.Store.Solves)
+	}
+}
+
 // TestSweepTableMatchesDirect proves the served table equals the
 // formatting of a direct core sweep, and that the warm pass is a hit.
 func TestSweepTableMatchesDirect(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"sync/atomic"
 
 	"buanalysis/internal/bitcoin"
@@ -83,28 +85,74 @@ func DecodeSpec(kind string, raw []byte) (Spec, error) {
 // Store.GetOrComputeCtx). A miss computes with tr observing its
 // solvers; tr affects neither the key nor the bytes, and a hit emits no
 // solver events.
+//
+// A hit decodes a memory entry's bytes once, on the entry's first
+// Solve, and every later hit returns that same record, so returned
+// records are shared: treat them, and any slice or map they hold, as
+// read-only. A miss returns a record of its own.
 func Solve[R any](ctx context.Context, st *Store, spec Spec, tr obs.Tracer) (rec R, blob []byte, hit bool, err error) {
+	blob, e, err := solveEntry(ctx, st, spec, tr)
+	if err != nil {
+		return rec, nil, false, err
+	}
+	if e != nil {
+		rec, err = entryRecord[R](e)
+	} else {
+		err = json.Unmarshal(blob, &rec)
+	}
+	if err != nil {
+		var zero R
+		return zero, nil, false, fmt.Errorf("expstore: decoding %s record: %w", spec.Kind(), err)
+	}
+	return rec, blob, e != nil, nil
+}
+
+// SolveBlob is Solve without the decode: the stored bytes and whether
+// the store already had them. It is what serving a blob verbatim needs.
+func SolveBlob(ctx context.Context, st *Store, spec Spec, tr obs.Tracer) (blob []byte, hit bool, err error) {
+	blob, e, err := solveEntry(ctx, st, spec, tr)
+	return blob, e != nil, err
+}
+
+// solveEntry derives spec's key and answers it from the store, with the
+// memory entry that answered a hit (nil on a miss).
+func solveEntry(ctx context.Context, st *Store, spec Spec, tr obs.Tracer) ([]byte, *memEntry, error) {
 	key, err := spec.Key()
 	if err != nil {
-		return rec, nil, false, err
+		return nil, nil, err
 	}
-	blob, hit, err = st.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
+	return st.getOrCompute(ctx, key, func() ([]byte, error) {
 		return spec.Compute(tr)
 	})
-	if err != nil {
-		return rec, nil, false, err
+}
+
+// entryRecord returns e's bytes decoded as R: decoded on the entry's
+// first call and shared by every later one.
+func entryRecord[R any](e *memEntry) (R, error) {
+	e.once.Do(func() {
+		var r R
+		if json.Unmarshal(e.blob, &r) == nil {
+			e.rec = r
+		}
+	})
+	if r, ok := e.rec.(R); ok {
+		return r, nil
 	}
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		var zero R
-		return zero, nil, false, fmt.Errorf("expstore: decoding %s: %w", key, err)
-	}
-	return rec, blob, hit, nil
+	// The bytes did not decode, or were kept as another record type.
+	var r R
+	err := json.Unmarshal(e.blob, &r)
+	return r, err
 }
 
 // BUSolveSpec describes one BU attack MDP solve (kind "busolve"): the
 // MDP parameters and the tolerances that shape the result. The other
 // bumdp.SolveOptions fields never change a result, so they are no part
 // of it and cannot split the cache.
+//
+// Key writes the spec's canonical encoding field by field
+// (appendCanonical), so a field added here or to bumdp.Params must be
+// added to that encoder too; TestBUSolveKeyCoversEveryField fails until
+// it is.
 type BUSolveSpec struct {
 	Params   bumdp.Params `json:"params"`
 	RatioTol float64      `json:"ratio_tol"`
@@ -131,19 +179,60 @@ func (BUSolveSpec) Kind() string { return KindBUSolve }
 
 func (s BUSolveSpec) Normalized() (Spec, error) { return s.normalized() }
 
+// normalized applies the defaults and validates the spec. Every path
+// to a busolve artifact (/solve, farm enqueue, verify) goes through it,
+// so a tolerance that is not positive and finite is refused here,
+// before any solve runs.
 func (s BUSolveSpec) normalized() (BUSolveSpec, error) {
 	p, err := s.Params.Normalized()
 	o := bumdp.SolveOptions{RatioTol: s.RatioTol, Epsilon: s.Epsilon}.Normalized()
-	return BUSolveSpec{Params: p, RatioTol: o.RatioTol, Epsilon: o.Epsilon}, err
+	n := BUSolveSpec{Params: p, RatioTol: o.RatioTol, Epsilon: o.Epsilon}
+	if err == nil && !(n.RatioTol > 0 && n.RatioTol <= math.MaxFloat64 && n.Epsilon > 0 && n.Epsilon <= math.MaxFloat64) {
+		err = fmt.Errorf("expstore: busolve ratio_tol %g and epsilon %g must be positive and finite", n.RatioTol, n.Epsilon)
+	}
+	return n, err
 }
 
-// Key hashes the normalized spec.
+// Key hashes the normalized spec. Every /solve request and every sweep
+// cell derives a busolve key, so it is encoded directly rather than
+// through canonicalJSON, to the same bytes.
 func (s BUSolveSpec) Key() (string, error) {
 	n, err := s.normalized()
 	if err != nil {
 		return "", err
 	}
-	return Key(KindBUSolve, n)
+	msg, err := n.appendCanonical(appendKeyPrefix(make([]byte, 0, 384), KindBUSolve, Version))
+	if err != nil {
+		return "", fmt.Errorf("expstore: encoding %s params: %w", KindBUSolve, err)
+	}
+	return keyOf(KindBUSolve, msg), nil
+}
+
+// appendCanonical appends canonicalJSON(s): the members in
+// appendSorted's byte order, the numbers in encoding/json's text. Like
+// json.Marshal it refuses a non-finite float.
+func (s BUSolveSpec) appendCanonical(b []byte) ([]byte, error) {
+	p := s.Params
+	for _, f := range [...]float64{s.Epsilon, s.RatioTol, p.Alpha, p.Beta, p.Gamma, p.DoubleSpendReward} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("unsupported value %g", f)
+		}
+	}
+	b = appendJSONFloat(append(b, `{"epsilon":`...), s.Epsilon)
+	b = strconv.AppendInt(append(b, `,"params":{"AD":`...), int64(p.AD), 10)
+	b = strconv.AppendInt(append(b, `,"ADBob":`...), int64(p.ADBob), 10)
+	b = strconv.AppendInt(append(b, `,"ADCarol":`...), int64(p.ADCarol), 10)
+	b = appendJSONFloat(append(b, `,"Alpha":`...), p.Alpha)
+	b = appendJSONFloat(append(b, `,"Beta":`...), p.Beta)
+	b = strconv.AppendInt(append(b, `,"DSConvention":`...), int64(p.DSConvention), 10)
+	b = strconv.AppendInt(append(b, `,"DSLag":`...), int64(p.DSLag), 10)
+	b = appendJSONFloat(append(b, `,"DoubleSpendReward":`...), p.DoubleSpendReward)
+	b = appendJSONFloat(append(b, `,"Gamma":`...), p.Gamma)
+	b = strconv.AppendInt(append(b, `,"GateWindow":`...), int64(p.GateWindow), 10)
+	b = strconv.AppendInt(append(b, `,"Model":`...), int64(p.Model), 10)
+	b = strconv.AppendInt(append(b, `,"Setting":`...), int64(p.Setting), 10)
+	b = appendJSONFloat(append(b, `},"ratio_tol":`...), s.RatioTol)
+	return append(b, '}'), nil
 }
 
 // Compute solves the instance and encodes its BUSolveRecord.

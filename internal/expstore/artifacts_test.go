@@ -3,13 +3,17 @@ package expstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
+	"buanalysis/internal/obs"
 )
 
 // fastOpts keeps artifact tests quick; the values are still well inside
@@ -90,6 +94,123 @@ func TestSolveBUDiskRoundTripExact(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != 1 || st.Solves != 0 {
 		t.Errorf("stats after disk hit: %+v", st)
+	}
+}
+
+// TestSolveConcurrentHitsShareRecord: concurrent hits on one key, the
+// first of which decodes the entry's record while the others wait or
+// read it, all return the record the miss returned (run under -race).
+func TestSolveConcurrentHitsShareRecord(t *testing.T) {
+	s := mustOpen(t, Config{})
+	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375}
+	want, _, _, err := solveBU(s, p, fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]BUSolveRecord, 8)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, _, hit, err := solveBU(s, p, fastOpts)
+			if err != nil || !hit {
+				t.Errorf("hit %d: hit=%v err=%v", i, hit, err)
+			}
+			recs[i] = rec
+		}()
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		if rec != want {
+			t.Errorf("hit %d returned %+v, the miss %+v", i, rec, want)
+		}
+	}
+}
+
+// blobSpec is an artifact with fixed bytes under a fixed key, for store
+// paths that need no solver.
+type blobSpec struct {
+	key  string
+	blob string
+}
+
+func (blobSpec) Kind() string                         { return "test" }
+func (s blobSpec) Normalized() (Spec, error)          { return s, nil }
+func (s blobSpec) Key() (string, error)               { return s.key, nil }
+func (s blobSpec) Compute(obs.Tracer) ([]byte, error) { return []byte(s.blob), nil }
+
+// countedRecord is a record that counts how often it is decoded.
+type countedRecord struct{ V int }
+
+var countedDecodes atomic.Int64
+
+func (r *countedRecord) UnmarshalJSON(b []byte) error {
+	countedDecodes.Add(1)
+	type plain countedRecord
+	return json.Unmarshal(b, (*plain)(r))
+}
+
+func solveCounted(t *testing.T, s *Store, spec blobSpec) countedRecord {
+	t.Helper()
+	rec, _, _, err := Solve[countedRecord](context.Background(), s, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestSolveDecodesEachEntryOnce: a miss decodes its own bytes, the
+// first memory hit decodes the entry's, and later hits decode nothing.
+// An entry that was evicted and read again from disk is a new entry and
+// is decoded afresh.
+func TestSolveDecodesEachEntryOnce(t *testing.T) {
+	s := mustOpen(t, Config{Dir: t.TempDir(), MemEntries: 1})
+	a := blobSpec{key: "test-a", blob: `{"V":1}`}
+	b := blobSpec{key: "test-b", blob: `{"V":2}`}
+	start := countedDecodes.Load()
+	for i, step := range []struct {
+		spec    blobSpec
+		v       int
+		decodes int64
+	}{
+		{a, 1, 1}, // miss
+		{a, 1, 2}, // first memory hit
+		{a, 1, 2},
+		{a, 1, 2},
+		{b, 2, 3}, // miss, evicts a
+		{a, 1, 4}, // disk hit: a new entry
+		{a, 1, 4},
+	} {
+		if rec := solveCounted(t, s, step.spec); rec.V != step.v {
+			t.Fatalf("step %d: record %+v, want V=%d", i, rec, step.v)
+		}
+		if got := countedDecodes.Load() - start; got != step.decodes {
+			t.Fatalf("step %d: %d decodes so far, want %d", i, got, step.decodes)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 2 || st.DiskHits != 1 {
+		t.Errorf("stats %+v, want 2 evictions and 1 disk hit", st)
+	}
+}
+
+// TestSolveRecordFollowsPut: once Put replaces a key's bytes, a hit
+// returns the new bytes' record, never the one decoded from the old.
+func TestSolveRecordFollowsPut(t *testing.T) {
+	s := mustOpen(t, Config{})
+	spec := blobSpec{key: "test-put", blob: `{"V":1}`}
+	solveCounted(t, s, spec)
+	if rec := solveCounted(t, s, spec); rec.V != 1 {
+		t.Fatalf("hit record %+v, want V=1", rec)
+	}
+	if err := s.Put(spec.key, []byte(`{"V":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rec, blob, hit, err := Solve[countedRecord](context.Background(), s, spec, nil)
+		if err != nil || !hit || rec.V != 2 || string(blob) != `{"V":2}` {
+			t.Fatalf("hit %d after Put: %+v %s hit=%v err=%v", i, rec, blob, hit, err)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"buanalysis/internal/bumdp"
 )
 
 // FuzzCanonicalKey fuzzes the cache-key derivation with arbitrary kinds
@@ -34,7 +36,27 @@ func FuzzCanonicalKey(f *testing.F) {
 		Alpha float64 `json:"alpha"`
 	}
 
+	f.Add("busolve", 1e-7, int64(math.Float64bits(1e21)), "e-form floats", false)
+	f.Add("busolve", math.Copysign(0, -1), int64(math.Float64bits(5e-324)), "", true)
+
 	f.Fuzz(func(t *testing.T, kind string, alpha float64, ad int64, model string, gate bool) {
+		// The direct busolve encoder writes canonicalJSON's bytes for
+		// any field values, also ones normalized would refuse.
+		bs := BUSolveSpec{
+			Params: bumdp.Params{
+				Alpha: alpha, Beta: -alpha, Gamma: math.Float64frombits(uint64(ad)),
+				AD: int(ad), ADBob: int(ad >> 9), ADCarol: -int(ad), Setting: bumdp.Setting(ad % 3),
+				Model: bumdp.IncentiveModel(len(model)), GateWindow: len(kind), DoubleSpendReward: alpha * 1e-300,
+				DSLag: int(ad >> 40), DSConvention: bumdp.DSConvention(ad % 2),
+			},
+			RatioTol: float64(ad), Epsilon: alpha / 7,
+		}
+		direct, errD := bs.appendCanonical(nil)
+		ref, errR := canonicalJSON(bs)
+		if (errD == nil) != (errR == nil) || !bytes.Equal(direct, ref) {
+			t.Fatalf("busolve encoder %s (%v), canonicalJSON %s (%v)", direct, errD, ref, errR)
+		}
+
 		p := fwd{Alpha: alpha, AD: ad, Model: model, Gate: gate}
 		k1, err1 := Key(kind, p)
 

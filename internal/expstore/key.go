@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -81,9 +82,42 @@ func keyAt(kind string, version int, params any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("expstore: encoding %s params: %w", kind, err)
 	}
-	msg := strconv.AppendInt(append(append(make([]byte, 0, len(kind)+8+len(blob)), kind...), "|v"...), int64(version), 10)
-	sum := sha256.Sum256(append(append(msg, '|'), blob...))
-	return kind + "-" + hex.EncodeToString(sum[:20]), nil
+	msg := appendKeyPrefix(make([]byte, 0, len(kind)+8+len(blob)), kind, version)
+	return keyOf(kind, append(msg, blob...)), nil
+}
+
+// appendKeyPrefix appends the start of a key's hashed message: the kind
+// and the version stamp, each followed by '|'. The canonical encoding of
+// the parameters follows it.
+func appendKeyPrefix(msg []byte, kind string, version int) []byte {
+	msg = strconv.AppendInt(append(append(msg, kind...), "|v"...), int64(version), 10)
+	return append(msg, '|')
+}
+
+// keyOf is the key of a whole hashed message: the kind, '-', and the
+// first 20 bytes of the message's SHA-256 in hex.
+func keyOf(kind string, msg []byte) string {
+	sum := sha256.Sum256(msg)
+	var h [40]byte
+	hex.Encode(h[:], sum[:20])
+	return kind + "-" + string(h[:])
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest text that round-trips, in 'e' form with an unpadded exponent
+// outside [1e-6, 1e21). f must be finite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		// e-07 becomes e-7.
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // canonicalJSON encodes v deterministically: json.Marshal's compact

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"buanalysis/internal/bitcoin"
@@ -81,6 +83,73 @@ func TestCanonicalJSONMatchesReparse(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("value %d:\n got %s\nwant %s", i, got, want)
 		}
+	}
+}
+
+// TestBUSolveKeyCoversEveryField sets each field of BUSolveSpec and of
+// bumdp.Params, one at a time, to a value other than its default and
+// requires the busolve key to move and to equal keyAt over
+// canonicalJSON. A field that appendCanonical does not write fails
+// here.
+func TestBUSolveKeyCoversEveryField(t *testing.T) {
+	base, err := BUSolveSpec{Params: bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375}}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseKey, err := base.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields [][]int
+	var walk func(typ reflect.Type, at []int)
+	walk = func(typ reflect.Type, at []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			idx := append(slices.Clip(at), i)
+			if f := typ.Field(i); f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx)
+			} else {
+				fields = append(fields, idx)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), nil)
+	for _, idx := range fields {
+		s := base
+		f := reflect.ValueOf(&s).Elem().FieldByIndex(idx)
+		name := reflect.TypeOf(base).FieldByIndex(idx).Name
+		switch f.Kind() {
+		case reflect.Float64:
+			// A relative nudge this small keeps the power shares summing
+			// to 1 within bumdp's tolerance.
+			if x := f.Float(); x == 0 {
+				f.SetFloat(0.5)
+			} else {
+				f.SetFloat(x * (1 + 1e-12))
+			}
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		default:
+			t.Fatalf("field %s has kind %s: teach BUSolveSpec.appendCanonical and this test to set it", name, f.Kind())
+		}
+		got, err := s.Key()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		n, _ := s.normalized()
+		want, err := keyAt(KindBUSolve, Version, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: direct key %s, canonicalJSON key %s", name, got, want)
+		}
+		if got == baseKey {
+			t.Errorf("%s: key did not change", name)
+		}
+	}
+	if len(fields) < 14 {
+		t.Errorf("found %d fields, want BUSolveSpec's and bumdp.Params' 14", len(fields))
 	}
 }
 
@@ -195,6 +264,22 @@ func TestKeyRejectsBadKinds(t *testing.T) {
 	for _, kind := range []string{"", "a/b", "a b", "a.b", "a\nb"} {
 		if _, err := Key(kind, 1); err == nil {
 			t.Errorf("accepted kind %q", kind)
+		}
+	}
+}
+
+// TestBUSolveSpecRejectsBadTolerances: normalized refuses a negative,
+// NaN or infinite tolerance, so no path derives a key or solves it.
+func TestBUSolveSpecRejectsBadTolerances(t *testing.T) {
+	p := bumdp.Params{Alpha: 0.25, Beta: 0.375, Gamma: 0.375}
+	for _, v := range []float64{-1e-8, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, s := range []BUSolveSpec{{Params: p, RatioTol: v}, {Params: p, Epsilon: v}} {
+			if _, err := s.Normalized(); err == nil {
+				t.Errorf("%+v normalized without error", s)
+			}
+			if _, err := s.Key(); err == nil {
+				t.Errorf("%+v derived a key", s)
+			}
 		}
 	}
 }

@@ -95,9 +95,17 @@ type Store struct {
 	evictions, budgetWaits, budgetSheds                                atomic.Int64
 }
 
+// memEntry is one memory-layer entry. It never changes its bytes:
+// replacing a key's bytes installs a new entry, so the record decoded
+// from an entry (rec) always matches them and leaves the store with
+// them, on replacement or eviction.
 type memEntry struct {
 	key  string
 	blob []byte
+	// once guards rec, blob decoded by the first Solve that hit the
+	// entry, shared read-only with every later hit.
+	once sync.Once
+	rec  any
 }
 
 // Open creates a Store. When cfg.Dir is non-empty the directory is
@@ -146,24 +154,27 @@ func (s *Store) Stats() Stats {
 // then disk, or ok = false on a miss. Corrupted disk blobs are treated
 // as misses.
 func (s *Store) Get(key string) (blob []byte, ok bool) {
-	blob, ok, _ = s.lookup(key)
-	return blob, ok
+	if e, _ := s.lookup(key); e != nil {
+		return e.blob, true
+	}
+	return nil, false
 }
 
-// lookup is Get plus the layer that answered (for hit accounting).
-func (s *Store) lookup(key string) (blob []byte, ok, fromMem bool) {
-	if blob, ok := s.memGet(key); ok {
-		return blob, true, true
+// lookup returns the entry holding key's bytes, promoting a disk blob
+// into memory, or nil on a miss. fromMem reports whether the memory
+// layer answered (for hit accounting).
+func (s *Store) lookup(key string) (e *memEntry, fromMem bool) {
+	if e := s.memGet(key); e != nil {
+		return e, true
 	}
 	if s.cfg.Dir == "" {
-		return nil, false, false
+		return nil, false
 	}
 	blob, err := s.diskGet(key)
 	if err != nil {
-		return nil, false, false
+		return nil, false
 	}
-	s.memPut(key, blob)
-	return blob, true, false
+	return s.memPut(key, blob), false
 }
 
 // Put stores a JSON blob under key in every layer. The blob is
@@ -200,20 +211,28 @@ func (s *Store) Put(key string, blob []byte) error {
 // that flight returns, which is the winner's ctx error if the winner
 // was canceled while queued.
 func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() ([]byte, error)) (blob []byte, hit bool, err error) {
-	if blob, ok, fromMem := s.lookup(key); ok {
+	blob, e, err := s.getOrCompute(ctx, key, compute)
+	return blob, e != nil, err
+}
+
+// getOrCompute is GetOrComputeCtx returning the entry that answered a
+// hit. A miss returns a nil entry: its bytes are compute's own, not the
+// compacted copy the store keeps.
+func (s *Store) getOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, *memEntry, error) {
+	if e, fromMem := s.lookup(key); e != nil {
 		s.hits.Add(1)
 		if fromMem {
 			s.memHits.Add(1)
 		} else {
 			s.diskHits.Add(1)
 		}
-		return blob, true, nil
+		return e.blob, e, nil
 	}
 	blob, err, joined := s.sf.Do(key, func() ([]byte, error) {
 		// Re-check under the flight: another caller may have filled the
 		// key between our miss and winning the singleflight slot.
-		if blob, ok, _ := s.lookup(key); ok {
-			return blob, nil
+		if e, _ := s.lookup(key); e != nil {
+			return e.blob, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -256,50 +275,54 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 		return blob, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	if joined {
 		s.shared.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	return blob, false, nil
+	return blob, nil, nil
 }
 
 // --- memory layer ---
 
-func (s *Store) memGet(key string) ([]byte, bool) {
+func (s *Store) memGet(key string) *memEntry {
 	if s.cfg.MemEntries < 0 {
-		return nil, false
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.idx[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*memEntry).blob, true
+	return el.Value.(*memEntry)
 }
 
-func (s *Store) memPut(key string, blob []byte) {
+// memPut installs a new entry for key's bytes and returns it. With the
+// memory layer disabled the entry is returned without being kept.
+func (s *Store) memPut(key string, blob []byte) *memEntry {
+	e := &memEntry{key: key, blob: blob}
 	if s.cfg.MemEntries < 0 {
-		return
+		return e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.idx[key]; ok {
-		el.Value.(*memEntry).blob = blob
+		el.Value = e
 		s.lru.MoveToFront(el)
-		return
+		return e
 	}
-	s.idx[key] = s.lru.PushFront(&memEntry{key: key, blob: blob})
+	s.idx[key] = s.lru.PushFront(e)
 	for s.lru.Len() > s.cfg.MemEntries {
 		back := s.lru.Back()
 		s.lru.Remove(back)
 		delete(s.idx, back.Value.(*memEntry).key)
 		s.evictions.Add(1)
 	}
+	return e
 }
 
 // --- disk layer ---

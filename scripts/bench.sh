@@ -5,7 +5,9 @@
 #   scripts/bench.sh [expstore.json [obs.json [solver.json [jobqueue.json]]]]
 #
 # Emits BENCH_expstore.json (cold solve latency, warm hit latency for
-# the memory and disk layers, hit-path throughput), BENCH_obs.json
+# the memory and disk layers, hit-path throughput, the busolve key's
+# cost, the bytes-only hit /solve serves, and a warm setting-1 sweep,
+# the cell path behind /sweep and /tables), BENCH_obs.json
 # (disabled-tracer hook overhead, counter and sample-window throughput,
 # ring-sink emit cost, with allocation counts — the disabled path must
 # be 0 allocs/op), and BENCH_solver.json (the Table-2 sweep solved cold

@@ -4,14 +4,23 @@
 #
 #   scripts/benchdiff.sh old.json new.json [threshold-pct]
 #
-# Both files must come from the same bench emitter: metrics are paired
-# by key in file order, so a structural mismatch is itself an error.
+# Every numeric field is named by its path: top-level keys by name,
+# fields of nested objects as object.field, and fields of a row (an
+# object in an array) as array[row].field, where row is the row's first
+# string field (its "name", or the solver stages' "cell"). Fields are
+# paired by that path, so reordered rows still meet their own
+# measurements. A path in only one file is reported as ADDED or REMOVED
+# instead of compared; a REMOVED field fails the diff, since the
+# measurement is gone.
+#
 # A metric regresses when it moves more than the threshold (default 10%)
-# in its bad direction — up for cost metrics (_ms, _ns, ns/op, allocs,
-# bytes), down for benefit metrics (speedup, per_sec, throughput, hits).
-# Counters with no inherent direction (cells, probes, sweeps, count) are
-# reported only when they change at all, since the benches are
-# deterministic. Exits 1 if any regression was flagged.
+# in its bad direction, read from the field's name — up for costs (a
+# unit token s, ms, us or ns, as in wall_s, cold_ms, mem_hit_us and
+# ns_per_op; allocs; bytes), down for benefits (speedup, per_sec,
+# throughput, hits). Fields with no direction (cells, probes, sweeps,
+# counts) are reported only when they change at all, since the benches
+# are deterministic. Exits 1 if any regression was flagged or any field
+# was removed.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -22,46 +31,120 @@ OLD="$1"
 NEW="$2"
 THRESH="${3:-10}"
 
-# Flatten one BENCH file into "key value" lines, one per numeric field,
-# in document order. The emitters write one field per line, so a line
-# scan is a faithful parse for these files.
+# Flatten one BENCH file into "path<TAB>field<TAB>value" lines, one per
+# numeric field. The emitters write one field per line
+# (json.MarshalIndent) and their rows hold scalars only, so a line scan
+# with a container stack is a faithful parse for these files.
 flatten() {
-	sed -n 's/^[[:space:]]*"\([a-zA-Z0-9_/.-]*\)":[[:space:]]*\(-\{0,1\}[0-9][0-9.eE+-]*\)[,[:space:]]*$/\1 \2/p' "$1"
-}
-
-flatten "$OLD" >"${TMPDIR:-/tmp}/benchdiff_old.$$"
-flatten "$NEW" >"${TMPDIR:-/tmp}/benchdiff_new.$$"
-trap 'rm -f "${TMPDIR:-/tmp}/benchdiff_old.$$" "${TMPDIR:-/tmp}/benchdiff_new.$$"' EXIT
-
-paste -d'\n' "${TMPDIR:-/tmp}/benchdiff_old.$$" "${TMPDIR:-/tmp}/benchdiff_new.$$" | awk -v thresh="$THRESH" '
-NR % 2 == 1 { okey = $1; oval = $2; next }
-{
-	nkey = $1; nval = $2
-	if (okey != nkey) {
-		printf "STRUCTURE: field %d is \"%s\" in old but \"%s\" in new\n", (NR+1)/2, okey, nkey
-		bad++
+	awk '
+	function key(s) { sub(/^"/, "", s); sub(/".*$/, "", s); return s }
+	function prefix(   i, p) {
+		p = ""
+		for (i = 1; i <= d; i++) {
+			if (kind[i] == "row") p = p "[" rid[i] "]."
+			else if (kind[i] == "{") p = p name[i] "."
+			else p = p name[i]
+		}
+		return p
+	}
+	{
+		line = $0
+		sub(/^[ \t]+/, "", line)
+		sub(/[ \t,]+$/, "", line)
+	}
+	line ~ /^"[^"]*": *[[{]$/ {
+		d++
+		name[d] = key(line)
+		kind[d] = substr(line, length(line), 1)
+		rows[d] = 0
 		next
 	}
+	line == "{" {
+		if (d > 0 && kind[d] == "[") {
+			rows[d]++
+			d++
+			kind[d] = "row"
+			rid[d] = "#" rows[d-1]
+			named = 0
+			n = 0
+		}
+		next
+	}
+	line == "}" || line == "]" {
+		if (d == 0) next
+		if (kind[d] == "row")
+			for (i = 1; i <= n; i++) printf "%s%s\t%s\t%s\n", prefix(), rk[i], rk[i], rv[i]
+		d--
+		next
+	}
+	line ~ /^"[^"]*": *"/ {
+		if (d > 0 && kind[d] == "row" && !named) {
+			v = line
+			sub(/^"[^"]*": *"/, "", v)
+			sub(/"$/, "", v)
+			rid[d] = v
+			named = 1
+		}
+		next
+	}
+	line ~ /^"[^"]*": *-?[0-9]/ {
+		k = key(line)
+		v = line
+		sub(/^"[^"]*": */, "", v)
+		if (d > 0 && kind[d] == "row") {
+			n++
+			rk[n] = k
+			rv[n] = v
+		} else {
+			printf "%s%s\t%s\t%s\n", prefix(), k, k, v
+		}
+	}
+	' "$1"
+}
+
+TMP_OLD="${TMPDIR:-/tmp}/benchdiff_old.$$"
+TMP_NEW="${TMPDIR:-/tmp}/benchdiff_new.$$"
+trap 'rm -f "$TMP_OLD" "$TMP_NEW"' EXIT
+flatten "$OLD" >"$TMP_OLD"
+flatten "$NEW" >"$TMP_NEW"
+
+awk -F'\t' -v thresh="$THRESH" '
+FNR == NR { old[$1] = $3; order[++n] = $1; next }
+{
+	path = $1; field = $2; nval = $3
+	seen[path] = 1
+	if (!(path in old)) {
+		printf "ADDED      %-44s %g\n", path, nval
+		next
+	}
+	oval = old[path]
+	dir = 0 # 0: no direction, 1: lower is better, -1: higher is better
+	if (field ~ /(^|_)(s|ms|us|ns)(_|$)/ || field ~ /alloc/ || field ~ /bytes/) dir = 1
+	if (field ~ /speedup/ || field ~ /per_sec/ || field ~ /throughput/ || field ~ /hits/) dir = -1
 	if (oval == 0) {
-		if (nval != 0) { printf "REGRESSION %-38s 0 -> %g (was zero)\n", nkey, nval; bad++ }
+		if (nval != 0) { printf "REGRESSION %-44s 0 -> %g (was zero)\n", path, nval; bad++ }
 		next
 	}
 	delta = (nval - oval) / oval * 100
-	dir = 0 # 0: no direction, 1: lower is better, -1: higher is better
-	if (nkey ~ /(_ms|_ns|ms$|ns$)/ || nkey ~ /alloc/ || nkey ~ /bytes/) dir = 1
-	if (nkey ~ /speedup/ || nkey ~ /per_sec/ || nkey ~ /throughput/ || nkey ~ /hits/) dir = -1
 	if (dir == 0) {
-		if (nval != oval) printf "CHANGED    %-38s %g -> %g\n", nkey, oval, nval
+		if (nval != oval) printf "CHANGED    %-44s %g -> %g\n", path, oval, nval
 		next
 	}
 	if (dir * delta > thresh) {
-		printf "REGRESSION %-38s %g -> %g (%+.1f%%, threshold %s%%)\n", nkey, oval, nval, delta, thresh
+		printf "REGRESSION %-44s %g -> %g (%+.1f%%, threshold %s%%)\n", path, oval, nval, delta, thresh
 		bad++
 	} else if (dir * delta < -thresh) {
-		printf "IMPROVED   %-38s %g -> %g (%+.1f%%)\n", nkey, oval, nval, delta
+		printf "IMPROVED   %-44s %g -> %g (%+.1f%%)\n", path, oval, nval, delta
 	}
 }
-END { if (bad > 0) { printf "%d regression(s) beyond %s%%\n", bad, thresh; exit 1 } }
-' || exit 1
+END {
+	for (i = 1; i <= n; i++)
+		if (!(order[i] in seen)) { printf "REMOVED    %-44s (was %g)\n", order[i], old[order[i]]; gone++ }
+	if (bad > 0 || gone > 0) {
+		printf "%d regression(s) beyond %s%%, %d field(s) removed\n", bad, thresh, gone
+		exit 1
+	}
+}
+' "$TMP_OLD" "$TMP_NEW" || exit 1
 
 echo "no regressions beyond ${THRESH}% ($OLD -> $NEW)"

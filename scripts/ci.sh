@@ -137,11 +137,13 @@ grep -qi '^x-cache: miss' "$SMOKE/h1"
 grep -qi '^x-cache: hit' "$SMOKE/h2"
 # A hit body must be byte-identical to the body the miss produced.
 cmp "$SMOKE/b1" "$SMOKE/b2"
+# A negative tolerance is refused with 400 at once, before any solve runs.
+[ "$(curl -sS -m 5 -o /dev/null -w '%{http_code}' "http://$ADDR/solve?alpha=0.1&ratio=1:1&setting=1&epsilon=-1e-8")" = 400 ]
 curl -fsS "http://$ADDR/statsz" | grep -q '"solves":1'
 # The metrics endpoints cover the store, the server, and the solver.
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
 echo "$METRICS" | grep -q '^expstore_solves_total 1$'
-echo "$METRICS" | grep -q '^buserve_requests_total{endpoint="GET /solve"} 2$'
+echo "$METRICS" | grep -q '^buserve_requests_total{endpoint="GET /solve"} 3$'
 echo "$METRICS" | grep -q '^# TYPE mdp_solves_total counter$'
 echo "$METRICS" | grep -q '^# TYPE mdp_warm_solves_total counter$'
 echo "$METRICS" | grep -q '^# TYPE mdp_reparams_total counter$'
