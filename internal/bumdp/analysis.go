@@ -14,17 +14,39 @@ import (
 // set, ready to be solved.
 type Analysis struct {
 	Params Params
+	// States is shared by every model of the same shape and must not be
+	// modified.
 	States []State
 	Model  *mdp.Model
 }
 
-// New enumerates the state space for the given parameters and compiles
-// the MDP.
+// New compiles the MDP for the given parameters. The first model of a
+// shape (every parameter but the mining-power shares) enumerates the
+// state space and runs the dynamics; a later model of the last shape
+// compiled for its (incentive model, setting) pair is derived from that
+// shape's skeleton, bit-identical to a fresh compile. New is safe for
+// concurrent use.
 func New(p Params) (*Analysis, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	slot := slotOf(p)
+	if sk := slot.skeleton(p.shape()); sk != nil {
+		return sk.derive(p)
+	}
+	a, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
+	slot.install(a)
+	return a, nil
+}
+
+// compile enumerates the state space of p, which must have its defaults
+// applied, and runs the dynamics from every state: a shape's first
+// model, and the fresh reference a derived model must equal.
+func compile(p Params) (*Analysis, error) {
 	a := &Analysis{Params: p, States: enumStates(p.maxAD(), p.window())}
 	model, err := mdp.Compile(builder{a})
 	if err != nil {

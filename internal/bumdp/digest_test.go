@@ -6,8 +6,9 @@ package bumdp
 // and compares the hash with one recorded from an earlier compiler.
 // Any change to the dynamics, the enumeration order, or the compiler's
 // layout changes the digest, so a rewrite of the compile path that
-// claims bit-identical models is held to it. Rebind must reproduce the
-// same digest from a same-shape model.
+// claims bit-identical models is held to it. A fresh compile and a
+// model derived from a same-shape skeleton must reproduce the same
+// digest.
 
 import (
 	"crypto/sha256"
@@ -92,19 +93,15 @@ func TestCompiledModelDigests(t *testing.T) {
 		if got := modelDigest(a.Model); got != c.want {
 			t.Errorf("%s: New digest %s, want %s", c.name, got, c.want)
 		}
-		// A same-shape model with other shares, rebound to c.p.
+		if got := modelDigest(fresh(t, c.p).Model); got != c.want {
+			t.Errorf("%s: fresh compile digest %s, want %s", c.name, got, c.want)
+		}
+		// Derived from the skeleton of a same-shape model with other
+		// shares.
 		q := c.p
 		q.Alpha, q.Beta, q.Gamma = 0.3, 0.3, 0.4
-		base, err := New(q)
-		if err != nil {
-			t.Fatalf("%s: New(base): %v", c.name, err)
-		}
-		rebound, err := base.Rebind(c.p)
-		if err != nil {
-			t.Fatalf("%s: Rebind: %v", c.name, err)
-		}
-		if got := modelDigest(rebound.Model); got != c.want {
-			t.Errorf("%s: Rebind digest %s, want %s", c.name, got, c.want)
+		if got := modelDigest(deriveFrom(t, q, c.p).Model); got != c.want {
+			t.Errorf("%s: derived digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }

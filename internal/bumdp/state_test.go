@@ -115,36 +115,43 @@ func TestIndexOfRejectsOutsideTuples(t *testing.T) {
 	}
 }
 
-// TestCompileAllocationsConstant: building a model and rebinding it
-// allocate a fixed number of times, independent of the state count.
+// TestCompileAllocationsConstant: a fresh compile and a New derived
+// from the shape's skeleton each allocate a fixed number of times,
+// independent of the state count.
 func TestCompileAllocationsConstant(t *testing.T) {
-	allocs := func(window int) (newAllocs, rebindAllocs float64) {
+	allocs := func(window int) (compileAllocs, derivedAllocs float64) {
 		p := Params{Alpha: 0.2, Beta: 0.4, Gamma: 0.4, Setting: Setting2, GateWindow: window, Model: NonCompliant}
 		q := p
 		q.Beta, q.Gamma = 0.3, 0.5
-		a, err := New(p)
+		np, err := p.withDefaults()
 		if err != nil {
 			t.Fatal(err)
 		}
-		newAllocs = testing.AllocsPerRun(3, func() {
-			if _, err := New(p); err != nil {
+		compileAllocs = testing.AllocsPerRun(3, func() {
+			if _, err := compile(np); err != nil {
 				t.Fatal(err)
 			}
 		})
-		rebindAllocs = testing.AllocsPerRun(3, func() {
-			if _, err := a.Rebind(q); err != nil {
+		// Two models of the shape leave its skeleton in the memo.
+		for _, r := range []Params{p, q} {
+			if _, err := New(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		derivedAllocs = testing.AllocsPerRun(3, func() {
+			if _, err := New(q); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return newAllocs, rebindAllocs
+		return compileAllocs, derivedAllocs
 	}
-	n12, r12 := allocs(12)
-	n48, r48 := allocs(48)
-	if n12 != n48 {
-		t.Errorf("New allocates %v times at W=12 and %v at W=48", n12, n48)
+	c12, d12 := allocs(12)
+	c48, d48 := allocs(48)
+	if c12 != c48 {
+		t.Errorf("a fresh compile allocates %v times at W=12 and %v at W=48", c12, c48)
 	}
-	if r12 != r48 {
-		t.Errorf("Rebind allocates %v times at W=12 and %v at W=48", r12, r48)
+	if d12 != d48 {
+		t.Errorf("a derived New allocates %v times at W=12 and %v at W=48", d12, d48)
 	}
-	t.Logf("allocations: New %v, Rebind %v", n12, r12)
+	t.Logf("allocations: fresh compile %v, derived New %v", c12, d12)
 }

@@ -16,8 +16,7 @@ import (
 
 // solverBenchGrid is one cold-vs-warm comparison of the solver
 // benchmark: a sweep grid solved once with SolveOne as its SolveCell
-// (independent cold cells, the pre-workspace behavior) and once on the
-// warm-chained default path.
+// (independent cold cells) and once on the warm-chained default path.
 type solverBenchGrid struct {
 	Name       string  `json:"name"`
 	Cells      int     `json:"cells"`
@@ -46,17 +45,16 @@ type solverBenchStage struct {
 	Speedup      float64 `json:"speedup_vs_rvi"`
 }
 
-// solverBenchCompile records the cost of building the setting-2 AD-6
-// non-compliant model (144-block gate window): a fresh bumdp.New and an
-// Analysis.Rebind of the same shape to other mining shares, each the
-// median of compileBenchReps runs on the caller's goroutine.
+// solverBenchCompile is one row of the compile block: the cost of a
+// bumdp.New of the setting-2 AD-6 non-compliant model (144-block gate
+// window), the median of compileBenchReps runs on the caller's
+// goroutine.
 type solverBenchCompile struct {
-	States       int     `json:"states"`
-	NewMillis    float64 `json:"new_ms"`
-	RebindMillis float64 `json:"rebind_ms"`
-	NewAllocs    float64 `json:"new_allocs"`
-	RebindAllocs float64 `json:"rebind_allocs"`
-	NsPerState   float64 `json:"ns_per_state"`
+	Name       string  `json:"name"`
+	States     int     `json:"states"`
+	Millis     float64 `json:"ms"`
+	Allocs     float64 `json:"allocs"`
+	NsPerState float64 `json:"ns_per_state"`
 }
 
 // solverBenchEvaluate records the cost of evaluating the optimal
@@ -73,19 +71,19 @@ type solverBenchEvaluate struct {
 }
 
 type solverBenchReport struct {
-	Benchmark      string              `json:"benchmark"`
-	RatioTol       float64             `json:"ratio_tol"`
-	Epsilon        float64             `json:"epsilon"`
-	Workers        int                 `json:"workers"` // GOMAXPROCS the grid sweeps ran under
-	Grids          []solverBenchGrid   `json:"grids"`
-	Stages         []solverBenchStage  `json:"stages"`
-	RVISpeedup     float64             `json:"speedup_vs_rvi"`
-	TotalColdMs    float64             `json:"total_cold_ms"`
-	TotalWarmMs    float64             `json:"total_warm_ms"`
-	Speedup        float64             `json:"speedup"`
-	AllocsPerProbe float64             `json:"workspace_allocs_per_probe"`
-	Compile        solverBenchCompile  `json:"compile"`
-	Evaluate       solverBenchEvaluate `json:"evaluate"`
+	Benchmark      string               `json:"benchmark"`
+	RatioTol       float64              `json:"ratio_tol"`
+	Epsilon        float64              `json:"epsilon"`
+	Workers        int                  `json:"workers"` // GOMAXPROCS the grid sweeps ran under
+	Grids          []solverBenchGrid    `json:"grids"`
+	Stages         []solverBenchStage   `json:"stages"`
+	RVISpeedup     float64              `json:"speedup_vs_rvi"`
+	TotalColdMs    float64              `json:"total_cold_ms"`
+	TotalWarmMs    float64              `json:"total_warm_ms"`
+	Speedup        float64              `json:"speedup"`
+	AllocsPerProbe float64              `json:"workspace_allocs_per_probe"`
+	Compile        []solverBenchCompile `json:"compile"`
+	Evaluate       solverBenchEvaluate  `json:"evaluate"`
 }
 
 // compileBenchReps is the number of timed runs behind each compile
@@ -109,35 +107,43 @@ func medianMillis(f func()) float64 {
 	return ms[len(ms)/2]
 }
 
-// benchCompile measures bumdp.New and Analysis.Rebind on the setting-2
-// AD-6 non-compliant model.
-func benchCompile(t *testing.T) solverBenchCompile {
-	p := benchParams
-	q := p
+// benchCompile measures bumdp.New on the setting-2 AD-6 non-compliant
+// model twice: as a shape's first compile, which runs the dynamics, and
+// as a model derived from the shape's skeleton. A repeated New of one
+// shape would time the second, so each first compile asks for a shape
+// the process has never compiled: benchParams at a double-spend reward
+// no earlier call used.
+func benchCompile(t *testing.T) []solverBenchCompile {
+	mustNew := func(p bumdp.Params) *bumdp.Analysis {
+		a, err := bumdp.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	dsReward := 10.0
+	firstOnce := func() {
+		p := benchParams
+		dsReward++
+		p.DoubleSpendReward = dsReward
+		mustNew(p)
+	}
+	// Two models of benchParams' shape leave its skeleton in the memo.
+	q := benchParams
 	q.Beta, q.Gamma = 0.3, 0.6
-	a, err := bumdp.New(p)
-	if err != nil {
-		t.Fatal(err)
+	states := mustNew(benchParams).Model.NumStates()
+	mustNew(q)
+	derivedOnce := func() { mustNew(q) }
+	var rows []solverBenchCompile
+	for _, r := range []struct {
+		name string
+		f    func()
+	}{{"first_compile", firstOnce}, {"derived", derivedOnce}} {
+		c := solverBenchCompile{Name: r.name, States: states, Millis: medianMillis(r.f), Allocs: testing.AllocsPerRun(3, r.f)}
+		c.NsPerState = c.Millis * 1e6 / float64(states)
+		rows = append(rows, c)
 	}
-	newOnce := func() {
-		if _, err := bumdp.New(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rebindOnce := func() {
-		if _, err := a.Rebind(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := solverBenchCompile{
-		States:       a.Model.NumStates(),
-		NewMillis:    medianMillis(newOnce),
-		RebindMillis: medianMillis(rebindOnce),
-		NewAllocs:    testing.AllocsPerRun(3, newOnce),
-		RebindAllocs: testing.AllocsPerRun(3, rebindOnce),
-	}
-	c.NsPerState = c.NewMillis * 1e6 / float64(c.States)
-	return c
+	return rows
 }
 
 // benchEvaluate measures the two fixed-policy evaluations of a solved
@@ -178,9 +184,10 @@ func benchEvaluate(t *testing.T) solverBenchEvaluate {
 // workspace/warm-chain layer and writes the result as JSON to
 // $SOLVER_BENCH_OUT. scripts/bench.sh drives it; plain `go test` skips
 // it. The cold runs install SolveOne as the SolveCell, which solves
-// every cell independently exactly as the solver did before workspaces
-// existed, so the ratio is a like-for-like wall-clock comparison on
-// identical grids; both times are recorded, and the chained values must
+// every cell independently on a fresh workspace. Both paths take each
+// cell's model from bumdp.New, so the ratio is a like-for-like
+// wall-clock comparison of warm starts on identical grids; both times
+// are recorded, and the chained values must
 // equal the cold ones bit for bit. The setting-2 row includes the
 // alpha = beta boundary cell (1:2 at alpha 25%), whose sticky-gate
 // countdown relative value iteration needs minutes to cross.
@@ -336,9 +343,10 @@ func TestBenchSolver(t *testing.T) {
 	})
 
 	report.Compile = benchCompile(t)
-	t.Logf("compile (%d states): New %.2fms (%.0f allocs, %.0f ns/state), Rebind %.2fms (%.0f allocs)",
-		report.Compile.States, report.Compile.NewMillis, report.Compile.NewAllocs, report.Compile.NsPerState,
-		report.Compile.RebindMillis, report.Compile.RebindAllocs)
+	for _, c := range report.Compile {
+		t.Logf("compile %s (%d states): %.2fms (%.0f allocs, %.0f ns/state)",
+			c.Name, c.States, c.Millis, c.Allocs, c.NsPerState)
+	}
 	report.Evaluate = benchEvaluate(t)
 	t.Logf("evaluate (%d states): EvaluatePolicy %.2fms (%.0f allocs), fork rate %.2fms (%.0f allocs)",
 		report.Evaluate.States, report.Evaluate.EvaluateMillis, report.Evaluate.EvaluateAllocs,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,12 +47,21 @@ func TestBenchEmit(t *testing.T) {
 	memLatency := warmElapsed / hits
 
 	// Disk-hit latency: a fresh store over the same directory reads the
-	// blob once and promotes it to memory.
-	disk := time.Now()
-	if _, _, hit, err := solveBU(mustOpen(t, Config{Dir: dir}), params, opts); err != nil || !hit {
-		t.Fatalf("disk solve: hit=%v err=%v", hit, err)
+	// blob once and promotes it to memory. One such hit moves by tens of
+	// percent between runs, so report the median over several fresh
+	// stores.
+	const diskStores = 25
+	diskHits := make([]time.Duration, diskStores)
+	for i := range diskHits {
+		fresh := mustOpen(t, Config{Dir: dir})
+		disk := time.Now()
+		if _, _, hit, err := solveBU(fresh, params, opts); err != nil || !hit {
+			t.Fatalf("disk solve: hit=%v err=%v", hit, err)
+		}
+		diskHits[i] = time.Since(disk)
 	}
-	diskLatency := time.Since(disk)
+	slices.Sort(diskHits)
+	diskLatency := diskHits[diskStores/2]
 
 	// What a /solve hit costs before its write: the busolve key, and the
 	// bytes-only memory hit (key, lookup) that the handler serves.

@@ -121,7 +121,7 @@ type CompactionStats struct {
 // CompactionStats reports the model's layout-compaction summary.
 func (m *Model) CompactionStats() CompactionStats {
 	return CompactionStats{
-		RawTransitions:     len(m.trans),
+		RawTransitions:     len(m.mergeIdx),
 		CompactTransitions: len(m.ctto),
 		Duplicates:         m.dupTrans,
 	}
@@ -279,6 +279,24 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 	}
 }
 
+// Structure returns m's frozen structure without its values: a model
+// that shares m's state/action offsets, action identifiers and
+// compacted destinations but holds no transition records,
+// probabilities or rewards, so it keeps none of m's value arrays alive.
+// It is only a receiver for Reparameterize and cannot be solved.
+func (m *Model) Structure() *Model {
+	return &Model{
+		numStates: m.numStates,
+		stateOff:  m.stateOff,
+		actionID:  m.actionID,
+		saOff:     m.saOff,
+		csaOff:    m.csaOff,
+		ctto:      m.ctto,
+		mergeIdx:  m.mergeIdx,
+		dupTrans:  m.dupTrans,
+	}
+}
+
 // Reparameterize compiles b against the receiver's frozen structure: it
 // revalidates and rewrites the transition probabilities and rewards
 // while sharing the state/action skeleton (stateOff, actionID, saOff)
@@ -287,6 +305,7 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 // vary only numeric parameters (mining-power shares, reward sizes):
 // such builders enumerate the same (state, action, destination)
 // structure every time, only with different probabilities and rewards.
+// The receiver may be a compiled model or its values-free Structure.
 //
 // The product is bit-identical to a fresh Compile of b — same
 // transitions, eNum, eDen, and offsets — or an error if b's structure
@@ -300,23 +319,13 @@ func (m *Model) Reparameterize(b Builder) (*Model, error) {
 	if n != m.numStates {
 		return nil, fmt.Errorf("mdp: reparameterize: builder has %d states, frozen structure has %d", n, m.numStates)
 	}
-	nm := &Model{
-		numStates: n,
-		stateOff:  m.stateOff,
-		actionID:  m.actionID,
-		saOff:     m.saOff,
-		// The compacted skeleton (offsets, destinations, and the
-		// raw->compacted mapping) is pure structure and is shared; only
-		// the merged probabilities are rebuilt.
-		csaOff:   m.csaOff,
-		ctto:     m.ctto,
-		mergeIdx: m.mergeIdx,
-		dupTrans: m.dupTrans,
-		trans:    make([]Transition, len(m.trans)),
-		ctprob:   make([]float64, len(m.ctprob)),
-		eNum:     make([]float64, len(m.eNum)),
-		eDen:     make([]float64, len(m.eDen)),
-	}
+	// The structure (offsets, destinations, and the raw->compacted
+	// mapping) is shared; only the values are rebuilt.
+	nm := m.Structure()
+	nm.trans = make([]Transition, len(m.mergeIdx))
+	nm.ctprob = make([]float64, len(m.ctto))
+	nm.eNum = make([]float64, len(m.actionID))
+	nm.eDen = make([]float64, len(m.actionID))
 	var trs []Transition // one slot's transitions, reused across slots
 	for s := 0; s < n; s++ {
 		acts := b.Actions(s)
@@ -337,8 +346,8 @@ func (m *Model) Reparameterize(b Builder) (*Model, error) {
 			total, en, ed := 0.0, 0.0, 0.0
 			for t, tr := range trs {
 				j := j0 + int32(t)
-				if tr.To != m.trans[j].To {
-					return nil, fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, m.trans[j].To)
+				if to := int(m.ctto[m.mergeIdx[j]]); tr.To != to {
+					return nil, fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, to)
 				}
 				if err := checkTransition(s, a, tr); err != nil {
 					return nil, err
@@ -424,7 +433,7 @@ func (m *Model) NumStateActions() int { return len(m.actionID) }
 
 // NumTransitions reports the total number of stored transitions, as the
 // builder emitted them (before compaction merged duplicates).
-func (m *Model) NumTransitions() int { return len(m.trans) }
+func (m *Model) NumTransitions() int { return len(m.mergeIdx) }
 
 // NumCompactTransitions reports the number of transitions the sweep
 // kernels iterate after duplicate same-destination merging.
@@ -442,6 +451,14 @@ func (m *Model) Actions(s int) []int32 {
 func (m *Model) Transitions(s, i int) []Transition {
 	k := m.stateOff[s] + int32(i)
 	return m.trans[m.saOff[k]:m.saOff[k+1]]
+}
+
+// Destination returns the destination of the t-th transition of the
+// i-th action slot of state s, in the builder's order. Unlike
+// Transitions it also reads a values-free Structure, so a builder that
+// reparameterizes a structure can take its destinations from it.
+func (m *Model) Destination(s, i, t int) int {
+	return int(m.ctto[m.mergeIdx[m.saOff[m.stateOff[s]+int32(i)]+int32(t)]])
 }
 
 // ActionSlot returns the slot index of action a within state s, or -1 if

@@ -28,6 +28,6 @@ func Observe(reg *obs.Registry) {
 	evalSweepsTotal = reg.Counter("mdp_eval_sweeps_total", "Exact policy-evaluation passes, plus Gauss-Seidel sweeps over cyclic remainders.")
 	probesTotal = reg.Counter("mdp_probes_total", "Inner average-reward probes performed by ratio searches (Dinkelbach iterations).")
 	warmSolvesTotal = reg.Counter("mdp_warm_solves_total", "Solves that started from a warm bias instead of the cold zero vector.")
-	reparamsTotal = reg.Counter("mdp_reparams_total", "Models rebuilt by Reparameterize against a frozen structure.")
+	reparamsTotal = reg.Counter("mdp_reparams_total", "Models built by Reparameterize on a frozen structure instead of compiled: in bumdp, every model after its shape's first.")
 	dupTransTotal = reg.Counter("mdp_dup_transitions_total", "Duplicate same-destination transitions merged away at compile time (over-emitting builders).")
 }

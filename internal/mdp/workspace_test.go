@@ -216,12 +216,15 @@ func TestReparameterizeMatchesCompile(t *testing.T) {
 	b2 := paramBuilder(31, 80, 3, 1.7)
 	m1 := mustCompile(t, b1)
 	fresh := mustCompile(t, b2)
-	fast, err := m1.Reparameterize(b2)
-	if err != nil {
-		t.Fatalf("Reparameterize: %v", err)
-	}
-	if !ModelsIdentical(fresh, fast) {
-		t.Fatal("reparameterized model differs from fresh compile")
+	// A compiled model and its values-free structure are both receivers.
+	for name, recv := range map[string]*Model{"model": m1, "structure": m1.Structure()} {
+		fast, err := recv.Reparameterize(b2)
+		if err != nil {
+			t.Fatalf("%s: Reparameterize: %v", name, err)
+		}
+		if !ModelsIdentical(fresh, fast) {
+			t.Fatalf("%s: reparameterized model differs from fresh compile", name)
+		}
 	}
 	// The original is untouched.
 	again := mustCompile(t, b1)
@@ -231,9 +234,14 @@ func TestReparameterizeMatchesCompile(t *testing.T) {
 }
 
 func TestReparameterizeRejectsStructureChange(t *testing.T) {
-	b := twoArmBuilder(0.3, 0.9)
-	m := mustCompile(t, b)
+	compiled := mustCompile(t, twoArmBuilder(0.3, 0.9))
+	for _, m := range []*Model{compiled, compiled.Structure()} {
+		rejectsStructureChange(t, m)
+	}
+}
 
+func rejectsStructureChange(t *testing.T, m *Model) {
+	t.Helper()
 	destChanged := twoArmBuilder(0.3, 0.9)
 	destChanged.trans[[2]int{1, 0}] = []Transition{{To: 1, Prob: 1, Num: 0.9, Den: 1}}
 	if _, err := m.Reparameterize(destChanged); err == nil {

@@ -301,10 +301,9 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 		return fmt.Errorf("shard has %d witness policies for %d cells", len(rec.Policies), len(rec.Cells))
 	}
 
-	// One rolling analysis across the shard's cells: consecutive cells
-	// share a model shape (same AD/setting), so Rebind amortizes the
-	// expensive structure compile the way the sweep's own warm chains do.
-	var a *bumdp.Analysis
+	// Every cell's model comes from bumdp.New, which runs the dynamics
+	// once per model shape (the shard's cells share one) and derives the
+	// rest from this process's own compile, never from the artifact.
 	for k, r := range rows {
 		for j := 0; j < rowLen; j++ {
 			got := rec.Cells[k*rowLen+j]
@@ -333,11 +332,7 @@ func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
 				Alpha: got.Alpha, Ratio: got.Ratio, Setting: bumdp.Setting(got.Setting),
 				Model: bumdp.IncentiveModel(got.Model), AD: got.AD,
 			})
-			if a == nil {
-				a, err = bumdp.New(params)
-			} else {
-				a, err = a.Rebind(params)
-			}
+			a, err := bumdp.New(params)
 			if err != nil {
 				return fmt.Errorf("%s: rebuilding model: %w", where, err)
 			}

@@ -75,8 +75,12 @@ go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 echo "== warm-vs-cold sweep smoke =="
 # The chained direct path must return the same values and witnesses as
 # independent cold solves, bit for bit, and be deterministic at every
-# GOMAXPROCS setting; these two tests pin exactly that.
+# GOMAXPROCS setting; the first two tests pin exactly that. Every model
+# but a shape's first is derived from that shape's skeleton, so the
+# third pins derived models to fresh compiles, bit for bit, and their
+# solves to the same values and witnesses.
 go test -count 1 -run 'TestChainedSweepMatchesCold|TestChainedSweepWorkerDeterminism' ./internal/core/
+go test -count 1 -run 'TestSkeletonIdentity' ./internal/bumdp/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
 # The full setting-2 grid, alpha = beta boundary cells included, which
