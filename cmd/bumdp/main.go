@@ -8,18 +8,16 @@
 //	bumdp -sweep -model compliant -setting 1
 //
 // -sweep solves the paper's whole (alpha, ratio) grid for the chosen
-// model instead of a single instance, GOMAXPROCS rows at a time (each
-// solve runs on one goroutine); without
-// -cache-dir each row is warm-chained on a shared solver session (one
-// compiled model rebound per cell, each cell's solve warm-started from
-// its left neighbor's bias), which returns the same values and
-// witnesses as independent cold cells.
+// model instead of a single instance, GOMAXPROCS cells at a time, each
+// cell on one goroutine and through the experiment store, as butables
+// and buserve solve it.
 //
-// -cache-dir answers repeat solves from the experiment store instead of
-// recomputing: every solved artifact is written there once and any
+// The experiment store lives in memory only, unless -cache-dir names a
+// directory: then every solved artifact is written there once and any
 // later bumdp, butables or buserve run over the same directory reuses
-// it. -json emits the store's own serialization, so machine-readable
-// output and cached blobs can never drift.
+// it instead of recomputing. -json emits the store's own
+// serialization, so machine-readable output and cached blobs can never
+// drift.
 //
 // -trace writes the solver's convergence events (one JSON object per
 // line: per-iteration Bellman residual and span bounds, policy-change
@@ -137,7 +135,7 @@ func main() {
 	}
 
 	if *sweep {
-		sweepGrid(store, *cacheDir != "", m, bumdp.Setting(*setting), *ad, *jsonOut, tracer)
+		sweepGrid(store, m, bumdp.Setting(*setting), *ad, *jsonOut, tracer)
 		return
 	}
 
@@ -190,25 +188,17 @@ func solveWithPolicy(params bumdp.Params, tracer obs.Tracer) {
 }
 
 // sweepGrid solves the paper's (alpha, ratio) grid for one incentive
-// model and prints the table plus aggregate solver statistics (or, with
-// -json, the store's sweep serialization). With -cache-dir the cells go
-// through the experiment store (cache hits, independent cold solves on
-// misses — the cacheable reference artifacts); without it the grid is
-// solved directly, warm-chaining each row on a shared solver session,
-// which is the fastest path for a one-shot sweep.
-func sweepGrid(store *expstore.Store, cached bool, m bumdp.IncentiveModel, setting bumdp.Setting, ad int, jsonOut bool, tracer obs.Tracer) {
+// model through the experiment store and prints the table plus
+// aggregate solver statistics (or, with -json, the store's sweep
+// serialization).
+func sweepGrid(store *expstore.Store, m bumdp.IncentiveModel, setting bumdp.Setting, ad int, jsonOut bool, tracer obs.Tracer) {
 	cfg := core.SweepConfig{
 		Settings: []bumdp.Setting{setting},
 		AD:       ad,
 		Tracer:   tracer,
 	}
 	start := time.Now()
-	var cells []core.Cell
-	if cached {
-		cells = expstore.Sweep(store, m, cfg)
-	} else {
-		cells = core.Sweep(m, cfg)
-	}
+	cells := expstore.Sweep(store, m, cfg)
 	elapsed := time.Since(start)
 	if jsonOut {
 		blob, err := json.MarshalIndent(expstore.NewSweepRecord(m, cells), "", "  ")

@@ -295,8 +295,6 @@ func TestSweepTableMatchesDirect(t *testing.T) {
 		Settings: []bumdp.Setting{bumdp.Setting1},
 		RatioTol: 1e-4, Epsilon: 1e-8,
 	}
-	// The store solves cells independently cold, like this sweep.
-	cfg.SolveCell = cfg.Normalized(bumdp.Compliant).SolveOne
 	want := core.FormatTable(core.Sweep(bumdp.Compliant, cfg), true)
 	if string(body1) != want {
 		t.Fatalf("served table differs from direct sweep:\nserved:\n%s\ndirect:\n%s", body1, want)

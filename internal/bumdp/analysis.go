@@ -115,9 +115,9 @@ type SolveStats struct {
 	// Probes is the number of inner average-reward solves (1 for the
 	// non-compliant model, the ratio search's probe count otherwise).
 	Probes int
-	// WarmProbes is how many probes started from a warm bias. Direct
-	// (non-session) solves warm-chain only within their own ratio
-	// search; session solves additionally chain across cells.
+	// WarmProbes is how many probes started from a warm bias: every
+	// probe of a ratio search but the first starts from the previous
+	// probe's bias, and a solve's first probe always starts cold.
 	WarmProbes int `json:",omitempty"`
 	// Iterations is the total number of passes across probes
 	// (optimizing sweeps plus policy-evaluation passes).
@@ -197,16 +197,14 @@ func (a *Analysis) Solve() (Result, error) {
 	return a.SolveWith(SolveOptions{})
 }
 
-// SolveWith computes the optimal utility under explicit solver options.
+// SolveWith computes the optimal utility under explicit solver options:
+// the average-reward objective for the non-compliant model, the ratio
+// search otherwise, then the fork rate of the optimal policy. Each call
+// starts cold on a fresh workspace.
 func (a *Analysis) SolveWith(opts SolveOptions) (Result, error) {
-	return a.solve(a.Model.NewWorkspace(), opts.withDefaults())
-}
-
-// solve runs one solve on ws: the average-reward objective for the
-// non-compliant model, the ratio search otherwise, then the fork rate
-// of the optimal policy.
-func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions) (Result, error) {
 	start := time.Now()
+	opts = opts.withDefaults()
+	ws := a.Model.NewWorkspace()
 	inner := mdp.Options{Epsilon: opts.Epsilon, Tracer: opts.Tracer}
 	var res Result
 	switch a.Params.Model {
@@ -215,18 +213,15 @@ func (a *Analysis) solve(ws *mdp.Workspace, opts SolveOptions) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		res = Result{Utility: r.Gain, Probes: 1, Stats: SolveStats{
+		// The policy is the fresh workspace's buffer, which nothing
+		// else uses.
+		res = Result{Utility: r.Gain, Policy: r.Policy, Probes: 1, Stats: SolveStats{
 			Probes:     1,
 			Iterations: r.Stats.Iterations,
 			OptSweeps:  r.Stats.OptSweeps,
 			EvalSweeps: r.Stats.EvalSweeps,
 			Residual:   r.Stats.Residual,
 		}}
-		if r.Stats.Warm {
-			res.Stats.WarmProbes = 1
-		}
-		// The workspace's policy buffer is borrowed; Result keeps a copy.
-		res.Policy = append(mdp.Policy(nil), r.Policy...)
 	default:
 		lo := 0.0
 		if a.Params.Model == Compliant {

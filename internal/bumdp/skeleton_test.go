@@ -2,7 +2,6 @@ package bumdp
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,47 +315,5 @@ func TestNewConcurrentFirstCompile(t *testing.T) {
 	sl.mu.Unlock()
 	if first != nil || kept != sk {
 		t.Error("a late first compile replaced the shape's skeleton")
-	}
-}
-
-// TestSessionWarmChainMatchesColdSolves drives a session across a sweep
-// row and pins every cell's utility to the independent cold solve's, bit
-// for bit: a warm start changes round counts, not answers.
-func TestSessionWarmChainMatchesColdSolves(t *testing.T) {
-	splits := [][2]float64{
-		{0.48, 0.32}, {0.4, 0.4}, {0.32, 0.48}, {8. / 30, 16. / 30},
-	}
-	opts := SolveOptions{Epsilon: 1e-8}
-	for _, model := range []IncentiveModel{Compliant, NonCompliant, NonProfit} {
-		var sess *Session
-		for i, sp := range splits {
-			p := Params{Alpha: 0.2, Beta: sp[0], Gamma: sp[1], Model: model, Setting: Setting1}
-			if sess == nil {
-				a, err := New(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sess = NewSession(a, opts)
-			} else if err := sess.Rebind(p); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := sess.Solve()
-			if err != nil {
-				t.Fatalf("model %v cell %d: %v", model, i, err)
-			}
-			cold, err := fresh(t, p).SolveWith(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.Utility != cold.Utility {
-				t.Errorf("model %v cell %d: chained %v cold %v (diff %g)", model, i, warm.Utility, cold.Utility, warm.Utility-cold.Utility)
-			}
-			if d := math.Abs(warm.ForkRate - cold.ForkRate); d > 5e-3 {
-				t.Errorf("model %v cell %d: chained fork rate %v cold %v", model, i, warm.ForkRate, cold.ForkRate)
-			}
-			if i > 0 && model != NonCompliant && warm.Stats.WarmProbes == 0 {
-				t.Errorf("model %v cell %d: chained solve reported no warm probes", model, i)
-			}
-		}
 	}
 }

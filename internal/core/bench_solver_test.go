@@ -14,20 +14,14 @@ import (
 	"buanalysis/internal/mdp"
 )
 
-// solverBenchGrid is one cold-vs-warm comparison of the solver
-// benchmark: a sweep grid solved once with SolveOne as its SolveCell
-// (independent cold cells) and once on the warm-chained default path.
+// solverBenchGrid is one Table-2 grid of the solver benchmark, solved
+// once through Sweep: every cell on its own and cold.
 type solverBenchGrid struct {
-	Name       string  `json:"name"`
-	Cells      int     `json:"cells"`
-	ColdMillis float64 `json:"cold_ms"`
-	WarmMillis float64 `json:"warm_ms"`
-	ColdProbes int     `json:"cold_probes"`
-	WarmProbes int     `json:"warm_probes"`
-	ColdSweeps int64   `json:"cold_sweeps"`
-	WarmSweeps int64   `json:"warm_sweeps"`
-	Speedup    float64 `json:"speedup"`
-	MaxValDiff float64 `json:"max_value_diff"`
+	Name   string  `json:"name"`
+	Cells  int     `json:"cells"`
+	Millis float64 `json:"ms"`
+	Probes int     `json:"probes"`
+	Sweeps int64   `json:"sweeps"`
 }
 
 // solverBenchStage compares the solver with the relative-value-
@@ -78,9 +72,6 @@ type solverBenchReport struct {
 	Grids          []solverBenchGrid    `json:"grids"`
 	Stages         []solverBenchStage   `json:"stages"`
 	RVISpeedup     float64              `json:"speedup_vs_rvi"`
-	TotalColdMs    float64              `json:"total_cold_ms"`
-	TotalWarmMs    float64              `json:"total_warm_ms"`
-	Speedup        float64              `json:"speedup"`
 	AllocsPerProbe float64              `json:"workspace_allocs_per_probe"`
 	Compile        []solverBenchCompile `json:"compile"`
 	Evaluate       solverBenchEvaluate  `json:"evaluate"`
@@ -180,17 +171,14 @@ func benchEvaluate(t *testing.T) solverBenchEvaluate {
 	}
 }
 
-// TestBenchSolver measures the Table-2 sweep with and without the
-// workspace/warm-chain layer and writes the result as JSON to
-// $SOLVER_BENCH_OUT. scripts/bench.sh drives it; plain `go test` skips
-// it. The cold runs install SolveOne as the SolveCell, which solves
-// every cell independently on a fresh workspace. Both paths take each
-// cell's model from bumdp.New, so the ratio is a like-for-like
-// wall-clock comparison of warm starts on identical grids; both times
-// are recorded, and the chained values must
-// equal the cold ones bit for bit. The setting-2 row includes the
-// alpha = beta boundary cell (1:2 at alpha 25%), whose sticky-gate
-// countdown relative value iteration needs minutes to cross.
+// TestBenchSolver times the Table-2 sweep grids, compares policy
+// iteration with the relative-value-iteration reference, and writes the
+// result as JSON to $SOLVER_BENCH_OUT. scripts/bench.sh drives it;
+// plain `go test` skips it. Each grid is solved once through Sweep on
+// one core, so its time is solver work, not scheduling. The setting-2
+// row includes the alpha = beta boundary cell (1:2 at alpha 25%), whose
+// sticky-gate countdown relative value iteration needs minutes to
+// cross.
 func TestBenchSolver(t *testing.T) {
 	out := os.Getenv("SOLVER_BENCH_OUT")
 	if out == "" {
@@ -199,7 +187,7 @@ func TestBenchSolver(t *testing.T) {
 
 	base := SweepConfig{RatioTol: 1e-4, Epsilon: 1e-8}
 	report := solverBenchReport{
-		Benchmark: "table2_sweep_warm_vs_cold",
+		Benchmark: "table2_sweep",
 		RatioTol:  base.RatioTol, Epsilon: base.Epsilon,
 		Workers: 1,
 	}
@@ -223,56 +211,29 @@ func TestBenchSolver(t *testing.T) {
 		}()},
 	}
 
-	// The grid sweeps run serially, one row or cell at a time, so the
-	// cold and warm times compare solver work, not scheduling.
 	procs := runtime.GOMAXPROCS(report.Workers)
 	defer runtime.GOMAXPROCS(procs)
+	var rowCells []Cell // the last grid's cells: the setting-2 row
 	for _, g := range grids {
-		cold := g.cfg
-		cold.SolveCell = cold.Normalized(bumdp.Compliant).SolveOne
 		t0 := time.Now()
-		coldCells := Sweep(bumdp.Compliant, cold)
-		coldDur := time.Since(t0)
-
-		t0 = time.Now()
-		warmCells := Sweep(bumdp.Compliant, g.cfg)
-		warmDur := time.Since(t0)
-
-		row := solverBenchGrid{
-			Name:       g.name,
-			ColdMillis: float64(coldDur.Microseconds()) / 1e3,
-			WarmMillis: float64(warmDur.Microseconds()) / 1e3,
-			Speedup:    float64(coldDur) / float64(warmDur),
-		}
-		for i := range coldCells {
-			c, w := coldCells[i], warmCells[i]
+		cells := Sweep(bumdp.Compliant, g.cfg)
+		row := solverBenchGrid{Name: g.name, Millis: float64(time.Since(t0).Microseconds()) / 1e3}
+		for _, c := range cells {
 			if c.Skipped {
 				continue
 			}
-			if c.Err != nil || w.Err != nil {
-				t.Fatalf("%s %s: cold err %v warm err %v", g.name, c.Key(), c.Err, w.Err)
+			if c.Err != nil {
+				t.Fatalf("%s %s: %v", g.name, c.Key(), c.Err)
 			}
 			row.Cells++
-			row.ColdProbes += c.Stats.Probes
-			row.WarmProbes += w.Stats.Probes
-			row.ColdSweeps += int64(c.Stats.Iterations)
-			row.WarmSweeps += int64(w.Stats.Iterations)
-			if d := math.Abs(c.Value - w.Value); d > row.MaxValDiff {
-				row.MaxValDiff = d
-			}
-		}
-		if row.MaxValDiff != 0 {
-			t.Fatalf("%s: chained values differ from cold ones by up to %g", g.name, row.MaxValDiff)
+			row.Probes += c.Stats.Probes
+			row.Sweeps += int64(c.Stats.Iterations)
 		}
 		report.Grids = append(report.Grids, row)
-		report.TotalColdMs += row.ColdMillis
-		report.TotalWarmMs += row.WarmMillis
-		t.Logf("%s: cold %.1fms (%d probes %d sweeps) warm %.1fms (%d probes %d sweeps) speedup %.2f",
-			g.name, row.ColdMillis, row.ColdProbes, row.ColdSweeps,
-			row.WarmMillis, row.WarmProbes, row.WarmSweeps, row.Speedup)
+		rowCells = cells
+		t.Logf("%s: %.1fms (%d cells, %d probes, %d sweeps)", g.name, row.Millis, row.Cells, row.Probes, row.Sweeps)
 	}
 	runtime.GOMAXPROCS(procs)
-	report.Speedup = report.TotalColdMs / report.TotalWarmMs
 
 	// The solver against the relative-value-iteration reference on the
 	// setting-2 row: each cell's auxiliary problem at its solved ratio,
@@ -280,7 +241,6 @@ func TestBenchSolver(t *testing.T) {
 	// keeps the boundary cell out, since its countdown needs tens of
 	// thousands of RVI sweeps per probe.
 	row := grids[1].cfg.Normalized(bumdp.Compliant)
-	rowCells := Sweep(bumdp.Compliant, grids[1].cfg)
 	var rviMs, piMs float64
 	for _, c := range rowCells {
 		if c.Skipped || c.Ratio == "1:2" {
@@ -359,8 +319,7 @@ func TestBenchSolver(t *testing.T) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("total: cold %.1fms warm %.1fms speedup %.2f (allocs/probe %.1f)",
-		report.TotalColdMs, report.TotalWarmMs, report.Speedup, report.AllocsPerProbe)
+	t.Logf("allocs/probe %.1f", report.AllocsPerProbe)
 }
 
 // rviResult is the RVI reference's answer.

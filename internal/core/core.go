@@ -93,8 +93,8 @@ type SweepConfig struct {
 	// no solver code reads it, and it does not change results, since
 	// ratio objectives are solved to their exact optimum.
 	RatioTol, Epsilon float64
-	// Workers is read by no sweep code: rows and cells run GOMAXPROCS
-	// at a time. Normalized fills it with GOMAXPROCS, and it stays,
+	// Workers is read by no sweep code: cells run GOMAXPROCS at a
+	// time. Normalized fills it with GOMAXPROCS, and it stays,
 	// like RatioTol, because the benchmark reads it after Normalized;
 	// the sweep shard spec clears it again, so a farm job's spec does
 	// not depend on the host that enqueued it.
@@ -103,11 +103,10 @@ type SweepConfig struct {
 	// one goroutine, and GOMAXPROCS alone decides how many run at once.
 	// It stays, like RatioTol, because the benchmark sets it.
 	InnerParallelism int
-	// SolveCell, when non-nil, solves each non-skipped cell on its own
-	// instead of the warm-chained rows of the direct path. The
-	// experiment store uses it to answer cells from cache and fill
-	// misses, and SolveOne is the uncached cold reference; the sweep
-	// grid, ordering and cell values are the same either way.
+	// SolveCell, when non-nil, solves each non-skipped cell in place of
+	// SolveOne. The experiment store uses it to answer cells from cache
+	// and to fill misses with the same cold solve, so the sweep grid,
+	// ordering and cell values are the same either way.
 	SolveCell func(Cell) Cell `json:"-"`
 	// Tracer receives every cell solver's convergence events. Like
 	// Workers it never changes cell values and is excluded from cache
@@ -154,16 +153,11 @@ func (c SweepConfig) withDefaults() SweepConfig {
 // returned with Skipped set. The result is ordered by (ad, setting,
 // alpha, ratio).
 //
-// On the direct path each row — the cells sharing (ad, setting, alpha),
-// which differ only in the Bob:Carol split — is solved as one warm
-// chain on a shared bumdp.Session: one compiled model reparameterized
-// per cell, one solver workspace, each cell's first probe warm-started
-// from its left neighbor's bias. Rows are solved GOMAXPROCS at a time,
-// and because a chain never crosses a row boundary the results are
-// identical at every GOMAXPROCS setting. An
-// installed SolveCell (the experiment store, or SolveOne for cold
-// cells) solves cells independently instead, with bit-identical
-// values and witnesses.
+// Every cell is solved on its own and cold, through SolveCell when one
+// is installed and SolveOne otherwise, GOMAXPROCS cells at a time. No
+// solve reads another's state, so the results do not depend on
+// GOMAXPROCS, and the store's sweep of the same grid encodes to the
+// same record.
 func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 	cfg = cfg.withDefaults()
 	cells := cfg.grid(model)
@@ -171,23 +165,20 @@ func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 	return cells
 }
 
-// solveRows solves the listed rows of a defaults-applied config's grid
-// in place, GOMAXPROCS rows (or, under SolveCell, cells) at a time:
-// each row as one warm chain, or each cell through SolveCell.
+// solveRows solves the non-skipped cells of the listed rows of a
+// defaults-applied config's grid in place, GOMAXPROCS cells at a time,
+// each through SolveCell, or SolveOne when none is installed.
 func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
-	rowLen := len(cfg.Ratios)
-	if cfg.SolveCell != nil {
-		par.For(len(rows)*rowLen, func(i int) {
-			c := &cells[rows[i/rowLen]*rowLen+i%rowLen]
-			if !c.Skipped {
-				*c = cfg.SolveCell(*c)
-			}
-		})
-		return
+	solve := cfg.SolveCell
+	if solve == nil {
+		solve = cfg.SolveOne
 	}
-	par.For(len(rows), func(i int) {
-		r := rows[i]
-		cfg.solveRow(cells[r*rowLen : (r+1)*rowLen])
+	rowLen := len(cfg.Ratios)
+	par.For(len(rows)*rowLen, func(i int) {
+		c := &cells[rows[i/rowLen]*rowLen+i%rowLen]
+		if !c.Skipped {
+			*c = solve(*c)
+		}
 	})
 }
 
@@ -224,38 +215,6 @@ func (c SweepConfig) grid(model bumdp.IncentiveModel) []Cell {
 	return cells
 }
 
-// solveRow solves one sweep row left to right on a shared warm-chained
-// session. Skipped cells stay skipped; the chain continues across them.
-// A cell whose solve fails records its error and the chain simply
-// retries session setup at the next cell.
-func (cfg SweepConfig) solveRow(row []Cell) {
-	var sess *bumdp.Session
-	for i := range row {
-		if row[i].Skipped {
-			continue
-		}
-		c := row[i]
-		params, opts := cfg.CellParams(c)
-		if sess == nil {
-			a, err := bumdp.New(params)
-			if err != nil {
-				row[i].Err = err
-				continue
-			}
-			sess = bumdp.NewSession(a, opts)
-		} else if err := sess.Rebind(params); err != nil {
-			row[i].Err = err
-			continue
-		}
-		res, err := sess.Solve()
-		if err != nil {
-			row[i].Err = err
-			continue
-		}
-		row[i] = c.solved(sess.Analysis(), res)
-	}
-}
-
 // RatioByName finds a ratio in ratios by its display name, falling back
 // to 1:1.
 func RatioByName(ratios []Ratio, name string) Ratio {
@@ -282,9 +241,9 @@ func (c SweepConfig) CellParams(cell Cell) (bumdp.Params, bumdp.SolveOptions) {
 	return p, o
 }
 
-// SolveOne solves one grid cell directly (no cache) and cold. Installed
-// as the SolveCell of the config it is called on, after Normalized, it
-// makes Sweep solve every cell independently.
+// SolveOne solves one grid cell directly (no cache) and cold: the
+// per-cell solve of every sweep without a SolveCell, and the same solve
+// the experiment store runs on a miss.
 func (cfg SweepConfig) SolveOne(c Cell) Cell {
 	params, opts := cfg.CellParams(c)
 	a, err := bumdp.New(params)
@@ -297,11 +256,6 @@ func (cfg SweepConfig) SolveOne(c Cell) Cell {
 		c.Err = err
 		return c
 	}
-	return c.solved(a, res)
-}
-
-// solved fills the cell from a's solve result.
-func (c Cell) solved(a *bumdp.Analysis, res bumdp.Result) Cell {
 	c.Value = res.Utility
 	c.Honest = a.HonestUtility()
 	c.ForkRate = res.ForkRate

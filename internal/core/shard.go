@@ -7,13 +7,13 @@ import (
 )
 
 // Sweep sharding: a SweepConfig's grid splits into Count shards of
-// whole rows — a row being the cells sharing (ad, setting, alpha),
-// which is exactly the warm-chain unit of the direct solve path. Shard
+// whole rows, a row being the cells sharing (ad, setting, alpha). Shard
 // Index takes rows Index, Index+Count, Index+2*Count, ... (round-robin,
 // so the expensive low-alpha rows of a setting spread across shards
-// instead of piling onto one). Because a warm chain never crosses a row
-// boundary, solving the shards on separate machines and merging them
-// reassembles a table bit-identical to the single-process Sweep.
+// instead of piling onto one). A shard solves its cells exactly as
+// Sweep does, each on its own, so solving the shards on separate
+// machines and merging them reassembles a table bit-identical to the
+// single-process Sweep.
 
 // ShardRows returns the row indices shard index of count owns within
 // the normalized config's grid.
@@ -28,11 +28,10 @@ func (c SweepConfig) ShardRows(model bumdp.IncentiveModel, index, count int) []i
 }
 
 // SweepShard solves shard index of count of the config's grid and
-// returns its cells, whole rows in grid order. Rows are solved exactly
-// as Sweep solves them — warm-chained on a shared session (or cell by
-// cell when SolveCell is set), GOMAXPROCS rows at a time — so the
-// cells are bit-identical to the ones the full single-process sweep
-// would produce at those positions.
+// returns its cells, whole rows in grid order. Its cells are solved
+// exactly as Sweep solves them, through the same dispatcher, so they
+// are bit-identical to the ones the full single-process sweep would
+// produce at those positions.
 func SweepShard(model bumdp.IncentiveModel, cfg SweepConfig, index, count int) ([]Cell, error) {
 	if count < 1 || index < 0 || index >= count {
 		return nil, fmt.Errorf("core: bad shard %d of %d", index, count)

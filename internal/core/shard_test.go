@@ -8,8 +8,8 @@ import (
 	"buanalysis/internal/bumdp"
 )
 
-// shardTestConfig is a small but non-trivial grid: two warm-chain rows
-// per shard count tested, fast tolerances, reduced AD for speed.
+// shardTestConfig is a small but non-trivial grid: two rows of three
+// cells, fast tolerances, reduced AD for speed.
 func shardTestConfig() SweepConfig {
 	return SweepConfig{
 		Alphas:   []float64{0.10, 0.15},
@@ -123,8 +123,8 @@ func TestMergeShardsRejectsMismatches(t *testing.T) {
 }
 
 // TestSweepShardWorkerDeterminism: a shard's cells are identical at
-// any GOMAXPROCS setting (rows are the chain unit; scheduling them
-// concurrently must not change values).
+// any GOMAXPROCS setting (each cell is solved on its own; scheduling
+// them concurrently must not change values).
 func TestSweepShardWorkerDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := shardTestConfig()

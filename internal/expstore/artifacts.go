@@ -24,7 +24,7 @@ const (
 	KindBitcoinSolve = "btcsolve"   // one Bitcoin baseline solve
 	KindMonteCarlo   = "mcbatch"    // one Monte Carlo cross-validation batch
 	KindEBGame       = "ebgame"     // EB choosing game pure Nash equilibria
-	KindSweepShard   = "sweepshard" // one warm-chained shard of a sharded sweep
+	KindSweepShard   = "sweepshard" // one shard of a sharded sweep
 )
 
 // Spec describes one artifact. Each kind has exactly one Spec type, and
@@ -320,11 +320,11 @@ func (s BitcoinSolveSpec) Compute(obs.Tracer) ([]byte, error) {
 
 // Sweep runs core.Sweep with every cell answered through the store:
 // cached cells are returned without solving, missing cells are solved
-// (deduplicated and budget-bounded by the store) and written back. The
-// grid, ordering and cell values are identical to core.Sweep — a warm
-// run formats to byte-identical tables — and each cell shares its key
-// with the equivalent single solve, so a sweep warms /solve and vice
-// versa.
+// (deduplicated and budget-bounded by the store) and written back. A
+// miss is the cold per-cell solve core.Sweep runs on its own, so the
+// cells encode to the same sweep record as core.Sweep's, hit or miss,
+// and each cell shares its key with the equivalent single solve, so a
+// sweep warms /solve and vice versa.
 func Sweep(st *Store, model bumdp.IncentiveModel, cfg core.SweepConfig) []core.Cell {
 	cells, _, _ := SweepStatsCtx(context.Background(), st, model, cfg)
 	return cells

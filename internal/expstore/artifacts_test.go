@@ -251,32 +251,48 @@ func TestSweepWarmRunIsCachedAndByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesUncachedSweep: the store and core.Sweep solve every
+// cell the same way, so their sweep records are byte-equal (values,
+// probe and sweep counts) and their cells carry the same witnesses. On
+// the last two grids a warm start carried from one cell to the next
+// changes sweep counts, and in the non-compliant one a value and a
+// witness, so they catch a second sweep path.
 func TestSweepMatchesUncachedSweep(t *testing.T) {
-	s := mustOpen(t, Config{})
-	cfg := sweepTestConfig()
-	cached := Sweep(s, bumdp.Compliant, cfg)
-
-	// Store cells are always solved cold and independently, so they are
-	// bit-identical to a direct unchained sweep.
-	coldCfg := cfg
-	coldCfg.SolveCell = cfg.Normalized(bumdp.Compliant).SolveOne
-	cold := core.Sweep(bumdp.Compliant, coldCfg)
-	if len(cached) != len(cold) {
-		t.Fatalf("grid sizes differ: %d vs %d", len(cached), len(cold))
-	}
-	for i := range cold {
-		if cached[i].Value != cold[i].Value {
-			t.Errorf("cell %d: cached %v cold direct %v", i, cached[i].Value, cold[i].Value)
-		}
-	}
-
-	// The default direct sweep warm-chains its rows, which changes round
-	// counts but not values.
-	chained := core.Sweep(bumdp.Compliant, cfg)
-	for i := range chained {
-		if cached[i].Value != chained[i].Value {
-			t.Errorf("cell %d: cached %v chained %v (diff %g)", i, cached[i].Value, chained[i].Value, cached[i].Value-chained[i].Value)
-		}
+	for _, tc := range []struct {
+		name  string
+		model bumdp.IncentiveModel
+		cfg   core.SweepConfig
+	}{
+		{"small", bumdp.Compliant, sweepTestConfig()},
+		{"compliant setting 1", bumdp.Compliant, core.SweepConfig{
+			Alphas: []float64{0.15, 0.20}, Settings: []bumdp.Setting{bumdp.Setting1},
+			RatioTol: 1e-4, Epsilon: 1e-8,
+		}},
+		{"noncompliant setting 2", bumdp.NonCompliant, core.SweepConfig{
+			Alphas: []float64{0.025}, Settings: []bumdp.Setting{bumdp.Setting2},
+			RatioTol: 1e-4, Epsilon: 1e-8,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := core.Sweep(tc.model, tc.cfg)
+			cached := Sweep(mustOpen(t, Config{}), tc.model, tc.cfg)
+			want, err := json.Marshal(NewSweepRecord(tc.model, direct))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(NewSweepRecord(tc.model, cached))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("store sweep record differs from core.Sweep's:\n got %s\nwant %s", got, want)
+			}
+			for i := range direct {
+				if cached[i].Witness != direct[i].Witness {
+					t.Errorf("%s: store witness differs from core.Sweep's", direct[i].Key())
+				}
+			}
+		})
 	}
 }
 

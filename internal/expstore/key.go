@@ -59,7 +59,12 @@ import (
 // Version 7: every solve runs on one goroutine, and busolve records no
 // longer carry the sweep worker count (stats.Workers). Values, witnesses
 // and probe and sweep counts are unchanged.
-const Version = 7
+//
+// Version 8: sweep shards solve each cell cold instead of warm-chaining
+// each row, so shard records carry the cold sweep counts, and some
+// non-compliant cells a different witness and value. Busolve records
+// are unchanged.
+const Version = 8
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

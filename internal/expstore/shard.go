@@ -4,24 +4,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/obs"
 )
 
-// Sweep shard artifacts. A sharded sweep solves whole warm-chain rows
-// per shard (core.SweepShard), so its cells are the direct-path chained
-// values. Their values and witnesses are bit-identical to the cold
-// per-cell busolve artifacts the store's SolveCell path produces
-// (core's TestChainedSweepMatchesCold pins it), but their probe and
-// sweep counts are not: a warm start changes round counts. Shard
-// results therefore live under their own kind, keyed by the shard's
-// full value-affecting identity, and never touch the per-cell cache.
+// Sweep shard artifacts. A sharded sweep solves whole rows per shard
+// (core.SweepShard), each cell on its own and cold, exactly as the
+// store's own sweep solves it, so a shard's cells equal the per-cell
+// busolve artifacts of the same grid in every field the cell record
+// carries. A shard is stored whole, under its own kind and keyed by its
+// full value-affecting identity: one farm job computes, and verify
+// checks, one shard record.
 
-// SweepShardSpec describes one warm-chained shard of a sharded sweep
-// (kind "sweepshard"): shard Index of Count over the grid Config sweeps
-// for Model.
+// SweepShardSpec describes one shard of a sharded sweep (kind
+// "sweepshard"): shard Index of Count over the grid Config sweeps for
+// Model.
 type SweepShardSpec struct {
 	Model  int              `json:"model"`
 	Config core.SweepConfig `json:"config"`
@@ -66,13 +66,25 @@ func (s SweepShardSpec) Normalized() (Spec, error) { return s.normalized() }
 // normalized applies the config's defaults for the model — the exact
 // grid every worker must solve — and clears the Workers count that
 // Normalized fills in, so the spec does not depend on the enqueuing
-// host.
+// host. A cell names its ratio, and core.SweepConfig.CellParams finds
+// the split by that name, so ratio names must be unique, and each split
+// must have a positive, finite B and G.
 func (s SweepShardSpec) normalized() (SweepShardSpec, error) {
 	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
 		return SweepShardSpec{}, fmt.Errorf("expstore: bad shard %d of %d", s.Index, s.Count)
 	}
 	s.Config = s.Config.Normalized(bumdp.IncentiveModel(s.Model))
 	s.Config.Workers = 0
+	seen := make(map[string]bool, len(s.Config.Ratios))
+	for _, r := range s.Config.Ratios {
+		if seen[r.Name] {
+			return SweepShardSpec{}, fmt.Errorf("expstore: sweep ratio %q appears twice", r.Name)
+		}
+		seen[r.Name] = true
+		if !(r.B > 0 && r.B <= math.MaxFloat64 && r.G > 0 && r.G <= math.MaxFloat64) {
+			return SweepShardSpec{}, fmt.Errorf("expstore: sweep ratio %q has B %g and G %g, want both positive and finite", r.Name, r.B, r.G)
+		}
+	}
 	return s, nil
 }
 
@@ -92,8 +104,8 @@ func (s SweepShardSpec) Key() (string, error) {
 	})
 }
 
-// Compute solves the shard's rows warm-chained, exactly as
-// core.SweepShard does, and encodes them as a SweepShardRecord.
+// Compute solves the shard's rows through core.SweepShard and encodes
+// them as a SweepShardRecord.
 func (s SweepShardSpec) Compute(tr obs.Tracer) ([]byte, error) {
 	n, err := s.normalized()
 	if err != nil {

@@ -20,8 +20,8 @@ import (
 )
 
 // testSweepConfig is the e2e grid: small enough to solve in
-// milliseconds, large enough for three shards with multiple warm-chain
-// rows.
+// milliseconds, two rows of three cells, so a three-way fan-out leaves
+// one shard empty.
 func testSweepConfig() core.SweepConfig {
 	return core.SweepConfig{
 		Alphas:   []float64{0.10, 0.15},
@@ -52,8 +52,9 @@ func testFarm(t *testing.T, qopts jobqueue.Options) (*Client, *jobqueue.Queue, *
 // TestFarmEndToEndShardedSweep is the subsystem's acceptance test: a
 // sweep sharded across three workers — with one worker killed mid-lease
 // and one completion delivered twice (the second tampered) — produces a
-// merged table byte-identical to the single-process core.Sweep, with
-// every shard artifact materialized in the store exactly once.
+// merged table byte-identical to the single-process core.Sweep and to
+// the store's sweep that /sweep serves, with every shard artifact
+// materialized in the store exactly once.
 func TestFarmEndToEndShardedSweep(t *testing.T) {
 	client, q, st, _ := testFarm(t, jobqueue.Options{
 		BackoffBase: 10 * time.Millisecond,
@@ -174,6 +175,9 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	}
 	if want := core.FormatTable(direct, true); res.Table != want {
 		t.Fatalf("merged table differs from single-process sweep:\n%s\n---\n%s", res.Table, want)
+	}
+	if want := expstore.NewSweepRecord(model, expstore.Sweep(st, model, cfg)); !reflect.DeepEqual(res.Record, want) {
+		t.Fatal("merged sweep record differs from the store's sweep")
 	}
 }
 
@@ -316,9 +320,10 @@ func TestWorkerLogsEachJobEventOnce(t *testing.T) {
 	}
 }
 
-// TestFarmSweepRejectsCountBelowOne: every sweep endpoint answers 400
-// to a fan-out of fewer than one shard, and nothing is enqueued.
-func TestFarmSweepRejectsCountBelowOne(t *testing.T) {
+// requireSweepRefused posts each request to every sweep endpoint of a
+// fresh coordinator and requires 400 from each, with nothing enqueued.
+func requireSweepRefused(t *testing.T, reqs map[string]SweepRequest) {
+	t.Helper()
 	q, err := jobqueue.Open(jobqueue.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -328,22 +333,49 @@ func TestFarmSweepRejectsCountBelowOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := (&API{Queue: q, Store: st}).Handler()
-	for _, path := range []string{"/jobs/sweep", "/jobs/sweep/status", "/jobs/sweep/result"} {
-		for _, count := range []int{0, -1} {
-			body, err := json.Marshal(SweepRequest{Model: int(bumdp.Compliant), Config: testSweepConfig(), Count: count})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for name, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/jobs/sweep", "/jobs/sweep/status", "/jobs/sweep/result"} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			if rec.Code != http.StatusBadRequest {
-				t.Errorf("POST %s count %d: status %d, want 400 (%s)", path, count, rec.Code, rec.Body)
+				t.Errorf("%s: POST %s: status %d, want 400 (%s)", name, path, rec.Code, rec.Body)
 			}
 		}
 	}
 	if n := len(q.Jobs()); n != 0 {
 		t.Errorf("%d jobs enqueued", n)
 	}
+}
+
+// TestFarmSweepRejectsCountBelowOne: every sweep endpoint answers 400
+// to a fan-out of fewer than one shard, and nothing is enqueued.
+func TestFarmSweepRejectsCountBelowOne(t *testing.T) {
+	requireSweepRefused(t, map[string]SweepRequest{
+		"count 0":  {Model: int(bumdp.Compliant), Config: testSweepConfig(), Count: 0},
+		"count -1": {Model: int(bumdp.Compliant), Config: testSweepConfig(), Count: -1},
+	})
+}
+
+// TestFarmSweepRejectsMalformedRatios: a cell finds its ratio's split
+// by name, so every sweep endpoint answers 400 to a config with a
+// repeated ratio name, or with a split that is not positive, and
+// nothing is enqueued.
+func TestFarmSweepRejectsMalformedRatios(t *testing.T) {
+	reqs := map[string]SweepRequest{}
+	for name, ratios := range map[string][]core.Ratio{
+		"repeated name": {{Name: "a", B: 1, G: 1}, {Name: "a", B: 2, G: 1}, {Name: "b", B: 2, G: 1}},
+		"zero split":    {{Name: "1:1", B: 1, G: 1}, {Name: "0:0", B: 0, G: 0}},
+		"negative B":    {{Name: "-1:2", B: -1, G: 2}},
+	} {
+		cfg := core.SweepConfig{Alphas: []float64{0.10}, Ratios: ratios,
+			Settings: []bumdp.Setting{bumdp.Setting1}, RatioTol: 1e-4, Epsilon: 1e-8}
+		reqs[name] = SweepRequest{Model: int(bumdp.NonCompliant), Config: cfg, Count: 1}
+	}
+	requireSweepRefused(t, reqs)
 }
 
 // TestFarmEnqueueValidation: the coordinator rejects unknown kinds and

@@ -61,21 +61,21 @@ func TestArtifactIdentityGolden(t *testing.T) {
 		{"busolve", "/jobs/enqueue",
 			`{"kind": "busolve", "spec": {"params": {"Alpha": 0.1, "Beta": 0.45, "Gamma": 0.45, "AD": 3, "Model": 1}}}`,
 			[]identityJob{
-				{"busolve-a513afe94c042a1c1a0560a37d500613d0ed9945",
+				{"busolve-9b8ed7132dbff157e79ddb9d35eb49ff2d7c53ae",
 					`{"params":{"Alpha":0.1,"Beta":0.45,"Gamma":0.45,"AD":3,"ADBob":3,"ADCarol":3,"Setting":1,"Model":1,"GateWindow":144,"DoubleSpendReward":10,"DSLag":3,"DSConvention":0},"ratio_tol":0.00001,"epsilon":1e-9}`,
 					"a78cd1753902d50e5418d7999b382781765362ded355fdc950348c9d0835f1f2"},
 			}},
 		{"btcsolve", "/jobs/enqueue",
 			`{"kind": "btcsolve", "spec": {"params": {"Alpha": 0.25, "TieWinProb": 0.5, "Objective": 1}}}`,
 			[]identityJob{
-				{"btcsolve-389f4d0b1cca7c2dafe3765846604253740fb71f",
+				{"btcsolve-1a0845adc1b6d9b381c75eeec4456a3557135736",
 					`{"params":{"Alpha":0.25,"TieWinProb":0.5,"MaxLead":60,"Objective":1,"DoubleSpendReward":10,"DSLag":3}}`,
 					"1d8fb41ee8f4dea7c472ad1a588adec863c8c5dc654bcd789f4990fca539e9f7"},
 			}},
 		{"ebgame", "/jobs/enqueue",
 			`{"kind": "ebgame", "spec": {"powers": [0.5, 0.3, 0.2], "choices": 2}}`,
 			[]identityJob{
-				{"ebgame-bf72536f7877ff206695ff2eab9d32efec8f8894",
+				{"ebgame-8ce71785087cf94f47233fdf8b7745ded20a8875",
 					`{"powers":[0.5,0.3,0.2],"choices":2}`,
 					"769627cfb28a95f70c362f0e5ec114fb3663e3e59c5a100d0b9db000e686fa19"},
 			}},
@@ -85,7 +85,7 @@ func TestArtifactIdentityGolden(t *testing.T) {
                      "AD": 3, "Setting": 1, "Model": 0},
           "steps": 2000000, "batches": 24, "seed": 7}}`,
 			[]identityJob{
-				{"mcbatch-70b355ef9f372760969bdd09d498361361b01eef",
+				{"mcbatch-b956d0fc86f0d41eadb4a02975deec0db95359fe",
 					`{"params":{"Alpha":0.25,"Beta":0.375,"Gamma":0.375,"AD":3,"ADBob":3,"ADCarol":3,"Setting":1,"Model":0,"GateWindow":144,"DoubleSpendReward":10,"DSLag":3,"DSConvention":0},"steps":2000000,"batches":24,"seed":7}`,
 					"eecc61e3ed26bc088ac81f15268237a376a1b9df61182689d9c098e5eebcd1f7"},
 			}},
@@ -107,15 +107,15 @@ func TestArtifactIdentityGolden(t *testing.T) {
   "count": 3
 }`,
 			[]identityJob{
-				{"sweepshard-8ef0e9ff3ec1b79575b3abc4b675394f706fe302",
+				{"sweepshard-477069ce153a37274c2cc651b6249d2b08e333fc",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":0,"count":3}`,
-					"4ca60051b211807a1b1be279f4a4c852f4bc6d475a08bc31960a166601352db3"},
-				{"sweepshard-2d7a84966359ad6fb199255e684768e4437374ea",
+					"de5c5edc5febc259faeb359d6ebd07a71d990d8bb1e1a09ebeda7745e9c54e5e"},
+				{"sweepshard-4e86368e4bce40becab366fec03b830b981b5779",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":1,"count":3}`,
-					"2ff8ad6a510a5087575ef347d18ed02433ce17f8ef96fb56494dded9be2ed539"},
-				{"sweepshard-bbf2205ca4aba422faebb152617f5cae54c62886",
+					"271b970dfd5bec1caf40b0d66384660942c6d8cd19e7c274d9ecfbe0893df0d6"},
+				{"sweepshard-a54f06b490de2de876d7b2b917029f57cd0958ee",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":2,"count":3}`,
-					"a9b1ec696826d492d32aeb15ed198df7ae5c8ed8bdb3a3a463983a88755a4bd1"},
+					"cbaf9d3958ea1302a878e6756343efac43a2ad58400f2ba7a1a2534aefe2f89d"},
 			}},
 	}
 	for _, tc := range cases {

@@ -117,9 +117,10 @@ func BenchmarkJournaledCycle(b *testing.B) {
 // sweepWallClock stands up a fresh coordinator (empty store, in-memory
 // queue), enqueues a small Table-2-style sweep as 3 shard jobs, and
 // measures how long a fleet of `workers` draining workers takes to
-// finish it. Each shard is one warm-chained row, which a worker solves
-// on one goroutine, so the comparison isolates distribution, not
-// parallelism inside a job.
+// finish it. Each shard is one row of three cells, which a worker
+// solves GOMAXPROCS cells at a time, so on more than one core a single
+// worker already runs cells in parallel and the fleet's speedup is what
+// distribution adds on top.
 func sweepWallClock(t *testing.T, workers int) float64 {
 	t.Helper()
 	q, err := jobqueue.Open(jobqueue.Options{})

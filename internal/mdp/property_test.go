@@ -73,7 +73,6 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 		m := mustCompile(t, randomBuilder(rng, n, 3))
 		opts := Options{Epsilon: 1e-9}
 
-		ws := m.NewWorkspace()
 		pol := make(Policy, n)
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions(s)))
@@ -81,22 +80,22 @@ func TestWorkspaceColdBitIdenticalOnRandomModels(t *testing.T) {
 		type solver struct {
 			name  string
 			model func() (Result, error)
-			ws    func() (Result, error)
+			ws    func(*Workspace) (Result, error)
 		}
 		for _, sv := range []solver{
 			{"AverageReward",
 				func() (Result, error) { return m.AverageReward(opts) },
-				func() (Result, error) { return ws.AverageReward(opts) }},
+				func(ws *Workspace) (Result, error) { return ws.AverageReward(opts) }},
 			{"EvaluatePolicy",
 				func() (Result, error) { return m.EvaluatePolicy(pol, opts) },
-				func() (Result, error) { return ws.EvaluatePolicy(pol, opts) }},
+				func(ws *Workspace) (Result, error) { return ws.EvaluatePolicy(pol, opts) }},
 		} {
 			want, err := sv.model()
 			if err != nil {
 				t.Fatalf("trial %d %s (model): %v", trial, sv.name, err)
 			}
-			ws.ResetBias() // each entry point gets a cold workspace
-			got, err := sv.ws()
+			// Each entry point gets a fresh, cold workspace.
+			got, err := sv.ws(m.NewWorkspace())
 			if err != nil {
 				t.Fatalf("trial %d %s (workspace): %v", trial, sv.name, err)
 			}
@@ -170,47 +169,5 @@ func TestWarmChainRandomProbeOrders(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestResetBiasRestoresColdBehaviorOnRandomModels: after any warm
-// history, ResetBias puts the workspace back into a state that replays
-// the original cold solve exactly — same gain bits, same iteration
-// count, same bias vector.
-func TestResetBiasRestoresColdBehaviorOnRandomModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 6; trial++ {
-		m := mustCompile(t, randomBuilder(rng, 30+rng.Intn(30), 3))
-		opts := Options{Epsilon: 1e-9}
-		ws := m.NewWorkspace()
-
-		cold, err := ws.AverageReward(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Workspace results alias the workspace buffers and are only valid
-		// until the next solve — snapshot the cold bias before chaining.
-		coldBias := append([]float64(nil), cold.Bias...)
-		// Pollute the bias with a random warm history.
-		for i := 0; i < 1+rng.Intn(4); i++ {
-			po := opts
-			po.Rho = rng.Float64()
-			if _, err := ws.AverageReward(po); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ws.ResetBias()
-		if ws.Warm() {
-			t.Fatal("workspace still warm after ResetBias")
-		}
-		recold, err := ws.AverageReward(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recold.Gain != cold.Gain || recold.Iterations != cold.Iterations || recold.Stats.Warm {
-			t.Errorf("trial %d: after ResetBias gain %v iters %d warm %v, want gain %v iters %d",
-				trial, recold.Gain, recold.Iterations, recold.Stats.Warm, cold.Gain, cold.Iterations)
-		}
-		equalFloatsBitwise(t, "post-reset bias", recold.Bias, coldBias)
 	}
 }

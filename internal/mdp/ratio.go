@@ -43,8 +43,8 @@ type RatioStats struct {
 	Probes int
 	// WarmProbes is how many of those probes started from a warm bias
 	// (within one search every probe after the first chains the previous
-	// probe's bias; on a warm-chained workspace the first probe is warm
-	// too).
+	// probe's bias; on a workspace that has solved before, the first
+	// probe is warm too).
 	WarmProbes int
 	// Iterations is the total number of passes across probes (OptSweeps
 	// plus EvalSweeps).
@@ -93,7 +93,7 @@ type RatioResult struct {
 // Num rate and zero Den rate makes the ratio unbounded, also an error.
 //
 // Each call runs on a transient Workspace; callers solving many ratios
-// on one model shape should hold a Workspace and call its SolveRatio.
+// on one model should hold a Workspace and call its SolveRatio.
 func (m *Model) SolveRatio(opts RatioOptions) (RatioResult, error) {
 	return m.NewWorkspace().SolveRatio(opts)
 }

@@ -55,24 +55,19 @@ func table3Cases() []buCase {
 // are acyclic, so the one-pass bias must also solve the policy's
 // Poisson equation to rounding: a residual of at most 1e-12.
 func TestStationaryMatchesPowerIterationOnBUChains(t *testing.T) {
-	cases := table3Cases()
-	a, err := bumdp.New(cases[0].p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-chained loose solves; Session.Solve reports the fork rate
-	// through the regenerative evaluation.
-	sess := bumdp.NewSession(a, bumdp.SolveOptions{RatioTol: 1e-2, Epsilon: 1e-4})
+	// Loose solves; SolveWith reports the fork rate through the
+	// regenerative evaluation.
+	opts := bumdp.SolveOptions{RatioTol: 1e-2, Epsilon: 1e-4}
 	oracleOpts := mdp.Options{Epsilon: 1e-10}
-	for _, tc := range cases {
-		if err := sess.Rebind(tc.p); err != nil {
+	for _, tc := range table3Cases() {
+		a, err := bumdp.New(tc.p)
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		res, err := sess.Solve()
+		res, err := a.SolveWith(opts)
 		if err != nil {
 			t.Fatalf("%s: solve: %v", tc.name, err)
 		}
-		a := sess.Analysis()
 		m, pol := a.Model, res.Policy
 
 		ev, err := m.EvaluatePolicy(pol, mdp.Options{})

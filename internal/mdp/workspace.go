@@ -9,22 +9,23 @@ import (
 	"buanalysis/internal/obs"
 )
 
-// Workspace is a reusable solver session bound to one model shape. It
-// owns everything an average-reward solve needs besides the model
-// itself — the iterate vectors h and next, the greedy policy, the
-// shifted-reward scratch, and the policy chain and first-passage
-// vectors of the exact evaluations — so a sequence of solves (the
-// probes of a ratio solve, or a whole warm-chained sweep row) allocates
-// its buffers exactly once. A steady-state probe on a Workspace
-// performs zero heap allocations. Every solve runs on the caller's
-// goroutine.
+// Workspace holds everything an average-reward solve needs besides
+// the model itself — the iterate vectors h and next, the greedy policy,
+// the shifted-reward scratch, and the policy chain and first-passage
+// vectors of the exact evaluations — so a sequence of solves on one
+// model (the probes of a ratio solve) allocates its buffers exactly
+// once. A steady-state probe on a Workspace performs zero heap
+// allocations. Every solve runs on the caller's goroutine.
 //
 // A Workspace additionally chains solves: each solve starts from the
-// bias vector the previous solve on the same workspace converged to.
-// Warm starts change round counts but never converged values (every
-// solve still runs to Options.Epsilon), and a fresh workspace starts
-// cold, so the one-shot Model methods — which create a transient
-// workspace per call — behave exactly as before.
+// bias vector the previous solve on the same workspace converged to,
+// which is how each probe of a ratio search after the first starts
+// warm. A warm start changes round counts, and can move a converged
+// value within Options.Epsilon or pick another of several optimal
+// policies, so a result depends on the solves before it on the same
+// workspace. A fresh workspace starts cold, so the one-shot Model
+// methods — which create a transient workspace per call — always solve
+// cold.
 //
 // The returned Result.Bias and Result.Policy of workspace solves are
 // borrowed views into the workspace's buffers: they are valid until the
@@ -60,7 +61,7 @@ type Workspace struct {
 	warm bool
 }
 
-// NewWorkspace creates a solver session for m.
+// NewWorkspace creates a cold workspace for m.
 func (m *Model) NewWorkspace() *Workspace {
 	n := m.numStates
 	return &Workspace{
@@ -74,30 +75,6 @@ func (m *Model) NewWorkspace() *Workspace {
 		passR:   make([]float64, n),
 		passT:   make([]float64, n),
 	}
-}
-
-// Warm reports whether the workspace holds a bias vector from a
-// previous solve that the next solve will start from.
-func (ws *Workspace) Warm() bool { return ws.warm }
-
-// ResetBias discards the chained bias: the next solve starts cold
-// (from the zero vector), exactly like the first solve on a fresh
-// workspace.
-func (ws *Workspace) ResetBias() { ws.warm = false }
-
-// Bind re-targets the workspace at another model of the same shape
-// (state and state-action counts), typically a Reparameterize product.
-// The chained bias is kept: it indexes the same state space and is the
-// natural warm start for the rebound model's first solve.
-func (ws *Workspace) Bind(m *Model) error {
-	if m.numStates != ws.m.numStates {
-		return fmt.Errorf("mdp: cannot bind workspace for %d states to model with %d", ws.m.numStates, m.numStates)
-	}
-	if len(m.eNum) != len(ws.shift) {
-		return fmt.Errorf("mdp: cannot bind workspace for %d state-actions to model with %d", len(ws.shift), len(m.eNum))
-	}
-	ws.m = m
-	return nil
 }
 
 // adoptNext makes the last sweep's iterate, re-centered at state 0, the

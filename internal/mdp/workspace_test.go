@@ -95,9 +95,6 @@ func TestWorkspaceWarmChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ws.Warm() {
-		t.Fatal("workspace not warm after a solve")
-	}
 	warm, err := ws.AverageReward(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -110,17 +107,6 @@ func TestWorkspaceWarmChain(t *testing.T) {
 	}
 	if math.Abs(warm.Gain-cold.Gain) > 1e-7 {
 		t.Errorf("warm gain %v drifted from cold gain %v", warm.Gain, cold.Gain)
-	}
-
-	// Discarding the chain reproduces the cold solve exactly.
-	ws.ResetBias()
-	recold, err := ws.AverageReward(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recold.Gain != cold.Gain || recold.Iterations != cold.Iterations || recold.Stats.Warm {
-		t.Errorf("after ResetBias: gain %v iters %d warm %v, want cold gain %v iters %d",
-			recold.Gain, recold.Iterations, recold.Stats.Warm, cold.Gain, cold.Iterations)
 	}
 }
 
@@ -267,39 +253,6 @@ func rejectsStructureChange(t *testing.T, m *Model) {
 		trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: 1, Den: 1}}}}
 	if _, err := m.Reparameterize(small); err == nil {
 		t.Error("state-count change not rejected")
-	}
-}
-
-func TestWorkspaceBindShapeChecks(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	m1 := mustCompile(t, randomBuilder(rng, 40, 3))
-	m2 := mustCompile(t, randomBuilder(rng, 50, 3))
-	ws := m1.NewWorkspace()
-	if err := ws.Bind(m2); err == nil {
-		t.Error("bind to a different-shape model not rejected")
-	}
-	b := paramBuilder(41, 40, 2, 1.0)
-	ma := mustCompile(t, b)
-	mb, err := ma.Reparameterize(paramBuilder(41, 40, 2, 2.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws2 := ma.NewWorkspace()
-	if _, err := ws2.AverageReward(Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws2.Bind(mb); err != nil {
-		t.Fatalf("same-shape bind rejected: %v", err)
-	}
-	if !ws2.Warm() {
-		t.Error("bind dropped the warm bias")
-	}
-	res, err := ws2.AverageReward(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Warm {
-		t.Error("solve after same-shape bind was not warm-started")
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Benchmark the experiment result store, the observability layer, and
-# the solver workspace / warm-chaining layer.
+# Benchmark the experiment result store, the observability layer, the
+# solver, and the job queue.
 #
 #   scripts/bench.sh [expstore.json [obs.json [solver.json [jobqueue.json]]]]
 #
@@ -9,12 +9,12 @@
 # cost, the bytes-only hit /solve serves, and a warm setting-1 sweep,
 # the cell path behind /sweep and /tables), BENCH_obs.json
 # (disabled-tracer hook overhead, counter and sample-window throughput,
-# ring-sink emit cost, with allocation counts — the disabled path must
-# be 0 allocs/op), and BENCH_solver.json (the Table-2 sweep solved cold
-# vs warm-chained — same grids, independent SolveOne cells vs the
-# default row chains — with probe/sweep counts, the wall-clock speedup,
-# and the steady-state workspace allocation count, which must be 0
-# allocs/probe), and
+# ring-sink emit cost, with allocation counts, each row the median of 5
+# runs — the disabled path must be 0 allocs/op), BENCH_solver.json (the
+# Table-2 sweep grids solved once each on one core, with probe and
+# sweep counts; policy iteration against the relative-value-iteration
+# reference; the steady-state workspace allocation count, which must be
+# 0 allocs/probe; and the compile and policy-evaluation costs), and
 # BENCH_jobqueue.json (job-queue control-plane op costs, in-memory and
 # journaled).
 set -eu

@@ -8,7 +8,7 @@
 #
 # The race pass covers the packages with real concurrency in their hot
 # paths: the parallel-for helpers in par and every package that runs
-# through them (the warm-chained sweep rows in core, the Monte Carlo
+# through them (the sweep cells in core, the Monte Carlo
 # batch runner, the equilibrium search in games), the MDP solver and
 # the BU analysis beneath the rows, the experiment store (singleflight,
 # LRU, solve budget), the observability layer (registry, sinks), the
@@ -72,15 +72,19 @@ echo "== validity-predicate fuzz smoke (FuzzVerifyArtifact) =="
 # a model build and the witness check, and never panic.
 go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 
-echo "== warm-vs-cold sweep smoke =="
-# The chained direct path must return the same values and witnesses as
-# independent cold solves, bit for bit, and be deterministic at every
-# GOMAXPROCS setting; the first two tests pin exactly that. Every model
-# but a shape's first is derived from that shape's skeleton, so the
-# third pins derived models to fresh compiles, bit for bit, and their
-# solves to the same values and witnesses.
-go test -count 1 -run 'TestChainedSweepMatchesCold|TestChainedSweepWorkerDeterminism' ./internal/core/
-go test -count 1 -run 'TestSkeletonIdentity' ./internal/bumdp/
+echo "== sweep identity smoke =="
+# A sweep cell is solved one way wherever it is solved: core.Sweep, the
+# store behind butables, /sweep and /tables, and the farm's merged
+# shards must give the same sweep record bytes, and a sweep must be
+# identical at every GOMAXPROCS setting; the first three tests pin
+# exactly that. Every model but a shape's first is derived from that
+# shape's skeleton, so the fourth pins derived models to fresh
+# compiles, bit for bit, and their solves to the same values and
+# witnesses.
+go test -count 1 -run '^TestSweepMatchesUncachedSweep$' ./internal/expstore/
+go test -count 1 -run '^TestFarmEndToEndShardedSweep$' ./internal/farm/
+go test -count 1 -run '^TestSweepWorkerDeterminism$' ./internal/core/
+go test -count 1 -run '^TestSkeletonIdentity$' ./internal/bumdp/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
 # The full setting-2 grid, alpha = beta boundary cells included, which
@@ -94,8 +98,8 @@ echo "== solver bench advisory diff (BENCH_solver.json) =="
 # Regenerates the solver benchmark and compares it against the committed
 # baseline with scripts/benchdiff.sh. Advisory only: the wall-clock
 # metrics vary with machine load, so a miss is printed for review but
-# does not fail CI. (The bench's own correctness checks — chained values
-# bit-identical to cold ones, policy-iteration gains within 1e-8 of the
+# does not fail CI. (The bench's own correctness checks — every grid
+# cell solved without error, policy-iteration gains within 1e-8 of the
 # RVI reference — do fail the inner go test.) Skipped with -short: the
 # RVI reference re-solves the Table-2 setting-2 row by value iteration.
 if [ -z "$SHORT" ]; then
