@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/mdp"
 )
@@ -55,13 +56,31 @@ type solverBenchCompile struct {
 // policy of the same model as solverBenchCompile: one
 // Workspace.EvaluatePolicy (the exact evaluation every policy-iteration
 // round runs) and one StateVisitRate (the fork rate every solved cell
-// reports), each the median of compileBenchReps runs, serial.
+// reports), each the median of compileBenchReps runs, serial. Like
+// every BU model it evaluates on mdp's static path, in the order
+// Compile stored for its structure.
 type solverBenchEvaluate struct {
 	States         int     `json:"states"`
 	EvaluateMillis float64 `json:"evaluate_policy_ms"`
 	ForkRateMillis float64 `json:"fork_rate_ms"`
 	EvaluateAllocs float64 `json:"evaluate_policy_allocs"`
 	ForkRateAllocs float64 `json:"fork_rate_allocs"`
+}
+
+// solverBenchPerPolicy records one Workspace.EvaluatePolicy of the
+// optimal policy of the alpha = 25% Bitcoin baseline (Table 3's
+// absolute-reward model at tie-win probability 0.5), the median of
+// compileBenchReps runs. Its overrides cycle without passing the base
+// state, so the model fails mdp's static-order check and the
+// evaluation runs the per-policy passes (SCC search, closed-class scan,
+// Kahn order) and Gauss–Seidel sweeps over the cyclic remainder: the
+// cost the evaluate block's BU model no longer pays. Passes counts the
+// first-passage pass plus the remainder sweeps.
+type solverBenchPerPolicy struct {
+	States         int     `json:"states"`
+	EvaluateMillis float64 `json:"evaluate_policy_ms"`
+	EvaluateAllocs float64 `json:"evaluate_policy_allocs"`
+	Passes         int     `json:"eval_passes"`
 }
 
 type solverBenchReport struct {
@@ -75,6 +94,7 @@ type solverBenchReport struct {
 	AllocsPerProbe float64              `json:"workspace_allocs_per_probe"`
 	Compile        []solverBenchCompile `json:"compile"`
 	Evaluate       solverBenchEvaluate  `json:"evaluate"`
+	PerPolicy      solverBenchPerPolicy `json:"evaluate_per_policy"`
 }
 
 // compileBenchReps is the number of timed runs behind each compile
@@ -168,6 +188,34 @@ func benchEvaluate(t *testing.T) solverBenchEvaluate {
 		ForkRateMillis: medianMillis(forkRateOnce),
 		EvaluateAllocs: testing.AllocsPerRun(3, evaluateOnce),
 		ForkRateAllocs: testing.AllocsPerRun(3, forkRateOnce),
+	}
+}
+
+// benchEvaluatePerPolicy measures Workspace.EvaluatePolicy of the
+// alpha = 25% Bitcoin baseline's optimal policy on a warmed-up
+// workspace.
+func benchEvaluatePerPolicy(t *testing.T) solverBenchPerPolicy {
+	an, err := bitcoin.New(bitcoin.Params{Alpha: 0.25, TieWinProb: 0.5, Objective: bitcoin.AbsoluteReward})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := an.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := an.Model.NewWorkspace()
+	var res mdp.Result
+	evaluateOnce := func() {
+		if res, err = ws.EvaluatePolicy(sol.Policy, mdp.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evaluateOnce()
+	return solverBenchPerPolicy{
+		States:         an.Model.NumStates(),
+		EvaluateMillis: medianMillis(evaluateOnce),
+		EvaluateAllocs: testing.AllocsPerRun(3, evaluateOnce),
+		Passes:         res.Stats.EvalSweeps,
 	}
 }
 
@@ -311,6 +359,9 @@ func TestBenchSolver(t *testing.T) {
 	t.Logf("evaluate (%d states): EvaluatePolicy %.2fms (%.0f allocs), fork rate %.2fms (%.0f allocs)",
 		report.Evaluate.States, report.Evaluate.EvaluateMillis, report.Evaluate.EvaluateAllocs,
 		report.Evaluate.ForkRateMillis, report.Evaluate.ForkRateAllocs)
+	report.PerPolicy = benchEvaluatePerPolicy(t)
+	t.Logf("per-policy evaluate (Bitcoin, %d states): EvaluatePolicy %.2fms (%.0f allocs, %d passes)",
+		report.PerPolicy.States, report.PerPolicy.EvaluateMillis, report.PerPolicy.EvaluateAllocs, report.PerPolicy.Passes)
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

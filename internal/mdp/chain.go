@@ -8,7 +8,8 @@ import "fmt"
 // the model's compacted layout, and skip zero-probability transitions:
 // they are not edges of the chain. The scratch is sized by the state
 // count alone, so a Workspace that keeps one evaluates policy after
-// policy without allocating.
+// policy without allocating. A static model (see evaluate.go) runs none
+// of these passes and allocates no scratch for them.
 type policyChain struct {
 	// Tarjan and DFS scratch.
 	index, low, comp []int32
@@ -24,8 +25,13 @@ type policyChain struct {
 // v's policy slot to follow next.
 type chainFrame struct{ v, next int32 }
 
-// newPolicyChain allocates chain scratch for a model of n states.
-func newPolicyChain(n int) *policyChain {
+// newChain allocates the chain scratch of m's per-policy passes, or
+// returns nil when m is static and evaluates without them.
+func (m *Model) newChain() *policyChain {
+	if m.static {
+		return nil
+	}
+	n := m.numStates
 	return &policyChain{
 		index:  make([]int32, n),
 		low:    make([]int32, n),

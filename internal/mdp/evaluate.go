@@ -26,10 +26,31 @@ import (
 // so an optimizing sweep run on it is exactly policy iteration's
 // improvement step.
 //
-// The equations are solved in the reverse of tabooOrder's Kahn order,
-// successors before predecessors. When the taboo chain is acyclic,
-// which holds for every BU chain, each state's inputs are final when it
-// is visited and one pass is exact. The states Kahn cannot order form a
+// The equations are solved in the reverse of a Kahn order of the taboo
+// chain, successors before predecessors. When the taboo chain is
+// acyclic, which holds for every BU chain, each state's inputs are
+// final when it is visited and one pass is exact.
+//
+// A static model finds r and that order without a pass over the
+// policy's chain. Compile builds one Kahn order of states 1..n-1 over
+// the union of every action's destinations, whatever their
+// probability, with self-loops and edges into state 0 dropped
+// (Model.order), and marks the model static when that graph is acyclic
+// and every slot of every state but 0 has a positive-probability edge
+// to another state. Then, under any policy, a path that takes such an
+// edge out of each state it reaches visits no state twice before state
+// 0, so it reaches state 0 within n-1 steps. State 0 is reachable from
+// every state, so it lies in the one closed class and is its
+// regeneration state, and the stored order is a Kahn order of every
+// policy's taboo chain, whose edges all lie in the union. Every BU
+// model is static. Each passage reads only final successor values
+// whatever the order, so the static path and the per-policy one give
+// bit-identical gains and biases.
+//
+// A model that is not static (the Bitcoin baselines, whose overrides
+// cycle without passing state 0) finds r by an SCC search and a
+// closed-class scan (regenerationState) and orders each policy's taboo
+// chain by Kahn (tabooOrder). The states Kahn cannot order form a
 // remainder that no ordered state leads back into; it is solved first,
 // by Gauss–Seidel sweeps in DFS postorder until the bias moves by less
 // than the caller's tolerance.
@@ -58,14 +79,18 @@ type evalResult struct {
 // it stops once R and T each move by less than tol. maxSweeps bounds
 // the remainder sweeps. h may be nil when only the gain is wanted. A
 // chain with two closed classes or a remainder that does not settle is
-// an error, and h is then left untouched.
+// an error, and h is then left untouched. c is the chain scratch of the
+// per-policy passes, nil on a static model.
 func (m *Model) evaluate(c *policyChain, pol Policy, shift, R, T, h []float64, gEst, tol float64, maxSweeps int) (evalResult, error) {
 	var out evalResult
-	r, err := c.regenerationState(m, pol)
-	if err != nil {
-		return out, err
+	r, order, settled := 0, m.order, len(m.order)
+	if !m.static {
+		var err error
+		if r, err = c.regenerationState(m, pol); err != nil {
+			return out, err
+		}
+		order, settled = c.tabooOrder(m, pol, r)
 	}
-	order, settled := c.tabooOrder(m, pol, r)
 	R[r], T[r] = 0, 0
 	if rest := order[settled:]; len(rest) > 0 {
 		c.postorder(m, pol, r, rest)
@@ -217,14 +242,15 @@ func (m *Model) StateVisitRate(pol Policy, keep func(s int) bool, opts Options) 
 // under pol: rateOn on fresh scratch.
 func (m *Model) rate(pol Policy, c []float64, opts Options) (float64, error) {
 	n := m.numStates
-	return m.rateOn(newPolicyChain(n), pol, c, make([]float64, n), make([]float64, n), opts)
+	return m.rateOn(m.newChain(), pol, c, make([]float64, n), make([]float64, n), opts)
 }
 
 // rateOn returns the long-run per-step rate of the per-slot reward c
 // under pol: the gain of one regenerative evaluation on the caller's
-// chain and first-passage scratch R and T, which it clears first, so
-// the result does not depend on what the scratch held. It emits no
-// trace events and touches no solver counters.
+// chain (nil on a static model) and first-passage scratch R and T,
+// which it clears first, so the result does not depend on what the
+// scratch held. It emits no trace events and touches no solver
+// counters.
 func (m *Model) rateOn(chain *policyChain, pol Policy, c, R, T []float64, opts Options) (float64, error) {
 	if len(pol) != m.numStates {
 		return 0, fmt.Errorf("mdp: policy has %d entries, want %d", len(pol), m.numStates)

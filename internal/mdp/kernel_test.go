@@ -250,32 +250,40 @@ func BenchmarkBellmanSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate times one exact evaluation pass of a fixed policy
-// on a workspace's buffers: closed-class search, taboo order and the
-// first-passage pass. Every edge of the model leads to a
-// higher-index state or back to state 0, so, as in the BU chains, the
-// taboo chain is acyclic and one pass is exact; the model has the size
-// and action count of benchModel, so the result compares directly with
-// BenchmarkBellmanSweep.
-func BenchmarkEvaluate(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 4096
-	fb := tableBuilder{n: n, acts: make(map[int][]int), trans: make(map[[2]int][]Transition)}
+// climbingBuilder generates a random model of n states whose every
+// edge leads to a higher-index state or back to state 0, with up to
+// four actions per state. As in the BU models, the union of its edges
+// without edges into state 0 is acyclic and every slot leaves its
+// state, so it evaluates every policy on the static path.
+func climbingBuilder(rng *rand.Rand, n int) tableBuilder {
+	b := tableBuilder{n: n, acts: make(map[int][]int), trans: make(map[[2]int][]Transition)}
 	for s := 0; s < n; s++ {
 		for a := 0; a < 1+rng.Intn(4); a++ {
-			fb.acts[s] = append(fb.acts[s], a)
+			b.acts[s] = append(b.acts[s], a)
 			to := s + 1 + rng.Intn(n-s)
 			if to >= n {
 				to = 0
 			}
 			p := 0.2 + 0.6*rng.Float64()
-			fb.trans[[2]int{s, a}] = []Transition{
+			b.trans[[2]int{s, a}] = []Transition{
 				{To: to, Prob: p, Num: rng.Float64(), Den: 1},
 				{To: 0, Prob: 1 - p, Num: rng.Float64(), Den: 1},
 			}
 		}
 	}
-	m, err := Compile(fb)
+	return b
+}
+
+// BenchmarkEvaluate times one exact evaluation pass of a fixed policy
+// on a workspace's buffers. The model is a climbingBuilder model, so,
+// as on the BU models, the evaluation is the first-passage pass alone,
+// in the order Compile stored; the model has the size and action count
+// of benchModel, so the result compares directly with
+// BenchmarkBellmanSweep.
+func BenchmarkEvaluate(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	n := 4096
+	m, err := Compile(climbingBuilder(rng, n))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,11 +14,13 @@
 //
 // Compilation and every solve run on the caller's goroutine. A
 // policy-iteration round is one optimizing sweep plus an exact
-// evaluation in an order fixed by the policy, and a compile is one pass
-// of builder calls, so a pool inside one instance saves wall time only
-// while a core sits idle. Callers that build and solve many instances
-// (core.Sweep, the solve farm) keep the cores busy by running the
-// instances in parallel instead.
+// evaluation, in one order that Compile fixes for every policy when the
+// model's structure allows it and in an order fixed by the policy
+// otherwise, and a compile is one pass of builder calls, so a pool
+// inside one instance saves wall time only while a core sits idle.
+// Callers that build and solve many instances (core.Sweep, the solve
+// farm) keep the cores busy by running the instances in parallel
+// instead.
 package mdp
 
 import (
@@ -95,6 +97,16 @@ type Model struct {
 	// eNum/eDen are the expected Num and Den rewards of each (state,
 	// action) slot: eNum[k] = sum_j trans[j].Prob * trans[j].Num.
 	eNum, eDen []float64
+	// order is a Kahn order of states 1..n-1 over the union of every
+	// slot's compacted destinations, self-loops and edges into state 0
+	// dropped, or nil when that graph has a cycle. It reads
+	// destinations whatever their probability, so it belongs to the
+	// structure and holds for every reparameterization of it.
+	order []int32
+	// static reports that every policy evaluates in order (see
+	// evaluate.go): order is non-nil and every slot of every state but
+	// 0 has a positive-probability edge to another state.
+	static bool
 }
 
 // CompactionStats describes what the compile-time layout compaction did
@@ -161,6 +173,7 @@ func Compile(b Builder) (*Model, error) {
 		return nil, errors.New("mdp: builder has no states")
 	}
 	m := &Model{numStates: n, stateOff: make([]int32, n+1), saOff: []int32{0}}
+	exits := true // every slot of every state but 0 leaves its state
 	for s := 0; s < n; s++ {
 		acts := b.Actions(s)
 		if len(acts) == 0 {
@@ -173,7 +186,7 @@ func Compile(b Builder) (*Model, error) {
 			if len(trs) == 0 {
 				return nil, fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
 			}
-			total := 0.0
+			total, leaves := 0.0, s == 0
 			for _, tr := range trs {
 				if tr.To < 0 || tr.To >= n {
 					return nil, fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
@@ -182,10 +195,12 @@ func Compile(b Builder) (*Model, error) {
 					return nil, err
 				}
 				total += tr.Prob
+				leaves = leaves || tr.Prob > 0 && tr.To != s
 			}
 			if !(math.Abs(total-1) <= probTolerance) {
 				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
 			}
+			exits = exits && leaves
 			m.actionID = append(m.actionID, int32(a))
 			m.saOff = append(m.saOff, int32(len(m.trans)))
 		}
@@ -197,6 +212,8 @@ func Compile(b Builder) (*Model, error) {
 		}
 	}
 	m.buildHotArrays()
+	m.order = m.unionOrder()
+	m.static = exits && m.order != nil
 	if m.dupTrans > 0 {
 		// Surface over-emitting builders once per compile; the counter is
 		// nil-safe, so uninstrumented programs pay nothing.
@@ -264,6 +281,46 @@ func (m *Model) buildCompactedLayout() {
 	m.dupTrans = len(m.trans) - len(ctto)
 }
 
+// unionOrder returns a Kahn order of states 1..n-1 over the union of
+// every slot's compacted destinations, with self-loops and edges into
+// state 0 dropped, or nil when that graph has a cycle. The slots of a
+// state are adjacent, so its edges are one run of ctto.
+func (m *Model) unionOrder() []int32 {
+	n := m.numStates
+	edges := func(s int32) []int32 {
+		return m.ctto[m.csaOff[m.stateOff[s]]:m.csaOff[m.stateOff[s+1]]]
+	}
+	indeg := make([]int32, n)
+	for s := int32(1); int(s) < n; s++ {
+		for _, t := range edges(s) {
+			if t != 0 && t != s {
+				indeg[t]++
+			}
+		}
+	}
+	// order doubles as Kahn's queue.
+	order := make([]int32, 0, n-1)
+	for t := 1; t < n; t++ {
+		if indeg[t] == 0 {
+			order = append(order, int32(t))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		s := order[head]
+		for _, t := range edges(s) {
+			if t != 0 && t != s {
+				if indeg[t]--; indeg[t] == 0 {
+					order = append(order, t)
+				}
+			}
+		}
+	}
+	if len(order) < n-1 {
+		return nil
+	}
+	return order
+}
+
 // shiftedRewardsInto writes the per-slot expected reward of the
 // auxiliary objective Num - rho*Den, the only reward view the sweep
 // kernels need, into dst (length NumStateActions), letting a Workspace
@@ -280,8 +337,8 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 }
 
 // Structure returns m's frozen structure without its values: a model
-// that shares m's state/action offsets, action identifiers and
-// compacted destinations but holds no transition records,
+// that shares m's state/action offsets, action identifiers, compacted
+// destinations and evaluation order but holds no transition records,
 // probabilities or rewards, so it keeps none of m's value arrays alive.
 // It is only a receiver for Reparameterize and cannot be solved.
 func (m *Model) Structure() *Model {
@@ -294,6 +351,7 @@ func (m *Model) Structure() *Model {
 		ctto:      m.ctto,
 		mergeIdx:  m.mergeIdx,
 		dupTrans:  m.dupTrans,
+		order:     m.order,
 	}
 }
 
@@ -308,7 +366,9 @@ func (m *Model) Structure() *Model {
 // The receiver may be a compiled model or its values-free Structure.
 //
 // The product is bit-identical to a fresh Compile of b — same
-// transitions, eNum, eDen, and offsets — or an error if b's structure
+// transitions, eNum, eDen, offsets and evaluation order, and the same
+// choice of evaluation path, which it decides again because a new
+// probability can be zero — or an error if b's structure
 // deviates from the receiver's anywhere (different action sets,
 // transition counts, or destinations), in which case the caller should
 // fall back to Compile. The receiver is not modified. The expected
@@ -327,6 +387,7 @@ func (m *Model) Reparameterize(b Builder) (*Model, error) {
 	nm.eNum = make([]float64, len(m.actionID))
 	nm.eDen = make([]float64, len(m.actionID))
 	var trs []Transition // one slot's transitions, reused across slots
+	exits := true        // as in Compile
 	for s := 0; s < n; s++ {
 		acts := b.Actions(s)
 		k0, k1 := m.stateOff[s], m.stateOff[s+1]
@@ -343,7 +404,7 @@ func (m *Model) Reparameterize(b Builder) (*Model, error) {
 			if len(trs) != int(j1-j0) {
 				return nil, fmt.Errorf("mdp: reparameterize: state %d action %d has %d transitions, frozen structure has %d", s, a, len(trs), j1-j0)
 			}
-			total, en, ed := 0.0, 0.0, 0.0
+			total, en, ed, leaves := 0.0, 0.0, 0.0, s == 0
 			for t, tr := range trs {
 				j := j0 + int32(t)
 				if to := int(m.ctto[m.mergeIdx[j]]); tr.To != to {
@@ -357,22 +418,26 @@ func (m *Model) Reparameterize(b Builder) (*Model, error) {
 				ed += tr.Prob * tr.Den
 				nm.trans[j] = tr
 				nm.ctprob[m.mergeIdx[j]] += tr.Prob
+				leaves = leaves || tr.Prob > 0 && tr.To != s
 			}
 			if !(math.Abs(total-1) <= probTolerance) {
 				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
 			}
+			exits = exits && leaves
 			nm.eNum[k] = en
 			nm.eDen[k] = ed
 		}
 	}
+	nm.static = exits && nm.order != nil
 	reparamsTotal.Inc()
 	return nm, nil
 }
 
 // ModelsIdentical reports whether two compiled models are bit-identical
 // in every array — offsets, action identifiers, transition records, the
-// compacted layout, and the expected rewards. It exists so differential tests
-// can pin structure-sharing fast paths (Reparameterize) against a fresh
+// compacted layout, the expected rewards and the evaluation order — and
+// take the same evaluation path. It exists so differential tests can
+// pin structure-sharing fast paths (Reparameterize) against a fresh
 // Compile.
 func ModelsIdentical(a, b *Model) bool {
 	if a.numStates != b.numStates {
@@ -411,7 +476,7 @@ func ModelsIdentical(a, b *Model) bool {
 		!eqF64(a.eNum, b.eNum) || !eqF64(a.eDen, b.eDen) {
 		return false
 	}
-	if a.dupTrans != b.dupTrans {
+	if a.dupTrans != b.dupTrans || a.static != b.static || !eqI32(a.order, b.order) {
 		return false
 	}
 	if len(a.trans) != len(b.trans) {

@@ -189,11 +189,3 @@ func (m *Model) discountedChunk(v, next []float64, pol Policy, shift []float64, 
 	}
 	return worst
 }
-
-// Exported for the BU-chain differential tests in package mdp_test.
-var (
-	PowerStationary = (*Model).powerStationary
-	RateRatio       = (*Model).rateRatio
-	PoissonResidual = (*Model).poissonResidual
-	RVIOracle       = (*Model).rviOracle
-)

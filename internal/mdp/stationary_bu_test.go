@@ -3,8 +3,10 @@ package mdp_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/mdp"
@@ -167,5 +169,98 @@ func TestPolicyIterationMatchesRVIOnBUChains(t *testing.T) {
 	}
 	if d := math.Abs(res.Gain - ref.Gain); d > 1e-8 {
 		t.Errorf("gate cell at rho=%.9f: gain %.12f, RVI %.12f", sol.Utility, res.Gain, ref.Gain)
+	}
+}
+
+// TestStaticPathIdentity holds the static evaluation path, which every
+// BU model takes, to the per-policy path bit for bit: on every BU model
+// shape (the three incentive models in both settings, setting 2 at a
+// 12-block gate window, and the alpha = beta gate cell at that window),
+// a whole solve on either path gives the same utility, fork rate,
+// witness and pass counts, so every greedy policy of every probe
+// evaluated alike; the witness and random policies evaluate to the same
+// gain and bias under math.Float64bits. The alpha = 25% Bitcoin
+// baseline, whose overrides cycle without passing the base state, takes
+// the per-policy path.
+func TestStaticPathIdentity(t *testing.T) {
+	var cases []buCase
+	for _, setting := range []bumdp.Setting{bumdp.Setting1, bumdp.Setting2} {
+		for _, model := range []bumdp.IncentiveModel{bumdp.Compliant, bumdp.NonCompliant, bumdp.NonProfit} {
+			cases = append(cases, buCase{fmt.Sprintf("%s setting %d", model, setting), bumdp.Params{
+				Alpha: 0.2, Beta: 0.48, Gamma: 0.32, Setting: setting, GateWindow: 12, Model: model,
+			}})
+		}
+	}
+	cases = append(cases, buCase{"gate cell W=12", bumdp.Params{Alpha: 0.25, Beta: 0.25, Gamma: 0.5,
+		Setting: bumdp.Setting2, Model: bumdp.Compliant, GateWindow: 12}})
+	solveOpts := bumdp.SolveOptions{Epsilon: 1e-8}
+	for i, tc := range cases {
+		a, err := bumdp.New(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !mdp.IsStatic(a.Model) {
+			t.Fatalf("%s: a BU model takes the per-policy path", tc.name)
+		}
+		ref := *a
+		ref.Model = mdp.PerPolicy(a.Model)
+		got, err := a.SolveWith(solveOpts)
+		if err != nil {
+			t.Fatalf("%s: static solve: %v", tc.name, err)
+		}
+		want, err := ref.SolveWith(solveOpts)
+		if err != nil {
+			t.Fatalf("%s: per-policy solve: %v", tc.name, err)
+		}
+		gw, err := got.Policy.Witness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ww, err := want.Policy.Witness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Utility) != math.Float64bits(want.Utility) ||
+			math.Float64bits(got.ForkRate) != math.Float64bits(want.ForkRate) || gw != ww ||
+			got.Stats.OptSweeps != want.Stats.OptSweeps || got.Stats.EvalSweeps != want.Stats.EvalSweeps {
+			t.Errorf("%s: static solve (%v, fork %v, %d+%d passes) differs from per-policy (%v, fork %v, %d+%d) or its witness does",
+				tc.name, got.Utility, got.ForkRate, got.Stats.OptSweeps, got.Stats.EvalSweeps,
+				want.Utility, want.ForkRate, want.Stats.OptSweeps, want.Stats.EvalSweeps)
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		pols := []mdp.Policy{got.Policy}
+		for range 3 {
+			pol := make(mdp.Policy, a.Model.NumStates())
+			for s := range pol {
+				pol[s] = rng.Intn(len(a.Model.Actions(s)))
+			}
+			pols = append(pols, pol)
+		}
+		opts := mdp.Options{Rho: got.Utility}
+		for k, pol := range pols {
+			g, err := a.Model.EvaluatePolicy(pol, opts)
+			if err != nil {
+				t.Fatalf("%s policy %d: static: %v", tc.name, k, err)
+			}
+			w, err := ref.Model.EvaluatePolicy(pol, opts)
+			if err != nil {
+				t.Fatalf("%s policy %d: per-policy: %v", tc.name, k, err)
+			}
+			same := math.Float64bits(g.Gain) == math.Float64bits(w.Gain)
+			for s := range g.Bias {
+				same = same && math.Float64bits(g.Bias[s]) == math.Float64bits(w.Bias[s])
+			}
+			if !same {
+				t.Errorf("%s policy %d: static gain %v differs from per-policy %v, or a bias does", tc.name, k, g.Gain, w.Gain)
+			}
+		}
+	}
+
+	btc, err := bitcoin.New(bitcoin.Params{Alpha: 0.25, TieWinProb: 0.5, Objective: bitcoin.AbsoluteReward})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mdp.IsStatic(btc.Model) {
+		t.Error("the Bitcoin baseline takes the static path, but its overrides cycle without passing the base state")
 	}
 }

@@ -52,7 +52,7 @@ func TestStationaryTransientStatesAndRegeneration(t *testing.T) {
 	}
 	m := mustCompile(t, b)
 	pol := Policy{0, 0, 0}
-	if r, err := newPolicyChain(3).regenerationState(m, pol); err != nil || r != 1 {
+	if r, err := m.newChain().regenerationState(m, pol); err != nil || r != 1 {
 		t.Fatalf("regenerationState = %d, %v; want 1", r, err)
 	}
 	for s, want := range []float64{0, 0.8, 0.2} {
@@ -85,7 +85,7 @@ func TestStationaryMatchesPowerIterationOnRandomModels(t *testing.T) {
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions(s)))
 		}
-		c := newPolicyChain(n)
+		c := m.newChain()
 		r, err := c.regenerationState(m, pol)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

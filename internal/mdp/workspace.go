@@ -40,7 +40,8 @@ type Workspace struct {
 	shift   []float64
 
 	// chain, passR and passT are the exact evaluation's policy chain and
-	// first-passage vectors (see evaluate.go). passR and passT seed the
+	// first-passage vectors (see evaluate.go); chain is nil on a static
+	// model, which needs no per-policy passes. passR and passT seed the
 	// cyclic remainder's Gauss–Seidel sweeps, so they belong to the warm
 	// state and are cleared with it.
 	chain        *policyChain
@@ -71,7 +72,7 @@ func (m *Model) NewWorkspace() *Workspace {
 		pol:     make(Policy, n),
 		bestPol: make(Policy, n),
 		shift:   make([]float64, len(m.eNum)),
-		chain:   newPolicyChain(n),
+		chain:   m.newChain(),
 		passR:   make([]float64, n),
 		passT:   make([]float64, n),
 	}

@@ -197,25 +197,40 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	}
 }
 
+// TestReparameterizeMatchesCompile: a reparameterized model is
+// bit-identical to a fresh compile, evaluation order and path included,
+// on a random model (the per-policy path) and on a climbing model with
+// every slot's two probabilities swapped (the static path).
 func TestReparameterizeMatchesCompile(t *testing.T) {
-	b1 := paramBuilder(31, 80, 3, 1.0)
-	b2 := paramBuilder(31, 80, 3, 1.7)
-	m1 := mustCompile(t, b1)
-	fresh := mustCompile(t, b2)
-	// A compiled model and its values-free structure are both receivers.
-	for name, recv := range map[string]*Model{"model": m1, "structure": m1.Structure()} {
-		fast, err := recv.Reparameterize(b2)
-		if err != nil {
-			t.Fatalf("%s: Reparameterize: %v", name, err)
-		}
-		if !ModelsIdentical(fresh, fast) {
-			t.Fatalf("%s: reparameterized model differs from fresh compile", name)
-		}
+	swapped := climbingBuilder(rand.New(rand.NewSource(31)), 80)
+	for _, trs := range swapped.trans {
+		trs[0].Prob, trs[1].Prob = trs[1].Prob, trs[0].Prob
 	}
-	// The original is untouched.
-	again := mustCompile(t, b1)
-	if !ModelsIdentical(m1, again) {
-		t.Fatal("Reparameterize mutated its receiver")
+	for path, bs := range map[string][2]tableBuilder{
+		"per-policy": {paramBuilder(31, 80, 3, 1.0), paramBuilder(31, 80, 3, 1.7)},
+		"static":     {climbingBuilder(rand.New(rand.NewSource(31)), 80), swapped},
+	} {
+		b1, b2 := bs[0], bs[1]
+		m1 := mustCompile(t, b1)
+		fresh := mustCompile(t, b2)
+		if fresh.static != (path == "static") {
+			t.Fatalf("%s: a fresh compile chose static = %v", path, fresh.static)
+		}
+		// A compiled model and its values-free structure are both receivers.
+		for name, recv := range map[string]*Model{"model": m1, "structure": m1.Structure()} {
+			fast, err := recv.Reparameterize(b2)
+			if err != nil {
+				t.Fatalf("%s %s: Reparameterize: %v", path, name, err)
+			}
+			if !ModelsIdentical(fresh, fast) {
+				t.Fatalf("%s %s: reparameterized model differs from fresh compile", path, name)
+			}
+		}
+		// The original is untouched.
+		again := mustCompile(t, b1)
+		if !ModelsIdentical(m1, again) {
+			t.Fatalf("%s: Reparameterize mutated its receiver", path)
+		}
 	}
 }
 
@@ -256,48 +271,61 @@ func rejectsStructureChange(t *testing.T, m *Model) {
 	}
 }
 
-// TestWorkspaceProbeAllocs pins the tentpole's allocation contract: a
-// steady-state probe (shifted-reward rewrite + full solve to Epsilon) on
-// a warmed-up workspace performs no heap allocations.
-func TestWorkspaceProbeAllocs(t *testing.T) {
+// allocModels returns the two models the allocation tests run on: a
+// random one, which evaluates on the per-policy path, and a climbing
+// one, which evaluates on the static path.
+func allocModels(t *testing.T) map[string]*Model {
 	rng := rand.New(rand.NewSource(43))
-	m := mustCompile(t, randomBuilder(rng, 200, 3))
-	ws := m.NewWorkspace()
-	opts := Options{Epsilon: 1e-9}
-	if _, err := ws.AverageReward(opts); err != nil {
-		t.Fatal(err)
+	return map[string]*Model{
+		"per-policy": mustCompile(t, randomBuilder(rng, 200, 3)),
+		"static":     mustCompile(t, climbingBuilder(rng, 200)),
 	}
-	rho := 0.1
-	avg := testing.AllocsPerRun(20, func() {
-		opts.Rho = rho
-		rho += 0.01
+}
+
+// TestWorkspaceProbeAllocs pins the workspace's allocation contract: a
+// steady-state probe (shifted-reward rewrite + full solve to Epsilon) on
+// a warmed-up workspace performs no heap allocations, on either
+// evaluation path.
+func TestWorkspaceProbeAllocs(t *testing.T) {
+	for name, m := range allocModels(t) {
+		ws := m.NewWorkspace()
+		opts := Options{Epsilon: 1e-9}
 		if _, err := ws.AverageReward(opts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > 0.5 {
-		t.Errorf("steady-state workspace probe allocates %.1f objects/op, want 0", avg)
+		rho := 0.1
+		avg := testing.AllocsPerRun(20, func() {
+			opts.Rho = rho
+			rho += 0.01
+			if _, err := ws.AverageReward(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 0.5 {
+			t.Errorf("%s: steady-state workspace probe allocates %.1f objects/op, want 0", name, avg)
+		}
 	}
 }
 
 // TestWorkspaceSolveRatioAllocs pins the ratio search's allocation
 // contract: on a warmed-up workspace, probes and their exact ratios run
-// on workspace buffers, and the one allocation is the returned policy.
+// on workspace buffers, and the one allocation is the returned policy,
+// on either evaluation path.
 func TestWorkspaceSolveRatioAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	m := mustCompile(t, randomBuilder(rng, 200, 3))
-	ws := m.NewWorkspace()
-	opts := RatioOptions{}
-	if _, err := ws.SolveRatio(opts); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(20, func() {
+	for name, m := range allocModels(t) {
+		ws := m.NewWorkspace()
+		opts := RatioOptions{}
 		if _, err := ws.SolveRatio(opts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 1 {
-		t.Errorf("steady-state SolveRatio allocates %v objects/op, want 1 (the returned policy)", avg)
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := ws.SolveRatio(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 1 {
+			t.Errorf("%s: steady-state SolveRatio allocates %v objects/op, want 1 (the returned policy)", name, avg)
+		}
 	}
 }
 

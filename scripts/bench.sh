@@ -14,7 +14,8 @@
 # Table-2 sweep grids solved once each on one core, with probe and
 # sweep counts; policy iteration against the relative-value-iteration
 # reference; the steady-state workspace allocation count, which must be
-# 0 allocs/probe; and the compile and policy-evaluation costs), and
+# 0 allocs/probe; the compile and policy-evaluation costs; and the
+# per-policy evaluation path's cost on the Bitcoin baseline), and
 # BENCH_jobqueue.json (job-queue control-plane op costs, in-memory and
 # journaled).
 set -eu

@@ -80,11 +80,15 @@ echo "== sweep identity smoke =="
 # exactly that. Every model but a shape's first is derived from that
 # shape's skeleton, so the fourth pins derived models to fresh
 # compiles, bit for bit, and their solves to the same values and
-# witnesses.
+# witnesses. Every BU model evaluates each policy in the one order
+# Compile stored for its structure, so the fifth pins that static path
+# to the per-policy SCC, closed-class and Kahn passes, bit for bit, on
+# every BU model shape.
 go test -count 1 -run '^TestSweepMatchesUncachedSweep$' ./internal/expstore/
 go test -count 1 -run '^TestFarmEndToEndShardedSweep$' ./internal/farm/
 go test -count 1 -run '^TestSweepWorkerDeterminism$' ./internal/core/
 go test -count 1 -run '^TestSkeletonIdentity$' ./internal/bumdp/
+go test -count 1 -run '^TestStaticPathIdentity$' ./internal/mdp/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
 # The full setting-2 grid, alpha = beta boundary cells included, which
