@@ -16,7 +16,7 @@ test:
 
 # The package list is scripts/ci.sh's race pass; keep the two identical.
 race:
-	$(GO) test -race -short ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
+	$(GO) test -race -short ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/faultsim/ ./internal/invariant/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
 
 faults:
 	$(GO) run ./cmd/busim -mode faults -scenario all

@@ -6,7 +6,6 @@
 package buanalysis_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,16 +15,11 @@ import (
 	"buanalysis/internal/chain"
 	"buanalysis/internal/core"
 	"buanalysis/internal/countermeasure"
-	"buanalysis/internal/difficulty"
 	"buanalysis/internal/games"
-	"buanalysis/internal/ledger"
 	"buanalysis/internal/mdp"
-	"buanalysis/internal/mempool"
 	"buanalysis/internal/montecarlo"
 	"buanalysis/internal/netsim"
-	"buanalysis/internal/p2p"
 	"buanalysis/internal/protocol"
-	"buanalysis/internal/tx"
 )
 
 const mb = 1 << 20
@@ -374,159 +368,4 @@ func BenchmarkGridSweepTable4(b *testing.B) {
 		}
 	}
 	b.ReportMetric(last, "utility")
-}
-
-// --- Substrate benchmarks -------------------------------------------------
-
-// BenchmarkTxVerify measures Ed25519 transaction validation, the CPU
-// cost driver of Section 6.4.
-func BenchmarkTxVerify(b *testing.B) {
-	var seed [32]byte
-	seed[0] = 1
-	alice := tx.NewKeypair(seed)
-	u := tx.NewUTXOSet()
-	cb := &tx.Transaction{Outputs: []tx.Output{{Value: 100, PubKey: alice.Pub}}}
-	if err := u.ApplyCoinbase(cb, 100); err != nil {
-		b.Fatal(err)
-	}
-	spend := &tx.Transaction{
-		Inputs:  []tx.Input{{Previous: tx.Outpoint{TxID: cb.TxID(), Index: 0}}},
-		Outputs: []tx.Output{{Value: 100, PubKey: alice.Pub}},
-	}
-	if err := spend.Sign(0, alice.Priv); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.ValidateTransaction(spend); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMerkleRoot builds the Merkle root of a 1024-transaction block.
-func BenchmarkMerkleRoot(b *testing.B) {
-	var seed [32]byte
-	kp := tx.NewKeypair(seed)
-	txs := make([]*tx.Transaction, 1024)
-	for i := range txs {
-		txs[i] = &tx.Transaction{
-			Outputs: []tx.Output{{Value: int64(i), PubKey: kp.Pub}},
-			Payload: []byte{byte(i), byte(i >> 8)},
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ledger.MerkleRoot(txs)
-	}
-}
-
-// BenchmarkLedgerConnect measures connecting blocks of 100 real
-// transactions to the ledger.
-func BenchmarkLedgerConnect(b *testing.B) {
-	var seed [32]byte
-	seed[0] = 3
-	kp := tx.NewKeypair(seed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		l := ledger.New(ledger.Params{Subsidy: 1 << 20})
-		// Fund 100 outputs.
-		cb := &tx.Transaction{Payload: []byte{1}}
-		for j := 0; j < 100; j++ {
-			cb.Outputs = append(cb.Outputs, tx.Output{Value: 1000, PubKey: kp.Pub})
-		}
-		fund := ledger.Assemble(l.Head(), []*tx.Transaction{cb}, "m", 0)
-		if err := l.AddBlock(fund); err != nil {
-			b.Fatal(err)
-		}
-		txs := []*tx.Transaction{{Outputs: []tx.Output{{Value: 1 << 20, PubKey: kp.Pub}}, Payload: []byte{2}}}
-		for j := 0; j < 100; j++ {
-			spend := &tx.Transaction{
-				Inputs:  []tx.Input{{Previous: tx.Outpoint{TxID: cb.TxID(), Index: uint32(j)}}},
-				Outputs: []tx.Output{{Value: 999, PubKey: kp.Pub}},
-			}
-			if err := spend.Sign(0, kp.Priv); err != nil {
-				b.Fatal(err)
-			}
-			txs = append(txs, spend)
-		}
-		blk := ledger.Assemble(l.Head(), txs, "m", 0)
-		b.StartTimer()
-		if err := l.AddBlock(blk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireCodec round-trips a full 100-transaction block message.
-func BenchmarkWireCodec(b *testing.B) {
-	var seed [32]byte
-	kp := tx.NewKeypair(seed)
-	msg := &p2p.Message{Type: p2p.MsgBlock, Block: chain.Genesis()}
-	for i := 0; i < 100; i++ {
-		txn := &tx.Transaction{
-			Outputs: []tx.Output{{Value: int64(i), PubKey: kp.Pub}},
-			Payload: make([]byte, 250),
-		}
-		msg.TxData = append(msg.TxData, txn.Serialize())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := p2p.Encode(&buf, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p2p.Decode(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMempoolAssemble fills a pool with 1000 transactions and
-// assembles a size-limited block template.
-func BenchmarkMempoolAssemble(b *testing.B) {
-	var seed [32]byte
-	seed[0] = 7
-	kp := tx.NewKeypair(seed)
-	u := tx.NewUTXOSet()
-	pool := mempool.New(u)
-	for i := 0; i < 1000; i++ {
-		cb := &tx.Transaction{
-			Outputs: []tx.Output{{Value: 1000, PubKey: kp.Pub}},
-			Payload: []byte{byte(i), byte(i >> 8)},
-		}
-		if err := u.ApplyCoinbase(cb, 1000); err != nil {
-			b.Fatal(err)
-		}
-		spend := &tx.Transaction{
-			Inputs:  []tx.Input{{Previous: tx.Outpoint{TxID: cb.TxID(), Index: 0}}},
-			Outputs: []tx.Output{{Value: 1000 - int64(i%97), PubKey: kp.Pub}},
-		}
-		if err := spend.Sign(0, kp.Priv); err != nil {
-			b.Fatal(err)
-		}
-		if err := pool.Add(spend); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pool.Assemble(64 << 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDifficultyRetarget measures a full retarget computation.
-func BenchmarkDifficultyRetarget(b *testing.B) {
-	cur, err := difficulty.FromDifficulty(1e12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := difficulty.Retarget(cur, 1000000); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

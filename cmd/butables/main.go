@@ -255,7 +255,7 @@ func figure2() {
 	inject := func(parent *chain.Block, size int64, miner string) *chain.Block {
 		b := &chain.Block{Parent: parent.ID(), Height: parent.Height + 1, Size: size, Miner: miner}
 		for _, n := range net.Nodes() {
-			netsim.Deliver(n, b)
+			n.Deliver(b)
 		}
 		return b
 	}
@@ -283,7 +283,7 @@ func figure3() {
 	inject := func(parent *chain.Block, size int64, miner string) *chain.Block {
 		b := &chain.Block{Parent: parent.ID(), Height: parent.Height + 1, Size: size, Miner: miner}
 		for _, n := range net.Nodes() {
-			netsim.Deliver(n, b)
+			n.Deliver(b)
 		}
 		return b
 	}

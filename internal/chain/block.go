@@ -8,7 +8,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 )
 
@@ -27,11 +26,6 @@ type Block struct {
 	Size   int64   // block size in bytes
 	Miner  string  // identifier of the miner that produced the block
 	Time   float64 // simulation time at which the block was found
-	Nonce  uint64  // proof-of-work nonce (see Seal)
-	// TxRoot commits to the block's transactions (the Merkle root
-	// computed by internal/ledger); zero for headers used in the
-	// abstract simulations, where transactions are modeled by Size only.
-	TxRoot [32]byte
 
 	id     ID
 	hashed bool
@@ -39,13 +33,11 @@ type Block struct {
 
 // headerBytes encodes the fields covered by the block hash.
 func (b *Block) headerBytes() []byte {
-	buf := make([]byte, 0, len(b.Parent)+len(b.TxRoot)+8*4+len(b.Miner))
+	buf := make([]byte, 0, len(b.Parent)+8*3+len(b.Miner))
 	buf = append(buf, b.Parent[:]...)
-	buf = append(buf, b.TxRoot[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Height))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Size))
 	buf = binary.BigEndian.AppendUint64(buf, floatBits(b.Time))
-	buf = binary.BigEndian.AppendUint64(buf, b.Nonce)
 	buf = append(buf, b.Miner...)
 	return buf
 }
@@ -60,35 +52,6 @@ func (b *Block) ID() ID {
 		b.hashed = true
 	}
 	return b.id
-}
-
-// Seal searches for a nonce such that the block hash interpreted as a
-// big-endian integer has at least `zeroBits` leading zero bits. It is a
-// miniature proof of work used by tests and examples to demonstrate the
-// substrate; the simulators model mining as a Poisson process instead.
-// Seal returns an error if no nonce is found within maxTries.
-func (b *Block) Seal(zeroBits uint, maxTries uint64) error {
-	if zeroBits > 64 {
-		return fmt.Errorf("chain: unsupported difficulty %d bits", zeroBits)
-	}
-	for try := uint64(0); try < maxTries; try++ {
-		b.Nonce = try
-		b.hashed = false
-		id := b.ID()
-		lead := binary.BigEndian.Uint64(id[:8])
-		if zeroBits == 0 || lead>>(64-zeroBits) == 0 {
-			return nil
-		}
-	}
-	return fmt.Errorf("chain: no nonce with %d leading zero bits in %d tries", zeroBits, maxTries)
-}
-
-// MeetsDifficulty reports whether the block's hash has the required number
-// of leading zero bits.
-func (b *Block) MeetsDifficulty(zeroBits uint) bool {
-	id := b.ID()
-	lead := binary.BigEndian.Uint64(id[:8])
-	return zeroBits == 0 || lead>>(64-zeroBits) == 0
 }
 
 // Genesis constructs the canonical genesis block.

@@ -42,30 +42,6 @@ func TestBlockIDDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestSealMeetsDifficulty(t *testing.T) {
-	g := Genesis()
-	b := &Block{Parent: g.ID(), Height: 1, Size: 1 << 20, Miner: "alice"}
-	if err := b.Seal(8, 1<<20); err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if !b.MeetsDifficulty(8) {
-		t.Errorf("sealed block does not meet difficulty")
-	}
-	if b.MeetsDifficulty(64) {
-		t.Errorf("implausible: block meets 64-bit difficulty")
-	}
-}
-
-func TestSealRejectsImpossible(t *testing.T) {
-	b := Genesis()
-	if err := b.Seal(65, 10); err == nil {
-		t.Errorf("Seal accepted >64 zero bits")
-	}
-	if err := b.Seal(40, 3); err == nil {
-		t.Errorf("Seal found a 40-bit nonce in 3 tries (astronomically unlikely)")
-	}
-}
-
 func TestStoreAddValidation(t *testing.T) {
 	g := Genesis()
 	s := NewStore(g)
@@ -131,23 +107,13 @@ func TestTipsTieBreakByArrival(t *testing.T) {
 	}
 }
 
-func TestAncestorAndForkPoint(t *testing.T) {
+func TestForkPoint(t *testing.T) {
 	g := Genesis()
 	s := NewStore(g)
 	a := extend(t, s, g, 1, "a")
 	b1 := extend(t, s, a, 1, "b1")
 	b2 := extend(t, s, a, 2, "b2")
 	c1 := extend(t, s, b1, 1, "c1")
-
-	if !s.Ancestor(a.ID(), c1.ID()) {
-		t.Errorf("a should be an ancestor of c1")
-	}
-	if s.Ancestor(b2.ID(), c1.ID()) {
-		t.Errorf("b2 is not an ancestor of c1")
-	}
-	if !s.Ancestor(c1.ID(), c1.ID()) {
-		t.Errorf("a block is its own ancestor")
-	}
 
 	fp, err := s.ForkPoint(c1.ID(), b2.ID())
 	if err != nil {

@@ -72,15 +72,6 @@ func (s *Store) Get(id ID) *Block { return s.blocks[id] }
 // Has reports whether the block is present.
 func (s *Store) Has(id ID) bool { _, ok := s.blocks[id]; return ok }
 
-// ArrivalIndex reports the insertion order of a block (genesis is 0).
-// Blocks not in the store report -1.
-func (s *Store) ArrivalIndex(id ID) int {
-	if seq, ok := s.arrival[id]; ok {
-		return seq
-	}
-	return -1
-}
-
 // Children returns the ids of the blocks extending the given block, in
 // arrival order. The returned slice is owned by the store.
 func (s *Store) Children(id ID) []ID { return s.childs[id] }
@@ -123,25 +114,6 @@ func (s *Store) Tips() []*Block {
 		return s.arrival[tips[i].ID()] < s.arrival[tips[j].ID()]
 	})
 	return tips
-}
-
-// Ancestor reports whether a is an ancestor of (or equal to) b.
-func (s *Store) Ancestor(a, b ID) bool {
-	blk := s.blocks[b]
-	target := s.blocks[a]
-	if blk == nil || target == nil {
-		return false
-	}
-	for blk != nil && blk.Height >= target.Height {
-		if blk.ID() == a {
-			return true
-		}
-		if blk.Height == 0 {
-			break
-		}
-		blk = s.blocks[blk.Parent]
-	}
-	return false
 }
 
 // ForkPoint returns the highest common ancestor of two blocks.

@@ -107,6 +107,54 @@ func TestPropagationDelayCausesNaturalForks(t *testing.T) {
 	}
 }
 
+// TestConsensusTipTieBreak: two equally powerful nodes mining on
+// different blocks of equal height tie exactly; the earliest node's
+// target must win every time, and Account must succeed against it.
+// A tip backed by more power must win even when a less backed node
+// holds the fuller store, and Account must then read a store that
+// holds the tip.
+func TestConsensusTipTieBreak(t *testing.T) {
+	a, b := bitcoinNode("a", 0.5), bitcoinNode("b", 0.5)
+	net := feedNet(t, []*Node{a, b})
+	g := net.Genesis()
+	blockA := &chain.Block{Parent: g.ID(), Height: 1, Size: 1, Miner: "a"}
+	blockB := &chain.Block{Parent: g.ID(), Height: 1, Size: 1, Miner: "b"}
+	a.Deliver(blockA)
+	b.Deliver(blockB)
+	for i := 0; i < 200; i++ {
+		if got := net.ConsensusTip(); got != blockA {
+			t.Fatalf("call %d: tie went to %v, want the first node's %v", i, got.ID(), blockA.ID())
+		}
+		acc, err := net.Account()
+		if err != nil {
+			t.Fatalf("call %d: Account: %v", i, err)
+		}
+		if acc.MainChain["a"] != 1 || len(acc.Orphaned) != 0 {
+			t.Fatalf("call %d: accounting = %+v, want a's block alone", i, acc)
+		}
+	}
+
+	major, minor := bitcoinNode("major", 0.6), bitcoinNode("minor", 0.4)
+	net = feedNet(t, []*Node{major, minor})
+	g = net.Genesis()
+	m1 := &chain.Block{Parent: g.ID(), Height: 1, Size: 1, Miner: "major"}
+	n1 := &chain.Block{Parent: g.ID(), Height: 1, Size: 2, Miner: "minor"}
+	n2 := &chain.Block{Parent: n1.ID(), Height: 2, Size: 2, Miner: "minor"}
+	major.Deliver(m1)
+	minor.Deliver(n1)
+	minor.Deliver(n2)
+	if got := net.ConsensusTip(); got != m1 {
+		t.Fatalf("consensus tip = %v, want the majority's %v", got.ID(), m1.ID())
+	}
+	acc, err := net.Account()
+	if err != nil {
+		t.Fatalf("Account against a tip the fullest store lacks: %v", err)
+	}
+	if acc.MainChain["major"] != 1 || len(acc.Orphaned) != 0 {
+		t.Errorf("accounting = %+v, want major's block alone", acc)
+	}
+}
+
 // feedNet builds a network whose scenario is driven by hand: zero power
 // is irrelevant because we inject blocks directly via receive.
 func feedNet(t *testing.T, nodes []*Node) *Network {

@@ -305,39 +305,39 @@ func (net *Network) deliver(to *Node, b *chain.Block, detail string) {
 	to.receive(b)
 }
 
-// ConsensusTip returns the highest target among nodes backed by a
-// strict majority of mining power agreeing on the same chain, or the
-// power-weighted best target otherwise. It is the reference chain for
-// accounting.
+// ConsensusTip returns the target backed by the most mining power,
+// summed over the nodes mining on it; among equally backed targets it
+// returns the highest, and an exact tie in power and height goes to the
+// target of the earliest node in the network's node order. It is the
+// reference chain for accounting.
 func (net *Network) ConsensusTip() *chain.Block {
 	powerByTip := make(map[chain.ID]float64)
-	blockByTip := make(map[chain.ID]*chain.Block)
 	for _, n := range net.nodes {
 		powerByTip[n.target.ID()] += n.Power
-		blockByTip[n.target.ID()] = n.target
 	}
 	var best *chain.Block
 	bestPower := -1.0
-	for id, p := range powerByTip {
-		if p > bestPower || (p == bestPower && blockByTip[id].Height > best.Height) {
-			best, bestPower = blockByTip[id], p
+	for _, n := range net.nodes {
+		p := powerByTip[n.target.ID()]
+		if p > bestPower || (p == bestPower && n.target.Height > best.Height) {
+			best, bestPower = n.target, p
 		}
 	}
 	return best
 }
 
 // Account classifies every block any miner produced against the
-// consensus chain, from the view of the node with the most complete
-// store.
+// consensus chain, from the view of the most complete store among the
+// nodes that hold the consensus tip.
 func (net *Network) Account() (chain.Accounting, error) {
-	tip := net.ConsensusTip()
+	tip := net.ConsensusTip().ID()
 	var fullest *Node
 	for _, n := range net.nodes {
-		if fullest == nil || n.store.Len() > fullest.store.Len() {
+		if n.store.Has(tip) && (fullest == nil || n.store.Len() > fullest.store.Len()) {
 			fullest = n
 		}
 	}
-	return fullest.store.Account(tip.ID())
+	return fullest.store.Account(tip)
 }
 
 // ForkDepth reports the current disagreement depth: the maximum height

@@ -52,10 +52,6 @@ func (n *Node) Path() []*chain.Block { return n.store.Path(n.target.ID()) }
 // figures) and by tests.
 func (n *Node) Deliver(b *chain.Block) { n.receive(b) }
 
-// Deliver hands a block to a node; the free-function form reads better
-// when driving several nodes in scenario scripts.
-func Deliver(n *Node, b *chain.Block) { n.receive(b) }
-
 // Crash takes the node offline: it stops mining (its power leaves the
 // winner draw) and loses every delivery until Restart. The block store
 // and mining target survive — they model on-disk chain state — but the

@@ -81,7 +81,8 @@ type Costs struct {
 	// verify one full block at 1 signature = 1 unit / SigVerifyRate.
 	SigOpsPerBlock float64
 	// UTXOGrowthPerBlock is the additional UTXO memory per block in
-	// bytes (entries times the 76-byte entry footprint of internal/tx).
+	// bytes (entries times a 76-byte entry: a 36-byte outpoint and a
+	// 40-byte output).
 	UTXOGrowthPerBlock float64
 }
 

@@ -12,10 +12,9 @@
 # batch runner, the equilibrium search in games), the MDP solver and
 # the BU analysis beneath the rows, the experiment store (singleflight,
 # LRU, solve budget), the observability layer (registry, sinks), the
-# TCP gossip and full-node stacks, the fault-injection/invariant layer
-# over the network simulator, the solve farm (queue, farm, verify), and
-# buserve, whose concurrent handlers share the store's blobs and the
-# per-endpoint instruments.
+# network simulator and the fault-injection/invariant layer over it,
+# the solve farm (queue, farm, verify), and buserve, whose concurrent
+# handlers share the store's blobs and the per-endpoint instruments.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,8 +50,8 @@ echo "== bench module: go vet + go test ${SHORT} =="
 
 # The Makefile's race target runs the same package list; keep the two
 # identical.
-echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, p2p, faultsim, invariant, fullnode, jobqueue, farm, verify, buserve) =="
-go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/p2p/ ./internal/faultsim/ ./internal/invariant/ ./internal/fullnode/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
+echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, faultsim, invariant, jobqueue, farm, verify, buserve) =="
+go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/faultsim/ ./internal/invariant/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
 
 echo "== fault-injection scenario corpus (busim -mode faults) =="
 # Runs all seeded fault scenarios end to end through the binary and
