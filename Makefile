@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race faults fuzz bench bench-store ci ci-short
+.PHONY: build test vet race fuzz bench bench-store ci ci-short
 
 build:
 	$(GO) build ./...
@@ -16,10 +16,7 @@ test:
 
 # The package list is scripts/ci.sh's race pass; keep the two identical.
 race:
-	$(GO) test -race -short ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/faultsim/ ./internal/invariant/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
-
-faults:
-	$(GO) run ./cmd/busim -mode faults -scenario all
+	$(GO) test -race -short ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
 
 # The fuzz targets are scripts/ci.sh's fuzz smokes; keep the two lists identical.
 fuzz:

@@ -122,16 +122,9 @@ func main() {
 		}
 	}
 
-	var m bumdp.IncentiveModel
-	switch *model {
-	case "compliant":
-		m = bumdp.Compliant
-	case "noncompliant":
-		m = bumdp.NonCompliant
-	case "nonprofit":
-		m = bumdp.NonProfit
-	default:
-		log.Fatalf("unknown model %q", *model)
+	m, err := bumdp.ParseModel(*model)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *sweep {

@@ -618,14 +618,10 @@ func intParam(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
+// modelParam parses the model query parameter; empty means compliant.
 func modelParam(s string) (bumdp.IncentiveModel, error) {
-	switch s {
-	case "", "compliant":
+	if s == "" {
 		return bumdp.Compliant, nil
-	case "noncompliant":
-		return bumdp.NonCompliant, nil
-	case "nonprofit":
-		return bumdp.NonProfit, nil
 	}
-	return 0, fmt.Errorf("unknown model %q", s)
+	return bumdp.ParseModel(s)
 }

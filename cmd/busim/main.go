@@ -1,42 +1,27 @@
 // Command busim runs the simulators: a Monte-Carlo replay of the optimal
 // attack policy against the exact model dynamics (-mode mc, the
-// precision cross-check of the MDP values), a full discrete-event
+// precision cross-check of the MDP values) or a full discrete-event
 // network simulation with per-node validity rules (-mode net, the
-// end-to-end check from the protocol rules alone), or the seeded
-// fault-injection corpus with invariant checking (-mode faults).
+// end-to-end check from the protocol rules alone, setting 1 only).
 //
 //	busim -mode mc  -alpha 0.25 -ratio 1:1 -model compliant -steps 1000000
 //	busim -mode net -alpha 0.25 -ratio 1:1 -blocks 20000
-//	busim -mode faults -scenario all
-//	busim -mode faults -scenario bu-attack-drop -seed 99 -trace run.jsonl
-//	busim -list-scenarios
-//
-// In faults mode every executed scenario is checked against the full
-// protocol-invariant suite (internal/invariant); any violation is
-// printed and the exit status is nonzero. -seed overrides the
-// scenario's pinned seed to explore other schedules; replaying with the
-// pinned seed reproduces the trace bit-identically.
 //
 // -trace writes the run's structured events as JSONL — the solve's
 // convergence iterations, then mc.split/mc.resolve/mc.done replay
 // events (mc mode) or sim.block/sim.relay/sim.accept/sim.reject/
-// sim.fork/sim.reorg network events (net and faults modes, which also
-// carry sim.drop/sim.partition/sim.heal/sim.crash/sim.restart fault
-// events). Tracing never changes results. -metrics-dump prints the
-// run's metrics registry as JSON to stderr on exit.
+// sim.fork/sim.reorg network events (net mode). Tracing never changes
+// results. -metrics-dump prints the run's metrics registry as JSON to
+// stderr on exit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/cliflag"
-	"buanalysis/internal/faultsim"
-	"buanalysis/internal/invariant"
 	"buanalysis/internal/mdp"
 	"buanalysis/internal/montecarlo"
 	"buanalysis/internal/netsim"
@@ -51,17 +36,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("busim: ")
 	var (
-		mode    = flag.String("mode", "mc", "mc (exact-dynamics Monte Carlo) | net (network simulation) | faults (fault-injection corpus)")
+		mode    = flag.String("mode", "mc", "mc (exact-dynamics Monte Carlo) | net (network simulation)")
 		alpha   = flag.Float64("alpha", 0.25, "attacker power share")
 		ratio   = flag.String("ratio", "1:1", "Bob:Carol split")
 		model   = flag.String("model", "compliant", "compliant | noncompliant | nonprofit")
-		setting = flag.Int("setting", 1, "1 or 2 (mc mode)")
+		setting = flag.Int("setting", 1, "1 or 2 (net mode: 1 only)")
 		steps   = flag.Int("steps", 1_000_000, "mc mode: steps per batch")
 		batches = flag.Int("batches", 8, "mc mode: independent batches")
 		blocks  = flag.Int("blocks", 20_000, "net mode: mining rounds")
 		seed    = flag.Int64("seed", 1, "random seed")
-		scen    = flag.String("scenario", "all", "faults mode: corpus scenario name, or all")
-		list    = flag.Bool("list-scenarios", false, "print the fault scenario corpus and exit")
 		trace   = cliflag.TraceFlag(flag.CommandLine)
 		mdump   = cliflag.MetricsDumpFlag(flag.CommandLine)
 		version = cliflag.VersionFlag(flag.CommandLine)
@@ -73,12 +56,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *list {
-		for _, sc := range faultsim.Corpus() {
-			fmt.Printf("%-26s seed=%-4d blocks=%-5d expect=%s\n",
-				sc.Name, sc.Seed, sc.Blocks, strings.Join(sc.Expect, ","))
-		}
-		return
+	if *mode != "mc" && *mode != "net" {
+		log.Fatalf("unknown mode %q", *mode)
+	}
+	// runNet's nodes run BU without the sticky gate and PolicyDecider
+	// looks up only R = 0 states, so a setting-2 policy would replay as
+	// setting 1.
+	if *mode == "net" && *setting != 1 {
+		log.Fatalf("-mode net replays setting 1 only (got -setting %d)", *setting)
+	}
+	beta, gamma, err := cliflag.SplitRatio(*alpha, *ratio)
+	if err != nil {
+		log.Fatalf("bad -ratio: %v", err)
+	}
+	m, err := bumdp.ParseModel(*model)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	tracer, closeTrace, err := cliflag.OpenTrace(*trace)
@@ -97,28 +90,6 @@ func main() {
 		defer cliflag.DumpMetrics(reg)
 	}
 
-	// Faults mode needs no MDP solve; handle it before the solver runs.
-	if *mode == "faults" {
-		seedOverride := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedOverride = true
-			}
-		})
-		if !runFaults(*scen, *seed, seedOverride, tracer) {
-			// log.Fatal skips the deferred close; flush the trace first so
-			// the failing run can be replayed from it.
-			if err := closeTrace(); err != nil {
-				log.Print(err)
-			}
-			log.Fatal("invariant violations detected")
-		}
-		return
-	}
-
-	beta, gamma := split(*alpha, *ratio)
-	m := parseModel(*model)
-
 	a, err := bumdp.New(bumdp.Params{
 		Alpha: *alpha, Beta: beta, Gamma: gamma,
 		Setting: bumdp.Setting(*setting), Model: m,
@@ -133,8 +104,7 @@ func main() {
 	}
 	fmt.Printf("MDP optimal utility: %.5f\n", res.Utility)
 
-	switch *mode {
-	case "mc":
+	if *mode == "mc" {
 		sum, err := montecarlo.CrossValidateTraced(a, res.Policy, *steps, *batches, *seed, tracer)
 		if err != nil {
 			log.Fatal(err)
@@ -147,76 +117,9 @@ func main() {
 		} else {
 			fmt.Println("MDP value outside the simulated confidence interval: INVESTIGATE")
 		}
-	case "net":
-		runNet(a, res.Policy, *alpha, beta, gamma, *blocks, *seed, tracer)
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+		return
 	}
-}
-
-// runFaults executes one corpus scenario (or all of them), checks the
-// invariant suite on each run, and reports success.
-func runFaults(name string, seed int64, seedOverride bool, tracer obs.Tracer) bool {
-	var scenarios []faultsim.Scenario
-	if name == "all" {
-		scenarios = faultsim.Corpus()
-	} else {
-		sc, ok := faultsim.Named(name)
-		if !ok {
-			log.Fatalf("unknown scenario %q (see -list-scenarios)", name)
-		}
-		scenarios = []faultsim.Scenario{sc}
-	}
-	ok := true
-	for _, sc := range scenarios {
-		if seedOverride {
-			sc.Seed = seed
-		}
-		rep, err := faultsim.Run(sc, tracer)
-		if err != nil {
-			log.Fatal(err)
-		}
-		vs := invariant.Check(rep)
-		status := "ok"
-		if len(vs) > 0 {
-			status = fmt.Sprintf("%d VIOLATIONS", len(vs))
-			ok = false
-		}
-		fmt.Printf("%-26s seed=%-4d mined=%-5d drops=%-4d dups=%-4d crashlost=%-4d orphans=%-4d splits=%-4d %s\n",
-			sc.Name, sc.Seed, rep.BlocksMined, rep.Drops, rep.Dups, rep.CrashLost, rep.Orphans, rep.Splits, status)
-		for _, v := range vs {
-			fmt.Printf("  %s\n", v)
-		}
-	}
-	return ok
-}
-
-func split(alpha float64, ratio string) (float64, float64) {
-	parts := strings.SplitN(ratio, ":", 2)
-	if len(parts) != 2 {
-		log.Fatalf("bad ratio %q", ratio)
-	}
-	rb, err1 := strconv.ParseFloat(parts[0], 64)
-	rg, err2 := strconv.ParseFloat(parts[1], 64)
-	if err1 != nil || err2 != nil || rb <= 0 || rg <= 0 {
-		log.Fatalf("bad ratio %q", ratio)
-	}
-	rest := 1 - alpha
-	b := rest * rb / (rb + rg)
-	return b, rest - b
-}
-
-func parseModel(s string) bumdp.IncentiveModel {
-	switch s {
-	case "compliant":
-		return bumdp.Compliant
-	case "noncompliant":
-		return bumdp.NonCompliant
-	case "nonprofit":
-		return bumdp.NonProfit
-	}
-	log.Fatalf("unknown model %q", s)
-	return 0
+	runNet(a, res.Policy, *alpha, beta, gamma, *blocks, *seed, tracer)
 }
 
 func runNet(a *bumdp.Analysis, policy []int, alpha, beta, gamma float64, blocks int, seed int64, tracer obs.Tracer) {

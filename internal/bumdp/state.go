@@ -62,6 +62,20 @@ func (m IncentiveModel) String() string {
 	return fmt.Sprintf("IncentiveModel(%d)", int(m))
 }
 
+// ParseModel maps a command-line model name ("compliant",
+// "noncompliant" or "nonprofit") to its IncentiveModel.
+func ParseModel(name string) (IncentiveModel, error) {
+	switch name {
+	case "compliant":
+		return Compliant, nil
+	case "noncompliant":
+		return NonCompliant, nil
+	case "nonprofit":
+		return NonProfit, nil
+	}
+	return 0, fmt.Errorf("unknown model %q", name)
+}
+
 // Actions available to Alice.
 const (
 	// OnChain1 extends Chain 1; at the base state it means mining

@@ -155,3 +155,23 @@ func TestCompileAllocationsConstant(t *testing.T) {
 	}
 	t.Logf("allocations: fresh compile %v, derived New %v", c12, d12)
 }
+
+func TestParseModel(t *testing.T) {
+	for name, want := range map[string]IncentiveModel{
+		"compliant":    Compliant,
+		"noncompliant": NonCompliant,
+		"nonprofit":    NonProfit,
+	} {
+		if got, err := ParseModel(name); err != nil || got != want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]string{
+		"":          `unknown model ""`,
+		"Compliant": `unknown model "Compliant"`,
+	} {
+		if _, err := ParseModel(name); err == nil || err.Error() != want {
+			t.Errorf("ParseModel(%q) error = %v, want %s", name, err, want)
+		}
+	}
+}

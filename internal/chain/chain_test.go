@@ -66,12 +66,12 @@ func TestStoreAddValidation(t *testing.T) {
 	}
 }
 
-func TestPathAndTips(t *testing.T) {
+func TestPath(t *testing.T) {
 	g := Genesis()
 	s := NewStore(g)
 	a := extend(t, s, g, 1, "a")
 	b := extend(t, s, a, 1, "b")
-	c := extend(t, s, a, 2, "c") // fork at height 2
+	extend(t, s, a, 2, "c") // fork at height 2
 	d := extend(t, s, b, 1, "d")
 
 	path := s.Path(d.ID())
@@ -82,28 +82,6 @@ func TestPathAndTips(t *testing.T) {
 		if blk.Height != h {
 			t.Errorf("path[%d].Height = %d", h, blk.Height)
 		}
-	}
-
-	tips := s.Tips()
-	if len(tips) != 2 {
-		t.Fatalf("Tips = %d, want 2", len(tips))
-	}
-	if tips[0].ID() != d.ID() {
-		t.Errorf("longest tip = %v, want %v", tips[0].ID(), d.ID())
-	}
-	if tips[1].ID() != c.ID() {
-		t.Errorf("second tip = %v, want %v", tips[1].ID(), c.ID())
-	}
-}
-
-func TestTipsTieBreakByArrival(t *testing.T) {
-	g := Genesis()
-	s := NewStore(g)
-	first := extend(t, s, g, 1, "first")
-	second := extend(t, s, g, 2, "second")
-	tips := s.Tips()
-	if len(tips) != 2 || tips[0].ID() != first.ID() || tips[1].ID() != second.ID() {
-		t.Errorf("equal-height tips not ordered by arrival: %v", tips)
 	}
 }
 
@@ -151,7 +129,7 @@ func TestAccount(t *testing.T) {
 }
 
 // TestChainInvariants is a property test: random trees built through Add
-// always yield consistent Path, Tips and Account results.
+// always yield consistent Path and Account results.
 func TestChainInvariants(t *testing.T) {
 	prop := func(choices []uint8) bool {
 		g := Genesis()
@@ -173,14 +151,10 @@ func TestChainInvariants(t *testing.T) {
 		if s.Len() != len(blocks) {
 			return false
 		}
-		tips := s.Tips()
-		if len(tips) == 0 {
-			return false
-		}
-		best := tips[0]
+		last := blocks[len(blocks)-1]
 		// Path must be well-formed.
-		path := s.Path(best.ID())
-		if len(path) != best.Height+1 {
+		path := s.Path(last.ID())
+		if len(path) != last.Height+1 {
 			return false
 		}
 		for h := 1; h < len(path); h++ {
@@ -189,7 +163,7 @@ func TestChainInvariants(t *testing.T) {
 			}
 		}
 		// Accounting must cover every non-genesis block exactly once.
-		acc, err := s.Account(best.ID())
+		acc, err := s.Account(last.ID())
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,6 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Common store errors.
@@ -13,34 +12,19 @@ var (
 	ErrBadHeight     = errors.New("chain: height does not extend parent")
 )
 
-// Store is an append-only block DAG rooted at a genesis block. It indexes
-// parent/child relations and records arrival order, which the protocol
-// rules use for first-received tie breaking. Store is not safe for
-// concurrent use; the simulator serializes access through its event loop.
+// Store is an append-only block DAG rooted at a genesis block. Store is
+// not safe for concurrent use; the simulator serializes access through
+// its event loop.
 type Store struct {
-	genesis *Block
-	blocks  map[ID]*Block
-	childs  map[ID][]ID
-	arrival map[ID]int // order in which blocks were added
-	nextSeq int
+	blocks map[ID]*Block
 }
 
 // NewStore creates a store containing only the given genesis block.
 func NewStore(genesis *Block) *Store {
-	s := &Store{
-		genesis: genesis,
-		blocks:  make(map[ID]*Block),
-		childs:  make(map[ID][]ID),
-		arrival: make(map[ID]int),
-	}
+	s := &Store{blocks: make(map[ID]*Block)}
 	s.blocks[genesis.ID()] = genesis
-	s.arrival[genesis.ID()] = s.nextSeq
-	s.nextSeq++
 	return s
 }
-
-// Genesis returns the store's genesis block.
-func (s *Store) Genesis() *Block { return s.genesis }
 
 // Len reports the number of blocks in the store, including genesis.
 func (s *Store) Len() int { return len(s.blocks) }
@@ -60,9 +44,6 @@ func (s *Store) Add(b *Block) error {
 		return fmt.Errorf("%w: block %v has height %d, parent %d", ErrBadHeight, id, b.Height, parent.Height)
 	}
 	s.blocks[id] = b
-	s.childs[b.Parent] = append(s.childs[b.Parent], id)
-	s.arrival[id] = s.nextSeq
-	s.nextSeq++
 	return nil
 }
 
@@ -71,10 +52,6 @@ func (s *Store) Get(id ID) *Block { return s.blocks[id] }
 
 // Has reports whether the block is present.
 func (s *Store) Has(id ID) bool { _, ok := s.blocks[id]; return ok }
-
-// Children returns the ids of the blocks extending the given block, in
-// arrival order. The returned slice is owned by the store.
-func (s *Store) Children(id ID) []ID { return s.childs[id] }
 
 // Path returns the chain from genesis to the given block, inclusive.
 // It returns nil if the block is absent.
@@ -95,25 +72,6 @@ func (s *Store) Path(id ID) []*Block {
 		return nil // broken ancestry; cannot happen for blocks added via Add
 	}
 	return path
-}
-
-// Tips returns all leaf blocks (blocks with no children), sorted by height
-// descending, then by arrival order ascending, so Tips()[0] is the tip of
-// the longest, earliest-seen chain.
-func (s *Store) Tips() []*Block {
-	var tips []*Block
-	for id, b := range s.blocks {
-		if len(s.childs[id]) == 0 {
-			tips = append(tips, b)
-		}
-	}
-	sort.Slice(tips, func(i, j int) bool {
-		if tips[i].Height != tips[j].Height {
-			return tips[i].Height > tips[j].Height
-		}
-		return s.arrival[tips[i].ID()] < s.arrival[tips[j].ID()]
-	})
-	return tips
 }
 
 // ForkPoint returns the highest common ancestor of two blocks.

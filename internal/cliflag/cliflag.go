@@ -1,6 +1,6 @@
 // Package cliflag holds the flag parsing shared by the repository's
-// command-line tools (cmd/bumdp, cmd/bugames, cmd/butables) and the
-// buserve query parser: "B:G" mining-power ratio strings,
+// command-line tools (cmd/bumdp, cmd/bugames, cmd/busim, cmd/butables)
+// and the buserve query parser: "B:G" mining-power ratio strings,
 // comma-separated power lists, and the trace, metrics, profile, log and
 // version flags every binary registers.
 package cliflag

@@ -24,46 +24,14 @@ type Config struct {
 	BlockDelay func(b *chain.Block, from, to *Node) float64
 	// Seed drives the simulation's randomness.
 	Seed int64
-	// Link, if non-nil, intercepts every block relay: it decides how
-	// many copies of the block reach the destination and with what extra
-	// delay, which is how fault-injection layers (internal/faultsim)
-	// impose message loss, duplication, reordering jitter, and network
-	// partitions. A nil Link delivers exactly one copy per relay. The
-	// link must be deterministic in its inputs (and any seeded state of
-	// its own) for runs to replay bit-identically.
-	Link Link
 	// Tracer, if non-nil, receives structured simulation events: one
 	// "sim.block" per block found, "sim.relay" per delivery, "sim.accept"
 	// / "sim.reject" for each node's validity decision, "sim.fork" while
-	// targets diverge, "sim.reorg" when a node abandons blocks it mined
-	// on, and "sim.drop" when the link layer or a crashed destination
-	// loses a delivery. Events are stamped with the simulation clock.
+	// targets diverge, and "sim.reorg" when a node abandons blocks it
+	// mined on. Events are stamped with the simulation clock.
 	// Tracing never changes the simulation: the random stream and every
 	// decision are independent of it.
 	Tracer obs.Tracer
-}
-
-// Delivery is one copy of a relayed block the link layer lets through,
-// delayed by Delay on top of the configured propagation delay.
-type Delivery struct {
-	Delay float64
-}
-
-// Link intercepts block relays. Route is consulted once per
-// (block, destination) pair at send time: it returns the copies to
-// deliver (an empty slice drops the message, more than one duplicates
-// it) and, when dropping, a short reason stamped on the "sim.drop"
-// event ("loss", "partition", ...).
-type Link interface {
-	Route(b *chain.Block, from, to *Node, now float64) (copies []Delivery, drop string)
-}
-
-// LinkFunc adapts a function to the Link interface.
-type LinkFunc func(b *chain.Block, from, to *Node, now float64) ([]Delivery, string)
-
-// Route implements Link.
-func (f LinkFunc) Route(b *chain.Block, from, to *Node, now float64) ([]Delivery, string) {
-	return f(b, from, to, now)
 }
 
 // Network is a running simulation.
@@ -76,15 +44,8 @@ type Network struct {
 
 	// BlocksMined counts mining events that produced a block.
 	BlocksMined int
-	// RoundsSkipped counts mining rounds a strategy declined (Wait) or
-	// that found every miner crashed.
+	// RoundsSkipped counts mining rounds a strategy declined (Wait).
 	RoundsSkipped int
-	// DeliveriesDropped counts relays the link layer refused outright.
-	DeliveriesDropped int
-	// DeliveriesDuplicated counts extra copies the link layer injected.
-	DeliveriesDuplicated int
-	// DeliveriesLostToCrash counts copies that arrived at a crashed node.
-	DeliveriesLostToCrash int
 }
 
 // New creates a network with the given nodes. Total mining power must be
@@ -151,31 +112,6 @@ func (net *Network) Nodes() []*Node { return net.nodes }
 // Genesis returns the simulation's genesis block.
 func (net *Network) Genesis() *chain.Block { return net.genesis }
 
-// Node returns the named node, or nil.
-func (net *Network) Node(name string) *Node {
-	for _, n := range net.nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// Now returns the current simulation time.
-func (net *Network) Now() float64 { return net.sched.now }
-
-// At schedules fn to run at absolute simulation time t (clamped to the
-// current clock). Fault layers use it to drive scenario timelines —
-// partition heals, node crashes and restarts — inside the simulation's
-// deterministic event order; events scheduled before Run coexist with
-// the mining process.
-func (net *Network) At(t float64, fn func()) { net.sched.at(t, fn) }
-
-// Emit stamps e with the simulation clock and forwards it to the
-// configured tracer (a no-op without one). It lets strategies and fault
-// layers contribute events to the same stream the simulator writes.
-func (net *Network) Emit(e obs.Event) { net.emit(e) }
-
 // Run simulates until `blocks` mining rounds have occurred (including
 // rounds a waiting strategy declined), then drains in-flight deliveries.
 func (net *Network) Run(blocks int) {
@@ -195,39 +131,22 @@ func (net *Network) Run(blocks int) {
 	}
 }
 
-// mineOnce draws the winner of one mining round among the live nodes
-// and broadcasts its block.
+// mineOnce draws the winner of one mining round and broadcasts its
+// block.
 func (net *Network) mineOnce() {
 	total := 0.0
 	for _, n := range net.nodes {
-		if !n.down {
-			total += n.Power
-		}
-	}
-	if total <= 0 {
-		// Every miner is crashed; the round finds nothing.
-		net.RoundsSkipped++
-		return
+		total += n.Power
 	}
 	u := net.rng.Float64() * total
-	var winner *Node
+	// The last node takes a draw that rounding leaves past every share.
+	winner := net.nodes[len(net.nodes)-1]
 	for _, n := range net.nodes {
-		if n.down {
-			continue
-		}
 		if u < n.Power {
 			winner = n
 			break
 		}
 		u -= n.Power
-	}
-	if winner == nil {
-		for i := len(net.nodes) - 1; i >= 0; i-- {
-			if !net.nodes[i].down {
-				winner = net.nodes[i]
-				break
-			}
-		}
 	}
 	b := winner.makeBlock(net.sched.now)
 	if b == nil {
@@ -256,51 +175,15 @@ func (net *Network) mineOnce() {
 			delay = math.Max(0, net.cfg.Delay(winner, n))
 		}
 		to := n
-		if net.cfg.Link == nil {
-			net.sched.at(net.sched.now+delay, func() { net.deliver(to, b, "") })
-			continue
-		}
-		copies, drop := net.cfg.Link.Route(b, winner, to, net.sched.now)
-		if len(copies) == 0 {
-			net.DeliveriesDropped++
-			if net.traced() {
-				if drop == "" {
-					drop = "loss"
-				}
-				net.emit(obs.Event{Kind: "sim.drop", Node: to.Name, Miner: b.Miner,
-					Height: b.Height, Size: b.Size, Block: b.ID().String(), Detail: drop})
-			}
-			continue
-		}
-		net.DeliveriesDuplicated += len(copies) - 1
-		for i, c := range copies {
-			detail := ""
-			if i > 0 {
-				detail = "dup"
-			}
-			net.sched.at(net.sched.now+delay+math.Max(0, c.Delay), func() {
-				net.deliver(to, b, detail)
-			})
-		}
+		net.sched.at(net.sched.now+delay, func() { net.deliver(to, b) })
 	}
 }
 
-// deliver hands one relayed copy of b to node `to` at the current clock,
-// or records the loss if the destination is crashed. detail qualifies
-// the relay event ("dup" for duplicated copies, "recover"/"sync" for
-// fault-layer chain repair).
-func (net *Network) deliver(to *Node, b *chain.Block, detail string) {
-	if to.down {
-		net.DeliveriesLostToCrash++
-		if net.traced() {
-			net.emit(obs.Event{Kind: "sim.drop", Node: to.Name, Miner: b.Miner,
-				Height: b.Height, Size: b.Size, Block: b.ID().String(), Detail: "crash"})
-		}
-		return
-	}
+// deliver hands the relayed block b to node `to` at the current clock.
+func (net *Network) deliver(to *Node, b *chain.Block) {
 	if net.traced() {
 		net.emit(obs.Event{Kind: "sim.relay", Node: to.Name, Miner: b.Miner,
-			Height: b.Height, Size: b.Size, Block: b.ID().String(), Detail: detail})
+			Height: b.Height, Size: b.Size, Block: b.ID().String()})
 	}
 	to.receive(b)
 }

@@ -26,7 +26,6 @@ type Node struct {
 	store   *chain.Store
 	pending map[chain.ID][]*chain.Block
 	target  *chain.Block // tip of the chain the node currently mines on
-	down    bool         // crashed: no mining, deliveries are lost
 
 	// BlocksHeld counts blocks this node refused to build on because of
 	// validity (diagnostic).
@@ -52,32 +51,9 @@ func (n *Node) Path() []*chain.Block { return n.store.Path(n.target.ID()) }
 // figures) and by tests.
 func (n *Node) Deliver(b *chain.Block) { n.receive(b) }
 
-// Crash takes the node offline: it stops mining (its power leaves the
-// winner draw) and loses every delivery until Restart. The block store
-// and mining target survive — they model on-disk chain state — but the
-// orphan reassembly buffer is memory and is lost.
-func (n *Node) Crash() {
-	if n.down {
-		return
-	}
-	n.down = true
-	n.pending = make(map[chain.ID][]*chain.Block)
-}
-
-// Restart brings a crashed node back online with its persisted chain
-// state; blocks it missed while down stay missing until a peer re-sends
-// them (see internal/faultsim's recovery sync).
-func (n *Node) Restart() { n.down = false }
-
-// Down reports whether the node is crashed.
-func (n *Node) Down() bool { return n.down }
-
 // receive ingests a block into the node's view, buffering it if the
 // parent is unknown, and re-evaluates the mining target.
 func (n *Node) receive(b *chain.Block) {
-	if n.down {
-		return
-	}
 	if n.store.Has(b.ID()) {
 		return
 	}

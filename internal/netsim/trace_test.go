@@ -1,6 +1,10 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"runtime"
 	"testing"
 
 	"buanalysis/internal/obs"
@@ -80,5 +84,82 @@ func TestTracingIsPassive(t *testing.T) {
 	}
 	if counts["sim.accept"] == 0 {
 		t.Error("no sim.accept events")
+	}
+}
+
+// raceTrace runs traceNodes with a propagation delay of 0.3 block
+// intervals, so blocks race: the run forks, reorganizes and rejects. It
+// returns the run's JSONL trace.
+func raceTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	delay := func(_, _ *Node) float64 { return 0.3 }
+	net, err := New(Config{Seed: 13, Delay: delay, Tracer: sink}, traceNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(1500)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceDeterministicAcrossGOMAXPROCS pins byte-identical traces
+// under different parallelism settings (and under -race in CI). Over
+// that trace it checks causal delivery (a node accepts or rejects only
+// a block it mined or was relayed earlier) and that each node's
+// accepted height strictly rises.
+func TestTraceDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	ref := raceTrace(t)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, prev} {
+		runtime.GOMAXPROCS(procs)
+		if got := raceTrace(t); !bytes.Equal(got, ref) {
+			t.Errorf("GOMAXPROCS=%d changed the trace (%d vs %d bytes)", procs, len(got), len(ref))
+		}
+	}
+
+	counts := map[string]int{}
+	seen := map[string]map[string]bool{} // node -> blocks it mined or was relayed
+	mark := func(node, block string) {
+		if seen[node] == nil {
+			seen[node] = map[string]bool{}
+		}
+		seen[node][block] = true
+	}
+	accepted := map[string]int{} // node -> last accepted height
+	dec := json.NewDecoder(bytes.NewReader(ref))
+	for i := 0; ; i++ {
+		var e obs.Event
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		counts[e.Kind]++
+		switch e.Kind {
+		case "sim.block":
+			mark(e.Miner, e.Block)
+		case "sim.relay":
+			mark(e.Node, e.Block)
+		case "sim.accept", "sim.reject":
+			if !seen[e.Node][e.Block] {
+				t.Errorf("event %d: %s of block %s by node %s before it was mined or relayed there", i, e.Kind, e.Block, e.Node)
+			}
+			if e.Kind == "sim.accept" {
+				if e.Height <= accepted[e.Node] {
+					t.Errorf("event %d: node %s accepted height %d after height %d", i, e.Node, e.Height, accepted[e.Node])
+				}
+				accepted[e.Node] = e.Height
+			}
+		}
+	}
+	for _, kind := range []string{"sim.fork", "sim.reorg", "sim.reject"} {
+		if counts[kind] == 0 {
+			t.Errorf("trace has no %s event; blocks did not race", kind)
+		}
 	}
 }

@@ -25,8 +25,7 @@ package obs
 type Event struct {
 	// Kind names the event: "solver.iter", "solver.eval", "solver.done",
 	// "ratio.probe", "ratio.done", "sim.block", "sim.relay",
-	// "sim.fork", "sim.reorg", "sim.accept", "sim.reject", "sim.drop",
-	// "sim.partition", "sim.heal", "sim.crash", "sim.restart",
+	// "sim.fork", "sim.reorg", "sim.accept", "sim.reject",
 	// "mc.split", "mc.resolve", "mc.done", "game.round",
 	// "game.equilibrium", "span" (a finished span, see span.go), and the
 	// queue/farm kinds ("queue.enqueue", "queue.lease", ...).
@@ -101,8 +100,8 @@ type Event struct {
 	Height int   `json:"height,omitempty"`
 	Size   int64 `json:"size,omitempty"`
 	// Block is the short hex id of the block involved, stamped by the
-	// network simulator so invariant checkers can correlate a block's
-	// mining, relay, drop, and acceptance events exactly.
+	// network simulator so a trace reader can correlate a block's
+	// mining, relay and acceptance events exactly.
 	Block string `json:"block,omitempty"`
 	// Depth is the fork depth ("sim.fork"), the number of blocks
 	// abandoned ("sim.reorg"), or the number of chain suffix blocks cut

@@ -2,7 +2,7 @@
 # Continuous-integration gate for the repository.
 #
 #   scripts/ci.sh          vet + build + full test suite + race pass +
-#                          fault corpus + fuzz smoke + sweep/serve smoke
+#                          fuzz smoke + sweep/serve smoke
 #   scripts/ci.sh -short   the same with -short everywhere (a few minutes
 #                          on one core; the race pass stays bounded)
 #
@@ -12,9 +12,9 @@
 # batch runner, the equilibrium search in games), the MDP solver and
 # the BU analysis beneath the rows, the experiment store (singleflight,
 # LRU, solve budget), the observability layer (registry, sinks), the
-# network simulator and the fault-injection/invariant layer over it,
-# the solve farm (queue, farm, verify), and buserve, whose concurrent
-# handlers share the store's blobs and the per-endpoint instruments.
+# network simulator, the solve farm (queue, farm, verify), and buserve,
+# whose concurrent handlers share the store's blobs and the
+# per-endpoint instruments.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,14 +50,8 @@ echo "== bench module: go vet + go test ${SHORT} =="
 
 # The Makefile's race target runs the same package list; keep the two
 # identical.
-echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, faultsim, invariant, jobqueue, farm, verify, buserve) =="
-go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/faultsim/ ./internal/invariant/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
-
-echo "== fault-injection scenario corpus (busim -mode faults) =="
-# Runs all seeded fault scenarios end to end through the binary and
-# checks every run against the protocol-invariant suite; any violation
-# exits nonzero. EXPERIMENTS.md documents how to replay a failing seed.
-go run ./cmd/busim -mode faults -scenario all
+echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, jobqueue, farm, verify, buserve) =="
+go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
 
 echo "== cache-key fuzz smoke (FuzzCanonicalKey) =="
 # A short coverage-guided session over the canonical cache-key
