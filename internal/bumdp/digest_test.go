@@ -29,12 +29,13 @@ func modelDigest(m *mdp.Model) string {
 		h.Write(buf[:])
 	}
 	put(uint64(m.NumStates()))
+	var trs []mdp.Transition
 	for s := 0; s < m.NumStates(); s++ {
 		acts := m.Actions(s)
 		put(uint64(len(acts)))
 		for i, a := range acts {
 			put(uint64(a))
-			trs := m.Transitions(s, i)
+			trs = m.AppendTransitions(trs[:0], s, i)
 			put(uint64(len(trs)))
 			for _, tr := range trs {
 				put(uint64(tr.To))

@@ -7,11 +7,11 @@ package bumdp
 // probability, by its position in its slot, since the dynamics emit
 // Alice, Bob, Carol in that order, or Bob, Carol under Wait. So New runs
 // the dynamics once per shape and derives every later model of that
-// shape from a skeleton through mdp.Model.Reparameterize.
+// shape as a member of the shape's mdp.Family, whose five parameters
+// are those positions' probabilities.
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"buanalysis/internal/mdp"
@@ -23,97 +23,54 @@ func (p Params) shape() Params {
 	return p
 }
 
+// The parameters of a shape's family: the probability of each position
+// in a slot.
+const (
+	pAlice     = iota // alpha
+	pBob              // beta
+	pCarol            // gamma
+	pBobWait          // beta / (beta + gamma), Bob under Wait
+	pCarolWait        // gamma / (beta + gamma), Carol under Wait
+	numParams
+)
+
 // skeleton is what a shape's later models are derived from: the shared
-// state enumeration, the values-free compiled structure, which also
-// holds every transition's destination, and for each raw transition an
-// index into a table of the shape's distinct (Num, Den) reward pairs.
+// state enumeration and the shape's model family.
 type skeleton struct {
-	states    []State
-	structure *mdp.Model
-	reward    []uint16
-	rewards   [][2]float64
-	// perState is the raw transition count of every state: all states
-	// offer the same actions with the same outcome counts.
-	perState int
+	states []State
+	family *mdp.Family
 }
 
 // newSkeleton reads a's compiled model into the skeleton of its shape.
 func newSkeleton(a *Analysis) *skeleton {
 	m := a.Model
-	n := m.NumTransitions()
-	sk := &skeleton{
-		states:    a.States,
-		structure: m.Structure(),
-		reward:    make([]uint16, 0, n),
-		perState:  n / m.NumStates(),
-	}
-	index := make(map[[2]uint64]uint16)
+	param := make([]int32, 0, m.NumTransitions())
 	for s := range m.NumStates() {
-		for i := range m.Actions(s) {
-			for _, tr := range m.Transitions(s, i) {
-				key := [2]uint64{math.Float64bits(tr.Num), math.Float64bits(tr.Den)}
-				r, ok := index[key]
-				if !ok {
-					// A reward pair is fixed by a few chain lengths,
-					// each bounded by the acceptance depths, so a model
-					// whose transitions fit mdp's int32 offsets has far
-					// fewer than 1<<16 of them.
-					if len(sk.rewards) > math.MaxUint16 {
-						panic("bumdp: more reward pairs than a skeleton indexes")
-					}
-					r = uint16(len(sk.rewards))
-					index[key] = r
-					sk.rewards = append(sk.rewards, [2]float64{tr.Num, tr.Den})
-				}
-				sk.reward = append(sk.reward, r)
+		for _, action := range m.Actions(s) {
+			if action == Wait {
+				param = append(param, pBobWait, pCarolWait)
+			} else {
+				param = append(param, pAlice, pBob, pCarol)
 			}
 		}
 	}
-	return sk
+	family, err := m.Family(numParams, param)
+	if err != nil {
+		// The positions are the dynamics' own order of events.
+		panic(fmt.Sprintf("bumdp: a compiled model does not follow the dynamics' event order: %v", err))
+	}
+	return &skeleton{states: a.States, family: family}
 }
 
-// derive builds the model of p, which has the skeleton's shape, with
-// one validated pass over its transitions and no call into the
-// dynamics.
+// derive builds the model of p, which has the skeleton's shape, as a
+// member of the shape's family, with no call into the dynamics.
 func (sk *skeleton) derive(p Params) (*Analysis, error) {
-	a := &Analysis{Params: p, States: sk.states}
-	model, err := sk.structure.Reparameterize(derived{sk, &a.Params})
+	rest := p.Beta + p.Gamma
+	model, err := sk.family.Model([]float64{p.Alpha, p.Beta, p.Gamma, p.Beta / rest, p.Gamma / rest})
 	if err != nil {
 		return nil, fmt.Errorf("bumdp: compiling model: %w", err)
 	}
-	a.Model = model
-	return a, nil
-}
-
-// derived adapts a skeleton and a parameter set of its shape to
-// mdp.Builder.
-type derived struct {
-	sk *skeleton
-	p  *Params
-}
-
-func (b derived) NumStates() int { return len(b.sk.states) }
-
-func (b derived) Actions(s int) []int { return b.p.Actions(b.sk.states[s]) }
-
-func (b derived) AppendTransitions(dst []mdp.Transition, s, action int) []mdp.Transition {
-	p := b.p
-	probs, n := [3]float64{p.Alpha, p.Beta, p.Gamma}, 3
-	if action == Wait {
-		rest := p.Beta + p.Gamma
-		probs, n = [3]float64{p.Beta / rest, p.Gamma / rest}, 2
-	}
-	// Every state lists OnChain1, OnChain2 and then Wait, so an action
-	// is its own slot index, and the first two have three outcomes each:
-	// action a's outcomes start 3a raw transitions into its state's.
-	j := s*b.sk.perState + 3*action
-	for t, prob := range probs[:n] {
-		r := &b.sk.rewards[b.sk.reward[j+t]]
-		dst = append(dst, mdp.Transition{
-			To: b.sk.structure.Destination(s, action, t), Prob: prob, Num: r[0], Den: r[1],
-		})
-	}
-	return dst
+	return &Analysis{Params: p, States: sk.states, Model: model}, nil
 }
 
 // shapes holds, for each (incentive model, setting) pair, the last

@@ -42,13 +42,14 @@ type solverBenchStage struct {
 
 // solverBenchCompile is one row of the compile block: the cost of a
 // bumdp.New of the setting-2 AD-6 non-compliant model (144-block gate
-// window), the median of compileBenchReps runs on the caller's
-// goroutine.
+// window), the median time of compileBenchReps runs on the caller's
+// goroutine, with the mean allocations and bytes allocated per call.
 type solverBenchCompile struct {
 	Name       string  `json:"name"`
 	States     int     `json:"states"`
 	Millis     float64 `json:"ms"`
 	Allocs     float64 `json:"allocs"`
+	Bytes      float64 `json:"bytes"`
 	NsPerState float64 `json:"ns_per_state"`
 }
 
@@ -119,11 +120,14 @@ func medianMillis(f func()) float64 {
 }
 
 // benchCompile measures bumdp.New on the setting-2 AD-6 non-compliant
-// model twice: as a shape's first compile, which runs the dynamics, and
-// as a model derived from the shape's skeleton. A repeated New of one
-// shape would time the second, so each first compile asks for a shape
-// the process has never compiled: benchParams at a double-spend reward
-// no earlier call used.
+// model three ways: as a shape's first compile, which runs the
+// dynamics; as its second model, which builds the shape's family from
+// the first and derives a member; and as a later model, one member
+// derived from the family. A repeated New of one shape would time the
+// third, so each first and second model asks for a shape the process
+// has never compiled: benchParams at a double-spend reward no earlier
+// call used. Each row's preparation runs before each timed call, and
+// is neither timed nor counted.
 func benchCompile(t *testing.T) []solverBenchCompile {
 	mustNew := func(p bumdp.Params) *bumdp.Analysis {
 		a, err := bumdp.New(p)
@@ -133,24 +137,48 @@ func benchCompile(t *testing.T) []solverBenchCompile {
 		return a
 	}
 	dsReward := 10.0
-	firstOnce := func() {
+	unseen := func() bumdp.Params {
 		p := benchParams
 		dsReward++
 		p.DoubleSpendReward = dsReward
-		mustNew(p)
+		return p
 	}
-	// Two models of benchParams' shape leave its skeleton in the memo.
-	q := benchParams
-	q.Beta, q.Gamma = 0.3, 0.6
+	other := func(p bumdp.Params) bumdp.Params {
+		p.Beta, p.Gamma = 0.3, 0.6
+		return p
+	}
 	states := mustNew(benchParams).Model.NumStates()
-	mustNew(q)
-	derivedOnce := func() { mustNew(q) }
+	var first bumdp.Params // the shape whose second model is timed next
 	var rows []solverBenchCompile
 	for _, r := range []struct {
-		name string
-		f    func()
-	}{{"first_compile", firstOnce}, {"derived", derivedOnce}} {
-		c := solverBenchCompile{Name: r.name, States: states, Millis: medianMillis(r.f), Allocs: testing.AllocsPerRun(3, r.f)}
+		name    string
+		prep, f func()
+	}{
+		{"first_compile", func() {}, func() { mustNew(unseen()) }},
+		{"second_model", func() { first = unseen(); mustNew(first) }, func() { mustNew(other(first)) }},
+		// Two models of benchParams' shape leave its family in the memo.
+		{"derived", func() { mustNew(benchParams); mustNew(other(benchParams)) }, func() { mustNew(other(benchParams)) }},
+	} {
+		ms := make([]float64, compileBenchReps)
+		var before, after runtime.MemStats
+		var allocs, bytes uint64
+		for i := range ms {
+			r.prep()
+			runtime.ReadMemStats(&before)
+			t0 := time.Now()
+			r.f()
+			ms[i] = float64(time.Since(t0).Microseconds()) / 1e3
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+		sort.Float64s(ms)
+		c := solverBenchCompile{
+			Name: r.name, States: states, Millis: ms[len(ms)/2],
+			// Whole allocations and bytes per call, as testing.AllocsPerRun
+			// rounds them.
+			Allocs: float64(allocs / compileBenchReps), Bytes: float64(bytes / compileBenchReps),
+		}
 		c.NsPerState = c.Millis * 1e6 / float64(states)
 		rows = append(rows, c)
 	}
@@ -352,8 +380,8 @@ func TestBenchSolver(t *testing.T) {
 
 	report.Compile = benchCompile(t)
 	for _, c := range report.Compile {
-		t.Logf("compile %s (%d states): %.2fms (%.0f allocs, %.0f ns/state)",
-			c.Name, c.States, c.Millis, c.Allocs, c.NsPerState)
+		t.Logf("compile %s (%d states): %.2fms (%.0f allocs, %.2f MB, %.0f ns/state)",
+			c.Name, c.States, c.Millis, c.Allocs, c.Bytes/1e6, c.NsPerState)
 	}
 	report.Evaluate = benchEvaluate(t)
 	t.Logf("evaluate (%d states): EvaluatePolicy %.2fms (%.0f allocs), fork rate %.2fms (%.0f allocs)",
@@ -384,22 +412,33 @@ type rviResult struct {
 // against: Jacobi optimizing sweeps under the aperiodicity transform
 // from the zero vector, re-centered on state 0, until the span of the
 // update falls below opts.Epsilon. It reads the builder's raw
-// transitions and shares no code with the solver.
+// transitions, copied once into one array with an offset per slot,
+// and shares no code with the solver.
 func rviReference(m *mdp.Model, opts mdp.Options) (rviResult, error) {
 	const tau = 0.05 // mdp.Options' default Aperiodicity
 	n := m.NumStates()
+	var trs []mdp.Transition
+	off := []int{0} // slot k's raw transitions are trs[off[k]:off[k+1]]
+	for s := 0; s < n; s++ {
+		for i := range m.Actions(s) {
+			trs = m.AppendTransitions(trs, s, i)
+			off = append(off, len(trs))
+		}
+	}
 	h := make([]float64, n)
 	next := make([]float64, n)
 	for it := 1; it <= 1_000_000; it++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
+		k := 0
 		for s := 0; s < n; s++ {
 			best := math.Inf(-1)
-			for i := range m.Actions(s) {
+			for range m.Actions(s) {
 				q := 0.0
-				for _, tr := range m.Transitions(s, i) {
+				for _, tr := range trs[off[k]:off[k+1]] {
 					q += tr.Prob * (tr.Num - opts.Rho*tr.Den + h[tr.To])
 				}
 				best = math.Max(best, q)
+				k++
 			}
 			next[s] = (1-tau)*best + tau*h[s]
 			d := next[s] - h[s]

@@ -15,7 +15,7 @@ import (
 // same-destination pieces that sum back to the original: probability is
 // split while the per-transition rewards stay put, so the expected
 // rewards sum(prob*Num) and sum(prob*Den) are unchanged. Compile must
-// merge the pieces in the compacted layout while Transitions keeps the
+// merge the pieces in the compacted layout while AppendTransitions keeps the
 // split form.
 type dupBuilder struct {
 	tableBuilder
@@ -70,8 +70,8 @@ func TestCompactionGolden(t *testing.T) {
 	}
 
 	// The raw accessors must surface the builder's transitions unmerged.
-	if got, want := len(dup.Transitions(0, 0)), len(base.trans[[2]int{0, 0}])*3; got != want {
-		t.Errorf("raw Transitions(0,0) has %d entries, want %d", got, want)
+	if got, want := len(dup.AppendTransitions(nil, 0, 0)), len(base.trans[[2]int{0, 0}])*3; got != want {
+		t.Errorf("raw AppendTransitions(0,0) has %d entries, want %d", got, want)
 	}
 
 	for _, solve := range []func(*Model, Options) (Result, error){
@@ -153,20 +153,24 @@ func TestCompactedLayoutSorted(t *testing.T) {
 	}
 }
 
-// TestCompactionReparameterizeIdentical: compiling a rewritten builder
-// and reparameterizing the frozen model must agree on the compacted
-// arrays bit for bit, duplicates included.
-func TestCompactionReparameterizeIdentical(t *testing.T) {
+// TestCompactionFamilyIdentical: on a model whose builder splits every
+// transition into three same-destination pieces, each piece its own
+// parameter, a family member equals a fresh compile bit for bit, at
+// the model's own values and at values that give every piece a
+// different probability, so the merged sums depend on their order.
+func TestCompactionFamilyIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	base := randomBuilder(rng, 30, 3)
-	d1 := dupBuilder{tableBuilder: base, pieces: 2}
-	m := mustCompile(t, d1)
-	re, err := m.Reparameterize(d1)
-	if err != nil {
-		t.Fatalf("Reparameterize: %v", err)
-	}
-	if !ModelsIdentical(m, re) {
-		t.Fatal("reparameterized model differs from compiled model")
+	m := mustCompile(t, dupBuilder{tableBuilder: randomBuilder(rng, 30, 3), pieces: 3})
+	param, own := ownParams(m)
+	fam := mustFamily(t, m, len(own), param)
+	for name, values := range map[string][]float64{"own": own, "redrawn": redrawn(rng, m)} {
+		got, err := fam.Model(values)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !ModelsIdentical(mustCompile(t, memberBuilder{m, param, values}), got) {
+			t.Fatalf("%s: the family member differs from a fresh compile", name)
+		}
 	}
 }
 

@@ -110,24 +110,6 @@ func TestCompileWorkersErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestReparameterizeRejectsNonFinite: the structure-sharing fast path
-// validates like Compile.
-func TestReparameterizeRejectsNonFinite(t *testing.T) {
-	m := mustCompile(t, twoArmBuilder(0.3, 0.9))
-	for name, tr := range map[string]Transition{
-		"NaN probability": {To: 0, Prob: math.NaN(), Num: 0.3, Den: 1},
-		"NaN numerator":   {To: 0, Prob: 1, Num: math.NaN(), Den: 1},
-		"infinite reward": {To: 0, Prob: 1, Num: math.Inf(-1), Den: 1},
-		"infinite den":    {To: 0, Prob: 1, Num: 0.3, Den: math.Inf(1)},
-	} {
-		b := twoArmBuilder(0.3, 0.9)
-		b.trans[[2]int{0, 0}] = []Transition{tr}
-		if _, err := m.Reparameterize(b); err == nil {
-			t.Errorf("%s: Reparameterize accepted it", name)
-		}
-	}
-}
-
 // TestAverageRewardRequiresFiniteBracket: a solve converges only on a
 // finite span bracket. A NaN or overflowing shift must fail fast with
 // an error instead of reporting Converged with a NaN gain.
@@ -233,9 +215,9 @@ func TestCompileLayout(t *testing.T) {
 	if got := m.ActionSlot(1, 7); got != -1 {
 		t.Errorf("ActionSlot(1,7) = %d, want -1", got)
 	}
-	trs := m.Transitions(0, 1)
+	trs := m.AppendTransitions(nil, 0, 1)
 	if len(trs) != 2 || trs[0].To != 1 || trs[1].Num != 2 {
-		t.Errorf("Transitions(0,1) = %v", trs)
+		t.Errorf("AppendTransitions(0,1) = %v", trs)
 	}
 }
 

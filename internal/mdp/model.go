@@ -21,6 +21,11 @@
 // Callers that build and solve many instances (core.Sweep, the solve
 // farm) keep the cores busy by running the instances in parallel
 // instead.
+//
+// Models that share a structure and rewards and differ only in their
+// transition probabilities form a Family: built once from one compiled
+// member, it makes every other member from a parameter vector by a few
+// sums and table gathers, with no builder call.
 package mdp
 
 import (
@@ -60,23 +65,30 @@ type Builder interface {
 }
 
 // Model is a compiled, immutable MDP stored in flat arrays for fast
-// iteration. Build one with Compile.
+// iteration. Build one with Compile, or with Family.Model from a
+// family's parameter vector.
 //
-// Alongside the transition records themselves, the model keeps a
-// compacted structure-of-arrays copy of the hot fields (probability and
-// destination per transition) and per-(state, action) expected rewards,
-// so the Bellman inner loop is a compact sparse dot product instead of a
-// walk over 32-byte structs.
+// The sweep kernels read a compacted structure-of-arrays form of the
+// transitions (probability and destination per transition) and
+// per-(state, action) expected rewards, so the Bellman inner loop is a
+// compact sparse dot product instead of a walk over 32-byte structs. A
+// compiled model also keeps the builder's transition records; a family
+// member rebuilds them from its family on request.
 type Model struct {
 	numStates int
 	// stateOff[s]..stateOff[s+1] index the (state, action) slots of s in
 	// actionID and saOff.
 	stateOff []int32
 	actionID []int32
-	// saOff[k]..saOff[k+1] index the transitions of slot k in trans, in
-	// the builder's raw order.
+	// saOff[k]..saOff[k+1] index the raw transitions of slot k, in the
+	// builder's order: in trans for a compiled model.
 	saOff []int32
 	trans []Transition
+	// fam and values are a family member's family and parameter vector,
+	// from which AppendTransitions rebuilds its raw transitions; a
+	// member has no trans.
+	fam    *Family
+	values []float64
 	// Compacted transition layout, the one the sweep kernels iterate:
 	// within each slot, raw transitions sharing a destination are merged
 	// (probabilities summed) and the survivors are sorted by destination
@@ -86,22 +98,20 @@ type Model struct {
 	ctprob []float64
 	ctto   []int32
 	// mergeIdx[j] is the compacted transition raw transition j folds
-	// into. It freezes the raw->compacted mapping so Reparameterize can
-	// rebuild ctprob by accumulating raw probabilities in ascending raw
-	// order — the exact order buildCompactedLayout uses — keeping the
-	// fast path bit-identical to a fresh Compile.
+	// into.
 	mergeIdx []int32
 	// dupTrans counts the raw transitions merged away (pre-merge
 	// duplicates); see CompactionStats.
 	dupTrans int
 	// eNum/eDen are the expected Num and Den rewards of each (state,
-	// action) slot: eNum[k] = sum_j trans[j].Prob * trans[j].Num.
+	// action) slot: eNum[k] = sum_j Prob_j * Num_j over its raw
+	// transitions j, in raw order.
 	eNum, eDen []float64
 	// order is a Kahn order of states 1..n-1 over the union of every
 	// slot's compacted destinations, self-loops and edges into state 0
 	// dropped, or nil when that graph has a cycle. It reads
 	// destinations whatever their probability, so it belongs to the
-	// structure and holds for every reparameterization of it.
+	// structure and holds for every member of the model's families.
 	order []int32
 	// static reports that every policy evaluates in order (see
 	// evaluate.go): order is non-nil and every slot of every state but
@@ -159,6 +169,32 @@ func checkTransition(s, a int, tr Transition) error {
 	return nil
 }
 
+// checkSlot validates the raw transitions trs of action a in state s
+// of an n-state model, reporting the first invalid transition, else a
+// probability sum off 1, as Compile does. It also reports whether the
+// slot leaves s with positive probability; every slot of state 0
+// counts as leaving.
+func checkSlot(s, a, n int, trs []Transition) (leaves bool, err error) {
+	if len(trs) == 0 {
+		return false, fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
+	}
+	total, leaves := 0.0, s == 0
+	for _, tr := range trs {
+		if tr.To < 0 || tr.To >= n {
+			return false, fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
+		}
+		if err := checkTransition(s, a, tr); err != nil {
+			return false, err
+		}
+		total += tr.Prob
+		leaves = leaves || tr.Prob > 0 && tr.To != s
+	}
+	if !(math.Abs(total-1) <= probTolerance) {
+		return false, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
+	}
+	return leaves, nil
+}
+
 // Compile freezes a Builder into a Model, validating that probabilities
 // are non-negative and sum to one, rewards are finite, destinations are
 // in range, and every state has at least one action; an invalid model
@@ -182,23 +218,9 @@ func Compile(b Builder) (*Model, error) {
 		for _, a := range acts {
 			j0 := len(m.trans)
 			m.trans = b.AppendTransitions(m.trans, s, a)
-			trs := m.trans[j0:]
-			if len(trs) == 0 {
-				return nil, fmt.Errorf("mdp: state %d action %d has no transitions", s, a)
-			}
-			total, leaves := 0.0, s == 0
-			for _, tr := range trs {
-				if tr.To < 0 || tr.To >= n {
-					return nil, fmt.Errorf("mdp: state %d action %d: destination %d out of range [0,%d)", s, a, tr.To, n)
-				}
-				if err := checkTransition(s, a, tr); err != nil {
-					return nil, err
-				}
-				total += tr.Prob
-				leaves = leaves || tr.Prob > 0 && tr.To != s
-			}
-			if !(math.Abs(total-1) <= probTolerance) {
-				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
+			leaves, err := checkSlot(s, a, n, m.trans[j0:])
+			if err != nil {
+				return nil, err
 			}
 			exits = exits && leaves
 			m.actionID = append(m.actionID, int32(a))
@@ -242,9 +264,9 @@ func (m *Model) buildHotArrays() {
 // buildCompactedLayout derives the compacted transition arrays from the
 // raw transitions: per slot, duplicate destinations merged and survivors
 // sorted ascending by destination. The probability accumulation below
-// visits raw transitions in ascending raw order, the order
-// Reparameterize reproduces, so a Reparameterize product's ctprob is
-// bit-identical to a fresh Compile's.
+// visits raw transitions in ascending raw order, the order a Family
+// sums a slot pattern in, so a family member's ctprob is bit-identical
+// to a fresh Compile's.
 func (m *Model) buildCompactedLayout() {
 	numSlots := len(m.actionID)
 	m.csaOff = make([]int32, numSlots+1)
@@ -336,155 +358,37 @@ func (m *Model) shiftedRewardsInto(dst []float64, rho float64) {
 	}
 }
 
-// Structure returns m's frozen structure without its values: a model
-// that shares m's state/action offsets, action identifiers, compacted
-// destinations and evaluation order but holds no transition records,
-// probabilities or rewards, so it keeps none of m's value arrays alive.
-// It is only a receiver for Reparameterize and cannot be solved.
-func (m *Model) Structure() *Model {
-	return &Model{
-		numStates: m.numStates,
-		stateOff:  m.stateOff,
-		actionID:  m.actionID,
-		saOff:     m.saOff,
-		csaOff:    m.csaOff,
-		ctto:      m.ctto,
-		mergeIdx:  m.mergeIdx,
-		dupTrans:  m.dupTrans,
-		order:     m.order,
-	}
-}
-
-// Reparameterize compiles b against the receiver's frozen structure: it
-// revalidates and rewrites the transition probabilities and rewards
-// while sharing the state/action skeleton (stateOff, actionID, saOff)
-// and the compacted destinations with the receiver, skipping offset
-// construction entirely. It is the fast path for sweeps whose cells
-// vary only numeric parameters (mining-power shares, reward sizes):
-// such builders enumerate the same (state, action, destination)
-// structure every time, only with different probabilities and rewards.
-// The receiver may be a compiled model or its values-free Structure.
-//
-// The product is bit-identical to a fresh Compile of b — same
-// transitions, eNum, eDen, offsets and evaluation order, and the same
-// choice of evaluation path, which it decides again because a new
-// probability can be zero — or an error if b's structure
-// deviates from the receiver's anywhere (different action sets,
-// transition counts, or destinations), in which case the caller should
-// fall back to Compile. The receiver is not modified. The expected
-// rewards and merged probabilities accumulate in the order
-// buildHotArrays uses, which is what keeps the product bit-identical.
-func (m *Model) Reparameterize(b Builder) (*Model, error) {
-	n := b.NumStates()
-	if n != m.numStates {
-		return nil, fmt.Errorf("mdp: reparameterize: builder has %d states, frozen structure has %d", n, m.numStates)
-	}
-	// The structure (offsets, destinations, and the raw->compacted
-	// mapping) is shared; only the values are rebuilt.
-	nm := m.Structure()
-	nm.trans = make([]Transition, len(m.mergeIdx))
-	nm.ctprob = make([]float64, len(m.ctto))
-	nm.eNum = make([]float64, len(m.actionID))
-	nm.eDen = make([]float64, len(m.actionID))
-	var trs []Transition // one slot's transitions, reused across slots
-	exits := true        // as in Compile
-	for s := 0; s < n; s++ {
-		acts := b.Actions(s)
-		k0, k1 := m.stateOff[s], m.stateOff[s+1]
-		if len(acts) != int(k1-k0) {
-			return nil, fmt.Errorf("mdp: reparameterize: state %d has %d actions, frozen structure has %d", s, len(acts), k1-k0)
-		}
-		for i, a := range acts {
-			k := k0 + int32(i)
-			if int32(a) != m.actionID[k] {
-				return nil, fmt.Errorf("mdp: reparameterize: state %d slot %d is action %d, frozen structure has %d", s, i, a, m.actionID[k])
-			}
-			trs = b.AppendTransitions(trs[:0], s, a)
-			j0, j1 := m.saOff[k], m.saOff[k+1]
-			if len(trs) != int(j1-j0) {
-				return nil, fmt.Errorf("mdp: reparameterize: state %d action %d has %d transitions, frozen structure has %d", s, a, len(trs), j1-j0)
-			}
-			total, en, ed, leaves := 0.0, 0.0, 0.0, s == 0
-			for t, tr := range trs {
-				j := j0 + int32(t)
-				if to := int(m.ctto[m.mergeIdx[j]]); tr.To != to {
-					return nil, fmt.Errorf("mdp: reparameterize: state %d action %d transition %d goes to %d, frozen structure has %d", s, a, t, tr.To, to)
-				}
-				if err := checkTransition(s, a, tr); err != nil {
-					return nil, err
-				}
-				total += tr.Prob
-				en += tr.Prob * tr.Num
-				ed += tr.Prob * tr.Den
-				nm.trans[j] = tr
-				nm.ctprob[m.mergeIdx[j]] += tr.Prob
-				leaves = leaves || tr.Prob > 0 && tr.To != s
-			}
-			if !(math.Abs(total-1) <= probTolerance) {
-				return nil, fmt.Errorf("mdp: state %d action %d: probabilities sum to %g, want 1", s, a, total)
-			}
-			exits = exits && leaves
-			nm.eNum[k] = en
-			nm.eDen[k] = ed
-		}
-	}
-	nm.static = exits && nm.order != nil
-	reparamsTotal.Inc()
-	return nm, nil
-}
-
-// ModelsIdentical reports whether two compiled models are bit-identical
-// in every array — offsets, action identifiers, transition records, the
-// compacted layout, the expected rewards and the evaluation order — and
-// take the same evaluation path. It exists so differential tests can
-// pin structure-sharing fast paths (Reparameterize) against a fresh
+// ModelsIdentical reports whether two models are bit-identical in
+// every array — offsets, action identifiers, raw transitions (rebuilt
+// for a family member), the compacted layout, the expected rewards and
+// the evaluation order — and take the same evaluation path. It exists
+// so differential tests can pin family members against a fresh
 // Compile.
 func ModelsIdentical(a, b *Model) bool {
 	if a.numStates != b.numStates {
 		return false
 	}
-	eqI32 := func(x, y []int32) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
+	if !slices.Equal(a.stateOff, b.stateOff) || !slices.Equal(a.actionID, b.actionID) ||
+		!slices.Equal(a.saOff, b.saOff) {
+		return false
+	}
+	if !slices.Equal(a.csaOff, b.csaOff) || !slices.Equal(a.ctto, b.ctto) || !slices.Equal(a.mergeIdx, b.mergeIdx) {
+		return false
+	}
+	if !slices.Equal(a.ctprob, b.ctprob) ||
+		!slices.Equal(a.eNum, b.eNum) || !slices.Equal(a.eDen, b.eDen) {
+		return false
+	}
+	if a.dupTrans != b.dupTrans || a.static != b.static || !slices.Equal(a.order, b.order) {
+		return false
+	}
+	var ta, tb []Transition
+	for s := range a.numStates {
+		for i := range a.Actions(s) {
+			ta, tb = a.AppendTransitions(ta[:0], s, i), b.AppendTransitions(tb[:0], s, i)
+			if !slices.Equal(ta, tb) {
 				return false
 			}
-		}
-		return true
-	}
-	eqF64 := func(x, y []float64) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eqI32(a.stateOff, b.stateOff) || !eqI32(a.actionID, b.actionID) ||
-		!eqI32(a.saOff, b.saOff) {
-		return false
-	}
-	if !eqI32(a.csaOff, b.csaOff) || !eqI32(a.ctto, b.ctto) || !eqI32(a.mergeIdx, b.mergeIdx) {
-		return false
-	}
-	if !eqF64(a.ctprob, b.ctprob) ||
-		!eqF64(a.eNum, b.eNum) || !eqF64(a.eDen, b.eDen) {
-		return false
-	}
-	if a.dupTrans != b.dupTrans || a.static != b.static || !eqI32(a.order, b.order) {
-		return false
-	}
-	if len(a.trans) != len(b.trans) {
-		return false
-	}
-	for i := range a.trans {
-		if a.trans[i] != b.trans[i] {
-			return false
 		}
 	}
 	return true
@@ -510,20 +414,16 @@ func (m *Model) Actions(s int) []int32 {
 	return m.actionID[m.stateOff[s]:m.stateOff[s+1]]
 }
 
-// Transitions returns the outcomes of the i-th action slot of state s
-// (i indexes into Actions(s), not action identifiers). The returned slice
-// is owned by the model and must not be modified.
-func (m *Model) Transitions(s, i int) []Transition {
+// AppendTransitions appends the raw transitions of the i-th action
+// slot of state s (i indexes into Actions(s), not action identifiers)
+// to dst, in the builder's order, and returns the extended slice, as
+// append does.
+func (m *Model) AppendTransitions(dst []Transition, s, i int) []Transition {
 	k := m.stateOff[s] + int32(i)
-	return m.trans[m.saOff[k]:m.saOff[k+1]]
-}
-
-// Destination returns the destination of the t-th transition of the
-// i-th action slot of state s, in the builder's order. Unlike
-// Transitions it also reads a values-free Structure, so a builder that
-// reparameterizes a structure can take its destinations from it.
-func (m *Model) Destination(s, i, t int) int {
-	return int(m.ctto[m.mergeIdx[m.saOff[m.stateOff[s]+int32(i)]+int32(t)]])
+	if m.fam != nil {
+		return m.fam.appendSlot(dst, m.values, k)
+	}
+	return append(dst, m.trans[m.saOff[k]:m.saOff[k+1]]...)
 }
 
 // ActionSlot returns the slot index of action a within state s, or -1 if

@@ -29,8 +29,10 @@ func (m *Model) powerStationary(pol Policy, opts Options) ([]float64, error) {
 	off := make([]int, n+1)
 	var to []int
 	var prob []float64
+	var trs []Transition
 	for s := 0; s < n; s++ {
-		for _, tr := range m.Transitions(s, pol[s]) {
+		trs = m.AppendTransitions(trs[:0], s, pol[s])
+		for _, tr := range trs {
 			to = append(to, tr.To)
 			prob = append(prob, tr.Prob)
 		}
@@ -83,9 +85,11 @@ func (m *Model) streamRates(pol Policy, pi []float64) (num, den float64) {
 // not the compacted layout the evaluator reads.
 func (m *Model) poissonResidual(res Result) float64 {
 	h, worst := res.Bias, 0.0
+	var trs []Transition
 	for s := range h {
 		x := -h[s] - res.Gain
-		for _, tr := range m.Transitions(s, res.Policy[s]) {
+		trs = m.AppendTransitions(trs[:0], s, res.Policy[s])
+		for _, tr := range trs {
 			x += tr.Prob * (tr.Num + h[tr.To])
 		}
 		worst = max(worst, math.Abs(x))

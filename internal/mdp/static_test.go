@@ -107,17 +107,20 @@ func exitBuilder(p float64) tableBuilder {
 	}
 }
 
-// TestReparameterizeZeroExitLeavesStaticPath: a reparameterization that
-// zeroes a slot's only exit takes the model off the static path, as a
-// fresh compile of the same builder does, and Rates then reports the
-// two closed classes as before. The converse reparameterization puts it
-// back.
-func TestReparameterizeZeroExitLeavesStaticPath(t *testing.T) {
+// TestFamilyZeroExitLeavesStaticPath: a family member that zeroes a
+// slot's only exit takes the model off the static path, as a fresh
+// compile of the same builder does, and Rates then reports the two
+// closed classes as before. The member that restores the exit is back
+// on the static path.
+func TestFamilyZeroExitLeavesStaticPath(t *testing.T) {
 	m := mustCompile(t, exitBuilder(0.5))
 	if !m.static {
 		t.Fatal("the model takes the per-policy path at p = 0.5")
 	}
-	zero, err := m.Reparameterize(exitBuilder(0))
+	param, own := ownParams(m)
+	fam := mustFamily(t, m, len(own), param)
+	_, zeroValues := ownParams(mustCompile(t, exitBuilder(0)))
+	zero, err := fam.Model(zeroValues)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +128,13 @@ func TestReparameterizeZeroExitLeavesStaticPath(t *testing.T) {
 		t.Fatal("a zeroed exit left the model on the static path")
 	}
 	if !ModelsIdentical(zero, mustCompile(t, exitBuilder(0))) {
-		t.Error("the reparameterized model differs from a fresh compile")
+		t.Error("the family member differs from a fresh compile")
 	}
 	pol := Policy{0, 0, 0}
 	if num, den, err := zero.Rates(pol, Options{}); err == nil || !strings.Contains(err.Error(), "not unichain") {
 		t.Errorf("Rates = (%v, %v, %v), want a not-unichain error", num, den, err)
 	}
-	back, err := zero.Reparameterize(exitBuilder(0.5))
+	back, err := fam.Model(own)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +164,23 @@ func cycleBuilder(q float64) tableBuilder {
 
 // TestZeroProbabilityEdgeKeepsOrderNil: the stored order is built over
 // every destination whatever its probability, so a zero-probability
-// edge that closes a cycle leaves the model without one, and a
-// reparameterization that makes the edge positive still evaluates
-// exactly. An order over the positive edges alone would have put state
-// 2 before state 1 and read a stale value of state 1.
+// edge that closes a cycle leaves the model without one, and a family
+// member that makes the edge positive still evaluates exactly. An order
+// over the positive edges alone would have put state 2 before state 1
+// and read a stale value of state 1.
 func TestZeroProbabilityEdgeKeepsOrderNil(t *testing.T) {
 	m := mustCompile(t, cycleBuilder(0))
 	if m.order != nil || m.static {
 		t.Fatalf("order %v (static %v), want none: the edge 2 -> 1 closes a cycle", m.order, m.static)
 	}
-	re, err := m.Reparameterize(cycleBuilder(0.5))
+	param, own := ownParams(m)
+	_, values := ownParams(mustCompile(t, cycleBuilder(0.5)))
+	re, err := mustFamily(t, m, len(own), param).Model(values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.order != nil || re.static {
-		t.Fatal("the reparameterized model gained an order")
+		t.Fatal("the family member gained an order")
 	}
 	// pi = (1/3, 4/9, 2/9): Num accrues 1 in state 0 and 2 in state 2.
 	pol := Policy{0, 0, 0}

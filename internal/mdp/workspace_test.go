@@ -27,38 +27,6 @@ func equalPolicies(t *testing.T, what string, got, want Policy) {
 	}
 }
 
-// paramBuilder derives a fixed transition structure from structSeed and
-// numeric parameters (probabilities, rewards) from scale: two builders
-// with the same structSeed always share the (state, action, destination)
-// skeleton, which is exactly the contract Reparameterize relies on.
-func paramBuilder(structSeed int64, n, maxActs int, scale float64) tableBuilder {
-	rng := rand.New(rand.NewSource(structSeed))
-	b := tableBuilder{
-		n:     n,
-		acts:  make(map[int][]int),
-		trans: make(map[[2]int][]Transition),
-	}
-	for s := 0; s < n; s++ {
-		na := 1 + rng.Intn(maxActs)
-		for a := 0; a < na; a++ {
-			b.acts[s] = append(b.acts[s], a)
-			to := rng.Intn(n)
-			// The structural rng stream is independent of scale; only the
-			// numeric values below depend on it.
-			base := 0.2 + 0.6*rng.Float64()
-			p := 0.2 + 0.6*math.Mod(base*scale, 1)
-			if p <= 0 || p >= 1 {
-				p = 0.5
-			}
-			b.trans[[2]int{s, a}] = []Transition{
-				{To: to, Prob: p, Num: math.Mod(rng.Float64()*scale, 1), Den: 1},
-				{To: 0, Prob: 1 - p, Num: math.Mod(rng.Float64()*scale, 1), Den: 1},
-			}
-		}
-	}
-	return b
-}
-
 func TestWorkspaceColdMatchesModelSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
@@ -194,80 +162,6 @@ func TestPolicyIterationRespectsMaxIterations(t *testing.T) {
 	}
 	if !math.IsInf(res.Stats.Residual, 1) {
 		t.Errorf("unconverged residual %v, want +Inf", res.Stats.Residual)
-	}
-}
-
-// TestReparameterizeMatchesCompile: a reparameterized model is
-// bit-identical to a fresh compile, evaluation order and path included,
-// on a random model (the per-policy path) and on a climbing model with
-// every slot's two probabilities swapped (the static path).
-func TestReparameterizeMatchesCompile(t *testing.T) {
-	swapped := climbingBuilder(rand.New(rand.NewSource(31)), 80)
-	for _, trs := range swapped.trans {
-		trs[0].Prob, trs[1].Prob = trs[1].Prob, trs[0].Prob
-	}
-	for path, bs := range map[string][2]tableBuilder{
-		"per-policy": {paramBuilder(31, 80, 3, 1.0), paramBuilder(31, 80, 3, 1.7)},
-		"static":     {climbingBuilder(rand.New(rand.NewSource(31)), 80), swapped},
-	} {
-		b1, b2 := bs[0], bs[1]
-		m1 := mustCompile(t, b1)
-		fresh := mustCompile(t, b2)
-		if fresh.static != (path == "static") {
-			t.Fatalf("%s: a fresh compile chose static = %v", path, fresh.static)
-		}
-		// A compiled model and its values-free structure are both receivers.
-		for name, recv := range map[string]*Model{"model": m1, "structure": m1.Structure()} {
-			fast, err := recv.Reparameterize(b2)
-			if err != nil {
-				t.Fatalf("%s %s: Reparameterize: %v", path, name, err)
-			}
-			if !ModelsIdentical(fresh, fast) {
-				t.Fatalf("%s %s: reparameterized model differs from fresh compile", path, name)
-			}
-		}
-		// The original is untouched.
-		again := mustCompile(t, b1)
-		if !ModelsIdentical(m1, again) {
-			t.Fatalf("%s: Reparameterize mutated its receiver", path)
-		}
-	}
-}
-
-func TestReparameterizeRejectsStructureChange(t *testing.T) {
-	compiled := mustCompile(t, twoArmBuilder(0.3, 0.9))
-	for _, m := range []*Model{compiled, compiled.Structure()} {
-		rejectsStructureChange(t, m)
-	}
-}
-
-func rejectsStructureChange(t *testing.T, m *Model) {
-	t.Helper()
-	destChanged := twoArmBuilder(0.3, 0.9)
-	destChanged.trans[[2]int{1, 0}] = []Transition{{To: 1, Prob: 1, Num: 0.9, Den: 1}}
-	if _, err := m.Reparameterize(destChanged); err == nil {
-		t.Error("destination change not rejected")
-	}
-
-	actChanged := twoArmBuilder(0.3, 0.9)
-	actChanged.acts[1] = []int{0, 1}
-	actChanged.trans[[2]int{1, 1}] = []Transition{{To: 0, Prob: 1, Den: 1}}
-	if _, err := m.Reparameterize(actChanged); err == nil {
-		t.Error("action-set change not rejected")
-	}
-
-	countChanged := twoArmBuilder(0.3, 0.9)
-	countChanged.trans[[2]int{0, 0}] = []Transition{
-		{To: 0, Prob: 0.5, Num: 0.3, Den: 1}, {To: 1, Prob: 0.5, Den: 1},
-	}
-	if _, err := m.Reparameterize(countChanged); err == nil {
-		t.Error("transition-count change not rejected")
-	}
-
-	small := tableBuilder{n: 1, acts: map[int][]int{0: {0}},
-		trans: map[[2]int][]Transition{{0, 0}: {{To: 0, Prob: 1, Den: 1}}}}
-	if _, err := m.Reparameterize(small); err == nil {
-		t.Error("state-count change not rejected")
 	}
 }
 

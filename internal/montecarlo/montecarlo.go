@@ -221,8 +221,9 @@ func SimulateModel(m *mdp.Model, pol mdp.Policy, start, steps int, seed int64) (
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s := start
+	var trs []mdp.Transition
 	for i := 0; i < steps; i++ {
-		trs := m.Transitions(s, pol[s])
+		trs = m.AppendTransitions(trs[:0], s, pol[s])
 		u := rng.Float64()
 		chosen := trs[len(trs)-1]
 		for _, tr := range trs {

@@ -3,11 +3,13 @@ package montecarlo
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/mdp"
+	"buanalysis/internal/stats"
 )
 
 func mustAnalysis(t *testing.T, p bumdp.Params) *bumdp.Analysis {
@@ -17,6 +19,17 @@ func mustAnalysis(t *testing.T, p bumdp.Params) *bumdp.Analysis {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// checkBand requires the MDP value to lie within (1.96 + 2) standard
+// errors of the simulated mean: the normal 95% interval widened by 2 SE
+// to keep the test robust. The band is written out, not read from
+// CI95, whose Student's t quantile would widen it at 8 batches.
+func checkBand(t *testing.T, value float64, sum stats.Summary) {
+	t.Helper()
+	if band := (1.959964 + 2) * sum.SE; math.Abs(value-sum.Mean) > band {
+		t.Errorf("MDP value %.4f outside the simulated mean %.4f ± %.4f", value, sum.Mean, band)
+	}
 }
 
 // TestHonestStrategyIsFair: honest replay matches incentive
@@ -55,13 +68,7 @@ func TestCrossValidateCompliant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := sum.CI95()
-	// Allow 4 SE on top of the CI to keep the test robust.
-	slack := 2 * sum.SE
-	if res.Utility < lo-slack || res.Utility > hi+slack {
-		t.Errorf("MDP value %.4f outside simulated CI [%.4f, %.4f] (mean %.4f)",
-			res.Utility, lo, hi, sum.Mean)
-	}
+	checkBand(t, res.Utility, sum)
 }
 
 // TestCrossValidateNonCompliant: same for the absolute-reward model.
@@ -77,12 +84,7 @@ func TestCrossValidateNonCompliant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := sum.CI95()
-	slack := 2 * sum.SE
-	if res.Utility < lo-slack || res.Utility > hi+slack {
-		t.Errorf("MDP value %.4f outside simulated CI [%.4f, %.4f] (mean %.4f)",
-			res.Utility, lo, hi, sum.Mean)
-	}
+	checkBand(t, res.Utility, sum)
 }
 
 // TestCrossValidateNonProfit: same for the orphan-rate model (Table 4's
@@ -100,12 +102,7 @@ func TestCrossValidateNonProfit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := sum.CI95()
-	slack := 2 * sum.SE
-	if res.Utility < lo-slack || res.Utility > hi+slack {
-		t.Errorf("MDP value %.4f outside simulated CI [%.4f, %.4f] (mean %.4f)",
-			res.Utility, lo, hi, sum.Mean)
-	}
+	checkBand(t, res.Utility, sum)
 }
 
 // TestCrossValidate3Sigma replays the MDP-optimal compliant policy for
@@ -220,6 +217,44 @@ func TestSimulateModelBitcoin(t *testing.T) {
 	got := num / den
 	if math.Abs(got-res.Utility) > 0.02 {
 		t.Errorf("simulated gain %.4f, MDP value %.4f", got, res.Utility)
+	}
+}
+
+// derivedRuns numbers TestSimulateModelDerived's runs, so that each
+// one, under -count too, asks New for a shape no earlier run has.
+var derivedRuns atomic.Int64
+
+// TestSimulateModelDerived: SimulateModel replays a policy on a model's
+// raw transitions, which a derived model rebuilds from its shape's
+// family. On a setting-2 model at W = 12, the derived model and the
+// shape's first, freshly compiled one give the same sums at one seed.
+func TestSimulateModelDerived(t *testing.T) {
+	// The double-spend reward, which the compliant model ignores, makes
+	// the shape new to the process, so its first New compiles it.
+	p := bumdp.Params{Alpha: 0.2, Beta: 0.32, Gamma: 0.48, Setting: bumdp.Setting2, GateWindow: 12,
+		Model: bumdp.Compliant, DoubleSpendReward: 40 + float64(derivedRuns.Add(1))}
+	fresh := mustAnalysis(t, p)
+	q := p
+	q.Beta, q.Gamma = q.Gamma, q.Beta
+	mustAnalysis(t, q)
+	derived := mustAnalysis(t, p)
+	if &derived.States[0] != &fresh.States[0] {
+		t.Fatal("New compiled the shape again instead of deriving from its family")
+	}
+	res, err := fresh.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	num, den, err := SimulateModel(fresh.Model, res.Policy, fresh.BaseState(), 200000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnum, dden, err := SimulateModel(derived.Model, res.Policy, fresh.BaseState(), 200000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dnum != num || dden != den {
+		t.Errorf("derived model replays to (%v, %v), its fresh compile to (%v, %v)", dnum, dden, num, den)
 	}
 }
 

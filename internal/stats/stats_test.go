@@ -54,6 +54,46 @@ func TestCI95CoversMean(t *testing.T) {
 	}
 }
 
+// TestTQuantile975 checks Student's t 0.975 quantile against published
+// values, in the table and in the expansion above it.
+func TestTQuantile975(t *testing.T) {
+	for _, c := range []struct {
+		df   int
+		want float64
+	}{{1, 12.706205}, {2, 4.302653}, {7, 2.364624}, {30, 2.042272}, {31, 2.039513}, {100, 1.983972}} {
+		if got := tQuantile975(c.df); math.Abs(got-c.want) > 1e-3 {
+			t.Errorf("df %d: quantile %.6f, want %.6f", c.df, got, c.want)
+		}
+	}
+}
+
+// TestCI95Coverage: at N = 2, 4 and 8, the interval covers the mean of
+// a standard normal sample in 93.5–96.5% of 4,000 seeded samples. The
+// normal-quantile interval covers it in about 70% of them at N = 2.
+func TestCI95Coverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	for _, n := range []int{2, 4, 8} {
+		const samples = 4000
+		covered := 0
+		xs := make([]float64, n)
+		for range samples {
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			s, err := Summarize(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := s.CI95(); lo <= 0 && 0 <= hi {
+				covered++
+			}
+		}
+		if frac := float64(covered) / samples; frac < 0.935 || frac > 0.965 {
+			t.Errorf("N = %d: the interval covers the mean in %.1f%% of samples, want 93.5–96.5%%", n, 100*frac)
+		}
+	}
+}
+
 func TestQuantiles(t *testing.T) {
 	xs := []float64{9, 1, 7, 3, 5} // sorted: 1 3 5 7 9
 	qs, err := Quantiles(xs, 0, 0.25, 0.5, 0.75, 1)

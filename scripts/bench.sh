@@ -14,7 +14,10 @@
 # Table-2 sweep grids solved once each on one core, with probe and
 # sweep counts; policy iteration against the relative-value-iteration
 # reference; the steady-state workspace allocation count, which must be
-# 0 allocs/probe; the compile and policy-evaluation costs; and the
+# 0 allocs/probe; the compile and policy-evaluation costs, where each
+# compile row also records the bytes allocated per call and the rows
+# time a shape's first model, its second, which builds the shape's
+# model family and derives one member, and a later member; and the
 # per-policy evaluation path's cost on the Bitcoin baseline), and
 # BENCH_jobqueue.json (job-queue control-plane op costs, in-memory and
 # journaled).

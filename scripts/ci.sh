@@ -70,17 +70,21 @@ echo "== sweep identity smoke =="
 # store behind butables, /sweep and /tables, and the farm's merged
 # shards must give the same sweep record bytes, and a sweep must be
 # identical at every GOMAXPROCS setting; the first three tests pin
-# exactly that. Every model but a shape's first is derived from that
-# shape's skeleton, so the fourth pins derived models to fresh
-# compiles, bit for bit, and their solves to the same values and
-# witnesses. Every BU model evaluates each policy in the one order
-# Compile stored for its structure, so the fifth pins that static path
-# to the per-policy SCC, closed-class and Kahn passes, bit for bit, on
-# every BU model shape.
+# exactly that. Every model but a shape's first is a member of that
+# shape's model family, derived by gathering with no builder call and
+# holding no raw transition records, so the next four pin derived
+# models to fresh compiles, bit for bit, raw records rebuilt on request
+# included: the skeleton's models and their solves' values and
+# witnesses, a full sweep row of them, the recorded model digests, and
+# random families. Every BU model evaluates each policy in the one
+# order Compile stored for its structure, so the last pins that static
+# path to the per-policy SCC, closed-class and Kahn passes, bit for
+# bit, on every BU model shape.
 go test -count 1 -run '^TestSweepMatchesUncachedSweep$' ./internal/expstore/
 go test -count 1 -run '^TestFarmEndToEndShardedSweep$' ./internal/farm/
 go test -count 1 -run '^TestSweepWorkerDeterminism$' ./internal/core/
-go test -count 1 -run '^TestSkeletonIdentity$' ./internal/bumdp/
+go test -count 1 -run '^(TestSkeletonIdentity|TestDerivedMatchesFreshCompile|TestCompiledModelDigests)$' ./internal/bumdp/
+go test -count 1 -run '^TestFamilyMatchesCompile$' ./internal/mdp/
 go test -count 1 -run '^TestStaticPathIdentity$' ./internal/mdp/
 
 echo "== setting-2 Table 2 smoke (butables -table 2 -setting 2 -full -fast) =="
