@@ -39,8 +39,9 @@
 // of a hit is byte-identical to the body the original miss returned.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener closes,
-// in-flight requests get a drain window (-drain-timeout), and the queue
-// journal is flushed before exit. A second signal exits immediately.
+// held lease requests end at once without a lease, other in-flight
+// requests get a drain window (-drain-timeout), and the queue journal
+// is flushed before exit. A second signal exits immediately.
 package main
 
 import (
@@ -154,8 +155,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Abandoned leases are also swept lazily by queue traffic; the ticker
-	// just bounds how stale the queue can look when no worker is polling.
+	// Abandoned leases are also swept lazily by queue traffic and by
+	// held lease requests; the ticker just bounds how stale the queue
+	// can look when no worker is asking.
 	expiryDone := make(chan struct{})
 	go func() {
 		defer close(expiryDone)
@@ -171,7 +173,7 @@ func main() {
 		}
 	}()
 
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := srv.httpServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -28,11 +28,12 @@ import (
 // bounded solve budget.
 type server struct {
 	store *expstore.Store
-	// queue is the solve farm's job queue; the /jobs endpoints
-	// (internal/farm.API) serve it, and completed jobs materialize into
-	// store, so the serving endpoints answer worker-produced artifacts
-	// as plain cache hits.
+	// queue is the solve farm's job queue; the /jobs endpoints (jobs)
+	// serve it, and completed jobs materialize into store, so the
+	// serving endpoints answer worker-produced artifacts as plain cache
+	// hits.
 	queue   *jobqueue.Queue
+	jobs    *farm.API
 	started time.Time
 	mux     *http.ServeMux
 	// reg is the server's metrics registry: endpoint families plus the
@@ -99,14 +100,24 @@ func newServer(store *expstore.Store, queue *jobqueue.Queue, reg *obs.Registry, 
 	s.route("GET /tables/{n}", s.handleTable)
 	s.route("GET /tracez", s.handleTracez)
 	s.route("GET /workersz", s.handleWorkersz)
-	s.routeTree("/jobs/", (&farm.API{
+	s.jobs = &farm.API{
 		Queue: queue, Store: store, Tracer: tracer,
 		// The validity predicate runs with default tolerances; wiring the
 		// tracer makes each verify.check span and rejection visible in
 		// /tracez and the -trace JSONL stream.
 		Verifier: &verify.Checker{Tracer: tracer},
-	}).Handler())
+	}
+	s.routeTree("/jobs/", s.jobs.Handler())
 	return s
+}
+
+// httpServer is the HTTP server that serves h for s. Its Shutdown first
+// ends the held lease requests, which would otherwise keep the drain
+// waiting for up to farm.MaxLeaseWait.
+func (s *server) httpServer(h http.Handler) *http.Server {
+	hs := &http.Server{Handler: h}
+	hs.RegisterOnShutdown(s.jobs.Shutdown)
+	return hs
 }
 
 // tracezWindow is how many recent trace events /tracez reconstructs

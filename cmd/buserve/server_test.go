@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/expstore"
+	"buanalysis/internal/farm"
 )
 
 // fastSolve is a /solve query with lowered tolerances so tests stay
@@ -647,5 +649,56 @@ func TestSolveShedsWhenSaturated(t *testing.T) {
 	resp2, body2 := get(t, ts.URL+fastSolve)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-release status = %d, body %s", resp2.StatusCode, body2)
+	}
+}
+
+// TestShutdownEndsHeldLease: a graceful shutdown returns within 1 s
+// while a worker's lease request with the maximum wait is held on an
+// empty queue, and the held request answers without a lease.
+func TestShutdownEndsHeldLease(t *testing.T) {
+	store, err := expstore.Open(expstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(store, nil, nil, nil, nil)
+	hs := srv.httpServer(srv)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+
+	type result struct {
+		ok  bool
+		err error
+	}
+	held := make(chan result, 1)
+	go func() {
+		client := &farm.Client{Base: "http://" + ln.Addr().String()}
+		_, ok, err := client.LeaseWait(context.Background(), "w", nil, time.Minute, farm.MaxLeaseWait, false)
+		held <- result{ok, err}
+	}()
+	waitFor(t, "the lease request to be held", func() bool {
+		return srv.metrics["/jobs/"].inFlight.Value() == 1
+	})
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutdown took %v with a lease request held, want at most 1s", d)
+	}
+	if r := <-held; r.ok || r.err != nil {
+		t.Fatalf("held lease: ok=%v err=%v, want no lease and no error", r.ok, r.err)
+	}
+	if err := <-serveErr; err != http.ErrServerClosed {
+		t.Fatalf("serve: %v", err)
+	}
+	if st := srv.queue.Stats(); st.Leases != 0 {
+		t.Fatalf("leases = %d, want 0", st.Leases)
 	}
 }

@@ -12,8 +12,10 @@
 // SIGTERM drains gracefully — in-flight jobs finish, heartbeat, and
 // complete; only new leasing stops. A second signal exits immediately.
 //
-// With -drain the worker exits once the queue is empty instead of
-// polling forever, which turns a worker fleet into a batch step:
+// Each lease slot holds one lease request open on the coordinator, so a
+// worker hears of new work when it is enqueued. With -drain the worker
+// exits as soon as the queue is empty (the last job completes), which
+// turns a worker fleet into a batch step:
 //
 //	buworker -server $URL -drain & buworker -server $URL -drain & wait
 //
@@ -53,8 +55,7 @@ func main() {
 		concurrency = flag.Int("concurrency", 1, "jobs executed at once")
 		kinds       = flag.String("kinds", "", "comma-separated job kinds to lease (empty = any)")
 		ttl         = flag.Duration("ttl", 30*time.Second, "lease TTL; heartbeats renew at ttl/3")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "idle sleep between lease attempts")
-		drain       = flag.Bool("drain", false, "exit once the queue is empty instead of polling forever")
+		drain       = flag.Bool("drain", false, "exit once the queue is empty instead of waiting for work forever")
 		byzantine   = flag.String("byzantine", "", "chaos mode: tamper with results before delivery (corrupt, flipcell, gain, stall); drills only")
 		byzSeed     = flag.Int64("byzantine-seed", 1, "chaos seed; a failing drill replays deterministically from it")
 		quiet       = flag.Bool("quiet", false, "suppress per-job log records")
@@ -104,7 +105,6 @@ func main() {
 		Kinds:       kindList,
 		Concurrency: *concurrency,
 		TTL:         *ttl,
-		Poll:        *poll,
 		Drain:       *drain,
 		Tracer:      tracer,
 	}

@@ -25,21 +25,24 @@ type Analysis struct {
 // state space and runs the dynamics; a later model of the last shape
 // compiled for its (incentive model, setting) pair is derived from that
 // shape's skeleton, bit-identical to a fresh compile. New is safe for
-// concurrent use.
+// concurrent use: callers that ask for a shape while its first compile
+// runs wait for that compile and derive from it.
 func New(p Params) (*Analysis, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	slot := slotOf(p)
-	if sk := slot.skeleton(p.shape()); sk != nil {
+	slot, shape := slotOf(p), p.shape()
+	sk, claimed := slot.acquire(shape)
+	if sk != nil {
 		return sk.derive(p)
 	}
-	a, err := compile(p)
-	if err != nil {
+	// Deferred, so that waiters wake even if the compile panics.
+	var a *Analysis
+	defer func() { slot.install(shape, a, claimed) }()
+	if a, err = compileFirst(p); err != nil {
 		return nil, err
 	}
-	slot.install(a)
 	return a, nil
 }
 

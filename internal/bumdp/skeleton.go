@@ -85,34 +85,65 @@ type shapeSlot struct {
 	shape Params
 	first *Analysis
 	sk    *skeleton
+	// pending is the shape whose first compile a caller has claimed, and
+	// compiled is closed when that compile ends; nil when none runs.
+	pending  Params
+	compiled chan struct{}
 }
+
+// compileFirst compiles a shape's first model for New; tests wrap it
+// to count or fail compiles.
+var compileFirst = compile
 
 // slotOf returns the memo entry of p's (incentive model, setting) pair;
 // p must have its defaults applied.
 func slotOf(p Params) *shapeSlot { return &shapes[p.Model][p.Setting-1] }
 
-// skeleton returns the skeleton of shape if the slot holds that shape,
-// building it from the shape's first model on first use, or nil.
-func (sl *shapeSlot) skeleton(shape Params) *skeleton {
+// acquire returns the skeleton of shape if the slot holds that shape,
+// building it from the shape's first model on first use. Otherwise the
+// caller compiles the shape's first model and hands it to install.
+// claimed reports that the slot records that compile as pending, so
+// that later callers of the shape wait for it instead of compiling the
+// shape again; a waiter looks again once the compile ends, and claims
+// the next compile itself if that one failed. A caller that finds
+// another shape's compile pending compiles without a claim.
+func (sl *shapeSlot) acquire(shape Params) (sk *skeleton, claimed bool) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.shape != shape {
-		return nil
+	for {
+		if sl.shape == shape {
+			if sl.sk == nil {
+				sl.sk, sl.first = newSkeleton(sl.first), nil
+			}
+			return sl.sk, false
+		}
+		if sl.compiled == nil {
+			sl.pending, sl.compiled = shape, make(chan struct{})
+			return nil, true
+		}
+		if sl.pending != shape {
+			return nil, false
+		}
+		compiled := sl.compiled
+		sl.mu.Unlock()
+		<-compiled
+		sl.mu.Lock()
 	}
-	if sl.sk == nil {
-		sl.sk, sl.first = newSkeleton(sl.first), nil
-	}
-	return sl.sk
 }
 
-// install records a as its shape's first model, replacing any other
-// shape; a slot that already holds a's shape, from a concurrent first
-// compile or as a skeleton, keeps what it has.
-func (sl *shapeSlot) install(a *Analysis) {
-	shape := a.Params.shape()
+// install records a, a compiled first model of shape (nil if the
+// compile failed), replacing any other shape; a slot that already
+// holds the shape, as a skeleton or from another caller's compile,
+// keeps what it has. claimed ends the caller's pending compile and
+// wakes its waiters.
+func (sl *shapeSlot) install(shape Params, a *Analysis, claimed bool) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.shape != shape {
+	if a != nil && sl.shape != shape {
 		sl.shape, sl.first, sl.sk = shape, a, nil
+	}
+	if claimed {
+		close(sl.compiled)
+		sl.pending, sl.compiled = Params{}, nil
 	}
 }

@@ -1,6 +1,7 @@
 package bumdp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -261,21 +262,37 @@ func TestShapeMemoBounded(t *testing.T) {
 	}
 }
 
-// concurrentRuns numbers TestNewConcurrentFirstCompile's runs, so that
-// each one, under -count too, compiles a shape no earlier run has.
+// concurrentRuns numbers the concurrent first-compile tests' runs, so
+// that each one, under -count too, compiles a shape no earlier run has.
 var concurrentRuns atomic.Int64
 
-// TestNewConcurrentFirstCompile: goroutines that ask New for one
-// never-seen shape at once, at two share vectors, all get models
-// identical to a fresh compile, and the memo ends up holding that shape.
-func TestNewConcurrentFirstCompile(t *testing.T) {
+// freshShape returns two share vectors of a shape no earlier call
+// returned.
+func freshShape() [2]Params {
 	reward := 20 + float64(concurrentRuns.Add(1))
-	ps := [2]Params{
+	return [2]Params{
 		{Alpha: 0.2, Beta: 0.4, Gamma: 0.4, Setting: Setting2, GateWindow: 7, DoubleSpendReward: reward, Model: NonCompliant},
 		{Alpha: 0.1, Beta: 0.3, Gamma: 0.6, Setting: Setting2, GateWindow: 7, DoubleSpendReward: reward, Model: NonCompliant},
 	}
-	want := [2]*mdp.Model{fresh(t, ps[0]).Model, fresh(t, ps[1]).Model}
-	const callers = 8
+}
+
+// countCompiles makes New's first compiles count themselves for the
+// rest of t, and the first fail of them fail.
+func countCompiles(t *testing.T, fail int64) *atomic.Int64 {
+	var n atomic.Int64
+	compileFirst = func(p Params) (*Analysis, error) {
+		if n.Add(1) <= fail {
+			return nil, errors.New("injected compile failure")
+		}
+		return compile(p)
+	}
+	t.Cleanup(func() { compileFirst = compile })
+	return &n
+}
+
+// newAtOnce calls New from callers goroutines released together, each
+// at ps[i%2].
+func newAtOnce(ps [2]Params, callers int) ([]*Analysis, []error) {
 	got := make([]*Analysis, callers)
 	errs := make([]error, callers)
 	start := make(chan struct{})
@@ -290,6 +307,19 @@ func TestNewConcurrentFirstCompile(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	return got, errs
+}
+
+// TestNewConcurrentFirstCompile: goroutines that ask New for one
+// never-seen shape at once, at two share vectors, run one compile
+// between them; the rest wait for it and derive, every model is
+// identical to a fresh compile, and the memo ends up holding that
+// shape.
+func TestNewConcurrentFirstCompile(t *testing.T) {
+	ps := freshShape()
+	want := [2]*mdp.Model{fresh(t, ps[0]).Model, fresh(t, ps[1]).Model}
+	compiles := countCompiles(t, 0)
+	got, errs := newAtOnce(ps, 8)
 	for i, a := range got {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
@@ -298,22 +328,52 @@ func TestNewConcurrentFirstCompile(t *testing.T) {
 			t.Errorf("caller %d: model differs from a fresh compile", i)
 		}
 	}
+	if n := compiles.Load(); n != 1 {
+		t.Errorf("8 concurrent callers of one shape ran %d compiles, want 1", n)
+	}
 	np, err := ps[0].withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sl := slotOf(np)
-	sk := sl.skeleton(np.shape())
+	sk, _ := sl.acquire(np.shape())
 	if sk == nil {
 		t.Fatal("the memo does not hold the shape its callers compiled")
 	}
 	// A first compile of the shape that finishes late keeps no second
 	// full model alive: the slot keeps its skeleton.
-	sl.install(fresh(t, ps[1]))
+	sl.install(np.shape(), fresh(t, ps[1]), false)
 	sl.mu.Lock()
 	first, kept := sl.first, sl.sk
 	sl.mu.Unlock()
 	if first != nil || kept != sk {
 		t.Error("a late first compile replaced the shape's skeleton")
+	}
+}
+
+// TestNewConcurrentFirstCompileFails: when the one compile concurrent
+// callers of a shape wait for fails, its caller gets the error and a
+// waiter compiles in its place; no caller hangs, the rest get models
+// identical to a fresh compile, and the error is not memoized.
+func TestNewConcurrentFirstCompileFails(t *testing.T) {
+	ps := freshShape()
+	want := [2]*mdp.Model{fresh(t, ps[0]).Model, fresh(t, ps[1]).Model}
+	compiles := countCompiles(t, 1)
+	got, errs := newAtOnce(ps, 8)
+	failed := 0
+	for i, a := range got {
+		if errs[i] != nil {
+			failed++
+			continue
+		}
+		if !mdp.ModelsIdentical(a.Model, want[i%2]) {
+			t.Errorf("caller %d: model differs from a fresh compile", i)
+		}
+	}
+	if n := compiles.Load(); failed != 1 || n != 2 {
+		t.Errorf("%d callers failed after %d compiles, want 1 after 2", failed, n)
+	}
+	if a, err := New(ps[1]); err != nil || !mdp.ModelsIdentical(a.Model, want[1]) {
+		t.Errorf("New after the failed compile: %v", err)
 	}
 }

@@ -1,10 +1,12 @@
 package farm
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"buanalysis/internal/bumdp"
@@ -34,6 +36,31 @@ type API struct {
 	// completion, and the sweep merge. Requests carrying a W3C
 	// traceparent header parent their spans under the caller's trace.
 	Tracer obs.Tracer
+
+	// stopped is canceled by Shutdown; made on first use.
+	stopOnce sync.Once
+	stopped  context.Context
+	stop     context.CancelFunc
+}
+
+// MaxLeaseWait caps how long POST /jobs/lease holds a request open for
+// work: below the 30 s timeout of Client's lease call, so a held
+// request answers before its caller gives up. Worker asks for it all.
+const MaxLeaseWait = 25 * time.Second
+
+// stopping returns the context Shutdown cancels.
+func (a *API) stopping() context.Context {
+	a.stopOnce.Do(func() { a.stopped, a.stop = context.WithCancel(context.Background()) })
+	return a.stopped
+}
+
+// Shutdown ends every held lease request at once, without granting a
+// lease, and makes later ones answer without waiting; the other
+// endpoints keep serving. cmd/buserve runs it as its HTTP server begins
+// shutting down, so held requests never hold up the drain.
+func (a *API) Shutdown() {
+	a.stopping()
+	a.stop()
 }
 
 // startSpan opens a span for one request, parented on the caller's
@@ -64,7 +91,8 @@ func stampTrace(j *jobqueue.Job, r *http.Request, span *obs.Span) {
 //	POST /jobs/sweep         {model, config, count, prio}  -> {ids, created}
 //	POST /jobs/sweep/status  {model, config, count}        -> per-shard states
 //	POST /jobs/sweep/result  {model, config, count}        -> merged SweepRecord
-//	POST /jobs/lease         {worker, kinds, ttl_ms}       -> {job, ok}
+//	POST /jobs/lease         {worker, kinds, ttl_ms,       -> {job, ok, drained}
+//	                          wait_ms, drain}
 //	POST /jobs/heartbeat     {id, lease, ttl_ms}           -> {}
 //	POST /jobs/complete      {id, lease, result}           -> {first}
 //	POST /jobs/fail          {id, lease, reason}           -> {}
@@ -72,6 +100,12 @@ func stampTrace(j *jobqueue.Job, r *http.Request, span *obs.Span) {
 //	GET  /jobs/get?id=K                                    -> job
 //	GET  /jobs/list          (GET /jobs/dead: dead only)   -> [job...]
 //	GET  /jobs/statsz                                      -> queue stats
+//
+// A lease request with wait_ms > 0 is held open, up to MaxLeaseWait,
+// until a job is ready for it; ok = false then means the wait ran out,
+// the client went away or the coordinator began shutting down. With
+// drain set it also ends once nothing is pending or leased, answering
+// drained = true. A negative wait_ms is refused with 400.
 //
 // Lease-protocol violations map to HTTP statuses the client maps back:
 // 404 unknown job, 409 lease not held / not dead-lettered.
@@ -347,14 +381,17 @@ func (a *API) handleSweepResult(r *http.Request) (any, error) {
 }
 
 type leaseRequest struct {
-	Worker   string   `json:"worker"`
-	Kinds    []string `json:"kinds,omitempty"`
-	TTLMilli int64    `json:"ttl_ms,omitempty"`
+	Worker    string   `json:"worker"`
+	Kinds     []string `json:"kinds,omitempty"`
+	TTLMilli  int64    `json:"ttl_ms,omitempty"`
+	WaitMilli int64    `json:"wait_ms,omitempty"`
+	Drain     bool     `json:"drain,omitempty"`
 }
 
 type leaseResponse struct {
-	Job jobqueue.Job `json:"job"`
-	OK  bool         `json:"ok"`
+	Job     jobqueue.Job `json:"job"`
+	OK      bool         `json:"ok"`
+	Drained bool         `json:"drained,omitempty"`
 }
 
 func (a *API) handleLease(r *http.Request) (any, error) {
@@ -362,11 +399,20 @@ func (a *API) handleLease(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	job, ok, err := a.Queue.Lease(req.Worker, req.Kinds, time.Duration(req.TTLMilli)*time.Millisecond)
-	if errors.Is(err, jobqueue.ErrQuarantined) {
-		return nil, err // 403: the worker is quarantined
+	if req.WaitMilli < 0 {
+		return nil, fmt.Errorf("wait_ms %d, want 0 or more", req.WaitMilli)
 	}
-	if err != nil {
+	wait := time.Duration(min(req.WaitMilli, MaxLeaseWait.Milliseconds())) * time.Millisecond
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	defer context.AfterFunc(a.stopping(), cancel)()
+	job, ok, err := a.Queue.LeaseWait(ctx, req.Worker, req.Kinds, time.Duration(req.TTLMilli)*time.Millisecond, req.Drain)
+	switch {
+	case errors.Is(err, jobqueue.ErrDrained):
+		return leaseResponse{Drained: true}, nil
+	case errors.Is(err, jobqueue.ErrQuarantined):
+		return nil, err // 403: the worker is quarantined
+	case err != nil:
 		return nil, &apiError{http.StatusInternalServerError, err}
 	}
 	return leaseResponse{Job: job, OK: ok}, nil

@@ -116,7 +116,7 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	}
 
 	byz := &Worker{
-		Client: client, Name: "byz", Poll: 2 * time.Millisecond,
+		Client: client, Name: "byz",
 		Chaos: &Chaos{Mode: "flipcell", Seed: 42},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -141,9 +141,7 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 		t.Fatalf("byzantine worker not quarantined: %+v", q.Workers())
 	}
 
-	honest := &Worker{
-		Client: client, Name: "honest", Drain: true,
-		Poll: 2 * time.Millisecond}
+	honest := &Worker{Client: client, Name: "honest", Drain: true}
 	if err := honest.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

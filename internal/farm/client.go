@@ -32,7 +32,7 @@ type Client struct {
 	// blobs, get a longer one).
 	HTTP *http.Client
 	// Retries bounds the delivery attempts of idempotent calls (lease,
-	// heartbeat, sweep status/result, stats) against transient failures
+	// heartbeat, sweep status/result) against transient failures
 	// — transport errors and 5xx responses — with jittered exponential
 	// backoff between attempts. 0 selects the default (3 attempts);
 	// negative disables retrying. Enqueue and complete never retry at
@@ -227,9 +227,23 @@ func (c *Client) SweepResultCtx(ctx context.Context, req SweepRequest) (SweepRes
 // call retries; jobqueue.ErrQuarantined means the coordinator has
 // quarantined this worker and will not serve it again.
 func (c *Client) Lease(worker string, kinds []string, ttl time.Duration) (jobqueue.Job, bool, error) {
+	return c.LeaseWait(context.Background(), worker, kinds, ttl, 0, false)
+}
+
+// LeaseWait is Lease held open on the coordinator for up to wait
+// (capped at MaxLeaseWait) until a job is ready. With drain set it
+// returns jobqueue.ErrDrained once nothing is pending or leased.
+// Canceling ctx abandons the request, and the coordinator then grants
+// nothing for it.
+func (c *Client) LeaseWait(ctx context.Context, worker string, kinds []string, ttl, wait time.Duration, drain bool) (jobqueue.Job, bool, error) {
 	var resp leaseResponse
-	err := c.postIdempotent(context.Background(), c.client(30*time.Second), "/jobs/lease",
-		leaseRequest{Worker: worker, Kinds: kinds, TTLMilli: ttl.Milliseconds()}, &resp)
+	err := c.postIdempotent(ctx, c.client(30*time.Second), "/jobs/lease", leaseRequest{
+		Worker: worker, Kinds: kinds, TTLMilli: ttl.Milliseconds(),
+		WaitMilli: wait.Milliseconds(), Drain: drain,
+	}, &resp)
+	if err == nil && resp.Drained {
+		err = jobqueue.ErrDrained
+	}
 	return resp.Job, resp.OK, err
 }
 
@@ -264,42 +278,4 @@ func (c *Client) Requeue(id string) error {
 	return c.post(context.Background(), c.client(30*time.Second), "/jobs/requeue", struct {
 		ID string `json:"id"`
 	}{id}, nil)
-}
-
-// Stats fetches the queue snapshot, retrying transient failures (a
-// pure read).
-func (c *Client) Stats() (jobqueue.Stats, error) {
-	attempts := c.Retries
-	if attempts == 0 {
-		attempts = 3
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
-	var st jobqueue.Stats
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration((0.5 + rand.Float64()) * float64(100*time.Millisecond) * float64(int(1)<<attempt)))
-		}
-		st, err = c.statsOnce()
-		if !transient(err) {
-			return st, err
-		}
-	}
-	return st, err
-}
-
-func (c *Client) statsOnce() (jobqueue.Stats, error) {
-	resp, err := c.client(30 * time.Second).Get(c.url("/jobs/statsz"))
-	if err != nil {
-		return jobqueue.Stats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobqueue.Stats{}, &httpStatusError{status: resp.StatusCode, path: "/jobs/statsz"}
-	}
-	var st jobqueue.Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
 }

@@ -115,7 +115,7 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	for i := range workers {
 		workers[i] = &Worker{
 			Client: client, Name: "w" + string(rune('0'+i)),
-			TTL: 2 * time.Second, Poll: 10 * time.Millisecond, Drain: true,
+			TTL: 2 * time.Second, Drain: true,
 		}
 		go func(w *Worker) { errc <- w.Run(ctx) }(workers[i])
 	}
@@ -254,7 +254,7 @@ func TestFarmWorkerArtifactServesCacheHit(t *testing.T) {
 		t.Fatalf("enqueue: created=%v err=%v", created, err)
 	}
 
-	w := &Worker{Client: client, Name: "solo", Drain: true, Poll: 5 * time.Millisecond}
+	w := &Worker{Client: client, Name: "solo", Drain: true}
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestWorkerLogsEachJobEventOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	w := &Worker{Client: client, Name: "logged", Drain: true, Poll: 5 * time.Millisecond,
+	w := &Worker{Client: client, Name: "logged", Drain: true,
 		Slog: slog.New(slog.NewJSONHandler(&out, nil))}
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 		t.Fatalf("completion across restart: first=%v err=%v", first, err)
 	}
 	// A drain worker finishes the rest and the merged table matches.
-	w := &Worker{Client: c2, Name: "finisher", Drain: true, Poll: 5 * time.Millisecond}
+	w := &Worker{Client: c2, Name: "finisher", Drain: true}
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

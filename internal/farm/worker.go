@@ -30,12 +30,9 @@ type Worker struct {
 	// TTL is the lease TTL requested; heartbeats renew at TTL/3
 	// (default 30s).
 	TTL time.Duration
-	// Poll is the idle sleep between lease attempts when nothing is
-	// ready (default 500ms).
-	Poll time.Duration
 	// Drain exits the loop once the queue has nothing left to offer —
 	// no pending work and nothing leased that could still be requeued —
-	// instead of polling forever.
+	// instead of waiting for work forever.
 	Drain bool
 	// Slog, if non-nil, receives one record per job event (leased,
 	// completed, failed, lease lost, completion refused, chaos
@@ -70,13 +67,16 @@ func (w *Worker) Stats() (executed, completed, failed, lost int64) {
 func (w *Worker) Rejected() int64 { return w.rejected.Load() }
 
 // Run pulls and executes jobs until ctx is canceled or, with Drain set,
-// until the queue is empty. Cancellation is graceful by construction:
-// in-flight jobs finish, heartbeat and complete (the solvers are not
-// preemptible and their results are deterministic, so finishing is
-// strictly better than abandoning the lease); only the leasing of new
-// work stops. A worker killed outright instead simply stops
-// heartbeating and its leases expire back to the queue — that case
-// needs no code here, which is the point of the lease protocol.
+// until the queue is empty. Each lease slot holds one lease request open
+// on the coordinator, so it hears of new work, and of a drained queue,
+// when it happens. Cancellation is graceful by construction: in-flight
+// jobs finish, heartbeat and complete (the solvers are not preemptible
+// and their results are deterministic, so finishing is strictly better
+// than abandoning the lease); a held lease request is abandoned and
+// only the leasing of new work stops. A worker killed outright instead
+// simply stops heartbeating and its leases expire back to the queue —
+// that case needs no code here, which is the point of the lease
+// protocol.
 func (w *Worker) Run(ctx context.Context) error {
 	concurrency := w.Concurrency
 	if concurrency <= 0 {
@@ -86,17 +86,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, concurrency)
 	for i := 0; i < concurrency; i++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			errs <- w.runSlot(ctx, fmt.Sprintf("%s/%d", w.Name, slot), ttl, poll)
+			errs <- w.runSlot(ctx, fmt.Sprintf("%s/%d", w.Name, slot), ttl)
 		}(i)
 	}
 	wg.Wait()
@@ -109,47 +105,36 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
+// errorPause is how long a slot waits after a failed lease call before
+// it asks again; five failures in a row end the slot.
+const errorPause = 500 * time.Millisecond
+
 // runSlot is one lease slot's loop.
-func (w *Worker) runSlot(ctx context.Context, name string, ttl, poll time.Duration) error {
+func (w *Worker) runSlot(ctx context.Context, name string, ttl time.Duration) error {
 	consecutiveErrs := 0
-	for {
-		if ctx.Err() != nil {
+	for ctx.Err() == nil {
+		job, ok, err := w.Client.LeaseWait(ctx, name, w.Kinds, ttl, MaxLeaseWait, w.Drain)
+		switch {
+		case ok:
+			consecutiveErrs = 0
+			w.execute(job, name, ttl)
+		case ctx.Err() != nil, errors.Is(err, jobqueue.ErrDrained):
 			return nil
-		}
-		job, ok, err := w.Client.Lease(name, w.Kinds, ttl)
-		if errors.Is(err, jobqueue.ErrQuarantined) {
-			// The coordinator has stopped trusting this worker; polling
+		case errors.Is(err, jobqueue.ErrQuarantined):
+			// The coordinator has stopped trusting this worker; asking
 			// further is pointless (quarantine is sticky).
 			return fmt.Errorf("farm: worker %s: %w", name, err)
-		}
-		if err != nil {
+		case err != nil:
 			consecutiveErrs++
 			if consecutiveErrs >= 5 {
 				return fmt.Errorf("farm: worker %s: coordinator unreachable: %w", name, err)
 			}
-			w.sleep(ctx, poll)
-			continue
+			w.sleep(ctx, errorPause)
+		default:
+			consecutiveErrs = 0
 		}
-		consecutiveErrs = 0
-		if !ok {
-			if w.Drain && w.queueDrained() {
-				return nil
-			}
-			w.sleep(ctx, poll)
-			continue
-		}
-		w.execute(job, name, ttl)
 	}
-}
-
-// queueDrained reports whether nothing is left to work on: no pending
-// jobs and no leases that could still expire back into the ready set.
-func (w *Worker) queueDrained() bool {
-	st, err := w.Client.Stats()
-	if err != nil {
-		return false
-	}
-	return st.Pending == 0 && st.Leased == 0
+	return nil
 }
 
 // execute runs one leased job to completion, heartbeating throughout.

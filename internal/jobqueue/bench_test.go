@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -24,7 +25,8 @@ import (
 // end-to-end 1-vs-3-worker sweep wall-clock comparison. The queue
 // coordinates solves that run for seconds, so the op costs only need to
 // stay microscopic next to the work they schedule — but the numbers are
-// worth pinning: a coordinator fields a poll from every idle worker.
+// worth pinning: every enqueue and completion wakes each held lease
+// request for another attempt.
 
 func benchQueue(b *testing.B, journal string) *jobqueue.Queue {
 	b.Helper()
@@ -55,8 +57,8 @@ func BenchmarkEnqueueLeaseComplete(b *testing.B) {
 }
 
 func BenchmarkLeaseEmptyQueue(b *testing.B) {
-	// The idle-fleet case: every poll from every worker scans for ready
-	// work and finds none.
+	// The idle-fleet case: every attempt of every held lease request
+	// scans for ready work and finds none.
 	b.ReportAllocs()
 	q := benchQueue(b, "")
 	for i := 0; i < b.N; i++ {
@@ -117,11 +119,13 @@ func BenchmarkJournaledCycle(b *testing.B) {
 // sweepWallClock stands up a fresh coordinator (empty store, in-memory
 // queue), enqueues a small Table-2-style sweep as 3 shard jobs, and
 // measures how long a fleet of `workers` draining workers takes to
-// finish it. Each shard is one row of three cells, which a worker
-// solves GOMAXPROCS cells at a time, so on more than one core a single
-// worker already runs cells in parallel and the fleet's speedup is what
-// distribution adds on top.
-func sweepWallClock(t *testing.T, workers int) float64 {
+// finish it (wall), and how long after the last job's DoneAt the last
+// worker's Run returned (tail), the time the fleet takes to hear that
+// the queue is drained. Each shard is one row of three cells, which a
+// worker solves GOMAXPROCS cells at a time, so on more than one core a
+// single worker already runs cells in parallel and the fleet's speedup
+// is what distribution adds on top.
+func sweepWallClock(t *testing.T, workers int) (wall, tail float64) {
 	t.Helper()
 	q, err := jobqueue.Open(jobqueue.Options{})
 	if err != nil {
@@ -150,12 +154,7 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 	start := time.Now()
 	done := make(chan error, workers)
 	for i := 0; i < workers; i++ {
-		w := &farm.Worker{
-			Client: client,
-			Name:   fmt.Sprintf("bench-%d", i),
-			Drain:  true,
-			Poll:   20 * time.Millisecond,
-		}
+		w := &farm.Worker{Client: client, Name: fmt.Sprintf("bench-%d", i), Drain: true}
 		go func() { done <- w.Run(context.Background()) }()
 	}
 	for i := 0; i < workers; i++ {
@@ -163,13 +162,32 @@ func sweepWallClock(t *testing.T, workers int) float64 {
 			t.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start).Seconds()
+	end := time.Now()
 
 	stats := q.Stats()
 	if stats.Done != 3 || stats.Pending != 0 {
 		t.Fatalf("sweep incomplete: %+v", stats)
 	}
-	return elapsed
+	var lastDone time.Time
+	for _, j := range q.Jobs() {
+		if j.DoneAt.After(lastDone) {
+			lastDone = j.DoneAt
+		}
+	}
+	return end.Sub(start).Seconds(), end.Sub(lastDone).Seconds()
+}
+
+// sweepMedians runs sweepWallClock n times and returns the medians of
+// its two times.
+func sweepMedians(t *testing.T, workers, n int) (wall, tail float64) {
+	t.Helper()
+	walls, tails := make([]float64, n), make([]float64, n)
+	for i := range walls {
+		walls[i], tails[i] = sweepWallClock(t, workers)
+	}
+	sort.Float64s(walls)
+	sort.Float64s(tails)
+	return walls[n/2], tails[n/2]
 }
 
 // verifyCost is what the validity predicate costs next to the solve it
@@ -269,6 +287,7 @@ func TestVerifyCostBound(t *testing.T) {
 }
 
 // TestBenchEmit runs the queue benchmarks and the 1-vs-3-worker sweep
+// (each the median of 5 sweeps, with the 3-worker sweeps' drain tail)
 // and writes a machine-readable summary when JOBQUEUE_BENCH_OUT is set
 // (scripts/bench.sh sets it to BENCH_jobqueue.json).
 func TestBenchEmit(t *testing.T) {
@@ -302,8 +321,8 @@ func TestBenchEmit(t *testing.T) {
 	stats := run("stats_snapshot_64_jobs", BenchmarkStatsSnapshot)
 	journaled := run("enqueue_lease_complete_journaled", BenchmarkJournaledCycle)
 
-	oneWorker := sweepWallClock(t, 1)
-	threeWorkers := sweepWallClock(t, 3)
+	oneWorker, _ := sweepMedians(t, 1, 5)
+	threeWorkers, drainTail := sweepMedians(t, 3, 5)
 	cost := measureVerifyCost(t)
 
 	report := map[string]any{
@@ -317,6 +336,7 @@ func TestBenchEmit(t *testing.T) {
 		}(),
 		"sweep_1_worker_s":  oneWorker,
 		"sweep_3_workers_s": threeWorkers,
+		"drain_tail_s":      drainTail,
 		"busolve_ms":        cost.solveNs / 1e6,
 		"verify_ms":         cost.verifyNs / 1e6,
 		"verify_cost_ratio": cost.verifyNs / cost.solveNs,

@@ -10,7 +10,9 @@
 //
 // Scheduling is pull-based with TTL leases. A worker leases the highest
 // priority ready job, heartbeats to keep the lease alive while it
-// computes, and completes (or fails) it; a lease that expires — worker
+// computes, and completes (or fails) it. LeaseWait holds a lease request
+// open until a job is ready, so an idle worker hears of new work, and
+// of a drained queue, when it happens. A lease that expires — worker
 // killed mid-compute, network partition, stall — silently returns the
 // job to the ready set with an exponential-backoff delay. A job that
 // exhausts its delivery budget moves to the dead-letter set instead of
@@ -30,6 +32,7 @@
 package jobqueue
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -174,6 +177,10 @@ type Queue struct {
 	// latency retains per-kind execution times (lease -> complete) for
 	// the quantile blocks of Stats.
 	latency map[string]*obs.Sample
+
+	// changed is closed by the next mutation that can let a held lease
+	// proceed (see notifyLocked); nil while no LeaseWait is waiting.
+	changed chan struct{}
 }
 
 // Sentinel errors of the lease protocol.
@@ -189,6 +196,9 @@ var (
 	// its accumulated rejections or lost leases tripped the reputation
 	// threshold and it is denied further work.
 	ErrQuarantined = errors.New("jobqueue: worker is quarantined")
+	// ErrDrained ends a draining LeaseWait: nothing is pending or leased,
+	// so no job can become ready again.
+	ErrDrained = errors.New("jobqueue: queue drained")
 )
 
 // Open creates a queue, resuming from the journal when opts.Journal
@@ -245,6 +255,7 @@ func (q *Queue) Enqueue(job Job) (Job, bool, error) {
 	j := job
 	q.jobs[job.ID] = &j
 	q.enqueued.Add(1)
+	q.notifyLocked()
 	q.emitJob(obs.Event{Kind: "queue.enqueue", Detail: j.Kind, Node: j.ID}, &j)
 	if err := q.persistLocked(); err != nil {
 		return Job{}, false, err
@@ -258,12 +269,106 @@ func (q *Queue) Enqueue(job Job) (Job, bool, error) {
 // ready. Expired leases are swept first, so a single Lease call is
 // enough to both recover and redistribute stalled work.
 func (q *Queue) Lease(worker string, kinds []string, ttl time.Duration) (Job, bool, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.leaseLocked(q.opts.Now(), worker, kinds, ttl)
+}
+
+// LeaseWait is Lease held open until a job is ready for worker. It
+// returns ok = false and no error once ctx ends, and, with drain set,
+// ErrDrained once nothing is pending or leased. Between attempts it
+// sleeps until the next mutation that can change its answer (an
+// enqueue, completion, failure, rejection, requeue or expiry), the
+// earliest retry backoff or lease expiry, or the end of ctx, whichever
+// comes first. One attempt is made whatever the state of ctx.
+func (q *Queue) LeaseWait(ctx context.Context, worker string, kinds []string, ttl time.Duration, drain bool) (Job, bool, error) {
+	for {
+		q.mu.Lock()
+		now := q.opts.Now()
+		job, ok, err := q.leaseLocked(now, worker, kinds, ttl)
+		if !ok && err == nil && drain && q.drainedLocked() {
+			err = ErrDrained
+		}
+		if ok || err != nil || ctx.Err() != nil {
+			q.mu.Unlock()
+			return job, ok, err
+		}
+		if q.changed == nil {
+			q.changed = make(chan struct{})
+		}
+		changed, wake := q.changed, q.nextDeadlineLocked(now)
+		q.mu.Unlock()
+		if !sleep(ctx, changed, wake) {
+			return Job{}, false, nil
+		}
+	}
+}
+
+// sleep waits for changed to close, for d to pass (d <= 0: no
+// deadline) or for ctx to end, and reports whether ctx is still live.
+func sleep(ctx context.Context, changed <-chan struct{}, d time.Duration) bool {
+	var deadline <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		deadline = t.C
+	}
+	select {
+	case <-ctx.Done():
+		return false
+	case <-changed:
+	case <-deadline:
+	}
+	return true
+}
+
+// notifyLocked wakes every held LeaseWait so it tries again.
+func (q *Queue) notifyLocked() {
+	if q.changed != nil {
+		close(q.changed)
+		q.changed = nil
+	}
+}
+
+// drainedLocked reports whether no job is pending or leased, so none
+// can become ready again without a new enqueue or requeue.
+func (q *Queue) drainedLocked() bool {
+	for _, j := range q.jobs {
+		if j.State == Pending || j.State == Leased {
+			return false
+		}
+	}
+	return true
+}
+
+// nextDeadlineLocked is how long after now the first retry backoff
+// ends or the first lease expires, which a waiting lease must wake
+// for, since neither announces itself; 0 when there is neither.
+func (q *Queue) nextDeadlineLocked(now time.Time) time.Duration {
+	var next time.Time
+	for _, j := range q.jobs {
+		var t time.Time
+		switch j.State {
+		case Pending:
+			t = j.NotBefore
+		case Leased:
+			t = j.LeaseExpiry
+		}
+		if t.After(now) && (next.IsZero() || t.Before(next)) {
+			next = t
+		}
+	}
+	if next.IsZero() {
+		return 0
+	}
+	return next.Sub(now)
+}
+
+// leaseLocked is one attempt of Lease at time now.
+func (q *Queue) leaseLocked(now time.Time, worker string, kinds []string, ttl time.Duration) (Job, bool, error) {
 	if ttl <= 0 {
 		ttl = q.opts.DefaultTTL
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.opts.Now()
 	q.expireLocked(now)
 	if w, ok := q.workers[worker]; ok && w.quarantined {
 		return Job{}, false, ErrQuarantined
@@ -366,6 +471,7 @@ func (q *Queue) Complete(id, lease string) (first bool, err error) {
 		j.LeaseExpiry = time.Time{}
 		j.LastError = ""
 		q.completes.Add(1)
+		q.notifyLocked()
 		q.observeLatency(j.Kind, now.Sub(j.StartedAt))
 		q.touchWorkerLocked(j.Worker, now, func(w *workerInfo) { w.completes++ })
 		q.emitJob(obs.Event{
@@ -432,6 +538,7 @@ func (q *Queue) Requeue(id string) error {
 	j.Attempts = 0
 	j.NotBefore = time.Time{}
 	j.Worker, j.Lease = "", ""
+	q.notifyLocked()
 	return q.persistLocked()
 }
 
@@ -471,6 +578,7 @@ func (q *Queue) expireLocked(now time.Time) int {
 // retireLocked ends a delivery: back to pending with backoff, or dead
 // once the budget is spent.
 func (q *Queue) retireLocked(j *Job, now time.Time, reason string) {
+	q.notifyLocked()
 	j.Lease = ""
 	j.LeaseExpiry = time.Time{}
 	j.LastError = reason

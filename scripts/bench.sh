@@ -20,7 +20,10 @@
 # model family and derives one member, and a later member; and the
 # per-policy evaluation path's cost on the Bitcoin baseline), and
 # BENCH_jobqueue.json (job-queue control-plane op costs, in-memory and
-# journaled).
+# journaled; a 3-shard sweep drained by 1 and by 3 workers, each the
+# median of 5 sweeps; drain_tail_s, the 3-worker sweeps' median time
+# from the last job's completion to the last worker's exit; and the
+# validity predicate's cost next to the solve it checks).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -53,6 +53,16 @@ echo "== bench module: go vet + go test ${SHORT} =="
 echo "== go test -race ${SHORT} (par, games, mdp, bumdp, core, montecarlo, expstore, obs, netsim, jobqueue, farm, verify, buserve) =="
 go test -race ${SHORT} ./internal/par/ ./internal/games/ ./internal/mdp/ ./internal/bumdp/ ./internal/core/ ./internal/montecarlo/ ./internal/expstore/ ./internal/obs/ ./internal/netsim/ ./internal/jobqueue/ ./internal/farm/ ./internal/verify/ ./cmd/buserve/
 
+echo "== wake-up stress (go test -race -count 20) =="
+# A held lease sleeps until a queue mutation, a retry gate or a lease
+# expiry wakes it, and concurrent first compiles of one model shape
+# wait for the one that runs. A lost wake-up in either shows up as a
+# rare hang, which one pass does not catch, so their tests run 20
+# times under the race detector.
+go test -race -count 20 -run '^TestLeaseWait' ./internal/jobqueue/
+go test -race -count 20 -run '^TestHeldLease' ./internal/farm/
+go test -race -count 20 -run '^TestNewConcurrentFirstCompile' ./internal/bumdp/
+
 echo "== cache-key fuzz smoke (FuzzCanonicalKey) =="
 # A short coverage-guided session over the canonical cache-key
 # derivation; regressions found earlier are pinned as seeds in
