@@ -66,8 +66,7 @@ type Cell struct {
 	Stats bumdp.SolveStats
 	// Witness is the optimal policy in mdp.Policy.Witness form, the
 	// certificate a verifier evaluates instead of re-solving. It is
-	// empty for skipped and failed cells and for cells rebuilt from
-	// records that do not carry it.
+	// empty for skipped and failed cells.
 	Witness string
 	Err     error
 }
@@ -161,43 +160,34 @@ func (c SweepConfig) withDefaults() SweepConfig {
 func Sweep(model bumdp.IncentiveModel, cfg SweepConfig) []Cell {
 	cfg = cfg.withDefaults()
 	cells := cfg.grid(model)
-	cfg.solveRows(cells, cfg.ShardRows(model, 0, 1))
-	return cells
-}
-
-// solveRows solves the non-skipped cells of the listed rows of a
-// defaults-applied config's grid in place, GOMAXPROCS cells at a time,
-// each through SolveCell, or SolveOne when none is installed.
-func (cfg SweepConfig) solveRows(cells []Cell, rows []int) {
 	solve := cfg.SolveCell
 	if solve == nil {
 		solve = cfg.SolveOne
 	}
-	rowLen := len(cfg.Ratios)
-	par.For(len(rows)*rowLen, func(i int) {
-		c := &cells[rows[i/rowLen]*rowLen+i%rowLen]
-		if !c.Skipped {
-			*c = solve(*c)
+	par.For(len(cells), func(i int) {
+		if !cells[i].Skipped {
+			cells[i] = solve(cells[i])
 		}
 	})
+	return cells
 }
 
 // Grid lays out the full unsolved cell grid the config's sweep would
 // solve — defaults applied, canonical (ad, setting, alpha, ratio)
 // order, inadmissible cells pre-marked Skipped. It is the exported form
 // of grid for callers that must re-derive the exact layout a sweep (or
-// one of its shards) is obliged to cover, such as the result-validity
-// predicates in internal/verify.
+// one of its shards) is obliged to cover, such as the shard specs in
+// internal/expstore.
 func (c SweepConfig) Grid(model bumdp.IncentiveModel) []Cell {
 	return c.withDefaults().grid(model)
 }
 
 // grid lays out the full unsolved cell grid of a defaults-applied
 // config in the canonical (ad, setting, alpha, ratio) order, with
-// inadmissible cells pre-marked Skipped. Sweep, the shard runner, and
-// the shard merger all derive their layout from this one function, so
-// a sharded sweep can never disagree with a single-process one about
-// which cell lives where.
+// inadmissible cells pre-marked Skipped. Sweep and the farm's shard
+// specs both derive their layout from this one function, so a sharded
+// sweep can never disagree with a single-process one about which cell
+// lives where.
 func (c SweepConfig) grid(model bumdp.IncentiveModel) []Cell {
 	var cells []Cell
 	for _, ad := range c.ADs {

@@ -24,7 +24,7 @@ const (
 	KindBitcoinSolve = "btcsolve"   // one Bitcoin baseline solve
 	KindMonteCarlo   = "mcbatch"    // one Monte Carlo cross-validation batch
 	KindEBGame       = "ebgame"     // EB choosing game pure Nash equilibria
-	KindSweepShard   = "sweepshard" // one shard of a sharded sweep
+	KindSweepShard   = "sweepshard" // one shard of a sharded sweep (farm jobs only)
 )
 
 // Spec describes one artifact. Each kind has exactly one Spec type, and
@@ -34,6 +34,10 @@ const (
 // the farm's workers and the coordinator's validity predicates
 // (internal/verify) all go through these methods, so they agree on
 // every artifact's identity by construction.
+//
+// A sweep shard's batch is the one result not stored under its own
+// key: its Key is the farm job's ID only, and each busolve record the
+// batch holds is stored under its cell's key (Entries).
 //
 // Key and Compute apply the kind's defaults themselves, so a spec with
 // elided fields names the same artifact as its Normalized form.

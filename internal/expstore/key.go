@@ -12,7 +12,10 @@
 // corruption treated as a miss) and collapses concurrent requests for
 // the same unsolved key into a single solve. cmd/bumdp, cmd/butables
 // and cmd/buserve all answer from the same store, so CLI sweeps and
-// HTTP requests share one artifact universe.
+// HTTP requests share one artifact universe. The solve farm's verified
+// completions fill it too (PutIfAbsent), a sweep shard's as its cells'
+// busolve records, and only under keys it does not hold yet, so a
+// stored blob never changes.
 package expstore
 
 import (
@@ -64,7 +67,13 @@ import (
 // each row, so shard records carry the cold sweep counts, and some
 // non-compliant cells a different witness and value. Busolve records
 // are unchanged.
-const Version = 8
+//
+// Version 9: a sweep-shard job delivers one busolve record per cell,
+// stored under each cell's busolve key, instead of a shard record
+// stored under the shard's key, so a shard job journaled before this
+// version must not collapse onto a new one. Busolve records are
+// unchanged.
+const Version = 9
 
 // Key derives the canonical cache key for an artifact of the given kind
 // (a short lowercase tag such as "busolve") from its parameter value.

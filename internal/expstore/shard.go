@@ -2,26 +2,27 @@ package expstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
 	"buanalysis/internal/bumdp"
 	"buanalysis/internal/core"
 	"buanalysis/internal/obs"
+	"buanalysis/internal/par"
 )
 
-// Sweep shard artifacts. A sharded sweep solves whole rows per shard
-// (core.SweepShard), each cell on its own and cold, exactly as the
-// store's own sweep solves it, so a shard's cells equal the per-cell
-// busolve artifacts of the same grid in every field the cell record
-// carries. A shard is stored whole, under its own kind and keyed by its
-// full value-affecting identity: one farm job computes, and verify
-// checks, one shard record.
+// Sweep shards. A sharded sweep hands each farm job whole rows of the
+// grid (core.SweepConfig.ShardRows). The job delivers a batch: a JSON
+// array holding the busolve record of each of its cells, exactly the
+// bytes BUSolveSpec.Compute produces, so the coordinator checks each
+// record with the busolve predicate and stores it under the cell's own
+// busolve key. The batch is the one result the store does not keep
+// under its job's key: a finished sharded sweep is the same set of
+// records /solve, /sweep and /tables answer from.
 
 // SweepShardSpec describes one shard of a sharded sweep (kind
 // "sweepshard"): shard Index of Count over the grid Config sweeps for
-// Model.
+// Model. Cells lists the records its batch holds.
 type SweepShardSpec struct {
 	Model  int              `json:"model"`
 	Config core.SweepConfig `json:"config"`
@@ -45,51 +46,70 @@ type sweepShardKey struct {
 	Count    int             `json:"count"`
 }
 
-// SweepShardRecord is the stored form of one solved shard: its cells,
-// whole rows in grid order, as the repository's one cell encoding, and
-// Policies[i], the witness policy of Cells[i] (mdp.Policy.Witness form;
-// empty for skipped cells). The witnesses are for the verifier only:
-// MergeShardBlobs drops them, so merged sweeps serialize exactly like
-// single-process ones.
-type SweepShardRecord struct {
-	Model    int          `json:"model"`
-	Index    int          `json:"index"`
-	Count    int          `json:"count"`
-	Cells    []CellRecord `json:"cells"`
-	Policies []string     `json:"policies"`
-}
-
 func (SweepShardSpec) Kind() string { return KindSweepShard }
 
 func (s SweepShardSpec) Normalized() (Spec, error) { return s.normalized() }
 
-// normalized applies the config's defaults for the model — the exact
-// grid every worker must solve — and clears the Workers count that
-// Normalized fills in, so the spec does not depend on the enqueuing
-// host. A cell names its ratio, and core.SweepConfig.CellParams finds
-// the split by that name, so ratio names must be unique, and each split
-// must have a positive, finite B and G.
 func (s SweepShardSpec) normalized() (SweepShardSpec, error) {
+	n, _, err := s.cells()
+	return n, err
+}
+
+// Cells returns the normalized busolve specs of the shard's non-skipped
+// cells, its rows in grid order. They are the records the shard's batch
+// holds, in order, and so the keys the shard materializes.
+func (s SweepShardSpec) Cells() ([]BUSolveSpec, error) {
+	_, cells, err := s.cells()
+	return cells, err
+}
+
+// cells applies the config's defaults for the model — the exact grid
+// every worker must solve — clears the Workers count that Normalized
+// fills in, so the spec does not depend on the enqueuing host, and
+// lays out the shard's cells. A cell names its ratio, and
+// core.SweepConfig.CellParams finds the split by that name, so ratio
+// names must be unique, and each split must have a positive, finite B
+// and G. Every cell must be a valid busolve spec, so a grid bumdp would
+// refuse is refused here, before any job runs.
+func (s SweepShardSpec) cells() (SweepShardSpec, []BUSolveSpec, error) {
 	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
-		return SweepShardSpec{}, fmt.Errorf("expstore: bad shard %d of %d", s.Index, s.Count)
+		return SweepShardSpec{}, nil, fmt.Errorf("expstore: bad shard %d of %d", s.Index, s.Count)
 	}
-	s.Config = s.Config.Normalized(bumdp.IncentiveModel(s.Model))
+	model := bumdp.IncentiveModel(s.Model)
+	s.Config = s.Config.Normalized(model)
 	s.Config.Workers = 0
 	seen := make(map[string]bool, len(s.Config.Ratios))
 	for _, r := range s.Config.Ratios {
 		if seen[r.Name] {
-			return SweepShardSpec{}, fmt.Errorf("expstore: sweep ratio %q appears twice", r.Name)
+			return SweepShardSpec{}, nil, fmt.Errorf("expstore: sweep ratio %q appears twice", r.Name)
 		}
 		seen[r.Name] = true
 		if !(r.B > 0 && r.B <= math.MaxFloat64 && r.G > 0 && r.G <= math.MaxFloat64) {
-			return SweepShardSpec{}, fmt.Errorf("expstore: sweep ratio %q has B %g and G %g, want both positive and finite", r.Name, r.B, r.G)
+			return SweepShardSpec{}, nil, fmt.Errorf("expstore: sweep ratio %q has B %g and G %g, want both positive and finite", r.Name, r.B, r.G)
 		}
 	}
-	return s, nil
+	grid := s.Config.Grid(model)
+	rowLen := len(s.Config.Ratios)
+	var cells []BUSolveSpec
+	for _, r := range s.Config.ShardRows(model, s.Index, s.Count) {
+		for _, c := range grid[r*rowLen : (r+1)*rowLen] {
+			if c.Skipped {
+				continue
+			}
+			p, o := s.Config.CellParams(c)
+			cell, err := BUSolveSpec{Params: p, RatioTol: o.RatioTol, Epsilon: o.Epsilon}.normalized()
+			if err != nil {
+				return SweepShardSpec{}, nil, fmt.Errorf("expstore: sweep cell %s: %w", c.Key(), err)
+			}
+			cells = append(cells, cell)
+		}
+	}
+	return s, cells, nil
 }
 
 // Key hashes the shard coordinates and the normalized config fields
-// that shape cell values.
+// that shape cell values. It is the shard job's ID; nothing is stored
+// under it.
 func (s SweepShardSpec) Key() (string, error) {
 	n, err := s.normalized()
 	if err != nil {
@@ -104,67 +124,74 @@ func (s SweepShardSpec) Key() (string, error) {
 	})
 }
 
-// Compute solves the shard's rows through core.SweepShard and encodes
-// them as a SweepShardRecord.
+// Compute solves the shard's cells, GOMAXPROCS at a time, each through
+// BUSolveSpec.Compute as a store miss solves it, and encodes the batch.
+// A cell that fails to solve fails the shard.
 func (s SweepShardSpec) Compute(tr obs.Tracer) ([]byte, error) {
-	n, err := s.normalized()
+	cells, err := s.Cells()
 	if err != nil {
 		return nil, err
 	}
-	cfg := n.Config
-	cfg.Tracer = tr
-	cells, err := core.SweepShard(bumdp.IncentiveModel(n.Model), cfg, n.Index, n.Count)
+	recs := make([]json.RawMessage, len(cells))
+	errs := make([]error, len(cells))
+	par.For(len(cells), func(i int) {
+		recs[i], errs[i] = cells[i].Compute(tr)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("expstore: shard cell %d: %w", i, err)
+		}
+	}
+	return json.Marshal(recs)
+}
+
+// Entry is one key and the bytes a completion stores under it.
+type Entry struct {
+	Key  string
+	Blob []byte
+}
+
+// Entries returns the store entries a job's delivered result
+// materializes. For a sweep shard, whose spec must derive the job's ID,
+// entry i pairs the key of the spec's i-th cell with the batch's i-th
+// record; the batch must hold one record per cell. Every other kind
+// stores its result under the job's ID. Entries checks the pairing
+// only: internal/verify checks each record against its key.
+func Entries(kind, id string, spec, result []byte) ([]Entry, error) {
+	if kind != KindSweepShard {
+		return []Entry{{Key: id, Blob: result}}, nil
+	}
+	if len(spec) == 0 {
+		return nil, fmt.Errorf("expstore: a %s result needs its job spec", kind)
+	}
+	var s SweepShardSpec
+	if err := json.Unmarshal(spec, &s); err != nil {
+		return nil, fmt.Errorf("expstore: decoding %s spec: %w", kind, err)
+	}
+	key, err := s.Key()
 	if err != nil {
 		return nil, err
 	}
-	rec := SweepShardRecord{Model: n.Model, Index: n.Index, Count: n.Count,
-		Cells: make([]CellRecord, 0, len(cells)), Policies: make([]string, 0, len(cells))}
-	for _, c := range cells {
-		rec.Cells = append(rec.Cells, NewCellRecord(c))
-		rec.Policies = append(rec.Policies, c.Witness)
+	if key != id {
+		return nil, fmt.Errorf("expstore: job spec derives key %s, job is %s", key, id)
 	}
-	return json.Marshal(rec)
-}
-
-// cellFromRecord rebuilds the sweep cell a CellRecord serialized. The
-// fields CellRecord drops (warm-probe counts, residuals, durations) are
-// presentation-free solver detail: the rebuilt cell formats and
-// serializes identically to the original.
-func cellFromRecord(r CellRecord) core.Cell {
-	c := core.Cell{
-		Alpha: r.Alpha, Ratio: r.Ratio, Setting: bumdp.Setting(r.Setting),
-		Model: bumdp.IncentiveModel(r.Model), AD: r.AD, Skipped: r.Skipped,
-		Value: r.Value, Honest: r.Honest, ForkRate: r.ForkRate,
+	cells, err := s.Cells()
+	if err != nil {
+		return nil, err
 	}
-	c.Stats.Probes = r.Probes
-	c.Stats.Iterations = r.Sweeps
-	if r.Err != "" {
-		c.Err = errors.New(r.Err)
+	var recs []json.RawMessage
+	if err := json.Unmarshal(result, &recs); err != nil {
+		return nil, fmt.Errorf("expstore: decoding %s batch: %w", kind, err)
 	}
-	return c
-}
-
-// MergeShardBlobs reassembles the stored blobs of every shard of a
-// count-way sweep — blobs[i] holding shard i's SweepShardRecord — into
-// the full cell grid, in core.Sweep order, with every cell verified
-// against its grid coordinates (core.MergeShards). The merged cells
-// render and serialize byte-identically to the single-process sweep.
-func MergeShardBlobs(model bumdp.IncentiveModel, cfg core.SweepConfig, blobs [][]byte) ([]core.Cell, error) {
-	parts := make([][]core.Cell, len(blobs))
-	for i, blob := range blobs {
-		var rec SweepShardRecord
-		if err := json.Unmarshal(blob, &rec); err != nil {
-			return nil, fmt.Errorf("expstore: decoding shard %d: %w", i, err)
+	if len(recs) != len(cells) {
+		return nil, fmt.Errorf("expstore: %s batch holds %d records, the shard has %d cells", kind, len(recs), len(cells))
+	}
+	entries := make([]Entry, len(cells))
+	for i, c := range cells {
+		if entries[i].Key, err = c.Key(); err != nil {
+			return nil, err
 		}
-		if rec.Index != i || rec.Count != len(blobs) {
-			return nil, fmt.Errorf("expstore: blob in slot %d is shard %d of %d, want %d of %d",
-				i, rec.Index, rec.Count, i, len(blobs))
-		}
-		part := make([]core.Cell, 0, len(rec.Cells))
-		for _, cr := range rec.Cells {
-			part = append(part, cellFromRecord(cr))
-		}
-		parts[i] = part
+		entries[i].Blob = recs[i]
 	}
-	return core.MergeShards(model, cfg, parts)
+	return entries, nil
 }

@@ -2,6 +2,7 @@ package expstore
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -51,6 +52,14 @@ func TestSweepShardKeysDistinct(t *testing.T) {
 	loose.RatioTol = 1e-3
 	k, err = shardKey(bumdp.Compliant, loose, 0, 1)
 	add("tolerance", k, err)
+	cells, err := SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 1}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		k, err := c.Key()
+		add("cell", k, err)
+	}
 
 	// Workers and the unread InnerParallelism must not split the cache.
 	par := cfg
@@ -67,66 +76,97 @@ func TestSweepShardKeysDistinct(t *testing.T) {
 		t.Fatal("worker knobs changed the shard key")
 	}
 
-	if _, err := shardKey(bumdp.Compliant, cfg, 2, 2); err == nil {
-		t.Fatal("out-of-range shard index accepted")
+	for _, bad := range [][2]int{{-1, 2}, {2, 2}, {0, 0}} {
+		if _, err := shardKey(bumdp.Compliant, cfg, bad[0], bad[1]); err == nil {
+			t.Fatalf("shard %d of %d accepted", bad[0], bad[1])
+		}
 	}
 }
 
-// TestSweepShardRoundTrip: computing every shard, caching the blobs,
-// and merging them reproduces the single-process sweep's serialized
-// cells exactly — and a second solve of each shard is a pure cache hit
-// returning identical bytes.
-func TestSweepShardRoundTrip(t *testing.T) {
+// TestSweepShardBatchFillsTheStoresSweep: a shard's batch holds one
+// busolve record per cell, each the record the store's own miss
+// computes for the cell, and storing every shard's entries fills
+// exactly the records the store's sweep reads, so that sweep is all
+// hits and encodes to core.Sweep's record.
+func TestSweepShardBatchFillsTheStoresSweep(t *testing.T) {
 	cfg := shardSweepConfig()
 	model := bumdp.Compliant
-	st := mustOpen(t, Config{Dir: t.TempDir()})
+	st := mustOpen(t, Config{})
 
 	const count = 3
-	blobs := make([][]byte, count)
+	stored := 0
 	for i := 0; i < count; i++ {
-		rec, blob, hit, err := Solve[SweepShardRecord](context.Background(), st,
-			SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: count}, nil)
+		spec := SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: count}
+		id, err := spec.Key()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit {
-			t.Fatalf("shard %d hit on a cold store", i)
+		n, err := spec.Normalized()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rec.Index != i || rec.Count != count {
-			t.Fatalf("shard %d decoded as %d of %d", i, rec.Index, rec.Count)
+		raw, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		blobs[i] = blob
-	}
-	for i := 0; i < count; i++ {
-		_, blob, hit, err := Solve[SweepShardRecord](context.Background(), st,
-			SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: count}, nil)
-		if err != nil || !hit {
-			t.Fatalf("warm shard %d: hit=%v err=%v", i, hit, err)
+		batch, err := spec.Compute(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if string(blob) != string(blobs[i]) {
-			t.Fatalf("shard %d warm blob differs from cold", i)
+		entries, err := Entries(KindSweepShard, id, raw, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := spec.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(cells) {
+			t.Fatalf("shard %d: %d entries for %d cells", i, len(entries), len(cells))
+		}
+		for k, e := range entries {
+			want, err := cells[k].Compute(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, rec BUSolveRecord
+			if json.Unmarshal(e.Blob, &got) != nil || json.Unmarshal(want, &rec) != nil {
+				t.Fatalf("shard %d record %d does not decode", i, k)
+			}
+			got.Stats.Duration, rec.Stats.Duration = 0, 0
+			if got != rec {
+				t.Fatalf("shard %d record %d:\n got %+v\nwant %+v", i, k, got, rec)
+			}
+			if err := st.PutIfAbsent(e.Key, e.Blob); err != nil {
+				t.Fatal(err)
+			}
+			stored++
+		}
+
+		var recs []json.RawMessage
+		if err := json.Unmarshal(batch, &recs); err != nil {
+			t.Fatal(err)
+		}
+		extra, err := json.Marshal(append(recs, json.RawMessage(`{}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Entries(KindSweepShard, id, raw, extra); err == nil {
+			t.Fatalf("shard %d: a batch with an extra record paired with its cells", i)
+		}
+		if _, err := Entries(KindSweepShard, "sweepshard-0000", raw, batch); err == nil {
+			t.Fatalf("shard %d: its batch paired under a foreign job ID", i)
+		}
+		if _, err := Entries(KindSweepShard, id, nil, batch); err == nil {
+			t.Fatalf("shard %d: its batch paired without the job spec", i)
 		}
 	}
 
-	merged, err := MergeShardBlobs(model, cfg, blobs)
-	if err != nil {
-		t.Fatal(err)
+	cells, hits, misses := SweepStatsCtx(context.Background(), st, model, cfg)
+	if misses != 0 || hits != stored {
+		t.Fatalf("store's sweep after the shards: %d hits, %d misses; want %d hits, 0 misses", hits, misses, stored)
 	}
-	direct := core.Sweep(model, cfg)
-	want := NewSweepRecord(model, direct)
-	got := NewSweepRecord(model, merged)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("merged shard records differ from single-process sweep records")
-	}
-	if core.FormatTable(merged, true) != core.FormatTable(direct, true) {
-		t.Fatal("merged table text differs from single-process sweep")
-	}
-
-	// Blobs delivered to the wrong slot are rejected, not assembled.
-	if _, err := MergeShardBlobs(model, cfg, [][]byte{blobs[1], blobs[0], blobs[2]}); err == nil {
-		t.Fatal("merge accepted blobs in swapped slots")
-	}
-	if _, err := MergeShardBlobs(model, cfg, blobs[:2]); err == nil {
-		t.Fatal("merge accepted a missing shard")
+	if got, want := NewSweepRecord(model, cells), NewSweepRecord(model, core.Sweep(model, cfg)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the store's sweep over the shards' records differs from core.Sweep")
 	}
 }

@@ -183,16 +183,44 @@ func (s *Store) lookup(key string) (e *memEntry, fromMem bool) {
 // directory, then rename), so a crash mid-write never leaves a half
 // blob under the final name.
 func (s *Store) Put(key string, blob []byte) error {
+	_, err := s.put(key, blob)
+	return err
+}
+
+// put is Put returning the compacted bytes it stored.
+func (s *Store) put(key string, blob []byte) ([]byte, error) {
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, blob); err != nil {
-		return fmt.Errorf("expstore: blob for %s is not valid JSON: %w", key, err)
+		return nil, fmt.Errorf("expstore: blob for %s is not valid JSON: %w", key, err)
 	}
 	blob = compact.Bytes()
 	s.memPut(key, blob)
 	if s.cfg.Dir == "" {
-		return nil
+		return blob, nil
 	}
-	return s.diskPut(key, blob)
+	return blob, s.diskPut(key, blob)
+}
+
+// PutIfAbsent is Put for a key the store does not hold yet: a key it
+// holds keeps its bytes, so a hit stays byte-identical to the body the
+// key's first miss returned. It runs in the key's singleflight, so a
+// concurrent miss of the key either stores first, and keeps its bytes,
+// or joins this write and answers with the bytes it stores.
+func (s *Store) PutIfAbsent(key string, blob []byte) error {
+	for {
+		ran := false
+		_, err, _ := s.sf.Do(key, func() ([]byte, error) {
+			ran = true
+			if e, _ := s.lookup(key); e != nil {
+				return e.blob, nil
+			}
+			return s.put(key, blob)
+		})
+		if ran || err == nil {
+			return err
+		}
+		// The miss this write joined failed, so nothing is stored yet.
+	}
 }
 
 // GetOrComputeCtx returns the blob for key, computing and storing it on

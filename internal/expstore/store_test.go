@@ -340,3 +340,50 @@ func TestStoreComputeErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after error: blob=%q hit=%v err=%v", blob, hit, err)
 	}
 }
+
+// TestStorePutIfAbsentKeepsStoredBytes: a key the store holds keeps its
+// bytes, in memory and on disk, and a write racing a miss of the same
+// key through the singleflight leaves the miss's bytes stored, the
+// bytes the miss answered with.
+func TestStorePutIfAbsentKeepsStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	if err := s.PutIfAbsent("busolve-new", []byte(`{"v": 1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutIfAbsent("busolve-new", []byte(`{"v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Get("busolve-new"); string(got) != `{"v":1}` {
+		t.Fatalf("stored %s, want the first write's compacted bytes", got)
+	}
+	if got, _ := mustOpen(t, Config{Dir: dir}).Get("busolve-new"); string(got) != `{"v":1}` {
+		t.Fatalf("disk holds %s, want the first write's bytes", got)
+	}
+
+	computing, release := make(chan struct{}), make(chan struct{})
+	missed := make(chan []byte)
+	go func() {
+		blob, _, err := s.GetOrComputeCtx(context.Background(), "busolve-race", func() ([]byte, error) {
+			close(computing)
+			<-release
+			return []byte(`{"v":"miss"}`), nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		missed <- blob
+	}()
+	<-computing
+	put := make(chan error)
+	go func() { put <- s.PutIfAbsent("busolve-race", []byte(`{"v":"put"}`)) }()
+	time.Sleep(20 * time.Millisecond) // let the write join the flight
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	blob := <-missed
+	if got, _ := s.Get("busolve-race"); string(got) != `{"v":"miss"}` || string(blob) != `{"v":"miss"}` {
+		t.Fatalf("miss answered %s and the store holds %s, want the miss's bytes in both", blob, got)
+	}
+}

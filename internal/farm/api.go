@@ -20,7 +20,8 @@ import (
 // API is the farm's HTTP surface: the /jobs endpoints over one queue
 // and the store completed artifacts materialize into. cmd/buserve
 // mounts it next to the serving endpoints, so workers fill the exact
-// store /solve, /sweep and /tables answer from.
+// store /solve, /sweep and /tables answer from: a sweep shard's cells
+// land as the busolve records /sweep serves.
 type API struct {
 	Queue *jobqueue.Queue
 	Store *expstore.Store
@@ -33,8 +34,9 @@ type API struct {
 	Verifier *verify.Checker
 	// Tracer, if non-nil, records the coordinator's side of each job's
 	// trace: enqueue and sweep fan-out spans, the store write on first
-	// completion, and the sweep merge. Requests carrying a W3C
-	// traceparent header parent their spans under the caller's trace.
+	// completion, and the sweep result's assembly. Requests carrying a
+	// W3C traceparent header parent their spans under the caller's
+	// trace.
 	Tracer obs.Tracer
 
 	// stopped is canceled by Shutdown; made on first use.
@@ -90,7 +92,7 @@ func stampTrace(j *jobqueue.Job, r *http.Request, span *obs.Span) {
 //	POST /jobs/enqueue       {kind, spec, priority}        -> {job, created}
 //	POST /jobs/sweep         {model, config, count, prio}  -> {ids, created}
 //	POST /jobs/sweep/status  {model, config, count}        -> per-shard states
-//	POST /jobs/sweep/result  {model, config, count}        -> merged SweepRecord
+//	POST /jobs/sweep/result  {model, config, count}        -> SweepRecord + table
 //	POST /jobs/lease         {worker, kinds, ttl_ms,       -> {job, ok, drained}
 //	                          wait_ms, drain}
 //	POST /jobs/heartbeat     {id, lease, ttl_ms}           -> {}
@@ -222,11 +224,11 @@ func (a *API) handleEnqueue(r *http.Request) (any, error) {
 
 // SweepRequest identifies one sharded sweep: the model, the sweep
 // config, and the fan-out width. The same triple addresses the fan-out
-// (POST /jobs/sweep), its progress (/jobs/sweep/status) and its merged
-// result (/jobs/sweep/result), which is what makes sweeps resumable:
+// (POST /jobs/sweep), its progress (/jobs/sweep/status) and its result
+// (/jobs/sweep/result), which is what makes sweeps resumable:
 // re-posting after a coordinator restart collapses onto the journaled
-// jobs, and the result endpoint answers from whatever shards the store
-// already holds.
+// jobs, and a shard whose cells the store already holds counts as
+// stored whatever its job's state.
 type SweepRequest struct {
 	Model    int              `json:"model"`
 	Config   core.SweepConfig `json:"config"`
@@ -235,7 +237,8 @@ type SweepRequest struct {
 }
 
 // decodeSweep decodes the SweepRequest body all three sweep endpoints
-// take, refusing a fan-out of fewer than one shard.
+// take, refusing a fan-out of fewer than one shard. A grid the shard
+// specs refuse is refused by each endpoint as it builds them.
 func decodeSweep(r *http.Request) (SweepRequest, error) {
 	var req SweepRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -245,6 +248,11 @@ func decodeSweep(r *http.Request) (SweepRequest, error) {
 		return req, fmt.Errorf("sweep count %d, want at least 1", req.Count)
 	}
 	return req, nil
+}
+
+// shard returns the spec of shard i of the sweep.
+func (req SweepRequest) shard(i int) expstore.SweepShardSpec {
+	return expstore.SweepShardSpec{Model: req.Model, Config: req.Config, Index: i, Count: req.Count}
 }
 
 // SweepEnqueueResponse reports the fan-out: the shard job IDs in shard
@@ -263,9 +271,7 @@ func (a *API) handleSweepEnqueue(r *http.Request) (any, error) {
 	}
 	var jobs []jobqueue.Job
 	for i := 0; i < req.Count; i++ {
-		j, err := specJob(expstore.SweepShardSpec{
-			Model: req.Model, Config: req.Config, Index: i, Count: req.Count,
-		}, req.Priority)
+		j, err := specJob(req.shard(i), req.Priority)
 		if err != nil {
 			return nil, err
 		}
@@ -293,14 +299,14 @@ type ShardStatus struct {
 	Index int            `json:"index"`
 	ID    string         `json:"id"`
 	State jobqueue.State `json:"state,omitempty"` // empty: never enqueued
-	// Stored reports whether the shard's artifact is already in the
-	// store (a stored shard counts toward the merge whatever its job
-	// state says).
+	// Stored reports whether the store holds the record of every cell
+	// of the shard (a stored shard counts toward the result whatever
+	// its job state says).
 	Stored bool `json:"stored"`
 }
 
 // SweepStatusResponse is a sweep's progress: Ready means every shard
-// artifact is stored and /jobs/sweep/result will answer.
+// is stored and /jobs/sweep/result will answer.
 type SweepStatusResponse struct {
 	Model  int           `json:"model"`
 	Count  int           `json:"count"`
@@ -312,7 +318,8 @@ type SweepStatusResponse struct {
 func (a *API) sweepStatus(req SweepRequest) (SweepStatusResponse, error) {
 	resp := SweepStatusResponse{Model: req.Model, Count: req.Count}
 	for i := 0; i < req.Count; i++ {
-		id, err := expstore.SweepShardSpec{Model: req.Model, Config: req.Config, Index: i, Count: req.Count}.Key()
+		shard := req.shard(i)
+		id, err := shard.Key()
 		if err != nil {
 			return SweepStatusResponse{}, err
 		}
@@ -320,14 +327,35 @@ func (a *API) sweepStatus(req SweepRequest) (SweepStatusResponse, error) {
 		if j, ok := a.Queue.Get(id); ok {
 			s.State = j.State
 		}
-		if _, ok := a.Store.Get(id); ok {
-			s.Stored = true
+		if s.Stored, err = a.stored(shard); err != nil {
+			return SweepStatusResponse{}, err
+		}
+		if s.Stored {
 			resp.Stored++
 		}
 		resp.Shards = append(resp.Shards, s)
 	}
 	resp.Ready = resp.Stored == req.Count
 	return resp, nil
+}
+
+// stored reports whether the store holds the record of every cell of
+// the shard.
+func (a *API) stored(shard expstore.SweepShardSpec) (bool, error) {
+	cells, err := shard.Cells()
+	if err != nil {
+		return false, err
+	}
+	for _, c := range cells {
+		key, err := c.Key()
+		if err != nil {
+			return false, err
+		}
+		if _, ok := a.Store.Get(key); !ok {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 func (a *API) handleSweepStatus(r *http.Request) (any, error) {
@@ -338,14 +366,17 @@ func (a *API) handleSweepStatus(r *http.Request) (any, error) {
 	return a.sweepStatus(req)
 }
 
-// SweepResultResponse is a completed sweep, merged: the repository's
-// standard sweep record plus the rendered table — byte-identical to
-// what the single-process sweep paths produce.
+// SweepResultResponse is a completed sweep: the repository's standard
+// sweep record plus the rendered table — byte-identical to what the
+// single-process sweep paths produce.
 type SweepResultResponse struct {
 	Record expstore.SweepRecord `json:"record"`
 	Table  string               `json:"table"`
 }
 
+// handleSweepResult answers a stored sweep with the store's own sweep
+// of the grid, every cell a hit, so its record is the one /sweep
+// serves.
 func (a *API) handleSweepResult(r *http.Request) (any, error) {
 	req, err := decodeSweep(r)
 	if err != nil {
@@ -360,19 +391,8 @@ func (a *API) handleSweepResult(r *http.Request) (any, error) {
 			fmt.Errorf("sweep not ready: %d of %d shards stored", status.Stored, status.Count)}
 	}
 	model := bumdp.IncentiveModel(req.Model)
-	blobs := make([][]byte, req.Count)
-	for i, s := range status.Shards {
-		blob, ok := a.Store.Get(s.ID)
-		if !ok {
-			return nil, &apiError{http.StatusConflict, fmt.Errorf("shard %d vanished from the store", i)}
-		}
-		blobs[i] = blob
-	}
 	span := a.startSpan(r, "farm.merge")
-	cells, err := expstore.MergeShardBlobs(model, req.Config, blobs)
-	if err != nil {
-		return nil, &apiError{http.StatusInternalServerError, err}
-	}
+	cells, _, _ := expstore.SweepStatsCtx(r.Context(), a.Store, model, req.Config)
 	span.EndDetail(fmt.Sprintf("sweep:m%d:x%d", req.Model, req.Count))
 	return SweepResultResponse{
 		Record: expstore.NewSweepRecord(model, cells),
@@ -448,14 +468,17 @@ type completeResponse struct {
 // handleComplete is the first-VALID-materialization point: the
 // submitted bytes must pass the coordinator's prescribed validity
 // predicate before the queue's completion gate even sees them, and only
-// the first accepted completion writes the result into the store. An
-// invalid result is rejected (409, counting against the worker's
-// reputation) and the job returns to its retry budget, so a byzantine
-// worker can never poison an artifact — at worst it delays one.
-// Duplicate deliveries — client retries, redelivered responses — are
-// acknowledged with first=false and counted by the queue, nothing more:
-// the artifact is already materialized and immutable, so their bytes
-// are neither verified, compared nor stored.
+// the first accepted completion writes the result into the store: each
+// entry it materializes (expstore.Entries: a shard's cell records, any
+// other result under the job's ID) lands under a key the store does not
+// hold yet, and a held key keeps its bytes. An invalid result is
+// rejected (409, counting against the worker's reputation) and the job
+// returns to its retry budget, so a byzantine worker can never poison
+// an artifact — at worst it delays one. Duplicate deliveries — client
+// retries, redelivered responses — are acknowledged with first=false
+// and counted by the queue, nothing more: the artifact is already
+// materialized and immutable, so their bytes are neither verified,
+// compared nor stored.
 func (a *API) handleComplete(r *http.Request) (any, error) {
 	var req completeRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -485,8 +508,14 @@ func (a *API) handleComplete(r *http.Request) (any, error) {
 	}
 	if first {
 		span := a.storeSpan(r, req.ID)
-		if err := a.Store.Put(req.ID, req.Result); err != nil {
+		entries, err := expstore.Entries(job.Kind, req.ID, job.Spec, req.Result)
+		if err != nil {
 			return nil, &apiError{http.StatusInternalServerError, err}
+		}
+		for _, e := range entries {
+			if err := a.Store.PutIfAbsent(e.Key, e.Blob); err != nil {
+				return nil, &apiError{http.StatusInternalServerError, err}
+			}
 		}
 		span.EndDetail(req.ID)
 	}

@@ -96,15 +96,14 @@ func TestFarmRejectsForgedCompletion(t *testing.T) {
 
 // TestFarmByzantineWorkerQuarantined is the end-to-end drill: a chaos
 // worker corrupting every result is rejected, quarantined, and exits;
-// an honest worker then drains the queue and the stored artifact is
-// byte-identical to a direct execution.
+// an honest worker then drains the queue and each stored cell record is
+// a direct execution's, wall-clock durations aside.
 func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	client, q, st, _ := testFarm(t, jobqueue.Options{
 		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 		QuarantineAfter: 1, MaxAttempts: 10,
 	})
-	// A sweep shard: the byte-deterministic artifact kind (Table 2's),
-	// so the drained result can be compared byte-for-byte.
+	// A sweep shard of two cells (Table 2's kind of work).
 	cfg := testSweepConfig()
 	cfg.Ratios = cfg.Ratios[:1]
 	job, err := specJob(expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 1}, 0)
@@ -113,6 +112,14 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	}
 	if _, _, err := client.EnqueueCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
+	}
+	want, err := Execute(job, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := expstore.Entries(job.Kind, job.ID, job.Spec, want)
+	if err != nil || len(cells) != 2 {
+		t.Fatalf("shard: %d cells, err %v; want 2", len(cells), err)
 	}
 
 	byz := &Worker{
@@ -128,8 +135,10 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	if byz.Rejected() < 1 {
 		t.Fatal("byzantine worker's forgery was not rejected")
 	}
-	if _, found := st.Get(job.ID); found {
-		t.Fatal("byzantine worker materialized an artifact")
+	for _, c := range cells {
+		if _, found := st.Get(c.Key); found {
+			t.Fatal("byzantine worker materialized a cell")
+		}
 	}
 	quarantined := false
 	for _, w := range q.Workers() {
@@ -145,12 +154,11 @@ func TestFarmByzantineWorkerQuarantined(t *testing.T) {
 	if err := honest.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Execute(job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored, found := st.Get(job.ID); !found || string(stored) != string(want) {
-		t.Fatal("drained artifact differs from direct execution")
+	for _, c := range cells {
+		stored, found := st.Get(c.Key)
+		if !found || string(withoutDurations(t, stored)) != string(withoutDurations(t, c.Blob)) {
+			t.Fatalf("drained cell %s differs from direct execution (found=%v)", c.Key, found)
+		}
 	}
 }
 

@@ -78,9 +78,10 @@ func flipByte(blob []byte, rng *rand.Rand) []byte {
 }
 
 // perturbValue re-encodes blob with one reported solver value moved by
-// f: the BU solve's utility, or one non-skipped cell of a sweep shard.
-// The mutation round-trips through the typed record so the forged bytes
-// stay canonical — the hardest case the verifier must still refuse.
+// f: the BU solve's utility, or the utility of one record of a sweep
+// shard's batch. The mutation round-trips through the typed record so
+// the forged bytes stay canonical — the hardest case the verifier must
+// still refuse.
 func perturbValue(kind string, blob []byte, f func(float64) float64, rng *rand.Rand) ([]byte, bool) {
 	switch kind {
 	case expstore.KindBUSolve:
@@ -92,22 +93,13 @@ func perturbValue(kind string, blob []byte, f func(float64) float64, rng *rand.R
 		out, err := json.Marshal(rec)
 		return out, err == nil
 	case expstore.KindSweepShard:
-		var rec expstore.SweepShardRecord
-		if json.Unmarshal(blob, &rec) != nil {
+		var recs []expstore.BUSolveRecord
+		if json.Unmarshal(blob, &recs) != nil || len(recs) == 0 {
 			return nil, false
 		}
-		live := make([]int, 0, len(rec.Cells))
-		for i, cell := range rec.Cells {
-			if !cell.Skipped && cell.Err == "" {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			return nil, false
-		}
-		i := live[rng.Intn(len(live))]
-		rec.Cells[i].Value = f(rec.Cells[i].Value)
-		out, err := json.Marshal(rec)
+		i := rng.Intn(len(recs))
+		recs[i].Utility = f(recs[i].Utility)
+		out, err := json.Marshal(recs)
 		return out, err == nil
 	default:
 		return nil, false

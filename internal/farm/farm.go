@@ -5,9 +5,10 @@
 // spec's kind and JSON encoding, its ID is the spec's Key — the
 // content-addressed store key of the artifact it produces — and Execute
 // runs the spec's Compute, the same code the serving path's miss runs,
-// so a worker-produced artifact is byte-identical to a locally solved
-// one and completions are idempotent by construction. Only Chaos's
-// forgeries look at a kind.
+// so a worker-produced artifact is the record a local solve stores. A
+// sweep shard's job is keyed by its shard; its batch lands as its
+// cells' busolve records (expstore.Entries). Only Chaos's forgeries
+// look at a kind.
 //
 // The package also carries the farm's HTTP surface: API serves the
 // /jobs endpoints over a queue and a store (mounted by cmd/buserve),
@@ -37,8 +38,9 @@ func NewJob(kind string, spec json.RawMessage, priority int) (jobqueue.Job, erro
 
 // specJob builds the job of one artifact: the normalized spec is the
 // job's spec, so every worker computes exactly what the enqueuer
-// described, and its key is the job's ID, so enqueueing work the store
-// already holds (or enqueueing it twice) collapses idempotently.
+// described, and its key is the job's ID, so enqueueing it twice
+// collapses onto one job. Enqueueing work the store already holds makes
+// a new job; its completion leaves the stored bytes as they are.
 func specJob(s expstore.Spec, priority int) (jobqueue.Job, error) {
 	n, err := s.Normalized()
 	if err != nil {

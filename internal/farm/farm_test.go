@@ -51,10 +51,10 @@ func testFarm(t *testing.T, qopts jobqueue.Options) (*Client, *jobqueue.Queue, *
 
 // TestFarmEndToEndShardedSweep is the subsystem's acceptance test: a
 // sweep sharded across three workers — with one worker killed mid-lease
-// and one completion delivered twice (the second tampered) — produces a
-// merged table byte-identical to the single-process core.Sweep and to
-// the store's sweep that /sweep serves, with every shard artifact
-// materialized in the store exactly once.
+// and one completion delivered twice (the second tampered) — stores
+// every cell's busolve record exactly once, so the store's sweep that
+// /sweep serves is all hits, and the sweep result is byte-identical to
+// the single-process core.Sweep.
 func TestFarmEndToEndShardedSweep(t *testing.T) {
 	client, q, st, _ := testFarm(t, jobqueue.Options{
 		BackoffBase: 10 * time.Millisecond,
@@ -87,7 +87,8 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 
 	// Another shard's completion is delivered twice. The duplicate —
 	// deliberately tampered — must be acknowledged without touching the
-	// stored artifact: materialization is exactly once.
+	// records the first stored under the shard's cell keys:
+	// materialization is exactly once.
 	dupJob, ok, err := client.Lease("dup", nil, 5*time.Second)
 	if err != nil || !ok {
 		t.Fatalf("dup lease: ok=%v err=%v", ok, err)
@@ -96,14 +97,24 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dupEntries, err := expstore.Entries(dupJob.Kind, dupJob.ID, dupJob.Spec, dupBlob)
+	if err != nil || len(dupEntries) == 0 {
+		t.Fatalf("duplicated shard: %d cells, err %v; want cells", len(dupEntries), err)
+	}
 	if first, err := client.CompleteCtx(context.Background(), dupJob.ID, dupJob.Lease, dupBlob); err != nil || !first {
 		t.Fatalf("first completion: first=%v err=%v", first, err)
 	}
-	if first, err := client.CompleteCtx(context.Background(), dupJob.ID, dupJob.Lease, []byte(`{"tampered":true}`)); err != nil || first {
+	tampered := retamperBatch(t, dupBlob, func(rec *expstore.BUSolveRecord) { rec.Utility += 0.01 })
+	if first, err := client.CompleteCtx(context.Background(), dupJob.ID, dupJob.Lease, tampered); err != nil || first {
 		t.Fatalf("duplicate completion: first=%v err=%v, want false/nil", first, err)
 	}
-	if got, ok := st.Get(dupJob.ID); !ok || string(got) != string(dupBlob) {
-		t.Fatalf("stored artifact changed by duplicate completion (ok=%v)", ok)
+	for _, e := range dupEntries {
+		if got, ok := st.Get(e.Key); !ok || string(got) != string(e.Blob) {
+			t.Fatalf("cell %s changed by duplicate completion (ok=%v)", e.Key, ok)
+		}
+	}
+	if _, ok := st.Get(dupJob.ID); ok {
+		t.Fatal("a shard's batch was stored under its job ID")
 	}
 
 	// The surviving fleet drains the queue: the untouched shard plus the
@@ -140,27 +151,38 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 		t.Fatalf("doomed job not redelivered: %+v", redelivered)
 	}
 
-	// Exactly-once materialization, byte-exact: every shard's stored
-	// blob is the canonical compute output, and the queue completed each
-	// shard exactly once.
+	// Exactly-once materialization: the queue completed each shard
+	// exactly once, and every cell's stored record is the one its
+	// busolve spec computes.
 	if stats.Completes != 3 {
 		t.Fatalf("completes = %d, want 3 (exactly once per shard)", stats.Completes)
 	}
-	for i, id := range fan.IDs {
-		want, err := expstore.SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: 3}.Compute(nil)
+	for i := range fan.IDs {
+		cells, err := expstore.SweepShardSpec{Model: int(model), Config: cfg, Index: i, Count: 3}.Cells()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := st.Get(id)
-		if !ok {
-			t.Fatalf("shard %d missing from the store", i)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("shard %d stored bytes differ from canonical compute", i)
+		for _, c := range cells {
+			key, err := c.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.Compute(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := st.Get(key)
+			if !ok {
+				t.Fatalf("shard %d: cell %s missing from the store", i, key)
+			}
+			if string(withoutDurations(t, got)) != string(withoutDurations(t, want)) {
+				t.Fatalf("shard %d: cell %s stored record differs from its compute", i, key)
+			}
 		}
 	}
 
-	// The merged sweep is byte-identical to the single-process one.
+	// The sweep result is byte-identical to the single-process sweep and
+	// to the store's sweep, which solves nothing.
 	status, err := client.SweepStatus(req)
 	if err != nil || !status.Ready {
 		t.Fatalf("sweep status: ready=%v err=%v", status.Ready, err)
@@ -171,14 +193,56 @@ func TestFarmEndToEndShardedSweep(t *testing.T) {
 	}
 	direct := core.Sweep(model, cfg)
 	if want := expstore.NewSweepRecord(model, direct); !reflect.DeepEqual(res.Record, want) {
-		t.Fatal("merged sweep record differs from single-process sweep")
+		t.Fatal("sweep result record differs from single-process sweep")
 	}
 	if want := core.FormatTable(direct, true); res.Table != want {
-		t.Fatalf("merged table differs from single-process sweep:\n%s\n---\n%s", res.Table, want)
+		t.Fatalf("sweep result table differs from single-process sweep:\n%s\n---\n%s", res.Table, want)
 	}
-	if want := expstore.NewSweepRecord(model, expstore.Sweep(st, model, cfg)); !reflect.DeepEqual(res.Record, want) {
-		t.Fatal("merged sweep record differs from the store's sweep")
+	cells, _, misses := expstore.SweepStatsCtx(context.Background(), st, model, cfg)
+	if misses != 0 {
+		t.Fatalf("the store's sweep missed %d cells the shards solved", misses)
 	}
+	if want := expstore.NewSweepRecord(model, cells); !reflect.DeepEqual(res.Record, want) {
+		t.Fatal("sweep result record differs from the store's sweep")
+	}
+}
+
+// withoutDurations re-encodes a busolve record, or a shard's batch of
+// them, with each solve's wall-clock duration zeroed: the one
+// run-dependent fact the records carry.
+func withoutDurations(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	if len(blob) > 0 && blob[0] == '[' {
+		return retamperBatch(t, blob, func(rec *expstore.BUSolveRecord) { rec.Stats.Duration = 0 })
+	}
+	var rec expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Stats.Duration = 0
+	out, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// retamperBatch re-encodes a shard's batch with f applied to every
+// record.
+func retamperBatch(t *testing.T, blob []byte, f func(*expstore.BUSolveRecord)) []byte {
+	t.Helper()
+	var recs []expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &recs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		f(&recs[i])
+	}
+	out, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestFarmLeaseLossRejectsCompletion: a completion arriving after the
@@ -528,5 +592,93 @@ func TestFarmCoordinatorRestartResumesSweep(t *testing.T) {
 	}
 	if want := core.FormatTable(core.Sweep(model, cfg), true); res.Table != want {
 		t.Fatal("resumed sweep table differs from single-process sweep")
+	}
+}
+
+// TestFarmSweepRejectsInvalidCells: every sweep endpoint answers 400 to
+// a grid with a cell bumdp refuses — an unknown model or setting, an
+// acceptance depth below 2, a power share that is not positive — and
+// nothing is enqueued, so no worker is handed a job it cannot solve.
+func TestFarmSweepRejectsInvalidCells(t *testing.T) {
+	base := core.SweepConfig{Alphas: []float64{0.10}, Ratios: []core.Ratio{{Name: "1:1", B: 1, G: 1}},
+		Settings: []bumdp.Setting{bumdp.Setting1}, AD: 3, RatioTol: 1e-4, Epsilon: 1e-8}
+	setting3, ad1, negative := base, base, base
+	setting3.Settings = []bumdp.Setting{3}
+	ad1.AD = 1
+	negative.Alphas = []float64{-0.1}
+	requireSweepRefused(t, map[string]SweepRequest{
+		"model 7":        {Model: 7, Config: base, Count: 1},
+		"setting 3":      {Model: int(bumdp.Compliant), Config: setting3, Count: 1},
+		"AD 1":           {Model: int(bumdp.Compliant), Config: ad1, Count: 1},
+		"negative alpha": {Model: int(bumdp.Compliant), Config: negative, Count: 1},
+	})
+}
+
+// TestFarmBadShardSpecFails: a shard spec whose grid bumdp refuses
+// derives no key, so it reaches a worker only when enqueued straight
+// into the queue past the sweep endpoints, under an ID of the
+// enqueuer's choosing. The worker fails it before any solve and reports
+// each attempt as a failure, so the job dead-letters without a
+// completion for the validity predicate to refuse, and the honest
+// worker keeps its standing.
+func TestFarmBadShardSpecFails(t *testing.T) {
+	client, q, _, _ := testFarm(t, jobqueue.Options{
+		MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
+		QuarantineAfter: 1,
+	})
+	spec, err := json.Marshal(expstore.SweepShardSpec{Model: 7, Config: testSweepConfig(), Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := q.Enqueue(jobqueue.Job{ID: "sweepshard-model7", Kind: expstore.KindSweepShard, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Client: client, Name: "honest", Drain: true}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if executed, completed, failed, _ := w.Stats(); executed != 2 || completed != 0 || failed != 2 {
+		t.Errorf("worker: executed %d, completed %d, failed %d; want 2, 0, 2", executed, completed, failed)
+	}
+	stats := q.Stats()
+	if stats.VerifyRejects != 0 || stats.Dead != 1 || stats.QuarantinedWorkers != 0 {
+		t.Errorf("queue: %d verify rejects, %d dead, %d quarantined; want 0, 1, 0",
+			stats.VerifyRejects, stats.Dead, stats.QuarantinedWorkers)
+	}
+}
+
+// TestFarmCompletionKeepsStoredBytes: a completion for a key the store
+// already holds leaves the stored bytes alone, so a hit stays the body
+// the first miss returned even after a worker solves the key again (a
+// busolve record carries its solve's wall-clock duration, so the two
+// solves' bytes differ).
+func TestFarmCompletionKeepsStoredBytes(t *testing.T) {
+	client, _, st, _ := testFarm(t, jobqueue.Options{})
+	p := bumdp.Params{Alpha: 0.1, Beta: 0.45, Gamma: 0.45, AD: 3, Setting: bumdp.Setting2, Model: bumdp.NonCompliant}
+	spec := expstore.BUSolveSpec{Params: p, RatioTol: 1e-4, Epsilon: 1e-8}
+	miss, hit, err := expstore.SolveBlob(context.Background(), st, spec, nil)
+	if err != nil || hit {
+		t.Fatalf("first solve: hit=%v err=%v, want a miss", hit, err)
+	}
+	job, err := specJob(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, created, err := client.EnqueueCtx(context.Background(), job); err != nil || !created {
+		t.Fatalf("enqueue: created=%v err=%v", created, err)
+	}
+	w := &Worker{Client: client, Name: "solo", Drain: true}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, completed, _, _ := w.Stats(); completed != 1 {
+		t.Fatalf("worker completed %d jobs, want 1", completed)
+	}
+	again, hit, err := expstore.SolveBlob(context.Background(), st, spec, nil)
+	if err != nil || !hit {
+		t.Fatalf("second solve: hit=%v err=%v, want a hit", hit, err)
+	}
+	if string(again) != string(miss) {
+		t.Fatalf("the hit answers bytes other than the miss's:\n miss %s\n  hit %s", miss, again)
 	}
 }

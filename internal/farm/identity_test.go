@@ -25,20 +25,12 @@ type identityJob struct {
 }
 
 // recordDigest is the sha256 of a record's bytes, with the one
-// run-dependent fact zeroed: a busolve record embeds its solve's
-// wall-clock duration.
+// run-dependent fact zeroed: a busolve record, and each record of a
+// shard's batch, embeds its solve's wall-clock duration.
 func recordDigest(t *testing.T, kind string, blob []byte) string {
 	t.Helper()
-	if kind == expstore.KindBUSolve {
-		var rec expstore.BUSolveRecord
-		if err := json.Unmarshal(blob, &rec); err != nil {
-			t.Fatal(err)
-		}
-		rec.Stats.Duration = 0
-		var err error
-		if blob, err = json.Marshal(rec); err != nil {
-			t.Fatal(err)
-		}
+	if kind == expstore.KindBUSolve || kind == expstore.KindSweepShard {
+		blob = withoutDurations(t, blob)
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:])
@@ -47,12 +39,13 @@ func recordDigest(t *testing.T, kind string, blob []byte) string {
 // TestArtifactIdentityGolden pins, for one wire input per artifact
 // kind, the job IDs and spec bytes the coordinator derives from it
 // (NewJob for an enqueue body, the shard fan-out for a sweep body) and
-// the digest of the record each job computes, and checks that verify
-// accepts that record under exactly that ID, so the key it re-derives
-// from the record or spec is the job's. The mcbatch and sweep bodies
-// are the ones scripts/ci.sh posts. The values were recorded from an
-// earlier build; a change to any of them moves artifacts to new keys or
-// new bytes and must come with an expstore.Version bump.
+// the digest of the result each job delivers (a shard's is its batch of
+// busolve records), and checks that verify accepts that result under
+// exactly that ID, so the key it re-derives from the record or spec is
+// the job's. The mcbatch and sweep bodies are the ones scripts/ci.sh
+// posts. The job IDs were recorded at expstore.Version 9 and the rest
+// at earlier versions; a change to any value moves artifacts to new
+// keys or new bytes and must come with an expstore.Version bump.
 func TestArtifactIdentityGolden(t *testing.T) {
 	cases := []struct {
 		name, path, body string
@@ -61,21 +54,21 @@ func TestArtifactIdentityGolden(t *testing.T) {
 		{"busolve", "/jobs/enqueue",
 			`{"kind": "busolve", "spec": {"params": {"Alpha": 0.1, "Beta": 0.45, "Gamma": 0.45, "AD": 3, "Model": 1}}}`,
 			[]identityJob{
-				{"busolve-9b8ed7132dbff157e79ddb9d35eb49ff2d7c53ae",
+				{"busolve-f08160de850dd1eaab5a5901b9b2622843da2965",
 					`{"params":{"Alpha":0.1,"Beta":0.45,"Gamma":0.45,"AD":3,"ADBob":3,"ADCarol":3,"Setting":1,"Model":1,"GateWindow":144,"DoubleSpendReward":10,"DSLag":3,"DSConvention":0},"ratio_tol":0.00001,"epsilon":1e-9}`,
 					"a78cd1753902d50e5418d7999b382781765362ded355fdc950348c9d0835f1f2"},
 			}},
 		{"btcsolve", "/jobs/enqueue",
 			`{"kind": "btcsolve", "spec": {"params": {"Alpha": 0.25, "TieWinProb": 0.5, "Objective": 1}}}`,
 			[]identityJob{
-				{"btcsolve-1a0845adc1b6d9b381c75eeec4456a3557135736",
+				{"btcsolve-cc0f684c8f77c7300f405aecdf35f9cfd4e0b240",
 					`{"params":{"Alpha":0.25,"TieWinProb":0.5,"MaxLead":60,"Objective":1,"DoubleSpendReward":10,"DSLag":3}}`,
 					"1d8fb41ee8f4dea7c472ad1a588adec863c8c5dc654bcd789f4990fca539e9f7"},
 			}},
 		{"ebgame", "/jobs/enqueue",
 			`{"kind": "ebgame", "spec": {"powers": [0.5, 0.3, 0.2], "choices": 2}}`,
 			[]identityJob{
-				{"ebgame-8ce71785087cf94f47233fdf8b7745ded20a8875",
+				{"ebgame-3f10891f0e062419a736114f4f59c033322696bd",
 					`{"powers":[0.5,0.3,0.2],"choices":2}`,
 					"769627cfb28a95f70c362f0e5ec114fb3663e3e59c5a100d0b9db000e686fa19"},
 			}},
@@ -85,7 +78,7 @@ func TestArtifactIdentityGolden(t *testing.T) {
                      "AD": 3, "Setting": 1, "Model": 0},
           "steps": 2000000, "batches": 24, "seed": 7}}`,
 			[]identityJob{
-				{"mcbatch-b956d0fc86f0d41eadb4a02975deec0db95359fe",
+				{"mcbatch-4fe9d563710bd6374d0c66992e76587872b187db",
 					`{"params":{"Alpha":0.25,"Beta":0.375,"Gamma":0.375,"AD":3,"ADBob":3,"ADCarol":3,"Setting":1,"Model":0,"GateWindow":144,"DoubleSpendReward":10,"DSLag":3,"DSConvention":0},"steps":2000000,"batches":24,"seed":7}`,
 					"eecc61e3ed26bc088ac81f15268237a376a1b9df61182689d9c098e5eebcd1f7"},
 			}},
@@ -107,15 +100,15 @@ func TestArtifactIdentityGolden(t *testing.T) {
   "count": 3
 }`,
 			[]identityJob{
-				{"sweepshard-477069ce153a37274c2cc651b6249d2b08e333fc",
+				{"sweepshard-df9a1a2890505069c2b3ed471eed4600113f878a",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":0,"count":3}`,
-					"de5c5edc5febc259faeb359d6ebd07a71d990d8bb1e1a09ebeda7745e9c54e5e"},
-				{"sweepshard-4e86368e4bce40becab366fec03b830b981b5779",
+					"cd5b6e463eeab5a2a0755f201e6134bd842d03fe9ba7fc82fe83ed728bd7d5ac"},
+				{"sweepshard-8abe0930d565b6ba67a6cd051cb04ebda9d45ba6",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":1,"count":3}`,
-					"271b970dfd5bec1caf40b0d66384660942c6d8cd19e7c274d9ecfbe0893df0d6"},
-				{"sweepshard-a54f06b490de2de876d7b2b917029f57cd0958ee",
+					"9384ef187c4b8f03843c1ea7110d22b2ea476b94ed00f5c7798bf81883ccce93"},
+				{"sweepshard-d4c5b6d7eedd499a31765a848174f6e685a5732b",
 					`{"model":0,"config":{"Alphas":[0.1,0.15,0.2],"Ratios":[{"Name":"1:1","B":1,"G":1},{"Name":"1:2","B":1,"G":2},{"Name":"2:1","B":2,"G":1}],"Settings":[1],"AD":3,"ADs":[3],"RatioTol":0.0001,"Epsilon":1e-8,"Workers":0,"InnerParallelism":0},"index":2,"count":3}`,
-					"cbaf9d3958ea1302a878e6756343efac43a2ad58400f2ba7a1a2534aefe2f89d"},
+					"28d47ba94c5090637ff6df79cb250ec8860ac528bf89ab8de97323c6b436e7e3"},
 			}},
 	}
 	for _, tc := range cases {

@@ -144,10 +144,10 @@ func TestFarmTracePropagation(t *testing.T) {
 }
 
 // TestFarmUntracedBytesIdentical pins the acceptance claim that tracing
-// never reaches the artifact: a sweep shard's blob (whose record is
-// fully run-deterministic) is byte-identical with and without a tracer,
-// and a BU solve's record differs only in the wall-clock stats it has
-// always carried — every solver output field matches exactly.
+// never reaches the artifact: a sweep shard's batch and a BU solve's
+// record are identical with and without a tracer but for the
+// wall-clock durations they have always carried — every solver output
+// field matches exactly.
 func TestFarmUntracedBytesIdentical(t *testing.T) {
 	cfg := testSweepConfig()
 	shard, err := specJob(expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: cfg, Index: 0, Count: 2}, 0)
@@ -164,7 +164,7 @@ func TestFarmUntracedBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(plain) != string(got) {
+	if string(withoutDurations(t, plain)) != string(withoutDurations(t, got)) {
 		t.Fatal("traced shard execution changed the artifact bytes")
 	}
 

@@ -38,12 +38,41 @@ func benchQueue(b *testing.B, journal string) *jobqueue.Queue {
 	return q
 }
 
-func BenchmarkEnqueueLeaseComplete(b *testing.B) {
+// cyclePopulation bounds the jobs a cycle benchmark's queue holds:
+// every cyclePopulation cycles it starts over on a fresh queue, opened
+// outside the timer, so a lease scans, and a journaled mutation
+// rewrites, 1 to cyclePopulation jobs whatever b.N is, and a run of any
+// multiple of cyclePopulation cycles (-benchtime 200x or 2000x) times
+// the same work per cycle.
+const cyclePopulation = 50
+
+// benchCycles runs b.N enqueue-lease-complete cycles, journaled to a
+// file in a temporary directory when journaled is set.
+func benchCycles(b *testing.B, journaled bool) {
 	b.ReportAllocs()
-	q := benchQueue(b, "")
+	var journal string
+	if journaled {
+		journal = filepath.Join(b.TempDir(), "journal.json")
+	}
+	ids := make([]string, cyclePopulation)
+	for k := range ids {
+		ids[k] = fmt.Sprintf("bench-%d", k)
+	}
+	b.ResetTimer()
+	var q *jobqueue.Queue
 	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("bench-%d", i)
-		if _, _, err := q.Enqueue(jobqueue.Job{ID: id, Kind: "bench"}); err != nil {
+		if i%cyclePopulation == 0 {
+			b.StopTimer()
+			if journal != "" {
+				os.Remove(journal)
+			}
+			var err error
+			if q, err = jobqueue.Open(jobqueue.Options{Journal: journal}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, _, err := q.Enqueue(jobqueue.Job{ID: ids[i%cyclePopulation], Kind: "bench"}); err != nil {
 			b.Fatal(err)
 		}
 		j, ok, err := q.Lease("w", nil, time.Minute)
@@ -55,6 +84,8 @@ func BenchmarkEnqueueLeaseComplete(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkEnqueueLeaseComplete(b *testing.B) { benchCycles(b, false) }
 
 func BenchmarkLeaseEmptyQueue(b *testing.B) {
 	// The idle-fleet case: every attempt of every held lease request
@@ -95,26 +126,10 @@ func BenchmarkStatsSnapshot(b *testing.B) {
 	_ = st
 }
 
-func BenchmarkJournaledCycle(b *testing.B) {
-	// The same enqueue-lease-complete cycle with the durable journal on:
-	// each mutation rewrites and atomically renames the whole state
-	// file, the price of surviving a coordinator kill at any point.
-	b.ReportAllocs()
-	q := benchQueue(b, filepath.Join(b.TempDir(), "journal.json"))
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("bench-%d", i)
-		if _, _, err := q.Enqueue(jobqueue.Job{ID: id, Kind: "bench"}); err != nil {
-			b.Fatal(err)
-		}
-		j, ok, err := q.Lease("w", nil, time.Minute)
-		if err != nil || !ok {
-			b.Fatalf("lease: ok=%v err=%v", ok, err)
-		}
-		if _, err := q.Complete(j.ID, j.Lease); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkJournaledCycle is the same cycle with the durable journal
+// on: each mutation rewrites and atomically renames the whole state
+// file, the price of surviving a coordinator kill at any point.
+func BenchmarkJournaledCycle(b *testing.B) { benchCycles(b, true) }
 
 // sweepWallClock stands up a fresh coordinator (empty store, in-memory
 // queue), enqueues a small Table-2-style sweep as 3 shard jobs, and
@@ -315,11 +330,11 @@ func TestBenchEmit(t *testing.T) {
 		}
 	}
 
-	cycle := run("enqueue_lease_complete", BenchmarkEnqueueLeaseComplete)
+	cycle := run(fmt.Sprintf("enqueue_lease_complete_%d_jobs", cyclePopulation), BenchmarkEnqueueLeaseComplete)
 	idle := run("lease_empty_queue", BenchmarkLeaseEmptyQueue)
 	dup := run("duplicate_enqueue", BenchmarkDuplicateEnqueue)
 	stats := run("stats_snapshot_64_jobs", BenchmarkStatsSnapshot)
-	journaled := run("enqueue_lease_complete_journaled", BenchmarkJournaledCycle)
+	journaled := run(fmt.Sprintf("enqueue_lease_complete_journaled_%d_jobs", cyclePopulation), BenchmarkJournaledCycle)
 
 	oneWorker, _ := sweepMedians(t, 1, 5)
 	threeWorkers, drainTail := sweepMedians(t, 3, 5)

@@ -3,10 +3,11 @@
 //
 // Jobs are typed units of solver work (a BU MDP cell, a Bitcoin
 // baseline, a sweep shard, a Monte Carlo batch, an EB-game enumeration)
-// identified by the experiment store's canonical content-addressed
-// artifact key, so execution is idempotent by construction: enqueueing
-// the same work twice collapses onto one job, and completing it twice
-// materializes one artifact.
+// identified by the experiment store's canonical content-addressed key
+// of their spec, so enqueueing the same work twice collapses onto one
+// job, and completing it twice materializes its result once. A job's
+// ID is the store key its artifact lands under, except a sweep shard's,
+// whose cells land under their own busolve keys.
 //
 // Scheduling is pull-based with TTL leases. A worker leases the highest
 // priority ready job, heartbeats to keep the lease alive while it
@@ -54,7 +55,7 @@ const (
 	Pending State = "pending"
 	// Leased jobs are held by a worker under a TTL lease.
 	Leased State = "leased"
-	// Done jobs completed; their artifact is materialized in the store.
+	// Done jobs completed; their result is materialized in the store.
 	Done State = "done"
 	// Dead jobs exhausted their delivery budget (the dead-letter set).
 	Dead State = "dead"

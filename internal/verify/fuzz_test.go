@@ -37,6 +37,7 @@ func FuzzVerifyArtifact(f *testing.F) {
 		}
 	}
 
+	// A one-cell shard's batch: a JSON array of busolve records.
 	shard, err := expstore.SweepShardSpec{Model: int(bumdp.Compliant), Config: core.SweepConfig{
 		Alphas:   []float64{0.10},
 		Ratios:   []core.Ratio{{Name: "1:1", B: 1, G: 1}},

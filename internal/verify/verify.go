@@ -42,6 +42,11 @@
 // The ordering is also the fuzzing guard: reaching the witness check
 // requires a blob whose echoed parameters hash to the submitted key, so
 // a mutated input can never trigger a model build.
+//
+// One predicate decides every solved BU cell. A sweep shard's batch
+// has none of its own: it must hold one record per cell of the shard,
+// and each record must pass the busolve predicate under the key of the
+// cell the shard's spec puts at its position.
 package verify
 
 import (
@@ -54,7 +59,6 @@ import (
 
 	"buanalysis/internal/bitcoin"
 	"buanalysis/internal/bumdp"
-	"buanalysis/internal/core"
 	"buanalysis/internal/expstore"
 	"buanalysis/internal/mdp"
 	"buanalysis/internal/obs"
@@ -82,10 +86,11 @@ func (c *Checker) orDefault() *Checker {
 // Artifact verifies one artifact blob of the given kind against the
 // identity it claims: id is the job's content-addressed key (re-derived,
 // never trusted) and spec is the job's spec document (needed only by
-// kinds, like sweep shards, whose stored record does not echo its full
-// configuration). A nil error means the blob is a valid artifact for
-// exactly this key; any defect — structural or semantic — is an error
-// naming the first check that failed.
+// sweep shards, whose batch is checked against the keys of the spec's
+// cells). A nil error means the blob is a valid artifact for exactly
+// this key, or a shard batch whose every record is valid for its cell's
+// key; any defect — structural or semantic — is an error naming the
+// first check that failed.
 func (c *Checker) Artifact(kind, id string, spec, blob []byte) error {
 	c = c.orDefault()
 	start := time.Now()
@@ -259,92 +264,19 @@ func (c *Checker) checkBUSolve(id string, blob []byte) error {
 	return checkClaim(a, rec.Policy, rec.Epsilon, rec.Utility)
 }
 
+// checkSweepShard holds a shard's batch to its job: the spec must
+// derive the job's ID, the batch must hold one record per cell of the
+// shard (expstore.Entries), and record i must pass the busolve
+// predicate under cell i's key. So a record from another cell, another
+// grid or other tolerances fails its key echo.
 func (c *Checker) checkSweepShard(id string, spec, blob []byte) error {
-	if len(spec) == 0 {
-		return errors.New("sweep-shard verification needs the job spec")
-	}
-	var s expstore.SweepShardSpec
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return fmt.Errorf("decoding job spec: %w", err)
-	}
-	var rec expstore.SweepShardRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return fmt.Errorf("decoding record: %w", err)
-	}
-	if err := canonicalEcho(rec, blob); err != nil {
+	entries, err := expstore.Entries(expstore.KindSweepShard, id, spec, blob)
+	if err != nil {
 		return err
 	}
-	key, err := s.Key()
-	if err != nil {
-		return fmt.Errorf("re-deriving key from job spec: %w", err)
-	}
-	if key != id {
-		return fmt.Errorf("job spec derives key %s, artifact claims %s", key, id)
-	}
-	if rec.Model != s.Model || rec.Index != s.Index || rec.Count != s.Count {
-		return fmt.Errorf("record claims shard %d of %d (model %d), job is shard %d of %d (model %d)",
-			rec.Index, rec.Count, rec.Model, s.Index, s.Count, s.Model)
-	}
-
-	// The shard is obliged to cover exactly its round-robin rows of the
-	// defaults-applied grid, whole rows in grid order. Re-derive that
-	// layout and hold every cell to it.
-	model := bumdp.IncentiveModel(s.Model)
-	cfg := s.Config.Normalized(model)
-	grid := cfg.Grid(model)
-	rows := cfg.ShardRows(model, s.Index, s.Count)
-	rowLen := len(cfg.Ratios)
-	if len(rec.Cells) != len(rows)*rowLen {
-		return fmt.Errorf("shard has %d cells, its rows hold %d", len(rec.Cells), len(rows)*rowLen)
-	}
-	if len(rec.Policies) != len(rec.Cells) {
-		return fmt.Errorf("shard has %d witness policies for %d cells", len(rec.Policies), len(rec.Cells))
-	}
-
-	// Every cell's model comes from bumdp.New, which runs the dynamics
-	// once per model shape (the shard's cells share one) and derives the
-	// rest from this process's own compile, never from the artifact.
-	for k, r := range rows {
-		for j := 0; j < rowLen; j++ {
-			got := rec.Cells[k*rowLen+j]
-			want := grid[r*rowLen+j]
-			if got.Alpha != want.Alpha || got.Ratio != want.Ratio ||
-				got.Setting != int(want.Setting) || got.Model != int(want.Model) ||
-				got.AD != want.AD || got.Skipped != want.Skipped {
-				return fmt.Errorf("cell %d is off-grid: got (alpha=%g ratio=%q setting=%d model=%d ad=%d skipped=%v), grid holds (alpha=%g ratio=%q setting=%d model=%d ad=%d skipped=%v)",
-					k*rowLen+j, got.Alpha, got.Ratio, got.Setting, got.Model, got.AD, got.Skipped,
-					want.Alpha, want.Ratio, int(want.Setting), int(want.Model), want.AD, want.Skipped)
-			}
-			where := fmt.Sprintf("cell %d (alpha=%g ratio=%s setting=%d)", k*rowLen+j, got.Alpha, got.Ratio, got.Setting)
-			witness := rec.Policies[k*rowLen+j]
-			if got.Skipped {
-				if got.Value != 0 || got.Honest != 0 || got.ForkRate != 0 || got.Probes != 0 || got.Sweeps != 0 || got.Err != "" || witness != "" {
-					return fmt.Errorf("%s: skipped cell carries solve results", where)
-				}
-				continue
-			}
-			if got.Err != "" {
-				// A failed solve must never materialize: rejecting keeps
-				// the job on its retry budget instead of caching the error.
-				return fmt.Errorf("%s: reports a solve error: %s", where, got.Err)
-			}
-			params, opts := cfg.CellParams(core.Cell{
-				Alpha: got.Alpha, Ratio: got.Ratio, Setting: bumdp.Setting(got.Setting),
-				Model: bumdp.IncentiveModel(got.Model), AD: got.AD,
-			})
-			a, err := bumdp.New(params)
-			if err != nil {
-				return fmt.Errorf("%s: rebuilding model: %w", where, err)
-			}
-			if honest := a.HonestUtility(); math.Abs(got.Honest-honest) > 1e-12 {
-				return fmt.Errorf("%s: claims honest utility %v, model says %v", where, got.Honest, honest)
-			}
-			if got.ForkRate < -1e-9 || got.ForkRate > 1+1e-9 {
-				return fmt.Errorf("%s: fork rate %v outside [0, 1]", where, got.ForkRate)
-			}
-			if err := checkClaim(a, witness, opts.Epsilon, got.Value); err != nil {
-				return fmt.Errorf("%s: %w", where, err)
-			}
+	for i, e := range entries {
+		if err := c.checkBUSolve(e.Key, e.Blob); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
 	return nil

@@ -287,20 +287,25 @@ func shardArtifact(t *testing.T, cfg core.SweepConfig, index, count int) (id str
 	return id, spec, blob
 }
 
-func retamperShard(t *testing.T, blob []byte, f func(*expstore.SweepShardRecord)) []byte {
+// retamperShard decodes a shard's batch, applies f to its records and
+// re-encodes them canonically.
+func retamperShard(t *testing.T, blob []byte, f func([]expstore.BUSolveRecord) []expstore.BUSolveRecord) []byte {
 	t.Helper()
-	var rec expstore.SweepShardRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		t.Fatalf("decoding shard record: %v", err)
+	var recs []expstore.BUSolveRecord
+	if err := json.Unmarshal(blob, &recs); err != nil {
+		t.Fatalf("decoding shard batch: %v", err)
 	}
-	f(&rec)
-	out, err := json.Marshal(rec)
+	out, err := json.Marshal(f(recs))
 	if err != nil {
-		t.Fatalf("re-encoding shard record: %v", err)
+		t.Fatalf("re-encoding shard batch: %v", err)
 	}
 	return out
 }
 
+// TestVerifySweepShard: a shard's batch passes when each record passes
+// the busolve predicate under the key of the cell at its position, and
+// a batch with any record changed, swapped, missing, extra or solved at
+// other tolerances is refused.
 func TestVerifySweepShard(t *testing.T) {
 	cfg := shardTestConfig()
 	const count = 2
@@ -309,41 +314,49 @@ func TestVerifySweepShard(t *testing.T) {
 		if err := Artifact(expstore.KindSweepShard, id, spec, blob); err != nil {
 			t.Fatalf("valid shard %d rejected: %v", index, err)
 		}
-		flipped := retamperShard(t, blob, func(rec *expstore.SweepShardRecord) {
-			rec.Cells[0].Value += 0.01
-		})
-		if err := Artifact(expstore.KindSweepShard, id, spec, flipped); err == nil {
-			t.Fatalf("shard %d with one flipped cell accepted", index)
+		var recs []expstore.BUSolveRecord
+		if err := json.Unmarshal(blob, &recs); err != nil || len(recs) < 2 {
+			t.Fatalf("shard %d batch: %d records, err %v; want at least 2", index, len(recs), err)
 		}
-		offgrid := retamperShard(t, blob, func(rec *expstore.SweepShardRecord) {
-			rec.Cells[0].Alpha = 0.33
-		})
-		if err := Artifact(expstore.KindSweepShard, id, spec, offgrid); err == nil {
-			t.Fatalf("shard %d with an off-grid cell accepted", index)
+		// An honest record of the same cell, solved at other tolerances:
+		// valid under its own key, not under this cell's.
+		loose, err := expstore.BUSolveSpec{Params: recs[0].Params, RatioTol: testRatioTol, Epsilon: testEpsilon * 10}.Compute(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, forge := range map[string]func(*expstore.SweepShardRecord){
-			"witness list short": func(rec *expstore.SweepShardRecord) { rec.Policies = rec.Policies[1:] },
-			"witness too long":   func(rec *expstore.SweepShardRecord) { rec.Policies[0] += "0" },
-			"witness flipped":    func(rec *expstore.SweepShardRecord) { rec.Policies[0] = flipWitness(rec.Policies[0], 0) },
+		var other expstore.BUSolveRecord
+		if err := json.Unmarshal(loose, &other); err != nil {
+			t.Fatal(err)
+		}
+		for name, forge := range map[string]func([]expstore.BUSolveRecord) []expstore.BUSolveRecord{
+			"changed utility": func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord {
+				r[0].Utility += 0.01
+				return r
+			},
+			"flipped witness": func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord {
+				r[0].Policy = flipWitness(r[0].Policy, 0)
+				return r
+			},
+			"swapped records": func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord {
+				r[0], r[1] = r[1], r[0]
+				return r
+			},
+			"missing record": func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord { return r[1:] },
+			"extra record":   func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord { return append(r, r[0]) },
+			"other tolerances": func(r []expstore.BUSolveRecord) []expstore.BUSolveRecord {
+				r[0] = other
+				return r
+			},
 		} {
 			if err := Artifact(expstore.KindSweepShard, id, spec, retamperShard(t, blob, forge)); err == nil {
-				t.Fatalf("shard %d with %s accepted", index, name)
+				t.Fatalf("shard %d with a %s accepted", index, name)
 			}
-		}
-		errcell := retamperShard(t, blob, func(rec *expstore.SweepShardRecord) {
-			rec.Cells[1].Err = "synthetic failure"
-		})
-		if err := Artifact(expstore.KindSweepShard, id, spec, errcell); err == nil {
-			t.Fatalf("shard %d carrying a solve error accepted", index)
-		}
-		wrongIndex := retamperShard(t, blob, func(rec *expstore.SweepShardRecord) {
-			rec.Index = (index + 1) % count
-		})
-		if err := Artifact(expstore.KindSweepShard, id, spec, wrongIndex); err == nil {
-			t.Fatalf("shard %d claiming another index accepted", index)
 		}
 		if err := Artifact(expstore.KindSweepShard, id, nil, blob); err == nil {
 			t.Fatalf("shard %d accepted without the job spec", index)
+		}
+		if err := Artifact(expstore.KindSweepShard, "sweepshard-0000", spec, blob); err == nil {
+			t.Fatalf("shard %d accepted under a foreign ID", index)
 		}
 	}
 }

@@ -77,10 +77,10 @@ go test -run '^$' -fuzz FuzzVerifyArtifact -fuzztime 5s ./internal/verify/
 
 echo "== sweep identity smoke =="
 # A sweep cell is solved one way wherever it is solved: core.Sweep, the
-# store behind butables, /sweep and /tables, and the farm's merged
-# shards must give the same sweep record bytes, and a sweep must be
-# identical at every GOMAXPROCS setting; the first three tests pin
-# exactly that. Every model but a shape's first is a member of that
+# store behind butables, /sweep and /tables, and the farm's shards,
+# which store each cell's record for the store's sweep to read, must
+# give the same sweep record bytes, and a sweep must be identical at
+# every GOMAXPROCS setting; the first three tests pin exactly that. Every model but a shape's first is a member of that
 # shape's model family, derived by gathering with no builder call and
 # holding no raw transition records, so the next four pin derived
 # models to fresh compiles, bit for bit, raw records rebuilt on request
@@ -175,7 +175,7 @@ echo "== solve-farm smoke (3 workers, one killed mid-lease) =="
 # middle of; its lease expires back into the queue and three draining
 # workers finish everything. This exercises the whole protocol through
 # real processes: enqueue, lease, heartbeat, expiry requeue,
-# completion, and the merged result.
+# completion, and the sweep result.
 go build -o "$SMOKE/buworker" ./cmd/buworker
 
 cat >"$SMOKE/sweep.json" <<'EOF'
@@ -239,6 +239,15 @@ curl -fsS -X POST --data-binary @"$SMOKE/sweep.json" "http://$ADDR/jobs/sweep/re
 	>"$SMOKE/result.json"
 grep -q '"table":' "$SMOKE/result.json"
 tr -d ' \n\t' <"$SMOKE/result.json" | grep -q '"alpha":0.2'
+# The shards stored their cells as the busolve records /solve answers
+# from: a cell of the posted sweep is a hit, and no shard blob exists.
+curl -fsS -D "$SMOKE/h3" -o /dev/null \
+	"http://$ADDR/solve?alpha=0.1&ratio=1:1&model=compliant&setting=1&ad=3&ratio_tol=1e-4&epsilon=1e-8"
+grep -qi '^x-cache: hit' "$SMOKE/h3"
+if ls "$SMOKE/cache"/sweepshard-*.json >/dev/null 2>&1; then
+	echo "the cache dir holds sweepshard blobs" >&2
+	exit 1
+fi
 # All three shards and the Monte-Carlo job completed exactly once; the
 # killed worker's lease expired and was redelivered.
 STATS="$(curl -fsS "http://$ADDR/jobs/statsz" | tr -d ' \n\t')"
@@ -290,11 +299,11 @@ echo "== byzantine drill smoke (validity consensus + quarantine) =="
 # A fresh coordinator (empty cache, instant quarantine) gets the same
 # sweep, and a byzantine worker leases first. Its flipcell forgeries are
 # well-formed canonical bytes whose claimed values are false — the
-# hardest case, refusable only by the witness check: the shard's witness
-# policy still attains the honest value, 0.01 away from the claim. Every
-# delivery must be rejected, the worker quarantined, nothing
-# materialized; honest workers then drain the queue and the merged
-# result must be byte-identical to the honest run's above.
+# hardest case, refusable only by the witness check: the forged record's
+# witness policy still attains the honest value, 0.01 away from the
+# claim. Every delivery must be rejected, the worker quarantined,
+# nothing materialized; honest workers then drain the queue and the
+# sweep result must be byte-identical to the honest run's above.
 "$SMOKE/buserve" -addr 127.0.0.1:0 -cache-dir "$SMOKE/cache2" -portfile "$SMOKE/port2" \
 	-quarantine-after 1 &
 SERVE2_PID=$!
@@ -341,8 +350,8 @@ echo "$STATS2" | grep -q '"done":3'
 echo "$STATS2" | grep -q '"pending":0'
 echo "$STATS2" | grep -q '"quarantined_workers":1'
 curl -fsS "http://$ADDR2/workersz" | tr -d ' \n\t' | grep -q '"quarantined":true'
-# The forgeries never poisoned the store: the byzantine run's merged
-# table is byte-identical to the honest run's.
+# The forgeries never poisoned the store: the byzantine run's sweep
+# result is byte-identical to the honest run's.
 curl -fsS -X POST --data-binary @"$SMOKE/sweep.json" "http://$ADDR2/jobs/sweep/result" \
 	>"$SMOKE/result2.json"
 cmp "$SMOKE/result.json" "$SMOKE/result2.json"
